@@ -6,8 +6,11 @@ Solves  (1/2) Tr(sigma sigma^T hess v) + b . grad v + psi(x, grad v sigma)
 
 on structured grids, with upwinded drift, centered diffusion, one-sided
 Neumann rows, and a frozen-gradient Picard iteration for the z dependence
-of the driver. Degenerate diffusion is handled by adding a small viscosity
-eps^2/2 at two values of eps and extrapolating linearly to eps = 0.
+of the driver. One vectorised assembler builds the sparse operator in any
+dimension; mu and psi enter only the right-hand side, so each operator is
+factorised once and the LU serves every Picard sweep. Degenerate 1-d
+diffusion is handled by adding a small viscosity eps^2/2 at two values of
+eps and extrapolating linearly to eps = 0.
 """
 from __future__ import annotations
 
@@ -16,7 +19,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import solve_banded
 from scipy.sparse.linalg import splu
 
 from .dynamics import SdeModel
@@ -24,7 +26,7 @@ from .errors import PicardDiverged
 from .geometry import DomainSpec
 from .grids import GridFunction, Mesh, build_mesh
 
-__all__ = ["DriverSpec", "solve_discounted", "lipschitz_diagnostic"]
+__all__ = ["DriverSpec", "assemble_operator", "solve_discounted", "lipschitz_diagnostic"]
 
 
 @dataclass
@@ -59,134 +61,127 @@ class DriverSpec:
 
 
 # ---------------------------------------------------------------------------
-# 1-d tridiagonal core
+# sparse core, any dimension
 
 
-def _banded_1d(x: np.ndarray, a: np.ndarray, bdrift: np.ndarray, alpha: float,
-               gl: float, gr: float, mu: float):
-    """Banded operator and boundary right-hand side for the 1-d problem."""
-    N = x.size
-    h = x[1] - x[0]
-    main = np.zeros(N)
-    lower = np.zeros(N - 1)
-    upper = np.zeros(N - 1)
-    rhs = np.zeros(N)
-    i = np.arange(1, N - 1)
-    main[i] = -2 * a[i] / h ** 2 - alpha
-    lower[i - 1] = a[i] / h ** 2
-    upper[i] = a[i] / h ** 2
-    pos = bdrift[i] >= 0
-    main[i] += np.where(pos, -bdrift[i], bdrift[i]) / h
-    upper[i] += np.where(pos, bdrift[i], 0.0) / h
-    lower[i - 1] += np.where(pos, 0.0, -bdrift[i]) / h
-    # inward-normal Neumann rows: (v_1 - v_0)/h = mu - g at the left end,
-    # -(v_N - v_{N-1})/h = mu - g at the right end
-    main[0] = -1 / h
-    upper[0] = 1 / h
-    rhs[0] = mu - gl
-    main[-1] = -1 / h
-    lower[-1] = 1 / h
-    rhs[-1] = mu - gr
-    ab = np.zeros((3, N))
-    ab[0, 1:] = upper
-    ab[1, :] = main
-    ab[2, :-1] = lower
-    return ab, rhs
+def _coefficients(mesh: Mesh, model: SdeModel):
+    """sigma (M, d, d), diffusion diagonal diag(sigma sigma^T)/2 (M, d) and
+    drift (M, d) at the nodes. Interior rows need a diagonal sigma sigma^T."""
+    sig = model.sigma_at(mesh.nodes)
+    amat = np.einsum("nij,nkj->nik", sig, sig)
+    adiag = np.einsum("nii->ni", amat)
+    off = np.abs(amat - adiag[:, :, None] * np.eye(mesh.domain.dim)).max(axis=(1, 2))
+    if np.any((off > 1e-12 * (1 + np.abs(adiag[:, 0])))[~mesh.boundary]):
+        raise NotImplementedError("off-diagonal diffusion is not supported on 2-d grids")
+    return sig, 0.5 * adiag, model.drift_at(mesh.nodes)
 
 
-def _solve_linear_1d(ab, rhs, psi_vals):
-    b = rhs.copy()
-    b[1:-1] -= psi_vals[1:-1]
-    return solve_banded((1, 1), ab, b)
+def assemble_operator(mesh: Mesh, a: np.ndarray, b: np.ndarray, alpha: float,
+                      bordered: bool = False) -> sparse.csc_matrix:
+    """Sparse operator of the discrete problem, assembled in COO form.
+
+    Interior rows: centered diffusion with coefficients ``a`` (M, d),
+    upwinded drift ``b`` (M, d), minus alpha. Boundary rows: the inward
+    normal derivative, one-sided along each axis on the side the normal
+    points to (the other side when that neighbor is missing). With
+    ``bordered`` the unknown lambda is appended: a -1 column on the
+    interior rows and the normalization row v(x_ref) = 0.
+    """
+    n, d = a.shape
+    h = mesh.spacing
+    nb = mesh.neighbors
+    inner = np.nonzero(~mesh.boundary)[0]
+    ai, bi = a[inner], b[inner]
+    up, down = np.maximum(bi, 0.0) / h, np.maximum(-bi, 0.0) / h
+    rows = [inner, np.repeat(inner, d), np.repeat(inner, d)]
+    cols = [inner, nb[inner, :, 1].ravel(), nb[inner, :, 0].ravel()]
+    vals = [-alpha - (2 * ai / h ** 2 + up + down).sum(axis=1),
+            (ai / h ** 2 + up).ravel(), (ai / h ** 2 + down).ravel()]
+    bnd = np.nonzero(mesh.boundary)[0]
+    normal = mesh.boundary_normals()
+    axes = np.arange(d)
+    side = (normal >= 0).astype(int)            # 1: the +1 neighbor
+    j = nb[bnd[:, None], axes, side]
+    side = np.where(j < 0, 1 - side, side)
+    j = nb[bnd[:, None], axes, side]
+    coef = np.where(j >= 0, normal * (2 * side - 1) / h, 0.0)
+    rows += [np.repeat(bnd, d), bnd]
+    cols += [j.ravel(), bnd]
+    vals += [coef.ravel(), -coef.sum(axis=1)]
+    if bordered:
+        rows += [inner, [n]]
+        cols += [np.full(len(inner), n), [mesh.ref_index()]]
+        vals += [np.full(len(inner), -1.0), [1.0]]
+    rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
+    keep = cols >= 0
+    size = n + bordered
+    return sparse.coo_matrix((vals[keep], (rows[keep], cols[keep])),
+                             shape=(size, size)).tocsc()
 
 
-def _picard(mesh: Mesh, model: SdeModel, driver: DriverSpec,
+def _rhs(mesh: Mesh, driver: DriverSpec, mu: float, bordered: bool = False) -> np.ndarray:
+    """Right-hand side before psi: mu - g on the boundary rows, 0 elsewhere."""
+    rhs = np.zeros(mesh.n_nodes + bordered)
+    rhs[:mesh.n_nodes][mesh.boundary] = [mu - driver.g_at(p)
+                                         for p in mesh.nodes[mesh.boundary]]
+    return rhs
+
+
+def _picard(mesh: Mesh, sig: np.ndarray, driver: DriverSpec,
             linear_solve, tol: float, max_sweeps: int) -> np.ndarray:
     """Frozen-gradient fixed point: repeat linear solves with psi at the
-    previous sweep's z field until the sup-norm update stalls below tol."""
-    nodes = mesh.nodes
-    sig = np.stack([np.atleast_2d(model.sigma(p)) for p in nodes])
-    v = np.zeros(mesh.n_nodes)
+    previous sweep's z field until the sup-norm update of the node values
+    stalls below tol. ``linear_solve`` returns the unknowns, nodes first."""
+    nodes, n = mesh.nodes, mesh.n_nodes
     if driver.K_psi_z == 0.0:
-        Z = np.zeros_like(nodes)
-        return linear_solve(driver.psi_at(nodes, Z))
+        return linear_solve(driver.psi_at(nodes, np.zeros_like(nodes)))
+    x = np.zeros(n)
     delta_prev = np.inf
     for sweep in range(max_sweeps):
-        gf = GridFunction(mesh, v)
-        Z = np.einsum("nd,nde->ne", gf.gradient(), sig)
-        v_new = linear_solve(driver.psi_at(nodes, Z))
-        delta = float(np.max(np.abs(v_new - v)))
+        Z = np.einsum("nd,nde->ne", GridFunction(mesh, x[:n]).gradient(), sig)
+        x_new = linear_solve(driver.psi_at(nodes, Z))
+        delta = float(np.max(np.abs(x_new[:n] - x[:n])))
         if delta > delta_prev:
-            v_new = 0.5 * (v_new + v)   # damp oscillating sweeps
-            delta = float(np.max(np.abs(v_new - v)))
+            x_new = 0.5 * (x_new + x)   # damp oscillating sweeps
+            delta = float(np.max(np.abs(x_new[:n] - x[:n])))
         if delta < tol:
-            return v_new
-        v, delta_prev = v_new, delta
+            return x_new
+        x, delta_prev = x_new, delta
     raise PicardDiverged(
         f"gradient fixed point did not stall below {tol:.1e} in {max_sweeps} "
         "sweeps; refine the grid or increase the discount")
-
-
-def _diffusion_1d(model: SdeModel, x: np.ndarray) -> np.ndarray:
-    return np.array([0.5 * float(np.atleast_2d(model.sigma(np.array([t])))[0, 0] ** 2)
-                     for t in x])
 
 
 def _needs_viscosity(a_diag: np.ndarray, h: float) -> bool:
     return float(a_diag.min()) < 10.0 * h
 
 
-# ---------------------------------------------------------------------------
-# 2-d sparse core
-
-
-def _assemble_2d(mesh: Mesh, model: SdeModel, alpha: float, mu: float,
-                 driver: DriverSpec, eps: float):
-    """Five-point rows inside, one-sided inward-normal Neumann rows at
-    boundary nodes. Diffusion must have a diagonal sigma sigma^T."""
-    domain = mesh.domain
-    n = mesh.n_nodes
+def _grid_solve(mesh: Mesh, model: SdeModel, driver: DriverSpec, alpha: float,
+                mu: float, tol: float, max_sweeps: int, viscosity: str,
+                bordered: bool = False):
+    """Unknowns of the discrete problem (node values, then lambda when
+    ``bordered``) and the viscosity levels used. One LU per level."""
+    if mesh.domain.dim > 2:
+        raise NotImplementedError("grid solves are 1-d and 2-d only")
+    sig, a, b = _coefficients(mesh, model)
     h = mesh.spacing
-    A = sparse.lil_matrix((n, n))
-    rhs = np.zeros(n)
-    psi_rows = np.zeros(n, bool)
-    for k in range(n):
-        p = mesh.nodes[k]
-        if mesh.boundary[k]:
-            nvec = domain.grad_phi(p)
-            nvec = nvec / np.linalg.norm(nvec)
-            for ax in range(2):
-                side = 1 if nvec[ax] >= 0 else -1
-                j = mesh.neighbor(k, ax, side)
-                if j < 0:
-                    j = mesh.neighbor(k, ax, -side)
-                    side = -side
-                if j < 0:
-                    continue
-                A[k, j] += nvec[ax] * side / h
-                A[k, k] -= nvec[ax] * side / h
-            rhs[k] = mu - driver.g_at(p)
-            continue
-        sig = np.atleast_2d(model.sigma(p))
-        amat = sig @ sig.T
-        if abs(amat[0, 1]) > 1e-12 * (1 + abs(amat[0, 0])):
-            raise NotImplementedError("off-diagonal diffusion is not supported on 2-d grids")
-        bvec = np.atleast_1d(model.b(p))
-        psi_rows[k] = True
-        A[k, k] -= alpha
-        for ax in range(2):
-            aval = 0.5 * amat[ax, ax] + 0.5 * eps ** 2
-            kp, km = mesh.neighbor(k, ax, +1), mesh.neighbor(k, ax, -1)
-            A[k, k] += -2 * aval / h ** 2
-            A[k, kp] += aval / h ** 2
-            A[k, km] += aval / h ** 2
-            if bvec[ax] >= 0:
-                A[k, k] += -bvec[ax] / h
-                A[k, kp] += bvec[ax] / h
-            else:
-                A[k, k] += bvec[ax] / h
-                A[k, km] += -bvec[ax] / h
-    return sparse.csc_matrix(A), rhs, psi_rows
+    use_visc = mesh.domain.dim == 1 and (
+        viscosity == "force" or (viscosity == "auto" and _needs_viscosity(a, h)))
+    eps_list = [h, h / 2] if use_visc else [0.0]
+    rhs = _rhs(mesh, driver, mu, bordered)
+    inner = np.nonzero(~mesh.boundary)[0]
+    sols = []
+    for eps in eps_list:
+        lu = splu(assemble_operator(mesh, a + 0.5 * eps ** 2, b, alpha, bordered))
+
+        def linear_solve(pv, lu=lu):
+            r = rhs.copy()
+            r[inner] -= pv[inner]
+            return lu.solve(r)
+
+        sols.append(_picard(mesh, sig, driver, linear_solve, tol, max_sweeps))
+    x = 2 * sols[1] - sols[0] if use_visc else sols[0]
+    return x, eps_list
 
 
 def solve_discounted(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
@@ -196,39 +191,14 @@ def solve_discounted(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
     """Grid solution of the discounted problem at discount alpha.
 
     ``viscosity``: "auto" adds the two-level vanishing-viscosity
-    extrapolation when the diffusion degenerates somewhere on the grid,
-    "off" never does, "force" always does.
+    extrapolation when the diffusion degenerates somewhere on a 1-d grid,
+    "off" never does, "force" always does (1-d only).
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     mesh = build_mesh(domain, spacing)
-    if domain.dim == 1:
-        x = mesh.nodes[:, 0]
-        a_diag = _diffusion_1d(model, x)
-        bdrift = np.array([float(np.atleast_1d(model.b(np.array([t])))[0]) for t in x])
-        gl, gr = driver.g_at(x[0]), driver.g_at(x[-1])
-        use_visc = (viscosity == "force"
-                    or (viscosity == "auto" and _needs_viscosity(a_diag, mesh.spacing)))
-        eps_list = [mesh.spacing, mesh.spacing / 2] if use_visc else [0.0]
-        sols = []
-        for eps in eps_list:
-            ab, rhs = _banded_1d(x, a_diag + 0.5 * eps ** 2, bdrift, alpha, gl, gr, mu)
-            sols.append(_picard(mesh, model, driver,
-                                lambda pv, ab=ab, rhs=rhs: _solve_linear_1d(ab, rhs, pv),
-                                tol, max_sweeps))
-        v = 2 * sols[1] - sols[0] if use_visc else sols[0]
-        return GridFunction(mesh, v)
-    if domain.dim == 2:
-        A, rhs, psi_rows = _assemble_2d(mesh, model, alpha, mu, driver, 0.0)
-        lu = splu(A)
-
-        def lin(pv):
-            b = rhs.copy()
-            b[psi_rows] -= pv[psi_rows]
-            return lu.solve(b)
-
-        return GridFunction(mesh, _picard(mesh, model, driver, lin, tol, max_sweeps))
-    raise NotImplementedError("grid solves are 1-d and 2-d only")
+    v, _ = _grid_solve(mesh, model, driver, alpha, mu, tol, max_sweeps, viscosity)
+    return GridFunction(mesh, v)
 
 
 def lipschitz_diagnostic(v: GridFunction, chunk: int = 512) -> float:

@@ -19,8 +19,8 @@ because the defining function has a unit gradient on the boundary.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy import integrate
@@ -29,11 +29,11 @@ from .errors import NotKolmogorov, StepTooLarge
 from .geometry import DomainSpec, project
 
 __all__ = [
-    "Potential", "SdeModel", "ReflectedPath", "GeneratorEval",
+    "Potential", "SdeModel", "ReflectedPath",
     "step_reflected", "simulate", "step_penalized", "invariant_density",
     "sample_invariant", "generator_apply", "expected_K_rate",
     "occupation_histogram", "ensemble_average", "penalized_moments", "stationary_start",
-    "path_to_csv", "histogram_to_csv",
+    "path_to_csv",
 ]
 
 
@@ -81,6 +81,15 @@ class SdeModel:
             return self.b_vec(X)
         return np.stack([np.atleast_1d(self.b(x)) for x in X])
 
+    def sigma_at(self, X: np.ndarray) -> np.ndarray:
+        """sigma at a batch of states, (P, d) -> (P, d, d)."""
+        if self.sigma_constant is not None:
+            return np.broadcast_to(self.sigma_constant,
+                                   (len(X),) + self.sigma_constant.shape)
+        if self.sigma_diag_vec is not None:
+            return self.sigma_diag_vec(X)[:, :, None] * np.eye(X.shape[1])
+        return np.stack([np.atleast_2d(self.sigma(x)) for x in X])
+
     def noise_term(self, X: np.ndarray, dW: np.ndarray) -> np.ndarray:
         """sigma(X_p) dW_p for a batch of states and increments."""
         if self.sigma_constant is not None:
@@ -88,13 +97,6 @@ class SdeModel:
         if self.sigma_diag_vec is not None:
             return self.sigma_diag_vec(X) * dW
         return np.stack([np.atleast_2d(self.sigma(x)) @ w for x, w in zip(X, dW)])
-
-
-@dataclass
-class GeneratorEval:
-    """Value of the generator applied to a test function at one point."""
-
-    value: float
 
 
 @dataclass
@@ -595,11 +597,3 @@ def path_to_csv(path: ReflectedPath, fname: str) -> None:
                        + [f"{v:.17g}" for v in path.states[i]]
                        + [f"{path.local_time[i]:.17g}"])
 
-
-def histogram_to_csv(edges: np.ndarray, density: np.ndarray, fname: str) -> None:
-    with open(fname, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["bin_center", "density"])
-        centers = (edges[:-1] + edges[1:]) / 2
-        for c, v in zip(centers, density):
-            w.writerow([f"{c:.17g}", f"{v:.17g}"])

@@ -6,8 +6,8 @@ Two routes produce the pair (v, lambda) at a fixed boundary constant mu:
   decreasing discount sequence; the discount times the value at a
   reference node converges to lambda and is Richardson-extrapolated.
 * direct: one bordered linear system (or Picard sweeps of it when the
-  driver reads the gradient) with unknowns (v at the nodes, lambda) and
-  the normalization v(x_ref) = 0.
+  driver reads the gradient, all on one LU) with unknowns (v at the
+  nodes, lambda) and the normalization v(x_ref) = 0.
 
 On top of these sit the sampled curve mu -> lambda(mu), which is
 non-increasing, and a bisection that inverts it to find the boundary
@@ -18,15 +18,12 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import spsolve
 
 from . import dynamics, hypotheses
-from .discounted import (DriverSpec, _banded_1d, _diffusion_1d, _needs_viscosity,
-                         _picard, _solve_linear_1d, _assemble_2d, solve_discounted)
+from .discounted import DriverSpec, _grid_solve, solve_discounted
 from .dynamics import SdeModel
 from .errors import BracketFailure, FlatCurve, NoConvergence, SchemeMismatch
 from .geometry import DomainSpec
@@ -100,77 +97,9 @@ def curve_to_csv(curve: LambdaOfMuCurve, fname: str) -> None:
             w.writerow([f"{m:.17g}", f"{l:.17g}", f"{curve.tol:.3g}"])
 
 
-# ---------------------------------------------------------------------------
-# direct scheme
-
-
-def _direct_1d(mesh, model, driver, mu, tol, max_sweeps, viscosity):
-    x = mesh.nodes[:, 0]
-    a_diag = _diffusion_1d(model, x)
-    bdrift = np.array([float(np.atleast_1d(model.b(np.array([t])))[0]) for t in x])
-    gl, gr = driver.g_at(x[0]), driver.g_at(x[-1])
-    iref = mesh.ref_index()
-    N = x.size
-    use_visc = (viscosity == "force"
-                or (viscosity == "auto" and _needs_viscosity(a_diag, mesh.spacing)))
-    eps_list = [mesh.spacing, mesh.spacing / 2] if use_visc else [0.0]
-    outs = []
-    for eps in eps_list:
-        ab, rhs = _banded_1d(x, a_diag + 0.5 * eps ** 2, bdrift, 0.0, gl, gr, mu)
-        # bordered sparse system: tridiagonal block, -1 lambda column on
-        # interior rows, and the normalization row v(x_ref) = 0
-        A = sparse.lil_matrix((N + 1, N + 1))
-        A[np.arange(N), np.arange(N)] = ab[1]
-        A[np.arange(N - 1), np.arange(1, N)] = ab[0, 1:]
-        A[np.arange(1, N), np.arange(N - 1)] = ab[2, :-1]
-        A[np.arange(1, N - 1), N] = -1.0
-        A[N, iref] = 1.0
-        A = sparse.csc_matrix(A)
-
-        def lin(pv, A=A, rhs=rhs):
-            b = np.concatenate([rhs, [0.0]])
-            b[1:N - 1] -= pv[1:N - 1]
-            sol = spsolve(A, b)
-            lin.lam = sol[N]
-            return sol[:N]
-
-        v = _picard(mesh, model, driver, lin, tol, max_sweeps)
-        outs.append((v, lin.lam))
-    if use_visc:
-        v = 2 * outs[1][0] - outs[0][0]
-        lam = 2 * outs[1][1] - outs[0][1]
-    else:
-        v, lam = outs[0]
-    v = v - v[iref]
-    return v, float(lam), {"viscosity_eps": eps_list}
-
-
-def _direct_2d(mesh, model, driver, mu, tol, max_sweeps):
-    A0, rhs, psi_rows = _assemble_2d(mesh, model, 0.0, mu, driver, 0.0)
-    n = mesh.n_nodes
-    iref = mesh.ref_index()
-    A = sparse.lil_matrix((n + 1, n + 1))
-    A[:n, :n] = A0
-    A[np.nonzero(psi_rows)[0], n] = -1.0
-    A[n, iref] = 1.0
-    A = sparse.csc_matrix(A)
-
-    def lin(pv):
-        b = np.concatenate([rhs, [0.0]])
-        b[:n][psi_rows] -= pv[psi_rows]
-        sol = spsolve(A, b)
-        lin.lam = sol[n]
-        return sol[:n]
-
-    v = _picard(mesh, model, driver, lin, tol, max_sweeps)
-    v = v - v[iref]
-    return v, float(lin.lam), {}
-
-
 def _zeta_field(mesh, model, v: np.ndarray) -> np.ndarray:
-    gf = GridFunction(mesh, v)
-    sig = np.stack([np.atleast_2d(model.sigma(p)) for p in mesh.nodes])
-    return np.einsum("nd,nde->ne", gf.gradient(), sig)
+    return np.einsum("nd,nde->ne", GridFunction(mesh, v).gradient(),
+                     model.sigma_at(mesh.nodes))
 
 
 def _alpha0(model: SdeModel, domain: DomainSpec) -> float:
@@ -201,15 +130,11 @@ def solve_ergodic(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
     diagnostics: Dict = {"scheme": scheme, "spacing": mesh.spacing}
     v_dir = lam_dir = None
     if scheme in ("direct", "both"):
-        if domain.dim == 1:
-            v_dir, lam_dir, extra = _direct_1d(mesh, model, driver, mu,
-                                               picard_tol, max_sweeps, viscosity)
-        elif domain.dim == 2:
-            v_dir, lam_dir, extra = _direct_2d(mesh, model, driver, mu,
-                                               picard_tol, max_sweeps)
-        else:
-            raise NotImplementedError("grid solves are 1-d and 2-d only")
-        diagnostics.update(extra)
+        x, diagnostics["viscosity_eps"] = _grid_solve(
+            mesh, model, driver, 0.0, mu, picard_tol, max_sweeps, viscosity,
+            bordered=True)
+        v_dir = x[:-1] - x[mesh.ref_index()]
+        lam_dir = float(x[-1])
         diagnostics["lambda_direct"] = lam_dir
     v_vd = lam_vd = None
     if scheme in ("vanishing_discount", "both"):
@@ -268,14 +193,15 @@ def solve_boundary_cost(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
     """Find mu with lambda(mu) = lambda_target by monotone bisection.
 
     The initial bracket half-width combines the distance to lambda(0) and
-    the driver bound, scaled by the stationary boundary-flux magnitude
-    (floored for safety); it doubles on straddle failure. FlatCurve means
+    the driver bound, scaled by the secant slope |lambda(1) - lambda(0)|
+    (floored by slope_floor); it doubles on straddle failure. FlatCurve means
     the sampled curve cannot identify mu; BracketFailure means the target
     was never straddled.
     """
-    lam0 = solve_ergodic(model, domain, driver, 0.0, **solve_kw).lam
-    flux, _ = hypotheses.stationary_generator_phi(model, domain)
-    B = (abs(lambda_target - lam0) + 2 * driver.M_psi) / max(abs(flux), slope_floor)
+    sol0 = solve_ergodic(model, domain, driver, 0.0, **solve_kw)
+    lam0 = sol0.lam
+    slope = abs(solve_ergodic(model, domain, driver, 1.0, **solve_kw).lam - lam0)
+    B = (abs(lambda_target - lam0) + 2 * driver.M_psi) / max(slope, slope_floor)
     B = max(B, 10 * tol)
     for _ in range(max_expansions):
         lam_lo = solve_ergodic(model, domain, driver, -B, **solve_kw).lam
@@ -296,7 +222,8 @@ def solve_boundary_cost(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
     sol = None
     for _ in range(max_bisect):
         mid = 0.5 * (lo + hi)
-        sol = solve_ergodic(model, domain, driver, mid, **solve_kw)
+        # the bracket is symmetric, so the first midpoint is the solved mu = 0
+        sol = sol0 if mid == 0.0 else solve_ergodic(model, domain, driver, mid, **solve_kw)
         if abs(sol.lam - lambda_target) < tol / 2:
             return sol
         if sol.lam > lambda_target:

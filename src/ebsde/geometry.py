@@ -6,7 +6,7 @@ local time of a reflected diffusion be read off from displacement lengths.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -343,14 +343,3 @@ def distance_to_closure(domain: DomainSpec, x) -> float:
         return 0.0
     return float(np.linalg.norm(p - project(domain, p)))
 
-
-def distance_gradient(domain: DomainSpec, x) -> np.ndarray:
-    """Gradient of dist(., closure of G); zero inside, (x - proj)/dist outside."""
-    p = _as_point(x, domain.dim)
-    if domain.phi(p) >= 0:
-        return np.zeros(domain.dim)
-    q = project(domain, p)
-    dist = np.linalg.norm(p - q)
-    if dist == 0.0:
-        return np.zeros(domain.dim)
-    return (p - q) / dist

@@ -25,8 +25,10 @@ class Mesh:
     ``nodes`` lists the kept nodes (M, d); ``shape`` is the full box shape;
     ``flat_index`` maps each kept node to its position in the flattened box
     mesh; ``compact_of_flat`` inverts that (-1 where the box node is
-    outside); ``boundary`` marks kept nodes with at least one outside or
-    out-of-box neighbor.
+    outside); ``neighbors`` (M, d, 2) holds the compact index of the -1/+1
+    neighbor of each node along each axis (-1 where that neighbor is
+    outside or out of the box); ``boundary`` marks kept nodes with at least
+    one missing neighbor.
     """
 
     domain: DomainSpec
@@ -35,6 +37,7 @@ class Mesh:
     nodes: np.ndarray
     flat_index: np.ndarray
     compact_of_flat: np.ndarray
+    neighbors: np.ndarray
     boundary: np.ndarray
 
     @property
@@ -50,14 +53,11 @@ class Mesh:
         d2 = ((self.nodes - self.domain.centroid) ** 2).sum(axis=1)
         return int(np.argmin(d2))
 
-    def neighbor(self, k: int, axis: int, side: int) -> int:
-        """Compact index of the neighbor of node k along axis (+1/-1), or -1."""
-        shape = self.shape
-        idx = list(np.unravel_index(self.flat_index[k], shape))
-        idx[axis] += side
-        if idx[axis] < 0 or idx[axis] >= shape[axis]:
-            return -1
-        return int(self.compact_of_flat[np.ravel_multi_index(idx, shape)])
+    def boundary_normals(self) -> np.ndarray:
+        """Unit inward normals grad phi / |grad phi| at the boundary nodes."""
+        G = np.array([self.domain.grad_phi(p) for p in self.nodes[self.boundary]],
+                     dtype=float).reshape(-1, self.domain.dim)
+        return G / np.linalg.norm(G, axis=1, keepdims=True)
 
 
 def build_mesh(domain: DomainSpec, spacing: float) -> Mesh:
@@ -67,33 +67,26 @@ def build_mesh(domain: DomainSpec, spacing: float) -> Mesh:
         n = max(2, round((hi - lo) / spacing))
         axes.append(np.linspace(lo, hi, n + 1))
     eff = axes[0][1] - axes[0][0]
-    if domain.dim == 1:
-        nodes = axes[0][:, None]
-        flat = np.arange(len(nodes))
-        compact = flat.copy()
-        boundary = np.zeros(len(nodes), bool)
-        boundary[0] = boundary[-1] = True
-        return Mesh(domain, axes, eff, nodes, flat, compact, boundary)
+    shape = tuple(len(a) for a in axes)
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    inside = np.array([domain.phi(p) >= -domain.boundary_tol for p in pts])
+    if domain.dim == 1:   # the bounding interval is the closure
+        inside = np.ones(len(pts), bool)
+    else:
+        inside = np.array([domain.phi(p) >= -domain.boundary_tol for p in pts])
     flat = np.nonzero(inside)[0]
     compact = np.full(len(pts), -1, dtype=int)
     compact[flat] = np.arange(len(flat))
-    shape = tuple(len(a) for a in axes)
-    boundary = np.zeros(len(flat), bool)
-    for k, f in enumerate(flat):
-        idx = np.unravel_index(f, shape)
-        for ax in range(domain.dim):
-            for side in (-1, 1):
-                j = list(idx)
-                j[ax] += side
-                if j[ax] < 0 or j[ax] >= shape[ax]:
-                    boundary[k] = True
-                    continue
-                if compact[np.ravel_multi_index(j, shape)] < 0:
-                    boundary[k] = True
-    return Mesh(domain, axes, eff, pts[flat], flat, compact, boundary)
+    idx = np.stack(np.unravel_index(flat, shape), axis=1)
+    neighbors = np.full((len(flat), domain.dim, 2), -1, dtype=int)
+    for ax in range(domain.dim):
+        for s, side in enumerate((-1, 1)):
+            j = idx.copy()
+            j[:, ax] += side
+            ok = (j[:, ax] >= 0) & (j[:, ax] < shape[ax])
+            neighbors[ok, ax, s] = compact[np.ravel_multi_index(j[ok].T, shape)]
+    boundary = (neighbors < 0).any(axis=(1, 2))
+    return Mesh(domain, axes, eff, pts[flat], flat, compact, neighbors, boundary)
 
 
 @dataclass
@@ -120,23 +113,15 @@ class GridFunction:
     def gradient(self) -> np.ndarray:
         if self._grad is not None:
             return self._grad
-        m, v, h = self.mesh, self.values, self.mesh.spacing
-        if m.domain.dim == 1:
-            g = np.gradient(v, m.nodes[:, 0])[:, None]
-        else:
-            g = np.zeros((m.n_nodes, m.domain.dim))
-            for k in range(m.n_nodes):
-                for ax in range(m.domain.dim):
-                    kp = m.neighbor(k, ax, +1)
-                    km = m.neighbor(k, ax, -1)
-                    if kp >= 0 and km >= 0:
-                        g[k, ax] = (v[kp] - v[km]) / (2 * h)
-                    elif kp >= 0:
-                        g[k, ax] = (v[kp] - v[k]) / h
-                    elif km >= 0:
-                        g[k, ax] = (v[k] - v[km]) / h
-        self._grad = g
-        return g
+        m, v = self.mesh, self.values
+        km, kp = m.neighbors[..., 0], m.neighbors[..., 1]
+        vc = v[:, None]
+        vm = np.where(km >= 0, v[km], vc)
+        vp = np.where(kp >= 0, v[kp], vc)
+        width = (km >= 0).astype(float) + (kp >= 0)
+        # a node with no neighbor along an axis gets a zero component there
+        self._grad = (vp - vm) / (np.maximum(width, 1.0) * m.spacing)
+        return self._grad
 
     def __call__(self, x) -> float:
         x = np.atleast_1d(np.asarray(x, dtype=float))

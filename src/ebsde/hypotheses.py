@@ -20,7 +20,7 @@ from typing import Dict, List, Optional
 import numpy as np
 from scipy import integrate
 
-from .errors import NonConvexPotential, NotKolmogorov, SigmaNotConstant, SingularSigma
+from .errors import NonConvexPotential, NotKolmogorov, SigmaNotConstant
 from .geometry import DomainSpec, boundary_sample, domain_grid, geometric_constants
 from . import dynamics
 from .dynamics import SdeModel, generator_apply
@@ -98,13 +98,6 @@ def _pairwise_max(values_fn, pts: np.ndarray, chunk: int = 256) -> float:
     return best
 
 
-def _sigma_stack(model: SdeModel, pts: np.ndarray) -> np.ndarray:
-    if model.sigma_constant is not None:
-        return np.broadcast_to(model.sigma_constant,
-                               (len(pts),) + model.sigma_constant.shape)
-    return np.stack([np.atleast_2d(model.sigma(p)) for p in pts])
-
-
 def estimate_eta(model: SdeModel, domain: DomainSpec, grid_density: int = 64) -> float:
     """Joint dissipativity constant of (b, sigma) over the closure.
 
@@ -115,7 +108,7 @@ def estimate_eta(model: SdeModel, domain: DomainSpec, grid_density: int = 64) ->
         raise ValueError("grid_density must be at least 8 per axis")
     pts = domain_grid(domain, grid_density)
     B = model.drift_at(pts)
-    S = _sigma_stack(model, pts)
+    S = model.sigma_at(pts)
 
     def vals(I, J):
         dx = pts[I][:, None, :] - pts[None, J, :]
@@ -319,7 +312,7 @@ def check_all(model: SdeModel, driver, domain: DomainSpec,
     flags["G4"] = bool(domain.smooth_c2lip)
 
     B = model.drift_at(pts)
-    S = _sigma_stack(model, pts)
+    S = model.sigma_at(pts)
     K_b = _lipschitz_pair_max(B, pts)
     K_sigma = _lipschitz_pair_max(S, pts)
     flags["H1"] = bool(np.isfinite(K_b) and np.isfinite(K_sigma))

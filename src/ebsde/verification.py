@@ -24,7 +24,6 @@ from .dynamics import SdeModel
 from .ergodic import ErgodicSolution, solve_ergodic
 from .errors import SingularSigma
 from .geometry import DomainSpec
-from .grids import GridFunction
 
 __all__ = ["pde_residual", "bsde_residual", "BsdeResidual",
            "shifted_problem", "drift_shift_equivalence"]
@@ -43,71 +42,44 @@ def pde_residual(solution: ErgodicSolution, model: SdeModel, domain: DomainSpec,
     v = solution.v.values
     h = mesh.spacing
     lam, mu = solution.lam, solution.mu
+    nodes, nb = mesh.nodes, mesh.neighbors
+    keep = np.ones(mesh.n_nodes, bool)
+    if exclude is not None:
+        keep = ~np.array([bool(exclude(p)) for p in nodes])
+    axes = np.arange(domain.dim)
+
+    def step(j, side):   # next neighbor along each axis; -1 stays -1
+        return np.where(j >= 0, nb[j, axes, side], -1)
+
+    # interior: stride-2 centered differences in every axis
+    jm2, jp2 = step(nb[..., 0], 0), step(nb[..., 1], 1)
+    rows = np.nonzero(keep & ~mesh.boundary
+                      & (jm2 >= 0).all(axis=1) & (jp2 >= 0).all(axis=1))[0]
     interior_max = 0.0
-    boundary_max = 0.0
-    if domain.dim == 1:
-        x = mesh.nodes[:, 0]
-        N = x.size
-        for i in range(2, N - 2):
-            if exclude is not None and exclude(mesh.nodes[i]):
-                continue
-            d1 = (v[i + 2] - v[i - 2]) / (4 * h)
-            d2 = (v[i + 2] - 2 * v[i] + v[i - 2]) / (4 * h * h)
-            sig = float(np.atleast_2d(model.sigma(mesh.nodes[i]))[0, 0])
-            bv = float(np.atleast_1d(model.b(mesh.nodes[i]))[0])
-            res = 0.5 * sig ** 2 * d2 + bv * d1 \
-                + driver.psi(mesh.nodes[i], np.array([d1 * sig])) - lam
-            interior_max = max(interior_max, abs(res))
-        dl = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * h)
-        dr = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * h)
-        # inward normal points right at the left end, left at the right end
-        boundary_max = max(abs(dl + driver.g_at(x[0]) - mu),
-                           abs(-dr + driver.g_at(x[-1]) - mu))
-        return {"interior_max": interior_max, "boundary_max": boundary_max}
-    # 2-d: stride-2 in each axis where available
-    for k in range(mesh.n_nodes):
-        p = mesh.nodes[k]
-        if exclude is not None and exclude(p):
-            continue
-        if mesh.boundary[k]:
-            nvec = domain.grad_phi(p)
-            nvec = nvec / np.linalg.norm(nvec)
-            acc = 0.0
-            usable = True
-            for ax in range(2):
-                side = 1 if nvec[ax] >= 0 else -1
-                j1 = mesh.neighbor(k, ax, side)
-                j2 = mesh.neighbor(j1, ax, side) if j1 >= 0 else -1
-                if j2 >= 0:
-                    acc += nvec[ax] * side * (-3 * v[k] + 4 * v[j1] - v[j2]) / (2 * h)
-                elif j1 >= 0:
-                    acc += nvec[ax] * side * (v[j1] - v[k]) / h
-                else:
-                    usable = False
-            if usable:
-                boundary_max = max(boundary_max, abs(acc + driver.g_at(p) - mu))
-            continue
-        ok = True
-        d1 = np.zeros(2)
-        d2 = np.zeros(2)
-        for ax in range(2):
-            jp = mesh.neighbor(k, ax, +1)
-            jm = mesh.neighbor(k, ax, -1)
-            jpp = mesh.neighbor(jp, ax, +1) if jp >= 0 else -1
-            jmm = mesh.neighbor(jm, ax, -1) if jm >= 0 else -1
-            if jpp < 0 or jmm < 0:
-                ok = False
-                break
-            d1[ax] = (v[jpp] - v[jmm]) / (4 * h)
-            d2[ax] = (v[jpp] - 2 * v[k] + v[jmm]) / (4 * h * h)
-        if not ok:
-            continue
-        sig = np.atleast_2d(model.sigma(p))
-        amat = sig @ sig.T
-        bvec = np.atleast_1d(model.b(p))
-        res = 0.5 * (amat[0, 0] * d2[0] + amat[1, 1] * d2[1]) + bvec @ d1 \
-            + driver.psi(p, d1 @ sig) - lam
-        interior_max = max(interior_max, abs(res))
+    if len(rows):
+        vm, vp, vc = v[jm2[rows]], v[jp2[rows]], v[rows][:, None]
+        d1 = (vp - vm) / (4 * h)
+        d2 = (vp - 2 * vc + vm) / (4 * h * h)
+        X = nodes[rows]
+        sig = model.sigma_at(X)
+        adiag = np.einsum("nij,nij->ni", sig, sig)
+        res = 0.5 * (adiag * d2).sum(axis=1) + (model.drift_at(X) * d1).sum(axis=1) \
+            + driver.psi_at(X, np.einsum("nd,nde->ne", d1, sig)) - lam
+        interior_max = float(np.max(np.abs(res)))
+    # boundary: three-point one-sided differences on the side the inward
+    # normal points to, two-point where only one neighbor exists
+    bnd = np.nonzero(mesh.boundary)[0]
+    normal = mesh.boundary_normals()
+    side = (normal >= 0).astype(int)
+    j1 = nb[bnd[:, None], axes, side]
+    j2 = step(j1, side)
+    v0, v1, v2 = v[bnd][:, None], v[j1], v[j2]
+    one_sided = np.where(j2 >= 0, (-3 * v0 + 4 * v1 - v2) / (2 * h),
+                         np.where(j1 >= 0, (v1 - v0) / h, 0.0))
+    dn = (normal * (2 * side - 1) * one_sided).sum(axis=1)
+    usable = keep[bnd] & (j1 >= 0).all(axis=1)
+    g = np.array([driver.g_at(p) for p in nodes[bnd[usable]]])
+    boundary_max = float(np.max(np.abs(dn[usable] + g - mu), initial=0.0))
     return {"interior_max": interior_max, "boundary_max": boundary_max}
 
 

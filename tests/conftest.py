@@ -28,6 +28,17 @@ def _recompute():
     return N, m2, m4, mc
 
 
+def neighbor_lookup(mesh, k, axis, side):
+    """Compact index of the neighbor of node k along axis (side +1/-1), or
+    -1, looked up from the flat box index node by node."""
+    shape = mesh.shape
+    idx = list(np.unravel_index(mesh.flat_index[k], shape))
+    idx[axis] += side
+    if idx[axis] < 0 or idx[axis] >= shape[axis]:
+        return -1
+    return int(mesh.compact_of_flat[np.ravel_multi_index(idx, shape)])
+
+
 @pytest.fixture(scope="session", autouse=True)
 def oracle_guard():
     N, m2, m4, mc = _recompute()

@@ -1,12 +1,26 @@
+import dataclasses
+import json
+from pathlib import Path
+
 import numpy as np
+import pytest
+import scipy.sparse.linalg
 from numpy.testing import assert_allclose
 
-from ebsde.discounted import DriverSpec, lipschitz_diagnostic, solve_discounted
-from ebsde.geometry import ball_domain
+import conftest as refs
+from ebsde import discounted, ergodic
+from ebsde.discounted import (DriverSpec, _coefficients, _rhs, assemble_operator,
+                              lipschitz_diagnostic, solve_discounted)
+from ebsde.dynamics import SdeModel
+from ebsde.geometry import (DomainSpec, ball_domain, quadratic_domain,
+                            quartic_interval_domain)
 from ebsde.ergodic import solve_ergodic
-from ebsde.presets import (constant_driver, cos_driver,
+from ebsde.grids import build_mesh
+from ebsde.presets import (assemble_config, constant_driver, cos_driver,
                            degenerate_linear_model, kolmogorov_model,
                            quadratic_potential, zero_driver)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_constant_driver_flat_value(interval, std_model):
@@ -71,3 +85,175 @@ def test_degenerate_diffusion_trivial_data(interval):
     v = solve_discounted(degenerate_linear_model(), interval, zero_driver(),
                          0.25, spacing=1e-3)
     assert np.max(np.abs(v.values)) < 1e-8
+
+
+def test_off_diagonal_diffusion_rejected_in_2d():
+    sig = np.array([[1.0, 0.5], [0.0, 1.0]])
+    model = SdeModel(b=lambda x: -np.asarray(x), sigma=lambda x: sig,
+                     b_vec=lambda X: -X, sigma_constant=sig)
+    with pytest.raises(NotImplementedError, match="off-diagonal"):
+        solve_discounted(model, ball_domain(1.0, 2), constant_driver(1.0), 0.5,
+                         spacing=0.1)
+
+
+# ---------------------------------------------------------------------------
+# the vectorised operator against node-by-node assembly
+
+
+def _reference_problem(mesh, model, driver, alpha, mu, eps, bordered):
+    """Dense operator and right-hand side assembled node by node: banded
+    rows on the interval, five-point rows with one-sided normal rows in
+    the plane, then the lambda column on psi rows and v(x_ref) = 0."""
+    n, h = mesh.n_nodes, mesh.spacing
+    A = np.zeros((n + bordered, n + bordered))
+    rhs = np.zeros(n + bordered)
+    psi_rows = np.zeros(n, bool)
+    if mesh.domain.dim == 1:
+        x = mesh.nodes[:, 0]
+        for i in range(1, n - 1):
+            a = 0.5 * float(np.atleast_2d(model.sigma(x[i:i + 1]))[0, 0] ** 2) \
+                + 0.5 * eps ** 2
+            b = float(np.atleast_1d(model.b(x[i:i + 1]))[0])
+            A[i, i] = -2 * a / h ** 2 - alpha + (-b if b >= 0 else b) / h
+            A[i, i + 1] = a / h ** 2 + (b if b >= 0 else 0.0) / h
+            A[i, i - 1] = a / h ** 2 + (0.0 if b >= 0 else -b) / h
+            psi_rows[i] = True
+        A[0, 0], A[0, 1], rhs[0] = -1 / h, 1 / h, mu - driver.g_at(x[0])
+        A[n - 1, n - 1], A[n - 1, n - 2] = -1 / h, 1 / h
+        rhs[n - 1] = mu - driver.g_at(x[-1])
+    else:
+        for k in range(n):
+            p = mesh.nodes[k]
+            if mesh.boundary[k]:
+                nvec = mesh.domain.grad_phi(p)
+                nvec = nvec / np.linalg.norm(nvec)
+                for ax in range(2):
+                    side = 1 if nvec[ax] >= 0 else -1
+                    j = refs.neighbor_lookup(mesh, k, ax, side)
+                    if j < 0:
+                        side = -side
+                        j = refs.neighbor_lookup(mesh, k, ax, side)
+                    if j < 0:
+                        continue
+                    A[k, j] += nvec[ax] * side / h
+                    A[k, k] -= nvec[ax] * side / h
+                rhs[k] = mu - driver.g_at(p)
+                continue
+            sig = np.atleast_2d(model.sigma(p))
+            amat = sig @ sig.T
+            bvec = np.atleast_1d(model.b(p))
+            psi_rows[k] = True
+            A[k, k] -= alpha
+            for ax in range(2):
+                aval = 0.5 * amat[ax, ax] + 0.5 * eps ** 2
+                kp = refs.neighbor_lookup(mesh, k, ax, +1)
+                km = refs.neighbor_lookup(mesh, k, ax, -1)
+                A[k, k] += -2 * aval / h ** 2
+                A[k, kp] += aval / h ** 2
+                A[k, km] += aval / h ** 2
+                if bvec[ax] >= 0:
+                    A[k, k] += -bvec[ax] / h
+                    A[k, kp] += bvec[ax] / h
+                else:
+                    A[k, k] += bvec[ax] / h
+                    A[k, km] += -bvec[ax] / h
+    if bordered:
+        A[np.nonzero(psi_rows)[0], n] = -1.0
+        A[n, mesh.ref_index()] = 1.0
+    return A, rhs
+
+
+def _disc_with_constant_normal():
+    """The unit disc with a constant normal field, so that on part of the
+    boundary the neighbor on the normal's side is missing and the one-sided
+    row falls back to the other side."""
+    disc = ball_domain(1.0, 2)
+    return DomainSpec(disc.phi, lambda x: np.array([1.0, 0.5]), disc.hess_phi, 2,
+                      disc.bounding_box, centroid=np.zeros(2), name="disc-skewed")
+
+
+STD_1D = kolmogorov_model(quadratic_potential(), eta_hint=-1.0)
+STD_2D = kolmogorov_model(quadratic_potential(), dim=2, eta_hint=-1.0)
+OPERATOR_CASES = [
+    ("ball", ball_domain(1.0, 1), STD_1D, 1e-2, 0.0),
+    ("ball-viscous", ball_domain(1.0, 1), STD_1D, 1e-2, 1e-2),
+    ("quartic", quartic_interval_domain(), STD_1D, 1e-2, 0.0),
+    ("quartic-viscous", quartic_interval_domain(), STD_1D, 1e-2, 1e-2),
+    ("degenerate-viscous", ball_domain(1.0, 1), degenerate_linear_model(), 1e-2, 5e-3),
+    ("disc", ball_domain(1.0, 2), STD_2D, 0.1, 0.0),
+    ("ellipse", quadratic_domain([[1.0, 0.0], [0.0, 2.0]]), STD_2D, 0.1, 0.0),
+    ("disc-fallback", _disc_with_constant_normal(), STD_2D, 0.1, 0.0),
+]
+
+
+@pytest.mark.parametrize("bordered", [False, True], ids=["discounted", "bordered"])
+@pytest.mark.parametrize("name,domain,model,spacing,eps", OPERATOR_CASES,
+                         ids=[c[0] for c in OPERATOR_CASES])
+def test_operator_matches_node_by_node_assembly(name, domain, model, spacing, eps,
+                                                bordered):
+    driver = dataclasses.replace(cos_driver(), g=lambda x: 0.2 + float(x[0]))
+    alpha, mu = (0.0, 0.4) if bordered else (0.3, 0.4)
+    mesh = build_mesh(domain, spacing)
+    _, a, b = _coefficients(mesh, model)
+    A = assemble_operator(mesh, a + 0.5 * eps ** 2, b, alpha, bordered).toarray()
+    A_ref, rhs_ref = _reference_problem(mesh, model, driver, alpha, mu, eps, bordered)
+    assert_allclose(A, A_ref, rtol=1e-12, atol=0)
+    assert_allclose(_rhs(mesh, driver, mu, bordered), rhs_ref, rtol=1e-12, atol=0)
+
+
+def _count_factorisations(monkeypatch):
+    """Count splu calls, LU solves, and spsolve calls made by the solvers."""
+    counts = {"splu": 0, "lu_solves": 0, "spsolve": 0}
+    real_splu, real_spsolve = discounted.splu, scipy.sparse.linalg.spsolve
+
+    class CountedLU:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            counts["lu_solves"] += 1
+            return self.lu.solve(rhs)
+
+    def splu(A, *args, **kwargs):
+        counts["splu"] += 1
+        return CountedLU(real_splu(A, *args, **kwargs))
+
+    def spsolve(*args, **kwargs):
+        counts["spsolve"] += 1
+        return real_spsolve(*args, **kwargs)
+
+    monkeypatch.setattr(discounted, "splu", splu)
+    monkeypatch.setattr(scipy.sparse.linalg, "spsolve", spsolve)
+    for mod in (discounted, ergodic):
+        monkeypatch.setattr(mod, "spsolve", spsolve, raising=False)
+    return counts
+
+
+def test_one_factorisation_for_all_picard_sweeps_in_2d(monkeypatch):
+    counts = _count_factorisations(monkeypatch)
+    doc = {"domain": {"kind": "ball", "radius": 1.0, "dim": 2},
+           "model": {"kind": "kolmogorov", "dim": 2, "eta_hint": -1.0,
+                     "potential": {"kind": "quadratic", "curvature": 1.0}},
+           "driver": {"kind": "hamiltonian"},
+           "control": {"kind": "table",
+                       "R": [[0.25, 0.0], [-0.25, 0.0], [0.0, 0.25]],
+                       "L": {"kind": "affine", "base": 0.5, "slopes": [0.0, 0.1, -0.1]},
+                       "M_R": 0.25, "M_L": 0.7}}
+    domain, model, driver, _ = assemble_config(doc)
+    assert driver.K_psi_z > 0
+    solve_ergodic(model, domain, driver, 0.3, scheme="direct", spacing=0.1)
+    assert counts["splu"] == 1
+    assert counts["lu_solves"] > 2      # several Picard sweeps on one LU
+    assert counts["spsolve"] == 0
+
+
+def test_one_factorisation_per_viscosity_level_in_1d(monkeypatch):
+    counts = _count_factorisations(monkeypatch)
+    doc = json.loads((CONFIGS / "two_control.json").read_text())
+    domain, model, driver, _ = assemble_config(doc)
+    sol = solve_ergodic(model, domain, driver, 0.3, scheme="direct", spacing=1e-2,
+                        viscosity="force")
+    assert len(sol.diagnostics["viscosity_eps"]) == 2
+    assert counts["splu"] == 2
+    assert counts["lu_solves"] > 4
+    assert counts["spsolve"] == 0

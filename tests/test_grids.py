@@ -1,10 +1,14 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
-from ebsde.geometry import ball_domain
+import conftest as refs
+from ebsde.geometry import ball_domain, quadratic_domain
 from ebsde.grids import GridFunction, build_mesh
+
+PLANAR = [ball_domain(1.0, 2), quadratic_domain([[1.0, 0.0], [0.0, 2.0]])]
 
 
 def test_mesh_node_count():
@@ -41,6 +45,46 @@ def test_gradient_of_quadratic():
     g = f.gradient()
     x = mesh.nodes[100:-100, 0]
     assert_allclose(g[100:-100, 0], 2.0 * x, atol=1e-9)
+    # 2-d: centered differences are exact for quadratics at interior nodes
+    mesh = build_mesh(ball_domain(1.0, 2), 0.05)
+    x, y = mesh.nodes.T
+    g = GridFunction(mesh, x ** 2 + 2.0 * y ** 2).gradient()
+    inner = ~mesh.boundary
+    assert_allclose(g[inner], np.stack([2.0 * x, 4.0 * y], axis=1)[inner], atol=1e-9)
+
+
+@pytest.mark.parametrize("domain", PLANAR, ids=["disc", "ellipse"])
+def test_neighbor_table_matches_index_lookup(domain):
+    mesh = build_mesh(domain, 0.1)
+    expected = np.array([[[refs.neighbor_lookup(mesh, k, ax, side) for side in (-1, 1)]
+                          for ax in range(2)] for k in range(mesh.n_nodes)])
+    assert_array_equal(mesh.neighbors, expected)
+    assert_array_equal(mesh.boundary, (expected < 0).any(axis=(1, 2)))
+
+
+def _loop_gradient(mesh, v):
+    """Per-node centered/one-sided differences along each axis."""
+    h = mesh.spacing
+    g = np.zeros((mesh.n_nodes, mesh.domain.dim))
+    for k in range(mesh.n_nodes):
+        for ax in range(mesh.domain.dim):
+            kp = refs.neighbor_lookup(mesh, k, ax, +1)
+            km = refs.neighbor_lookup(mesh, k, ax, -1)
+            if kp >= 0 and km >= 0:
+                g[k, ax] = (v[kp] - v[km]) / (2 * h)
+            elif kp >= 0:
+                g[k, ax] = (v[kp] - v[k]) / h
+            elif km >= 0:
+                g[k, ax] = (v[k] - v[km]) / h
+    return g
+
+
+@pytest.mark.parametrize("domain", PLANAR, ids=["disc", "ellipse"])
+def test_gradient_matches_per_node_loop(domain):
+    mesh = build_mesh(domain, 0.1)
+    x, y = mesh.nodes.T
+    v = np.sin(3.0 * x) * np.cos(2.0 * y) + x * y
+    assert_array_equal(GridFunction(mesh, v).gradient(), _loop_gradient(mesh, v))
 
 
 def test_interp_many_matches_scalar():
