@@ -23,7 +23,7 @@ import numpy as np
 from . import acceptance
 from .control import (cost_I, cost_J, feedback_policy, girsanov_weight_check,
                       induced_driver, policy_from_json)
-from .ergodic import (curve_to_csv, lambda_of_mu, lambda_time_average,
+from .ergodic import (_jsonable, curve_to_csv, lambda_of_mu, lambda_time_average,
                       solve_boundary_cost, solve_ergodic)
 from .errors import ConfigError, EbsdeError
 from .hypotheses import check_all
@@ -120,18 +120,6 @@ def _write_table(path: Path, header, rows) -> None:
         w.writerow(header)
         for row in rows:
             w.writerow([_cell(v) for v in row])
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, float) and not np.isfinite(obj):
-        return None
-    return obj
 
 
 def _finish(out: Path, task: str, cfg, eff, summary: dict, ok: bool) -> int:

@@ -20,7 +20,7 @@ local time instead and converges to the boundary constant mu.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -40,24 +40,23 @@ class ControlProblem:
     """Finite control grid with noise tilt R and running cost L.
 
     ``R_table`` has one row per control; ``L(x, k)`` and the optional
-    vectorized ``L_vec(X, k)`` take the control by index. ``g`` is the
-    boundary running cost (None means zero).
+    vectorized ``L_vec(X, k)`` take the control by index, and the optional
+    ``L_all(X)`` gives every control's cost at once, shape (P, K). ``g`` is
+    the boundary running cost (None means zero).
     """
 
     R_table: np.ndarray
     L: Callable
     M_R: float
     M_L: float
-    labels: Optional[List] = None
     L_vec: Optional[Callable] = None
+    L_all: Optional[Callable] = None
     K_L_x: float = 0.0
     g: Optional[Callable] = None
     name: str = "control-problem"
 
     def __post_init__(self):
         self.R_table = np.atleast_2d(np.asarray(self.R_table, dtype=float))
-        if self.labels is None:
-            self.labels = list(range(len(self.R_table)))
         norms = np.linalg.norm(self.R_table, axis=1)
         if norms.max() > self.M_R + 1e-12:
             raise ValueError(f"|R| reaches {norms.max():.3g}, beyond the declared "
@@ -71,6 +70,12 @@ class ControlProblem:
         if self.L_vec is not None:
             return self.L_vec(X, k)
         return np.array([self.L(x, k) for x in X])
+
+    def L_table(self, X: np.ndarray) -> np.ndarray:
+        """Running cost of every control at a batch of states, (P, K)."""
+        if self.L_all is not None:
+            return self.L_all(X)
+        return np.stack([self.L_at(X, k) for k in range(self.n_controls)], axis=1)
 
     def validate(self, domain: DomainSpec, density: int = 33) -> None:
         """Spot-check the declared cost bound on a grid; raises on violation."""
@@ -95,10 +100,14 @@ def hamiltonian(problem: ControlProblem, x, z):
     return float(vals[k]), k
 
 
+def _control_costs(problem: ControlProblem, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """L(x, u) + z R(u) for every state of a batch and every control, (P, K)."""
+    return problem.L_table(X) + Z @ problem.R_table.T
+
+
 def _hamiltonian_batch(problem: ControlProblem, X: np.ndarray, Z: np.ndarray):
     """Vectorized Hamiltonian over a batch; returns (values (P,), argmins (P,))."""
-    costs = np.stack([problem.L_at(X, k) + Z @ problem.R_table[k]
-                      for k in range(problem.n_controls)], axis=1)
+    costs = _control_costs(problem, X, Z)
     ks = np.argmin(costs, axis=1)
     return costs[np.arange(len(X)), ks], ks
 
@@ -141,8 +150,7 @@ class Policy:
             Z = self.zeta_source.zeta_at(X)
         else:
             Z = np.zeros_like(X)
-        u = np.asarray(self.rule(X, Z))
-        return u.astype(int)
+        return np.asarray(self.rule(X, Z)).astype(int, copy=False)
 
     @staticmethod
     def constant(k: int, name: Optional[str] = None) -> "Policy":
@@ -154,7 +162,7 @@ def feedback_policy(problem: ControlProblem, solution) -> Policy:
     """Optimal feedback: the Hamiltonian argmin at the solved zeta field."""
 
     def rule(X, Z, _p=problem):
-        return _hamiltonian_batch(_p, X, Z)[1]
+        return np.argmin(_control_costs(_p, X, Z), axis=1)
 
     return Policy(rule=rule, zeta_source=solution, name="feedback")
 
@@ -202,18 +210,29 @@ def _controlled_steps(model: SdeModel, domain: DomainSpec, problem: ControlProbl
     X = np.array(X0, dtype=float)
     P, d = X.shape
     kernel = dynamics._make_kernel(domain)
-    sh = np.sqrt(h)
-    for start, block in dynamics._ensemble_noise_blocks(seed, P, d, n_steps):
-        for j in range(block.shape[0]):
-            xi = block[j]
-            u = policy.controls_for(X)
-            drift = model.drift_at(X) * h
-            if tilt_drift:
-                drift = drift + model.noise_term(X, problem.R_table[u]) * h
-            x_pre = X + drift + model.noise_term(X, xi) * sh
-            X_new, dK = kernel(x_pre, "symmetrize")
-            yield start + j, X, u, X_new, dK, xi
-            X = X_new
+    tilts = None    # sigma R(u) h for every control when sigma is constant
+    if tilt_drift and model.sigma_constant is not None:
+        tilts = (problem.R_table @ model.sigma_constant.T) * h
+    for i, xi, noise in dynamics._noise_steps(model, seed, P, d, n_steps, h):
+        u = policy.controls_for(X)
+        shift = model.drift_at(X) * h
+        if tilts is not None:
+            shift = shift + tilts[u]
+        elif tilt_drift:
+            shift = shift + model.noise_term(X, problem.R_table[u]) * h
+        X_new, dK = dynamics._advance(model, kernel, X, shift, xi, noise, h,
+                                      "symmetrize")
+        yield i, X, u, X_new, dK, xi
+        X = X_new
+
+
+def _boundary_cost(problem: ControlProblem, X: np.ndarray, dK: np.ndarray,
+                   mu: float) -> np.ndarray:
+    """(g(X) - mu) dK for one step; g is evaluated only when some path
+    reflected."""
+    if problem.g is None or not np.any(dK > 0):
+        return (0.0 - mu) * dK
+    return (np.array([problem.g(x) for x in X]) - mu) * dK
 
 
 def _default_start(model, domain, paths, h, seed, x0):
@@ -244,18 +263,13 @@ def cost_I(model: SdeModel, domain: DomainSpec, problem: ControlProblem,
     n = round(T / h)
     X0 = _default_start(model, domain, paths, h, seed, x0)
     acc = np.zeros(paths)
+    rows = np.arange(paths)
     marks = {round(n / 4): T / 4, round(n / 2): T / 2, n: T}
     horizon_values = {}
     for i, X, u, X_new, dK, xi in _controlled_steps(model, domain, problem, policy,
                                                     X0, n, h, seed, True):
-        for k in range(problem.n_controls):
-            sel = u == k
-            if sel.any():
-                acc[sel] += problem.L_at(X[sel], k) * h
-        if np.any(dK > 0):
-            gvals = (np.zeros(len(X)) if problem.g is None
-                     else np.array([problem.g(x) for x in X_new]))
-            acc += (gvals - mu) * dK
+        acc += problem.L_table(X)[rows, u] * h
+        acc += _boundary_cost(problem, X_new, dK, mu)
         if i + 1 in marks:
             t = marks[i + 1]
             vals = acc / t
@@ -278,16 +292,13 @@ def cost_J(model: SdeModel, domain: DomainSpec, problem: ControlProblem,
     X0 = _default_start(model, domain, paths, h, seed, x0)
     num = np.zeros(paths)
     den = np.zeros(paths)
+    rows = np.arange(paths)
     for i, X, u, X_new, dK, xi in _controlled_steps(model, domain, problem, policy,
                                                     X0, n, h, seed, True):
-        for k in range(problem.n_controls):
-            sel = u == k
-            if sel.any():
-                num[sel] += (problem.L_at(X[sel], k) - lam) * h
-        if np.any(dK > 0):
-            if problem.g is not None:
-                num += np.array([problem.g(x) for x in X_new]) * dK
-            den += dK
+        num += (problem.L_table(X)[rows, u] - lam) * h
+        if problem.g is not None:
+            num += _boundary_cost(problem, X_new, dK, 0.0)
+        den += dK
     dbar = den.mean()
     d_se = den.std(ddof=1) / np.sqrt(paths)
     if dbar <= 3 * d_se:
@@ -322,18 +333,13 @@ def girsanov_weight_check(model: SdeModel, domain: DomainSpec,
     sh = np.sqrt(h)
     logw = np.zeros(paths)
     cost = np.zeros(paths)
+    rows = np.arange(paths)
     for i, X, u, X_new, dK, xi in _controlled_steps(model, domain, problem, policy,
                                                     X0, n, h, seed, False):
         Ru = problem.R_table[u]
         logw += (Ru * xi).sum(axis=1) * sh - 0.5 * (Ru * Ru).sum(axis=1) * h
-        for k in range(problem.n_controls):
-            sel = u == k
-            if sel.any():
-                cost[sel] += problem.L_at(X[sel], k) * h
-        if np.any(dK > 0):
-            gvals = (np.zeros(len(X)) if problem.g is None
-                     else np.array([problem.g(x) for x in X_new]))
-            cost += (gvals - mu) * dK
+        cost += problem.L_table(X)[rows, u] * h
+        cost += _boundary_cost(problem, X_new, dK, mu)
     w = np.exp(logw - logw.max())
     ess = float(w.sum() ** 2 / (w * w).sum())
     if ess < 0.05 * paths:

@@ -26,11 +26,12 @@ import numpy as np
 from scipy import integrate
 
 from .errors import NotKolmogorov, StepTooLarge
-from .geometry import DomainSpec, project
+from .geometry import (DomainSpec, outside_rows, project, project_many,
+                       project_outside)
 
 __all__ = [
     "Potential", "SdeModel", "ReflectedPath",
-    "step_reflected", "simulate", "step_penalized", "invariant_density",
+    "step_reflected", "simulate", "invariant_density",
     "sample_invariant", "generator_apply", "expected_K_rate",
     "occupation_histogram", "ensemble_average", "penalized_moments", "stationary_start",
     "path_to_csv",
@@ -205,27 +206,11 @@ def simulate(model: SdeModel, domain: DomainSpec, x0, T: float, h: float,
     return ReflectedPath(times, states, K, np.array(events, dtype=int), noises, h)
 
 
-def step_penalized(model: SdeModel, domain: DomainSpec, n: float, x, h: float, noise):
-    """One unreflected Euler step of the penalized gradient system.
-
-    The potential is U + n dist(., closure)^2, so the extra drift outside
-    the domain is -2 n (x - proj(x)).
-    """
-    pot = model.kolmogorov_potential
-    if pot is None:
-        raise NotKolmogorov("penalized stepping needs a potential")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    noise = np.atleast_1d(np.asarray(noise, dtype=float))
-    grad_pen = np.zeros_like(x)
-    if domain.phi(x) < 0:
-        grad_pen = 2.0 * n * (x - project(domain, x))
-    return x - (np.atleast_1d(pot.grad(x)) + grad_pen) * h + np.sqrt(2.0 * h) * noise
-
-
 # ---------------------------------------------------------------------------
 # vectorized ensembles
 
-_BLOCK_NUMBERS = 1 << 22     # noise buffer size (numbers per block)
+_BLOCK_NUMBERS = 1 << 20     # noise buffer size (numbers per block)
+_SUB_NUMBERS = 1 << 16       # scaled-noise sub-block size (numbers)
 
 
 def _ensemble_noise_blocks(seed: int, P: int, d: int, n_steps: int):
@@ -246,29 +231,44 @@ def _ensemble_noise_blocks(seed: int, P: int, d: int, n_steps: int):
         start += size
 
 
-class _IntervalKernel:
-    """Fast repair for 1-d intervals [-r, r]."""
+class _Kernel:
+    """Boundary repair of a batch of proposals, chosen by domain kind.
+
+    A kernel maps proposals (P, d) to (states, dK) and projects batches
+    onto the closure (``project``)."""
 
     def __init__(self, domain: DomainSpec):
-        self.r = float(getattr(domain, "radius"))
+        self.domain = domain
+        self.diameter = domain.diameter_hint
+        self.r = domain.radius
+
+
+class _IntervalKernel(_Kernel):
+    """Fast repair for 1-d intervals [-r, r]."""
+
+    def project(self, X: np.ndarray) -> np.ndarray:
+        out = np.maximum(X, -self.r)
+        return np.minimum(out, self.r, out=out)
 
     def __call__(self, x_pre: np.ndarray, placement: str):
-        r = self.r
-        if placement == "project":
-            x_new = np.clip(x_pre, -r, r)
-        else:
-            folded = x_pre - 2.0 * np.maximum(x_pre - r, 0.0) \
-                + 2.0 * np.maximum(-r - x_pre, 0.0)
-            x_new = np.clip(folded, -r, r)
-        dK = np.abs(x_new - x_pre).sum(axis=1)
+        x_new = self.project(x_pre)
+        if placement != "project":
+            # 2c - x is exact for overshoots below r (Sterbenz), so this
+            # is the fold x - 2 (x - r)^+ + 2 (-r - x)^+ bit for bit
+            x_new *= 2.0
+            x_new -= x_pre
+            np.maximum(x_new, -self.r, out=x_new)
+            np.minimum(x_new, self.r, out=x_new)
+        dK = np.abs(x_new - x_pre)[:, 0]
         return x_new, dK
 
 
-class _BallKernel:
+class _BallKernel(_Kernel):
     """Fast repair for balls of radius r about the origin."""
 
-    def __init__(self, domain: DomainSpec):
-        self.r = float(getattr(domain, "radius"))
+    def project(self, X: np.ndarray) -> np.ndarray:
+        norms = np.linalg.norm(X, axis=1)
+        return X * (self.r / np.maximum(norms, self.r))[:, None]
 
     def __call__(self, x_pre: np.ndarray, placement: str):
         r = self.r
@@ -286,22 +286,74 @@ class _BallKernel:
         return x_new, dK
 
 
-class _GenericKernel:
-    def __init__(self, domain: DomainSpec):
-        self.domain = domain
+class _GenericKernel(_Kernel):
+    """Repair by projection: one batched ``phi_vec`` test picks the outside
+    rows, which are projected together (``geometry.project_many``); a
+    domain without batched forms is tested and projected point by point."""
+
+    def project(self, X: np.ndarray) -> np.ndarray:
+        return project_many(self.domain, X)
 
     def __call__(self, x_pre: np.ndarray, placement: str):
-        x_new = np.empty_like(x_pre)
-        dK = np.empty(len(x_pre))
-        for i, xp in enumerate(x_pre):
-            x_new[i], dK[i] = _repair(self.domain, xp, placement)
+        if placement not in ("project", "symmetrize"):
+            raise ValueError(f"unknown placement {placement!r}")
+        x_new = x_pre.copy()
+        dK = np.zeros(len(x_pre))
+        rows = outside_rows(self.domain, x_pre)
+        if len(rows):
+            y = x_pre[rows]
+            p = project_outside(self.domain, y)
+            if placement == "symmetrize":
+                # mirror at the projection; a very deep overshoot whose
+                # mirror image is still outside is projected again
+                p = project_many(self.domain, 2.0 * p - y)
+            x_new[rows] = p
+            dK[rows] = np.linalg.norm(p - y, axis=1)
         return x_new, dK
 
 
 def _make_kernel(domain: DomainSpec):
-    if hasattr(domain, "radius"):
+    if domain.kind in ("ball", "interval_quartic"):
         return _IntervalKernel(domain) if domain.dim == 1 else _BallKernel(domain)
     return _GenericKernel(domain)
+
+
+def _noise_steps(model: SdeModel, seed: int, P: int, d: int, n_steps: int, h: float):
+    """Yield (step_index, xi, noise) over the per-path streams.
+
+    With a constant sigma, ``noise`` is sigma xi sqrt(h), scaled once per
+    sub-block of at most _SUB_NUMBERS numbers into one reused buffer, so it
+    is valid until the next step; otherwise it is None and the step scales
+    xi at the current state.
+    """
+    sh = np.sqrt(h)
+    sig_t = None if model.sigma_constant is None else model.sigma_constant.T
+    S = max(1, _SUB_NUMBERS // max(P * d, 1))
+    buf = None if sig_t is None else np.empty((S, P, d))
+    for start, block in _ensemble_noise_blocks(seed, P, d, n_steps):
+        for j0 in range(0, block.shape[0], S):
+            sub = block[j0:j0 + S]
+            if buf is not None:
+                scaled = np.matmul(sub, sig_t, out=buf[:len(sub)])
+                scaled *= sh
+            for j in range(len(sub)):
+                yield start + j0 + j, sub[j], None if buf is None else scaled[j]
+
+
+def _advance(model: SdeModel, kernel, X: np.ndarray, shift: np.ndarray,
+             xi: np.ndarray, noise, h: float, placement: str):
+    """One reflected Euler step: the proposal X + shift + sigma xi sqrt(h),
+    refused beyond the domain diameter, then the boundary repair.
+    Returns (X_new, dK)."""
+    if noise is None:
+        noise = model.noise_term(X, xi) * np.sqrt(h)
+    x_pre = X + shift + noise
+    step = x_pre - X
+    # the largest coordinate bounds the norm: compute norms only near the limit
+    if (np.abs(step).max() * np.sqrt(step.shape[1]) > kernel.diameter
+            and np.linalg.norm(step, axis=1).max() > kernel.diameter):
+        raise StepTooLarge("ensemble proposal beyond domain diameter; decrease h")
+    return kernel(x_pre, placement)
 
 
 def ensemble_steps(model: SdeModel, domain: DomainSpec, X0: np.ndarray, n_steps: int,
@@ -315,17 +367,11 @@ def ensemble_steps(model: SdeModel, domain: DomainSpec, X0: np.ndarray, n_steps:
     X = np.array(X0, dtype=float)
     P, d = X.shape
     kernel = _make_kernel(domain)
-    sh = np.sqrt(h)
-    diam = domain.diameter_hint
-    for start, block in _ensemble_noise_blocks(seed, P, d, n_steps):
-        for j in range(block.shape[0]):
-            xi = block[j]
-            x_pre = X + model.drift_at(X) * h + model.noise_term(X, xi) * sh
-            if np.linalg.norm(x_pre - X, axis=1).max() > diam:
-                raise StepTooLarge("ensemble proposal beyond domain diameter; decrease h")
-            X_new, dK = kernel(x_pre, placement)
-            yield start + j, X, X_new, dK, xi
-            X = X_new
+    for i, xi, noise in _noise_steps(model, seed, P, d, n_steps, h):
+        X_new, dK = _advance(model, kernel, X, model.drift_at(X) * h, xi, noise,
+                             h, placement)
+        yield i, X, X_new, dK, xi
+        X = X_new
 
 
 def ensemble_average(model: SdeModel, domain: DomainSpec, X0: np.ndarray,
@@ -401,26 +447,24 @@ def sample_invariant(model: SdeModel, domain: DomainSpec, size: int, rng) -> np.
     pot = _potential_or_raise(model)
     box = domain.bounding_box
     probe = np.linspace(0, 1, 257)[:, None] * (box[:, 1] - box[:, 0]) + box[:, 0]
+    vec = pot.value_vec is not None and domain.phi_vec is not None
     if domain.dim == 1:
         u_min = min(pot.value(np.array([t])) for t in probe[:, 0])
     else:
-        u_min = min(pot.value(p) for p in
-                    np.stack(np.meshgrid(*[probe[:, k] for k in range(domain.dim)],
-                                         indexing="ij"), axis=-1).reshape(-1, domain.dim)
-                    if domain.phi(p) >= 0)
+        grid = np.stack(np.meshgrid(*[probe[:, k] for k in range(domain.dim)],
+                                    indexing="ij"), axis=-1).reshape(-1, domain.dim)
+        if vec:
+            u_min = pot.value_vec(grid[domain.phi_vec(grid) >= 0]).min()
+        else:
+            u_min = min(pot.value(p) for p in grid if domain.phi(p) >= 0)
     out = np.empty((size, domain.dim))
     have = 0
     while have < size:
         m = 4 * (size - have) + 16
         cand = rng.uniform(box[:, 0], box[:, 1], size=(m, domain.dim))
-        if pot.value_vec is not None and domain.dim == 1:
+        if vec:
             dens = np.exp(-(pot.value_vec(cand) - u_min))
-            ok = (rng.uniform(size=m) < dens)
-            r = getattr(domain, "radius", None)
-            if r is not None:
-                ok &= (np.abs(cand[:, 0]) <= r)
-            else:
-                ok &= np.array([domain.phi(c) >= 0 for c in cand])
+            ok = (rng.uniform(size=m) < dens) & (domain.phi_vec(cand) >= 0)
         else:
             dens = np.array([np.exp(-(pot.value(c) - u_min)) if domain.phi(c) >= 0 else 0.0
                              for c in cand])
@@ -548,36 +592,23 @@ def penalized_moments(model: SdeModel, domain: DomainSpec, n_penalty: float,
     """
     pot = _potential_or_raise(model)
     d = domain.dim
-    rngs = [np.random.default_rng(np.random.SeedSequence([seed, p])) for p in range(paths)]
     X = np.stack([domain.centroid] * paths)
     nb, n = round(burn / h), round(T / h)
     m1 = np.zeros((paths, d)); m2 = np.zeros((paths, d))
     s2h = np.sqrt(2.0 * h)
-    if hasattr(domain, "radius") and d == 1:
-        r = domain.radius
-        clipper = lambda Y: np.clip(Y, -r, r)
-    else:
-        clipper = lambda Y: np.stack([project(domain, y) if domain.phi(y) < 0 else y for y in Y])
-    L = max(1, min(nb + n, _BLOCK_NUMBERS // max(paths * d, 1)))
-    done = 0
-    while done < nb + n:
-        size = min(L, nb + n - done)
-        block = np.empty((size, paths, d))
-        for p, rng in enumerate(rngs):
-            block[:, p, :] = rng.standard_normal((size, d))
-        for j in range(size):
+    closure = _make_kernel(domain).project
+    for start, block in _ensemble_noise_blocks(seed, paths, d, nb + n):
+        for j in range(block.shape[0]):
             if pot.grad_vec is not None:
                 gU = pot.grad_vec(X)
             else:
                 gU = np.stack([np.atleast_1d(pot.grad(x)) for x in X])
-            pen = 2.0 * n_penalty * (X - clipper(X))
+            pen = 2.0 * n_penalty * (X - closure(X))
             X = X - (gU + pen) * h + s2h * block[j]
-            if done + j >= nb:
+            if start + j >= nb:
                 m1 += X
                 m2 += X * X
-        done += size
-    steps = n
-    m1 /= steps; m2 /= steps
+    m1 /= n; m2 /= n
     se = (m1.std(axis=0, ddof=1) / np.sqrt(paths),
           m2.std(axis=0, ddof=1) / np.sqrt(paths))
     return m1.mean(axis=0), m2.mean(axis=0), se

@@ -2,8 +2,8 @@
 
 Two routes produce the pair (v, lambda) at a fixed boundary constant mu:
 
-* vanishing discount: solve the discounted problem along a geometrically
-  decreasing discount sequence; the discount times the value at a
+* vanishing discount: solve the discounted problem on one mesh along a
+  geometrically decreasing discount sequence; the discount times the value at a
   reference node converges to lambda and is Richardson-extrapolated.
 * direct: one bordered linear system (or Picard sweeps of it when the
   driver reads the gradient, all on one LU) with unknowns (v at the
@@ -23,7 +23,7 @@ from typing import Dict, Sequence
 import numpy as np
 
 from . import dynamics, hypotheses
-from .discounted import DriverSpec, _grid_solve, solve_discounted
+from .discounted import DriverSpec, _grid_solve
 from .dynamics import SdeModel
 from .errors import BracketFailure, FlatCurve, NoConvergence, SchemeMismatch
 from .geometry import DomainSpec
@@ -66,12 +66,16 @@ class ErgodicSolution:
 
 
 def _jsonable(obj):
+    """Plain JSON types: string keys, lists for arrays, Python scalars for
+    numpy ones, and None for non-finite floats."""
     if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
+        return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, np.ndarray)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return None
     return obj
 
 
@@ -143,10 +147,9 @@ def solve_ergodic(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
         seq = []
         lam_prev = None
         for k in range(max_halvings):
-            gf = solve_discounted(model, domain, driver, alpha, mu,
-                                  spacing=spacing, tol=picard_tol,
-                                  max_sweeps=max_sweeps, viscosity=viscosity)
-            lam_k = alpha * gf.values[iref]
+            vals, _ = _grid_solve(mesh, model, driver, alpha, mu, picard_tol,
+                                  max_sweeps, viscosity)
+            lam_k = alpha * vals[iref]
             seq.append((alpha, lam_k))
             if lam_prev is not None and abs(lam_k - lam_prev) < tol / 2:
                 break
@@ -156,7 +159,7 @@ def solve_ergodic(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
             raise NoConvergence(
                 f"discount sequence exhausted after {max_halvings} halvings")
         lam_vd = 2 * lam_k - lam_prev
-        v_vd = gf.values - gf.values[iref]
+        v_vd = vals - vals[iref]
         diagnostics["alpha_sequence"] = [a for a, _ in seq]
         diagnostics["lambda_vd"] = lam_vd
         diagnostics["extrapolation_gap"] = abs(lam_k - lam_prev)

@@ -40,6 +40,14 @@ class DomainSpec:
         Declared by the builder; spot-checked by the hypothesis module.
     project_exact : callable, optional
         Closed-form projector onto the closure, used when available.
+    kind : str
+        "ball", "interval_quartic", "quadratic" or "generic"; path
+        simulation picks its boundary repair by kind.
+    phi_vec, grad_phi_vec, hess_phi_vec : callables, optional
+        Batched forms on X of shape (P, d); with all three the projection
+        of a batch runs as one vectorised Newton iteration.
+    radius : float, optional
+        Radius of "ball" and "interval_quartic" domains.
     """
 
     phi: Callable[[np.ndarray], float]
@@ -53,9 +61,11 @@ class DomainSpec:
     smooth_c2lip: bool = True
     name: str = "domain"
     boundary_tol: float = 1e-9
-    # optional batched forms (X of shape (P, d)) used by path statistics
+    kind: str = "generic"
+    phi_vec: Optional[Callable[[np.ndarray], np.ndarray]] = None
     grad_phi_vec: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hess_phi_vec: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    radius: Optional[float] = None
 
     def __post_init__(self):
         self.bounding_box = np.asarray(self.bounding_box, dtype=float).reshape(self.dim, 2)
@@ -99,14 +109,14 @@ def ball_domain(radius: float = 1.0, dim: int = 1) -> DomainSpec:
         return np.asarray(x, dtype=float) * (r / nx)
 
     box = np.repeat(np.array([[-r, r]]), dim, axis=0)
-    dom = DomainSpec(phi, grad, hess, dim, box, convex_flag=True,
-                     project_exact=proj, centroid=np.zeros(dim),
-                     name=f"ball(r={r:g},d={dim})", boundary_tol=1e-9 * 2 * r,
-                     grad_phi_vec=lambda X: -X / r,
-                     hess_phi_vec=lambda X: np.broadcast_to(
-                         -np.eye(dim) / r, (len(X), dim, dim)))
-    dom.radius = r
-    return dom
+    return DomainSpec(phi, grad, hess, dim, box, convex_flag=True,
+                      project_exact=proj, centroid=np.zeros(dim),
+                      name=f"ball(r={r:g},d={dim})", boundary_tol=1e-9 * 2 * r,
+                      kind="ball", radius=r,
+                      phi_vec=lambda X: (r * r - (X * X).sum(axis=1)) / (2 * r),
+                      grad_phi_vec=lambda X: -X / r,
+                      hess_phi_vec=lambda X: np.broadcast_to(
+                          -np.eye(dim) / r, (len(X), dim, dim)))
 
 
 def quartic_interval_domain() -> DomainSpec:
@@ -133,14 +143,17 @@ def quartic_interval_domain() -> DomainSpec:
     def proj(x):
         return np.clip(np.asarray(x, dtype=float), -1.0, 1.0)
 
-    dom = DomainSpec(phi, grad, hess, 1, np.array([[-1.0, 1.0]]), convex_flag=True,
-                     project_exact=proj, centroid=np.zeros(1),
-                     name="interval-quartic", boundary_tol=2e-9,
-                     grad_phi_vec=lambda X: -X * (3.0 + X * X) / 4.0,
-                     hess_phi_vec=lambda X: (-(3.0 + 3.0 * X[:, 0] ** 2)
-                                             / 4.0)[:, None, None])
-    dom.radius = 1.0
-    return dom
+    def phi_vec(X):
+        s = (1.0 - X[:, 0] ** 2) / 2.0
+        return s * (1.0 - s / 4.0)
+
+    return DomainSpec(phi, grad, hess, 1, np.array([[-1.0, 1.0]]), convex_flag=True,
+                      project_exact=proj, centroid=np.zeros(1),
+                      name="interval-quartic", boundary_tol=2e-9,
+                      kind="interval_quartic", radius=1.0, phi_vec=phi_vec,
+                      grad_phi_vec=lambda X: -X * (3.0 + X * X) / 4.0,
+                      hess_phi_vec=lambda X: (-(3.0 + 3.0 * X[:, 0] ** 2)
+                                              / 4.0)[:, None, None])
 
 
 def quadratic_domain(matrix) -> DomainSpec:
@@ -171,7 +184,11 @@ def quadratic_domain(matrix) -> DomainSpec:
     box = np.repeat(np.array([[-semi, semi]]), d, axis=0)
     return DomainSpec(phi, grad, hess, d, box, convex_flag=True,
                       project_exact=None, centroid=np.zeros(d),
-                      name="quadratic", boundary_tol=1e-9 * 2 * semi)
+                      name="quadratic", boundary_tol=1e-9 * 2 * semi,
+                      kind="quadratic",
+                      phi_vec=lambda X: (1.0 - ((X @ A) * X).sum(axis=1)) / 2.0,
+                      grad_phi_vec=lambda X: -(X @ A.T),
+                      hess_phi_vec=lambda X: np.broadcast_to(-A, (len(X), d, d)))
 
 
 def domain_from_json(doc: dict) -> DomainSpec:
@@ -225,7 +242,9 @@ def _newton_project(domain: DomainSpec, x: np.ndarray, max_iter: int = 60) -> np
     d = domain.dim
     p = _radial_seed(domain, x)
     g = domain.grad_phi(p)
-    nu = -float(g @ (x - p)) / max(float(g @ g), 1e-300)
+    # first-order conditions: p - x + nu grad phi(p) = 0 and phi(p) = 0, so
+    # the multiplier starts at the least-squares nu of x - p = nu grad phi(p)
+    nu = float(g @ (x - p)) / max(float(g @ g), 1e-300)
 
     def residual(p, nu):
         return np.concatenate([p - x + nu * domain.grad_phi(p), [domain.phi(p)]])
@@ -254,6 +273,112 @@ def _newton_project(domain: DomainSpec, x: np.ndarray, max_iter: int = 60) -> np
                 p, nu, res = p_new, nu_new, res_new
                 break
             t /= 2
+        else:
+            raise NonConvergence("projection line search stalled")
+    raise NonConvergence("projection Newton iteration exceeded budget")
+
+
+def project_many(domain: DomainSpec, X: np.ndarray) -> np.ndarray:
+    """Closest points of the closure for a batch X of shape (P, d).
+
+    Rows already in the closure come back unchanged. With the batched
+    forms phi_vec, grad_phi_vec and hess_phi_vec, the outside rows are
+    repaired together by the Newton iteration of ``project``; otherwise
+    every outside row goes through ``project``.
+    """
+    X = np.asarray(X, dtype=float)
+    out = X.copy()
+    rows = outside_rows(domain, X)
+    if len(rows):
+        out[rows] = project_outside(domain, X[rows])
+    return out
+
+
+def outside_rows(domain: DomainSpec, X: np.ndarray) -> np.ndarray:
+    """Indices of the rows of X that lie outside the closure."""
+    if domain.phi_vec is not None:
+        return np.flatnonzero(domain.phi_vec(X) < 0)
+    return np.array([i for i, x in enumerate(X) if domain.phi(x) < 0], dtype=int)
+
+
+def project_outside(domain: DomainSpec, X: np.ndarray) -> np.ndarray:
+    """``project_many`` for rows known to lie outside the closure."""
+    batched = all(f is not None for f in
+                  (domain.phi_vec, domain.grad_phi_vec, domain.hess_phi_vec))
+    if domain.project_exact is not None or not batched:
+        return np.stack([project(domain, x) for x in X])
+    return _newton_project_many(domain, X)
+
+
+def _radial_seed_many(domain: DomainSpec, X: np.ndarray) -> np.ndarray:
+    """``_radial_seed`` for a batch of outside rows.
+
+    A quadratic domain about the origin crosses its boundary at
+    t = 1 / sqrt(x.A x) along the ray. Otherwise the rows are bisected
+    together until every midpoint equals one of its ends, after which
+    further steps change nothing, so the bits equal the 80-step loop's.
+    """
+    c = domain.centroid
+    if domain.kind == "quadratic" and not c.any():
+        return X / np.sqrt(1.0 - 2.0 * domain.phi_vec(X))[:, None]
+    if domain.phi(c) <= 0:
+        raise NonConvergence("centroid is not interior; cannot seed projection")
+    lo, hi = np.zeros(len(X)), np.ones(len(X))
+    D = X - c
+    for _ in range(80):
+        mid = (lo + hi) / 2
+        if np.all((mid == lo) | (mid == hi)):
+            break
+        inside = domain.phi_vec(c + mid[:, None] * D) > 0
+        lo = np.where(inside, mid, lo)
+        hi = np.where(inside, hi, mid)
+    return c + ((lo + hi) / 2)[:, None] * D
+
+
+def _newton_project_many(domain: DomainSpec, X: np.ndarray,
+                         max_iter: int = 60) -> np.ndarray:
+    """``_newton_project`` on a batch: every row runs the same KKT Newton
+    iteration with its own backtracking line search, and converged rows
+    leave the batch."""
+    m, d = X.shape
+    P = _radial_seed_many(domain, X)
+    G = domain.grad_phi_vec(P)
+    nu = (G * (X - P)).sum(axis=1) / np.maximum((G * G).sum(axis=1), 1e-300)
+
+    def residual(P, nu, X):
+        return np.concatenate([P - X + nu[:, None] * domain.grad_phi_vec(P),
+                               domain.phi_vec(P)[:, None]], axis=1)
+
+    res = residual(P, nu, X)
+    tol = 1e-12 * (1 + np.linalg.norm(X, axis=1))
+    live = np.arange(m)
+    for _ in range(max_iter):
+        norm = np.linalg.norm(res, axis=1)
+        keep = ~(norm < tol[live])
+        live, res, norm = live[keep], res[keep], norm[keep]
+        if not len(live):
+            return P
+        p, mult, x = P[live], nu[live], X[live]
+        J = np.zeros((len(live), d + 1, d + 1))
+        J[:, :d, :d] = np.eye(d) + mult[:, None, None] * domain.hess_phi_vec(p)
+        J[:, :d, d] = J[:, d, :d] = domain.grad_phi_vec(p)
+        try:
+            step = np.linalg.solve(J, -res[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            raise NonConvergence("singular KKT system in projection")
+        t = np.ones(len(live))
+        todo = np.arange(len(live))
+        for _ in range(30):
+            p_new = p[todo] + t[todo, None] * step[todo, :d]
+            n_new = mult[todo] + t[todo] * step[todo, d]
+            r_new = residual(p_new, n_new, x[todo])
+            ok = np.linalg.norm(r_new, axis=1) < norm[todo]
+            done = todo[ok]
+            P[live[done]], nu[live[done]], res[done] = p_new[ok], n_new[ok], r_new[ok]
+            todo = todo[~ok]
+            if not len(todo):
+                break
+            t[todo] /= 2
         else:
             raise NonConvergence("projection line search stalled")
     raise NonConvergence("projection Newton iteration exceeded budget")

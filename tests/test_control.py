@@ -6,7 +6,7 @@ import conftest as refs
 from ebsde.control import (ControlProblem, Policy, cost_I, cost_J,
                            feedback_policy, girsanov_weight_check,
                            hamiltonian, induced_driver, policy_from_json)
-from ebsde.errors import DegenerateLocalTime, WeightDegeneracy
+from ebsde.errors import DegenerateLocalTime, StepTooLarge, WeightDegeneracy
 from ebsde.ergodic import solve_ergodic
 from ebsde.geometry import ball_domain
 from ebsde.presets import two_control_problem
@@ -163,3 +163,49 @@ def test_control_table_bound_validated():
     with pytest.raises(ValueError):
         ControlProblem(R_table=np.array([[2.0]]),
                        L=lambda x, k: 0.0, M_R=1.0, M_L=0.1)
+
+
+# Recorded from the masked per-control accumulation that the table gather
+# replaced; on the interval every path is bit-identical, so == holds.
+GOLDEN_COSTS = {
+    "feedback": (0.39419888208314835, 0.02982544720805399,
+                 0.13147011553830862, 0.03505651658052208),
+    "constant": (0.38885993012951936, 0.029450632702548718,
+                 0.12794937268105933, 0.035638917682712865),
+    "threshold": (0.39124229563466506, 0.026479961892247845,
+                  0.12189212681247176, 0.038473638539003485),
+}
+
+
+def test_costs_pinned_bit_for_bit(interval, std_model):
+    prob = two_control_problem()
+    sol = solve_ergodic(std_model, interval, induced_driver(prob), 0.2,
+                        spacing=1e-2)
+    assert sol.lam == 0.34832634575356536
+    policies = {
+        "feedback": feedback_policy(prob, sol),
+        "constant": policy_from_json({"kind": "constant", "index": 1}, prob, sol),
+        "threshold": policy_from_json({"kind": "threshold_z", "axis": 0,
+                                       "cut": 0.0, "below": 0, "above": 1},
+                                      prob, sol)}
+    for name, pol in policies.items():
+        I = cost_I(std_model, interval, prob, pol, 0.2, 0.4, 1e-3, 16, seed=3)
+        J = cost_J(std_model, interval, prob, pol, sol.lam, 0.4, 1e-3, 16, seed=4)
+        assert (I.value, I.stderr, J.value, J.stderr) == GOLDEN_COSTS[name], name
+
+
+def test_running_cost_table_matches_per_control_costs():
+    prob = two_control_problem()
+    X = np.linspace(-1, 1, 9)[:, None]
+    table = prob.L_table(X)
+    bare = ControlProblem(R_table=prob.R_table, L=prob.L, M_R=prob.M_R,
+                          M_L=prob.M_L, L_vec=prob.L_vec)
+    assert np.array_equal(bare.L_table(X), table)
+    for k in range(prob.n_controls):
+        assert np.array_equal(table[:, k], prob.L_at(X, k))
+
+
+def test_controlled_step_too_large_raises(interval, std_model):
+    with pytest.raises(StepTooLarge):
+        cost_I(std_model, interval, two_control_problem(), Policy.constant(0),
+               0.0, T=50.0, h=50.0, paths=4, seed=0, x0=np.array([0.9]))

@@ -1,16 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate
 
 import conftest as refs
-from ebsde.dynamics import (SdeModel, ensemble_steps, expected_K_rate,
+from ebsde.dynamics import (Potential, SdeModel, ensemble_steps, expected_K_rate,
                             generator_apply, invariant_density,
                             local_time_growth, occupation_histogram,
                             path_to_csv, penalized_moments, sample_invariant,
                             simulate, stationary_start, step_reflected)
 from ebsde.errors import NotKolmogorov, StepTooLarge
-from ebsde.geometry import ball_domain
+from ebsde.geometry import quadratic_domain
 from ebsde.presets import kolmogorov_model, quadratic_potential
 
 DRIFT_ONE = SdeModel(b=lambda x: np.ones_like(x),
@@ -188,3 +190,88 @@ def test_path_csv_roundtrip(tmp_path, interval, std_model):
     data = np.loadtxt(fname, delimiter=",", skiprows=1)
     assert_allclose(data[:, 1], path.states[:, 0], rtol=0, atol=0)
     assert_allclose(data[:, 2], path.local_time, rtol=0, atol=0)
+
+
+def test_quadratic_potential_uses_every_coordinate():
+    pot = quadratic_potential(1.7)
+    X = np.random.default_rng(3).uniform(-1, 1, size=(20, 2))
+    assert_allclose([pot.value(x) for x in X], pot.value_vec(X), rtol=1e-15)
+    eps = 1e-6
+    for x in X[:5]:
+        fd = [(pot.value(x + eps * e) - pot.value(x - eps * e)) / (2 * eps)
+              for e in np.eye(2)]
+        assert_allclose(pot.grad(x), fd, atol=1e-8)
+    # 1-d values are unchanged bit for bit
+    for t in (-0.9, 0.123, 1.0):
+        assert pot.value(np.array([t])) == 0.5 * 1.7 * float(t ** 2)
+
+
+def _ellipse_model():
+    return (quadratic_domain([[1.0, 0.0], [0.0, 2.0]]),
+            kolmogorov_model(quadratic_potential(), dim=2, eta_hint=-1.0))
+
+
+def test_vectorised_gibbs_sampler_matches_pointwise_path():
+    dom, model = _ellipse_model()
+    pot = model.kolmogorov_potential
+    pointwise = SdeModel(b=model.b, sigma=model.sigma, kolmogorov_potential=Potential(
+        pot.value, pot.grad, pot.hess))
+    got = sample_invariant(model, dom, 500, np.random.default_rng(5))
+    want = sample_invariant(pointwise, dom, 500, np.random.default_rng(5))
+    assert np.array_equal(got, want)
+    assert np.all(dom.phi_vec(got) >= 0)
+
+
+def test_ellipse_reflection_stays_in_closure():
+    dom, model = _ellipse_model()
+    X0 = sample_invariant(model, dom, 64, np.random.default_rng(1))
+    reflected = 0
+    for i, X, X_new, dK, xi in ensemble_steps(model, dom, X0, 300, 2e-3, 9):
+        assert dom.phi_vec(X_new).min() >= -dom.boundary_tol
+        assert dK.min() >= 0.0
+        # a mirrored state sits within half its repair length of the
+        # boundary, where |grad phi| <= 2
+        hit = dK > 0
+        assert np.all(dom.phi_vec(X_new[hit]) <= dK[hit])
+        reflected += int((dK > 0).sum())
+    assert reflected > 50
+
+
+def test_pointwise_repair_without_batched_forms():
+    # a domain without batched forms is tested and projected point by point
+    dom, model = _ellipse_model()
+    bare = dataclasses.replace(dom, phi_vec=None, grad_phi_vec=None, hess_phi_vec=None)
+    X0 = sample_invariant(model, dom, 32, np.random.default_rng(2))
+    runs = [list(ensemble_steps(model, d, X0, 40, 5e-3, 3)) for d in (dom, bare)]
+    for (_, _, Xa, dKa, _), (_, _, Xb, dKb, _) in zip(*runs):
+        assert_allclose(Xa, Xb, rtol=0, atol=1e-12)
+        assert_allclose(dKa, dKb, rtol=0, atol=1e-12)
+    assert sum(int((step[3] > 0).sum()) for step in runs[1]) > 0
+
+
+def test_ellipse_local_time_rate_matches_boundary_density():
+    # with sigma = sqrt(2) I the stationary rate of the reflection length
+    # is the Gibbs density integrated over the boundary, as on the interval
+    dom, model = _ellipse_model()
+    N = integrate.dblquad(lambda y, x: np.exp(-0.5 * (x * x + y * y)), -1, 1,
+                          lambda x: -np.sqrt((1 - x * x) / 2),
+                          lambda x: np.sqrt((1 - x * x) / 2))[0]
+    B = integrate.quad(lambda t: np.exp(-0.5 * (np.cos(t) ** 2 + np.sin(t) ** 2 / 2))
+                       * np.sqrt(np.sin(t) ** 2 + np.cos(t) ** 2 / 2), 0, 2 * np.pi)[0]
+    est = expected_K_rate(model, dom, T=2.0, h=1e-3, paths=200, seed=8)
+    assert abs(est.rate - B / N) < 4 * est.stderr
+
+
+def test_local_time_rate_pinned_bit_for_bit(interval, std_model):
+    # recorded before the batched repair and the scaled-noise sub-blocks
+    est = expected_K_rate(std_model, interval, 0.3, 1e-3, 24, seed=11)
+    assert (est.rate, est.stderr) == (0.800293937827372, 0.26442927322310317)
+
+
+def test_penalized_moments_pinned_bit_for_bit(interval, std_model):
+    # recorded from the hand-written noise loop and clipper that
+    # penalized_moments had before it drew from the ensemble streams
+    m1, m2, (se1, se2) = penalized_moments(std_model, interval, 50.0, 0.5,
+                                           1e-3, 8, seed=2, burn=0.2)
+    assert (m1[0], m2[0]) == (-0.42391896543719526, 0.46123884049544583)
+    assert (se1[0], se2[0]) == (0.18199631457908033, 0.09728785750793932)

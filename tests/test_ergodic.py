@@ -96,3 +96,23 @@ def test_solution_save_layout(tmp_path, interval, std_model, cosdrv):
     assert abs(meta["mu"] - 0.25) < 1e-15
     header = (tmp_path / "sol.csv").read_text().splitlines()[0]
     assert header.split(",")[:2] == ["x0", "value"]
+
+
+def test_vanishing_discount_builds_one_mesh(monkeypatch, interval, std_model, cosdrv):
+    # every module that binds build_mesh counts into one list
+    import ebsde.discounted
+    import ebsde.ergodic
+    import ebsde.grids
+    calls = []
+    real = ebsde.grids.build_mesh
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod in (ebsde.grids, ebsde.discounted, ebsde.ergodic):
+        monkeypatch.setattr(mod, "build_mesh", counting)
+    sol = solve_ergodic(std_model, interval, cosdrv, 0.5,
+                        scheme="vanishing_discount", spacing=1e-2)
+    assert len(calls) == 1
+    assert len(sol.diagnostics["alpha_sequence"]) > 1

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,9 @@ from scipy import integrate
 
 from ebsde.geometry import (ball_domain, boundary_sample, distance_to_closure,
                             domain_from_json, domain_grid, geometric_constants,
-                            inward_normal, project, quadratic_domain,
-                            quartic_interval_domain)
+                            inward_normal, project, project_many,
+                            quadratic_domain, quartic_interval_domain,
+                            _radial_seed, _radial_seed_many)
 
 COORD = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
@@ -140,3 +143,62 @@ def test_domain_grid_inside(interval):
     pts = domain_grid(interval, 33)
     assert len(pts) == 33
     assert all(interval.phi(p) >= -1e-12 for p in pts)
+
+
+def _ellipse_points(n=200):
+    # shallow and deep overshoots, plus some interior points
+    rng = np.random.default_rng(0)
+    scale = rng.choice([0.5, 1.0, 3.0, 30.0], size=(n, 1))
+    return rng.standard_normal((n, 2)) * scale
+
+
+def test_project_many_matches_pointwise_projection():
+    for A in ([[1.0, 0.0], [0.0, 2.0]], [[2.0, 0.5], [0.5, 1.0]]):
+        dom = quadratic_domain(A)
+        X = _ellipse_points()
+        want = np.stack([project(dom, x) for x in X])
+        got = project_many(dom, X)
+        assert np.max(np.abs(got - want)) <= 1e-12
+        outside = dom.phi_vec(X) < 0
+        assert outside.sum() > 100
+        assert np.array_equal(got[~outside], X[~outside])
+        assert np.max(np.abs(dom.phi_vec(got[outside]))) < 1e-12
+
+
+def test_projection_is_the_closest_boundary_point():
+    # deep overshoots too: compare with a dense boundary parametrisation
+    dom = quadratic_domain([[1.0, 0.0], [0.0, 2.0]])
+    X = _ellipse_points(60)
+    X = X[dom.phi_vec(X) < 0]
+    th = np.linspace(0, 2 * np.pi, 100001)
+    B = np.stack([np.cos(th), np.sin(th) / np.sqrt(2.0)], axis=1)
+    dist = np.linalg.norm(project_many(dom, X) - X, axis=1)
+    brute = np.array([np.linalg.norm(B - x, axis=1).min() for x in X])
+    assert np.all(dist <= brute + 1e-9)
+
+
+def test_batched_bisection_seed_equals_pointwise_bits():
+    # a generic domain with the batched bisection seed; phi_vec evaluates
+    # phi row by row so both loops see the same signs
+    ell = quadratic_domain([[1.0, 0.0], [0.0, 2.0]])
+    dom = dataclasses.replace(ell, kind="generic",
+                              phi_vec=lambda X: np.array([ell.phi(x) for x in X]))
+    X = _ellipse_points(40)
+    X = X[ell.phi_vec(X) < 0]
+    seeds = np.stack([_radial_seed(dom, x) for x in X])
+    assert np.array_equal(_radial_seed_many(dom, X), seeds)
+    # the closed-form crossing of the quadratic domain agrees to rounding
+    assert np.max(np.abs(_radial_seed_many(ell, X) - seeds)) < 1e-12
+
+
+def test_domain_kinds():
+    assert ball_domain(1.0, 1).kind == "ball"
+    assert ball_domain(2.0, 2).radius == 2.0
+    assert quartic_interval_domain().kind == "interval_quartic"
+    assert quadratic_domain(np.eye(2)).kind == "quadratic"
+    for dom in (ball_domain(1.5, 2), quartic_interval_domain(),
+                quadratic_domain([[2.0, 0.5], [0.5, 1.0]])):
+        X = _ellipse_points(30)[:, :dom.dim]
+        assert_allclose(dom.phi_vec(X), [dom.phi(x) for x in X], rtol=0, atol=1e-12)
+        assert_allclose(dom.grad_phi_vec(X), [dom.grad_phi(x) for x in X], atol=1e-12)
+        assert_allclose(dom.hess_phi_vec(X), [dom.hess_phi(x) for x in X], atol=1e-12)

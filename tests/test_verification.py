@@ -78,3 +78,13 @@ def test_shift_needs_invertible_sigma(interval):
     with pytest.raises(SingularSigma):
         shifted_problem(degenerate_linear_model(), zero_driver(), 0.5,
                         interval)
+
+
+def test_bsde_residual_pinned_bit_for_bit(interval, std_model, cosdrv):
+    # recorded before the scaled noise moved into per-sub-block arrays;
+    # the interval paths are bit-identical, so == holds
+    sol = solve_ergodic(std_model, interval, cosdrv, 0.5, spacing=1e-2)
+    res = bsde_residual(sol, std_model, interval, cosdrv, paths=32, T=0.5,
+                        h=1e-3, seed=7)
+    assert (res.mean, res.stderr) == (-0.004453240983188058, 0.0026187237977762395)
+    assert res.partial_means[0] == 0.0009736106195052492
