@@ -24,8 +24,8 @@ from .errors import (BracketFailure, ConfigError, DegenerateLocalTime,
                      SingularSigma, StepTooLarge, WeightDegeneracy)
 from .geometry import (DomainSpec, ball_domain, boundary_sample,
                        domain_from_json, domain_grid, geometric_constants,
-                       inward_normal, project, project_many,
-                       quadratic_domain, quartic_interval_domain)
+                       inward_normal, project, quadratic_domain,
+                       quartic_interval_domain)
 from .dynamics import (KRateEstimate, Potential, ReflectedPath, SdeModel,
                        ensemble_average, expected_K_rate, generator_apply,
                        invariant_density, occupation_histogram,

@@ -40,9 +40,8 @@ class ControlProblem:
     """Finite control grid with noise tilt R and running cost L.
 
     ``R_table`` has one row per control; ``L(x, k)`` and the optional
-    vectorized ``L_vec(X, k)`` take the control by index, and the optional
-    ``L_all(X)`` gives every control's cost at once, shape (P, K). ``g`` is
-    the boundary running cost (None means zero).
+    vectorized ``L_vec(X, k)`` take the control by index. ``g`` is the
+    boundary running cost (None means zero).
     """
 
     R_table: np.ndarray
@@ -50,7 +49,6 @@ class ControlProblem:
     M_R: float
     M_L: float
     L_vec: Optional[Callable] = None
-    L_all: Optional[Callable] = None
     K_L_x: float = 0.0
     g: Optional[Callable] = None
     name: str = "control-problem"
@@ -73,8 +71,6 @@ class ControlProblem:
 
     def L_table(self, X: np.ndarray) -> np.ndarray:
         """Running cost of every control at a batch of states, (P, K)."""
-        if self.L_all is not None:
-            return self.L_all(X)
         return np.stack([self.L_at(X, k) for k in range(self.n_controls)], axis=1)
 
     def validate(self, domain: DomainSpec, density: int = 33) -> None:

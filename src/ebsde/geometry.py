@@ -41,11 +41,12 @@ class DomainSpec:
     project_exact : callable, optional
         Closed-form projector onto the closure, used when available.
     kind : str
-        "ball", "interval_quartic", "quadratic" or "generic"; path
-        simulation picks its boundary repair by kind.
+        "ball", "interval_quartic", "quadratic" ({x.A x <= 1}) or
+        "generic"; path simulation picks its boundary repair by kind.
     phi_vec, grad_phi_vec, hess_phi_vec : callables, optional
         Batched forms on X of shape (P, d); with all three the projection
-        of a batch runs as one vectorised Newton iteration.
+        of a batch from a quadratic domain runs as one vectorised Newton
+        iteration.
     radius : float, optional
         Radius of "ball" and "interval_quartic" domains.
     """
@@ -281,10 +282,10 @@ def _newton_project(domain: DomainSpec, x: np.ndarray, max_iter: int = 60) -> np
 def project_many(domain: DomainSpec, X: np.ndarray) -> np.ndarray:
     """Closest points of the closure for a batch X of shape (P, d).
 
-    Rows already in the closure come back unchanged. With the batched
-    forms phi_vec, grad_phi_vec and hess_phi_vec, the outside rows are
-    repaired together by the Newton iteration of ``project``; otherwise
-    every outside row goes through ``project``.
+    Rows already in the closure come back unchanged. The outside rows of a
+    quadratic domain with its batched forms are repaired together by the
+    Newton iteration of ``project``; every other domain sends them through
+    ``project``.
     """
     X = np.asarray(X, dtype=float)
     out = X.copy()
@@ -305,43 +306,19 @@ def project_outside(domain: DomainSpec, X: np.ndarray) -> np.ndarray:
     """``project_many`` for rows known to lie outside the closure."""
     batched = all(f is not None for f in
                   (domain.phi_vec, domain.grad_phi_vec, domain.hess_phi_vec))
-    if domain.project_exact is not None or not batched:
-        return np.stack([project(domain, x) for x in X])
-    return _newton_project_many(domain, X)
-
-
-def _radial_seed_many(domain: DomainSpec, X: np.ndarray) -> np.ndarray:
-    """``_radial_seed`` for a batch of outside rows.
-
-    A quadratic domain about the origin crosses its boundary at
-    t = 1 / sqrt(x.A x) along the ray. Otherwise the rows are bisected
-    together until every midpoint equals one of its ends, after which
-    further steps change nothing, so the bits equal the 80-step loop's.
-    """
-    c = domain.centroid
-    if domain.kind == "quadratic" and not c.any():
-        return X / np.sqrt(1.0 - 2.0 * domain.phi_vec(X))[:, None]
-    if domain.phi(c) <= 0:
-        raise NonConvergence("centroid is not interior; cannot seed projection")
-    lo, hi = np.zeros(len(X)), np.ones(len(X))
-    D = X - c
-    for _ in range(80):
-        mid = (lo + hi) / 2
-        if np.all((mid == lo) | (mid == hi)):
-            break
-        inside = domain.phi_vec(c + mid[:, None] * D) > 0
-        lo = np.where(inside, mid, lo)
-        hi = np.where(inside, hi, mid)
-    return c + ((lo + hi) / 2)[:, None] * D
+    if domain.kind == "quadratic" and batched:
+        return _newton_project_many(domain, X)
+    return np.stack([project(domain, x) for x in X])
 
 
 def _newton_project_many(domain: DomainSpec, X: np.ndarray,
                          max_iter: int = 60) -> np.ndarray:
-    """``_newton_project`` on a batch: every row runs the same KKT Newton
-    iteration with its own backtracking line search, and converged rows
-    leave the batch."""
+    """``_newton_project`` on a batch of a quadratic domain {x.A x <= 1}:
+    every row runs the same KKT Newton iteration with its own backtracking
+    line search, and converged rows leave the batch. The radial seed is
+    closed form: the ray through x crosses the boundary at t = 1/sqrt(x.A x)."""
     m, d = X.shape
-    P = _radial_seed_many(domain, X)
+    P = X / np.sqrt(1.0 - 2.0 * domain.phi_vec(X))[:, None]
     G = domain.grad_phi_vec(P)
     nu = (G * (X - P)).sum(axis=1) / np.maximum((G * G).sum(axis=1), 1e-300)
 

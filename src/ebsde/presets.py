@@ -146,13 +146,11 @@ def cos_driver(amplitude: float = 1.0) -> DriverSpec:
 def two_control_problem() -> ControlProblem:
     """Two controls on the line: opposite noise tilts of size 1/4, flat
     running cost for one control and a small x-slope for the other."""
-    slopes = np.array([0.0, 0.1])
     return ControlProblem(
         R_table=np.array([[-0.25], [0.25]]),
         L=lambda x, k: 0.5 + (0.1 * float(np.atleast_1d(x)[0]) if k == 1 else 0.0),
         M_R=0.25, M_L=0.7,
         L_vec=lambda X, k: 0.5 + (0.1 * X[:, 0] if k == 1 else np.zeros(len(X))),
-        L_all=lambda X: 0.5 + X[:, :1] * slopes,
         K_L_x=0.1,
         g=None,
         name="two-control")
@@ -226,7 +224,6 @@ def build_control(spec: dict) -> ControlProblem:
         L=lambda x, k: base + slopes[k] * float(np.atleast_1d(x)[0]),
         M_R=float(spec["M_R"]), M_L=float(spec["M_L"]),
         L_vec=lambda X, k: base + slopes[k] * X[:, 0],
-        L_all=lambda X: base + X[:, :1] * slopes,
         K_L_x=float(np.abs(slopes).max()),
         g=None)
 

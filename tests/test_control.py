@@ -198,9 +198,7 @@ def test_running_cost_table_matches_per_control_costs():
     prob = two_control_problem()
     X = np.linspace(-1, 1, 9)[:, None]
     table = prob.L_table(X)
-    bare = ControlProblem(R_table=prob.R_table, L=prob.L, M_R=prob.M_R,
-                          M_L=prob.M_L, L_vec=prob.L_vec)
-    assert np.array_equal(bare.L_table(X), table)
+    assert table.shape == (9, prob.n_controls)
     for k in range(prob.n_controls):
         assert np.array_equal(table[:, k], prob.L_at(X, k))
 

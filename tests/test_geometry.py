@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,8 +8,7 @@ from scipy import integrate
 from ebsde.geometry import (ball_domain, boundary_sample, distance_to_closure,
                             domain_from_json, domain_grid, geometric_constants,
                             inward_normal, project, project_many,
-                            quadratic_domain, quartic_interval_domain,
-                            _radial_seed, _radial_seed_many)
+                            quadratic_domain, quartic_interval_domain)
 
 COORD = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
@@ -175,20 +172,6 @@ def test_projection_is_the_closest_boundary_point():
     dist = np.linalg.norm(project_many(dom, X) - X, axis=1)
     brute = np.array([np.linalg.norm(B - x, axis=1).min() for x in X])
     assert np.all(dist <= brute + 1e-9)
-
-
-def test_batched_bisection_seed_equals_pointwise_bits():
-    # a generic domain with the batched bisection seed; phi_vec evaluates
-    # phi row by row so both loops see the same signs
-    ell = quadratic_domain([[1.0, 0.0], [0.0, 2.0]])
-    dom = dataclasses.replace(ell, kind="generic",
-                              phi_vec=lambda X: np.array([ell.phi(x) for x in X]))
-    X = _ellipse_points(40)
-    X = X[ell.phi_vec(X) < 0]
-    seeds = np.stack([_radial_seed(dom, x) for x in X])
-    assert np.array_equal(_radial_seed_many(dom, X), seeds)
-    # the closed-form crossing of the quadratic domain agrees to rounding
-    assert np.max(np.abs(_radial_seed_many(ell, X) - seeds)) < 1e-12
 
 
 def test_domain_kinds():
