@@ -216,16 +216,13 @@ def criterion_07() -> CriterionResult:
     grid = build_mesh(domain, 1e-2).nodes
     neg_Lphi = -hypotheses._vec_Lphi(model, domain, grid)
     c_slope, C_slope = float(neg_Lphi.min()), float(neg_Lphi.max())
-    lam_half = solve_ergodic(model, domain, driver, 0.5, scheme="direct",
-                             spacing=1e-3).lam
+    probe = lambda_of_mu(model, domain, driver, [0.0, 0.5, 1.0],
+                         scheme="direct", spacing=1e-3)
+    lam_half = float(probe.lams[1])
     sol = solve_boundary_cost(model, domain, driver, lam_half, tol=1e-3,
                               scheme="direct", spacing=1e-3)
     round_trip = abs(sol.lam - lam_half)
-    probe_mus = np.array([0.0, 0.5, 1.0])
-    probe_lams = np.array([solve_ergodic(model, domain, driver, m,
-                                         scheme="direct", spacing=1e-3).lam
-                           for m in probe_mus])
-    slopes = -np.diff(probe_lams) / np.diff(probe_mus)
+    slopes = -np.diff(probe.lams) / np.diff(probe.mus)
     slopes_ok = bool(np.all((slopes >= c_slope) & (slopes <= C_slope)))
     passed = strict_flux and round_trip < 2e-3 and slopes_ok and c_slope > 0
     details = {"mu_star": sol.mu, "lambda_target": lam_half,

@@ -8,7 +8,8 @@ on structured grids, with upwinded drift, centered diffusion, one-sided
 Neumann rows, and a frozen-gradient Picard iteration for the z dependence
 of the driver. One vectorised assembler builds the sparse operator in any
 dimension; mu and psi enter only the right-hand side, so each operator is
-factorised once and the LU serves every Picard sweep. Degenerate 1-d
+factorised once per mesh, discount and viscosity level (``GridOperators``)
+and the LU serves every Picard sweep and every mu. Degenerate 1-d
 diffusion is handled by adding a small viscosity eps^2/2 at two values of
 eps and extrapolating linearly to eps = 0.
 """
@@ -26,7 +27,8 @@ from .errors import PicardDiverged
 from .geometry import DomainSpec
 from .grids import GridFunction, Mesh, build_mesh
 
-__all__ = ["DriverSpec", "assemble_operator", "solve_discounted", "lipschitz_diagnostic"]
+__all__ = ["DriverSpec", "GridOperators", "assemble_operator", "solve_discounted",
+           "lipschitz_diagnostic"]
 
 
 @dataclass
@@ -127,23 +129,32 @@ def _rhs(mesh: Mesh, driver: DriverSpec, mu: float, bordered: bool = False) -> n
     return rhs
 
 
-def _picard(mesh: Mesh, sig: np.ndarray, driver: DriverSpec,
-            linear_solve, tol: float, max_sweeps: int) -> np.ndarray:
+def _picard(ops: GridOperators, driver: DriverSpec, linear_solve, tol: float,
+            max_sweeps: int) -> np.ndarray:
     """Frozen-gradient fixed point: repeat linear solves with psi at the
     previous sweep's z field until the sup-norm update of the node values
-    stalls below tol. ``linear_solve`` returns the unknowns, nodes first."""
-    nodes, n = mesh.nodes, mesh.n_nodes
+    relative to the reference node stalls below tol. The frozen z reads
+    gradients only, so the constant part of the values (about lambda/alpha
+    in a discounted solve) is left out of the test. ``linear_solve``
+    returns the unknowns, nodes first."""
+    mesh, n, ref = ops.mesh, ops.mesh.n_nodes, ops.ref
+    nodes = mesh.nodes
     if driver.K_psi_z == 0.0:
         return linear_solve(driver.psi_at(nodes, np.zeros_like(nodes)))
+
+    def update(x_new, x):
+        step = x_new[:n] - x[:n]
+        return float(np.max(np.abs(step - step[ref])))
+
     x = np.zeros(n)
     delta_prev = np.inf
     for sweep in range(max_sweeps):
-        Z = np.einsum("nd,nde->ne", GridFunction(mesh, x[:n]).gradient(), sig)
+        Z = np.einsum("nd,nde->ne", GridFunction(mesh, x[:n]).gradient(), ops.sig)
         x_new = linear_solve(driver.psi_at(nodes, Z))
-        delta = float(np.max(np.abs(x_new[:n] - x[:n])))
+        delta = update(x_new, x)
         if delta > delta_prev:
             x_new = 0.5 * (x_new + x)   # damp oscillating sweeps
-            delta = float(np.max(np.abs(x_new[:n] - x[:n])))
+            delta = update(x_new, x)
         if delta < tol:
             return x_new
         x, delta_prev = x_new, delta
@@ -156,32 +167,72 @@ def _needs_viscosity(a_diag: np.ndarray, h: float) -> bool:
     return float(a_diag.min()) < 10.0 * h
 
 
-def _grid_solve(mesh: Mesh, model: SdeModel, driver: DriverSpec, alpha: float,
-                mu: float, tol: float, max_sweeps: int, viscosity: str,
-                bordered: bool = False):
+class GridOperators:
+    """Everything a grid solve needs apart from mu and the driver.
+
+    Holds the mesh, the coefficients at its nodes, the viscosity levels and
+    one LU per (alpha, eps, bordered), factorised the first time that key is
+    used. mu and psi enter only the right-hand side, so one instance serves
+    every mu of a curve or an inversion; it lives as long as its caller
+    keeps it. A single solve never asks twice for one key, so it passes
+    ``keep_lus=False``: each LU is then freed after its solve, as a kept
+    LU per discount level would raise the peak memory of a
+    vanishing-discount solve for no reuse.
+    """
+
+    def __init__(self, model: SdeModel, domain: DomainSpec, spacing: float = 1e-3,
+                 viscosity: str = "auto", keep_lus: bool = True):
+        if domain.dim > 2:
+            raise NotImplementedError("grid solves are 1-d and 2-d only")
+        self.model, self.domain = model, domain
+        self.spacing, self.viscosity = spacing, viscosity
+        self.mesh = build_mesh(domain, spacing)
+        self.sig, self.a, self.b = _coefficients(self.mesh, model)
+        h = self.mesh.spacing
+        use_visc = domain.dim == 1 and (
+            viscosity == "force" or (viscosity == "auto" and _needs_viscosity(self.a, h)))
+        self.eps_list = [h, h / 2] if use_visc else [0.0]
+        self.inner = np.nonzero(~self.mesh.boundary)[0]
+        self.ref = self.mesh.ref_index()
+        self.keep_lus = keep_lus
+        self._lus: dict = {}
+
+    def check(self, model: SdeModel, domain: DomainSpec, spacing: float,
+              viscosity: str) -> None:
+        """Raise ValueError unless built for this problem and grid."""
+        if not (model is self.model and domain is self.domain
+                and spacing == self.spacing and viscosity == self.viscosity):
+            raise ValueError("operators were built for another model, domain, "
+                             "spacing or viscosity")
+
+    def lu(self, alpha: float, eps: float, bordered: bool):
+        key = (alpha, eps, bordered)
+        lu = self._lus.get(key)
+        if lu is None:
+            lu = splu(assemble_operator(self.mesh, self.a + 0.5 * eps ** 2, self.b,
+                                        alpha, bordered))
+            if self.keep_lus:
+                self._lus[key] = lu
+        return lu
+
+
+def _grid_solve(ops: GridOperators, driver: DriverSpec, alpha: float, mu: float,
+                tol: float, max_sweeps: int, bordered: bool = False):
     """Unknowns of the discrete problem (node values, then lambda when
-    ``bordered``) and the viscosity levels used. One LU per level."""
-    if mesh.domain.dim > 2:
-        raise NotImplementedError("grid solves are 1-d and 2-d only")
-    sig, a, b = _coefficients(mesh, model)
-    h = mesh.spacing
-    use_visc = mesh.domain.dim == 1 and (
-        viscosity == "force" or (viscosity == "auto" and _needs_viscosity(a, h)))
-    eps_list = [h, h / 2] if use_visc else [0.0]
-    rhs = _rhs(mesh, driver, mu, bordered)
-    inner = np.nonzero(~mesh.boundary)[0]
+    ``bordered``) and the viscosity levels used."""
+    rhs = _rhs(ops.mesh, driver, mu, bordered)
     sols = []
-    for eps in eps_list:
-        lu = splu(assemble_operator(mesh, a + 0.5 * eps ** 2, b, alpha, bordered))
+    for eps in ops.eps_list:
+        lu = ops.lu(alpha, eps, bordered)
 
         def linear_solve(pv, lu=lu):
             r = rhs.copy()
-            r[inner] -= pv[inner]
+            r[ops.inner] -= pv[ops.inner]
             return lu.solve(r)
 
-        sols.append(_picard(mesh, sig, driver, linear_solve, tol, max_sweeps))
-    x = 2 * sols[1] - sols[0] if use_visc else sols[0]
-    return x, eps_list
+        sols.append(_picard(ops, driver, linear_solve, tol, max_sweeps))
+    x = 2 * sols[1] - sols[0] if len(sols) == 2 else sols[0]
+    return x, ops.eps_list
 
 
 def solve_discounted(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
@@ -196,9 +247,9 @@ def solve_discounted(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    mesh = build_mesh(domain, spacing)
-    v, _ = _grid_solve(mesh, model, driver, alpha, mu, tol, max_sweeps, viscosity)
-    return GridFunction(mesh, v)
+    ops = GridOperators(model, domain, spacing, viscosity, keep_lus=False)
+    v, _ = _grid_solve(ops, driver, alpha, mu, tol, max_sweeps)
+    return GridFunction(ops.mesh, v)
 
 
 def lipschitz_diagnostic(v: GridFunction, chunk: int = 512) -> float:

@@ -11,23 +11,25 @@ Two routes produce the pair (v, lambda) at a fixed boundary constant mu:
 
 On top of these sit the sampled curve mu -> lambda(mu), which is
 non-increasing, and a bisection that inverts it to find the boundary
-constant matching a prescribed lambda.
+constant matching a prescribed lambda. mu enters only the right-hand side,
+so each curve and each inversion builds one ``GridOperators`` and every
+solve in it reuses the same mesh and LUs.
 """
 from __future__ import annotations
 
 import csv
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from . import dynamics, hypotheses
-from .discounted import DriverSpec, _grid_solve
+from .discounted import DriverSpec, GridOperators, _grid_solve
 from .dynamics import SdeModel
 from .errors import BracketFailure, FlatCurve, NoConvergence, SchemeMismatch
 from .geometry import DomainSpec
-from .grids import GridFunction, build_mesh
+from .grids import GridFunction
 
 __all__ = ["ErgodicSolution", "LambdaOfMuCurve", "solve_ergodic",
            "lambda_of_mu", "solve_boundary_cost", "lambda_time_average",
@@ -101,11 +103,6 @@ def curve_to_csv(curve: LambdaOfMuCurve, fname: str) -> None:
             w.writerow([f"{m:.17g}", f"{l:.17g}", f"{curve.tol:.3g}"])
 
 
-def _zeta_field(mesh, model, v: np.ndarray) -> np.ndarray:
-    return np.einsum("nd,nde->ne", GridFunction(mesh, v).gradient(),
-                     model.sigma_at(mesh.nodes))
-
-
 def _alpha0(model: SdeModel, domain: DomainSpec) -> float:
     eta = model.eta_hint
     if eta is None:
@@ -119,37 +116,40 @@ def solve_ergodic(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
                   mu: float, scheme: str = "direct", spacing: float = 1e-3,
                   tol: float = 1e-3, picard_tol: float = 1e-10,
                   max_sweeps: int = 80, viscosity: str = "auto",
-                  max_halvings: int = 40) -> ErgodicSolution:
+                  max_halvings: int = 40,
+                  operators: Optional[GridOperators] = None) -> ErgodicSolution:
     """Solve the ergodic problem at fixed mu; returns (v, zeta, lambda).
 
     scheme is one of "direct", "vanishing_discount", or "both"; with
     "both" the two lambdas must agree within 5 tol or SchemeMismatch is
     raised. The value function is normalized to vanish at the node
-    nearest the centroid.
+    nearest the centroid. ``operators`` lends the mesh and the LUs of
+    earlier solves of the same model, domain, spacing and viscosity
+    (ValueError otherwise); without it the solve builds its own.
     """
     if scheme not in ("direct", "vanishing_discount", "both"):
         raise ValueError(f"unknown scheme {scheme!r}; use 'direct', "
                          "'vanishing_discount', or 'both'")
-    mesh = build_mesh(domain, spacing)
+    ops = operators or GridOperators(model, domain, spacing, viscosity,
+                                     keep_lus=False)
+    ops.check(model, domain, spacing, viscosity)
+    mesh = ops.mesh
     diagnostics: Dict = {"scheme": scheme, "spacing": mesh.spacing}
     v_dir = lam_dir = None
     if scheme in ("direct", "both"):
         x, diagnostics["viscosity_eps"] = _grid_solve(
-            mesh, model, driver, 0.0, mu, picard_tol, max_sweeps, viscosity,
-            bordered=True)
-        v_dir = x[:-1] - x[mesh.ref_index()]
+            ops, driver, 0.0, mu, picard_tol, max_sweeps, bordered=True)
+        v_dir = x[:-1] - x[ops.ref]
         lam_dir = float(x[-1])
         diagnostics["lambda_direct"] = lam_dir
     v_vd = lam_vd = None
     if scheme in ("vanishing_discount", "both"):
         alpha = _alpha0(model, domain)
-        iref = mesh.ref_index()
         seq = []
         lam_prev = None
         for k in range(max_halvings):
-            vals, _ = _grid_solve(mesh, model, driver, alpha, mu, picard_tol,
-                                  max_sweeps, viscosity)
-            lam_k = alpha * vals[iref]
+            vals, _ = _grid_solve(ops, driver, alpha, mu, picard_tol, max_sweeps)
+            lam_k = alpha * vals[ops.ref]
             seq.append((alpha, lam_k))
             if lam_prev is not None and abs(lam_k - lam_prev) < tol / 2:
                 break
@@ -159,7 +159,7 @@ def solve_ergodic(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
             raise NoConvergence(
                 f"discount sequence exhausted after {max_halvings} halvings")
         lam_vd = 2 * lam_k - lam_prev
-        v_vd = vals - vals[iref]
+        v_vd = vals - vals[ops.ref]
         diagnostics["alpha_sequence"] = [a for a, _ in seq]
         diagnostics["lambda_vd"] = lam_vd
         diagnostics["extrapolation_gap"] = abs(lam_k - lam_prev)
@@ -174,15 +174,25 @@ def solve_ergodic(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
         v, lam = v_dir, lam_dir
     else:
         v, lam = v_vd, lam_vd
-    zeta = _zeta_field(mesh, model, v)
+    zeta = np.einsum("nd,nde->ne", GridFunction(mesh, v).gradient(), ops.sig)
     return ErgodicSolution(GridFunction(mesh, v), zeta, float(lam), float(mu),
                            diagnostics)
+
+
+def _shared_operators(model: SdeModel, domain: DomainSpec, solve_kw: Dict) -> Dict:
+    """solve_kw with one GridOperators that every solve of a curve or an
+    inversion shares: one mesh, and one LU per discount and viscosity level."""
+    if solve_kw.get("operators") is not None:
+        return solve_kw
+    grid_kw = {k: solve_kw[k] for k in ("spacing", "viscosity") if k in solve_kw}
+    return dict(solve_kw, operators=GridOperators(model, domain, **grid_kw))
 
 
 def lambda_of_mu(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
                  mus: Sequence[float], **solve_kw) -> LambdaOfMuCurve:
     """Sample the boundary-constant-to-ergodic-constant map."""
     mus = np.asarray(sorted(mus), dtype=float)
+    solve_kw = _shared_operators(model, domain, solve_kw)
     lams = np.array([solve_ergodic(model, domain, driver, m, **solve_kw).lam
                      for m in mus])
     return LambdaOfMuCurve(mus, lams, float(solve_kw.get("tol", 1e-3)))
@@ -201,6 +211,7 @@ def solve_boundary_cost(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
     the sampled curve cannot identify mu; BracketFailure means the target
     was never straddled.
     """
+    solve_kw = _shared_operators(model, domain, solve_kw)
     sol0 = solve_ergodic(model, domain, driver, 0.0, **solve_kw)
     lam0 = sol0.lam
     slope = abs(solve_ergodic(model, domain, driver, 1.0, **solve_kw).lam - lam0)

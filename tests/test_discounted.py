@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -202,8 +203,10 @@ def test_operator_matches_node_by_node_assembly(name, domain, model, spacing, ep
 
 
 def _count_factorisations(monkeypatch):
-    """Count splu calls, LU solves, and spsolve calls made by the solvers."""
-    counts = {"splu": 0, "lu_solves": 0, "spsolve": 0}
+    """Count splu calls, LU solves, and spsolve calls made by the solvers;
+    ``live_at_splu`` lists how many earlier LUs are alive at each splu."""
+    counts = {"splu": 0, "lu_solves": 0, "spsolve": 0, "live_at_splu": []}
+    live = weakref.WeakSet()
     real_splu, real_spsolve = discounted.splu, scipy.sparse.linalg.spsolve
 
     class CountedLU:
@@ -216,7 +219,10 @@ def _count_factorisations(monkeypatch):
 
     def splu(A, *args, **kwargs):
         counts["splu"] += 1
-        return CountedLU(real_splu(A, *args, **kwargs))
+        counts["live_at_splu"].append(len(live))
+        lu = CountedLU(real_splu(A, *args, **kwargs))
+        live.add(lu)
+        return lu
 
     def spsolve(*args, **kwargs):
         counts["spsolve"] += 1
@@ -257,3 +263,87 @@ def test_one_factorisation_per_viscosity_level_in_1d(monkeypatch):
     assert counts["splu"] == 2
     assert counts["lu_solves"] > 4
     assert counts["spsolve"] == 0
+
+
+# ---------------------------------------------------------------------------
+# one LU per mesh, discount and viscosity level across every mu
+
+
+def test_one_factorisation_for_a_whole_curve(monkeypatch, interval, std_model, cosdrv):
+    counts = _count_factorisations(monkeypatch)
+    curve = ergodic.lambda_of_mu(std_model, interval, cosdrv,
+                                 [-1.0, -0.5, 0.0, 0.5, 1.0], scheme="direct",
+                                 spacing=1e-3)
+    assert len(curve.lams) == 5
+    assert counts["splu"] == 1
+    assert counts["lu_solves"] == 5
+
+
+def test_one_factorisation_per_viscosity_level_for_a_curve(monkeypatch, interval):
+    counts = _count_factorisations(monkeypatch)
+    ergodic.lambda_of_mu(degenerate_linear_model(), interval, zero_driver(),
+                         [-1.0, 0.0, 1.0], scheme="direct", spacing=1e-3)
+    assert counts["splu"] == 2
+
+
+def test_one_factorisation_for_an_inversion(monkeypatch, interval, std_model, cosdrv):
+    counts = _count_factorisations(monkeypatch)
+    sol = ergodic.solve_boundary_cost(std_model, interval, cosdrv, 0.5, tol=1e-3,
+                                      scheme="direct", spacing=1e-3)
+    assert abs(sol.lam - 0.5) < 1e-3
+    assert counts["splu"] == 1
+    assert counts["lu_solves"] > 3
+
+
+def test_vanishing_discount_curve_factorises_each_discount_once(
+        monkeypatch, interval, std_model, cosdrv):
+    counts = _count_factorisations(monkeypatch)
+    alphas = []
+    real = ergodic.solve_ergodic
+
+    def recording(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        alphas.extend(sol.diagnostics["alpha_sequence"])
+        return sol
+
+    monkeypatch.setattr(ergodic, "solve_ergodic", recording)
+    ergodic.lambda_of_mu(std_model, interval, cosdrv, [0.0, 1.0],
+                         scheme="vanishing_discount", spacing=1e-2)
+    assert len(alphas) > len(set(alphas)) > 1
+    assert counts["splu"] == len(set(alphas))
+
+
+def test_single_vanishing_discount_solve_keeps_no_lu_between_discounts(
+        monkeypatch, interval, std_model, cosdrv):
+    # no later mu reuses them, and kept LUs raised the peak memory
+    counts = _count_factorisations(monkeypatch)
+    sol = solve_ergodic(std_model, interval, cosdrv, 0.5,
+                        scheme="vanishing_discount", spacing=1e-2)
+    assert counts["splu"] == len(sol.diagnostics["alpha_sequence"]) > 1
+    assert max(counts["live_at_splu"]) == 0
+
+
+def test_handed_in_operators_must_match_the_problem(interval, std_model, cosdrv):
+    ops = discounted.GridOperators(std_model, interval, 1e-2)
+    sol = solve_ergodic(std_model, interval, cosdrv, 0.3, spacing=1e-2, operators=ops)
+    assert sol.v.mesh is ops.mesh
+    for kw in ({"spacing": 2e-2}, {"spacing": 1e-2, "viscosity": "force"}):
+        with pytest.raises(ValueError, match="operators"):
+            solve_ergodic(std_model, interval, cosdrv, 0.3, operators=ops, **kw)
+    other = kolmogorov_model(quadratic_potential(), eta_hint=-1.0)
+    with pytest.raises(ValueError, match="operators"):
+        solve_ergodic(other, interval, cosdrv, 0.3, spacing=1e-2, operators=ops)
+    with pytest.raises(ValueError, match="operators"):
+        solve_ergodic(std_model, ball_domain(1.0, 1), cosdrv, 0.3, spacing=1e-2,
+                      operators=ops)
+
+
+def test_vanishing_discount_picard_converges_on_two_control():
+    # the frozen-gradient test ignores the lambda/alpha constant of the
+    # discounted values, which at alpha = 2^-8 sat at the LU's rounding floor
+    doc = json.loads((CONFIGS / "two_control.json").read_text())
+    domain, model, driver, _ = assemble_config(doc)
+    assert driver.K_psi_z > 0
+    sol = solve_ergodic(model, domain, driver, 0.5, scheme="both", spacing=1e-3)
+    assert min(sol.diagnostics["alpha_sequence"]) <= 2.0 ** -8
+    assert sol.diagnostics["scheme_gap"] < 1e-3

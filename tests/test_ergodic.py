@@ -8,8 +8,9 @@ import conftest as refs
 from ebsde.errors import FlatCurve
 from ebsde.ergodic import (lambda_of_mu, lambda_time_average,
                            solve_boundary_cost, solve_ergodic)
+from ebsde.geometry import ball_domain
 from ebsde.presets import (constant_driver, degenerate_linear_model,
-                           zero_driver)
+                           kolmogorov_model, quadratic_potential, zero_driver)
 
 
 def test_constant_driver_exact_constant(interval, std_model):
@@ -110,9 +111,47 @@ def test_vanishing_discount_builds_one_mesh(monkeypatch, interval, std_model, co
         calls.append(args)
         return real(*args, **kwargs)
 
-    for mod in (ebsde.grids, ebsde.discounted, ebsde.ergodic):
+    for mod in (ebsde.grids, ebsde.discounted):
         monkeypatch.setattr(mod, "build_mesh", counting)
     sol = solve_ergodic(std_model, interval, cosdrv, 0.5,
                         scheme="vanishing_discount", spacing=1e-2)
     assert len(calls) == 1
     assert len(sol.diagnostics["alpha_sequence"]) > 1
+    # one mesh for every mu of a curve and of an inversion
+    lambda_of_mu(std_model, interval, cosdrv, [0.0, 0.5, 1.0],
+                 scheme="vanishing_discount", spacing=1e-2)
+    assert len(calls) == 2
+    solve_boundary_cost(std_model, interval, cosdrv, 0.5, tol=1e-3,
+                        scheme="direct", spacing=1e-2)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("case", ["interval-direct", "disc-direct",
+                                  "interval-vanishing-discount"])
+def test_curve_equals_standalone_solves_bit_for_bit(case, interval, std_model,
+                                                    cosdrv):
+    if case == "disc-direct":
+        model = kolmogorov_model(quadratic_potential(), dim=2, eta_hint=-1.0)
+        domain, kw = ball_domain(1.0, 2), {"scheme": "direct", "spacing": 0.1}
+    else:
+        model, domain = std_model, interval
+        kw = {"scheme": case.split("-", 1)[1].replace("-", "_"), "spacing": 1e-2}
+    mus = [-1.0, 0.0, 0.5, 2.0]
+    curve = lambda_of_mu(model, domain, cosdrv, mus, **kw)
+    alone = [solve_ergodic(model, domain, cosdrv, m, **kw).lam for m in mus]
+    assert list(curve.lams) == alone
+
+
+@pytest.mark.parametrize("scheme,target,mu_star,lam", [
+    ("direct", 0.5, 0.5084649869867552, 0.5003855623873708),
+    ("vanishing_discount", 0.5, 0.5047950952539633, 0.5001939383636775),
+])
+def test_inversion_pinned_bit_for_bit(scheme, target, mu_star, lam, interval,
+                                      std_model, cosdrv):
+    # recorded from the per-solve factorisation; sharing the LU across mu
+    # solves the same systems, so the bisection lands on the same bits
+    spacing = 1e-3 if scheme == "direct" else 1e-2
+    sol = solve_boundary_cost(std_model, interval, cosdrv, target, tol=1e-3,
+                              scheme=scheme, spacing=spacing)
+    assert sol.mu == mu_star
+    assert sol.lam == lam
