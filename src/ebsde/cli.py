@@ -22,7 +22,7 @@ import numpy as np
 
 from . import acceptance
 from .control import (cost_I, cost_J, feedback_policy, girsanov_weight_check,
-                      induced_driver, policy_from_json)
+                      induced_driver, policy_from_json, policy_verdict)
 from .ergodic import (_jsonable, curve_to_csv, lambda_of_mu, lambda_time_average,
                       solve_boundary_cost, solve_ergodic)
 from .errors import ConfigError, EbsdeError
@@ -255,12 +255,7 @@ def cmd_control(args) -> int:
                    seed + 10 * k)
         J = cost_J(model, domain, problem, pol, sol.lam, T, h, paths,
                    seed + 10 * k + 5)
-        if name == "feedback":
-            good = (abs(I.value - sol.lam) <= I.stderr + 5e-3
-                    and abs(J.value - eff["mu"]) <= J.stderr + 1e-2)
-        else:
-            good = (I.value >= sol.lam - (I.stderr + 5e-3)
-                    and J.value >= eff["mu"] - (J.stderr + 1e-2))
+        good = policy_verdict(I, J, sol.lam, eff["mu"], name == "feedback")
         ok &= good
         rows.append([name, I.value, I.stderr, J.value, J.stderr, good])
     out = _out_dir(args)
@@ -286,14 +281,19 @@ def cmd_reproduce(args) -> int:
         only = cfg.get("run", {}).get("criteria")
     results = acceptance.run_all(only)
     ok = True
-    lines = {}
+    lines, timings = {}, {}
     for res in results:
         _write_table(out / f"criterion_{res.number:02d}.csv",
                      res.table_header, res.table_rows)
         status = "PASS" if res.passed else "FAIL"
         print(f"criterion {res.number:02d}: {status} ({res.seconds:.1f}s) {res.title}")
         lines[res.number] = res.as_dict()
+        timings[res.number] = dict(res.timings, seconds=round(res.seconds, 3))
         ok &= res.passed
+    # wall-clock times are the one output that differs between reruns
+    with open(out / "timings.json", "w") as fh:
+        json.dump(_jsonable({"criteria": timings}), fh, indent=2, sort_keys=True)
+        fh.write("\n")
     summary = {"criteria": lines}
     eff = {"criteria": [r.number for r in results],
            "seeds": {r.number: r.details.get("seed") for r in results

@@ -32,7 +32,7 @@ from .geometry import DomainSpec, domain_grid
 
 __all__ = ["ControlProblem", "Policy", "hamiltonian", "induced_driver",
            "feedback_policy", "policy_from_json", "CostEstimate",
-           "cost_I", "cost_J", "girsanov_weight_check"]
+           "cost_I", "cost_J", "policy_verdict", "girsanov_weight_check"]
 
 
 @dataclass
@@ -71,7 +71,10 @@ class ControlProblem:
 
     def L_table(self, X: np.ndarray) -> np.ndarray:
         """Running cost of every control at a batch of states, (P, K)."""
-        return np.stack([self.L_at(X, k) for k in range(self.n_controls)], axis=1)
+        out = np.empty((len(X), self.n_controls))
+        for k in range(self.n_controls):
+            out[:, k] = self.L_at(X, k)
+        return out
 
     def validate(self, domain: DomainSpec, density: int = 33) -> None:
         """Spot-check the declared cost bound on a grid; raises on violation."""
@@ -96,9 +99,13 @@ def hamiltonian(problem: ControlProblem, x, z):
     return float(vals[k]), k
 
 
-def _control_costs(problem: ControlProblem, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """L(x, u) + z R(u) for every state of a batch and every control, (P, K)."""
-    return problem.L_table(X) + Z @ problem.R_table.T
+def _control_costs(problem: ControlProblem, X: np.ndarray, Z: np.ndarray,
+                   table: Optional[np.ndarray] = None) -> np.ndarray:
+    """L(x, u) + z R(u) for every state of a batch and every control, (P, K);
+    ``table`` is L_table(X) when the caller has it already."""
+    if table is None:
+        table = problem.L_table(X)
+    return table + Z @ problem.R_table.T
 
 
 def _hamiltonian_batch(problem: ControlProblem, X: np.ndarray, Z: np.ndarray):
@@ -134,33 +141,41 @@ class Policy:
 
     ``zeta_source`` (anything with a zeta_at method) supplies Z when the
     rule needs the solved gradient field; without one the rule receives
-    zeros. Values returned by the rule are control-grid indices.
+    zeros. Values returned by the rule are control-grid indices. With
+    ``reads_costs`` the rule is called as rule(X, Z, costs), where costs
+    is the (P, K) running-cost table of the step (or None). ``index`` marks
+    a constant policy: every path takes that control and no rule runs.
     """
 
-    rule: Callable
+    rule: Optional[Callable] = None
     zeta_source: Optional[object] = None
     name: str = "policy"
+    reads_costs: bool = False
+    index: Optional[int] = None
 
-    def controls_for(self, X: np.ndarray) -> np.ndarray:
+    def controls_for(self, X: np.ndarray, costs: Optional[np.ndarray] = None) -> np.ndarray:
+        if self.index is not None:
+            return np.full(len(X), self.index, dtype=int)
         if self.zeta_source is not None:
             Z = self.zeta_source.zeta_at(X)
         else:
             Z = np.zeros_like(X)
-        return np.asarray(self.rule(X, Z)).astype(int, copy=False)
+        u = self.rule(X, Z, costs) if self.reads_costs else self.rule(X, Z)
+        return np.asarray(u).astype(int, copy=False)
 
     @staticmethod
     def constant(k: int, name: Optional[str] = None) -> "Policy":
-        return Policy(rule=lambda X, Z: np.full(len(X), k, dtype=int),
-                      name=name or f"constant-{k}")
+        return Policy(index=int(k), name=name or f"constant-{k}")
 
 
 def feedback_policy(problem: ControlProblem, solution) -> Policy:
     """Optimal feedback: the Hamiltonian argmin at the solved zeta field."""
 
-    def rule(X, Z, _p=problem):
-        return np.argmin(_control_costs(_p, X, Z), axis=1)
+    def rule(X, Z, costs=None, _p=problem):
+        return np.argmin(_control_costs(_p, X, Z, costs), axis=1)
 
-    return Policy(rule=rule, zeta_source=solution, name="feedback")
+    return Policy(rule=rule, zeta_source=solution, name="feedback",
+                  reads_costs=True)
 
 
 def policy_from_json(spec: dict, problem: ControlProblem,
@@ -201,24 +216,35 @@ def _controlled_steps(model: SdeModel, domain: DomainSpec, problem: ControlProbl
 
     With ``tilt_drift`` the proposal uses drift b + sigma R(u) (controlled
     measure); without it the base dynamics are simulated and the caller
-    reweights. Yields (i, X, u, X_new, dK, xi).
+    reweights. Yields (i, X, u, L_u, X_new, dK, xi), where L_u is the
+    running cost of the chosen control on each path. A constant policy
+    yields its index as u and evaluates only its own running cost; any
+    other builds the (P, K) running-cost table once per step.
     """
     X = np.array(X0, dtype=float)
     P, d = X.shape
+    rows = np.arange(P)
     kernel = dynamics._make_kernel(domain)
     tilts = None    # sigma R(u) h for every control when sigma is constant
     if tilt_drift and model.sigma_constant is not None:
         tilts = (problem.R_table @ model.sigma_constant.T) * h
+    k = policy.index
     for i, xi, noise in dynamics._noise_steps(model, seed, P, d, n_steps, h):
-        u = policy.controls_for(X)
+        if k is not None:
+            u, L_u = k, problem.L_at(X, k)
+        else:
+            table = problem.L_table(X)
+            u = policy.controls_for(X, table)
+            L_u = table[rows, u]
         shift = model.drift_at(X) * h
         if tilts is not None:
             shift = shift + tilts[u]
         elif tilt_drift:
-            shift = shift + model.noise_term(X, problem.R_table[u]) * h
+            Ru = np.broadcast_to(problem.R_table[u], X.shape)
+            shift = shift + model.noise_term(X, Ru) * h
         X_new, dK = dynamics._advance(model, kernel, X, shift, xi, noise, h,
                                       "symmetrize")
-        yield i, X, u, X_new, dK, xi
+        yield i, X, u, L_u, X_new, dK, xi
         X = X_new
 
 
@@ -259,12 +285,11 @@ def cost_I(model: SdeModel, domain: DomainSpec, problem: ControlProblem,
     n = round(T / h)
     X0 = _default_start(model, domain, paths, h, seed, x0)
     acc = np.zeros(paths)
-    rows = np.arange(paths)
     marks = {round(n / 4): T / 4, round(n / 2): T / 2, n: T}
     horizon_values = {}
-    for i, X, u, X_new, dK, xi in _controlled_steps(model, domain, problem, policy,
-                                                    X0, n, h, seed, True):
-        acc += problem.L_table(X)[rows, u] * h
+    for i, X, u, L_u, X_new, dK, xi in _controlled_steps(model, domain, problem,
+                                                         policy, X0, n, h, seed, True):
+        acc += L_u * h
         acc += _boundary_cost(problem, X_new, dK, mu)
         if i + 1 in marks:
             t = marks[i + 1]
@@ -288,10 +313,9 @@ def cost_J(model: SdeModel, domain: DomainSpec, problem: ControlProblem,
     X0 = _default_start(model, domain, paths, h, seed, x0)
     num = np.zeros(paths)
     den = np.zeros(paths)
-    rows = np.arange(paths)
-    for i, X, u, X_new, dK, xi in _controlled_steps(model, domain, problem, policy,
-                                                    X0, n, h, seed, True):
-        num += (problem.L_table(X)[rows, u] - lam) * h
+    for i, X, u, L_u, X_new, dK, xi in _controlled_steps(model, domain, problem,
+                                                         policy, X0, n, h, seed, True):
+        num += (L_u - lam) * h
         if problem.g is not None:
             num += _boundary_cost(problem, X_new, dK, 0.0)
         den += dK
@@ -312,6 +336,21 @@ def cost_J(model: SdeModel, domain: DomainSpec, problem: ControlProblem,
                                "local_time_stderr": float(d_se)})
 
 
+def policy_verdict(I: CostEstimate, J: CostEstimate, lam: float, mu: float,
+                   optimal: bool) -> bool:
+    """Whether one policy's two long-run costs are as the theory says.
+
+    The optimal feedback must attain both constants, I within
+    stderr + 5e-3 of lam and J within stderr + 1e-2 of mu; any other
+    policy must score no lower than them within the same slacks.
+    """
+    if optimal:
+        return (abs(I.value - lam) <= I.stderr + 5e-3
+                and abs(J.value - mu) <= J.stderr + 1e-2)
+    return (I.value >= lam - (I.stderr + 5e-3)
+            and J.value >= mu - (J.stderr + 1e-2))
+
+
 def girsanov_weight_check(model: SdeModel, domain: DomainSpec,
                           problem: ControlProblem, policy: Policy,
                           T: float, h: float, paths: int, seed: int,
@@ -329,12 +368,11 @@ def girsanov_weight_check(model: SdeModel, domain: DomainSpec,
     sh = np.sqrt(h)
     logw = np.zeros(paths)
     cost = np.zeros(paths)
-    rows = np.arange(paths)
-    for i, X, u, X_new, dK, xi in _controlled_steps(model, domain, problem, policy,
-                                                    X0, n, h, seed, False):
-        Ru = problem.R_table[u]
+    for i, X, u, L_u, X_new, dK, xi in _controlled_steps(model, domain, problem,
+                                                         policy, X0, n, h, seed, False):
+        Ru = np.broadcast_to(problem.R_table[u], xi.shape)
         logw += (Ru * xi).sum(axis=1) * sh - 0.5 * (Ru * Ru).sum(axis=1) * h
-        cost += problem.L_table(X)[rows, u] * h
+        cost += L_u * h
         cost += _boundary_cost(problem, X_new, dK, mu)
     w = np.exp(logw - logw.max())
     ess = float(w.sum() ** 2 / (w * w).sum())

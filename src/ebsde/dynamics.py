@@ -218,16 +218,18 @@ def _ensemble_noise_blocks(seed: int, P: int, d: int, n_steps: int):
 
     Path p consumes the stream seeded by SeedSequence([seed, p]), drawn in
     time blocks so memory stays bounded while keeping one stream per path.
+    Each path's draw fills a contiguous row of a (P, L, d) buffer, and the
+    block is its transposed view.
     """
     rngs = [np.random.default_rng(np.random.SeedSequence([seed, p])) for p in range(P)]
     L = max(1, min(n_steps, _BLOCK_NUMBERS // max(P * d, 1)))
     start = 0
     while start < n_steps:
         size = min(L, n_steps - start)
-        block = np.empty((size, P, d))
+        buf = np.empty((P, size, d))
         for p, rng in enumerate(rngs):
-            block[:, p, :] = rng.standard_normal((size, d))
-        yield start, block
+            rng.standard_normal(out=buf[p])
+        yield start, buf.transpose(1, 0, 2)
         start += size
 
 
@@ -598,6 +600,9 @@ def penalized_moments(model: SdeModel, domain: DomainSpec, n_penalty: float,
     s2h = np.sqrt(2.0 * h)
     closure = _make_kernel(domain).project
     for start, block in _ensemble_noise_blocks(seed, paths, d, nb + n):
+        # each step reads one time slice of every path: copy the block to
+        # (L, P, d) order once instead of gathering a strided slice per step
+        block = np.ascontiguousarray(block)
         for j in range(block.shape[0]):
             if pot.grad_vec is not None:
                 gU = pot.grad_vec(X)

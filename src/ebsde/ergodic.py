@@ -47,17 +47,21 @@ class ErgodicSolution:
     lam: float
     mu: float
     diagnostics: Dict = field(default_factory=dict)
+    _zeta_fns: Optional[list] = field(default=None, repr=False, compare=False)
 
     def zeta_at(self, X: np.ndarray) -> np.ndarray:
-        """Interpolate the zeta field at a batch of states (P, d) -> (P, d)."""
-        nodes = self.v.nodes
-        if nodes.shape[1] == 1:
-            return np.interp(X[:, 0], nodes[:, 0], self.zeta[:, 0])[:, None]
-        out = np.empty((len(X), nodes.shape[1]))
-        for k in range(nodes.shape[1]):
-            gf = GridFunction(self.v.mesh, self.zeta[:, k])
-            out[:, k] = gf.interp_many(X)
-        return out
+        """Interpolate the zeta field at a batch of states (P, d) -> (P, d).
+
+        One grid function per component is built on first use and kept, so
+        its interpolation data (1-d slopes, 2-d gradient) is computed once
+        per solution. The 1-d field goes straight to the line lookup that
+        ``interp_many`` also uses."""
+        if self._zeta_fns is None:
+            self._zeta_fns = [GridFunction(self.v.mesh, self.zeta[:, k])
+                              for k in range(self.zeta.shape[1])]
+        if self.v.mesh.domain.dim == 1:
+            return self._zeta_fns[0]._interp_line(X[:, 0])[:, None]
+        return np.stack([f.interp_many(X) for f in self._zeta_fns], axis=1)
 
     def save(self, prefix: str) -> None:
         """Write <prefix>.json (constants, diagnostics) and <prefix>.csv (v)."""

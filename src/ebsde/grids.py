@@ -8,6 +8,7 @@ as boundary nodes.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -101,6 +102,7 @@ class GridFunction:
     mesh: Mesh
     values: np.ndarray
     _grad: Optional[np.ndarray] = field(default=None, repr=False)
+    _slopes: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def nodes(self) -> np.ndarray:
@@ -126,15 +128,71 @@ class GridFunction:
     def __call__(self, x) -> float:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if self.mesh.domain.dim == 1:
-            return float(np.interp(x[0], self.mesh.nodes[:, 0], self.values))
+            return float(self._interp_line(x[:1])[0])
         # nearest kept node plus a linear correction from its gradient
         k = int(np.argmin(((self.mesh.nodes - x) ** 2).sum(axis=1)))
         return float(self.values[k] + self.gradient()[k] @ (x - self.mesh.nodes[k]))
 
     def interp_many(self, X: np.ndarray) -> np.ndarray:
         if self.mesh.domain.dim == 1:
-            return np.interp(X[:, 0], self.mesh.nodes[:, 0], self.values)
-        return np.array([self(x) for x in X])
+            return self._interp_line(X[:, 0])
+        return self._interp_nearest(X)
+
+    def _interp_line(self, x: np.ndarray) -> np.ndarray:
+        """np.interp(x, nodes, values) bit for bit on the uniform 1-d axis.
+
+        The interval comes by direct index from the spacing, corrected once
+        against the node array; the value is np.interp's own formula
+        slope_j (x - x_j) + f_j. Points are first clamped to the axis, so an
+        end point takes f_0 or f_{n-1} (the slope past the last node is 0).
+        ``take(mode="clip")`` keeps the index n of the last node's right
+        neighbour, and the garbage index of a NaN, in range.
+        """
+        a, f = self.mesh.axes[0], self.values
+        if self._slopes is None:
+            self._slopes = np.append(np.diff(f) / np.diff(a), 0.0)
+        x = np.minimum(np.maximum(x, a[0]), a[-1])
+        j = ((x - a[0]) * (1.0 / (a[1] - a[0]))).astype(np.intp)
+        j -= a.take(j, mode="clip") > x
+        j += a.take(j + 1, mode="clip") <= x
+        return (self._slopes.take(j, mode="clip") * (x - a.take(j, mode="clip"))
+                + f.take(j, mode="clip"))
+
+    def _interp_nearest(self, X: np.ndarray) -> np.ndarray:
+        """``__call__`` on a batch of points of a d >= 2 mesh, bit for bit.
+
+        The nearest kept node is sought in the 3^d box block around each
+        point's rounded box index, with the same squared distances and,
+        since the block is scanned in flat order, the same lowest-index
+        tie rule. A node outside the block is at least 1.5 spacings away,
+        so a point whose best block node is not clearly nearer takes the
+        per-point path.
+        """
+        m = self.mesh
+        lo = np.array([a[0] for a in m.axes])
+        step = np.array([a[1] - a[0] for a in m.axes])
+        shape = np.array(m.shape)
+        idx = np.clip(np.rint((X - lo) / step), 0, shape - 1).astype(np.intp)
+        offsets = np.array(list(itertools.product((-1, 0, 1), repeat=len(shape))))
+        cand = idx[:, None, :] + offsets
+        inbox = ((cand >= 0) & (cand < shape)).all(axis=2)
+        flat = np.ravel_multi_index(tuple(np.moveaxis(cand, 2, 0)), m.shape, mode="clip")
+        k = np.where(inbox, m.compact_of_flat[flat], -1)
+        d2 = ((m.nodes[k] - X[:, None, :]) ** 2).sum(axis=2)
+        d2[k < 0] = np.inf
+        best = np.argmin(d2, axis=1)
+        rows = np.arange(len(X))
+        kb = k[rows, best]
+        sure = d2[rows, best] < (1.49 * step.min()) ** 2
+        ks = kb[sure]
+        # stacked (1, d) @ (d, 1) products: the same dot as ``__call__``
+        corr = np.matmul(self.gradient()[ks][:, None, :],
+                         (X[sure] - m.nodes[ks])[:, :, None])[:, 0, 0]
+        out = np.empty(len(X))
+        out[sure] = self.values[ks] + corr
+        for r in np.nonzero(~sure)[0]:
+            out[r] = self(X[r])
+        return out
 
     def to_csv(self, fname: str) -> None:
         g = self.gradient()

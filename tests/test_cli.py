@@ -90,6 +90,28 @@ def test_reproduce_single_criterion(tmp_path):
     assert (tmp_path / "out" / "criterion_04.csv").exists()
 
 
+def test_reproduce_is_byte_deterministic_apart_from_timings(tmp_path):
+    # wall-clock values go to timings.json only; every other file repeats
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"run": {"criteria": [1, 4]}}')
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert cli.main(["reproduce", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    assert names == ["criterion_01.csv", "criterion_04.csv", "manifest.json",
+                     "summary.json", "timings.json"]
+    for name in names:
+        if name != "timings.json":
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    header = (outs[0] / "criterion_01.csv").read_text().splitlines()[0]
+    assert header == "mu,lambda,v_err,ok"
+    timings = _read(outs[0], "timings.json")["criteria"]
+    assert sorted(timings) == ["1", "4"]
+    assert sorted(timings["1"]["seconds_per_mu"]) == ["-1.0", "0.0", "1.0"]
+    assert timings["4"]["seconds"] >= 0.0
+
+
 def test_missing_config_is_a_config_error(tmp_path, capsys):
     rc = cli.main(["solve", "--config", str(tmp_path / "nope.json"),
                    "--out-dir", str(tmp_path)])

@@ -3,9 +3,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 import conftest as refs
-from ebsde.control import (ControlProblem, Policy, cost_I, cost_J,
+from ebsde import control
+from ebsde.control import (ControlProblem, CostEstimate, Policy, cost_I, cost_J,
                            feedback_policy, girsanov_weight_check,
-                           hamiltonian, induced_driver, policy_from_json)
+                           hamiltonian, induced_driver, policy_from_json,
+                           policy_verdict)
+from ebsde.dynamics import ensemble_steps
 from ebsde.errors import DegenerateLocalTime, StepTooLarge, WeightDegeneracy
 from ebsde.ergodic import solve_ergodic
 from ebsde.geometry import ball_domain
@@ -166,7 +169,9 @@ def test_control_table_bound_validated():
 
 
 # Recorded from the masked per-control accumulation that the table gather
-# replaced; on the interval every path is bit-identical, so == holds.
+# replaced (state-sign and girsanov from the per-step table builds that the
+# shared table replaced); on the interval every path is bit-identical, so ==
+# holds.
 GOLDEN_COSTS = {
     "feedback": (0.39419888208314835, 0.02982544720805399,
                  0.13147011553830862, 0.03505651658052208),
@@ -174,6 +179,20 @@ GOLDEN_COSTS = {
                  0.12794937268105933, 0.035638917682712865),
     "threshold": (0.39124229563466506, 0.026479961892247845,
                   0.12189212681247176, 0.038473638539003485),
+    "state-sign": (0.39394068064330934, 0.03205281081687299,
+                   0.1346371794445259, 0.036331908306880815),
+    "girsanov-constant": {
+        "mean_weight": 1.0009361120184572, "mean_weight_stderr": 0.04291887815515035,
+        "effective_sample_size": 15.570582127960185,
+        "I_reweighted": 0.4074203041280461, "I_reweighted_stderr": 0.04022561800878449,
+        "I_tilted": 0.2930683081268326, "I_tilted_stderr": 0.05888197747776342,
+        "agreement_gap": 0.11435199600121349, "combined_stderr": 0.07131050144179668},
+    "girsanov-feedback": {
+        "mean_weight": 0.9803359499101182, "mean_weight_stderr": 0.039760020793829086,
+        "effective_sample_size": 15.614726629565473,
+        "I_reweighted": 0.3968943638869487, "I_reweighted_stderr": 0.034827729461235545,
+        "I_tilted": 0.2807120610267605, "I_tilted_stderr": 0.06055908271058846,
+        "agreement_gap": 0.11618230286018821, "combined_stderr": 0.06985966817966507},
 }
 
 
@@ -187,11 +206,84 @@ def test_costs_pinned_bit_for_bit(interval, std_model):
         "constant": policy_from_json({"kind": "constant", "index": 1}, prob, sol),
         "threshold": policy_from_json({"kind": "threshold_z", "axis": 0,
                                        "cut": 0.0, "below": 0, "above": 1},
-                                      prob, sol)}
+                                      prob, sol),
+        "state-sign": Policy(rule=lambda X, Z: (X[:, 0] > 0).astype(int))}
     for name, pol in policies.items():
         I = cost_I(std_model, interval, prob, pol, 0.2, 0.4, 1e-3, 16, seed=3)
         J = cost_J(std_model, interval, prob, pol, sol.lam, 0.4, 1e-3, 16, seed=4)
         assert (I.value, I.stderr, J.value, J.stderr) == GOLDEN_COSTS[name], name
+    for name in ("constant", "feedback"):
+        out = girsanov_weight_check(std_model, interval, prob, policies[name],
+                                    T=0.4, h=1e-3, paths=16, seed=7, mu=0.2)
+        assert out == GOLDEN_COSTS["girsanov-" + name], name
+
+
+def _counting_L_table(prob):
+    calls = []
+    table = prob.L_table
+
+    def counted(X):
+        calls.append(len(X))
+        return table(X)
+
+    prob.L_table = counted
+    return calls
+
+
+def test_feedback_step_builds_one_cost_table_and_constant_none(interval, std_model):
+    prob = two_control_problem()
+    sol = solve_ergodic(std_model, interval, induced_driver(prob), 0.2,
+                        spacing=1e-2)
+    calls = _counting_L_table(prob)
+    cost_I(std_model, interval, prob, feedback_policy(prob, sol), 0.2, 0.05,
+           1e-3, 8, seed=1)
+    assert len(calls) == 50
+    del calls[:]
+    cost_J(std_model, interval, prob, Policy.constant(1), sol.lam, 0.05, 1e-3,
+           8, seed=1, x0=np.array([0.99]))
+    assert calls == []
+
+
+def test_step_tuples_carry_state_and_local_time_at_fixed_positions(interval, std_model):
+    # a single zero-tilt control leaves the dynamics untouched, so the
+    # controlled steps must replay the plain ensemble steps: X at index 1,
+    # X_new, dK and xi at -3, -2, -1 in both tuples
+    prob = ControlProblem(R_table=np.array([[0.0]]),
+                          L=lambda x, k: 0.5, M_R=0.0, M_L=0.5,
+                          L_vec=lambda X, k: np.full(len(X), 0.5))
+    X0 = np.linspace(-0.99, 0.99, 12)[:, None]
+    for pol in (Policy.constant(0), Policy(rule=lambda X, Z: np.zeros(len(X), int))):
+        plain = ensemble_steps(std_model, interval, X0, 200, 1e-2, 4)
+        steered = control._controlled_steps(std_model, interval, prob, pol, X0,
+                                            200, 1e-2, 4, True)
+        reflected = 0
+        X_prev = X0
+        for a, b in zip(plain, steered):
+            assert np.array_equal(a[1], X_prev) and np.array_equal(b[1], X_prev)
+            for k in (-3, -2, -1):
+                assert np.array_equal(a[k], b[k])
+            assert b[-2].shape == (12,) and b[-2].min() >= 0.0
+            assert np.array_equal(b[3], np.full(12, 0.5))
+            reflected += int((b[-2] > 0).sum())
+            X_prev = a[-3]
+        assert reflected > 0
+
+
+def test_policy_verdict_thresholds():
+    lam, mu = 0.4, 0.3
+    # slacks: stderr + 5e-3 for I, stderr + 1e-2 for J
+    I_at = CostEstimate(lam + 0.0149, 0.01)
+    J_at = CostEstimate(mu - 0.0299, 0.02)
+    assert policy_verdict(I_at, J_at, lam, mu, optimal=True)
+    assert policy_verdict(I_at, J_at, lam, mu, optimal=False)
+    I_off = CostEstimate(lam - 0.0151, 0.01)
+    assert not policy_verdict(CostEstimate(lam + 0.0151, 0.01), J_at, lam, mu,
+                              optimal=True)
+    assert not policy_verdict(I_off, J_at, lam, mu, optimal=True)
+    assert not policy_verdict(I_off, J_at, lam, mu, optimal=False)
+    J_high = CostEstimate(mu + 0.031, 0.02)
+    assert not policy_verdict(CostEstimate(lam, 0.01), J_high, lam, mu, optimal=True)
+    assert policy_verdict(CostEstimate(lam, 0.01), J_high, lam, mu, optimal=False)
 
 
 def test_running_cost_table_matches_per_control_costs():

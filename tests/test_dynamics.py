@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 from scipy import integrate
 
 import conftest as refs
+from ebsde import dynamics
 from ebsde.dynamics import (Potential, SdeModel, ensemble_steps, expected_K_rate,
                             generator_apply, invariant_density,
                             local_time_growth, occupation_histogram,
@@ -275,3 +276,19 @@ def test_penalized_moments_pinned_bit_for_bit(interval, std_model):
                                            1e-3, 8, seed=2, burn=0.2)
     assert (m1[0], m2[0]) == (-0.42391896543719526, 0.46123884049544583)
     assert (se1[0], se2[0]) == (0.18199631457908033, 0.09728785750793932)
+
+
+def test_noise_blocks_match_the_per_path_layout(monkeypatch):
+    # every block holds the numbers the (L, P, d) per-path fill drew, with
+    # several blocks and a short last one
+    monkeypatch.setattr(dynamics, "_BLOCK_NUMBERS", 40)
+    seed, P, d, n = 5, 7, 2, 11
+    rngs = [np.random.default_rng(np.random.SeedSequence([seed, p])) for p in range(P)]
+    got = list(dynamics._ensemble_noise_blocks(seed, P, d, n))
+    assert [start for start, _ in got] == [0, 2, 4, 6, 8, 10]
+    for start, block in got:
+        want = np.empty((block.shape[0], P, d))
+        for p, rng in enumerate(rngs):
+            want[:, p, :] = rng.standard_normal((block.shape[0], d))
+        assert block.shape == want.shape
+        assert np.array_equal(block, want)

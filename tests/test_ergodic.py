@@ -6,9 +6,10 @@ from numpy.testing import assert_allclose
 
 import conftest as refs
 from ebsde.errors import FlatCurve
-from ebsde.ergodic import (lambda_of_mu, lambda_time_average,
+from ebsde.ergodic import (ErgodicSolution, lambda_of_mu, lambda_time_average,
                            solve_boundary_cost, solve_ergodic)
 from ebsde.geometry import ball_domain
+from ebsde.grids import GridFunction, build_mesh
 from ebsde.presets import (constant_driver, degenerate_linear_model,
                            kolmogorov_model, quadratic_potential, zero_driver)
 
@@ -86,6 +87,24 @@ def test_zeta_is_scaled_value_gradient(interval, std_model, cosdrv):
     grad = sol.v.gradient()[:, 0]
     zeta = sol.zeta_at(sol.v.nodes)[:, 0]
     assert np.max(np.abs(zeta - np.sqrt(2.0) * grad)) < 1e-9
+
+
+def test_line_zeta_at_is_np_interp_bit_for_bit(interval):
+    # the direct-index lookup must reproduce np.interp exactly: at random
+    # points, on every node, one ulp to either side of every node, and
+    # beyond both ends
+    mesh = build_mesh(interval, 1e-3)
+    rng = np.random.default_rng(8)
+    zeta = rng.standard_normal((mesh.n_nodes, 1))
+    sol = ErgodicSolution(GridFunction(mesh, np.zeros(mesh.n_nodes)), zeta, 0.0, 0.0)
+    nodes = mesh.nodes[:, 0]
+    pts = np.concatenate([rng.uniform(-1.1, 1.1, 400_000), nodes,
+                          np.nextafter(nodes, np.inf), np.nextafter(nodes, -np.inf),
+                          [-5.0, 5.0, -np.inf, np.inf]])
+    got = sol.zeta_at(pts[:, None])
+    assert got.shape == (len(pts), 1)
+    assert np.array_equal(got[:, 0], np.interp(pts, nodes, zeta[:, 0]))
+    assert sol.v(np.array([0.3])) == np.interp(0.3, nodes, sol.v.values)
 
 
 def test_solution_save_layout(tmp_path, interval, std_model, cosdrv):

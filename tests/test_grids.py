@@ -96,6 +96,33 @@ def test_interp_many_matches_scalar():
     assert_allclose(many, single)
 
 
+@pytest.mark.parametrize("domain, y_radius", zip(PLANAR, [1.0, np.sqrt(0.5)]),
+                         ids=["disc", "ellipse"])
+def test_planar_interp_many_matches_per_point_path(domain, y_radius):
+    # the batched 3x3 block search must pick the node and the tie the
+    # per-point argmin over every node picks, and the same dot product
+    mesh = build_mesh(domain, 0.1)
+    x, y = mesh.nodes.T
+    f = GridFunction(mesh, np.sin(3.0 * x) * np.cos(2.0 * y) + x * y)
+    rng = np.random.default_rng(4)
+    ax, ay = mesh.axes
+    n = 400
+    on_lines = np.concatenate([
+        np.stack([rng.choice(ax, n), rng.uniform(-1, 1, n)], axis=1),
+        np.stack([rng.uniform(-1, 1, n), rng.choice(ay, n)], axis=1),
+        # half-way between two nodes: exact distance ties
+        np.stack([rng.choice(ax[:-1] + 0.5 * (ax[1] - ax[0]), n),
+                  rng.choice(ay, n)], axis=1)])
+    theta = rng.uniform(0.0, 2.0 * np.pi, n)
+    rim = np.stack([np.cos(theta), y_radius * np.sin(theta)], axis=1)
+    near_rim = rim * rng.uniform(0.93, 1.07, n)[:, None]
+    pts = np.concatenate([rng.uniform(-1.2, 1.2, (2000, 2)), on_lines,
+                          near_rim, mesh.nodes])
+    many = f.interp_many(pts)
+    single = np.array([f(p) for p in pts])
+    assert np.array_equal(many, single)
+
+
 def test_grid_function_csv_deterministic(tmp_path):
     mesh = build_mesh(ball_domain(1.0, 1), 0.1)
     f = GridFunction(mesh, np.cos(mesh.nodes[:, 0]))
