@@ -153,6 +153,10 @@ class Policy:
     reads_costs: bool = False
     index: Optional[int] = None
 
+    def __post_init__(self):
+        if self.rule is None and self.index is None:
+            raise ValueError("a policy needs a rule or a constant index")
+
     def controls_for(self, X: np.ndarray, costs: Optional[np.ndarray] = None) -> np.ndarray:
         if self.index is not None:
             return np.full(len(X), self.index, dtype=int)
@@ -218,8 +222,9 @@ def _controlled_steps(model: SdeModel, domain: DomainSpec, problem: ControlProbl
     measure); without it the base dynamics are simulated and the caller
     reweights. Yields (i, X, u, L_u, X_new, dK, xi), where L_u is the
     running cost of the chosen control on each path. A constant policy
-    yields its index as u and evaluates only its own running cost; any
-    other builds the (P, K) running-cost table once per step.
+    yields its index as u, a scalar int rather than a (P,) array, and
+    evaluates only its own running cost; any other builds the (P, K)
+    running-cost table once per step.
     """
     X = np.array(X0, dtype=float)
     P, d = X.shape

@@ -47,7 +47,8 @@ class ErgodicSolution:
     lam: float
     mu: float
     diagnostics: Dict = field(default_factory=dict)
-    _zeta_fns: Optional[list] = field(default=None, repr=False, compare=False)
+    _zeta_fns: Optional[list] = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     def zeta_at(self, X: np.ndarray) -> np.ndarray:
         """Interpolate the zeta field at a batch of states (P, d) -> (P, d).

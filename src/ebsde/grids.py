@@ -102,7 +102,8 @@ class GridFunction:
     mesh: Mesh
     values: np.ndarray
     _grad: Optional[np.ndarray] = field(default=None, repr=False)
-    _slopes: Optional[np.ndarray] = field(default=None, repr=False)
+    _slopes: Optional[np.ndarray] = field(default=None, init=False, repr=False,
+                                         compare=False)
 
     @property
     def nodes(self) -> np.ndarray:

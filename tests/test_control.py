@@ -8,7 +8,7 @@ from ebsde.control import (ControlProblem, CostEstimate, Policy, cost_I, cost_J,
                            feedback_policy, girsanov_weight_check,
                            hamiltonian, induced_driver, policy_from_json,
                            policy_verdict)
-from ebsde.dynamics import ensemble_steps
+from ebsde.dynamics import SdeModel, ensemble_steps
 from ebsde.errors import DegenerateLocalTime, StepTooLarge, WeightDegeneracy
 from ebsde.ergodic import solve_ergodic
 from ebsde.geometry import ball_domain
@@ -217,6 +217,45 @@ def test_costs_pinned_bit_for_bit(interval, std_model):
                                     T=0.4, h=1e-3, paths=16, seed=7, mu=0.2)
         assert out == GOLDEN_COSTS["girsanov-" + name], name
 
+
+# Recorded at the per-step rule evaluation that the constant path replaced;
+# sigma depends on the state, so the tilt goes through model.noise_term.
+STATE_SIGMA_COSTS = (
+    (0.3096666173607215, 0.0591831623826108,
+     0.1923787477152575, 0.047511998552932325),
+    (0.43012665092028524, 0.3643764631894455, 0.9784096079443441))
+
+
+def test_constant_policy_with_state_dependent_sigma_pinned(interval):
+    prob = two_control_problem()
+    sig = lambda X: 1.0 + 0.2 * X
+    models = (
+        SdeModel(b=lambda x: -np.atleast_1d(x),
+                 sigma=lambda x: np.diag(sig(np.atleast_1d(x))),
+                 b_vec=lambda X: -X, sigma_diag_vec=sig, eta_hint=-1.0),
+        SdeModel(b=lambda x: -np.atleast_1d(x),
+                 sigma=lambda x: np.diag(sig(np.atleast_1d(x))),
+                 b_vec=lambda X: -X, eta_hint=-1.0))
+    x0 = np.array([0.9])
+    for model in models:
+        for pol in (Policy.constant(1),
+                    Policy(rule=lambda X, Z: np.full(len(X), 1, int))):
+            I = cost_I(model, interval, prob, pol, 0.2, 0.2, 1e-3, 8, seed=3, x0=x0)
+            J = cost_J(model, interval, prob, pol, 0.3, 0.4, 1e-3, 16, seed=4,
+                       x0=x0)
+            g = girsanov_weight_check(model, interval, prob, pol, T=0.2, h=1e-3,
+                                      paths=8, seed=7, mu=0.2, x0=x0)
+            assert (I.value, I.stderr, J.value, J.stderr) == STATE_SIGMA_COSTS[0]
+            assert ((g["I_tilted"], g["I_reweighted"], g["mean_weight"])
+                    == STATE_SIGMA_COSTS[1])
+
+
+def test_policy_needs_a_rule_or_an_index():
+    with pytest.raises(ValueError):
+        Policy()
+    with pytest.raises(ValueError):
+        Policy(zeta_source=object())
+    assert Policy.constant(2).index == 2
 
 def _counting_L_table(prob):
     calls = []
