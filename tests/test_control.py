@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -248,6 +250,32 @@ def test_constant_policy_with_state_dependent_sigma_pinned(interval):
             assert (I.value, I.stderr, J.value, J.stderr) == STATE_SIGMA_COSTS[0]
             assert ((g["I_tilted"], g["I_reweighted"], g["mean_weight"])
                     == STATE_SIGMA_COSTS[1])
+
+
+def test_costs_with_boundary_cost_pinned_bit_for_bit(interval, std_model):
+    # a non-zero g, recorded from the boundary cost of the control layer; ==
+    prob = dataclasses.replace(two_control_problem(),
+                               g=lambda x: 0.2 * float(x[0]) ** 2 + 0.05)
+    sol = solve_ergodic(std_model, interval, induced_driver(prob), 0.2,
+                        spacing=1e-2)
+    assert sol.lam == 0.5076415110250264
+    I = cost_I(std_model, interval, prob, feedback_policy(prob, sol), 0.2, 0.4,
+               1e-3, 16, seed=3)
+    assert I.horizon_values == {
+        0.1: (0.48867185576779626, 0.007804701447347531),
+        0.2: (0.48496530878480787, 0.005708786432141441),
+        0.4: (0.48632460976698777, 0.005670257290447265)}
+    J = cost_J(std_model, interval, prob, Policy.constant(1), sol.lam, 0.4,
+               1e-3, 16, seed=4)
+    assert (J.value, J.stderr) == (0.23204171037746718, 0.010892456598488453)
+    out = girsanov_weight_check(std_model, interval, prob, Policy.constant(0),
+                                T=0.4, h=1e-3, paths=16, seed=7, mu=0.2)
+    assert out == {
+        "mean_weight": 1.002396876422651, "mean_weight_stderr": 0.04415552953087812,
+        "effective_sample_size": 15.54747567379024,
+        "I_reweighted": 0.5180237822605597, "I_reweighted_stderr": 0.025304446894952048,
+        "I_tilted": 0.5343707050399614, "I_tilted_stderr": 0.010073025747333786,
+        "agreement_gap": 0.01634692277940175, "combined_stderr": 0.027235654579354205}
 
 
 def test_policy_needs_a_rule_or_an_index():

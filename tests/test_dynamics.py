@@ -7,14 +7,15 @@ from scipy import integrate
 
 import conftest as refs
 from ebsde import dynamics
-from ebsde.dynamics import (Potential, SdeModel, ensemble_steps, expected_K_rate,
+from ebsde.dynamics import (Potential, SdeModel, ensemble_average, ensemble_steps,
+                            expected_K_rate,
                             generator_apply, invariant_density,
                             local_time_growth, occupation_histogram,
                             path_to_csv, penalized_moments, sample_invariant,
                             simulate, stationary_start, step_reflected)
 from ebsde.errors import NotKolmogorov, StepTooLarge
-from ebsde.geometry import quadratic_domain
-from ebsde.presets import kolmogorov_model, quadratic_potential
+from ebsde.geometry import ball_domain, quadratic_domain
+from ebsde.presets import kolmogorov_model, ou_model, quadratic_potential
 
 DRIFT_ONE = SdeModel(b=lambda x: np.ones_like(x),
                      sigma=lambda x: np.zeros((len(x), len(x))),
@@ -292,3 +293,42 @@ def test_noise_blocks_match_the_per_path_layout(monkeypatch):
             want[:, p, :] = rng.standard_normal((block.shape[0], d))
         assert block.shape == want.shape
         assert np.array_equal(block, want)
+
+
+# Pins recorded from the per-point stepper behind simulate and the
+# per-caller stationary-start generators; every value is compared with ==.
+
+def test_occupation_histogram_pinned_bit_for_bit(interval, std_model):
+    pins = {"gibbs": [0.042, 0.212, 0.64, 0.708, 0.835, 0.774, 0.479, 0.31],
+            "burn-in": [0.023, 0.123, 0.688, 1.021, 0.938, 0.588, 0.476, 0.143]}
+    for name, model in (("gibbs", std_model), ("burn-in", ou_model())):
+        _, dens = occupation_histogram(model, interval, 4.0, 1e-3, 8, 8, seed=3)
+        assert dens.tolist() == pins[name], name
+
+
+def test_ensemble_average_pinned_bit_for_bit():
+    X0 = np.array([[0.3, 0.2], [-0.5, 0.1], [0.9, 0.0], [0.0, -0.6]])
+    f = lambda X: X[:, 0] ** 2 + X[:, 1]
+    dom, model = _ellipse_model()
+    avg = ensemble_average(model, dom, X0, 0.2, 1e-3, 5, f)
+    assert avg.tolist() == [-0.13857951453102826, 0.5823523304320729,
+                            0.17508177967259905, -0.43592316692297495]
+    avg = ensemble_average(ou_model(dim=2), ball_domain(1.0, 2), X0, 0.2, 1e-3, 5, f)
+    assert avg.tolist() == [-0.039202755197395786, 0.5805180709540116,
+                            0.2554693459372386, -0.5561589127721964]
+
+
+def test_simulate_pinned_bit_for_bit(interval, std_model):
+    p = simulate(std_model, interval, np.array([0.7]), 0.5, 1e-3, seed=13)
+    assert (p.states[-1, 0], p.local_time[-1]) == (0.3326257129890134,
+                                                   0.6124754573387032)
+    assert (len(p.reflection_events), p.states.sum()) == (11, 228.60206215816024)
+
+
+def test_stationary_start_burn_in_pinned_bit_for_bit(interval):
+    model = SdeModel(b=lambda x: -x, sigma=lambda x: np.eye(1),
+                     b_vec=lambda X: -X, eta_hint=-1.0)
+    X = stationary_start(model, interval, 6, None, 1e-2, 11, "symmetrize")
+    assert X[:, 0].tolist() == [0.11980941447964844, 0.7937512835601991,
+                                0.12952283076691762, -0.880095959514285,
+                                0.8914731708222183, 0.6384226445791047]

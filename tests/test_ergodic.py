@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -78,6 +79,21 @@ def test_time_average_agrees_with_grid_constant(interval, std_model, cosdrv):
     est, se = lambda_time_average(std_model, interval, cosdrv, sol, T=50.0,
                                   h=1e-3, paths=64, seed=6)
     assert abs(est - sol.lam) < 3 * se + 5e-3
+
+
+def test_time_average_pinned_bit_for_bit(interval, std_model, cosdrv):
+    # recorded from the hand-written boundary cost, which read g only on
+    # reflected paths; compared with ==
+    sol = solve_ergodic(std_model, interval, cosdrv, 0.5, spacing=1e-2)
+    assert (lambda_time_average(std_model, interval, cosdrv, sol, T=0.5, h=1e-3,
+                                paths=8, seed=4)
+            == (0.06832465497338897, 0.4110774483310166))
+    gdrv = dataclasses.replace(cosdrv, g=lambda x: 0.3 * float(x[0]) + 0.1)
+    gsol = solve_ergodic(std_model, interval, gdrv, 0.5, spacing=1e-2)
+    assert gsol.lam == 0.5753866535568629
+    assert (lambda_time_average(std_model, interval, gdrv, gsol, T=0.5, h=1e-3,
+                                paths=8, seed=4)
+            == (0.3854324436820858, 0.16900207987974356))
 
 
 def test_zeta_is_scaled_value_gradient(interval, std_model, cosdrv):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import conftest as refs
 from ebsde.discounted import DriverSpec
+from ebsde.dynamics import SdeModel
 from ebsde.errors import NonConvexPotential, SigmaNotConstant
 from ebsde.geometry import ball_domain, quartic_interval_domain
 from ebsde.hypotheses import (check_all, estimate_eta,
@@ -119,3 +120,20 @@ def test_suggested_shift_restores_dissipativity(interval):
     model2, _ = shifted_problem(expanding, zero_driver(),
                                 rep.suggested_shift, interval)
     assert estimate_eta(model2, interval, 16) < 0
+
+
+def test_stationary_flux_monte_carlo_pinned_bit_for_bit(interval):
+    # recorded from the per-point generator loop (models without b_vec) and
+    # the three-case vectorised L phi; compared with ==
+    pins = {
+        "ou": (ou_model(), interval, (-0.2241078998780459, 0.07131127060725784)),
+        "no-b_vec": (SdeModel(b=lambda x: -np.atleast_1d(x),
+                              sigma=lambda x: np.eye(1), eta_hint=-1.0),
+                     interval, (-0.2241078998780459, 0.07131127060725784)),
+        "degenerate": (degenerate_linear_model(), interval, (0.0, 0.0)),
+        "ou-disc": (ou_model(dim=2), ball_domain(1.0, 2),
+                    (-0.63618631137266, 0.05573295166534861)),
+    }
+    for name, (model, dom, want) in pins.items():
+        got = stationary_generator_phi(model, dom, T=0.5, h=1e-3, paths=8, seed=2)
+        assert got == want, name

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -88,3 +90,18 @@ def test_bsde_residual_pinned_bit_for_bit(interval, std_model, cosdrv):
                         h=1e-3, seed=7)
     assert (res.mean, res.stderr) == (-0.004453240983188058, 0.0026187237977762395)
     assert res.partial_means[0] == 0.0009736106195052492
+
+
+def test_bsde_residual_with_boundary_cost_pinned_bit_for_bit(interval, std_model,
+                                                              cosdrv):
+    # a non-zero g, recorded from the hand-written boundary cost; ==
+    gdrv = dataclasses.replace(cosdrv, g=lambda x: 0.3 * float(x[0]) + 0.1)
+    sol = solve_ergodic(std_model, interval, gdrv, 0.5, spacing=1e-2)
+    res = bsde_residual(sol, std_model, interval, gdrv, paths=16, T=0.5,
+                        h=1e-3, seed=7)
+    assert (res.mean, res.stderr, res.variance) == (
+        -0.005607208066179887, 0.004907814523854978, 0.00038538629440898996)
+    assert res.partial_means.tolist() == [
+        0.0014849101471675029, -0.000574254916653145, -0.0012544917651089995,
+        -0.0031758563000762615, -0.00550337034590237, -0.005232013005679034,
+        -0.004608637044220215, -0.005607208066179887]
