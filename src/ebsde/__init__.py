@@ -18,7 +18,7 @@ Layout:
 __version__ = "0.1.0"
 
 from .errors import (BracketFailure, ConfigError, DegenerateLocalTime,
-                     EbsdeError, FlatCurve, NoConvergence, NonConvergence,
+                     EbsdeError, FlatCurve, NonConvergence,
                      NonConvexPotential, NotKolmogorov, NotOnBoundary,
                      PicardDiverged, SchemeMismatch, SigmaNotConstant,
                      SingularSigma, StepTooLarge, WeightDegeneracy)
@@ -30,7 +30,7 @@ from .dynamics import (KRateEstimate, Potential, ReflectedPath, SdeModel,
                        ensemble_average, expected_K_rate, generator_apply,
                        invariant_density, occupation_histogram,
                        penalized_moments, sample_invariant, simulate,
-                       stationary_start, step_reflected)
+                       stationary_start)
 from .grids import GridFunction, Mesh, build_mesh
 from .hypotheses import (HypothesisReport, check_all,
                          estimate_eta, estimate_kolmogorov_constants,

@@ -19,8 +19,8 @@ import numpy as np
 from scipy import integrate
 
 from . import dynamics, hypotheses, verification
-from .control import (Policy, cost_I, cost_J, feedback_policy, induced_driver,
-                      policy_verdict)
+from .control import (Policy, _control_costs, cost_I, cost_J, feedback_policy,
+                      induced_driver, policy_verdict)
 from .discounted import lipschitz_diagnostic, solve_discounted
 from .dynamics import sample_invariant
 from .ergodic import (ErgodicSolution, lambda_of_mu, solve_boundary_cost,
@@ -289,9 +289,9 @@ def criterion_09(seed: int = 909) -> CriterionResult:
     T, h, paths = 100.0, 1e-3, 320
     fb = feedback_policy(problem, sol)
 
-    def anti_rule(X, Z, _p=problem):
-        from .control import _hamiltonian_batch
-        return (_p.n_controls - 1) - _hamiltonian_batch(_p, X, Z)[1]
+    def anti_rule(X, Z, costs, _p=problem):
+        costs = _control_costs(_p, X, Z, costs)
+        return (_p.n_controls - 1) - np.argmin(costs, axis=1)
 
     heuristics = [
         Policy.constant(0),
@@ -299,7 +299,8 @@ def criterion_09(seed: int = 909) -> CriterionResult:
         Policy(rule=lambda X, Z: (X[:, 0] > 0).astype(int), name="state-sign"),
         Policy(rule=lambda X, Z: np.where(Z[:, 0] < 0.0, 0, 1),
                zeta_source=sol, name="z-threshold"),
-        Policy(rule=anti_rule, zeta_source=sol, name="anti-feedback"),
+        Policy(rule=anti_rule, zeta_source=sol, name="anti-feedback",
+               reads_costs=True),
     ]
     rows = []
     details = {"lambda": lam, "mu": mu0}

@@ -34,11 +34,10 @@ __all__ = ["main", "run"]
 
 
 _ORIGIN = {
-    "NotOnBoundary": "geometry", "NonConvergence": "geometry",
+    "NotOnBoundary": "geometry", "NonConvergence": "geometry or ergodic",
     "StepTooLarge": "dynamics", "NotKolmogorov": "dynamics",
     "NonConvexPotential": "hypotheses", "SigmaNotConstant": "hypotheses",
-    "PicardDiverged": "discounted",
-    "NoConvergence": "ergodic", "SchemeMismatch": "ergodic",
+    "PicardDiverged": "discounted", "SchemeMismatch": "ergodic",
     "FlatCurve": "ergodic", "BracketFailure": "ergodic",
     "SingularSigma": "verification",
     "DegenerateLocalTime": "control", "WeightDegeneracy": "control",
@@ -50,7 +49,9 @@ _REMEDY = {
     "NonConvexPotential": "the potential is not uniformly convex; pick another model",
     "SigmaNotConstant": "the pairing constant needs a constant diffusion matrix",
     "PicardDiverged": "shrink the discount step or the driver's z modulus",
-    "NoConvergence": "loosen --tol or refine --grid",
+    "NonConvergence": "a discount sequence or a bisection ran out of budget "
+                      "(loosen --tol or refine --grid), or a boundary "
+                      "projection failed (check the domain)",
     "SchemeMismatch": "refine --grid until both schemes agree",
     "FlatCurve": "the boundary flux is zero for this model, so mu never "
                  "enters; run the check task and look at F2''/F2.2",

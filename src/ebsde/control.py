@@ -26,7 +26,7 @@ import numpy as np
 
 from . import dynamics
 from .discounted import DriverSpec
-from .dynamics import SdeModel
+from .dynamics import SdeModel, _boundary_cost, _mean_stderr
 from .errors import DegenerateLocalTime, WeightDegeneracy
 from .geometry import DomainSpec, domain_grid
 
@@ -247,26 +247,15 @@ def _controlled_steps(model: SdeModel, domain: DomainSpec, problem: ControlProbl
         elif tilt_drift:
             Ru = np.broadcast_to(problem.R_table[u], X.shape)
             shift = shift + model.noise_term(X, Ru) * h
-        X_new, dK = dynamics._advance(model, kernel, X, shift, xi, noise, h,
-                                      "symmetrize")
+        X_new, dK = dynamics._advance(model, kernel, X, shift, xi, noise, h)
         yield i, X, u, L_u, X_new, dK, xi
         X = X_new
-
-
-def _boundary_cost(problem: ControlProblem, X: np.ndarray, dK: np.ndarray,
-                   mu: float) -> np.ndarray:
-    """(g(X) - mu) dK for one step; g is evaluated only when some path
-    reflected."""
-    if problem.g is None or not np.any(dK > 0):
-        return (0.0 - mu) * dK
-    return (np.array([problem.g(x) for x in X]) - mu) * dK
 
 
 def _default_start(model, domain, paths, h, seed, x0):
     if x0 is not None:
         return np.tile(np.atleast_1d(np.asarray(x0, dtype=float)), (paths, 1))
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 515_151]))
-    return dynamics.stationary_start(model, domain, paths, rng, h, seed, "symmetrize")
+    return dynamics.stationary_start(model, domain, paths, h, seed, 515_151)
 
 
 @dataclass
@@ -295,12 +284,10 @@ def cost_I(model: SdeModel, domain: DomainSpec, problem: ControlProblem,
     for i, X, u, L_u, X_new, dK, xi in _controlled_steps(model, domain, problem,
                                                          policy, X0, n, h, seed, True):
         acc += L_u * h
-        acc += _boundary_cost(problem, X_new, dK, mu)
+        acc += _boundary_cost(problem.g, X_new, dK, mu)
         if i + 1 in marks:
             t = marks[i + 1]
-            vals = acc / t
-            horizon_values[t] = (float(vals.mean()),
-                                 float(vals.std(ddof=1) / np.sqrt(paths)))
+            horizon_values[t] = _mean_stderr(acc / t)
     value, se = horizon_values[T]
     return CostEstimate(value, se, horizon_values)
 
@@ -322,10 +309,9 @@ def cost_J(model: SdeModel, domain: DomainSpec, problem: ControlProblem,
                                                          policy, X0, n, h, seed, True):
         num += (L_u - lam) * h
         if problem.g is not None:
-            num += _boundary_cost(problem, X_new, dK, 0.0)
+            num += _boundary_cost(problem.g, X_new, dK, 0.0)
         den += dK
-    dbar = den.mean()
-    d_se = den.std(ddof=1) / np.sqrt(paths)
+    dbar, d_se = _mean_stderr(den)
     if dbar <= 3 * d_se:
         raise DegenerateLocalTime(
             f"mean local time {dbar:.3g} within 3 stderr ({d_se:.3g}) of zero; "
@@ -378,7 +364,7 @@ def girsanov_weight_check(model: SdeModel, domain: DomainSpec,
         Ru = np.broadcast_to(problem.R_table[u], xi.shape)
         logw += (Ru * xi).sum(axis=1) * sh - 0.5 * (Ru * Ru).sum(axis=1) * h
         cost += L_u * h
-        cost += _boundary_cost(problem, X_new, dK, mu)
+        cost += _boundary_cost(problem.g, X_new, dK, mu)
     w = np.exp(logw - logw.max())
     ess = float(w.sum() ** 2 / (w * w).sum())
     if ess < 0.05 * paths:
@@ -386,11 +372,8 @@ def girsanov_weight_check(model: SdeModel, domain: DomainSpec,
             f"effective sample size {ess:.1f} of {paths}; shorten the horizon "
             "or shrink the noise tilt")
     W = np.exp(logw)
-    mean_w = float(W.mean())
-    se_w = float(W.std(ddof=1) / np.sqrt(paths))
-    weighted = W * cost / T
-    I_w = float(weighted.mean())
-    se_Iw = float(weighted.std(ddof=1) / np.sqrt(paths))
+    mean_w, se_w = _mean_stderr(W)
+    I_w, se_Iw = _mean_stderr(W * cost / T)
     tilted = cost_I(model, domain, problem, policy, mu, T, h, paths, seed + 1, x0=x0)
     return {
         "mean_weight": mean_w, "mean_weight_stderr": se_w,

@@ -1,37 +1,31 @@
 """Reflected and penalized diffusion simulation with boundary local time.
 
 The reflected process dX = b dt + sigma dW + grad(phi) dK is discretized by
-an Euler proposal followed by a boundary repair step. Two repair placements
-are provided:
+an Euler proposal followed by a boundary repair that mirrors the overshoot
+across the boundary (reflects the proposal at its projection onto the
+closure). Occupation statistics and the local-time rate are then accurate
+to first order in h; stopping at the projection instead would park an atom
+of mass on the boundary and underestimate the local time at rate sqrt(h).
 
-* ``project``: place the state at the closest point of the closure. This is
-  the simplest scheme but it parks an atom of occupation mass exactly on
-  the boundary and underestimates the local time at rate sqrt(h).
-* ``symmetrize``: reflect the overshoot across the boundary (mirror the
-  proposal at its projection). Occupation statistics and the local-time
-  rate are then accurate to first order in h, so every distributional
-  estimator in this module defaults to it.
-
-In both variants the local-time increment is the length of the repair
-displacement |X_new - proposal|, which matches the continuous local time
-because the defining function has a unit gradient on the boundary.
+The local-time increment is the length of the repair move
+|X_new - proposal|, which matches the continuous local time because the
+defining function has a unit gradient on the boundary.
 """
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from scipy import integrate
 
 from .errors import NotKolmogorov, StepTooLarge
-from .geometry import (DomainSpec, outside_rows, project, project_many,
-                       project_outside)
+from .geometry import DomainSpec, outside_rows, project_many, project_outside
 
 __all__ = [
     "Potential", "SdeModel", "ReflectedPath",
-    "step_reflected", "simulate", "invariant_density",
+    "simulate", "invariant_density",
     "sample_invariant", "generator_apply", "expected_K_rate",
     "occupation_histogram", "ensemble_average", "penalized_moments", "stationary_start",
     "path_to_csv",
@@ -120,9 +114,9 @@ class ReflectedPath:
         """Assert the structural path properties; raises AssertionError.
 
         ``event_tol``: how close to the boundary a state must be at a
-        reflection event. Defaults to one noise scale (the symmetrized
-        placement leaves the state within the overshoot distance of the
-        boundary rather than exactly on it).
+        reflection event. Defaults to one noise scale (the mirror repair
+        leaves the state within the overshoot distance of the boundary
+        rather than exactly on it).
         """
         phi_vals = np.array([domain.phi(x) for x in self.states])
         assert phi_vals.min() >= -domain.boundary_tol, "state left the closure"
@@ -134,76 +128,6 @@ class ReflectedPath:
         for i in self.reflection_events:
             assert phi_vals[i] <= event_tol, (
                 f"reflection event at index {i} but phi = {phi_vals[i]:.3e}")
-
-
-# ---------------------------------------------------------------------------
-# stepping
-
-
-def _repair(domain: DomainSpec, x_pre: np.ndarray, placement: str):
-    """Boundary repair of a single proposal; returns (state, dK)."""
-    if domain.phi(x_pre) >= 0:
-        return x_pre, 0.0
-    p = project(domain, x_pre)
-    if placement == "project":
-        return p, float(np.linalg.norm(p - x_pre))
-    if placement == "symmetrize":
-        mirrored = 2.0 * p - x_pre
-        if domain.phi(mirrored) < 0:    # very deep overshoot: fall back
-            mirrored = project(domain, mirrored)
-        return mirrored, float(np.linalg.norm(mirrored - x_pre))
-    raise ValueError(f"unknown placement {placement!r}")
-
-
-def step_reflected(model: SdeModel, domain: DomainSpec, x, h: float, noise,
-                   placement: str = "project"):
-    """One Euler step of the reflected equation.
-
-    Proposes x + b(x) h + sigma(x) sqrt(h) noise and repairs it back into
-    the closure, returning ``(new_state, dK)`` where dK is the length of
-    the repair displacement (zero for interior proposals).
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    noise = np.atleast_1d(np.asarray(noise, dtype=float))
-    if h <= 0:
-        raise ValueError("h must be positive")
-    x_pre = x + np.atleast_1d(model.b(x)) * h \
-        + np.atleast_2d(model.sigma(x)) @ noise * np.sqrt(h)
-    if np.linalg.norm(x_pre - x) > domain.diameter_hint:
-        raise StepTooLarge(
-            f"proposal moved {np.linalg.norm(x_pre - x):.3g}, beyond the domain "
-            f"diameter {domain.diameter_hint:.3g}; decrease h")
-    return _repair(domain, x_pre, placement)
-
-
-def simulate(model: SdeModel, domain: DomainSpec, x0, T: float, h: float,
-             seed: int, placement: str = "symmetrize") -> ReflectedPath:
-    """Simulate one reflected path on [0, T] with step h.
-
-    T/h must be integral. The driving noise comes from the stream derived
-    from (seed, 0), matching path index 0 of the ensemble helpers.
-    """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    n = round(T / h) if h > 0 else 0
-    if T > 0 and abs(n * h - T) > 1e-9 * max(T, 1.0):
-        raise ValueError(f"T/h = {T / h} is not integral")
-    if not domain.contains(x0, tol=domain.boundary_tol):
-        raise ValueError("x0 outside the domain closure")
-    d = domain.dim
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-    states = np.empty((n + 1, d)); states[0] = x0
-    K = np.zeros(n + 1)
-    noises = rng.standard_normal((n, d)) if n else np.zeros((0, d))
-    events = []
-    x = x0
-    for i in range(n):
-        x, dK = step_reflected(model, domain, x, h, noises[i], placement)
-        states[i + 1] = x
-        K[i + 1] = K[i] + dK
-        if dK > 0:
-            events.append(i + 1)
-    times = np.arange(n + 1) * h
-    return ReflectedPath(times, states, K, np.array(events, dtype=int), noises, h)
 
 
 # ---------------------------------------------------------------------------
@@ -252,15 +176,14 @@ class _IntervalKernel(_Kernel):
         out = np.maximum(X, -self.r)
         return np.minimum(out, self.r, out=out)
 
-    def __call__(self, x_pre: np.ndarray, placement: str):
+    def __call__(self, x_pre: np.ndarray):
+        # 2c - x is exact for overshoots below r (Sterbenz), so this is the
+        # fold x - 2 (x - r)^+ + 2 (-r - x)^+ bit for bit
         x_new = self.project(x_pre)
-        if placement != "project":
-            # 2c - x is exact for overshoots below r (Sterbenz), so this
-            # is the fold x - 2 (x - r)^+ + 2 (-r - x)^+ bit for bit
-            x_new *= 2.0
-            x_new -= x_pre
-            np.maximum(x_new, -self.r, out=x_new)
-            np.minimum(x_new, self.r, out=x_new)
+        x_new *= 2.0
+        x_new -= x_pre
+        np.maximum(x_new, -self.r, out=x_new)
+        np.minimum(x_new, self.r, out=x_new)
         dK = np.abs(x_new - x_pre)[:, 0]
         return x_new, dK
 
@@ -272,43 +195,38 @@ class _BallKernel(_Kernel):
         norms = np.linalg.norm(X, axis=1)
         return X * (self.r / np.maximum(norms, self.r))[:, None]
 
-    def __call__(self, x_pre: np.ndarray, placement: str):
+    def __call__(self, x_pre: np.ndarray):
         r = self.r
         norms = np.linalg.norm(x_pre, axis=1)
         out = norms > r
         x_new = x_pre.copy()
         if np.any(out):
-            if placement == "project":
-                scale = r / norms[out]
-            else:
-                scale = np.maximum(2.0 * r / norms[out] - 1.0, 0.0)
-                scale = np.minimum(scale * norms[out], r) / norms[out]
+            scale = np.maximum(2.0 * r / norms[out] - 1.0, 0.0)
+            scale = np.minimum(scale * norms[out], r) / norms[out]
             x_new[out] = x_pre[out] * scale[:, None]
         dK = np.linalg.norm(x_new - x_pre, axis=1)
         return x_new, dK
 
 
 class _GenericKernel(_Kernel):
-    """Repair by projection: one batched ``phi_vec`` test picks the outside
-    rows, which are projected together (``geometry.project_many``); a
-    domain without batched forms is tested and projected point by point."""
+    """Repair by mirroring at the projection: one batched ``phi_vec`` test
+    picks the outside rows, which are projected together
+    (``geometry.project_many``); a domain without batched forms is tested
+    and projected point by point."""
 
     def project(self, X: np.ndarray) -> np.ndarray:
         return project_many(self.domain, X)
 
-    def __call__(self, x_pre: np.ndarray, placement: str):
-        if placement not in ("project", "symmetrize"):
-            raise ValueError(f"unknown placement {placement!r}")
+    def __call__(self, x_pre: np.ndarray):
         x_new = x_pre.copy()
         dK = np.zeros(len(x_pre))
         rows = outside_rows(self.domain, x_pre)
         if len(rows):
             y = x_pre[rows]
             p = project_outside(self.domain, y)
-            if placement == "symmetrize":
-                # mirror at the projection; a very deep overshoot whose
-                # mirror image is still outside is projected again
-                p = project_many(self.domain, 2.0 * p - y)
+            # mirror at the projection; a very deep overshoot whose mirror
+            # image is still outside is projected again
+            p = project_many(self.domain, 2.0 * p - y)
             x_new[rows] = p
             dK[rows] = np.linalg.norm(p - y, axis=1)
         return x_new, dK
@@ -343,7 +261,7 @@ def _noise_steps(model: SdeModel, seed: int, P: int, d: int, n_steps: int, h: fl
 
 
 def _advance(model: SdeModel, kernel, X: np.ndarray, shift: np.ndarray,
-             xi: np.ndarray, noise, h: float, placement: str):
+             xi: np.ndarray, noise, h: float):
     """One reflected Euler step: the proposal X + shift + sigma xi sqrt(h),
     refused beyond the domain diameter, then the boundary repair.
     Returns (X_new, dK)."""
@@ -355,11 +273,11 @@ def _advance(model: SdeModel, kernel, X: np.ndarray, shift: np.ndarray,
     if (np.abs(step).max() * np.sqrt(step.shape[1]) > kernel.diameter
             and np.linalg.norm(step, axis=1).max() > kernel.diameter):
         raise StepTooLarge("ensemble proposal beyond domain diameter; decrease h")
-    return kernel(x_pre, placement)
+    return kernel(x_pre)
 
 
 def ensemble_steps(model: SdeModel, domain: DomainSpec, X0: np.ndarray, n_steps: int,
-                   h: float, seed: int, placement: str = "symmetrize"):
+                   h: float, seed: int):
     """Generator over vectorized reflected Euler steps.
 
     Yields (step_index, X_before, X_after, dK, xi) with arrays of shape
@@ -370,15 +288,38 @@ def ensemble_steps(model: SdeModel, domain: DomainSpec, X0: np.ndarray, n_steps:
     P, d = X.shape
     kernel = _make_kernel(domain)
     for i, xi, noise in _noise_steps(model, seed, P, d, n_steps, h):
-        X_new, dK = _advance(model, kernel, X, model.drift_at(X) * h, xi, noise,
-                             h, placement)
+        X_new, dK = _advance(model, kernel, X, model.drift_at(X) * h, xi, noise, h)
         yield i, X, X_new, dK, xi
         X = X_new
 
 
+def simulate(model: SdeModel, domain: DomainSpec, x0, T: float, h: float,
+             seed: int) -> ReflectedPath:
+    """Simulate one reflected path on [0, T] with step h.
+
+    T/h must be integral. The path is row 0 of an ensemble, driven by the
+    stream derived from (seed, 0).
+    """
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    if h <= 0:
+        raise ValueError("h must be positive")
+    n = round(T / h)
+    if T > 0 and abs(n * h - T) > 1e-9 * max(T, 1.0):
+        raise ValueError(f"T/h = {T / h} is not integral")
+    if not domain.contains(x0, tol=domain.boundary_tol):
+        raise ValueError("x0 outside the domain closure")
+    states = np.empty((n + 1, domain.dim)); states[0] = x0
+    noises = np.empty((n, domain.dim))
+    dK = np.zeros(n)
+    for i, X, X_new, dK_i, xi in ensemble_steps(model, domain, x0[None], n, h, seed):
+        states[i + 1], dK[i], noises[i] = X_new[0], dK_i[0], xi[0]
+    K = np.concatenate([[0.0], np.cumsum(dK)])
+    return ReflectedPath(np.arange(n + 1) * h, states, K,
+                         np.nonzero(dK > 0)[0] + 1, noises, h)
+
+
 def ensemble_average(model: SdeModel, domain: DomainSpec, X0: np.ndarray,
-                     T: float, h: float, seed: int, f_vec,
-                     placement: str = "symmetrize"):
+                     T: float, h: float, seed: int, f_vec):
     """Per-path time averages (1/T) sum f(X_i) h over [0, T].
 
     Returns the (P,) array of path averages of the state functional.
@@ -386,7 +327,7 @@ def ensemble_average(model: SdeModel, domain: DomainSpec, X0: np.ndarray,
     n = round(T / h)
     P = X0.shape[0]
     acc = np.zeros(P)
-    for i, X, X_new, dK, xi in ensemble_steps(model, domain, X0, n, h, seed, placement):
+    for i, X, X_new, dK, xi in ensemble_steps(model, domain, X0, n, h, seed):
         acc += f_vec(X)
     return acc * h / T
 
@@ -506,10 +447,12 @@ class KRateEstimate:
     horizon: float
 
 
-def stationary_start(model: SdeModel, domain: DomainSpec, paths: int, rng,
-                      h: float, seed: int, placement: str):
-    """Stationary initial states: exact Gibbs draw, or burn-in otherwise."""
+def stationary_start(model: SdeModel, domain: DomainSpec, paths: int, h: float,
+                     seed: int, tag: int) -> np.ndarray:
+    """Stationary initial states: an exact Gibbs draw from the stream
+    (seed, tag), or otherwise a burn-in of 10/|eta| from the centroid."""
     if model.kolmogorov_potential is not None:
+        rng = np.random.default_rng(np.random.SeedSequence([seed, tag]))
         return sample_invariant(model, domain, paths, rng)
     eta = model.eta_hint
     if eta is None or eta >= 0:
@@ -517,50 +460,41 @@ def stationary_start(model: SdeModel, domain: DomainSpec, paths: int, rng,
     burn = 10.0 / abs(eta)
     X = np.stack([domain.centroid] * paths)
     n = round(burn / h)
-    for i, Xb, X_new, dK, xi in ensemble_steps(model, domain, X, n, h, seed + 1_000_003,
-                                               placement):
+    for i, Xb, X_new, dK, xi in ensemble_steps(model, domain, X, n, h, seed + 1_000_003):
         X = X_new
     return X
 
 
+def _boundary_cost(g, X: np.ndarray, dK: np.ndarray, mu: float) -> np.ndarray:
+    """(g(X) - mu) dK for one step, with g the boundary cost (None means
+    zero); g is evaluated only when some path reflected."""
+    if g is None or not np.any(dK > 0):
+        return (0.0 - mu) * dK
+    return (np.array([g(x) for x in X]) - mu) * dK
+
+
+def _mean_stderr(values: np.ndarray):
+    """Ensemble mean of per-path values and its standard error."""
+    return (float(values.mean()),
+            float(values.std(ddof=1) / np.sqrt(len(values))))
+
+
 def expected_K_rate(model: SdeModel, domain: DomainSpec, T: float, h: float,
-                    paths: int, seed: int, placement: str = "symmetrize") -> KRateEstimate:
+                    paths: int, seed: int) -> KRateEstimate:
     """Monte Carlo estimate of E[K_T] / T from a stationary start.
 
     Returns the ensemble mean of K_T/T with its standard error over paths.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 999_983]))
-    X0 = stationary_start(model, domain, paths, rng, h, seed, placement)
+    X0 = stationary_start(model, domain, paths, h, seed, 999_983)
     n = round(T / h)
     K = np.zeros(paths)
-    for i, X, X_new, dK, xi in ensemble_steps(model, domain, X0, n, h, seed, placement):
+    for i, X, X_new, dK, xi in ensemble_steps(model, domain, X0, n, h, seed):
         K += dK
-    rates = K / T
-    return KRateEstimate(float(rates.mean()),
-                         float(rates.std(ddof=1) / np.sqrt(paths)), paths, T)
-
-
-def local_time_growth(model: SdeModel, domain: DomainSpec, t_grid: Sequence[float],
-                      h: float, paths: int, seed: int) -> np.ndarray:
-    """E[K_t] along a time grid (stationary start); for linear-growth checks."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 999_983]))
-    X0 = stationary_start(model, domain, paths, rng, h, seed, "symmetrize")
-    t_grid = np.asarray(t_grid, dtype=float)
-    n = round(float(t_grid.max()) / h)
-    marks = np.minimum((t_grid / h).round().astype(int), n)
-    K = np.zeros(paths)
-    out = np.zeros(len(t_grid))
-    for i, X, X_new, dK, xi in ensemble_steps(model, domain, X0, n, h, seed, "symmetrize"):
-        K += dK
-        hit = (marks == i + 1)
-        if hit.any():
-            out[hit] = K.mean()
-    return out
+    return KRateEstimate(*_mean_stderr(K / T), paths, T)
 
 
 def occupation_histogram(model: SdeModel, domain: DomainSpec, T_total: float,
-                         h: float, bins: int, paths: int, seed: int,
-                         placement: str = "symmetrize"):
+                         h: float, bins: int, paths: int, seed: int):
     """Occupation histogram of the reflected process on a 1-d interval.
 
     Splits the total horizon across a path ensemble started from the
@@ -572,11 +506,10 @@ def occupation_histogram(model: SdeModel, domain: DomainSpec, T_total: float,
     lo, hi = domain.bounding_box[0]
     edges = np.linspace(lo, hi, bins + 1)
     width = edges[1] - edges[0]
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 999_983]))
-    X0 = stationary_start(model, domain, paths, rng, h, seed, placement)
+    X0 = stationary_start(model, domain, paths, h, seed, 999_983)
     n = round(T_total / paths / h)
     counts = np.zeros(bins)
-    for i, X, X_new, dK, xi in ensemble_steps(model, domain, X0, n, h, seed, placement):
+    for i, X, X_new, dK, xi in ensemble_steps(model, domain, X0, n, h, seed):
         idx = np.minimum(((X_new[:, 0] - lo) / width).astype(int), bins - 1)
         np.add.at(counts, idx, 1)
     density = counts / (counts.sum() * width)

@@ -27,7 +27,7 @@ import numpy as np
 from . import dynamics, hypotheses
 from .discounted import DriverSpec, GridOperators, _grid_solve
 from .dynamics import SdeModel
-from .errors import BracketFailure, FlatCurve, NoConvergence, SchemeMismatch
+from .errors import BracketFailure, FlatCurve, NonConvergence, SchemeMismatch
 from .geometry import DomainSpec
 from .grids import GridFunction
 
@@ -161,7 +161,7 @@ def solve_ergodic(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
             lam_prev = lam_k
             alpha /= 2
         else:
-            raise NoConvergence(
+            raise NonConvergence(
                 f"discount sequence exhausted after {max_halvings} halvings")
         lam_vd = 2 * lam_k - lam_prev
         v_vd = vals - vals[ops.ref]
@@ -252,7 +252,7 @@ def solve_boundary_cost(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
         if hi - lo < 1e-13 * max(1.0, B):
             break
     if sol is None or abs(sol.lam - lambda_target) > tol:
-        raise NoConvergence("bisection failed to reach the target constant")
+        raise NonConvergence("bisection failed to reach the target constant")
     return sol
 
 
@@ -264,19 +264,10 @@ def lambda_time_average(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
     Averages the driver along reflected paths, evaluated at the solved
     zeta field, plus the boundary-cost flux; returns (estimate, stderr).
     """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 77_777]))
-    X0 = dynamics.stationary_start(model, domain, paths, rng, h, seed, "symmetrize")
+    X0 = dynamics.stationary_start(model, domain, paths, h, seed, 77_777)
     n = round(T / h)
     acc = np.zeros(paths)
-    mu = solution.mu
-    for i, X, X_new, dK, xi in dynamics.ensemble_steps(model, domain, X0, n, h,
-                                                       seed, "symmetrize"):
-        Z = solution.zeta_at(X)
-        acc += driver.psi_at(X, Z) * h
-        if np.any(dK > 0):
-            gvals = (np.zeros(paths) if driver.g is None
-                     else np.array([driver.g(x) if k > 0 else 0.0
-                                    for x, k in zip(X_new, dK)]))
-            acc += (gvals - mu) * dK
-    vals = acc / T
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(paths))
+    for i, X, X_new, dK, xi in dynamics.ensemble_steps(model, domain, X0, n, h, seed):
+        acc += driver.psi_at(X, solution.zeta_at(X)) * h
+        acc += dynamics._boundary_cost(driver.g, X_new, dK, solution.mu)
+    return dynamics._mean_stderr(acc / T)

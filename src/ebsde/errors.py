@@ -42,10 +42,6 @@ class PicardDiverged(EbsdeError):
     """The frozen-gradient fixed-point sweep failed to contract."""
 
 
-class NoConvergence(EbsdeError):
-    """The discount-parameter sequence was exhausted before stabilizing."""
-
-
 class SchemeMismatch(EbsdeError):
     """The two ergodic schemes disagree beyond tolerance on the same grid."""
 

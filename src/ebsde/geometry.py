@@ -2,7 +2,8 @@
 
 The defining function phi is scaled so that |grad phi| = 1 on the boundary,
 which makes grad phi the inward unit normal there and lets the boundary
-local time of a reflected diffusion be read off from displacement lengths.
+local time of a reflected diffusion be read off from the lengths of its
+repair moves.
 """
 from __future__ import annotations
 

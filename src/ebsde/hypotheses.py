@@ -232,49 +232,24 @@ def stationary_generator_phi(model: SdeModel, domain: DomainSpec,
         vals = np.array([generator_apply(model, phi_triple, p) for p in dens.nodes])
         return float((vals * dens.values).sum() * dens.cell_volume), 0.0
     # ergodic time average
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 424_243]))
-    X0 = dynamics.stationary_start(model, domain, paths, rng, h, seed, "symmetrize")
+    X0 = dynamics.stationary_start(model, domain, paths, h, seed, 424_243)
     n = round(T / h)
     acc = np.zeros(paths)
-    for i, X, X_new, dK, xi in dynamics.ensemble_steps(model, domain, X0, n, h,
-                                                       seed, "symmetrize"):
-        acc += np.array([generator_apply(model, phi_triple, x) for x in X]) \
-            if model.b_vec is None else _vec_Lphi(model, domain, X)
-    means = acc * h / T
-    return float(means.mean()), float(means.std(ddof=1) / np.sqrt(paths))
+    for i, X, X_new, dK, xi in dynamics.ensemble_steps(model, domain, X0, n, h, seed):
+        acc += _vec_Lphi(model, domain, X)
+    return dynamics._mean_stderr(acc * h / T)
 
 
 def _vec_Lphi(model: SdeModel, domain: DomainSpec, X: np.ndarray) -> np.ndarray:
-    """Vectorized L phi for batches; falls back per point for general sigma."""
-    B = model.drift_at(X)
-    if domain.grad_phi_vec is not None:
-        G = domain.grad_phi_vec(X)
-    else:
-        G = np.stack([domain.grad_phi(x) for x in X])
-    drift_part = (B * G).sum(axis=1)
-    if domain.hess_phi_vec is not None:
-        H = domain.hess_phi_vec(X)
-        if model.sigma_constant is not None:
-            a_mat = model.sigma_constant @ model.sigma_constant.T
-            curv = 0.5 * np.einsum("pij,ji->p", H, a_mat)
-        elif model.sigma_diag_vec is not None:
-            s = model.sigma_diag_vec(X)
-            curv = 0.5 * (s * s * np.diagonal(H, axis1=1, axis2=2)).sum(axis=1)
-        else:
-            curv = np.array([0.5 * np.trace(np.atleast_2d(model.sigma(x))
-                                            @ np.atleast_2d(model.sigma(x)).T @ H[k])
-                             for k, x in enumerate(X)])
-        return drift_part + curv
-    if model.sigma_constant is not None:
-        a_mat = model.sigma_constant @ model.sigma_constant.T
-        curv = np.array([0.5 * np.trace(np.atleast_2d(domain.hess_phi(x)) @ a_mat)
-                         for x in X])
-    else:
-        curv = np.array([0.5 * np.trace(np.atleast_2d(model.sigma(x))
-                                        @ np.atleast_2d(model.sigma(x)).T
-                                        @ np.atleast_2d(domain.hess_phi(x)))
-                         for x in X])
-    return drift_part + curv
+    """L phi = b . grad phi + (1/2) sum H o (sigma sigma^T) at a batch of
+    states; per-point stacks only where the batched phi forms are missing."""
+    G = (domain.grad_phi_vec(X) if domain.grad_phi_vec is not None
+         else np.stack([domain.grad_phi(x) for x in X]))
+    H = (domain.hess_phi_vec(X) if domain.hess_phi_vec is not None
+         else np.stack([np.atleast_2d(domain.hess_phi(x)) for x in X]))
+    S = model.sigma_at(X)
+    A = S @ S.transpose(0, 2, 1)
+    return (model.drift_at(X) * G).sum(axis=1) + 0.5 * (H * A).sum(axis=(1, 2))
 
 
 # ---------------------------------------------------------------------------

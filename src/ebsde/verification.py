@@ -96,7 +96,6 @@ class BsdeResidual:
 def bsde_residual(solution, model: SdeModel, domain: DomainSpec,
                   driver: DriverSpec, paths: int = 1000, T: float = 4.0,
                   h: float = 1e-2, seed: int = 0, x0=None,
-                  placement: str = "symmetrize",
                   n_partial: int = 8) -> BsdeResidual:
     """Pathwise defect of the backward equation along simulated paths.
 
@@ -119,23 +118,17 @@ def bsde_residual(solution, model: SdeModel, domain: DomainSpec,
     marks = np.unique(np.linspace(n // n_partial, n, n_partial, dtype=int))
     partial_means = []
     partial_times = []
-    for i, X, X_new, dK, xi in dynamics.ensemble_steps(model, domain, X0, n, h,
-                                                       seed, placement):
+    for i, X, X_new, dK, xi in dynamics.ensemble_steps(model, domain, X0, n, h, seed):
         Z = solution.zeta_at(X)
         R -= (driver.psi_at(X, Z) - lam) * h
-        if np.any(dK > 0):
-            g_here = (np.zeros(paths) if driver.g is None
-                      else np.array([driver.g(x) for x in X_new]))
-            R -= (g_here - mu) * dK
+        R -= dynamics._boundary_cost(driver.g, X_new, dK, mu)
         R += (Z * xi).sum(axis=1) * sh
         if i + 1 in marks:
             partial_times.append((i + 1) * h)
             partial_means.append(float((R - solution.v.interp_many(X_new)).mean()))
         if i == n - 1:
             R -= solution.v.interp_many(X_new)
-    return BsdeResidual(float(R.mean()),
-                        float(R.std(ddof=1) / np.sqrt(paths)),
-                        float(R.var(ddof=1)), paths,
+    return BsdeResidual(*dynamics._mean_stderr(R), float(R.var(ddof=1)), paths,
                         np.array(partial_times), np.array(partial_means))
 
 

@@ -311,6 +311,28 @@ def test_feedback_step_builds_one_cost_table_and_constant_none(interval, std_mod
     assert calls == []
 
 
+def test_criterion_09_policies_build_at_most_one_cost_table_per_step(monkeypatch):
+    # the criterion's policies on a 50-step horizon: the argmin rules read
+    # the step's own table, and a constant policy builds none
+    from ebsde import acceptance
+    builds = {}
+
+    def short_cost(model, domain, problem, pol, mu, T, h, paths, seed):
+        calls = _counting_L_table(problem)
+        try:
+            est = cost_I(model, domain, problem, pol, mu, 50 * h, h, 8, seed)
+        finally:
+            del problem.L_table
+        builds[pol.name] = len(calls)
+        return est
+
+    monkeypatch.setattr(acceptance, "cost_I", short_cost)
+    monkeypatch.setattr(acceptance, "cost_J", short_cost)
+    acceptance.criterion_09()
+    assert builds == {"feedback": 50, "constant-0": 0, "constant-1": 0,
+                      "state-sign": 50, "z-threshold": 50, "anti-feedback": 50}
+
+
 def test_step_tuples_carry_state_and_local_time_at_fixed_positions(interval, std_model):
     # a single zero-tilt control leaves the dynamics untouched, so the
     # controlled steps must replay the plain ensemble steps: X at index 1,

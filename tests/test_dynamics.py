@@ -8,11 +8,9 @@ from scipy import integrate
 import conftest as refs
 from ebsde import dynamics
 from ebsde.dynamics import (Potential, SdeModel, ensemble_average, ensemble_steps,
-                            expected_K_rate,
-                            generator_apply, invariant_density,
-                            local_time_growth, occupation_histogram,
-                            path_to_csv, penalized_moments, sample_invariant,
-                            simulate, stationary_start, step_reflected)
+                            expected_K_rate, generator_apply, invariant_density,
+                            occupation_histogram, path_to_csv, penalized_moments,
+                            sample_invariant, simulate, stationary_start)
 from ebsde.errors import NotKolmogorov, StepTooLarge
 from ebsde.geometry import ball_domain, quadratic_domain
 from ebsde.presets import kolmogorov_model, ou_model, quadratic_potential
@@ -22,40 +20,31 @@ DRIFT_ONE = SdeModel(b=lambda x: np.ones_like(x),
                      name="unit-drift")
 
 
-def test_step_projection_contract(interval):
-    # deterministic proposal 0.9 + 0.2 = 1.1; projection leaves the state
-    # at the endpoint and books the overshoot into the local time
-    x, dk = step_reflected(DRIFT_ONE, interval, np.array([0.9]), 0.2,
-                           np.zeros(1), placement="project")
-    assert_allclose(x, [1.0], atol=1e-12)
-    assert abs(dk - 0.1) < 1e-12
+def _one_step(model, domain, x, h, seed=0):
+    """One reflected step of a one-row ensemble; returns (state, dK)."""
+    _, _, x_new, dK, _ = next(ensemble_steps(model, domain, np.array([x]), 1, h, seed))
+    return x_new[0], dK[0]
 
 
 def test_step_symmetrized_fold(interval):
-    x, dk = step_reflected(DRIFT_ONE, interval, np.array([0.9]), 0.2,
-                           np.zeros(1), placement="symmetrize")
+    # deterministic proposal 0.9 + 0.2 = 1.1 mirrors back to 0.9, and the
+    # repair move 0.2 is booked into the local time
+    x, dk = _one_step(DRIFT_ONE, interval, [0.9], 0.2)
     assert_allclose(x, [0.9], atol=1e-12)
     assert abs(dk - 0.2) < 1e-12
 
 
 def test_step_interior_costs_no_local_time(interval, std_model):
-    x, dk = step_reflected(std_model, interval, np.array([0.2]), 1e-3,
-                           np.array([0.3]))
+    x, dk = _one_step(std_model, interval, [0.2], 1e-3, seed=3)
     assert dk == 0.0
     assert interval.phi(x) > 0
-
-
-def test_step_unknown_placement_raises(interval):
-    with pytest.raises(ValueError):
-        step_reflected(DRIFT_ONE, interval, np.array([0.9]), 0.2,
-                       np.zeros(1), placement="bounce")
 
 
 def test_step_too_large_raises(interval):
     runaway = SdeModel(b=lambda x: 100.0 * np.ones_like(x),
                        sigma=lambda x: np.zeros((1, 1)))
     with pytest.raises(StepTooLarge):
-        step_reflected(runaway, interval, np.array([0.0]), 1.0, np.zeros(1))
+        _one_step(runaway, interval, [0.0], 1.0)
 
 
 def test_simulate_path_invariants(interval, std_model):
@@ -91,8 +80,7 @@ def test_ensemble_path_zero_matches_single_path(interval, std_model):
     X = np.array([[0.2]])
     states = [X[0].copy()]
     K = [0.0]
-    for i, Xc, X_new, dK, xi in ensemble_steps(std_model, interval, X, n, h,
-                                               seed, "symmetrize"):
+    for i, Xc, X_new, dK, xi in ensemble_steps(std_model, interval, X, n, h, seed):
         states.append(X_new[0].copy())
         K.append(K[-1] + dK[0])
     assert np.max(np.abs(np.array(states) - path.states)) < 1e-12
@@ -103,14 +91,6 @@ def test_local_time_rate_matches_stationary_flux(interval, std_model):
     est = expected_K_rate(std_model, interval, T=20.0, h=1e-3, paths=200,
                           seed=4)
     assert abs(est.rate - refs.FLUX_RATE) < max(4 * est.stderr, 0.02)
-
-
-def test_local_time_grows_linearly(interval, std_model):
-    t_grid = [2.0, 4.0, 8.0]
-    ek = local_time_growth(std_model, interval, t_grid, h=1e-3, paths=150,
-                           seed=21)
-    rates = ek / np.array(t_grid)
-    assert np.all(np.abs(rates - refs.FLUX_RATE) < 0.05)
 
 
 def test_occupation_histogram_matches_density(interval, std_model):
@@ -166,13 +146,12 @@ def test_penalized_moments_need_potential(interval):
 def test_stationary_start_nongradient(interval):
     model = SdeModel(b=lambda x: -x, sigma=lambda x: np.eye(1),
                      b_vec=lambda X: -X, eta_hint=-1.0)
-    rng = np.random.default_rng(0)
-    X = stationary_start(model, interval, 32, rng, 1e-2, 11, "symmetrize")
+    X = stationary_start(model, interval, 32, 1e-2, 11, 0)
     assert X.shape == (32, 1)
     assert np.all(np.abs(X[:, 0]) <= 1.0 + 1e-9)
     bad = SdeModel(b=lambda x: -x, sigma=lambda x: np.eye(1))
     with pytest.raises(ValueError):
-        stationary_start(bad, interval, 4, rng, 1e-2, 0, "symmetrize")
+        stationary_start(bad, interval, 4, 1e-2, 0, 0)
 
 
 def test_generator_on_defining_function(interval, std_model):
@@ -328,7 +307,7 @@ def test_simulate_pinned_bit_for_bit(interval, std_model):
 def test_stationary_start_burn_in_pinned_bit_for_bit(interval):
     model = SdeModel(b=lambda x: -x, sigma=lambda x: np.eye(1),
                      b_vec=lambda X: -X, eta_hint=-1.0)
-    X = stationary_start(model, interval, 6, None, 1e-2, 11, "symmetrize")
+    X = stationary_start(model, interval, 6, 1e-2, 11, 0)
     assert X[:, 0].tolist() == [0.11980941447964844, 0.7937512835601991,
                                 0.12952283076691762, -0.880095959514285,
                                 0.8914731708222183, 0.6384226445791047]

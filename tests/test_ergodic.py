@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import conftest as refs
-from ebsde.errors import FlatCurve
+from ebsde.errors import FlatCurve, NonConvergence
 from ebsde.ergodic import (ErgodicSolution, lambda_of_mu, lambda_time_average,
                            solve_boundary_cost, solve_ergodic)
 from ebsde.geometry import ball_domain
@@ -56,6 +56,13 @@ def test_scheme_agreement(interval, std_model, cosdrv):
 def test_unknown_scheme_rejected(interval, std_model, cosdrv):
     with pytest.raises(ValueError, match="direct"):
         solve_ergodic(std_model, interval, cosdrv, 0.0, scheme="vanishing")
+
+
+def test_exhausted_discount_sequence_raises_nonconvergence(interval, std_model,
+                                                          cosdrv):
+    with pytest.raises(NonConvergence):
+        solve_ergodic(std_model, interval, cosdrv, 0.0,
+                      scheme="vanishing_discount", spacing=1e-2, max_halvings=1)
 
 
 def test_round_trip_inversion(interval, std_model, cosdrv):
