@@ -465,7 +465,8 @@ def stationary_start(model: SdeModel, domain: DomainSpec, paths: int, h: float,
     return X
 
 
-def _boundary_cost(g, X: np.ndarray, dK: np.ndarray, mu: float) -> np.ndarray:
+def _boundary_cost(g: Optional[Callable], X: np.ndarray, dK: np.ndarray,
+                   mu: float) -> np.ndarray:
     """(g(X) - mu) dK for one step, with g the boundary cost (None means
     zero); g is evaluated only when some path reflected."""
     if g is None or not np.any(dK > 0):
