@@ -9,9 +9,12 @@ Neumann rows, and a frozen-gradient Picard iteration for the z dependence
 of the driver. One vectorised assembler builds the sparse operator in any
 dimension; mu and psi enter only the right-hand side, so each operator is
 factorised once per mesh, discount and viscosity level (``GridOperators``)
-and the LU serves every Picard sweep and every mu. Degenerate 1-d
-diffusion is handled by adding a small viscosity eps^2/2 at two values of
-eps and extrapolating linearly to eps = 0.
+and the LU serves every Picard sweep and every mu: LAPACK tridiagonal LU in
+1-d, SuperLU in 2-d. The lambda border of a 1-d ergodic operator is removed
+by swapping the reference node's row for the normalization row, which keeps
+the matrix tridiagonal at the cost of one extra solve per factorisation
+(``_TridiagonalLU``). Degenerate 1-d diffusion is handled by adding a small
+viscosity eps^2/2 at two values of eps and extrapolating linearly to eps = 0.
 """
 from __future__ import annotations
 
@@ -20,6 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.linalg import splu
 
 from .dynamics import SdeModel
@@ -121,6 +125,91 @@ def assemble_operator(mesh: Mesh, a: np.ndarray, b: np.ndarray, alpha: float,
                              shape=(size, size)).tocsc()
 
 
+# normwise backward error above which a bordered 1-d operator goes to
+# SuperLU. Measured at spacings 1e-2 to 1e-4: below 3e-15 for the quadratic,
+# degenerate and OU models and for double wells with barriers up to 5; from
+# 2e-13 up once the reference node sits on a barrier of 10 or more, or at
+# an edge that a point mass in the middle rarely visits
+_BACKWARD_TOL = 1e-13
+
+
+class _TridiagonalLU:
+    """LAPACK tridiagonal LU (dgttrf, dgttrs) of a 1-d operator on ``n``
+    nodes numbered left to right, with the ``solve(rhs)`` of SuperLU.
+
+    The bordered operator [[N, c], [e_ref^T, 0]] is factorised as M, which
+    is N with row ref replaced by e_ref^T. With M z = c (c_ref set to 0)
+    solved once, each rhs (r, r_n) takes M y = r (r_ref set to r_n), then
+    lambda = (r_ref - N_ref.y) / (c_ref - N_ref.z) and v = y - lambda z.
+    """
+
+    def __init__(self, A: sparse.csc_matrix, n: int):
+        dl, d, du = (A.diagonal(k)[:n - abs(k)] for k in (-1, 0, 1))
+        self.ref = None
+        if A.shape[0] > n:
+            # CSC: the border column is column n, the normalization row
+            # the one entry with row index n
+            col = slice(A.indptr[n], A.indptr[n + 1])
+            c = np.zeros(n)
+            c[A.indices[col]] = A.data[col]
+            ref = int(np.searchsorted(A.indptr, np.flatnonzero(A.indices == n)[0],
+                                      side="right")) - 1
+            self.ref, self.lo, self.c_ref = ref, max(ref - 1, 0), c[ref]
+            self.row = np.concatenate([dl[ref - 1:ref], d[ref:ref + 1], du[ref:ref + 1]])
+            c[ref] = 0.0
+            d[ref] = 1.0
+            dl[ref - 1:ref] = 0.0
+            du[ref:ref + 1] = 0.0
+        *self.factors, info = dgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1,
+                                     overwrite_du=1)
+        if info > 0:
+            raise RuntimeError("Factor is exactly singular")
+        if self.ref is not None:
+            self.z = self._solve_m(c)
+            self.denom = self.c_ref - self._row_dot(self.z)
+
+    def backward_stable(self, A: sparse.csc_matrix) -> bool:
+        """Whether solves with the border removed keep a small residual.
+
+        The swap is exact algebra, but y and lambda z grow like the expected
+        time to hit the reference node, so v = y - lambda z loses digits
+        when that node is rarely visited (a high potential barrier, or a
+        point mass away from it). Measured on one solve with a known answer.
+        """
+        if self.ref is None:
+            return True
+        x = np.append(np.linspace(-1.0, 1.0, len(self.z)), 1.0)
+        r = A @ x
+        residual = np.abs(A @ self.solve(r) - r).max()
+        return residual <= _BACKWARD_TOL * (np.abs(A.data).max() + np.abs(r).max())
+
+    def _solve_m(self, rhs: np.ndarray) -> np.ndarray:
+        return dgttrs(*self.factors, rhs)[0]
+
+    def _row_dot(self, x: np.ndarray) -> float:
+        return float(self.row @ x[self.lo:self.lo + len(self.row)])
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        if self.ref is None:
+            return self._solve_m(rhs)
+        r = rhs[:-1].copy()
+        r[self.ref] = rhs[-1]
+        y = self._solve_m(r)
+        lam = (rhs[self.ref] - self._row_dot(y)) / self.denom
+        return np.append(y - lam * self.z, lam)
+
+
+def _factorise(mesh: Mesh, A: sparse.csc_matrix):
+    """LU of an operator assembled on ``mesh``, with a ``solve(rhs)``
+    method: the LAPACK tridiagonal LU in 1-d, SuperLU in 2-d and for a
+    bordered 1-d operator whose border removal is not backward stable."""
+    if mesh.domain.dim == 1:
+        lu = _TridiagonalLU(A, mesh.n_nodes)
+        if lu.backward_stable(A):
+            return lu
+    return splu(A)
+
+
 def _rhs(mesh: Mesh, driver: DriverSpec, mu: float, bordered: bool = False) -> np.ndarray:
     """Right-hand side before psi: mu - g on the boundary rows, 0 elsewhere."""
     rhs = np.zeros(mesh.n_nodes + bordered)
@@ -172,12 +261,14 @@ class GridOperators:
 
     Holds the mesh, the coefficients at its nodes, the viscosity levels and
     one LU per (alpha, eps, bordered), factorised the first time that key is
-    used. mu and psi enter only the right-hand side, so one instance serves
-    every mu of a curve or an inversion; it lives as long as its caller
-    keeps it. A single solve never asks twice for one key, so it passes
-    ``keep_lus=False``: each LU is then freed after its solve, as a kept
-    LU per discount level would raise the peak memory of a
-    vanishing-discount solve for no reuse.
+    used: LAPACK tridiagonal LU in 1-d, SuperLU in 2-d. A 1-d lambda border
+    is removed by one row swap, the reference node's row giving way to the
+    normalization row (``_TridiagonalLU``). mu and psi enter only the
+    right-hand side, so one instance serves every mu of a curve or an
+    inversion; it lives as long as its caller keeps it. A single solve
+    never asks twice for one key, so it passes ``keep_lus=False``: each LU
+    is then freed after its solve, as a kept LU per discount level would
+    raise the peak memory of a vanishing-discount solve for no reuse.
     """
 
     def __init__(self, model: SdeModel, domain: DomainSpec, spacing: float = 1e-3,
@@ -209,8 +300,8 @@ class GridOperators:
         key = (alpha, eps, bordered)
         lu = self._lus.get(key)
         if lu is None:
-            lu = splu(assemble_operator(self.mesh, self.a + 0.5 * eps ** 2, self.b,
-                                        alpha, bordered))
+            lu = _factorise(self.mesh, assemble_operator(
+                self.mesh, self.a + 0.5 * eps ** 2, self.b, alpha, bordered))
             if self.keep_lus:
                 self._lus[key] = lu
         return lu

@@ -203,11 +203,13 @@ def test_operator_matches_node_by_node_assembly(name, domain, model, spacing, ep
 
 
 def _count_factorisations(monkeypatch):
-    """Count splu calls, LU solves, and spsolve calls made by the solvers;
-    ``live_at_splu`` lists how many earlier LUs are alive at each splu."""
-    counts = {"splu": 0, "lu_solves": 0, "spsolve": 0, "live_at_splu": []}
+    """Count factorisations (``discounted._factorise``: splu in 2-d, the
+    tridiagonal LU in 1-d), LU solves, and spsolve calls made by the
+    solvers; ``live_at_factorise`` lists how many earlier LUs are alive at
+    each factorisation."""
+    counts = {"factorisations": 0, "lu_solves": 0, "spsolve": 0, "live_at_factorise": []}
     live = weakref.WeakSet()
-    real_splu, real_spsolve = discounted.splu, scipy.sparse.linalg.spsolve
+    real_factorise, real_spsolve = discounted._factorise, scipy.sparse.linalg.spsolve
 
     class CountedLU:
         def __init__(self, lu):
@@ -217,10 +219,10 @@ def _count_factorisations(monkeypatch):
             counts["lu_solves"] += 1
             return self.lu.solve(rhs)
 
-    def splu(A, *args, **kwargs):
-        counts["splu"] += 1
-        counts["live_at_splu"].append(len(live))
-        lu = CountedLU(real_splu(A, *args, **kwargs))
+    def factorise(mesh, A):
+        counts["factorisations"] += 1
+        counts["live_at_factorise"].append(len(live))
+        lu = CountedLU(real_factorise(mesh, A))
         live.add(lu)
         return lu
 
@@ -228,11 +230,53 @@ def _count_factorisations(monkeypatch):
         counts["spsolve"] += 1
         return real_spsolve(*args, **kwargs)
 
-    monkeypatch.setattr(discounted, "splu", splu)
+    monkeypatch.setattr(discounted, "_factorise", factorise)
     monkeypatch.setattr(scipy.sparse.linalg, "spsolve", spsolve)
     for mod in (discounted, ergodic):
         monkeypatch.setattr(mod, "spsolve", spsolve, raising=False)
     return counts
+
+
+@pytest.mark.parametrize("model", [STD_1D, degenerate_linear_model()],
+                         ids=["std", "degenerate"])
+@pytest.mark.parametrize("alpha,ref", [(0.3, None), (0.0, "centre"), (0.0, 0), (0.0, -1)],
+                         ids=["discounted", "bordered", "ref-first", "ref-last"])
+def test_tridiagonal_lu_matches_splu(model, alpha, ref, interval):
+    # same assembled operator, every viscosity level; ref moves the
+    # normalization row's entry to the first or the last node. The
+    # degenerate model's point mass at 0 leaves the edges rarely visited,
+    # so removing the border there is not backward stable: SuperLU instead
+    tridiagonal = model is STD_1D or ref in (None, "centre")
+    ops = discounted.GridOperators(model, interval, 1e-3, viscosity="force")
+    mesh, n, bordered = ops.mesh, ops.mesh.n_nodes, ref is not None
+    driver = dataclasses.replace(cos_driver(), g=lambda x: 0.2 + float(x[0]))
+    rhs = _rhs(mesh, driver, 0.4, bordered)
+    rhs[ops.inner] -= np.cos(mesh.nodes[ops.inner, 0])
+    for eps in ops.eps_list:
+        A = assemble_operator(mesh, ops.a + 0.5 * eps ** 2, ops.b, alpha, bordered)
+        if ref not in (None, "centre"):
+            A = A.tolil()
+            A[n, :] = 0.0
+            A[n, ref % n] = 1.0
+            A = A.tocsc()
+            A.eliminate_zeros()
+        want = scipy.sparse.linalg.splu(A).solve(rhs)
+        lu = discounted._factorise(mesh, A)
+        assert isinstance(lu, discounted._TridiagonalLU) == tridiagonal
+        got = lu.solve(rhs)
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def test_singular_tridiagonal_operator_raises(interval):
+    # no diffusion, drift or discount: the interior rows are zero
+    mesh = build_mesh(interval, 1e-2)
+    zero = np.zeros((mesh.n_nodes, 1))
+    for bordered in (False, True):
+        A = assemble_operator(mesh, zero, zero, 0.0, bordered)
+        with pytest.raises(RuntimeError, match="singular"):
+            scipy.sparse.linalg.splu(A)
+        with pytest.raises(RuntimeError, match="singular"):
+            discounted._factorise(mesh, A)
 
 
 def test_one_factorisation_for_all_picard_sweeps_in_2d(monkeypatch):
@@ -248,7 +292,7 @@ def test_one_factorisation_for_all_picard_sweeps_in_2d(monkeypatch):
     domain, model, driver, _ = assemble_config(doc)
     assert driver.K_psi_z > 0
     solve_ergodic(model, domain, driver, 0.3, scheme="direct", spacing=0.1)
-    assert counts["splu"] == 1
+    assert counts["factorisations"] == 1
     assert counts["lu_solves"] > 2      # several Picard sweeps on one LU
     assert counts["spsolve"] == 0
 
@@ -260,7 +304,7 @@ def test_one_factorisation_per_viscosity_level_in_1d(monkeypatch):
     sol = solve_ergodic(model, domain, driver, 0.3, scheme="direct", spacing=1e-2,
                         viscosity="force")
     assert len(sol.diagnostics["viscosity_eps"]) == 2
-    assert counts["splu"] == 2
+    assert counts["factorisations"] == 2
     assert counts["lu_solves"] > 4
     assert counts["spsolve"] == 0
 
@@ -275,7 +319,7 @@ def test_one_factorisation_for_a_whole_curve(monkeypatch, interval, std_model, c
                                  [-1.0, -0.5, 0.0, 0.5, 1.0], scheme="direct",
                                  spacing=1e-3)
     assert len(curve.lams) == 5
-    assert counts["splu"] == 1
+    assert counts["factorisations"] == 1
     assert counts["lu_solves"] == 5
 
 
@@ -283,7 +327,7 @@ def test_one_factorisation_per_viscosity_level_for_a_curve(monkeypatch, interval
     counts = _count_factorisations(monkeypatch)
     ergodic.lambda_of_mu(degenerate_linear_model(), interval, zero_driver(),
                          [-1.0, 0.0, 1.0], scheme="direct", spacing=1e-3)
-    assert counts["splu"] == 2
+    assert counts["factorisations"] == 2
 
 
 def test_one_factorisation_for_an_inversion(monkeypatch, interval, std_model, cosdrv):
@@ -291,7 +335,7 @@ def test_one_factorisation_for_an_inversion(monkeypatch, interval, std_model, co
     sol = ergodic.solve_boundary_cost(std_model, interval, cosdrv, 0.5, tol=1e-3,
                                       scheme="direct", spacing=1e-3)
     assert abs(sol.lam - 0.5) < 1e-3
-    assert counts["splu"] == 1
+    assert counts["factorisations"] == 1
     assert counts["lu_solves"] > 3
 
 
@@ -310,7 +354,7 @@ def test_vanishing_discount_curve_factorises_each_discount_once(
     ergodic.lambda_of_mu(std_model, interval, cosdrv, [0.0, 1.0],
                          scheme="vanishing_discount", spacing=1e-2)
     assert len(alphas) > len(set(alphas)) > 1
-    assert counts["splu"] == len(set(alphas))
+    assert counts["factorisations"] == len(set(alphas))
 
 
 def test_single_vanishing_discount_solve_keeps_no_lu_between_discounts(
@@ -319,8 +363,25 @@ def test_single_vanishing_discount_solve_keeps_no_lu_between_discounts(
     counts = _count_factorisations(monkeypatch)
     sol = solve_ergodic(std_model, interval, cosdrv, 0.5,
                         scheme="vanishing_discount", spacing=1e-2)
-    assert counts["splu"] == len(sol.diagnostics["alpha_sequence"]) > 1
-    assert max(counts["live_at_splu"]) == 0
+    assert counts["factorisations"] == len(sol.diagnostics["alpha_sequence"]) > 1
+    assert max(counts["live_at_factorise"]) == 0
+
+
+def _kept_bytes(lu):
+    arrays = [a for v in vars(lu).values()
+              for a in (v if isinstance(v, list) else [v]) if isinstance(a, np.ndarray)]
+    return sum((a if a.base is None else a.base).nbytes for a in arrays)
+
+
+def test_vanishing_discount_curve_keeps_small_factors(interval, std_model, cosdrv):
+    # one kept factor per discount level, each a few arrays of n numbers
+    ops = discounted.GridOperators(std_model, interval, 1e-4)
+    n = ops.mesh.n_nodes
+    assert n == 20001
+    ergodic.lambda_of_mu(std_model, interval, cosdrv, [0.0, 1.0],
+                         scheme="vanishing_discount", spacing=1e-4, operators=ops)
+    assert len(ops._lus) > 1
+    assert max(_kept_bytes(lu) for lu in ops._lus.values()) <= 6 * n * 8
 
 
 def test_handed_in_operators_must_match_the_problem(interval, std_model, cosdrv):

@@ -41,6 +41,22 @@ def test_boundary_cost_enters_affinely(interval, std_model, cosdrv):
     assert abs(curve.slope_modulus() - refs.FLUX_RATE) < 2e-3
 
 
+def test_curve_converges_at_first_order_to_the_oracle(interval, std_model, cosdrv):
+    # lambda(mu) = MEAN_COS - mu FLUX_RATE: check lambda(0) and the slope
+    # lambda(1) - lambda(0) separately on a halving ladder of spacings
+    spacings = 1e-2 / 2.0 ** np.arange(5)
+    errs = []
+    for h in spacings:
+        lam0, lam1 = lambda_of_mu(std_model, interval, cosdrv, [0.0, 1.0],
+                                  scheme="direct", spacing=h).lams
+        errs.append((lam0 - refs.MEAN_COS, (lam1 - lam0) + refs.FLUX_RATE))
+    errs = np.abs(errs)
+    assert np.all(errs[:, 0] <= 0.2 * spacings)
+    assert np.all(errs[:, 1] <= 1.0 * spacings)
+    orders = np.log2(errs[:-1] / errs[1:])
+    assert np.all(orders >= 0.9), orders
+
+
 def test_scheme_agreement(interval, std_model, cosdrv):
     direct = solve_ergodic(std_model, interval, cosdrv, 0.0, scheme="direct",
                            spacing=1e-3)
@@ -90,14 +106,14 @@ def test_time_average_agrees_with_grid_constant(interval, std_model, cosdrv):
 
 def test_time_average_pinned_bit_for_bit(interval, std_model, cosdrv):
     # recorded from the hand-written boundary cost, which read g only on
-    # reflected paths; compared with ==
+    # reflected paths, with lambda from the tridiagonal LU; compared with ==
     sol = solve_ergodic(std_model, interval, cosdrv, 0.5, spacing=1e-2)
     assert (lambda_time_average(std_model, interval, cosdrv, sol, T=0.5, h=1e-3,
                                 paths=8, seed=4)
             == (0.06832465497338897, 0.4110774483310166))
     gdrv = dataclasses.replace(cosdrv, g=lambda x: 0.3 * float(x[0]) + 0.1)
     gsol = solve_ergodic(std_model, interval, gdrv, 0.5, spacing=1e-2)
-    assert gsol.lam == 0.5753866535568629
+    assert gsol.lam == 0.5753866535568268
     assert (lambda_time_average(std_model, interval, gdrv, gsol, T=0.5, h=1e-3,
                                 paths=8, seed=4)
             == (0.3854324436820858, 0.16900207987974356))
@@ -185,13 +201,13 @@ def test_curve_equals_standalone_solves_bit_for_bit(case, interval, std_model,
 
 
 @pytest.mark.parametrize("scheme,target,mu_star,lam", [
-    ("direct", 0.5, 0.5084649869867552, 0.5003855623873708),
-    ("vanishing_discount", 0.5, 0.5047950952539633, 0.5001939383636775),
-])
+    ("direct", 0.5, 0.5084649869866689, 0.5003855623875096),
+    ("vanishing_discount", 0.5, 0.5047950952702585, 0.5001939383499934),
+], ids=["direct", "vanishing_discount"])
 def test_inversion_pinned_bit_for_bit(scheme, target, mu_star, lam, interval,
                                       std_model, cosdrv):
-    # recorded from the per-solve factorisation; sharing the LU across mu
-    # solves the same systems, so the bisection lands on the same bits
+    # recorded with the tridiagonal LU shared across mu; the per-solve
+    # factorisation solves the same systems, so it lands on the same bits
     spacing = 1e-3 if scheme == "direct" else 1e-2
     sol = solve_boundary_cost(std_model, interval, cosdrv, target, tol=1e-3,
                               scheme=scheme, spacing=spacing)

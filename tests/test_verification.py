@@ -84,24 +84,26 @@ def test_shift_needs_invertible_sigma(interval):
 
 def test_bsde_residual_pinned_bit_for_bit(interval, std_model, cosdrv):
     # recorded before the scaled noise moved into per-sub-block arrays;
-    # the interval paths are bit-identical, so == holds
+    # the interval paths are bit-identical, so == holds (v and lambda
+    # re-recorded with the tridiagonal LU)
     sol = solve_ergodic(std_model, interval, cosdrv, 0.5, spacing=1e-2)
     res = bsde_residual(sol, std_model, interval, cosdrv, paths=32, T=0.5,
                         h=1e-3, seed=7)
-    assert (res.mean, res.stderr) == (-0.004453240983188058, 0.0026187237977762395)
-    assert res.partial_means[0] == 0.0009736106195052492
+    assert (res.mean, res.stderr) == (-0.004453240983209596, 0.0026187237977768015)
+    assert res.partial_means[0] == 0.0009736106195050108
 
 
 def test_bsde_residual_with_boundary_cost_pinned_bit_for_bit(interval, std_model,
                                                               cosdrv):
-    # a non-zero g, recorded from the hand-written boundary cost; ==
+    # a non-zero g, recorded from the hand-written boundary cost, v and
+    # lambda from the tridiagonal LU; ==
     gdrv = dataclasses.replace(cosdrv, g=lambda x: 0.3 * float(x[0]) + 0.1)
     sol = solve_ergodic(std_model, interval, gdrv, 0.5, spacing=1e-2)
     res = bsde_residual(sol, std_model, interval, gdrv, paths=16, T=0.5,
                         h=1e-3, seed=7)
     assert (res.mean, res.stderr, res.variance) == (
-        -0.005607208066179887, 0.004907814523854978, 0.00038538629440898996)
+        -0.005607208066208125, 0.004907814523865188, 0.00038538629441059333)
     assert res.partial_means.tolist() == [
-        0.0014849101471675029, -0.000574254916653145, -0.0012544917651089995,
-        -0.0031758563000762615, -0.00550337034590237, -0.005232013005679034,
-        -0.004608637044220215, -0.005607208066179887]
+        0.0014849101471680712, -0.0005742549166538344, -0.001254491765118266,
+        -0.0031758563000895542, -0.005503370345921551, -0.005232013005701412,
+        -0.004608637044240008, -0.005607208066208125]
