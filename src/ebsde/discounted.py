@@ -10,11 +10,16 @@ of the driver. One vectorised assembler builds the sparse operator in any
 dimension; mu and psi enter only the right-hand side, so each operator is
 factorised once per mesh, discount and viscosity level (``GridOperators``)
 and the LU serves every Picard sweep and every mu: LAPACK tridiagonal LU in
-1-d, SuperLU in 2-d. The lambda border of a 1-d ergodic operator is removed
-by swapping the reference node's row for the normalization row, which keeps
-the matrix tridiagonal at the cost of one extra solve per factorisation
-(``_TridiagonalLU``). Degenerate 1-d diffusion is handled by adding a small
-viscosity eps^2/2 at two values of eps and extrapolating linearly to eps = 0.
+1-d, SuperLU in 2-d. The discount enters only the interior diagonal, so one
+alpha-free operator is assembled per viscosity level and shifted for each
+discount. One transposed solve on the ergodic LU gives the weights of lambda
+as a linear function of the right-hand side (``GridOperators.weights``):
+the discrete invariant measure and the boundary flux. The lambda border of a
+1-d ergodic operator is removed by swapping the reference node's row for the
+normalization row, which keeps the matrix tridiagonal at the cost of one
+extra solve per factorisation (``_TridiagonalLU``). Degenerate 1-d diffusion
+is handled by adding a small viscosity eps^2/2 at two values of eps and
+extrapolating linearly to eps = 0.
 """
 from __future__ import annotations
 
@@ -135,12 +140,18 @@ _BACKWARD_TOL = 1e-13
 
 class _TridiagonalLU:
     """LAPACK tridiagonal LU (dgttrf, dgttrs) of a 1-d operator on ``n``
-    nodes numbered left to right, with the ``solve(rhs)`` of SuperLU.
+    nodes numbered left to right, with the ``solve(rhs, trans)`` of SuperLU.
 
     The bordered operator [[N, c], [e_ref^T, 0]] is factorised as M, which
     is N with row ref replaced by e_ref^T. With M z = c (c_ref set to 0)
     solved once, each rhs (r, r_n) takes M y = r (r_ref set to r_n), then
     lambda = (r_ref - N_ref.y) / (c_ref - N_ref.z) and v = y - lambda z.
+    The transposed system swaps the same row: with M^T q = N_ref solved on
+    first use, each rhs (b, b_n) takes M^T p = b, then
+    u_ref = (b_n - c.p) / (c_ref - c.q), u = p - u_ref q with u_ref in
+    place ref, and the border unknown is p_ref - u_ref q_ref. That
+    denominator equals c_ref - N_ref.z in exact arithmetic; this one makes
+    the border row c.u = b_n hold to rounding.
     """
 
     def __init__(self, A: sparse.csc_matrix, n: int):
@@ -157,6 +168,7 @@ class _TridiagonalLU:
             self.ref, self.lo, self.c_ref = ref, max(ref - 1, 0), c[ref]
             self.row = np.concatenate([dl[ref - 1:ref], d[ref:ref + 1], du[ref:ref + 1]])
             c[ref] = 0.0
+            self.c, self.q = c, None
             d[ref] = 1.0
             dl[ref - 1:ref] = 0.0
             du[ref:ref + 1] = 0.0
@@ -183,15 +195,27 @@ class _TridiagonalLU:
         residual = np.abs(A @ self.solve(r) - r).max()
         return residual <= _BACKWARD_TOL * (np.abs(A.data).max() + np.abs(r).max())
 
-    def _solve_m(self, rhs: np.ndarray) -> np.ndarray:
-        return dgttrs(*self.factors, rhs)[0]
+    def _solve_m(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+        return dgttrs(*self.factors, rhs, trans=trans)[0]
 
     def _row_dot(self, x: np.ndarray) -> float:
         return float(self.row @ x[self.lo:self.lo + len(self.row)])
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
+    def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
         if self.ref is None:
-            return self._solve_m(rhs)
+            return self._solve_m(rhs, trans)
+        if trans == "T":
+            if self.q is None:
+                n_ref = np.zeros(len(self.z))
+                n_ref[self.lo:self.lo + len(self.row)] = self.row
+                self.q = self._solve_m(n_ref, "T")
+                self.denom_t = self.c_ref - self.c @ self.q
+            u = self._solve_m(rhs[:-1], "T")
+            u_ref = (rhs[-1] - self.c @ u) / self.denom_t
+            u -= u_ref * self.q
+            border = u[self.ref]
+            u[self.ref] = u_ref
+            return np.append(u, border)
         r = rhs[:-1].copy()
         r[self.ref] = rhs[-1]
         y = self._solve_m(r)
@@ -259,16 +283,21 @@ def _needs_viscosity(a_diag: np.ndarray, h: float) -> bool:
 class GridOperators:
     """Everything a grid solve needs apart from mu and the driver.
 
-    Holds the mesh, the coefficients at its nodes, the viscosity levels and
-    one LU per (alpha, eps, bordered), factorised the first time that key is
-    used: LAPACK tridiagonal LU in 1-d, SuperLU in 2-d. A 1-d lambda border
-    is removed by one row swap, the reference node's row giving way to the
-    normalization row (``_TridiagonalLU``). mu and psi enter only the
-    right-hand side, so one instance serves every mu of a curve or an
-    inversion; it lives as long as its caller keeps it. A single solve
-    never asks twice for one key, so it passes ``keep_lus=False``: each LU
-    is then freed after its solve, as a kept LU per discount level would
-    raise the peak memory of a vanishing-discount solve for no reuse.
+    Holds the mesh, the coefficients at its nodes, the viscosity levels,
+    one alpha-free operator per (eps, bordered), and one LU per (alpha, eps,
+    bordered), factorised the first time that key is used: LAPACK
+    tridiagonal LU in 1-d, SuperLU in 2-d. The discount enters only the
+    interior diagonal, so each alpha takes a copy of the alpha-free operator
+    with alpha subtracted there, the same bits as assembling it with alpha.
+    A 1-d lambda border is removed by one row swap, the reference node's
+    row giving way to the normalization row (``_TridiagonalLU``). mu and
+    psi enter only the right-hand side, so one instance serves every mu of
+    a curve or an inversion, and ``weights`` gives lambda for all of them
+    from one transposed solve; it lives as long as its caller keeps it. A
+    single solve never asks twice for one key, so it passes
+    ``keep_lus=False``: each LU is then freed after its solve, as a kept LU
+    per discount level would raise the peak memory of a vanishing-discount
+    solve for no reuse.
     """
 
     def __init__(self, model: SdeModel, domain: DomainSpec, spacing: float = 1e-3,
@@ -287,6 +316,7 @@ class GridOperators:
         self.ref = self.mesh.ref_index()
         self.keep_lus = keep_lus
         self._lus: dict = {}
+        self._operators: dict = {}
 
     def check(self, model: SdeModel, domain: DomainSpec, spacing: float,
               viscosity: str) -> None:
@@ -296,15 +326,45 @@ class GridOperators:
             raise ValueError("operators were built for another model, domain, "
                              "spacing or viscosity")
 
+    def operator(self, alpha: float, eps: float, bordered: bool) -> sparse.csc_matrix:
+        """The operator that ``assemble_operator`` builds at (alpha, eps,
+        bordered), from the one alpha-free assembly per (eps, bordered):
+        fl(-S - alpha) equals the assembler's fl(-alpha - S)."""
+        base = self._operators.get((eps, bordered))
+        if base is None:
+            A = assemble_operator(self.mesh, self.a + 0.5 * eps ** 2, self.b, 0.0,
+                                  bordered)
+            col = np.repeat(np.arange(A.shape[1]), np.diff(A.indptr))
+            inner = np.zeros(A.shape[0], bool)
+            inner[self.inner] = True
+            base = A, np.flatnonzero((A.indices == col) & inner[A.indices])
+            self._operators[(eps, bordered)] = base
+        A, diagonal = base
+        if alpha == 0.0:
+            return A
+        A = A.copy()
+        A.data[diagonal] -= alpha
+        return A
+
     def lu(self, alpha: float, eps: float, bordered: bool):
         key = (alpha, eps, bordered)
         lu = self._lus.get(key)
         if lu is None:
-            lu = _factorise(self.mesh, assemble_operator(
-                self.mesh, self.a + 0.5 * eps ** 2, self.b, alpha, bordered))
+            lu = _factorise(self.mesh, self.operator(alpha, eps, bordered))
             if self.keep_lus:
                 self._lus[key] = lu
         return lu
+
+    def weights(self) -> np.ndarray:
+        """Adjoint weights w of the bordered ergodic operator: lambda = w.r
+        for every right-hand side r of a direct solve, from one transposed
+        solve per viscosity level, extrapolated like the solutions. On the
+        interior rows -w is the discrete invariant measure (mass 1), and
+        the sum of w over the boundary rows is d lambda / d mu."""
+        e = np.zeros(self.mesh.n_nodes + 1)
+        e[-1] = 1.0
+        ws = [self.lu(0.0, eps, True).solve(e, trans="T") for eps in self.eps_list]
+        return 2 * ws[1] - ws[0] if len(ws) == 2 else ws[0]
 
 
 def _grid_solve(ops: GridOperators, driver: DriverSpec, alpha: float, mu: float,

@@ -9,15 +9,20 @@ Two routes produce the pair (v, lambda) at a fixed boundary constant mu:
   driver reads the gradient, all on one LU) with unknowns (v at the
   nodes, lambda) and the normalization v(x_ref) = 0.
 
-On top of these sit the sampled curve mu -> lambda(mu), which is
-non-increasing, and a bisection that inverts it to find the boundary
-constant matching a prescribed lambda. mu enters only the right-hand side,
-so each curve and each inversion builds one ``GridOperators`` and every
-solve in it reuses the same mesh and LUs.
+On top of these sit the curve mu -> lambda(mu), which is non-increasing,
+and its inversion, the boundary constant matching a prescribed lambda. mu
+enters only the right-hand side, so each curve and each inversion builds one
+``GridOperators`` and every solve in it reuses the same mesh and LUs. For a
+driver that does not read z, the direct scheme's lambda is w.r for the
+adjoint weights w of one transposed solve, so the curve is the line
+lambda(0) + mu slope and the inversion is closed-form, confirmed by one
+solve. Drivers that read z and the vanishing-discount scheme sample the
+curve one solve per mu and invert it by bisection.
 """
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
@@ -25,7 +30,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from . import dynamics, hypotheses
-from .discounted import DriverSpec, GridOperators, _grid_solve
+from .discounted import DriverSpec, GridOperators, _grid_solve, _rhs
 from .dynamics import SdeModel
 from .errors import BracketFailure, FlatCurve, NonConvergence, SchemeMismatch
 from .geometry import DomainSpec
@@ -184,23 +189,53 @@ def solve_ergodic(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
                            diagnostics)
 
 
+_SOLVE_SIGNATURE = inspect.signature(solve_ergodic)
+
+
 def _shared_operators(model: SdeModel, domain: DomainSpec, solve_kw: Dict) -> Dict:
-    """solve_kw with one GridOperators that every solve of a curve or an
-    inversion shares: one mesh, and one LU per discount and viscosity level."""
-    if solve_kw.get("operators") is not None:
-        return solve_kw
-    grid_kw = {k: solve_kw[k] for k in ("spacing", "viscosity") if k in solve_kw}
-    return dict(solve_kw, operators=GridOperators(model, domain, **grid_kw))
+    """Every keyword of ``solve_ergodic`` (its defaults filled in, TypeError
+    on one it does not take) with one GridOperators that every solve of a
+    curve or an inversion shares: one mesh, and one LU per discount and
+    viscosity level. Handed-in operators must match (``GridOperators.check``)."""
+    args = _SOLVE_SIGNATURE.bind(model, domain, None, 0.0, **solve_kw)
+    args.apply_defaults()
+    kw = {k: v for k, v in args.arguments.items()
+          if k not in ("model", "domain", "driver", "mu")}
+    if kw["operators"] is None:
+        kw["operators"] = GridOperators(model, domain, kw["spacing"], kw["viscosity"])
+    kw["operators"].check(model, domain, kw["spacing"], kw["viscosity"])
+    return kw
+
+
+def _affine_curve(driver: DriverSpec, solve_kw: Dict):
+    """(lambda(0), d lambda / d mu) of the direct scheme, or None when the
+    curve is not a line: a driver that reads z, or another scheme. One
+    transposed solve gives the weights w of lambda = w.r, and the right-hand
+    side is affine in mu, mu on the boundary rows."""
+    if driver.K_psi_z != 0.0 or solve_kw["scheme"] != "direct":
+        return None
+    ops = solve_kw["operators"]
+    mesh = ops.mesh
+    w = ops.weights()
+    r = _rhs(mesh, driver, 0.0, bordered=True)
+    r[ops.inner] -= driver.psi_at(mesh.nodes, np.zeros_like(mesh.nodes))[ops.inner]
+    return float(w @ r), float(w[:-1][mesh.boundary].sum())
 
 
 def lambda_of_mu(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
                  mus: Sequence[float], **solve_kw) -> LambdaOfMuCurve:
-    """Sample the boundary-constant-to-ergodic-constant map."""
+    """Sample the boundary-constant-to-ergodic-constant map: the line
+    lambda(0) + mu slope for a z-free driver on the direct scheme, one solve
+    per mu otherwise."""
     mus = np.asarray(sorted(mus), dtype=float)
     solve_kw = _shared_operators(model, domain, solve_kw)
-    lams = np.array([solve_ergodic(model, domain, driver, m, **solve_kw).lam
-                     for m in mus])
-    return LambdaOfMuCurve(mus, lams, float(solve_kw.get("tol", 1e-3)))
+    line = _affine_curve(driver, solve_kw)
+    if line is not None:
+        lams = line[0] + mus * line[1]
+    else:
+        lams = np.array([solve_ergodic(model, domain, driver, m, **solve_kw).lam
+                         for m in mus])
+    return LambdaOfMuCurve(mus, lams, float(solve_kw["tol"]))
 
 
 def solve_boundary_cost(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
@@ -208,51 +243,73 @@ def solve_boundary_cost(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
                         slope_floor: float = 1e-2, flat_tol: float = 1e-6,
                         max_expansions: int = 8, max_bisect: int = 60,
                         **solve_kw) -> ErgodicSolution:
-    """Find mu with lambda(mu) = lambda_target by monotone bisection.
+    """Find mu with lambda(mu) = lambda_target.
 
-    The initial bracket half-width combines the distance to lambda(0) and
-    the driver bound, scaled by the secant slope |lambda(1) - lambda(0)|
-    (floored by slope_floor); it doubles on straddle failure. FlatCurve means
-    the sampled curve cannot identify mu; BracketFailure means the target
-    was never straddled.
+    For a z-free driver on the direct scheme the curve is a line, so
+    mu = (lambda_target - lambda(0)) / slope, confirmed by one solve;
+    FlatCurve means |slope| < flat_tol. Otherwise a monotone bisection: the
+    initial bracket half-width combines the distance to lambda(0) and the
+    driver bound, scaled by the secant slope |lambda(1) - lambda(0)|
+    (floored by slope_floor); it doubles on straddle failure. FlatCurve
+    means the sampled curve cannot identify mu; BracketFailure means the
+    target was never straddled. The solution's diagnostics["inversion"]
+    records the route, the number of solves and the slope: exact, or the
+    secant lambda(1) - lambda(0) of the bisection.
     """
     solve_kw = _shared_operators(model, domain, solve_kw)
-    sol0 = solve_ergodic(model, domain, driver, 0.0, **solve_kw)
-    lam0 = sol0.lam
-    slope = abs(solve_ergodic(model, domain, driver, 1.0, **solve_kw).lam - lam0)
-    B = (abs(lambda_target - lam0) + 2 * driver.M_psi) / max(slope, slope_floor)
-    B = max(B, 10 * tol)
-    for _ in range(max_expansions):
-        lam_lo = solve_ergodic(model, domain, driver, -B, **solve_kw).lam
-        lam_hi = solve_ergodic(model, domain, driver, +B, **solve_kw).lam
-        if abs(lam_hi - lam_lo) / (2 * B) < flat_tol:
-            raise FlatCurve(
-                f"sampled slope {(lam_hi - lam_lo) / (2 * B):.2e} over "
-                f"[-{B:.3g}, {B:.3g}]; the boundary constant is not identifiable")
-        if lam_lo >= lambda_target >= lam_hi:
-            break
-        B *= 2
+    solves = []
+
+    def solve(mu):
+        solves.append(mu)
+        return solve_ergodic(model, domain, driver, mu, **solve_kw)
+
+    line = _affine_curve(driver, solve_kw)
+    if line is not None:
+        lam0, slope = line
+        if abs(slope) < flat_tol:
+            raise FlatCurve(f"slope {slope:.2e} of the discrete curve; the "
+                            "boundary constant is not identifiable")
+        sol = solve((lambda_target - lam0) / slope)
     else:
-        raise BracketFailure(
-            f"target {lambda_target:.4g} never straddled; last bracket "
-            f"half-width {B / 2:.3g} with curve values "
-            f"[{lam_hi:.4g}, {lam_lo:.4g}]")
-    lo, hi = -B, B
-    sol = None
-    for _ in range(max_bisect):
-        mid = 0.5 * (lo + hi)
-        # the bracket is symmetric, so the first midpoint is the solved mu = 0
-        sol = sol0 if mid == 0.0 else solve_ergodic(model, domain, driver, mid, **solve_kw)
-        if abs(sol.lam - lambda_target) < tol / 2:
-            return sol
-        if sol.lam > lambda_target:
-            lo = mid
+        sol0 = solve(0.0)
+        lam0 = sol0.lam
+        slope = solve(1.0).lam - lam0
+        B = (abs(lambda_target - lam0) + 2 * driver.M_psi) / max(abs(slope), slope_floor)
+        B = max(B, 10 * tol)
+        for _ in range(max_expansions):
+            lam_lo = solve(-B).lam
+            lam_hi = solve(+B).lam
+            if abs(lam_hi - lam_lo) / (2 * B) < flat_tol:
+                raise FlatCurve(
+                    f"sampled slope {(lam_hi - lam_lo) / (2 * B):.2e} over "
+                    f"[-{B:.3g}, {B:.3g}]; the boundary constant is not identifiable")
+            if lam_lo >= lambda_target >= lam_hi:
+                break
+            B *= 2
         else:
-            hi = mid
-        if hi - lo < 1e-13 * max(1.0, B):
-            break
-    if sol is None or abs(sol.lam - lambda_target) > tol:
-        raise NonConvergence("bisection failed to reach the target constant")
+            raise BracketFailure(
+                f"target {lambda_target:.4g} never straddled; last bracket "
+                f"half-width {B / 2:.3g} with curve values "
+                f"[{lam_hi:.4g}, {lam_lo:.4g}]")
+        lo, hi = -B, B
+        sol = sol0
+        for _ in range(max_bisect):
+            mid = 0.5 * (lo + hi)
+            # the bracket is symmetric, so the first midpoint is the solved mu = 0
+            sol = sol0 if mid == 0.0 else solve(mid)
+            if abs(sol.lam - lambda_target) < tol / 2:
+                break
+            if sol.lam > lambda_target:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo < 1e-13 * max(1.0, B):
+                break
+    if abs(sol.lam - lambda_target) > tol:
+        raise NonConvergence("inversion failed to reach the target constant")
+    sol.diagnostics["inversion"] = {
+        "route": "bisection" if line is None else "closed_form",
+        "solves": len(solves), "slope": slope}
     return sol
 
 

@@ -1,9 +1,10 @@
 """Shared fixtures and frozen reference numbers.
 
 The reference constants below were computed once with scipy.integrate.quad
-for the clipped-Gaussian stationary law (U = x^2/2 on [-1, 1], sigma =
-sqrt(2)) and are frozen as literals; a session guard recomputes them at
-import so a quadrature regression cannot silently move the targets.
+for the clipped-Gaussian stationary law (U = x^2/2 on [-1, 1] and
+U = |x|^2/2 on the unit disc, sigma = sqrt(2)) and are frozen as literals;
+a session guard recomputes them at import so a quadrature regression cannot
+silently move the targets.
 """
 import numpy as np
 import pytest
@@ -18,6 +19,10 @@ FOURTH_MOMENT = 0.16450037909117285
 MEAN_COS = 0.8611359463964351
 # stationary boundary flux -E_nu[L phi]  = 1 - SECOND_MOMENT
 FLUX_RATE = 0.7088749052272068
+# the same model on the unit disc (U = |x|^2/2, phi = (1 - |x|^2)/2):
+# E_nu[cos x1] and -E_nu[L phi] = E_nu[2 - |x|^2]
+DISC_MEAN_COS = 0.8898526807096767
+DISC_FLUX_RATE = 1.5414940825367982
 
 
 def _recompute():
@@ -26,6 +31,18 @@ def _recompute():
     m4, _ = integrate.quad(lambda t: t ** 4 * np.exp(-0.5 * t * t) / N, -1, 1)
     mc, _ = integrate.quad(lambda t: np.cos(t) * np.exp(-0.5 * t * t) / N, -1, 1)
     return N, m2, m4, mc
+
+
+def _recompute_disc():
+    """Polar quadrature of the Gibbs law exp(-r^2/2) r dr dth on the disc."""
+    def w(r):
+        return np.exp(-0.5 * r * r) * r
+
+    N = 2 * np.pi * integrate.quad(w, 0, 1)[0]
+    mc = integrate.dblquad(lambda th, r: np.cos(r * np.cos(th)) * w(r),
+                           0, 1, 0, 2 * np.pi)[0] / N
+    flux = 2 * np.pi * integrate.quad(lambda r: (2 - r * r) * w(r), 0, 1)[0] / N
+    return mc, flux
 
 
 def neighbor_lookup(mesh, k, axis, side):
@@ -47,6 +64,9 @@ def oracle_guard():
     assert abs(m4 - FOURTH_MOMENT) < 1e-12
     assert abs(mc - MEAN_COS) < 1e-12
     assert abs((1.0 - m2) - FLUX_RATE) < 1e-12
+    disc_mc, disc_flux = _recompute_disc()
+    assert abs(disc_mc - DISC_MEAN_COS) < 1e-12
+    assert abs(disc_flux - DISC_FLUX_RATE) < 1e-12
 
 
 @pytest.fixture()

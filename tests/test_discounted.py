@@ -202,12 +202,83 @@ def test_operator_matches_node_by_node_assembly(name, domain, model, spacing, ep
     assert_allclose(_rhs(mesh, driver, mu, bordered), rhs_ref, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("bordered", [False, True], ids=["discounted", "bordered"])
+@pytest.mark.parametrize("name,domain,model,spacing,eps", OPERATOR_CASES,
+                         ids=[c[0] for c in OPERATOR_CASES])
+def test_discount_shift_equals_assembly(name, domain, model, spacing, eps, bordered):
+    # each discount is the alpha-free operator with alpha subtracted on the
+    # interior diagonal; the same CSC bits as assembling with alpha
+    ops = discounted.GridOperators(model, domain, spacing)
+    for alpha in (0.0, 0.3, 0.25 * 2.0 ** -7):
+        got = ops.operator(alpha, eps, bordered)
+        want = assemble_operator(ops.mesh, ops.a + 0.5 * eps ** 2, ops.b, alpha,
+                                 bordered)
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, part), getattr(want, part)), part
+    assert len(ops._operators) == 1
+
+
+def test_one_assembly_per_viscosity_level(monkeypatch, interval, std_model, cosdrv):
+    calls = []
+    real = discounted.assemble_operator
+
+    def counting(*args, **kwargs):
+        calls.append(args[3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(discounted, "assemble_operator", counting)
+    sol = solve_ergodic(std_model, interval, cosdrv, 0.5,
+                        scheme="vanishing_discount", spacing=1e-2)
+    assert len(sol.diagnostics["alpha_sequence"]) > 1
+    assert calls == [0.0]
+    calls.clear()
+    ergodic.lambda_of_mu(degenerate_linear_model(), interval, zero_driver(),
+                         [0.0, 1.0], scheme="vanishing_discount", spacing=1e-2)
+    assert calls == [0.0, 0.0]
+
+
+# (name, domain, model, spacing): the tridiagonal LU, the degenerate model
+# at both viscosity levels, and SuperLU on the disc
+MEASURE_CASES = [
+    ("interval", ball_domain(1.0, 1), STD_1D, 1e-2),
+    ("degenerate", ball_domain(1.0, 1), degenerate_linear_model(), 1e-2),
+    ("disc", ball_domain(1.0, 2), STD_2D, 0.1),
+]
+
+
+@pytest.mark.parametrize("name,domain,model,spacing", MEASURE_CASES,
+                         ids=[c[0] for c in MEASURE_CASES])
+def test_adjoint_weights_are_the_invariant_measure(name, domain, model, spacing):
+    # -w on the interior rows is a probability; w.r is the forward lambda.
+    # Measured gaps to a SuperLU forward solve of the same operator: 2.7e-14
+    # (interval), 1.6e-15 (degenerate), 1.1e-15 (disc), relative
+    ops = discounted.GridOperators(model, domain, spacing)
+    mesh, n = ops.mesh, ops.mesh.n_nodes
+    driver = dataclasses.replace(cos_driver(), g=lambda x: 0.2 + float(x[0]))
+    rhs = _rhs(mesh, driver, 0.4, bordered=True)
+    rhs[ops.inner] -= np.cos(mesh.nodes[ops.inner, 0])
+    e = np.zeros(n + 1)
+    e[-1] = 1.0
+    assert len(ops.eps_list) == (2 if name == "degenerate" else 1)
+    for eps in ops.eps_list:
+        w = ops.lu(0.0, eps, True).solve(e, trans="T")
+        measure = -w[ops.inner]
+        assert measure.min() >= 0.0
+        assert abs(measure.sum() - 1.0) <= 1e-12
+        lam = scipy.sparse.linalg.splu(ops.operator(0.0, eps, True)).solve(rhs)[-1]
+        assert abs(w @ rhs - lam) <= 1e-12 * max(1.0, abs(lam))
+    # the extrapolated weights against the extrapolated forward solve
+    x, _ = discounted._grid_solve(ops, driver, 0.0, 0.4, 1e-10, 80, bordered=True)
+    assert abs(ops.weights() @ rhs - x[-1]) <= 1e-12 * max(1.0, abs(x[-1]))
+
+
 def _count_factorisations(monkeypatch):
     """Count factorisations (``discounted._factorise``: splu in 2-d, the
-    tridiagonal LU in 1-d), LU solves, and spsolve calls made by the
-    solvers; ``live_at_factorise`` lists how many earlier LUs are alive at
-    each factorisation."""
-    counts = {"factorisations": 0, "lu_solves": 0, "spsolve": 0, "live_at_factorise": []}
+    tridiagonal LU in 1-d), LU solves, transposed LU solves and spsolve
+    calls made by the solvers; ``live_at_factorise`` lists how many earlier
+    LUs are alive at each factorisation."""
+    counts = {"factorisations": 0, "lu_solves": 0, "adjoint_solves": 0, "spsolve": 0,
+              "live_at_factorise": []}
     live = weakref.WeakSet()
     real_factorise, real_spsolve = discounted._factorise, scipy.sparse.linalg.spsolve
 
@@ -215,9 +286,9 @@ def _count_factorisations(monkeypatch):
         def __init__(self, lu):
             self.lu = lu
 
-        def solve(self, rhs):
-            counts["lu_solves"] += 1
-            return self.lu.solve(rhs)
+        def solve(self, rhs, trans="N"):
+            counts["adjoint_solves" if trans == "T" else "lu_solves"] += 1
+            return self.lu.solve(rhs, trans=trans)
 
     def factorise(mesh, A):
         counts["factorisations"] += 1
@@ -264,6 +335,12 @@ def test_tridiagonal_lu_matches_splu(model, alpha, ref, interval):
         lu = discounted._factorise(mesh, A)
         assert isinstance(lu, discounted._TridiagonalLU) == tridiagonal
         got = lu.solve(rhs)
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+        # the transposed solve, with a non-zero border entry when bordered
+        rhs_t = rhs.copy()
+        rhs_t[-1] += 0.7 * bordered
+        want = scipy.sparse.linalg.splu(A).solve(rhs_t, trans="T")
+        got = lu.solve(rhs_t, trans="T")
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
@@ -320,7 +397,9 @@ def test_one_factorisation_for_a_whole_curve(monkeypatch, interval, std_model, c
                                  spacing=1e-3)
     assert len(curve.lams) == 5
     assert counts["factorisations"] == 1
-    assert counts["lu_solves"] == 5
+    # a z-free driver: the line from one transposed solve, no forward solve
+    assert counts["adjoint_solves"] == 1
+    assert counts["lu_solves"] == 0
 
 
 def test_one_factorisation_per_viscosity_level_for_a_curve(monkeypatch, interval):
@@ -328,6 +407,8 @@ def test_one_factorisation_per_viscosity_level_for_a_curve(monkeypatch, interval
     ergodic.lambda_of_mu(degenerate_linear_model(), interval, zero_driver(),
                          [-1.0, 0.0, 1.0], scheme="direct", spacing=1e-3)
     assert counts["factorisations"] == 2
+    assert counts["adjoint_solves"] == 2
+    assert counts["lu_solves"] == 0
 
 
 def test_one_factorisation_for_an_inversion(monkeypatch, interval, std_model, cosdrv):
@@ -336,7 +417,9 @@ def test_one_factorisation_for_an_inversion(monkeypatch, interval, std_model, co
                                       scheme="direct", spacing=1e-3)
     assert abs(sol.lam - 0.5) < 1e-3
     assert counts["factorisations"] == 1
-    assert counts["lu_solves"] > 3
+    # mu* from one transposed solve, then one confirming forward solve
+    assert counts["adjoint_solves"] == 1
+    assert counts["lu_solves"] == 1
 
 
 def test_vanishing_discount_curve_factorises_each_discount_once(
@@ -397,6 +480,10 @@ def test_handed_in_operators_must_match_the_problem(interval, std_model, cosdrv)
     with pytest.raises(ValueError, match="operators"):
         solve_ergodic(std_model, ball_domain(1.0, 1), cosdrv, 0.3, spacing=1e-2,
                       operators=ops)
+    # the line route of a curve calls no solve_ergodic, and checks them too
+    with pytest.raises(ValueError, match="operators"):
+        ergodic.lambda_of_mu(std_model, interval, cosdrv, [0.0], spacing=2e-2,
+                             operators=ops)
 
 
 def test_vanishing_discount_picard_converges_on_two_control():

@@ -1,11 +1,13 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import conftest as refs
+from ebsde import ergodic
 from ebsde.errors import FlatCurve, NonConvergence
 from ebsde.ergodic import (ErgodicSolution, lambda_of_mu, lambda_time_average,
                            solve_boundary_cost, solve_ergodic)
@@ -74,6 +76,14 @@ def test_unknown_scheme_rejected(interval, std_model, cosdrv):
         solve_ergodic(std_model, interval, cosdrv, 0.0, scheme="vanishing")
 
 
+def test_curve_and_inversion_reject_unknown_keywords(interval, std_model, cosdrv):
+    # the line route calls no solve_ergodic, which used to reject them
+    with pytest.raises(TypeError, match="spacng"):
+        lambda_of_mu(std_model, interval, cosdrv, [0.0], spacng=1e-2)
+    with pytest.raises(TypeError, match="spacng"):
+        solve_boundary_cost(std_model, interval, cosdrv, 0.5, spacng=1e-2)
+
+
 def test_exhausted_discount_sequence_raises_nonconvergence(interval, std_model,
                                                           cosdrv):
     with pytest.raises(NonConvergence):
@@ -87,13 +97,22 @@ def test_round_trip_inversion(interval, std_model, cosdrv):
     sol = solve_boundary_cost(std_model, interval, cosdrv, target, tol=1e-3,
                               scheme="direct", spacing=1e-3)
     assert abs(sol.lam - target) < 1e-3
-    assert abs(sol.mu - 0.7) < 5e-3
+    # closed-form: the adjoint line against a forward solve, 1.9e-13 here
+    assert abs(sol.mu - 0.7) <= 1e-9
 
 
 def test_flat_curve_not_identifiable(interval):
-    with pytest.raises(FlatCurve):
-        solve_boundary_cost(degenerate_linear_model(), interval, zero_driver(),
-                            0.0, tol=1e-3, scheme="direct", spacing=1e-3)
+    model = degenerate_linear_model()
+    kw = {"scheme": "direct", "spacing": 1e-3}
+    with pytest.raises(FlatCurve, match="slope") as exc:
+        solve_boundary_cost(model, interval, zero_driver(), 0.0, tol=1e-3, **kw)
+    # the reported slope is the secant of forward solves over [-0.01, 0.01]
+    # that the bisection's bracket test used (1.17e-9)
+    slope = float(re.search(r"slope (\S+)", str(exc.value)).group(1))
+    lo, hi = (solve_ergodic(model, interval, zero_driver(), m, **kw).lam
+              for m in (-0.01, 0.01))
+    assert abs(slope) < 1e-6
+    assert abs(slope - (hi - lo) / 0.02) <= 1e-2 * abs(slope)
 
 
 def test_time_average_agrees_with_grid_constant(interval, std_model, cosdrv):
@@ -184,6 +203,15 @@ def test_vanishing_discount_builds_one_mesh(monkeypatch, interval, std_model, co
     assert len(calls) == 3
 
 
+# lambda(mu) at mu = -1, 0, 0.5, 2 of the curve below, from the adjoint line
+DIRECT_CURVES = {
+    "interval-direct": [1.5799196655251935, 0.8623960855477835,
+                        0.5036342955590785, -0.5726510744070363],
+    "disc-direct": [2.7930614773594375, 0.9088220488804005,
+                    -0.033297665359118045, -2.859656808077674],
+}
+
+
 @pytest.mark.parametrize("case", ["interval-direct", "disc-direct",
                                   "interval-vanishing-discount"])
 def test_curve_equals_standalone_solves_bit_for_bit(case, interval, std_model,
@@ -197,19 +225,77 @@ def test_curve_equals_standalone_solves_bit_for_bit(case, interval, std_model,
     mus = [-1.0, 0.0, 0.5, 2.0]
     curve = lambda_of_mu(model, domain, cosdrv, mus, **kw)
     alone = [solve_ergodic(model, domain, cosdrv, m, **kw).lam for m in mus]
-    assert list(curve.lams) == alone
+    if kw["scheme"] == "vanishing_discount":
+        assert list(curve.lams) == alone
+        return
+    # the direct curve is the line from the adjoint weights, not a forward
+    # solve per mu: measured gaps 3.4e-14 (interval) and 1.8e-15 (disc)
+    assert np.max(np.abs(curve.lams - alone)) <= 1e-12
+    assert list(curve.lams) == DIRECT_CURVES[case]
 
 
 @pytest.mark.parametrize("scheme,target,mu_star,lam", [
-    ("direct", 0.5, 0.5084649869866689, 0.5003855623875096),
+    ("direct", 0.5, 0.5090082337446556, 0.5000000000003428),
     ("vanishing_discount", 0.5, 0.5047950952702585, 0.5001939383499934),
 ], ids=["direct", "vanishing_discount"])
 def test_inversion_pinned_bit_for_bit(scheme, target, mu_star, lam, interval,
                                       std_model, cosdrv):
-    # recorded with the tridiagonal LU shared across mu; the per-solve
-    # factorisation solves the same systems, so it lands on the same bits
+    # direct: the closed-form mu* of the adjoint line, then one solve;
+    # vanishing discount: the bisection, recorded with the tridiagonal LU
     spacing = 1e-3 if scheme == "direct" else 1e-2
     sol = solve_boundary_cost(std_model, interval, cosdrv, target, tol=1e-3,
                               scheme=scheme, spacing=spacing)
     assert sol.mu == mu_star
     assert sol.lam == lam
+
+
+def test_inversion_reports_its_route(monkeypatch, interval, std_model, cosdrv):
+    kw = {"scheme": "direct", "spacing": 1e-2}
+    lam0, lam1 = lambda_of_mu(std_model, interval, cosdrv, [0.0, 1.0], **kw).lams
+    sol = solve_boundary_cost(std_model, interval, cosdrv, 0.5, tol=1e-3, **kw)
+    inv = sol.diagnostics["inversion"]
+    assert inv["route"] == "closed_form" and inv["solves"] == 1
+    assert lam1 == lam0 + inv["slope"]
+    assert sol.mu == (0.5 - lam0) / inv["slope"]
+    # a driver that declares a z dependence, or the vanishing-discount
+    # scheme, bisects; "solves" counts its solve_ergodic calls
+    calls = []
+    real = ergodic.solve_ergodic
+
+    def counting(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        calls.append((args[3], sol.lam))
+        return sol
+
+    monkeypatch.setattr(ergodic, "solve_ergodic", counting)
+    zdrv = dataclasses.replace(cosdrv, K_psi_z=1.0)
+    for drv, scheme in ((zdrv, "direct"), (cosdrv, "vanishing_discount")):
+        calls.clear()
+        sol = solve_boundary_cost(std_model, interval, drv, 0.5, tol=1e-3,
+                                  scheme=scheme, spacing=1e-2)
+        inv = sol.diagnostics["inversion"]
+        assert inv["route"] == "bisection"
+        assert inv["solves"] == len(calls) > 3
+        # the secant lambda(1) - lambda(0) that sized the first bracket
+        assert [mu for mu, _ in calls[:2]] == [0.0, 1.0]
+        assert inv["slope"] == calls[1][1] - calls[0][1]
+    meta = sol.diagnostics["inversion"]
+    assert json.loads(json.dumps(meta)) == meta
+
+
+def test_disc_curve_converges_at_first_order_to_the_oracle(cosdrv):
+    # lambda(mu) = DISC_MEAN_COS - mu DISC_FLUX_RATE on the unit disc:
+    # lambda(0) and the slope separately, spacings 0.1 -> 0.0125
+    model = kolmogorov_model(quadratic_potential(), dim=2, eta_hint=-1.0)
+    disc = ball_domain(1.0, 2)
+    spacings = 0.1 / 2.0 ** np.arange(4)
+    errs = []
+    for h in spacings:
+        lam0, lam1 = lambda_of_mu(model, disc, cosdrv, [0.0, 1.0],
+                                  scheme="direct", spacing=h).lams
+        errs.append((lam0 - refs.DISC_MEAN_COS, (lam1 - lam0) + refs.DISC_FLUX_RATE))
+    errs = np.abs(errs)
+    assert np.all(errs[:, 0] <= 0.25 * spacings)
+    assert np.all(errs[:, 1] <= 4.0 * spacings)
+    orders = np.log2(errs[:-1] / errs[1:])
+    assert np.all(orders >= 0.9), orders
