@@ -4,7 +4,10 @@
 Solves the long-run problem over a sweep of boundary constants mu for the
 clipped-Gaussian test model with the cosine driver, prints the sampled
 curve with its secant slopes, then recovers the mu matching a target
-long-run cost by bisection and reports the round-trip error.
+long-run cost and reports the round-trip error. The cosine driver does not
+read z, so on the direct scheme the curve is the line lambda(0) + mu slope
+from one transposed solve, and the inversion is closed-form with one
+confirming solve.
 
     python3 scripts/boundary_cost_study.py [--target 0.5] [--grid 1e-3]
 """

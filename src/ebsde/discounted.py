@@ -4,17 +4,22 @@ Solves  (1/2) Tr(sigma sigma^T hess v) + b . grad v + psi(x, grad v sigma)
         - alpha v = 0   inside,
         dv/dn + g = mu  on the boundary (n the inward unit normal),
 
-on structured grids, with upwinded drift, centered diffusion, one-sided
-Neumann rows, and a frozen-gradient Picard iteration for the z dependence
-of the driver. One vectorised assembler builds the sparse operator in any
-dimension; mu and psi enter only the right-hand side, so each operator is
-factorised once per mesh, discount and viscosity level (``GridOperators``)
-and the LU serves every Picard sweep and every mu: LAPACK tridiagonal LU in
-1-d, SuperLU in 2-d. The discount enters only the interior diagonal, so one
-alpha-free operator is assembled per viscosity level and shifted for each
-discount. One transposed solve on the ergodic LU gives the weights of lambda
-as a linear function of the right-hand side (``GridOperators.weights``):
-the discrete invariant measure and the boundary flux. The lambda border of a
+on structured grids, with centered diffusion and a frozen-gradient Picard
+iteration for the z dependence of the driver. In 1-d the scheme is second
+order: the drift is centered where the cell Peclet number is at most 1
+(upwinded elsewhere), and the PDE also holds at the two boundary nodes,
+whose ghost values the centered Neumann condition eliminates (ghost-point
+rows). In 2-d the drift is upwinded and the Neumann rows are one-sided,
+first order. Every row is monotone. One vectorised assembler builds the
+sparse operator in any dimension; mu and psi enter only the right-hand
+side, so each operator is factorised once per mesh, discount and viscosity
+level (``GridOperators``) and the LU serves every Picard sweep and every
+mu: LAPACK tridiagonal LU in 1-d, SuperLU in 2-d. The discount enters only
+the diagonal of the PDE rows, so one alpha-free operator is assembled per
+viscosity level and shifted for each discount. One transposed solve on the
+ergodic LU gives lambda as a linear function of psi and mu - g
+(``GridOperators.weights``): the discrete invariant measure and the
+boundary flux. The lambda border of a
 1-d ergodic operator is removed by swapping the reference node's row for the
 normalization row, which keeps the matrix tridiagonal at the cost of one
 extra solve per factorisation (``_TridiagonalLU``). Degenerate 1-d diffusion
@@ -91,43 +96,73 @@ def assemble_operator(mesh: Mesh, a: np.ndarray, b: np.ndarray, alpha: float,
                       bordered: bool = False) -> sparse.csc_matrix:
     """Sparse operator of the discrete problem, assembled in COO form.
 
-    Interior rows: centered diffusion with coefficients ``a`` (M, d),
-    upwinded drift ``b`` (M, d), minus alpha. Boundary rows: the inward
-    normal derivative, one-sided along each axis on the side the normal
-    points to (the other side when that neighbor is missing). With
-    ``bordered`` the unknown lambda is appended: a -1 column on the
-    interior rows and the normalization row v(x_ref) = 0.
+    PDE rows (every node in 1-d, the interior nodes in 2-d): centered
+    diffusion with coefficients ``a`` (M, d), drift ``b`` (M, d), minus
+    alpha. In 1-d the drift is centered
+    where the cell Peclet number |b| h / (2a) is at most 1 and upwinded
+    elsewhere; in 2-d it is upwinded.
+
+    Boundary rows in 1-d: the PDE at the boundary node, whose ghost value
+    the centered Neumann condition eliminates: (2a/h^2)(v_nbr - v_0) -
+    alpha v_0, with (2a/h - b.n)(mu - g) on the right-hand side (n the
+    inward normal, ``GridOperators.neumann_scale``). Where the inward drift
+    has b.n h / (2a) > 1 it is upwinded instead, which adds
+    (b.n/h)(v_nbr - v_0) and leaves (2a/h)(mu - g). Every 1-d row is then
+    monotone, and mu enters with a positive weight. Boundary rows in 2-d:
+    the inward normal derivative, one-sided along each axis on the side the
+    normal points to (the other side when that neighbor is missing).
+
+    With ``bordered`` the unknown lambda is appended: a -1 column on the
+    PDE rows and the normalization row v(x_ref) = 0.
     """
     n, d = a.shape
     h = mesh.spacing
     nb = mesh.neighbors
     inner = np.nonzero(~mesh.boundary)[0]
     ai, bi = a[inner], b[inner]
-    up, down = np.maximum(bi, 0.0) / h, np.maximum(-bi, 0.0) / h
+    centred = (d == 1) & (np.abs(bi) * h <= 2 * ai)
+    up = np.where(centred, 0.5 * bi, np.maximum(bi, 0.0)) / h
+    down = np.where(centred, -0.5 * bi, np.maximum(-bi, 0.0)) / h
     rows = [inner, np.repeat(inner, d), np.repeat(inner, d)]
     cols = [inner, nb[inner, :, 1].ravel(), nb[inner, :, 0].ravel()]
     vals = [-alpha - (2 * ai / h ** 2 + up + down).sum(axis=1),
             (ai / h ** 2 + up).ravel(), (ai / h ** 2 + down).ravel()]
     bnd = np.nonzero(mesh.boundary)[0]
-    normal = mesh.boundary_normals()
-    axes = np.arange(d)
-    side = (normal >= 0).astype(int)            # 1: the +1 neighbor
-    j = nb[bnd[:, None], axes, side]
-    side = np.where(j < 0, 1 - side, side)
-    j = nb[bnd[:, None], axes, side]
-    coef = np.where(j >= 0, normal * (2 * side - 1) / h, 0.0)
-    rows += [np.repeat(bnd, d), bnd]
-    cols += [j.ravel(), bnd]
-    vals += [coef.ravel(), -coef.sum(axis=1)]
+    if d == 1:
+        bn, exact = _boundary_drift(mesh, a, b)
+        coef = 2 * a[bnd, 0] / h ** 2 + np.where(exact, 0.0, bn / h)
+        rows += [bnd, bnd]
+        cols += [nb[bnd, 0].max(axis=1), bnd]
+        vals += [coef, -alpha - coef]
+    else:
+        normal = mesh.boundary_normals()
+        axes = np.arange(d)
+        side = (normal >= 0).astype(int)            # 1: the +1 neighbor
+        j = nb[bnd[:, None], axes, side]
+        side = np.where(j < 0, 1 - side, side)
+        j = nb[bnd[:, None], axes, side]
+        coef = np.where(j >= 0, normal * (2 * side - 1) / h, 0.0)
+        rows += [np.repeat(bnd, d), bnd]
+        cols += [j.ravel(), bnd]
+        vals += [coef.ravel(), -coef.sum(axis=1)]
     if bordered:
-        rows += [inner, [n]]
-        cols += [np.full(len(inner), n), [mesh.ref_index()]]
-        vals += [np.full(len(inner), -1.0), [1.0]]
+        pde = [inner, bnd] if d == 1 else [inner]
+        rows += pde + [[n]]
+        cols += [np.full(len(r), n) for r in pde] + [[mesh.ref_index()]]
+        vals += [np.full(len(r), -1.0) for r in pde] + [[1.0]]
     rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
     keep = cols >= 0
     size = n + bordered
     return sparse.coo_matrix((vals[keep], (rows[keep], cols[keep])),
                              shape=(size, size)).tocsc()
+
+
+def _boundary_drift(mesh: Mesh, a: np.ndarray, b: np.ndarray):
+    """b.n at the 1-d boundary nodes (n the inward normal), and whether the
+    ghost-point row takes that drift from the Neumann condition (b.n h / (2a)
+    at most 1) rather than upwinding it."""
+    bn = b[mesh.boundary, 0] * mesh.boundary_normals()[:, 0]
+    return bn, bn * mesh.spacing <= 2 * a[mesh.boundary, 0]
 
 
 # normwise backward error above which a bordered 1-d operator goes to
@@ -234,26 +269,44 @@ def _factorise(mesh: Mesh, A: sparse.csc_matrix):
     return splu(A)
 
 
-def _rhs(mesh: Mesh, driver: DriverSpec, mu: float, bordered: bool = False) -> np.ndarray:
-    """Right-hand side before psi: mu - g on the boundary rows, 0 elsewhere."""
+def _factoriser(mesh: Mesh, lu) -> str:
+    """Name of the factorisation ``_factorise`` returned."""
+    if isinstance(lu, _TridiagonalLU):
+        return "lapack_tridiagonal"
+    return "superlu_handover" if mesh.domain.dim == 1 else "superlu"
+
+
+def _rhs(ops: GridOperators, driver: DriverSpec, mu: float, eps: float,
+         bordered: bool = False) -> np.ndarray:
+    """Right-hand side before psi at viscosity level eps: (mu - g) times
+    ``GridOperators.neumann_scale`` on the boundary rows, 0 elsewhere."""
+    mesh = ops.mesh
+    g = np.array([driver.g_at(p) for p in mesh.nodes[mesh.boundary]])
     rhs = np.zeros(mesh.n_nodes + bordered)
-    rhs[:mesh.n_nodes][mesh.boundary] = [mu - driver.g_at(p)
-                                         for p in mesh.nodes[mesh.boundary]]
+    rhs[:mesh.n_nodes][mesh.boundary] = ops.neumann_scale(eps) * (mu - g)
     return rhs
 
 
+def _extrapolate(xs: list):
+    """Linear extrapolation to eps = 0 from the levels (h, h/2), or the one
+    level."""
+    return 2 * xs[1] - xs[0] if len(xs) == 2 else xs[0]
+
+
 def _picard(ops: GridOperators, driver: DriverSpec, linear_solve, tol: float,
-            max_sweeps: int) -> np.ndarray:
+            max_sweeps: int):
     """Frozen-gradient fixed point: repeat linear solves with psi at the
     previous sweep's z field until the sup-norm update of the node values
     relative to the reference node stalls below tol. The frozen z reads
     gradients only, so the constant part of the values (about lambda/alpha
     in a discounted solve) is left out of the test. ``linear_solve``
-    returns the unknowns, nodes first."""
+    returns the unknowns, nodes first. Returns the unknowns, the number of
+    linear solves, the last update (None for a driver that does not read
+    z, solved in one linear solve) and the number of damped sweeps."""
     mesh, n, ref = ops.mesh, ops.mesh.n_nodes, ops.ref
     nodes = mesh.nodes
     if driver.K_psi_z == 0.0:
-        return linear_solve(driver.psi_at(nodes, np.zeros_like(nodes)))
+        return linear_solve(driver.psi_at(nodes, np.zeros_like(nodes))), 1, None, 0
 
     def update(x_new, x):
         step = x_new[:n] - x[:n]
@@ -261,6 +314,7 @@ def _picard(ops: GridOperators, driver: DriverSpec, linear_solve, tol: float,
 
     x = np.zeros(n)
     delta_prev = np.inf
+    damped = 0
     for sweep in range(max_sweeps):
         Z = np.einsum("nd,nde->ne", GridFunction(mesh, x[:n]).gradient(), ops.sig)
         x_new = linear_solve(driver.psi_at(nodes, Z))
@@ -268,8 +322,9 @@ def _picard(ops: GridOperators, driver: DriverSpec, linear_solve, tol: float,
         if delta > delta_prev:
             x_new = 0.5 * (x_new + x)   # damp oscillating sweeps
             delta = update(x_new, x)
+            damped += 1
         if delta < tol:
-            return x_new
+            return x_new, sweep + 1, delta, damped
         x, delta_prev = x_new, delta
     raise PicardDiverged(
         f"gradient fixed point did not stall below {tol:.1e} in {max_sweeps} "
@@ -287,17 +342,17 @@ class GridOperators:
     one alpha-free operator per (eps, bordered), and one LU per (alpha, eps,
     bordered), factorised the first time that key is used: LAPACK
     tridiagonal LU in 1-d, SuperLU in 2-d. The discount enters only the
-    interior diagonal, so each alpha takes a copy of the alpha-free operator
-    with alpha subtracted there, the same bits as assembling it with alpha.
-    A 1-d lambda border is removed by one row swap, the reference node's
-    row giving way to the normalization row (``_TridiagonalLU``). mu and
-    psi enter only the right-hand side, so one instance serves every mu of
-    a curve or an inversion, and ``weights`` gives lambda for all of them
-    from one transposed solve; it lives as long as its caller keeps it. A
-    single solve never asks twice for one key, so it passes
-    ``keep_lus=False``: each LU is then freed after its solve, as a kept LU
-    per discount level would raise the peak memory of a vanishing-discount
-    solve for no reuse.
+    diagonal of the PDE rows (``pde``), so each alpha takes a copy of the
+    alpha-free operator with alpha subtracted there, the same bits as
+    assembling it with alpha. A 1-d lambda border is removed by one row
+    swap, the reference node's row giving way to the normalization row
+    (``_TridiagonalLU``). mu and psi enter only the right-hand side, so one
+    instance serves every mu of a curve or an inversion, and ``weights``
+    gives lambda for all of them from one transposed solve; it lives as
+    long as its caller keeps it. A single solve never asks twice for one
+    key, so it passes ``keep_lus=False``: each LU is then freed after its
+    solve, as a kept LU per discount level would raise the peak memory of a
+    vanishing-discount solve for no reuse.
     """
 
     def __init__(self, model: SdeModel, domain: DomainSpec, spacing: float = 1e-3,
@@ -312,11 +367,14 @@ class GridOperators:
         use_visc = domain.dim == 1 and (
             viscosity == "force" or (viscosity == "auto" and _needs_viscosity(self.a, h)))
         self.eps_list = [h, h / 2] if use_visc else [0.0]
-        self.inner = np.nonzero(~self.mesh.boundary)[0]
+        # rows that hold the PDE, where psi, lambda and alpha enter
+        self.pde = (np.arange(self.mesh.n_nodes) if domain.dim == 1
+                    else np.nonzero(~self.mesh.boundary)[0])
         self.ref = self.mesh.ref_index()
         self.keep_lus = keep_lus
         self._lus: dict = {}
         self._operators: dict = {}
+        self._neumann: dict = {}
 
     def check(self, model: SdeModel, domain: DomainSpec, spacing: float,
               viscosity: str) -> None:
@@ -335,9 +393,9 @@ class GridOperators:
             A = assemble_operator(self.mesh, self.a + 0.5 * eps ** 2, self.b, 0.0,
                                   bordered)
             col = np.repeat(np.arange(A.shape[1]), np.diff(A.indptr))
-            inner = np.zeros(A.shape[0], bool)
-            inner[self.inner] = True
-            base = A, np.flatnonzero((A.indices == col) & inner[A.indices])
+            pde = np.zeros(A.shape[0], bool)
+            pde[self.pde] = True
+            base = A, np.flatnonzero((A.indices == col) & pde[A.indices])
             self._operators[(eps, bordered)] = base
         A, diagonal = base
         if alpha == 0.0:
@@ -345,6 +403,22 @@ class GridOperators:
         A = A.copy()
         A.data[diagonal] -= alpha
         return A
+
+    def neumann_scale(self, eps: float) -> np.ndarray:
+        """d r / d mu on the boundary rows of the operator at viscosity
+        level eps: in 1-d 2a/h - b.n, or 2a/h where the inward drift is
+        upwinded; 1 in 2-d. Computed once per eps."""
+        scale = self._neumann.get(eps)
+        if scale is None:
+            mesh = self.mesh
+            if mesh.domain.dim > 1:
+                scale = np.ones(int(mesh.boundary.sum()))
+            else:
+                a = self.a + 0.5 * eps ** 2
+                bn, exact = _boundary_drift(mesh, a, self.b)
+                scale = 2 * a[mesh.boundary, 0] / mesh.spacing - np.where(exact, bn, 0.0)
+            self._neumann[eps] = scale
+        return scale
 
     def lu(self, alpha: float, eps: float, bordered: bool):
         key = (alpha, eps, bordered)
@@ -355,35 +429,54 @@ class GridOperators:
                 self._lus[key] = lu
         return lu
 
-    def weights(self) -> np.ndarray:
-        """Adjoint weights w of the bordered ergodic operator: lambda = w.r
-        for every right-hand side r of a direct solve, from one transposed
-        solve per viscosity level, extrapolated like the solutions. On the
-        interior rows -w is the discrete invariant measure (mass 1), and
-        the sum of w over the boundary rows is d lambda / d mu."""
-        e = np.zeros(self.mesh.n_nodes + 1)
+    def weights(self):
+        """(measure, flux) with lambda = measure.psi + flux.(mu - g) for
+        every z-free driver psi and boundary cost g of a direct solve.
+
+        One transposed solve of the bordered ergodic operator per viscosity
+        level gives weights w with lambda = w.r; both parts are extrapolated
+        like the solutions. -w on the PDE rows is the discrete invariant
+        measure (mass 1), on every node in 1-d and on the interior in 2-d;
+        the flux is w times d r / d mu on the boundary nodes, and its sum
+        is d lambda / d mu."""
+        n = self.mesh.n_nodes
+        e = np.zeros(n + 1)
         e[-1] = 1.0
         ws = [self.lu(0.0, eps, True).solve(e, trans="T") for eps in self.eps_list]
-        return 2 * ws[1] - ws[0] if len(ws) == 2 else ws[0]
+        measure = np.zeros(n)
+        measure[self.pde] = -_extrapolate(ws)[self.pde]
+        flux = _extrapolate([w[:n][self.mesh.boundary] * self.neumann_scale(eps)
+                             for w, eps in zip(ws, self.eps_list)])
+        return measure, flux
 
 
 def _grid_solve(ops: GridOperators, driver: DriverSpec, alpha: float, mu: float,
                 tol: float, max_sweeps: int, bordered: bool = False):
     """Unknowns of the discrete problem (node values, then lambda when
-    ``bordered``) and the viscosity levels used."""
-    rhs = _rhs(ops.mesh, driver, mu, bordered)
+    ``bordered``), extrapolated over the viscosity levels, and a record of
+    the solve: the viscosity levels, the factoriser of each level
+    (``_factoriser``), the linear solves and damped sweeps summed over the
+    levels and the largest final Picard update."""
     sols = []
+    record = {"viscosity_eps": ops.eps_list, "factorisers": [], "picard_sweeps": 0,
+              "picard_update": None, "damping_events": 0}
     for eps in ops.eps_list:
         lu = ops.lu(alpha, eps, bordered)
+        rhs = _rhs(ops, driver, mu, eps, bordered)
 
-        def linear_solve(pv, lu=lu):
+        def linear_solve(pv, lu=lu, rhs=rhs):
             r = rhs.copy()
-            r[ops.inner] -= pv[ops.inner]
+            r[ops.pde] -= pv[ops.pde]
             return lu.solve(r)
 
-        sols.append(_picard(ops, driver, linear_solve, tol, max_sweeps))
-    x = 2 * sols[1] - sols[0] if len(sols) == 2 else sols[0]
-    return x, ops.eps_list
+        x, sweeps, update, damped = _picard(ops, driver, linear_solve, tol, max_sweeps)
+        sols.append(x)
+        record["factorisers"].append(_factoriser(ops.mesh, lu))
+        record["picard_sweeps"] += sweeps
+        record["damping_events"] += damped
+        if update is not None:
+            record["picard_update"] = max(update, record["picard_update"] or 0.0)
+    return _extrapolate(sols), record
 
 
 def solve_discounted(model: SdeModel, domain: DomainSpec, driver: DriverSpec,

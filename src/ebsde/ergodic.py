@@ -30,7 +30,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from . import dynamics, hypotheses
-from .discounted import DriverSpec, GridOperators, _grid_solve, _rhs
+from .discounted import DriverSpec, GridOperators, _grid_solve
 from .dynamics import SdeModel
 from .errors import BracketFailure, FlatCurve, NonConvergence, SchemeMismatch
 from .geometry import DomainSpec
@@ -144,11 +144,15 @@ def solve_ergodic(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
                                      keep_lus=False)
     ops.check(model, domain, spacing, viscosity)
     mesh = ops.mesh
-    diagnostics: Dict = {"scheme": scheme, "spacing": mesh.spacing}
+    diagnostics: Dict = {"scheme": scheme, "spacing": mesh.spacing,
+                         "boundary_rows": "ghost_point" if mesh.domain.dim == 1
+                         else "one_sided"}
+    records = []
     v_dir = lam_dir = None
     if scheme in ("direct", "both"):
-        x, diagnostics["viscosity_eps"] = _grid_solve(
-            ops, driver, 0.0, mu, picard_tol, max_sweeps, bordered=True)
+        x, record = _grid_solve(ops, driver, 0.0, mu, picard_tol, max_sweeps,
+                                bordered=True)
+        records.append(record)
         v_dir = x[:-1] - x[ops.ref]
         lam_dir = float(x[-1])
         diagnostics["lambda_direct"] = lam_dir
@@ -158,7 +162,8 @@ def solve_ergodic(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
         seq = []
         lam_prev = None
         for k in range(max_halvings):
-            vals, _ = _grid_solve(ops, driver, alpha, mu, picard_tol, max_sweeps)
+            vals, record = _grid_solve(ops, driver, alpha, mu, picard_tol, max_sweeps)
+            records.append(record)
             lam_k = alpha * vals[ops.ref]
             seq.append((alpha, lam_k))
             if lam_prev is not None and abs(lam_k - lam_prev) < tol / 2:
@@ -173,6 +178,7 @@ def solve_ergodic(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
         diagnostics["alpha_sequence"] = [a for a, _ in seq]
         diagnostics["lambda_vd"] = lam_vd
         diagnostics["extrapolation_gap"] = abs(lam_k - lam_prev)
+    diagnostics.update(_solve_record(records))
     if scheme == "both":
         if abs(lam_dir - lam_vd) > 5 * tol:
             raise SchemeMismatch(
@@ -187,6 +193,18 @@ def solve_ergodic(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
     zeta = np.einsum("nd,nde->ne", GridFunction(mesh, v).gradient(), ops.sig)
     return ErgodicSolution(GridFunction(mesh, v), zeta, float(lam), float(mu),
                            diagnostics)
+
+
+def _solve_record(records: list) -> Dict:
+    """What the grid solves of one ``solve_ergodic`` did: the viscosity
+    levels, each factoriser that ran, the linear solves and damped Picard
+    sweeps in total, and the final update of the last solve (None when the
+    driver does not read z)."""
+    return {"viscosity_eps": records[-1]["viscosity_eps"],
+            "factorisers": sorted({f for r in records for f in r["factorisers"]}),
+            "picard_sweeps": sum(r["picard_sweeps"] for r in records),
+            "picard_update": records[-1]["picard_update"],
+            "damping_events": sum(r["damping_events"] for r in records)}
 
 
 _SOLVE_SIGNATURE = inspect.signature(solve_ergodic)
@@ -210,16 +228,17 @@ def _shared_operators(model: SdeModel, domain: DomainSpec, solve_kw: Dict) -> Di
 def _affine_curve(driver: DriverSpec, solve_kw: Dict):
     """(lambda(0), d lambda / d mu) of the direct scheme, or None when the
     curve is not a line: a driver that reads z, or another scheme. One
-    transposed solve gives the weights w of lambda = w.r, and the right-hand
-    side is affine in mu, mu on the boundary rows."""
+    transposed solve per viscosity level gives lambda = measure.psi +
+    flux.(mu - g) (``GridOperators.weights``): the slope is w.dr/dmu, the
+    flux summed over the boundary nodes."""
     if driver.K_psi_z != 0.0 or solve_kw["scheme"] != "direct":
         return None
     ops = solve_kw["operators"]
-    mesh = ops.mesh
-    w = ops.weights()
-    r = _rhs(mesh, driver, 0.0, bordered=True)
-    r[ops.inner] -= driver.psi_at(mesh.nodes, np.zeros_like(mesh.nodes))[ops.inner]
-    return float(w @ r), float(w[:-1][mesh.boundary].sum())
+    nodes = ops.mesh.nodes
+    measure, flux = ops.weights()
+    g = np.array([driver.g_at(p) for p in nodes[ops.mesh.boundary]])
+    psi = driver.psi_at(nodes, np.zeros_like(nodes))
+    return float(measure @ psi - flux @ g), float(flux.sum())
 
 
 def lambda_of_mu(model: SdeModel, domain: DomainSpec, driver: DriverSpec,

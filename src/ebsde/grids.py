@@ -55,9 +55,14 @@ class Mesh:
         return int(np.argmin(d2))
 
     def boundary_normals(self) -> np.ndarray:
-        """Unit inward normals grad phi / |grad phi| at the boundary nodes."""
-        G = np.array([self.domain.grad_phi(p) for p in self.nodes[self.boundary]],
-                     dtype=float).reshape(-1, self.domain.dim)
+        """Unit inward normals grad phi / |grad phi| at the boundary nodes,
+        batched through ``grad_phi_vec`` when the domain has it."""
+        dom, P = self.domain, self.nodes[self.boundary]
+        if dom.grad_phi_vec is not None:
+            G = np.asarray(dom.grad_phi_vec(P), dtype=float)
+        else:
+            G = np.array([dom.grad_phi(p) for p in P], dtype=float)
+        G = G.reshape(-1, dom.dim)
         return G / np.linalg.norm(G, axis=1, keepdims=True)
 
 
@@ -73,6 +78,8 @@ def build_mesh(domain: DomainSpec, spacing: float) -> Mesh:
     pts = np.stack([m.ravel() for m in mesh], axis=1)
     if domain.dim == 1:   # the bounding interval is the closure
         inside = np.ones(len(pts), bool)
+    elif domain.phi_vec is not None:
+        inside = domain.phi_vec(pts) >= -domain.boundary_tol
     else:
         inside = np.array([domain.phi(p) >= -domain.boundary_tol for p in pts])
     flat = np.nonzero(inside)[0]
@@ -95,8 +102,9 @@ class GridFunction:
     """Scalar values on a mesh with difference-quotient gradients.
 
     The gradient uses centered differences where both neighbors exist and
-    one-sided differences at boundary nodes, matching the discrete Neumann
-    rows of the solvers.
+    one-sided differences at boundary nodes. These match the solvers' 2-d
+    Neumann rows; the 1-d rows take v' at a boundary node from the Neumann
+    condition instead.
     """
 
     mesh: Mesh

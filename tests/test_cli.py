@@ -71,6 +71,19 @@ def test_outputs_are_byte_deterministic(tmp_path):
     assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
 
 
+def test_solution_json_is_byte_deterministic(tmp_path):
+    # the solve diagnostics hold counts and updates, no wall-clock time
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert cli.main(["solve", "--config", str(CONFIGS / "two_control.json"),
+                         "--out-dir", str(out)]) == 0
+    a, b = ((out / "solution.json").read_bytes() for out in outs)
+    assert a == b
+    diag = json.loads(a)["diagnostics"]
+    assert diag["boundary_rows"] == "ghost_point"
+    assert diag["picard_sweeps"] > 1
+
+
 def test_verify_subcommand(tmp_path):
     rc = cli.main(["verify", "--config", str(CONFIGS / "interval_cos.json"),
                    "--paths", "80", "--horizon", "2", "--out-dir",

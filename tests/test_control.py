@@ -173,16 +173,17 @@ def test_control_table_bound_validated():
 # Recorded from the masked per-control accumulation that the table gather
 # replaced (state-sign and girsanov from the per-step table builds that the
 # shared table replaced); on the interval every path is bit-identical, so ==
-# holds. The J costs read lambda, re-recorded with the tridiagonal LU.
+# holds. The J costs read lambda and the feedback and threshold rules read
+# zeta, re-recorded with the 1-d ghost-point boundary rows.
 GOLDEN_COSTS = {
-    "feedback": (0.39419888208314835, 0.02982544720805399,
-                 0.13147011553832724, 0.03505651658052747),
+    "feedback": (0.39408067870894564, 0.02975499918781796,
+                 0.1299427236445881, 0.03464243356417318),
     "constant": (0.38885993012951936, 0.029450632702548718,
-                 0.12794937268107823, 0.03563891768271835),
-    "threshold": (0.39124229563466506, 0.026479961892247845,
-                  0.1218921268124947, 0.03847363853901056),
+                 0.12649524983560084, 0.03521714119206948),
+    "threshold": (0.39126097609008736, 0.026483441467092594,
+                  0.12019484380612128, 0.037951638863131104),
     "state-sign": (0.39394068064330934, 0.03205281081687299,
-                   0.13463717944454381, 0.03633190830688594),
+                   0.13329161896691125, 0.03594575225401525),
     "girsanov-constant": {
         "mean_weight": 1.0009361120184572, "mean_weight_stderr": 0.04291887815515035,
         "effective_sample_size": 15.570582127960185,
@@ -190,11 +191,11 @@ GOLDEN_COSTS = {
         "I_tilted": 0.2930683081268326, "I_tilted_stderr": 0.05888197747776342,
         "agreement_gap": 0.11435199600121349, "combined_stderr": 0.07131050144179668},
     "girsanov-feedback": {
-        "mean_weight": 0.9803359499101182, "mean_weight_stderr": 0.039760020793829086,
-        "effective_sample_size": 15.614726629565473,
-        "I_reweighted": 0.3968943638869487, "I_reweighted_stderr": 0.034827729461235545,
-        "I_tilted": 0.2807120610267605, "I_tilted_stderr": 0.06055908271058846,
-        "agreement_gap": 0.11618230286018821, "combined_stderr": 0.06985966817966507},
+        "mean_weight": 0.9782297099440029, "mean_weight_stderr": 0.04085383926921927,
+        "effective_sample_size": 15.592076000982615,
+        "I_reweighted": 0.3964086704465045, "I_reweighted_stderr": 0.03538301558806789,
+        "I_tilted": 0.28048254511840676, "I_tilted_stderr": 0.060517020018069856,
+        "agreement_gap": 0.11592612532809776, "combined_stderr": 0.07010183666618816},
 }
 
 
@@ -202,7 +203,7 @@ def test_costs_pinned_bit_for_bit(interval, std_model):
     prob = two_control_problem()
     sol = solve_ergodic(std_model, interval, induced_driver(prob), 0.2,
                         spacing=1e-2)
-    assert sol.lam == 0.3483263457535419
+    assert sol.lam == 0.3501302823219418
     policies = {
         "feedback": feedback_policy(prob, sol),
         "constant": policy_from_json({"kind": "constant", "index": 1}, prob, sol),
@@ -254,21 +255,21 @@ def test_constant_policy_with_state_dependent_sigma_pinned(interval):
 
 def test_costs_with_boundary_cost_pinned_bit_for_bit(interval, std_model):
     # a non-zero g, recorded from the boundary cost of the control layer,
-    # lambda from the tridiagonal LU; ==
+    # lambda from the 1-d ghost-point boundary rows; ==
     prob = dataclasses.replace(two_control_problem(),
                                g=lambda x: 0.2 * float(x[0]) ** 2 + 0.05)
     sol = solve_ergodic(std_model, interval, induced_driver(prob), 0.2,
                         spacing=1e-2)
-    assert sol.lam == 0.5076415110250386
+    assert sol.lam == 0.5071347709845135
     I = cost_I(std_model, interval, prob, feedback_policy(prob, sol), 0.2, 0.4,
                1e-3, 16, seed=3)
     assert I.horizon_values == {
         0.1: (0.48867185576779626, 0.007804701447347531),
-        0.2: (0.48496530878480787, 0.005708786432141441),
-        0.4: (0.48632460976698777, 0.005670257290447265)}
+        0.2: (0.48497030611091585, 0.005708574658161336),
+        0.4: (0.4863279864914597, 0.0056707703597660575)}
     J = cost_J(std_model, interval, prob, Policy.constant(1), sol.lam, 0.4,
                1e-3, 16, seed=4)
-    assert (J.value, J.stderr) == (0.2320417103774574, 0.010892456598489806)
+    assert (J.value, J.stderr) == (0.2324501849782573, 0.010840861989744453)
     out = girsanov_weight_check(std_model, interval, prob, Policy.constant(0),
                                 T=0.4, h=1e-3, paths=16, seed=7, mu=0.2)
     assert out == {

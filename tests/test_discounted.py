@@ -13,12 +13,13 @@ from ebsde import discounted, ergodic
 from ebsde.discounted import (DriverSpec, _coefficients, _rhs, assemble_operator,
                               lipschitz_diagnostic, solve_discounted)
 from ebsde.dynamics import SdeModel
+from ebsde.errors import FlatCurve
 from ebsde.geometry import (DomainSpec, ball_domain, quadratic_domain,
                             quartic_interval_domain)
 from ebsde.ergodic import solve_ergodic
 from ebsde.grids import build_mesh
 from ebsde.presets import (assemble_config, constant_driver, cos_driver,
-                           degenerate_linear_model, kolmogorov_model,
+                           degenerate_linear_model, kolmogorov_model, ou_model,
                            quadratic_potential, zero_driver)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -103,25 +104,39 @@ def test_off_diagonal_diffusion_rejected_in_2d():
 
 def _reference_problem(mesh, model, driver, alpha, mu, eps, bordered):
     """Dense operator and right-hand side assembled node by node: banded
-    rows on the interval, five-point rows with one-sided normal rows in
-    the plane, then the lambda column on psi rows and v(x_ref) = 0."""
+    rows on the interval, the PDE on every node with the ghost value of an
+    end node eliminated by the centered Neumann condition; five-point rows
+    with one-sided normal rows in the plane; then the lambda column on psi
+    rows and v(x_ref) = 0."""
     n, h = mesh.n_nodes, mesh.spacing
     A = np.zeros((n + bordered, n + bordered))
     rhs = np.zeros(n + bordered)
     psi_rows = np.zeros(n, bool)
     if mesh.domain.dim == 1:
         x = mesh.nodes[:, 0]
-        for i in range(1, n - 1):
+        for i in range(n):
             a = 0.5 * float(np.atleast_2d(model.sigma(x[i:i + 1]))[0, 0] ** 2) \
                 + 0.5 * eps ** 2
             b = float(np.atleast_1d(model.b(x[i:i + 1]))[0])
-            A[i, i] = -2 * a / h ** 2 - alpha + (-b if b >= 0 else b) / h
-            A[i, i + 1] = a / h ** 2 + (b if b >= 0 else 0.0) / h
-            A[i, i - 1] = a / h ** 2 + (0.0 if b >= 0 else -b) / h
             psi_rows[i] = True
-        A[0, 0], A[0, 1], rhs[0] = -1 / h, 1 / h, mu - driver.g_at(x[0])
-        A[n - 1, n - 1], A[n - 1, n - 2] = -1 / h, 1 / h
-        rhs[n - 1] = mu - driver.g_at(x[-1])
+            if i in (0, n - 1):
+                # v'(x_i) = n (mu - g) with the inward normal n = +1 / -1;
+                # an inward drift with b n h > 2a is upwinded instead
+                nvec, nbr = (1.0, 1) if i == 0 else (-1.0, n - 2)
+                bn = b * nvec
+                c = 2 * a / h ** 2 + (bn / h if bn * h > 2 * a else 0.0)
+                A[i, i] = -c - alpha
+                A[i, nbr] = c
+                drift = 0.0 if bn * h > 2 * a else bn
+                rhs[i] = (2 * a / h - drift) * (mu - driver.g_at(x[i]))
+            elif abs(b) * h <= 2 * a:     # cell Peclet number at most 1
+                A[i, i] = -2 * a / h ** 2 - alpha
+                A[i, i + 1] = a / h ** 2 + b / (2 * h)
+                A[i, i - 1] = a / h ** 2 - b / (2 * h)
+            else:
+                A[i, i] = -2 * a / h ** 2 - alpha + (-b if b >= 0 else b) / h
+                A[i, i + 1] = a / h ** 2 + (b if b >= 0 else 0.0) / h
+                A[i, i - 1] = a / h ** 2 + (0.0 if b >= 0 else -b) / h
     else:
         for k in range(n):
             p = mesh.nodes[k]
@@ -175,8 +190,11 @@ def _disc_with_constant_normal():
 
 STD_1D = kolmogorov_model(quadratic_potential(), eta_hint=-1.0)
 STD_2D = kolmogorov_model(quadratic_potential(), dim=2, eta_hint=-1.0)
+# cell Peclet number 25 |x| h: above 1 on the rows |x| > 0.8 at h = 0.05
+STEEP_1D = kolmogorov_model(quadratic_potential(50.0), eta_hint=-50.0)
 OPERATOR_CASES = [
     ("ball", ball_domain(1.0, 1), STD_1D, 1e-2, 0.0),
+    ("steep", ball_domain(1.0, 1), STEEP_1D, 0.05, 0.0),
     ("ball-viscous", ball_domain(1.0, 1), STD_1D, 1e-2, 1e-2),
     ("quartic", quartic_interval_domain(), STD_1D, 1e-2, 0.0),
     ("quartic-viscous", quartic_interval_domain(), STD_1D, 1e-2, 1e-2),
@@ -194,12 +212,13 @@ def test_operator_matches_node_by_node_assembly(name, domain, model, spacing, ep
                                                 bordered):
     driver = dataclasses.replace(cos_driver(), g=lambda x: 0.2 + float(x[0]))
     alpha, mu = (0.0, 0.4) if bordered else (0.3, 0.4)
-    mesh = build_mesh(domain, spacing)
+    ops = discounted.GridOperators(model, domain, spacing)
+    mesh = ops.mesh
     _, a, b = _coefficients(mesh, model)
     A = assemble_operator(mesh, a + 0.5 * eps ** 2, b, alpha, bordered).toarray()
     A_ref, rhs_ref = _reference_problem(mesh, model, driver, alpha, mu, eps, bordered)
     assert_allclose(A, A_ref, rtol=1e-12, atol=0)
-    assert_allclose(_rhs(mesh, driver, mu, bordered), rhs_ref, rtol=1e-12, atol=0)
+    assert_allclose(_rhs(ops, driver, mu, eps, bordered), rhs_ref, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("bordered", [False, True], ids=["discounted", "bordered"])
@@ -249,27 +268,83 @@ MEASURE_CASES = [
 @pytest.mark.parametrize("name,domain,model,spacing", MEASURE_CASES,
                          ids=[c[0] for c in MEASURE_CASES])
 def test_adjoint_weights_are_the_invariant_measure(name, domain, model, spacing):
-    # -w on the interior rows is a probability; w.r is the forward lambda.
-    # Measured gaps to a SuperLU forward solve of the same operator: 2.7e-14
-    # (interval), 1.6e-15 (degenerate), 1.1e-15 (disc), relative
+    # -w on the PDE rows is a probability; w.r is the forward lambda.
+    # Measured gaps to a SuperLU forward solve of the same operator: 2.2e-15
+    # (interval), 3.3e-16 (degenerate), 2.2e-16 (disc), relative
     ops = discounted.GridOperators(model, domain, spacing)
     mesh, n = ops.mesh, ops.mesh.n_nodes
     driver = dataclasses.replace(cos_driver(), g=lambda x: 0.2 + float(x[0]))
-    rhs = _rhs(mesh, driver, 0.4, bordered=True)
-    rhs[ops.inner] -= np.cos(mesh.nodes[ops.inner, 0])
     e = np.zeros(n + 1)
     e[-1] = 1.0
     assert len(ops.eps_list) == (2 if name == "degenerate" else 1)
     for eps in ops.eps_list:
+        rhs = _rhs(ops, driver, 0.4, eps, bordered=True)
+        rhs[ops.pde] -= np.cos(mesh.nodes[ops.pde, 0])
         w = ops.lu(0.0, eps, True).solve(e, trans="T")
-        measure = -w[ops.inner]
+        measure = -w[ops.pde]
         assert measure.min() >= 0.0
         assert abs(measure.sum() - 1.0) <= 1e-12
         lam = scipy.sparse.linalg.splu(ops.operator(0.0, eps, True)).solve(rhs)[-1]
         assert abs(w @ rhs - lam) <= 1e-12 * max(1.0, abs(lam))
     # the extrapolated weights against the extrapolated forward solve
     x, _ = discounted._grid_solve(ops, driver, 0.0, 0.4, 1e-10, 80, bordered=True)
-    assert abs(ops.weights() @ rhs - x[-1]) <= 1e-12 * max(1.0, abs(x[-1]))
+    measure, flux = ops.weights()
+    g = 0.2 + mesh.nodes[mesh.boundary, 0]
+    lam = measure @ np.cos(mesh.nodes[:, 0]) + flux @ (0.4 - g)
+    assert abs(lam - x[-1]) <= 1e-12 * max(1.0, abs(x[-1]))
+
+
+# 1-d operators: the quadratic interval, OU, the degenerate model at both
+# viscosity levels, and a steep potential with upwinded rows
+GUARD_CASES = [
+    ("quadratic", STD_1D, cos_driver(), 1e-2),
+    ("ou", ou_model(), cos_driver(), 1e-2),
+    ("degenerate", degenerate_linear_model(), zero_driver(), 1e-2),
+    ("steep", STEEP_1D, cos_driver(), 0.05),
+]
+
+
+@pytest.mark.parametrize("name,model,driver,spacing", GUARD_CASES,
+                         ids=[c[0] for c in GUARD_CASES])
+def test_one_dimensional_rows_are_monotone_with_a_probability_measure(
+        name, model, driver, spacing, interval):
+    ops = discounted.GridOperators(model, interval, spacing)
+    n, h = ops.mesh.n_nodes, ops.mesh.spacing
+    assert len(ops.eps_list) == (2 if name == "degenerate" else 1)
+    # the steep potential upwinds the rows |x| > 0.8, the boundary ones too
+    upwinded = np.abs(ops.b[:, 0]) * h > 2 * ops.a[:, 0]
+    assert upwinded.any() == (name == "steep")
+    assert np.all(ops.neumann_scale(ops.eps_list[-1]) > 0)
+    e = np.zeros(n + 1)
+    e[-1] = 1.0
+    for eps in ops.eps_list:
+        for alpha, bordered in ((0.0, True), (0.3, False)):
+            A = ops.operator(alpha, eps, bordered).tocoo()
+            off = (A.row < n) & (A.col < n) & (A.row != A.col)
+            assert A.data[off].min() >= 0.0
+        measure = -ops.lu(0.0, eps, True).solve(e, trans="T")[:n]
+        assert measure.min() >= 0.0
+        assert abs(measure.sum() - 1.0) <= 1e-12
+    # the adjoint slope against two forward solves, relative to the size of
+    # the lambdas: the steep and degenerate slopes (about 1e-11 and 5e-7)
+    # are below the rounding of a forward lambda difference. Each level's
+    # curve is non-increasing; the degenerate model's extrapolated slope is
+    # a positive 4.5e-7, far below FlatCurve's 1e-6
+    kw = ergodic._shared_operators(model, interval, {"spacing": spacing,
+                                                     "operators": ops})
+    _, slope = ergodic._affine_curve(driver, kw)
+    assert slope < 0 or name == "degenerate"
+    lam0, lam1 = (solve_ergodic(model, interval, driver, mu, **kw).lam
+                  for mu in (0.0, 1.0))
+    assert abs(slope - (lam1 - lam0)) <= 1e-10 * max(abs(slope), abs(lam0), abs(lam1))
+
+
+def test_degenerate_config_still_has_a_flat_curve():
+    doc = json.loads((CONFIGS / "degenerate.json").read_text())
+    domain, model, driver, _ = assemble_config(doc)
+    with pytest.raises(FlatCurve):
+        ergodic.solve_boundary_cost(model, domain, driver, 0.0, scheme="direct",
+                                    spacing=doc["run"]["grid"])
 
 
 def _count_factorisations(monkeypatch):
@@ -321,9 +396,9 @@ def test_tridiagonal_lu_matches_splu(model, alpha, ref, interval):
     ops = discounted.GridOperators(model, interval, 1e-3, viscosity="force")
     mesh, n, bordered = ops.mesh, ops.mesh.n_nodes, ref is not None
     driver = dataclasses.replace(cos_driver(), g=lambda x: 0.2 + float(x[0]))
-    rhs = _rhs(mesh, driver, 0.4, bordered)
-    rhs[ops.inner] -= np.cos(mesh.nodes[ops.inner, 0])
     for eps in ops.eps_list:
+        rhs = _rhs(ops, driver, 0.4, eps, bordered)
+        rhs[ops.pde] -= np.cos(mesh.nodes[ops.pde, 0])
         A = assemble_operator(mesh, ops.a + 0.5 * eps ** 2, ops.b, alpha, bordered)
         if ref not in (None, "centre"):
             A = A.tolil()

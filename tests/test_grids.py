@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,18 @@ def test_mesh_node_count():
 def test_mesh_ref_index_is_centroid():
     mesh = build_mesh(ball_domain(1.0, 1), 1e-2)
     assert abs(mesh.nodes[mesh.ref_index()][0]) < 1e-12
+
+
+@pytest.mark.parametrize("domain", PLANAR, ids=["disc", "ellipse"])
+@pytest.mark.parametrize("spacing", [0.1, 0.05, 0.025, 0.0125])
+def test_batched_mesh_matches_per_point_path(domain, spacing):
+    # phi_vec and grad_phi_vec may differ from phi and grad_phi in the last
+    # bit; the kept nodes, boundary flags and normals must not
+    per_point = dataclasses.replace(domain, phi_vec=None, grad_phi_vec=None)
+    got, want = build_mesh(domain, spacing), build_mesh(per_point, spacing)
+    assert np.array_equal(got.flat_index, want.flat_index)
+    assert np.array_equal(got.boundary, want.boundary)
+    assert np.array_equal(got.boundary_normals(), want.boundary_normals())
 
 
 def test_mesh_2d_shape():

@@ -85,25 +85,25 @@ def test_shift_needs_invertible_sigma(interval):
 def test_bsde_residual_pinned_bit_for_bit(interval, std_model, cosdrv):
     # recorded before the scaled noise moved into per-sub-block arrays;
     # the interval paths are bit-identical, so == holds (v and lambda
-    # re-recorded with the tridiagonal LU)
+    # re-recorded with the 1-d ghost-point boundary rows)
     sol = solve_ergodic(std_model, interval, cosdrv, 0.5, spacing=1e-2)
     res = bsde_residual(sol, std_model, interval, cosdrv, paths=32, T=0.5,
                         h=1e-3, seed=7)
-    assert (res.mean, res.stderr) == (-0.004453240983209596, 0.0026187237977768015)
-    assert res.partial_means[0] == 0.0009736106195050108
+    assert (res.mean, res.stderr) == (-0.003090941089151939, 0.002571232551361242)
+    assert res.partial_means[0] == 0.0009974906760446354
 
 
 def test_bsde_residual_with_boundary_cost_pinned_bit_for_bit(interval, std_model,
                                                               cosdrv):
     # a non-zero g, recorded from the hand-written boundary cost, v and
-    # lambda from the tridiagonal LU; ==
+    # lambda from the 1-d ghost-point boundary rows; ==
     gdrv = dataclasses.replace(cosdrv, g=lambda x: 0.3 * float(x[0]) + 0.1)
     sol = solve_ergodic(std_model, interval, gdrv, 0.5, spacing=1e-2)
     res = bsde_residual(sol, std_model, interval, gdrv, paths=16, T=0.5,
                         h=1e-3, seed=7)
     assert (res.mean, res.stderr, res.variance) == (
-        -0.005607208066208125, 0.004907814523865188, 0.00038538629441059333)
+        -0.00429040000085242, 0.004679211319612795, 0.0003503202971774803)
     assert res.partial_means.tolist() == [
-        0.0014849101471680712, -0.0005742549166538344, -0.001254491765118266,
-        -0.0031758563000895542, -0.005503370345921551, -0.005232013005701412,
-        -0.004608637044240008, -0.005607208066208125]
+        0.001508768490230984, -0.00046287841420543244, -0.0008664958403317516,
+        -0.0026089229951149415, -0.004715965849047899, -0.004296415805861863,
+        -0.0036173584820798537, -0.00429040000085242]
