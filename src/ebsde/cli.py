@@ -222,7 +222,7 @@ def cmd_verify(args) -> int:
     summary = {"lambda": sol.lam, "pde_interior_max": pde["interior_max"],
                "pde_boundary_max": pde["boundary_max"],
                "bsde_mean": res.mean, "bsde_stderr": res.stderr,
-               "bsde_centered": centered}
+               "bsde_centered": centered, "bsde_run": res.run}
     xi = cfg.get("run", {}).get("shift_xi")
     ok = centered
     if xi is not None:
@@ -249,7 +249,7 @@ def cmd_control(args) -> int:
     for k, spec in enumerate(cfg.get("run", {}).get("policies", [])):
         pol = policy_from_json(spec, problem, sol)
         policies.append((f"{pol.name}-{k}", pol))
-    rows = []
+    rows, results = [], {}
     ok = True
     for k, (name, pol) in enumerate(policies):
         I = cost_I(model, domain, problem, pol, eff["mu"], T, h, paths,
@@ -259,12 +259,13 @@ def cmd_control(args) -> int:
         good = policy_verdict(I, J, sol.lam, eff["mu"], name == "feedback")
         ok &= good
         rows.append([name, I.value, I.stderr, J.value, J.stderr, good])
+        results[name] = {"I": I.value, "I_stderr": I.stderr, "J": J.value,
+                         "J_stderr": J.stderr, "run_I": I.extra["run"],
+                         "run_J": J.extra["run"]}
     out = _out_dir(args)
     _write_table(out / "policies.csv",
                  ["policy", "I", "I_stderr", "J", "J_stderr", "ok"], rows)
-    summary = {"lambda": sol.lam, "mu": eff["mu"],
-               "policies": {r[0]: {"I": r[1], "I_stderr": r[2],
-                                   "J": r[3], "J_stderr": r[4]} for r in rows}}
+    summary = {"lambda": sol.lam, "mu": eff["mu"], "policies": results}
     if cfg.get("run", {}).get("girsanov_check"):
         gk = girsanov_weight_check(model, domain, problem, policies[0][1],
                                    T=min(T, 20.0), h=h, paths=paths, seed=seed,

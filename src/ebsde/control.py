@@ -26,7 +26,7 @@ import numpy as np
 
 from . import dynamics
 from .discounted import DriverSpec
-from .dynamics import SdeModel, _boundary_cost, _mean_stderr
+from .dynamics import SdeModel, _add_steps, _boundary_cost, _mean_stderr
 from .errors import DegenerateLocalTime, WeightDegeneracy
 from .geometry import DomainSpec, domain_grid
 
@@ -163,7 +163,7 @@ class Policy:
         if self.zeta_source is not None:
             Z = self.zeta_source.zeta_at(X)
         else:
-            Z = np.zeros_like(X)
+            Z = np.zeros(X.shape)
         u = self.rule(X, Z, costs) if self.reads_costs else self.rule(X, Z)
         return np.asarray(u).astype(int, copy=False)
 
@@ -173,13 +173,18 @@ class Policy:
 
 
 def feedback_policy(problem: ControlProblem, solution) -> Policy:
-    """Optimal feedback: the Hamiltonian argmin at the solved zeta field."""
+    """Optimal feedback as one control per grid node: the Hamiltonian argmin
+    at the solved zeta of every node, computed once, then looked up at the
+    node nearest each state (``Mesh.nearest``). In the Markov-chain
+    approximation (Kushner & Dupuis 2001) a policy is such a table; a step
+    builds no cost table and interpolates no zeta."""
+    mesh = solution.v.mesh
+    table = np.argmin(_control_costs(problem, mesh.nodes, solution.zeta), axis=1)
 
-    def rule(X, Z, costs=None, _p=problem):
-        return np.argmin(_control_costs(_p, X, Z, costs), axis=1)
+    def rule(X, Z, _table=table, _nearest=mesh.nearest):
+        return _table[_nearest(X)]
 
-    return Policy(rule=rule, zeta_source=solution, name="feedback",
-                  reads_costs=True)
+    return Policy(rule=rule, name="feedback")
 
 
 def policy_from_json(spec: dict, problem: ControlProblem,
@@ -215,41 +220,53 @@ def policy_from_json(spec: dict, problem: ControlProblem,
 
 def _controlled_steps(model: SdeModel, domain: DomainSpec, problem: ControlProblem,
                       policy: Policy, X0: np.ndarray, n_steps: int, h: float,
-                      seed: int, tilt_drift: bool):
-    """Reflected Euler steps with the policy in the loop.
+                      seed: int, tilt_drift: bool,
+                      record: Optional[dynamics.RunRecord] = None):
+    """Reflected Euler steps with the policy in the loop, one block per yield.
 
     With ``tilt_drift`` the proposal uses drift b + sigma R(u) (controlled
     measure); without it the base dynamics are simulated and the caller
-    reweights. Yields (i, X, u, L_u, X_new, dK, xi), where L_u is the
-    running cost of the chosen control on each path. A constant policy
-    yields its index as u, a scalar int rather than a (P,) array, and
-    evaluates only its own running cost; any other builds the (P, K)
-    running-cost table once per step.
+    reweights. Per step only the policy and the tilt run beside the plain
+    step (``dynamics._step_blocks``); a rule that reads costs is handed the
+    step's (P, K) running-cost table. Yields (start, X, u, L_u, X_new, dK,
+    xi) over the m P path-steps of a block, flat in step-major order as
+    ``dynamics.ensemble_steps`` yields them; L_u, the running cost of the
+    chosen control, is evaluated once per block. A constant policy yields
+    its index as u, a scalar int rather than an array, and evaluates only
+    its own running cost.
     """
-    X = np.array(X0, dtype=float)
-    P, d = X.shape
-    rows = np.arange(P)
-    kernel = dynamics._make_kernel(domain)
     tilts = None    # sigma R(u) h for every control when sigma is constant
     if tilt_drift and model.sigma_constant is not None:
         tilts = (problem.R_table @ model.sigma_constant.T) * h
     k = policy.index
-    for i, xi, noise in dynamics._noise_steps(model, seed, P, d, n_steps, h):
+    controls, tables = [], []
+
+    def control_shift(X):
+        u = k
+        if k is None:
+            if policy.reads_costs:
+                tables.append(problem.L_table(X))
+                u = policy.controls_for(X, tables[-1])
+            else:
+                u = policy.controls_for(X)
+            controls.append(u)
+        if tilts is not None:
+            return tilts[u]
+        if tilt_drift:
+            return model.noise_term(X, np.broadcast_to(problem.R_table[u], X.shape)) * h
+        return None
+
+    for i, X, X_new, dK, xi in dynamics._step_blocks(model, domain, X0, n_steps, h,
+                                                    seed, control_shift, record):
         if k is not None:
             u, L_u = k, problem.L_at(X, k)
         else:
-            table = problem.L_table(X)
-            u = policy.controls_for(X, table)
-            L_u = table[rows, u]
-        shift = model.drift_at(X) * h
-        if tilts is not None:
-            shift = shift + tilts[u]
-        elif tilt_drift:
-            Ru = np.broadcast_to(problem.R_table[u], X.shape)
-            shift = shift + model.noise_term(X, Ru) * h
-        X_new, dK = dynamics._advance(model, kernel, X, shift, xi, noise, h)
+            u = np.concatenate(controls)
+            table = np.concatenate(tables) if tables else problem.L_table(X)
+            L_u = table[np.arange(len(u)), u]
+            controls.clear()
+            tables.clear()
         yield i, X, u, L_u, X_new, dK, xi
-        X = X_new
 
 
 def _default_start(model, domain, paths, h, seed, x0):
@@ -281,15 +298,19 @@ def cost_I(model: SdeModel, domain: DomainSpec, problem: ControlProblem,
     acc = np.zeros(paths)
     marks = {round(n / 4): T / 4, round(n / 2): T / 2, n: T}
     horizon_values = {}
-    for i, X, u, L_u, X_new, dK, xi in _controlled_steps(model, domain, problem,
-                                                         policy, X0, n, h, seed, True):
-        acc += L_u * h
-        acc += _boundary_cost(problem.g, X_new, dK, mu)
-        if i + 1 in marks:
-            t = marks[i + 1]
-            horizon_values[t] = _mean_stderr(acc / t)
+    run = dynamics.RunRecord()
+    for i, X, u, L_u, X_new, dK, xi in _controlled_steps(model, domain, problem, policy,
+                                                         X0, n, h, seed, True, run):
+        bound = _boundary_cost(problem.g, X_new, dK, mu)
+        for s, (L_s, b_s) in enumerate(zip((L_u * h).reshape(-1, paths),
+                                           bound.reshape(-1, paths))):
+            acc += L_s
+            acc += b_s
+            if i + s + 1 in marks:
+                t = marks[i + s + 1]
+                horizon_values[t] = _mean_stderr(acc / t)
     value, se = horizon_values[T]
-    return CostEstimate(value, se, horizon_values)
+    return CostEstimate(value, se, horizon_values, {"run": run.as_dict()})
 
 
 def cost_J(model: SdeModel, domain: DomainSpec, problem: ControlProblem,
@@ -305,12 +326,14 @@ def cost_J(model: SdeModel, domain: DomainSpec, problem: ControlProblem,
     X0 = _default_start(model, domain, paths, h, seed, x0)
     num = np.zeros(paths)
     den = np.zeros(paths)
-    for i, X, u, L_u, X_new, dK, xi in _controlled_steps(model, domain, problem,
-                                                         policy, X0, n, h, seed, True):
-        num += (L_u - lam) * h
-        if problem.g is not None:
-            num += _boundary_cost(problem.g, X_new, dK, 0.0)
-        den += dK
+    run = dynamics.RunRecord()
+    for i, X, u, L_u, X_new, dK, xi in _controlled_steps(model, domain, problem, policy,
+                                                         X0, n, h, seed, True, run):
+        if problem.g is None:
+            _add_steps(num, (L_u - lam) * h)
+        else:
+            _add_steps(num, (L_u - lam) * h, _boundary_cost(problem.g, X_new, dK, 0.0))
+        _add_steps(den, dK)
     dbar, d_se = _mean_stderr(den)
     if dbar <= 3 * d_se:
         raise DegenerateLocalTime(
@@ -324,7 +347,8 @@ def cost_J(model: SdeModel, domain: DomainSpec, problem: ControlProblem,
     se = float(np.sqrt(max(var_J, 0.0) / paths))
     return CostEstimate(float(J), se,
                         extra={"mean_local_time": float(dbar),
-                               "local_time_stderr": float(d_se)})
+                               "local_time_stderr": float(d_se),
+                               "run": run.as_dict()})
 
 
 def policy_verdict(I: CostEstimate, J: CostEstimate, lam: float, mu: float,
@@ -362,9 +386,8 @@ def girsanov_weight_check(model: SdeModel, domain: DomainSpec,
     for i, X, u, L_u, X_new, dK, xi in _controlled_steps(model, domain, problem,
                                                          policy, X0, n, h, seed, False):
         Ru = np.broadcast_to(problem.R_table[u], xi.shape)
-        logw += (Ru * xi).sum(axis=1) * sh - 0.5 * (Ru * Ru).sum(axis=1) * h
-        cost += L_u * h
-        cost += _boundary_cost(problem.g, X_new, dK, mu)
+        _add_steps(logw, (Ru * xi).sum(axis=1) * sh - 0.5 * (Ru * Ru).sum(axis=1) * h)
+        _add_steps(cost, L_u * h, _boundary_cost(problem.g, X_new, dK, mu))
     w = np.exp(logw - logw.max())
     ess = float(w.sum() ** 2 / (w * w).sum())
     if ess < 0.05 * paths:

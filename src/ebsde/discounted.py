@@ -438,7 +438,12 @@ class GridOperators:
         like the solutions. -w on the PDE rows is the discrete invariant
         measure (mass 1), on every node in 1-d and on the interior in 2-d;
         the flux is w times d r / d mu on the boundary nodes, and its sum
-        is d lambda / d mu."""
+        is d lambda / d mu. -w >= 0 holds only to rounding where the true
+        mass underflows: the cancellation u = p - u_ref q of the transposed
+        bordered 1-d solve can leave entries of about -1e-16 times the
+        largest (-1.2e-32 at the boundary nodes for a quadratic potential
+        of curvature 300 at spacing 1e-2, where the true mass is near
+        1e-65)."""
         n = self.mesh.n_nodes
         e = np.zeros(n + 1)
         e[-1] = 1.0

@@ -10,11 +10,17 @@ of mass on the boundary and underestimate the local time at rate sqrt(h).
 The local-time increment is the length of the repair move
 |X_new - proposal|, which matches the continuous local time because the
 defining function has a unit gradient on the boundary.
+
+Ensembles are stepped one noise sub-block at a time (``_step_blocks``): per
+step only the state recursion runs, and a path functional evaluates its
+integrand once per block, then adds the per-step rows to its accumulators
+in step order (``_add_steps``), so its sums are a per-step loop's bit for
+bit.
 """
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -24,7 +30,7 @@ from .errors import NotKolmogorov, StepTooLarge
 from .geometry import DomainSpec, outside_rows, project_many, project_outside
 
 __all__ = [
-    "Potential", "SdeModel", "ReflectedPath",
+    "Potential", "SdeModel", "ReflectedPath", "RunRecord",
     "simulate", "invariant_density",
     "sample_invariant", "generator_apply", "expected_K_rate",
     "occupation_histogram", "ensemble_average", "penalized_moments", "stationary_start",
@@ -142,26 +148,27 @@ def _ensemble_noise_blocks(seed: int, P: int, d: int, n_steps: int):
 
     Path p consumes the stream seeded by SeedSequence([seed, p]), drawn in
     time blocks so memory stays bounded while keeping one stream per path.
-    Each path's draw fills a contiguous row of a (P, L, d) buffer, and the
-    block is its transposed view.
+    Each path's draw fills a contiguous row of one (P, L, d) buffer, and the
+    block is its transposed view; the next block overwrites it.
     """
     rngs = [np.random.default_rng(np.random.SeedSequence([seed, p])) for p in range(P)]
     L = max(1, min(n_steps, _BLOCK_NUMBERS // max(P * d, 1)))
+    buf = np.empty((P, L, d))
     start = 0
     while start < n_steps:
         size = min(L, n_steps - start)
-        buf = np.empty((P, size, d))
         for p, rng in enumerate(rngs):
-            rng.standard_normal(out=buf[p])
-        yield start, buf.transpose(1, 0, 2)
+            rng.standard_normal(out=buf[p, :size])
+        yield start, buf[:, :size].transpose(1, 0, 2)
         start += size
 
 
 class _Kernel:
     """Boundary repair of a batch of proposals, chosen by domain kind.
 
-    A kernel maps proposals (P, d) to (states, dK) and projects batches
-    onto the closure (``project``)."""
+    ``kernel(x_pre, x_new, dK)`` writes the repaired states (P, d) and the
+    local-time increments (P,) of the proposals x_pre into the given
+    buffers; ``project`` projects a batch onto the closure."""
 
     def __init__(self, domain: DomainSpec):
         self.domain = domain
@@ -176,16 +183,17 @@ class _IntervalKernel(_Kernel):
         out = np.maximum(X, -self.r)
         return np.minimum(out, self.r, out=out)
 
-    def __call__(self, x_pre: np.ndarray):
+    def __call__(self, x_pre: np.ndarray, x_new: np.ndarray, dK: np.ndarray) -> None:
         # 2c - x is exact for overshoots below r (Sterbenz), so this is the
         # fold x - 2 (x - r)^+ + 2 (-r - x)^+ bit for bit
-        x_new = self.project(x_pre)
-        x_new *= 2.0
-        x_new -= x_pre
+        np.maximum(x_pre, -self.r, out=x_new)
+        np.minimum(x_new, self.r, out=x_new)
+        np.multiply(x_new, 2.0, x_new)
+        np.subtract(x_new, x_pre, x_new)
         np.maximum(x_new, -self.r, out=x_new)
         np.minimum(x_new, self.r, out=x_new)
-        dK = np.abs(x_new - x_pre)[:, 0]
-        return x_new, dK
+        np.subtract(x_new[:, 0], x_pre[:, 0], dK)
+        np.abs(dK, dK)
 
 
 class _BallKernel(_Kernel):
@@ -195,17 +203,17 @@ class _BallKernel(_Kernel):
         norms = np.linalg.norm(X, axis=1)
         return X * (self.r / np.maximum(norms, self.r))[:, None]
 
-    def __call__(self, x_pre: np.ndarray):
+    def __call__(self, x_pre: np.ndarray, x_new: np.ndarray, dK: np.ndarray) -> None:
         r = self.r
         norms = np.linalg.norm(x_pre, axis=1)
         out = norms > r
-        x_new = x_pre.copy()
+        x_new[...] = x_pre
+        dK.fill(0.0)
         if np.any(out):
             scale = np.maximum(2.0 * r / norms[out] - 1.0, 0.0)
             scale = np.minimum(scale * norms[out], r) / norms[out]
             x_new[out] = x_pre[out] * scale[:, None]
-        dK = np.linalg.norm(x_new - x_pre, axis=1)
-        return x_new, dK
+            dK[out] = np.linalg.norm(x_new[out] - x_pre[out], axis=1)
 
 
 class _GenericKernel(_Kernel):
@@ -217,9 +225,9 @@ class _GenericKernel(_Kernel):
     def project(self, X: np.ndarray) -> np.ndarray:
         return project_many(self.domain, X)
 
-    def __call__(self, x_pre: np.ndarray):
-        x_new = x_pre.copy()
-        dK = np.zeros(len(x_pre))
+    def __call__(self, x_pre: np.ndarray, x_new: np.ndarray, dK: np.ndarray) -> None:
+        x_new[...] = x_pre
+        dK.fill(0.0)
         rows = outside_rows(self.domain, x_pre)
         if len(rows):
             y = x_pre[rows]
@@ -229,7 +237,6 @@ class _GenericKernel(_Kernel):
             p = project_many(self.domain, 2.0 * p - y)
             x_new[rows] = p
             dK[rows] = np.linalg.norm(p - y, axis=1)
-        return x_new, dK
 
 
 def _make_kernel(domain: DomainSpec):
@@ -238,59 +245,111 @@ def _make_kernel(domain: DomainSpec):
     return _GenericKernel(domain)
 
 
-def _noise_steps(model: SdeModel, seed: int, P: int, d: int, n_steps: int, h: float):
-    """Yield (step_index, xi, noise) over the per-path streams.
+@dataclass
+class RunRecord:
+    """What an ensemble run did, summed over its blocks: path-steps,
+    path-steps that reflected, and the largest Euler proposal move over the
+    domain diameter (StepTooLarge is raised past 1)."""
 
-    With a constant sigma, ``noise`` is sigma xi sqrt(h), scaled once per
-    sub-block of at most _SUB_NUMBERS numbers into one reused buffer, so it
-    is valid until the next step; otherwise it is None and the step scales
-    xi at the current state.
-    """
+    path_steps: int = 0
+    reflected: int = 0
+    max_step_ratio: float = 0.0
+
+    def as_dict(self) -> dict:
+        return {"path_steps": self.path_steps,
+                "reflected_fraction": self.reflected / max(self.path_steps, 1),
+                "max_step_ratio": self.max_step_ratio}
+
+
+def _check_block(diameter: float, moves: np.ndarray, dK: np.ndarray,
+                 record: Optional[RunRecord]) -> None:
+    """Refuse a block whose proposal moves (m, P, d), overwritten here,
+    reach beyond the domain diameter; otherwise add it to ``record``."""
+    if moves.shape[-1] == 1:
+        lengths = np.abs(moves, out=moves)
+    else:
+        lengths = np.sqrt(np.square(moves, out=moves).sum(axis=-1))
+    largest = float(lengths.max(initial=0.0))
+    if largest > diameter:
+        raise StepTooLarge("ensemble proposal beyond domain diameter; decrease h")
+    if record is not None:
+        record.path_steps += dK.size
+        record.reflected += int(np.count_nonzero(dK))
+        record.max_step_ratio = max(record.max_step_ratio, largest / diameter)
+
+
+def _step_blocks(model: SdeModel, domain: DomainSpec, X0: np.ndarray, n_steps: int,
+                 h: float, seed: int, extra_shift: Optional[Callable] = None,
+                 record: Optional[RunRecord] = None):
+    """Reflected Euler steps of an ensemble, one noise sub-block (at most
+    _SUB_NUMBERS numbers, m steps of P paths) per yield.
+
+    Per step only the state recursion runs, into preallocated buffers: the
+    drift, ``extra_shift(X)`` when given (added to the drift times h, such
+    as a control tilt; None adds nothing), the noise, scaled once per block
+    when sigma is constant, and the boundary kernel. Every proposal of a
+    block is checked against the domain diameter (StepTooLarge) before the
+    block is yielded and added to ``record``. Yields what
+    ``ensemble_steps`` yields."""
+    X0 = np.array(X0, dtype=float)
+    P, d = X0.shape
+    kernel = _make_kernel(domain)
     sh = np.sqrt(h)
     sig_t = None if model.sigma_constant is None else model.sigma_constant.T
-    S = max(1, _SUB_NUMBERS // max(P * d, 1))
-    buf = None if sig_t is None else np.empty((S, P, d))
+    S = min(max(1, _SUB_NUMBERS // max(P * d, 1)), max(n_steps, 1))
+    states = np.empty((S + 1, P, d))
+    states[0] = X0
+    pre = np.empty((S, P, d))
+    dK = np.empty((S, P))
+    xi = np.empty((S, P, d))
+    scaled = None if sig_t is None else np.empty((S, P, d))
     for start, block in _ensemble_noise_blocks(seed, P, d, n_steps):
         for j0 in range(0, block.shape[0], S):
             sub = block[j0:j0 + S]
-            if buf is not None:
-                scaled = np.matmul(sub, sig_t, out=buf[:len(sub)])
-                scaled *= sh
-            for j in range(len(sub)):
-                yield start + j0 + j, sub[j], None if buf is None else scaled[j]
-
-
-def _advance(model: SdeModel, kernel, X: np.ndarray, shift: np.ndarray,
-             xi: np.ndarray, noise, h: float):
-    """One reflected Euler step: the proposal X + shift + sigma xi sqrt(h),
-    refused beyond the domain diameter, then the boundary repair.
-    Returns (X_new, dK)."""
-    if noise is None:
-        noise = model.noise_term(X, xi) * np.sqrt(h)
-    x_pre = X + shift + noise
-    step = x_pre - X
-    # the largest coordinate bounds the norm: compute norms only near the limit
-    if (np.abs(step).max() * np.sqrt(step.shape[1]) > kernel.diameter
-            and np.linalg.norm(step, axis=1).max() > kernel.diameter):
-        raise StepTooLarge("ensemble proposal beyond domain diameter; decrease h")
-    return kernel(x_pre)
+            m = len(sub)
+            if scaled is not None:
+                np.matmul(sub, sig_t, out=scaled[:m])
+                scaled[:m] *= sh
+            for j in range(m):
+                X = states[j]
+                shift = model.drift_at(X) * h
+                if extra_shift is not None:
+                    extra = extra_shift(X)
+                    if extra is not None:
+                        shift += extra
+                x_pre = np.add(X, shift, pre[j])
+                x_pre += (model.noise_term(X, sub[j]) * sh if scaled is None
+                          else scaled[j])
+                kernel(x_pre, states[j + 1], dK[j])
+            _check_block(kernel.diameter, np.subtract(pre[:m], states[:m], pre[:m]),
+                         dK[:m], record)
+            np.copyto(xi[:m], sub)
+            yield (start + j0, states[:m].reshape(m * P, d),
+                   states[1:m + 1].reshape(m * P, d), dK[:m].reshape(m * P),
+                   xi[:m].reshape(m * P, d))
+            states[0] = states[m]
 
 
 def ensemble_steps(model: SdeModel, domain: DomainSpec, X0: np.ndarray, n_steps: int,
-                   h: float, seed: int):
-    """Generator over vectorized reflected Euler steps.
+                   h: float, seed: int, record: Optional[RunRecord] = None):
+    """Generator over vectorized reflected Euler steps, one block per yield.
 
-    Yields (step_index, X_before, X_after, dK, xi) with arrays of shape
-    (P, d) / (P,). The caller owns all accumulation; X_after must not be
-    mutated (it becomes the next X_before).
+    Yields (start, X, X_new, dK, xi) for the m steps start .. start + m - 1
+    of every path, flat in step-major order: row s P + p is step start + s
+    of path p, so X and X_new are (m P, d) and dK is (m P,). The arrays are
+    overwritten by the next block; callers copy what they keep.
     """
-    X = np.array(X0, dtype=float)
-    P, d = X.shape
-    kernel = _make_kernel(domain)
-    for i, xi, noise in _noise_steps(model, seed, P, d, n_steps, h):
-        X_new, dK = _advance(model, kernel, X, model.drift_at(X) * h, xi, noise, h)
-        yield i, X, X_new, dK, xi
-        X = X_new
+    yield from _step_blocks(model, domain, X0, n_steps, h, seed, record=record)
+
+
+def _add_steps(acc: np.ndarray, *terms: np.ndarray) -> None:
+    """Add the per-step (P,) rows of flat block terms to acc, step by step
+    and term by term within a step: the order of a per-step loop, so every
+    sum is that loop's bit for bit."""
+    rows = [t.reshape(-1, len(acc)) for t in terms]
+    for step in zip(*rows):
+        for r in step:
+            acc += r
 
 
 def simulate(model: SdeModel, domain: DomainSpec, x0, T: float, h: float,
@@ -311,8 +370,9 @@ def simulate(model: SdeModel, domain: DomainSpec, x0, T: float, h: float,
     states = np.empty((n + 1, domain.dim)); states[0] = x0
     noises = np.empty((n, domain.dim))
     dK = np.zeros(n)
-    for i, X, X_new, dK_i, xi in ensemble_steps(model, domain, x0[None], n, h, seed):
-        states[i + 1], dK[i], noises[i] = X_new[0], dK_i[0], xi[0]
+    for i, X, X_new, dK_b, xi in ensemble_steps(model, domain, x0[None], n, h, seed):
+        m = len(dK_b)
+        states[i + 1:i + m + 1], dK[i:i + m], noises[i:i + m] = X_new, dK_b, xi
     K = np.concatenate([[0.0], np.cumsum(dK)])
     return ReflectedPath(np.arange(n + 1) * h, states, K,
                          np.nonzero(dK > 0)[0] + 1, noises, h)
@@ -322,13 +382,15 @@ def ensemble_average(model: SdeModel, domain: DomainSpec, X0: np.ndarray,
                      T: float, h: float, seed: int, f_vec):
     """Per-path time averages (1/T) sum f(X_i) h over [0, T].
 
-    Returns the (P,) array of path averages of the state functional.
+    ``f_vec`` maps a batch of states to one value per state; it is called
+    once per block, on the states of several steps. Returns the (P,) array
+    of path averages of the state functional.
     """
     n = round(T / h)
     P = X0.shape[0]
     acc = np.zeros(P)
     for i, X, X_new, dK, xi in ensemble_steps(model, domain, X0, n, h, seed):
-        acc += f_vec(X)
+        _add_steps(acc, f_vec(X))
     return acc * h / T
 
 
@@ -445,6 +507,7 @@ class KRateEstimate:
     stderr: float
     paths: int
     horizon: float
+    run: dict = field(default_factory=dict)
 
 
 def stationary_start(model: SdeModel, domain: DomainSpec, paths: int, h: float,
@@ -461,17 +524,19 @@ def stationary_start(model: SdeModel, domain: DomainSpec, paths: int, h: float,
     X = np.stack([domain.centroid] * paths)
     n = round(burn / h)
     for i, Xb, X_new, dK, xi in ensemble_steps(model, domain, X, n, h, seed + 1_000_003):
-        X = X_new
-    return X
+        X = X_new[-paths:]
+    return X.copy()
 
 
 def _boundary_cost(g: Optional[Callable], X: np.ndarray, dK: np.ndarray,
                    mu: float) -> np.ndarray:
-    """(g(X) - mu) dK for one step, with g the boundary cost (None means
-    zero); g is evaluated only when some path reflected."""
-    if g is None or not np.any(dK > 0):
-        return (0.0 - mu) * dK
-    return (np.array([g(x) for x in X]) - mu) * dK
+    """(g(X) - mu) dK for a batch of path-steps, with g the boundary cost
+    (None means zero); g is evaluated only at the steps that reflected."""
+    out = (0.0 - mu) * dK
+    if g is not None:
+        hit = np.nonzero(dK)[0]
+        out[hit] = (np.array([g(x) for x in X[hit]]) - mu) * dK[hit]
+    return out
 
 
 def _mean_stderr(values: np.ndarray):
@@ -484,14 +549,16 @@ def expected_K_rate(model: SdeModel, domain: DomainSpec, T: float, h: float,
                     paths: int, seed: int) -> KRateEstimate:
     """Monte Carlo estimate of E[K_T] / T from a stationary start.
 
-    Returns the ensemble mean of K_T/T with its standard error over paths.
+    Returns the ensemble mean of K_T/T with its standard error over paths,
+    and the run record (``RunRecord.as_dict``).
     """
     X0 = stationary_start(model, domain, paths, h, seed, 999_983)
     n = round(T / h)
     K = np.zeros(paths)
-    for i, X, X_new, dK, xi in ensemble_steps(model, domain, X0, n, h, seed):
-        K += dK
-    return KRateEstimate(*_mean_stderr(K / T), paths, T)
+    run = RunRecord()
+    for i, X, X_new, dK, xi in ensemble_steps(model, domain, X0, n, h, seed, run):
+        _add_steps(K, dK)
+    return KRateEstimate(*_mean_stderr(K / T), paths, T, run.as_dict())
 
 
 def occupation_histogram(model: SdeModel, domain: DomainSpec, T_total: float,
@@ -512,7 +579,7 @@ def occupation_histogram(model: SdeModel, domain: DomainSpec, T_total: float,
     counts = np.zeros(bins)
     for i, X, X_new, dK, xi in ensemble_steps(model, domain, X0, n, h, seed):
         idx = np.minimum(((X_new[:, 0] - lo) / width).astype(int), bins - 1)
-        np.add.at(counts, idx, 1)
+        np.add.at(counts, idx, 1)   # integer counts: any order is exact
     density = counts / (counts.sum() * width)
     return edges, density
 

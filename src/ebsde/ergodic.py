@@ -257,6 +257,16 @@ def lambda_of_mu(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
     return LambdaOfMuCurve(mus, lams, float(solve_kw["tol"]))
 
 
+def _flat_message(slope: float, where: str, flat_tol: float) -> str:
+    if slope > 0:
+        sign = "positive, but the curve cannot increase: a flat curve's discretisation error"
+    elif slope == 0:
+        sign = "zero"
+    else:
+        sign = f"negative but within flat_tol = {flat_tol:.1e} of zero"
+    return f"slope {slope:+.2e} {where} is {sign}; the boundary constant is not identifiable"
+
+
 def solve_boundary_cost(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
                         lambda_target: float, tol: float = 1e-3,
                         slope_floor: float = 1e-2, flat_tol: float = 1e-6,
@@ -265,13 +275,14 @@ def solve_boundary_cost(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
     """Find mu with lambda(mu) = lambda_target.
 
     For a z-free driver on the direct scheme the curve is a line, so
-    mu = (lambda_target - lambda(0)) / slope, confirmed by one solve;
-    FlatCurve means |slope| < flat_tol. Otherwise a monotone bisection: the
-    initial bracket half-width combines the distance to lambda(0) and the
-    driver bound, scaled by the secant slope |lambda(1) - lambda(0)|
-    (floored by slope_floor); it doubles on straddle failure. FlatCurve
-    means the sampled curve cannot identify mu; BracketFailure means the
-    target was never straddled. The solution's diagnostics["inversion"]
+    mu = (lambda_target - lambda(0)) / slope, confirmed by one solve.
+    Otherwise a monotone bisection: the initial bracket half-width combines
+    the distance to lambda(0) and the driver bound, scaled by the secant
+    slope |lambda(1) - lambda(0)| (floored by slope_floor); it doubles on
+    straddle failure. The curve does not increase, so FlatCurve means that
+    the slope (exact, or sampled over the bracket) is above -flat_tol: flat,
+    or increasing by a discretisation error, and either way mu is not
+    identifiable. BracketFailure means the target was never straddled. The solution's diagnostics["inversion"]
     records the route, the number of solves and the slope: exact, or the
     secant lambda(1) - lambda(0) of the bisection.
     """
@@ -285,9 +296,8 @@ def solve_boundary_cost(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
     line = _affine_curve(driver, solve_kw)
     if line is not None:
         lam0, slope = line
-        if abs(slope) < flat_tol:
-            raise FlatCurve(f"slope {slope:.2e} of the discrete curve; the "
-                            "boundary constant is not identifiable")
+        if slope > -flat_tol:
+            raise FlatCurve(_flat_message(slope, "of the discrete curve", flat_tol))
         sol = solve((lambda_target - lam0) / slope)
     else:
         sol0 = solve(0.0)
@@ -298,10 +308,9 @@ def solve_boundary_cost(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
         for _ in range(max_expansions):
             lam_lo = solve(-B).lam
             lam_hi = solve(+B).lam
-            if abs(lam_hi - lam_lo) / (2 * B) < flat_tol:
-                raise FlatCurve(
-                    f"sampled slope {(lam_hi - lam_lo) / (2 * B):.2e} over "
-                    f"[-{B:.3g}, {B:.3g}]; the boundary constant is not identifiable")
+            if (lam_hi - lam_lo) / (2 * B) > -flat_tol:
+                raise FlatCurve(_flat_message((lam_hi - lam_lo) / (2 * B),
+                                              f"sampled over [-{B:.3g}, {B:.3g}]", flat_tol))
             if lam_lo >= lambda_target >= lam_hi:
                 break
             B *= 2
@@ -344,6 +353,6 @@ def lambda_time_average(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
     n = round(T / h)
     acc = np.zeros(paths)
     for i, X, X_new, dK, xi in dynamics.ensemble_steps(model, domain, X0, n, h, seed):
-        acc += driver.psi_at(X, solution.zeta_at(X)) * h
-        acc += dynamics._boundary_cost(driver.g, X_new, dK, solution.mu)
+        dynamics._add_steps(acc, driver.psi_at(X, solution.zeta_at(X)) * h,
+                            dynamics._boundary_cost(driver.g, X_new, dK, solution.mu))
     return dynamics._mean_stderr(acc / T)

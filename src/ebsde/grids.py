@@ -54,6 +54,42 @@ class Mesh:
         d2 = ((self.nodes - self.domain.centroid) ** 2).sum(axis=1)
         return int(np.argmin(d2))
 
+    def nearest(self, X: np.ndarray) -> np.ndarray:
+        """Index of the kept node nearest each point, (P, d) -> (P,).
+
+        1-d: by direct index from the spacing, points clamped to the axis;
+        a half-way point takes the upper node, up to the rounding of the
+        scaled coordinate. d >= 2: the nearest kept node is sought in the
+        3^d box block around each point's rounded box index, scanned in
+        flat order, so a tie takes the lowest index as an argmin over every
+        node does. A node outside the block is at least 1.5 spacings away,
+        so a point whose best block node is not clearly nearer is searched
+        over every node.
+        """
+        if self.domain.dim == 1:
+            a = self.axes[0]
+            t = (X[:, 0] - a[0]) * (1.0 / (a[1] - a[0]))
+            t += 0.5
+            j = t.astype(np.intp)
+            return np.minimum(np.maximum(j, 0, out=j), len(a) - 1, out=j)
+        lo = np.array([a[0] for a in self.axes])
+        step = np.array([a[1] - a[0] for a in self.axes])
+        shape = np.array(self.shape)
+        idx = np.clip(np.rint((X - lo) / step), 0, shape - 1).astype(np.intp)
+        offsets = np.array(list(itertools.product((-1, 0, 1), repeat=len(shape))))
+        cand = idx[:, None, :] + offsets
+        inbox = ((cand >= 0) & (cand < shape)).all(axis=2)
+        flat = np.ravel_multi_index(tuple(np.moveaxis(cand, 2, 0)), self.shape, mode="clip")
+        k = np.where(inbox, self.compact_of_flat[flat], -1)
+        d2 = ((self.nodes[k] - X[:, None, :]) ** 2).sum(axis=2)
+        d2[k < 0] = np.inf
+        best = np.argmin(d2, axis=1)
+        rows = np.arange(len(X))
+        out = k[rows, best]
+        for r in np.nonzero(d2[rows, best] >= (1.49 * step.min()) ** 2)[0]:
+            out[r] = np.argmin(((self.nodes - X[r]) ** 2).sum(axis=1))
+        return out
+
     def boundary_normals(self) -> np.ndarray:
         """Unit inward normals grad phi / |grad phi| at the boundary nodes,
         batched through ``grad_phi_vec`` when the domain has it."""
@@ -168,40 +204,14 @@ class GridFunction:
                 + f.take(j, mode="clip"))
 
     def _interp_nearest(self, X: np.ndarray) -> np.ndarray:
-        """``__call__`` on a batch of points of a d >= 2 mesh, bit for bit.
-
-        The nearest kept node is sought in the 3^d box block around each
-        point's rounded box index, with the same squared distances and,
-        since the block is scanned in flat order, the same lowest-index
-        tie rule. A node outside the block is at least 1.5 spacings away,
-        so a point whose best block node is not clearly nearer takes the
-        per-point path.
-        """
+        """``__call__`` on a batch of points of a d >= 2 mesh, bit for bit:
+        the node of ``Mesh.nearest`` plus the same linear correction."""
         m = self.mesh
-        lo = np.array([a[0] for a in m.axes])
-        step = np.array([a[1] - a[0] for a in m.axes])
-        shape = np.array(m.shape)
-        idx = np.clip(np.rint((X - lo) / step), 0, shape - 1).astype(np.intp)
-        offsets = np.array(list(itertools.product((-1, 0, 1), repeat=len(shape))))
-        cand = idx[:, None, :] + offsets
-        inbox = ((cand >= 0) & (cand < shape)).all(axis=2)
-        flat = np.ravel_multi_index(tuple(np.moveaxis(cand, 2, 0)), m.shape, mode="clip")
-        k = np.where(inbox, m.compact_of_flat[flat], -1)
-        d2 = ((m.nodes[k] - X[:, None, :]) ** 2).sum(axis=2)
-        d2[k < 0] = np.inf
-        best = np.argmin(d2, axis=1)
-        rows = np.arange(len(X))
-        kb = k[rows, best]
-        sure = d2[rows, best] < (1.49 * step.min()) ** 2
-        ks = kb[sure]
+        k = m.nearest(X)
         # stacked (1, d) @ (d, 1) products: the same dot as ``__call__``
-        corr = np.matmul(self.gradient()[ks][:, None, :],
-                         (X[sure] - m.nodes[ks])[:, :, None])[:, 0, 0]
-        out = np.empty(len(X))
-        out[sure] = self.values[ks] + corr
-        for r in np.nonzero(~sure)[0]:
-            out[r] = self(X[r])
-        return out
+        corr = np.matmul(self.gradient()[k][:, None, :],
+                         (X - m.nodes[k])[:, :, None])[:, 0, 0]
+        return self.values[k] + corr
 
     def to_csv(self, fname: str) -> None:
         g = self.gradient()

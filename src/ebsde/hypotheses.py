@@ -236,7 +236,7 @@ def stationary_generator_phi(model: SdeModel, domain: DomainSpec,
     n = round(T / h)
     acc = np.zeros(paths)
     for i, X, X_new, dK, xi in dynamics.ensemble_steps(model, domain, X0, n, h, seed):
-        acc += _vec_Lphi(model, domain, X)
+        dynamics._add_steps(acc, _vec_Lphi(model, domain, X))
     return dynamics._mean_stderr(acc * h / T)
 
 

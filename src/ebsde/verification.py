@@ -13,7 +13,7 @@ Three checks, each through a different pipeline than the solvers:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -91,6 +91,7 @@ class BsdeResidual:
     paths: int
     partial_times: np.ndarray
     partial_means: np.ndarray
+    run: dict = field(default_factory=dict)
 
 
 def bsde_residual(solution, model: SdeModel, domain: DomainSpec,
@@ -105,7 +106,8 @@ def bsde_residual(solution, model: SdeModel, domain: DomainSpec,
     within Monte Carlo error and shrink as the step is refined.
     ``solution`` needs fields/methods lam, mu, v (interpolating grid
     function) and zeta_at; partial means over [0, t] are returned on a
-    coarse time grid as a martingale diagnostic.
+    coarse time grid as a martingale diagnostic, with the run record
+    (``dynamics.RunRecord.as_dict``).
     """
     lam, mu = solution.lam, solution.mu
     if x0 is None:
@@ -115,21 +117,30 @@ def bsde_residual(solution, model: SdeModel, domain: DomainSpec,
     n = round(T / h)
     sh = np.sqrt(h)
     R = solution.v.interp_many(X0).copy()
-    marks = np.unique(np.linspace(n // n_partial, n, n_partial, dtype=int))
+    marks = set(np.linspace(n // n_partial, n, n_partial, dtype=int).tolist())
     partial_means = []
     partial_times = []
-    for i, X, X_new, dK, xi in dynamics.ensemble_steps(model, domain, X0, n, h, seed):
+    run = dynamics.RunRecord()
+    for i, X, X_new, dK, xi in dynamics.ensemble_steps(model, domain, X0, n, h, seed,
+                                                       run):
         Z = solution.zeta_at(X)
-        R -= (driver.psi_at(X, Z) - lam) * h
-        R -= dynamics._boundary_cost(driver.g, X_new, dK, mu)
-        R += (Z * xi).sum(axis=1) * sh
-        if i + 1 in marks:
-            partial_times.append((i + 1) * h)
-            partial_means.append(float((R - solution.v.interp_many(X_new)).mean()))
-        if i == n - 1:
-            R -= solution.v.interp_many(X_new)
+        # R -= a is R += -a bit for bit
+        terms = (-((driver.psi_at(X, Z) - lam) * h),
+                 -dynamics._boundary_cost(driver.g, X_new, dK, mu),
+                 (Z * xi).sum(axis=1) * sh)
+        rows = [t.reshape(-1, paths) for t in terms]
+        for s, step in enumerate(zip(*rows)):
+            for r in step:
+                R += r
+            if i + s + 1 in marks:
+                end = X_new[s * paths:(s + 1) * paths]
+                partial_times.append((i + s + 1) * h)
+                partial_means.append(float((R - solution.v.interp_many(end)).mean()))
+    if n:
+        R -= solution.v.interp_many(X_new[-paths:])
     return BsdeResidual(*dynamics._mean_stderr(R), float(R.var(ddof=1)), paths,
-                        np.array(partial_times), np.array(partial_means))
+                        np.array(partial_times), np.array(partial_means),
+                        run.as_dict())
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,25 @@ def test_verify_subcommand(tmp_path):
     assert (tmp_path / "bsde_partials.csv").exists()
 
 
+def test_control_and_verify_summaries_carry_byte_identical_run_records(tmp_path):
+    runs = {"control": ["control", "--config", str(CONFIGS / "two_control.json"),
+                        "--grid", "1e-2", "--paths", "16", "--horizon", "0.5"],
+            "verify": ["verify", "--config", str(CONFIGS / "interval_cos.json"),
+                       "--paths", "40", "--horizon", "0.5"]}
+    for task, argv in runs.items():
+        outs = [tmp_path / f"{task}-{k}" for k in range(2)]
+        for out in outs:
+            cli.main(argv + ["--out-dir", str(out)])
+        assert (outs[0] / "summary.json").read_bytes() == (outs[1] / "summary.json").read_bytes()
+        s = _read(outs[0], "summary.json")
+        records = ([p[r] for p in s["policies"].values() for r in ("run_I", "run_J")]
+                   if task == "control" else [s["bsde_run"]])
+        for rec in records:
+            assert rec["path_steps"] == int(argv[-3]) * 500
+            assert 0.0 < rec["reflected_fraction"] < 1.0
+            assert 0.0 < rec["max_step_ratio"] < 1.0
+
+
 def test_reproduce_single_criterion(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text('{"run": {"criteria": [4]}}')

@@ -174,10 +174,12 @@ def test_control_table_bound_validated():
 # replaced (state-sign and girsanov from the per-step table builds that the
 # shared table replaced); on the interval every path is bit-identical, so ==
 # holds. The J costs read lambda and the feedback and threshold rules read
-# zeta, re-recorded with the 1-d ghost-point boundary rows.
+# zeta, re-recorded with the 1-d ghost-point boundary rows. The feedback
+# rows were re-recorded with the per-node control table, whose switch point
+# sits on the node nearest the interpolated one.
 GOLDEN_COSTS = {
-    "feedback": (0.39408067870894564, 0.02975499918781796,
-                 0.1299427236445881, 0.03464243356417318),
+    "feedback": (0.3941281241135666, 0.02977434563716419,
+                 0.1299764160193844, 0.03464653192841972),
     "constant": (0.38885993012951936, 0.029450632702548718,
                  0.12649524983560084, 0.03521714119206948),
     "threshold": (0.39126097609008736, 0.026483441467092594,
@@ -191,11 +193,11 @@ GOLDEN_COSTS = {
         "I_tilted": 0.2930683081268326, "I_tilted_stderr": 0.05888197747776342,
         "agreement_gap": 0.11435199600121349, "combined_stderr": 0.07131050144179668},
     "girsanov-feedback": {
-        "mean_weight": 0.9782297099440029, "mean_weight_stderr": 0.04085383926921927,
-        "effective_sample_size": 15.592076000982615,
-        "I_reweighted": 0.3964086704465045, "I_reweighted_stderr": 0.03538301558806789,
-        "I_tilted": 0.28048254511840676, "I_tilted_stderr": 0.060517020018069856,
-        "agreement_gap": 0.11592612532809776, "combined_stderr": 0.07010183666618816},
+        "mean_weight": 0.9821130849119032, "mean_weight_stderr": 0.04085102434822339,
+        "effective_sample_size": 15.595268485212124,
+        "I_reweighted": 0.39755969826510573, "I_reweighted_stderr": 0.03525418136630241,
+        "I_tilted": 0.28054105323946904, "I_tilted_stderr": 0.06052681393377293,
+        "agreement_gap": 0.11701864502563669, "combined_stderr": 0.07004536036584945},
 }
 
 
@@ -299,14 +301,26 @@ def _counting_L_table(prob):
     return calls
 
 
-def test_feedback_step_builds_one_cost_table_and_constant_none(interval, std_model):
+def test_feedback_step_builds_one_cost_table_and_constant_none(interval, std_model,
+                                                             monkeypatch):
+    # the feedback is a per-node control table: building it takes one cost
+    # table over the nodes; a run then builds one cost table per block, for
+    # the running cost of the chosen controls, none in the steps, and
+    # interpolates no zeta; a constant policy builds none
     prob = two_control_problem()
     sol = solve_ergodic(std_model, interval, induced_driver(prob), 0.2,
                         spacing=1e-2)
     calls = _counting_L_table(prob)
-    cost_I(std_model, interval, prob, feedback_policy(prob, sol), 0.2, 0.05,
-           1e-3, 8, seed=1)
-    assert len(calls) == 50
+    fb = feedback_policy(prob, sol)
+    assert calls == [sol.v.mesh.n_nodes]
+    del calls[:]
+    zeta_calls = []
+    monkeypatch.setattr(type(sol), "zeta_at",
+                        lambda self, X: zeta_calls.append(len(X)))
+    # 500 steps of 320 paths: noise sub-blocks of 204, 204 and 92 steps
+    cost_I(std_model, interval, prob, fb, 0.2, 0.5, 1e-3, 320, seed=1)
+    assert calls == [204 * 320, 204 * 320, 92 * 320]
+    assert zeta_calls == []
     del calls[:]
     cost_J(std_model, interval, prob, Policy.constant(1), sol.lam, 0.05, 1e-3,
            8, seed=1, x0=np.array([0.99]))
@@ -314,7 +328,7 @@ def test_feedback_step_builds_one_cost_table_and_constant_none(interval, std_mod
 
 
 def test_criterion_09_policies_build_at_most_one_cost_table_per_step(monkeypatch):
-    # the criterion's policies on a 50-step horizon: the argmin rules read
+    # the criterion's policies on a 50-step horizon: the argmin rule reads
     # the step's own table, and a constant policy builds none
     from ebsde import acceptance
     builds = {}
@@ -331,33 +345,86 @@ def test_criterion_09_policies_build_at_most_one_cost_table_per_step(monkeypatch
     monkeypatch.setattr(acceptance, "cost_I", short_cost)
     monkeypatch.setattr(acceptance, "cost_J", short_cost)
     acceptance.criterion_09()
-    assert builds == {"feedback": 50, "constant-0": 0, "constant-1": 0,
-                      "state-sign": 50, "z-threshold": 50, "anti-feedback": 50}
+    # a 50-step run is one block: one table for the running cost, except
+    # that the anti-feedback rule reads the table of every step and the
+    # block reuses those
+    assert builds == {"feedback": 1, "constant-0": 0, "constant-1": 0,
+                      "state-sign": 1, "z-threshold": 1, "anti-feedback": 50}
 
 
 def test_step_tuples_carry_state_and_local_time_at_fixed_positions(interval, std_model):
     # a single zero-tilt control leaves the dynamics untouched, so the
-    # controlled steps must replay the plain ensemble steps: X at index 1,
-    # X_new, dK and xi at -3, -2, -1 in both tuples
+    # controlled blocks must replay the plain ensemble blocks: X at index 1,
+    # X_new, dK and xi at -3, -2, -1 in both tuples, flat in step-major order
     prob = ControlProblem(R_table=np.array([[0.0]]),
                           L=lambda x, k: 0.5, M_R=0.0, M_L=0.5,
                           L_vec=lambda X, k: np.full(len(X), 0.5))
-    X0 = np.linspace(-0.99, 0.99, 12)[:, None]
+    P = 12
+    X0 = np.linspace(-0.99, 0.99, P)[:, None]
     for pol in (Policy.constant(0), Policy(rule=lambda X, Z: np.zeros(len(X), int))):
         plain = ensemble_steps(std_model, interval, X0, 200, 1e-2, 4)
         steered = control._controlled_steps(std_model, interval, prob, pol, X0,
                                             200, 1e-2, 4, True)
-        reflected = 0
+        reflected = steps = 0
         X_prev = X0
         for a, b in zip(plain, steered):
-            assert np.array_equal(a[1], X_prev) and np.array_equal(b[1], X_prev)
-            for k in (-3, -2, -1):
+            assert a[0] == b[0] == steps
+            n_rows = len(a[-2])
+            assert np.array_equal(a[1][:P], X_prev) and np.array_equal(b[1][:P], X_prev)
+            # each step starts where the one before it ended
+            assert np.array_equal(a[1][P:], a[-3][:-P])
+            for k in (1, -3, -2, -1):
                 assert np.array_equal(a[k], b[k])
-            assert b[-2].shape == (12,) and b[-2].min() >= 0.0
-            assert np.array_equal(b[3], np.full(12, 0.5))
+            assert b[-2].shape == (n_rows,) and b[-2].min() >= 0.0
+            assert b[1].shape == b[-3].shape == b[-1].shape == (n_rows, 1)
+            assert np.array_equal(b[3], np.full(n_rows, 0.5))
             reflected += int((b[-2] > 0).sum())
-            X_prev = a[-3]
-        assert reflected > 0
+            steps += n_rows // P
+            X_prev = a[-3][-P:].copy()
+        assert steps == 200 and reflected > 0
+
+
+def _assert_table_is_the_node_argmin(prob, sol):
+    # the table holds the Hamiltonian argmin at every node's solved zeta;
+    # a node looks up its own entry
+    nodes = sol.v.nodes
+    table = feedback_policy(prob, sol).controls_for(nodes)
+    for x, z, k in zip(nodes, sol.zeta, table):
+        vals = [prob.L(x, j) + float(z @ prob.R_table[j]) for j in range(prob.n_controls)]
+        best = int(np.argmin(vals))
+        assert k == best or abs(vals[k] - vals[best]) <= 1e-12
+    assert np.array_equal(table, control._hamiltonian_batch(prob, nodes, sol.zeta)[1])
+    return table
+
+
+def test_feedback_table_is_the_hamiltonian_argmin_in_1d(interval, std_model):
+    prob = two_control_problem()
+    sol = solve_ergodic(std_model, interval, induced_driver(prob), 0.3,
+                        spacing=1e-3)
+    table = _assert_table_is_the_node_argmin(prob, sol)
+    # one switch, near x = 0.249
+    switch = np.nonzero(np.diff(table))[0]
+    assert len(switch) == 1 and abs(sol.v.nodes[switch[0], 0] - 0.249) < 2e-3
+
+
+def test_feedback_table_is_the_hamiltonian_argmin_in_2d():
+    from ebsde.presets import assemble_config
+    domain, model, driver, prob = assemble_config({
+        "domain": {"kind": "ball", "radius": 1.0, "dim": 2},
+        "model": {"kind": "kolmogorov", "dim": 2, "eta_hint": -1.0,
+                  "potential": {"kind": "quadratic", "curvature": 1.0}},
+        "driver": {"kind": "hamiltonian"},
+        "control": {"kind": "table",
+                    "R": [[0.25, 0.0], [-0.25, 0.0], [0.0, 0.25]],
+                    "L": {"kind": "affine", "base": 0.5, "slopes": [0.0, 0.1, -0.1]},
+                    "M_R": 0.25, "M_L": 0.7}})
+    sol = solve_ergodic(model, domain, driver, 0.3, spacing=0.1)
+    table = _assert_table_is_the_node_argmin(prob, sol)
+    assert len(np.unique(table)) > 1
+    # off the nodes the policy takes the entry of the nearest node
+    X = np.random.default_rng(2).uniform(-0.7, 0.7, (200, 2))
+    nearest = [int(np.argmin(((sol.v.nodes - x) ** 2).sum(axis=1))) for x in X]
+    assert np.array_equal(feedback_policy(prob, sol).controls_for(X), table[nearest])
 
 
 def test_policy_verdict_thresholds():

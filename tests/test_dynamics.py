@@ -6,14 +6,15 @@ from numpy.testing import assert_allclose
 from scipy import integrate
 
 import conftest as refs
-from ebsde import dynamics
+from ebsde import control, dynamics
 from ebsde.dynamics import (Potential, SdeModel, ensemble_average, ensemble_steps,
                             expected_K_rate, generator_apply, invariant_density,
                             occupation_histogram, path_to_csv, penalized_moments,
                             sample_invariant, simulate, stationary_start)
 from ebsde.errors import NotKolmogorov, StepTooLarge
 from ebsde.geometry import ball_domain, quadratic_domain
-from ebsde.presets import kolmogorov_model, ou_model, quadratic_potential
+from ebsde.presets import (kolmogorov_model, ou_model, quadratic_potential,
+                           two_control_problem)
 
 DRIFT_ONE = SdeModel(b=lambda x: np.ones_like(x),
                      sigma=lambda x: np.zeros((len(x), len(x))),
@@ -45,6 +46,33 @@ def test_step_too_large_raises(interval):
                        sigma=lambda x: np.zeros((1, 1)))
     with pytest.raises(StepTooLarge):
         _one_step(runaway, interval, [0.0], 1.0)
+
+
+def test_step_too_large_refuses_the_whole_block(interval):
+    # the drift turns huge at step 250 of 500: the first block (steps
+    # 0-203 of 320 paths) is yielded, the block holding step 250 is not
+    def runaway(calls):
+        def b_vec(X):
+            calls.append(1)
+            return np.full_like(X, 1e4 if len(calls) > 250 else 0.0)
+        return SdeModel(b=lambda x: np.zeros_like(x), sigma=lambda x: np.eye(1),
+                        b_vec=b_vec, sigma_constant=np.eye(1))
+
+    X0 = np.zeros((320, 1))
+    seen = []
+    with pytest.raises(StepTooLarge):
+        for i, X, X_new, dK, xi in ensemble_steps(runaway([]), interval, X0, 500,
+                                                  1e-3, 0):
+            seen.append(i)
+    assert seen == [0]
+    prob = two_control_problem()
+    seen = []
+    with pytest.raises(StepTooLarge):
+        for step in control._controlled_steps(runaway([]), interval, prob,
+                                              control.Policy.constant(0), X0, 500,
+                                              1e-3, 0, True):
+            seen.append(step[0])
+    assert seen == [0]
 
 
 def test_simulate_path_invariants(interval, std_model):
@@ -81,8 +109,10 @@ def test_ensemble_path_zero_matches_single_path(interval, std_model):
     states = [X[0].copy()]
     K = [0.0]
     for i, Xc, X_new, dK, xi in ensemble_steps(std_model, interval, X, n, h, seed):
-        states.append(X_new[0].copy())
-        K.append(K[-1] + dK[0])
+        # one path: the block's rows are its steps
+        for x, dk in zip(X_new, dK):
+            states.append(x.copy())
+            K.append(K[-1] + dk)
     assert np.max(np.abs(np.array(states) - path.states)) < 1e-12
     assert np.max(np.abs(np.array(K) - path.local_time)) < 1e-12
 
@@ -223,7 +253,9 @@ def test_pointwise_repair_without_batched_forms():
     dom, model = _ellipse_model()
     bare = dataclasses.replace(dom, phi_vec=None, grad_phi_vec=None, hess_phi_vec=None)
     X0 = sample_invariant(model, dom, 32, np.random.default_rng(2))
-    runs = [list(ensemble_steps(model, d, X0, 40, 5e-3, 3)) for d in (dom, bare)]
+    # blocks live in reused buffers: keep copies
+    runs = [[tuple(np.copy(a) for a in step)
+             for step in ensemble_steps(model, d, X0, 40, 5e-3, 3)] for d in (dom, bare)]
     for (_, _, Xa, dKa, _), (_, _, Xb, dKb, _) in zip(*runs):
         assert_allclose(Xa, Xb, rtol=0, atol=1e-12)
         assert_allclose(dKa, dKb, rtol=0, atol=1e-12)
@@ -264,7 +296,9 @@ def test_noise_blocks_match_the_per_path_layout(monkeypatch):
     monkeypatch.setattr(dynamics, "_BLOCK_NUMBERS", 40)
     seed, P, d, n = 5, 7, 2, 11
     rngs = [np.random.default_rng(np.random.SeedSequence([seed, p])) for p in range(P)]
-    got = list(dynamics._ensemble_noise_blocks(seed, P, d, n))
+    # each block overwrites the one before it: keep copies
+    got = [(start, block.copy())
+           for start, block in dynamics._ensemble_noise_blocks(seed, P, d, n)]
     assert [start for start, _ in got] == [0, 2, 4, 6, 8, 10]
     for start, block in got:
         want = np.empty((block.shape[0], P, d))

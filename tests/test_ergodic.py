@@ -116,6 +116,33 @@ def test_flat_curve_not_identifiable(interval):
     assert abs(slope - (hi - lo) / 0.02) <= 1e-2 * abs(slope)
 
 
+@pytest.mark.parametrize("spacing", [0.05, 0.02, 0.01, 1e-3])
+def test_degenerate_curve_is_flat_at_every_spacing(interval, spacing):
+    # lambda does not depend on mu for the degenerate model; the discrete
+    # slope is +5.7e-5 at 0.05 and +3.6e-6 at 0.02, increasing, which the
+    # theory excludes, so any slope above -flat_tol is flat
+    model = degenerate_linear_model()
+    with pytest.raises(FlatCurve) as exc:
+        solve_boundary_cost(model, interval, zero_driver(), 0.5, tol=1e-3,
+                            scheme="direct", spacing=spacing)
+    msg = str(exc.value)
+    slope = float(re.search(r"slope (\S+)", msg).group(1))
+    assert slope > -1e-6
+    sign = "positive" if slope > 0 else "zero" if slope == 0 else "negative"
+    assert f"is {sign}" in msg
+    if spacing >= 0.02:
+        assert sign == "positive"
+
+
+@pytest.mark.parametrize("spacing", [0.05, 0.02, 0.01, 1e-3])
+def test_decreasing_curves_still_invert(interval, std_model, cosdrv, spacing):
+    for domain, target in ((interval, 0.5), (quartic_interval_domain(), 0.3)):
+        sol = solve_boundary_cost(std_model, domain, cosdrv, target, tol=1e-3,
+                                  scheme="direct", spacing=spacing)
+        assert abs(sol.lam - target) <= 1e-3
+        assert sol.diagnostics["inversion"]["slope"] < -1e-6
+
+
 def test_curve_converges_at_second_order_to_the_oracle(interval, std_model, cosdrv):
     # the 1-d ghost-point boundary rows with centered drift: lambda(0) and
     # the slope against the oracle on the halving ladder 1e-2 -> 6.25e-4.

@@ -137,6 +137,44 @@ def test_planar_interp_many_matches_per_point_path(domain, y_radius):
     assert np.array_equal(many, single)
 
 
+def test_line_nearest_node_by_direct_index(interval):
+    mesh = build_mesh(interval, 0.1)
+    a = mesh.axes[0]
+    h = a[1] - a[0]
+    half = 0.5 * (a[:-1] + a[1:])
+    rng = np.random.default_rng(8)
+    pts = np.concatenate([[-1.0, 1.0], a, half, rng.uniform(-1, 1, 500)])
+    k = mesh.nearest(pts[:, None])
+    assert k[0] == 0 and k[1] == len(a) - 1
+    assert np.array_equal(k[2:2 + len(a)], np.arange(len(a)))
+    # half-way points take one of their two neighbours
+    kh = k[2 + len(a):2 + len(a) + len(half)]
+    j = np.arange(len(half))
+    assert np.all((kh == j) | (kh == j + 1))
+    assert np.all(np.abs(pts - a[k]) <= 0.5 * h * (1 + 1e-12))
+    dist = np.abs(pts[:, None] - a[None, :])
+    assert np.all(dist[np.arange(len(pts)), k] <= dist.min(axis=1) + 1e-15)
+    # points past the ends clamp to the end nodes
+    assert mesh.nearest(np.array([[-1.3], [1.3]])).tolist() == [0, len(a) - 1]
+
+
+@pytest.mark.parametrize("domain", PLANAR, ids=["disc", "ellipse"])
+def test_planar_nearest_node_is_the_argmin_over_every_node(domain):
+    # the box-block search against the argmin over every node, ties (the
+    # half-way points) to the lowest index, and nodes onto themselves
+    mesh = build_mesh(domain, 0.1)
+    ax, ay = mesh.axes
+    rng = np.random.default_rng(6)
+    n = 300
+    half = np.stack([rng.choice(ax[:-1] + 0.5 * (ax[1] - ax[0]), n),
+                     rng.choice(ay, n)], axis=1)
+    pts = np.concatenate([rng.uniform(-1.2, 1.2, (1000, 2)), half, mesh.nodes])
+    want = [int(np.argmin(((mesh.nodes - p) ** 2).sum(axis=1))) for p in pts]
+    got = mesh.nearest(pts)
+    assert got.tolist() == want
+    assert np.array_equal(got[-mesh.n_nodes:], np.arange(mesh.n_nodes))
+
+
 def test_grid_function_csv_deterministic(tmp_path):
     mesh = build_mesh(ball_domain(1.0, 1), 0.1)
     f = GridFunction(mesh, np.cos(mesh.nodes[:, 0]))

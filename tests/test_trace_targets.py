@@ -25,3 +25,37 @@ def test_every_traced_target_resolves():
             obj = getattr(obj, attr)
         assert callable(obj), f"{modname}.{path}"
         assert kind in ("call", "gen", "steps")
+
+
+def test_step_targets_yield_flat_blocks():
+    # the tracer counts len(item[1]) path-steps and the reflected entries
+    # of item[-2] for each item of a "steps" target: a block must carry its
+    # states flat as (m P, d) at index 1 and its dK flat as (m P,) at -2
+    import numpy as np
+    from ebsde import ball_domain, control, kolmogorov_model, quadratic_potential
+    from ebsde.presets import two_control_problem
+
+    domain = ball_domain(1.0, 1)
+    model = kolmogorov_model(quadratic_potential(), eta_hint=-1.0)
+    paths, steps = 320, 500
+    X0 = np.linspace(-0.9, 0.9, paths)[:, None]
+    policy = control.Policy(rule=lambda X, Z: (X[:, 0] > 0).astype(int))
+    calls = {
+        "dynamics.ensemble_steps": lambda fn: fn(model, domain, X0, steps, 1e-3, 5),
+        "control.controlled_steps": lambda fn: fn(model, domain, two_control_problem(),
+                                                  policy, X0, steps, 1e-3, 5, True),
+    }
+    targets = [t for t in _tracing().PACKAGE_TARGETS if t[3] == "steps"]
+    assert sorted(t[2] for t in targets) == sorted(calls)
+    for modname, path, name, _ in targets:
+        fn = getattr(importlib.import_module(modname), path)
+        rows, reflected, blocks = 0, 0, 0
+        for item in calls[name](fn):
+            X, dK = item[1], item[-2]
+            assert X.ndim == 2 and X.shape[1] == 1
+            assert dK.shape == (len(X),)
+            rows += len(X)
+            reflected += int((dK > 0).sum())
+            blocks += 1
+        assert rows == paths * steps, name
+        assert blocks == 3 and 0 < reflected < rows, name
