@@ -147,7 +147,7 @@ def cmd_check(args) -> int:
     eff = _effective(cfg, args)
     domain, model, driver, _ = assemble_config(cfg)
     report = check_all(model, driver, domain, grid_density=eff["grid_density"],
-                       seed=eff["seed"])
+                       spacing=eff["grid"])
     out = _out_dir(args)
     rows = [[k, v] for k, v in sorted(report.flags.items())]
     _write_table(out / "flags.csv", ["hypothesis", "holds"], rows)

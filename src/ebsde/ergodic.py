@@ -269,7 +269,8 @@ def _flat_message(slope: float, where: str, flat_tol: float) -> str:
 
 def solve_boundary_cost(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
                         lambda_target: float, tol: float = 1e-3,
-                        slope_floor: float = 1e-2, flat_tol: float = 1e-6,
+                        slope_floor: float = 1e-2,
+                        flat_tol: float = hypotheses.FLAT_TOL,
                         max_expansions: int = 8, max_bisect: int = 60,
                         **solve_kw) -> ErgodicSolution:
     """Find mu with lambda(mu) = lambda_target.
@@ -280,11 +281,13 @@ def solve_boundary_cost(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
     the distance to lambda(0) and the driver bound, scaled by the secant
     slope |lambda(1) - lambda(0)| (floored by slope_floor); it doubles on
     straddle failure. The curve does not increase, so FlatCurve means that
-    the slope (exact, or sampled over the bracket) is above -flat_tol: flat,
-    or increasing by a discretisation error, and either way mu is not
-    identifiable. BracketFailure means the target was never straddled. The solution's diagnostics["inversion"]
-    records the route, the number of solves and the slope: exact, or the
-    secant lambda(1) - lambda(0) of the bisection.
+    the slope (exact, or sampled over the bracket) is at or above -flat_tol:
+    flat, or increasing by a discretisation error, and either way mu is not
+    identifiable; ``hypotheses.check_all`` reports the same exact slope as
+    F2.2. BracketFailure means the target was never straddled. The
+    solution's diagnostics["inversion"] records the route, the number of
+    solves and the slope: exact, or the secant lambda(1) - lambda(0) of the
+    bisection.
     """
     solve_kw = _shared_operators(model, domain, solve_kw)
     solves = []
@@ -296,7 +299,7 @@ def solve_boundary_cost(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
     line = _affine_curve(driver, solve_kw)
     if line is not None:
         lam0, slope = line
-        if slope > -flat_tol:
+        if slope >= -flat_tol:
             raise FlatCurve(_flat_message(slope, "of the discrete curve", flat_tol))
         sol = solve((lambda_target - lam0) / slope)
     else:
@@ -308,7 +311,7 @@ def solve_boundary_cost(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
         for _ in range(max_expansions):
             lam_lo = solve(-B).lam
             lam_hi = solve(+B).lam
-            if (lam_hi - lam_lo) / (2 * B) > -flat_tol:
+            if (lam_hi - lam_lo) / (2 * B) >= -flat_tol:
                 raise FlatCurve(_flat_message((lam_hi - lam_lo) / (2 * B),
                                               f"sampled over [-{B:.3g}, {B:.3g}]", flat_tol))
             if lam_lo >= lambda_target >= lam_hi:

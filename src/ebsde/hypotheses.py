@@ -4,12 +4,14 @@ Every solver in this package rests on quantitative conditions: dissipativity
 of the state equation, Lipschitz control of the driver, strict convexity of
 the potential in the gradient case, and sign conditions on the stationary
 average of the generator applied to the defining function. This module
-estimates all of those constants on grids and Monte Carlo runs and returns
-a single report with one boolean flag per assumption.
+estimates all of those constants on grids and by quadrature and returns a
+single report with one boolean flag per assumption. Nothing is simulated,
+so the report is a deterministic function of its arguments.
 
 All supremum-type constants are maximized over tensor grids (values never
-decrease under grid refinement). Monte Carlo quantities carry standard
-errors, and the corresponding flags demand a three-standard-error margin.
+decrease under grid refinement). The stationary average is a quadrature
+against the Gibbs density for gradient models and the slope of the discrete
+mu -> lambda curve otherwise (``stationary_generator_phi``).
 """
 from __future__ import annotations
 
@@ -20,15 +22,20 @@ from typing import Dict, List, Optional
 import numpy as np
 from scipy import integrate
 
+from .discounted import GridOperators
 from .errors import NonConvexPotential, NotKolmogorov, SigmaNotConstant
 from .geometry import DomainSpec, boundary_sample, domain_grid, geometric_constants
 from . import dynamics
 from .dynamics import SdeModel, generator_apply
 
 __all__ = [
-    "HypothesisReport", "estimate_eta", "estimate_theta",
+    "HypothesisReport", "FLAT_TOL", "estimate_eta", "estimate_theta",
     "estimate_kolmogorov_constants", "stationary_generator_phi", "check_all",
 ]
+
+# a slope of lambda(mu) at or above -FLAT_TOL is flat: mu is not identifiable,
+# so F2.2 is false and ``solve_boundary_cost`` raises FlatCurve
+FLAT_TOL = 1e-6
 
 
 @dataclass
@@ -39,6 +46,7 @@ class HypothesisReport:
     slack (positive means satisfied strictly) for the quantitative ones.
     ``suggested_shift`` is a drift-shift magnitude that would restore the
     dissipativity condition when it fails but a shift can fix it.
+    ``E_nu_Lphi`` is NaN where no grid can carry the stationary flux.
     """
 
     eta: float
@@ -51,7 +59,6 @@ class HypothesisReport:
     delta: float
     c_convexity: float
     E_nu_Lphi: float
-    E_nu_Lphi_stderr: float
     flags: Dict[str, bool]
     margins: Dict[str, float] = field(default_factory=dict)
     notes: List[str] = field(default_factory=list)
@@ -69,7 +76,6 @@ class HypothesisReport:
             "theta": clean(self.theta), "delta": clean(self.delta),
             "c_convexity": clean(self.c_convexity),
             "E_nu_Lphi": clean(self.E_nu_Lphi),
-            "E_nu_Lphi_stderr": clean(self.E_nu_Lphi_stderr),
             "flags": dict(self.flags),
             "margins": {k: clean(v) for k, v in self.margins.items()},
             "notes": list(self.notes),
@@ -207,16 +213,17 @@ def estimate_kolmogorov_constants(model: SdeModel, domain: DomainSpec,
 
 
 def stationary_generator_phi(model: SdeModel, domain: DomainSpec,
-                             T: float = 200.0, h: float = 1e-3,
-                             paths: int = 64, seed: int = 0,
-                             resolution: int = 4001):
-    """E[L phi] under the stationary law; returns (value, stderr).
+                             spacing: float = 1e-3) -> float:
+    """E[L phi] under the stationary law.
 
     For gradient systems the expectation is computed by quadrature against
-    the explicit stationary density (stderr 0). Otherwise it is a long-run
-    time average over a path ensemble with a Monte Carlo standard error.
-    The negative of this number is the stationary growth rate of the
-    boundary local time, whatever unit-gradient defining function is used.
+    the explicit stationary density. Otherwise it is the flux sum of the
+    adjoint weights of the grid at this spacing (``GridOperators.weights``),
+    d lambda / d mu of the direct scheme: the slope that
+    ``solve_boundary_cost`` inverts. Raises NotImplementedError where no grid
+    can be built (d >= 3, off-diagonal diffusion in 2-d). The negative of
+    this number is the stationary growth rate of the boundary local time,
+    whatever unit-gradient defining function is used.
     """
     phi_triple = (domain.phi, domain.grad_phi, domain.hess_phi)
     if model.kolmogorov_potential is not None and domain.dim == 1:
@@ -226,18 +233,12 @@ def stationary_generator_phi(model: SdeModel, domain: DomainSpec,
         val, _ = integrate.quad(
             lambda t: generator_apply(model, phi_triple, np.array([t]))
             * np.exp(-pot.value(np.array([t]))) / N, lo, hi)
-        return float(val), 0.0
+        return float(val)
     if model.kolmogorov_potential is not None:
         dens = dynamics.invariant_density(model, domain, resolution=101)
         vals = np.array([generator_apply(model, phi_triple, p) for p in dens.nodes])
-        return float((vals * dens.values).sum() * dens.cell_volume), 0.0
-    # ergodic time average
-    X0 = dynamics.stationary_start(model, domain, paths, h, seed, 424_243)
-    n = round(T / h)
-    acc = np.zeros(paths)
-    for i, X, X_new, dK, xi in dynamics.ensemble_steps(model, domain, X0, n, h, seed):
-        dynamics._add_steps(acc, _vec_Lphi(model, domain, X))
-    return dynamics._mean_stderr(acc * h / T)
+        return float((vals * dens.values).sum() * dens.cell_volume)
+    return float(GridOperators(model, domain, spacing).weights()[1].sum())
 
 
 def _vec_Lphi(model: SdeModel, domain: DomainSpec, X: np.ndarray) -> np.ndarray:
@@ -260,15 +261,27 @@ def _driver_attr(driver, name, default):
     return getattr(driver, name, default) if driver is not None else default
 
 
+def _sigma_inverse_sup(model: SdeModel, pts: np.ndarray) -> Optional[float]:
+    """sup |sigma(x)^{-1} x| over the probe points, or None when sigma is
+    singular (condition number above 1e12) at one of them."""
+    s_sup = 0.0
+    for p in pts:
+        sig = np.atleast_2d(model.sigma(p))
+        if np.linalg.cond(sig) > 1e12:
+            return None
+        s_sup = max(s_sup, float(np.linalg.norm(np.linalg.solve(sig, p))))
+    return s_sup
+
+
 def check_all(model: SdeModel, driver, domain: DomainSpec,
-              grid_density: int = 48, seed: int = 0,
-              mc_T: float = 120.0, mc_paths: int = 64,
-              mc_h: float = 1e-3) -> HypothesisReport:
+              grid_density: int = 48, spacing: float = 1e-3) -> HypothesisReport:
     """Estimate every structural constant and evaluate all assumption flags.
 
-    ``driver`` may be None (pure state-equation checks). The report is a
-    deterministic function of the arguments; Monte Carlo pieces use the
-    given seed.
+    ``driver`` may be None (pure state-equation checks). ``spacing`` is the
+    grid of the stationary flux of a model without a potential, the grid
+    that ``solve_boundary_cost`` would use: for a driver that does not read
+    z, F2.2 is false exactly when that inversion raises FlatCurve. The
+    report is a deterministic function of the arguments.
     """
     flags: Dict[str, bool] = {}
     margins: Dict[str, float] = {}
@@ -337,12 +350,8 @@ def check_all(model: SdeModel, driver, domain: DomainSpec,
     else:
         flags["H4"] = False
 
-    sigma_is_const = True
-    sig0 = S[0]
-    if np.max(np.abs(S - S[0])) > 1e-12:
-        sigma_is_const = False
     theta = np.nan
-    if sigma_is_const:
+    if np.max(np.abs(S - S[0])) <= 1e-12:
         theta = estimate_theta(model, driver, domain, min(grid_density, 32))
         flags["H3'"] = bool(theta < 0)
         margins["H3'"] = -theta
@@ -356,19 +365,16 @@ def check_all(model: SdeModel, driver, domain: DomainSpec,
                        and (driver.g is None
                             or _driver_attr(driver, "g_c2lip", True)))
 
-    # stationary average of L phi and the flux-sign condition; a model that
-    # cannot even be burned in (no potential, no contraction) still gets a
-    # report, just without the flux-based flags
+    # stationary average of L phi and the flux-sign condition; a model with
+    # no grid to carry the flux still gets a report, without the flux flags
     try:
-        E_nu_Lphi, E_se = stationary_generator_phi(model, domain, T=mc_T,
-                                                   h=mc_h, paths=mc_paths,
-                                                   seed=seed)
-    except ValueError as exc:
-        E_nu_Lphi, E_se = float("nan"), float("nan")
-        notes.append(f"stationary flux estimate unavailable: {exc}")
-    flags["F2.2"] = bool(np.isfinite(E_nu_Lphi) and E_nu_Lphi < -3.0 * E_se)
+        E_nu_Lphi = stationary_generator_phi(model, domain, spacing)
+    except NotImplementedError as exc:
+        E_nu_Lphi = float("nan")
+        notes.append(f"stationary flux unavailable: {exc}")
+    flags["F2.2"] = bool(E_nu_Lphi < -FLAT_TOL)
     if np.isfinite(E_nu_Lphi):
-        margins["F2.2"] = -E_nu_Lphi - 3.0 * E_se
+        margins["F2.2"] = -E_nu_Lphi - FLAT_TOL
     psi_bounded = bool(_driver_attr(driver, "psi_bounded", False)) or K_psi_z == 0.0
     flags["F2.1"] = bool(driver is not None and psi_bounded)
     flags["F2"] = flags["F2.1"] and flags["F2.2"]
@@ -387,7 +393,7 @@ def check_all(model: SdeModel, driver, domain: DomainSpec,
     grad_phi_sup = float(max(np.linalg.norm(domain.grad_phi(p)) for p in pts))
     if model.kolmogorov_potential is not None and np.isfinite(c_conv) and c_conv > 0:
         lhs = (delta / np.sqrt(2.0 * c_conv) + np.sqrt(2.0) * grad_phi_sup) * K_psi_z
-        f2pp_margin = -E_nu_Lphi - 3.0 * E_se - lhs
+        f2pp_margin = -E_nu_Lphi - lhs
         flags["F2''"] = bool(f2pp_margin > 0)
         margins["F2''"] = f2pp_margin
     else:
@@ -396,15 +402,8 @@ def check_all(model: SdeModel, driver, domain: DomainSpec,
     # drift-shift suggestion when plain dissipativity fails
     suggested = None
     if not flags["H3"]:
-        sing = False
-        s_sup = 0.0
-        for p in pts:
-            sig = np.atleast_2d(model.sigma(p))
-            if np.linalg.cond(sig) > 1e12:
-                sing = True
-                break
-            s_sup = max(s_sup, float(np.linalg.norm(np.linalg.solve(sig, p))))
-        if not sing and K_sigma * s_sup < 1.0:
+        s_sup = _sigma_inverse_sup(model, pts)
+        if s_sup is not None and K_sigma * s_sup < 1.0:
             suggested = float(h3_value / (1.0 - K_sigma * s_sup) * 1.1 + 1e-2)
             notes.append(
                 f"dissipativity fails (eta + K_psi_z K_sigma = {h3_value:.4g}); "
@@ -415,5 +414,5 @@ def check_all(model: SdeModel, driver, domain: DomainSpec,
         eta=float(eta), K_b=float(K_b), K_sigma=float(K_sigma),
         K_psi_x=K_psi_x, K_psi_z=K_psi_z, M_psi=M_psi,
         theta=float(theta), delta=float(delta), c_convexity=float(c_conv),
-        E_nu_Lphi=float(E_nu_Lphi), E_nu_Lphi_stderr=float(E_se),
+        E_nu_Lphi=float(E_nu_Lphi),
         flags=flags, margins=margins, notes=notes, suggested_shift=suggested)

@@ -23,7 +23,7 @@ from .discounted import DriverSpec
 from .dynamics import SdeModel
 from .ergodic import ErgodicSolution, solve_ergodic
 from .errors import SingularSigma
-from .geometry import DomainSpec
+from .geometry import DomainSpec, domain_grid
 
 __all__ = ["pde_residual", "bsde_residual", "BsdeResidual",
            "shifted_problem", "drift_shift_equivalence"]
@@ -147,18 +147,6 @@ def bsde_residual(solution, model: SdeModel, domain: DomainSpec,
 # drift shift
 
 
-def _sigma_inverse_x(model: SdeModel, domain: DomainSpec) -> float:
-    """sup |sigma(x)^{-1} x| over a grid; raises if sigma is singular."""
-    from .geometry import domain_grid
-    s_sup = 0.0
-    for p in domain_grid(domain, 33):
-        sig = np.atleast_2d(model.sigma(p))
-        if np.linalg.cond(sig) > 1e12:
-            raise SingularSigma("diffusion matrix is singular on the closure")
-        s_sup = max(s_sup, float(np.linalg.norm(np.linalg.solve(sig, p))))
-    return s_sup
-
-
 def shifted_problem(model: SdeModel, driver: DriverSpec, xi: float,
                     domain: DomainSpec):
     """Move a linear term from the drift into the driver.
@@ -170,7 +158,9 @@ def shifted_problem(model: SdeModel, driver: DriverSpec, xi: float,
     xi sup|sigma^{-1} x|. The declared x-modulus is kept nominal (after
     the shift it holds only locally in z).
     """
-    s_sup = _sigma_inverse_x(model, domain)
+    s_sup = hypotheses._sigma_inverse_sup(model, domain_grid(domain, 33))
+    if s_sup is None:
+        raise SingularSigma("diffusion matrix is singular on the closure")
 
     def b2(x, _b=model.b):
         return np.atleast_1d(_b(x)) - xi * np.atleast_1d(x)

@@ -33,6 +33,17 @@ def test_check_reports_failed_flux_flag_but_exits_zero(tmp_path):
     assert "F2.2,false" in flags
 
 
+@pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.json")))
+def test_check_summary_does_not_depend_on_the_seed(tmp_path, config):
+    # check simulates nothing, so --seed changes no byte of the summary
+    outs = [tmp_path / f"seed{seed}" for seed in (0, 7)]
+    for seed, out in zip((0, 7), outs):
+        assert cli.main(["check", "--config", str(CONFIGS / config),
+                         "--seed", str(seed), "--out-dir", str(out)]) == 0
+    a, b = ((out / "summary.json").read_bytes() for out in outs)
+    assert a == b
+
+
 def test_invert_on_flat_curve_fails_with_hint(tmp_path, capsys):
     rc = cli.main(["invert", "--config", str(CONFIGS / "degenerate.json"),
                    "--lambda", "0.0", "--out-dir", str(tmp_path)])

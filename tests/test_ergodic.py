@@ -13,6 +13,7 @@ from ebsde.ergodic import (ErgodicSolution, lambda_of_mu, lambda_time_average,
                            solve_boundary_cost, solve_ergodic)
 from ebsde.geometry import ball_domain, quartic_interval_domain
 from ebsde.grids import GridFunction, build_mesh
+from ebsde.hypotheses import check_all
 from ebsde.presets import (constant_driver, degenerate_linear_model,
                            kolmogorov_model, quadratic_potential, zero_driver)
 from ebsde.verification import pde_residual
@@ -120,11 +121,14 @@ def test_flat_curve_not_identifiable(interval):
 def test_degenerate_curve_is_flat_at_every_spacing(interval, spacing):
     # lambda does not depend on mu for the degenerate model; the discrete
     # slope is +5.7e-5 at 0.05 and +3.6e-6 at 0.02, increasing, which the
-    # theory excludes, so any slope above -flat_tol is flat
+    # theory excludes, so any slope above -flat_tol is flat; check reads the
+    # same slope, so F2.2 is false at every spacing where this is flat
     model = degenerate_linear_model()
     with pytest.raises(FlatCurve) as exc:
         solve_boundary_cost(model, interval, zero_driver(), 0.5, tol=1e-3,
                             scheme="direct", spacing=spacing)
+    assert not check_all(model, zero_driver(), interval, grid_density=16,
+                         spacing=spacing).flags["F2.2"]
     msg = str(exc.value)
     slope = float(re.search(r"slope (\S+)", msg).group(1))
     assert slope > -1e-6

@@ -2,18 +2,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 import conftest as refs
 from ebsde.discounted import DriverSpec
 from ebsde.dynamics import SdeModel
+from ebsde.ergodic import solve_boundary_cost
 from ebsde.errors import NonConvexPotential, SigmaNotConstant
 from ebsde.geometry import ball_domain, quartic_interval_domain
-from ebsde.hypotheses import (check_all, estimate_eta,
+from ebsde.hypotheses import (FLAT_TOL, check_all, estimate_eta,
                               estimate_kolmogorov_constants, estimate_theta,
                               stationary_generator_phi)
-from ebsde.presets import (cos_driver, degenerate_linear_model,
-                           kolmogorov_model, ou_model, poly_potential,
-                           quadratic_potential, zero_driver)
+from ebsde.presets import (constant_driver, cos_driver,
+                           degenerate_linear_model, kolmogorov_model, ou_model,
+                           poly_potential, quadratic_potential, zero_driver)
 from ebsde.verification import shifted_problem
 
 
@@ -65,9 +67,7 @@ def test_nonconvex_potential_raises(interval):
 
 
 def test_stationary_flux_quadrature_for_gradient_model(interval, std_model):
-    val, se = stationary_generator_phi(std_model, interval, T=10.0, h=1e-3,
-                                       paths=8, seed=0)
-    assert se == 0.0  # explicit density, no sampling error
+    val = stationary_generator_phi(std_model, interval)
     assert abs(val + refs.FLUX_RATE) < 1e-9
 
 
@@ -93,14 +93,13 @@ def test_check_all_quartic_domain_strict_flux(std_model, cosdrv):
 
 def test_check_all_degenerate_model(interval):
     rep = check_all(degenerate_linear_model(), zero_driver(), interval,
-                    grid_density=24, mc_T=40.0)
+                    grid_density=24)
     assert rep.flags["H3"]
     assert not rep.flags["F2.2"]  # no boundary attainability
     assert not rep.flags["H4"]
-    # the origin absorbs this model (b(0) = 0, sigma(0) = 0), so the
-    # sampled flux is exactly zero and the strict-sign test must fail
-    assert rep.E_nu_Lphi == 0.0
-    assert rep.E_nu_Lphi_stderr == 0.0
+    # the stationary law is the point mass at the origin, so the flux is
+    # zero and the grid's slope (+4.5e-10 here) sits inside the flat band
+    assert abs(rep.E_nu_Lphi) < FLAT_TOL
 
 
 def test_declared_driver_constants_are_binding(interval, std_model):
@@ -122,18 +121,64 @@ def test_suggested_shift_restores_dissipativity(interval):
     assert estimate_eta(model2, interval, 16) < 0
 
 
-def test_stationary_flux_monte_carlo_pinned_bit_for_bit(interval):
-    # recorded from the per-point generator loop (models without b_vec) and
-    # the three-case vectorised L phi; compared with ==
-    pins = {
-        "ou": (ou_model(), interval, (-0.2241078998780459, 0.07131127060725784)),
-        "no-b_vec": (SdeModel(b=lambda x: -np.atleast_1d(x),
-                              sigma=lambda x: np.eye(1), eta_hint=-1.0),
-                     interval, (-0.2241078998780459, 0.07131127060725784)),
-        "degenerate": (degenerate_linear_model(), interval, (0.0, 0.0)),
-        "ou-disc": (ou_model(dim=2), ball_domain(1.0, 2),
-                    (-0.63618631137266, 0.05573295166534861)),
-    }
-    for name, (model, dom, want) in pins.items():
-        got = stationary_generator_phi(model, dom, T=0.5, h=1e-3, paths=8, seed=2)
-        assert got == want, name
+def _ou_flux_oracle(dim):
+    """E_nu[L phi] for b = -x, sigma = I on the unit ball, phi = (1 - |x|^2)/2:
+    L phi = |x|^2 - d/2 against the density exp(-|x|^2), by radial quadrature."""
+    def w(r):
+        return np.exp(-r * r) * r ** (dim - 1)
+
+    lo = -1.0 if dim == 1 else 0.0
+    N = integrate.quad(w, lo, 1)[0]
+    return integrate.quad(lambda r: (r * r - 0.5 * dim) * w(r), lo, 1)[0] / N
+
+
+def test_stationary_flux_second_order_on_the_interval(interval):
+    exact = _ou_flux_oracle(1)
+    assert abs(exact + 0.2462958981963155) < 1e-12
+    spacings = 1e-2 / 2.0 ** np.arange(5)
+    errs = np.array([abs(stationary_generator_phi(ou_model(), interval, h) - exact)
+                     for h in spacings])
+    assert np.all(errs <= 0.25 * spacings ** 2), errs
+    orders = np.log2(errs[:-1] / errs[1:])
+    assert np.all(orders >= 1.8), orders
+
+
+def test_stationary_flux_first_order_on_the_disc():
+    # the 2-d rows are first order; the error is 1.8-2.0 h on this ladder
+    exact = _ou_flux_oracle(2)
+    assert abs(exact + 0.5819767068693265) < 1e-12
+    disc = ball_domain(1.0, 2)
+    spacings = 0.1 / 2.0 ** np.arange(3)
+    errs = np.array([abs(stationary_generator_phi(ou_model(dim=2), disc, h) - exact)
+                     for h in spacings])
+    assert np.all(errs <= 2.5 * spacings), errs
+    orders = np.log2(errs[:-1] / errs[1:])
+    assert np.all(orders >= 0.9), orders
+
+
+def test_stationary_flux_of_per_point_drift_matches_batched(interval):
+    # a model without b_vec assembles its drift point by point
+    plain = SdeModel(b=lambda x: -np.atleast_1d(x), sigma=lambda x: np.eye(1),
+                     eta_hint=-1.0)
+    assert (stationary_generator_phi(plain, interval)
+            == stationary_generator_phi(ou_model(), interval))
+
+
+@pytest.mark.parametrize("spacing", [1e-2, 1e-3])
+def test_flux_flag_true_exactly_when_inversion_succeeds(interval, spacing):
+    # the flat side is test_ergodic's degenerate-curve test
+    model, driver = ou_model(), constant_driver(1.0)
+    rep = check_all(model, driver, interval, grid_density=16, spacing=spacing)
+    assert rep.flags["F2.2"]
+    sol = solve_boundary_cost(model, interval, driver, 0.5, tol=1e-3,
+                              scheme="direct", spacing=spacing)
+    assert abs(sol.lam - 0.5) <= 1e-3
+    assert sol.diagnostics["inversion"]["slope"] == rep.E_nu_Lphi
+
+
+def test_flux_unavailable_without_a_grid():
+    rep = check_all(ou_model(dim=3), zero_driver(), ball_domain(1.0, 3),
+                    grid_density=8)
+    assert not rep.flags["F2.2"]
+    assert np.isnan(rep.E_nu_Lphi) and "F2.2" not in rep.margins
+    assert any(n.startswith("stationary flux unavailable") for n in rep.notes)
