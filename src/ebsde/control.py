@@ -26,7 +26,7 @@ import numpy as np
 
 from . import dynamics
 from .discounted import DriverSpec
-from .dynamics import SdeModel, _add_steps, _boundary_cost, _mean_stderr
+from .dynamics import SdeModel, _Accumulator, _boundary_cost, _mean_stderr
 from .errors import DegenerateLocalTime, WeightDegeneracy
 from .geometry import DomainSpec, domain_grid
 
@@ -165,6 +165,8 @@ class Policy:
         else:
             Z = np.zeros(X.shape)
         u = self.rule(X, Z, costs) if self.reads_costs else self.rule(X, Z)
+        if isinstance(u, np.ndarray) and u.dtype == np.intp:
+            return u
         return np.asarray(u).astype(int, copy=False)
 
     @staticmethod
@@ -226,10 +228,12 @@ def _controlled_steps(model: SdeModel, domain: DomainSpec, problem: ControlProbl
 
     With ``tilt_drift`` the proposal uses drift b + sigma R(u) (controlled
     measure); without it the base dynamics are simulated and the caller
-    reweights. Per step only the policy and the tilt run beside the plain
-    step (``dynamics._step_blocks``); a rule that reads costs is handed the
-    step's (P, K) running-cost table. Yields (start, X, u, L_u, X_new, dK,
-    xi) over the m P path-steps of a block, flat in step-major order as
+    reweights. Per step only the policy and the tilt run beside the state
+    recursion of the plain step (``dynamics._step_blocks``: drift, noise add
+    and the boundary kernel; the local time and the StepTooLarge check run
+    once per block); a rule that reads costs is handed the step's (P, K)
+    running-cost table. Yields (start, X, u, L_u, X_new, dK, xi) over the
+    m P path-steps of a block, flat in step-major order as
     ``dynamics.ensemble_steps`` yields them; L_u, the running cost of the
     chosen control, is evaluated once per block. A constant policy yields
     its index as u, a scalar int rather than an array, and evaluates only
@@ -295,20 +299,15 @@ def cost_I(model: SdeModel, domain: DomainSpec, problem: ControlProblem,
     """
     n = round(T / h)
     X0 = _default_start(model, domain, paths, h, seed, x0)
-    acc = np.zeros(paths)
+    acc = _Accumulator(np.zeros(paths))
     marks = {round(n / 4): T / 4, round(n / 2): T / 2, n: T}
     horizon_values = {}
     run = dynamics.RunRecord()
     for i, X, u, L_u, X_new, dK, xi in _controlled_steps(model, domain, problem, policy,
                                                          X0, n, h, seed, True, run):
-        bound = _boundary_cost(problem.g, X_new, dK, mu)
-        for s, (L_s, b_s) in enumerate(zip((L_u * h).reshape(-1, paths),
-                                           bound.reshape(-1, paths))):
-            acc += L_s
-            acc += b_s
-            if i + s + 1 in marks:
-                t = marks[i + s + 1]
-                horizon_values[t] = _mean_stderr(acc / t)
+        for k, sums in acc.add_steps(L_u * h, _boundary_cost(problem.g, X_new, dK, mu),
+                                     start=i, marks=marks):
+            horizon_values[marks[k]] = _mean_stderr(sums / marks[k])
     value, se = horizon_values[T]
     return CostEstimate(value, se, horizon_values, {"run": run.as_dict()})
 
@@ -324,16 +323,17 @@ def cost_J(model: SdeModel, domain: DomainSpec, problem: ControlProblem,
     """
     n = round(T / h)
     X0 = _default_start(model, domain, paths, h, seed, x0)
-    num = np.zeros(paths)
-    den = np.zeros(paths)
+    num = _Accumulator(np.zeros(paths))
+    den = _Accumulator(np.zeros(paths))
     run = dynamics.RunRecord()
     for i, X, u, L_u, X_new, dK, xi in _controlled_steps(model, domain, problem, policy,
                                                          X0, n, h, seed, True, run):
         if problem.g is None:
-            _add_steps(num, (L_u - lam) * h)
+            num.add_steps((L_u - lam) * h)
         else:
-            _add_steps(num, (L_u - lam) * h, _boundary_cost(problem.g, X_new, dK, 0.0))
-        _add_steps(den, dK)
+            num.add_steps((L_u - lam) * h, _boundary_cost(problem.g, X_new, dK, 0.0))
+        den.add_steps(dK)
+    num, den = num.total, den.total
     dbar, d_se = _mean_stderr(den)
     if dbar <= 3 * d_se:
         raise DegenerateLocalTime(
@@ -381,13 +381,14 @@ def girsanov_weight_check(model: SdeModel, domain: DomainSpec,
     n = round(T / h)
     X0 = _default_start(model, domain, paths, h, seed, x0)
     sh = np.sqrt(h)
-    logw = np.zeros(paths)
-    cost = np.zeros(paths)
+    logw = _Accumulator(np.zeros(paths))
+    cost = _Accumulator(np.zeros(paths))
     for i, X, u, L_u, X_new, dK, xi in _controlled_steps(model, domain, problem,
                                                          policy, X0, n, h, seed, False):
         Ru = np.broadcast_to(problem.R_table[u], xi.shape)
-        _add_steps(logw, (Ru * xi).sum(axis=1) * sh - 0.5 * (Ru * Ru).sum(axis=1) * h)
-        _add_steps(cost, L_u * h, _boundary_cost(problem.g, X_new, dK, mu))
+        logw.add_steps((Ru * xi).sum(axis=1) * sh - 0.5 * (Ru * Ru).sum(axis=1) * h)
+        cost.add_steps(L_u * h, _boundary_cost(problem.g, X_new, dK, mu))
+    logw, cost = logw.total, cost.total
     w = np.exp(logw - logw.max())
     ess = float(w.sum() ** 2 / (w * w).sum())
     if ess < 0.05 * paths:

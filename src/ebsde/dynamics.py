@@ -12,10 +12,12 @@ The local-time increment is the length of the repair move
 defining function has a unit gradient on the boundary.
 
 Ensembles are stepped one noise sub-block at a time (``_step_blocks``): per
-step only the state recursion runs, and a path functional evaluates its
-integrand once per block, then adds the per-step rows to its accumulators
-in step order (``_add_steps``), so its sums are a per-step loop's bit for
-bit.
+step only the state recursion runs (drift, tilt, noise add and the
+boundary kernel, which writes only the repaired states). The local time,
+the ``StepTooLarge`` check and the run record are computed once per block,
+and a path functional evaluates its integrand once per block, then adds the
+per-step rows to its running sums with one sequential reduction per block
+(``_Accumulator``), so its sums are a per-step loop's bit for bit.
 """
 from __future__ import annotations
 
@@ -141,6 +143,7 @@ class ReflectedPath:
 
 _BLOCK_NUMBERS = 1 << 20     # noise buffer size (numbers per block)
 _SUB_NUMBERS = 1 << 16       # scaled-noise sub-block size (numbers)
+_ACC_NUMBERS = 1 << 14       # accumulator stretch size (numbers)
 
 
 def _ensemble_noise_blocks(seed: int, P: int, d: int, n_steps: int):
@@ -166,34 +169,49 @@ def _ensemble_noise_blocks(seed: int, P: int, d: int, n_steps: int):
 class _Kernel:
     """Boundary repair of a batch of proposals, chosen by domain kind.
 
-    ``kernel(x_pre, x_new, dK)`` writes the repaired states (P, d) and the
-    local-time increments (P,) of the proposals x_pre into the given
-    buffers; ``project`` projects a batch onto the closure."""
+    ``kernel(x_pre, x_new)`` writes the repaired states (P, d) of the
+    proposals x_pre into x_new; a proposal inside the closure is copied
+    unchanged, so the local time |x_new - x_pre| of a block can be formed
+    afterwards from the two arrays alone (``_local_time``). ``guard`` checks
+    a block of repaired states (a no-op unless a kernel needs it);
+    ``project`` projects a batch onto the closure."""
 
     def __init__(self, domain: DomainSpec):
         self.domain = domain
         self.diameter = domain.diameter_hint
         self.r = domain.radius
 
+    def guard(self, X_new: np.ndarray) -> None:
+        pass
+
 
 class _IntervalKernel(_Kernel):
-    """Fast repair for 1-d intervals [-r, r]."""
+    """Fast repair for 1-d intervals [-r, r]: the fold 2 c - x with c the
+    proposal clamped to the interval, in four calls (max, min, x2, -).
+
+    This is the fold x - 2 (x - r)^+ + 2 (-r - x)^+ bit for bit. Inside
+    the interval 2 x - x = x exactly. For x in [r, 4r], 2r - x is exact by
+    Sterbenz (and so is -2r - x for x in [-4r, -r]), and for x in [-3r, 3r]
+    it lies in [-r, r], so no second clamp is needed there. A proposal
+    beyond 3r from the origin moved more than a full diameter from a state
+    of the closure; ``guard`` refuses any block whose repaired states leave
+    [-r, r] (StepTooLarge), so every state that is kept is the clamped
+    fold's bit for bit."""
 
     def project(self, X: np.ndarray) -> np.ndarray:
         out = np.maximum(X, -self.r)
         return np.minimum(out, self.r, out=out)
 
-    def __call__(self, x_pre: np.ndarray, x_new: np.ndarray, dK: np.ndarray) -> None:
-        # 2c - x is exact for overshoots below r (Sterbenz), so this is the
-        # fold x - 2 (x - r)^+ + 2 (-r - x)^+ bit for bit
+    def __call__(self, x_pre: np.ndarray, x_new: np.ndarray) -> None:
         np.maximum(x_pre, -self.r, out=x_new)
         np.minimum(x_new, self.r, out=x_new)
         np.multiply(x_new, 2.0, x_new)
         np.subtract(x_new, x_pre, x_new)
-        np.maximum(x_new, -self.r, out=x_new)
-        np.minimum(x_new, self.r, out=x_new)
-        np.subtract(x_new[:, 0], x_pre[:, 0], dK)
-        np.abs(dK, dK)
+
+    def guard(self, X_new: np.ndarray) -> None:
+        if X_new.max() > self.r or X_new.min() < -self.r:
+            raise StepTooLarge("interval fold left the closure: a proposal moved "
+                               "beyond the domain diameter; decrease h")
 
 
 class _BallKernel(_Kernel):
@@ -203,17 +221,15 @@ class _BallKernel(_Kernel):
         norms = np.linalg.norm(X, axis=1)
         return X * (self.r / np.maximum(norms, self.r))[:, None]
 
-    def __call__(self, x_pre: np.ndarray, x_new: np.ndarray, dK: np.ndarray) -> None:
+    def __call__(self, x_pre: np.ndarray, x_new: np.ndarray) -> None:
         r = self.r
         norms = np.linalg.norm(x_pre, axis=1)
         out = norms > r
         x_new[...] = x_pre
-        dK.fill(0.0)
         if np.any(out):
             scale = np.maximum(2.0 * r / norms[out] - 1.0, 0.0)
             scale = np.minimum(scale * norms[out], r) / norms[out]
             x_new[out] = x_pre[out] * scale[:, None]
-            dK[out] = np.linalg.norm(x_new[out] - x_pre[out], axis=1)
 
 
 class _GenericKernel(_Kernel):
@@ -225,18 +241,15 @@ class _GenericKernel(_Kernel):
     def project(self, X: np.ndarray) -> np.ndarray:
         return project_many(self.domain, X)
 
-    def __call__(self, x_pre: np.ndarray, x_new: np.ndarray, dK: np.ndarray) -> None:
+    def __call__(self, x_pre: np.ndarray, x_new: np.ndarray) -> None:
         x_new[...] = x_pre
-        dK.fill(0.0)
         rows = outside_rows(self.domain, x_pre)
         if len(rows):
             y = x_pre[rows]
             p = project_outside(self.domain, y)
             # mirror at the projection; a very deep overshoot whose mirror
             # image is still outside is projected again
-            p = project_many(self.domain, 2.0 * p - y)
-            x_new[rows] = p
-            dK[rows] = np.linalg.norm(p - y, axis=1)
+            x_new[rows] = project_many(self.domain, 2.0 * p - y)
 
 
 def _make_kernel(domain: DomainSpec):
@@ -248,17 +261,35 @@ def _make_kernel(domain: DomainSpec):
 @dataclass
 class RunRecord:
     """What an ensemble run did, summed over its blocks: path-steps,
-    path-steps that reflected, and the largest Euler proposal move over the
-    domain diameter (StepTooLarge is raised past 1)."""
+    path-steps that reflected, the largest Euler proposal move over the
+    domain diameter (StepTooLarge is raised past 1) and the local time
+    summed over every path (the sum of the block local-time increments)."""
 
     path_steps: int = 0
     reflected: int = 0
     max_step_ratio: float = 0.0
+    local_time: float = 0.0
 
     def as_dict(self) -> dict:
         return {"path_steps": self.path_steps,
                 "reflected_fraction": self.reflected / max(self.path_steps, 1),
-                "max_step_ratio": self.max_step_ratio}
+                "max_step_ratio": self.max_step_ratio,
+                "local_time": self.local_time}
+
+
+def _local_time(new: np.ndarray, pre: np.ndarray, out: np.ndarray,
+                tmp: np.ndarray) -> None:
+    """Local-time increments |X_new - X_pre| (m, P) of a block of repaired
+    states and proposals (m, P, d) into ``out``: abs in 1-d, the row norm
+    (the formula of ``np.linalg.norm(..., axis=1)``) otherwise, with ``tmp``
+    (m, P, d) as scratch. An unrepaired row has X_new == X_pre and gets
+    exactly 0."""
+    if new.shape[-1] == 1:
+        np.subtract(new, pre, out=out[..., None])
+        np.abs(out, out=out)
+    else:
+        np.square(np.subtract(new, pre, out=tmp), out=tmp)
+        np.sqrt(np.sum(tmp, axis=-1, out=out), out=out)
 
 
 def _check_block(diameter: float, moves: np.ndarray, dK: np.ndarray,
@@ -276,6 +307,13 @@ def _check_block(diameter: float, moves: np.ndarray, dK: np.ndarray,
         record.path_steps += dK.size
         record.reflected += int(np.count_nonzero(dK))
         record.max_step_ratio = max(record.max_step_ratio, largest / diameter)
+        record.local_time += float(dK.sum())
+
+
+def _diagonal(sigma: np.ndarray) -> Optional[np.ndarray]:
+    """The diagonal of a constant sigma that is diagonal, else None."""
+    diag = np.diagonal(sigma)
+    return diag if np.array_equal(sigma, np.diag(diag)) else None
 
 
 def _step_blocks(model: SdeModel, domain: DomainSpec, X0: np.ndarray, n_steps: int,
@@ -287,28 +325,35 @@ def _step_blocks(model: SdeModel, domain: DomainSpec, X0: np.ndarray, n_steps: i
     Per step only the state recursion runs, into preallocated buffers: the
     drift, ``extra_shift(X)`` when given (added to the drift times h, such
     as a control tilt; None adds nothing), the noise, scaled once per block
-    when sigma is constant, and the boundary kernel. Every proposal of a
-    block is checked against the domain diameter (StepTooLarge) before the
-    block is yielded and added to ``record``. Yields what
-    ``ensemble_steps`` yields."""
+    when sigma is constant (one elementwise product when it is diagonal,
+    which is the matrix product bit for bit, a matrix product otherwise),
+    and the boundary kernel, which writes only the repaired states. Once per
+    block: the kernel's guard, the local-time increments (``_local_time``),
+    then the check of every proposal against the domain diameter
+    (StepTooLarge) and the ``record`` update, before the block is yielded.
+    Yields what ``ensemble_steps`` yields."""
     X0 = np.array(X0, dtype=float)
     P, d = X0.shape
     kernel = _make_kernel(domain)
     sh = np.sqrt(h)
-    sig_t = None if model.sigma_constant is None else model.sigma_constant.T
+    sig = model.sigma_constant
+    diag = None if sig is None else _diagonal(sig)
     S = min(max(1, _SUB_NUMBERS // max(P * d, 1)), max(n_steps, 1))
     states = np.empty((S + 1, P, d))
     states[0] = X0
     pre = np.empty((S, P, d))
     dK = np.empty((S, P))
     xi = np.empty((S, P, d))
-    scaled = None if sig_t is None else np.empty((S, P, d))
+    scaled = None if sig is None else np.empty((S, P, d))
     for start, block in _ensemble_noise_blocks(seed, P, d, n_steps):
         for j0 in range(0, block.shape[0], S):
             sub = block[j0:j0 + S]
             m = len(sub)
-            if scaled is not None:
-                np.matmul(sub, sig_t, out=scaled[:m])
+            if diag is not None:
+                np.multiply(sub, diag, out=scaled[:m])
+                scaled[:m] *= sh
+            elif scaled is not None:
+                np.matmul(sub, sig.T, out=scaled[:m])
                 scaled[:m] *= sh
             for j in range(m):
                 X = states[j]
@@ -320,7 +365,10 @@ def _step_blocks(model: SdeModel, domain: DomainSpec, X0: np.ndarray, n_steps: i
                 x_pre = np.add(X, shift, pre[j])
                 x_pre += (model.noise_term(X, sub[j]) * sh if scaled is None
                           else scaled[j])
-                kernel(x_pre, states[j + 1], dK[j])
+                kernel(x_pre, states[j + 1])
+            kernel.guard(states[1:m + 1])
+            # xi is free until the noise is copied in below
+            _local_time(states[1:m + 1], pre[:m], dK[:m], xi[:m])
             _check_block(kernel.diameter, np.subtract(pre[:m], states[:m], pre[:m]),
                          dK[:m], record)
             np.copyto(xi[:m], sub)
@@ -342,14 +390,51 @@ def ensemble_steps(model: SdeModel, domain: DomainSpec, X0: np.ndarray, n_steps:
     yield from _step_blocks(model, domain, X0, n_steps, h, seed, record=record)
 
 
-def _add_steps(acc: np.ndarray, *terms: np.ndarray) -> None:
-    """Add the per-step (P,) rows of flat block terms to acc, step by step
-    and term by term within a step: the order of a per-step loop, so every
-    sum is that loop's bit for bit."""
-    rows = [t.reshape(-1, len(acc)) for t in terms]
-    for step in zip(*rows):
-        for r in step:
-            acc += r
+class _Accumulator:
+    """Per-path running sums of path functionals, added one block at a time.
+
+    ``add_steps(*terms, start, marks)`` adds the per-step (P,) rows of flat
+    (m P,) block terms to ``total``, step by step and term by term within a
+    step. A stretch of steps is copied into a buffer reused across blocks,
+    the running sums first and then the rows in that order, and summed by
+    one ``np.add.reduce`` over axis 0, which adds row after row, so every
+    sum is a per-step loop's bit for bit. (A single path reduces one
+    contiguous column, which numpy sums pairwise; ``np.add.accumulate``
+    keeps that case sequential.) Stretches end at the marks and hold at
+    most _ACC_NUMBERS numbers or one step, which bounds the buffer.
+    """
+
+    def __init__(self, start: np.ndarray):
+        self.total = np.array(start, dtype=float)
+        self._buf = np.empty((0, len(self.total)))
+
+    def add_steps(self, *terms: np.ndarray, start: int = 0, marks=()) -> list:
+        """Add the block of steps start .. start + m - 1; returns
+        [(k, sums)] for every k in ``marks`` that is a step count
+        start + 1 .. start + m, with ``sums`` a copy of ``total`` after the
+        first k steps."""
+        P, T = len(self.total), len(terms)
+        m = terms[0].size // P
+        per = max(1, _ACC_NUMBERS // (T * P))      # steps per stretch
+        if len(self._buf) < 1 + min(per, m) * T:
+            self._buf = np.empty((1 + min(per, m) * T, P))
+        blocks = [t.reshape(m, P) for t in terms]
+        ends = {k - start for k in marks if start < k <= start + m}
+        out, lo = [], 0
+        for end in sorted(ends.union(range(per, m, per), [m])):
+            rows = self._buf[:1 + (end - lo) * T]
+            rows[0] = self.total
+            steps = rows[1:].reshape(end - lo, T, P)
+            for t, block in enumerate(blocks):
+                steps[:, t] = block[lo:end]
+            if P == 1:
+                self.total[0] = np.add.accumulate(rows[:, 0])[-1]
+            else:
+                np.add.reduce(rows, axis=0, out=self.total)
+            if end in ends:
+                out.append((start + end, self.total.copy()))
+            lo = end
+        return out
 
 
 def simulate(model: SdeModel, domain: DomainSpec, x0, T: float, h: float,
@@ -388,10 +473,10 @@ def ensemble_average(model: SdeModel, domain: DomainSpec, X0: np.ndarray,
     """
     n = round(T / h)
     P = X0.shape[0]
-    acc = np.zeros(P)
+    acc = _Accumulator(np.zeros(P))
     for i, X, X_new, dK, xi in ensemble_steps(model, domain, X0, n, h, seed):
-        _add_steps(acc, f_vec(X))
-    return acc * h / T
+        acc.add_steps(f_vec(X))
+    return acc.total * h / T
 
 
 # ---------------------------------------------------------------------------
@@ -431,13 +516,21 @@ def invariant_density(model: SdeModel, domain: DomainSpec,
         xs = np.linspace(lo, hi, resolution)
         vals = np.array([np.exp(-pot.value(np.array([t]))) / N for t in xs])
         return InvariantDensity(xs[:, None], vals, N, (hi - lo) / (resolution - 1))
-    # d >= 2: midpoint rule on a tensor grid masked to the closure
+    # d >= 2: midpoint rule on a tensor grid masked to the closure, batched
+    # through ``phi_vec`` and ``value_vec`` where the domain and potential
+    # have them
     axes = [np.linspace(lo, hi, resolution) for lo, hi in domain.bounding_box]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    inside = np.array([domain.phi(p) >= 0 for p in pts])
+    if domain.phi_vec is not None:
+        inside = domain.phi_vec(pts) >= 0
+    else:
+        inside = np.array([domain.phi(p) >= 0 for p in pts])
     raw = np.zeros(len(pts))
-    raw[inside] = np.array([np.exp(-pot.value(p)) for p in pts[inside]])
+    if pot.value_vec is not None:
+        raw[inside] = np.exp(-pot.value_vec(pts[inside]))
+    else:
+        raw[inside] = np.array([np.exp(-pot.value(p)) for p in pts[inside]])
     cell = np.prod([(a[1] - a[0]) for a in axes])
     N = raw.sum() * cell
     return InvariantDensity(pts[inside], raw[inside] / N, N, cell)
@@ -554,11 +647,11 @@ def expected_K_rate(model: SdeModel, domain: DomainSpec, T: float, h: float,
     """
     X0 = stationary_start(model, domain, paths, h, seed, 999_983)
     n = round(T / h)
-    K = np.zeros(paths)
+    K = _Accumulator(np.zeros(paths))
     run = RunRecord()
     for i, X, X_new, dK, xi in ensemble_steps(model, domain, X0, n, h, seed, run):
-        _add_steps(K, dK)
-    return KRateEstimate(*_mean_stderr(K / T), paths, T, run.as_dict())
+        K.add_steps(dK)
+    return KRateEstimate(*_mean_stderr(K.total / T), paths, T, run.as_dict())
 
 
 def occupation_histogram(model: SdeModel, domain: DomainSpec, T_total: float,

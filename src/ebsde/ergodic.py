@@ -354,8 +354,8 @@ def lambda_time_average(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
     """
     X0 = dynamics.stationary_start(model, domain, paths, h, seed, 77_777)
     n = round(T / h)
-    acc = np.zeros(paths)
+    acc = dynamics._Accumulator(np.zeros(paths))
     for i, X, X_new, dK, xi in dynamics.ensemble_steps(model, domain, X0, n, h, seed):
-        dynamics._add_steps(acc, driver.psi_at(X, solution.zeta_at(X)) * h,
-                            dynamics._boundary_cost(driver.g, X_new, dK, solution.mu))
-    return dynamics._mean_stderr(acc / T)
+        acc.add_steps(driver.psi_at(X, solution.zeta_at(X)) * h,
+                      dynamics._boundary_cost(driver.g, X_new, dK, solution.mu))
+    return dynamics._mean_stderr(acc.total / T)

@@ -40,6 +40,13 @@ class Mesh:
     compact_of_flat: np.ndarray
     neighbors: np.ndarray
     boundary: np.ndarray
+    # 1-d: (origin, inverse spacing, last index) for ``nearest``
+    _line: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.domain.dim == 1:
+            a = self.axes[0]
+            self._line = (a[0], 1.0 / (a[1] - a[0]), len(a) - 1)
 
     @property
     def shape(self):
@@ -66,12 +73,13 @@ class Mesh:
         so a point whose best block node is not clearly nearer is searched
         over every node.
         """
-        if self.domain.dim == 1:
-            a = self.axes[0]
-            t = (X[:, 0] - a[0]) * (1.0 / (a[1] - a[0]))
+        if self._line is not None:
+            origin, inv, last = self._line
+            t = X[:, 0] - origin
+            t *= inv
             t += 0.5
             j = t.astype(np.intp)
-            return np.minimum(np.maximum(j, 0, out=j), len(a) - 1, out=j)
+            return np.minimum(np.maximum(j, 0, out=j), last, out=j)
         lo = np.array([a[0] for a in self.axes])
         step = np.array([a[1] - a[0] for a in self.axes])
         shape = np.array(self.shape)

@@ -217,13 +217,15 @@ def stationary_generator_phi(model: SdeModel, domain: DomainSpec,
     """E[L phi] under the stationary law.
 
     For gradient systems the expectation is computed by quadrature against
-    the explicit stationary density. Otherwise it is the flux sum of the
-    adjoint weights of the grid at this spacing (``GridOperators.weights``),
-    d lambda / d mu of the direct scheme: the slope that
-    ``solve_boundary_cost`` inverts. Raises NotImplementedError where no grid
-    can be built (d >= 3, off-diagonal diffusion in 2-d). The negative of
-    this number is the stationary growth rate of the boundary local time,
-    whatever unit-gradient defining function is used.
+    the explicit stationary density: adaptive in 1-d, the midpoint rule of
+    ``invariant_density`` with a batched L phi (``_vec_Lphi``, point by
+    point only for the phi forms a domain lacks) in d >= 2. Otherwise it is
+    the flux sum of the adjoint weights of the grid at this spacing
+    (``GridOperators.weights``), d lambda / d mu of the direct scheme: the
+    slope that ``solve_boundary_cost`` inverts. Raises NotImplementedError
+    where no grid can be built (d >= 3, off-diagonal diffusion in 2-d). The
+    negative of this number is the stationary growth rate of the boundary
+    local time, whatever unit-gradient defining function is used.
     """
     phi_triple = (domain.phi, domain.grad_phi, domain.hess_phi)
     if model.kolmogorov_potential is not None and domain.dim == 1:
@@ -236,7 +238,10 @@ def stationary_generator_phi(model: SdeModel, domain: DomainSpec,
         return float(val)
     if model.kolmogorov_potential is not None:
         dens = dynamics.invariant_density(model, domain, resolution=101)
-        vals = np.array([generator_apply(model, phi_triple, p) for p in dens.nodes])
+        # batched L phi, in chunks of 2^16 nodes to bound the (n, d, d)
+        # temporaries
+        vals = np.concatenate([_vec_Lphi(model, domain, dens.nodes[k:k + 65536])
+                               for k in range(0, len(dens.nodes), 65536)])
         return float((vals * dens.values).sum() * dens.cell_volume)
     return float(GridOperators(model, domain, spacing).weights()[1].sum())
 

@@ -116,7 +116,7 @@ def bsde_residual(solution, model: SdeModel, domain: DomainSpec,
     X0 = np.tile(x0, (paths, 1))
     n = round(T / h)
     sh = np.sqrt(h)
-    R = solution.v.interp_many(X0).copy()
+    R = dynamics._Accumulator(solution.v.interp_many(X0))
     marks = set(np.linspace(n // n_partial, n, n_partial, dtype=int).tolist())
     partial_means = []
     partial_times = []
@@ -125,17 +125,13 @@ def bsde_residual(solution, model: SdeModel, domain: DomainSpec,
                                                        run):
         Z = solution.zeta_at(X)
         # R -= a is R += -a bit for bit
-        terms = (-((driver.psi_at(X, Z) - lam) * h),
-                 -dynamics._boundary_cost(driver.g, X_new, dK, mu),
-                 (Z * xi).sum(axis=1) * sh)
-        rows = [t.reshape(-1, paths) for t in terms]
-        for s, step in enumerate(zip(*rows)):
-            for r in step:
-                R += r
-            if i + s + 1 in marks:
-                end = X_new[s * paths:(s + 1) * paths]
-                partial_times.append((i + s + 1) * h)
-                partial_means.append(float((R - solution.v.interp_many(end)).mean()))
+        for k, sums in R.add_steps(-((driver.psi_at(X, Z) - lam) * h),
+                                   -dynamics._boundary_cost(driver.g, X_new, dK, mu),
+                                   (Z * xi).sum(axis=1) * sh, start=i, marks=marks):
+            end = X_new[(k - i - 1) * paths:(k - i) * paths]
+            partial_times.append(k * h)
+            partial_means.append(float((sums - solution.v.interp_many(end)).mean()))
+    R = R.total
     if n:
         R -= solution.v.interp_many(X_new[-paths:])
     return BsdeResidual(*dynamics._mean_stderr(R), float(R.var(ddof=1)), paths,

@@ -122,6 +122,7 @@ def test_control_and_verify_summaries_carry_byte_identical_run_records(tmp_path)
             assert rec["path_steps"] == int(argv[-3]) * 500
             assert 0.0 < rec["reflected_fraction"] < 1.0
             assert 0.0 < rec["max_step_ratio"] < 1.0
+            assert rec["local_time"] > 0.0
 
 
 def test_reproduce_single_criterion(tmp_path):

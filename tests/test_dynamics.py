@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate
 
@@ -345,3 +347,139 @@ def test_stationary_start_burn_in_pinned_bit_for_bit(interval):
     assert X[:, 0].tolist() == [0.11980941447964844, 0.7937512835601991,
                                 0.12952283076691762, -0.880095959514285,
                                 0.8914731708222183, 0.6384226445791047]
+
+
+# The lean step: block accumulator, 4-call interval fold, diagonal noise
+# scaling and per-block local time, each against the form it replaced.
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(1, 40), P=st.sampled_from([1, 2, 3, 5, 9, 64, 320]),
+       n_terms=st.integers(1, 3),
+       marks=st.lists(st.integers(0, 45), max_size=5), start=st.integers(0, 3),
+       cap=st.sampled_from([1, 7, 30, 1 << 15]), seed=st.integers(0, 2 ** 31))
+def test_accumulator_is_the_per_step_loop_bit_for_bit(m, P, n_terms, marks, start,
+                                                      cap, seed):
+    # cap is the stretch size in numbers; small caps split every block
+    saved, dynamics._ACC_NUMBERS = dynamics._ACC_NUMBERS, cap
+    try:
+        _check_accumulator(m, P, n_terms, marks, start, seed)
+    finally:
+        dynamics._ACC_NUMBERS = saved
+
+
+def _check_accumulator(m, P, n_terms, marks, start, seed):
+    rng = np.random.default_rng(seed)
+    acc0 = rng.standard_normal(P) * 1e3
+    terms = [rng.standard_normal(m * P) * 10.0 ** rng.integers(-6, 6, m * P)
+             for _ in range(n_terms)]
+    want, snaps = acc0.copy(), []
+    for s in range(m):
+        for t in terms:
+            want += t[s * P:(s + 1) * P]
+        if start + s + 1 in marks:
+            snaps.append((start + s + 1, want.copy()))
+    acc = dynamics._Accumulator(acc0)
+    got = acc.add_steps(*terms, start=start, marks=marks)
+    assert np.array_equal(acc.total, want)
+    assert [k for k, _ in got] == [k for k, _ in snaps]
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got, snaps))
+    # the buffer is reused by the next block: the sums keep running
+    more = acc.add_steps(*terms, start=start + m)
+    for s in range(m):
+        for t in terms:
+            want += t[s * P:(s + 1) * P]
+    assert more == [] and np.array_equal(acc.total, want)
+
+
+def _six_call_fold(x, r):
+    """The clamped fold the interval kernel ran before it dropped the
+    trailing clamp: clip, times 2, minus x, clip."""
+    c = np.minimum(np.maximum(x, -r), r)
+    return np.minimum(np.maximum(2.0 * c - x, -r), r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(r=st.sampled_from([1.0, 0.3, 2.5, 1e-3, 7.0 / 3.0]),
+       state=st.floats(-1.0, 1.0), move=st.floats(-2.0, 2.0))
+def test_four_call_fold_is_the_clamped_fold_within_a_diameter(r, state, move):
+    # every proposal within 2r (one diameter) of a closure state; for these
+    # radii 3r rounds to at most 3r, so every such proposal lies in [-3r, 3r]
+    x = np.array([[state * r + move * r], [r + abs(move) * r], [-r - abs(move) * r],
+                  [3.0 * r], [-3.0 * r], [np.nextafter(r, 0.0)]])
+    kernel = dynamics._IntervalKernel(ball_domain(r, 1))
+    out = np.empty_like(x)
+    kernel(x, out)
+    assert np.array_equal(out, _six_call_fold(x, r))
+    kernel.guard(out)
+
+
+def test_fold_that_leaves_the_interval_is_refused(interval):
+    kernel = dynamics._IntervalKernel(interval)
+    out = np.empty((2, 1))
+    kernel(np.array([[0.5], [3.2]]), out)
+    assert out[1, 0] < -1.0
+    with pytest.raises(StepTooLarge):
+        kernel.guard(out)
+    # at r = 0.1 the rounded 3r lies above 3r: a move of one rounded
+    # diameter folds a hair outside, and is refused rather than clamped
+    narrow = dynamics._IntervalKernel(ball_domain(0.1, 1))
+    narrow(np.array([[3.0 * 0.1]]), out[:1])
+    with pytest.raises(StepTooLarge):
+        narrow.guard(out[:1])
+    # in an ensemble: a start outside the closure whose proposal stays
+    # within a diameter of it, but beyond 3r, folds outside and is refused
+    push = SdeModel(b=lambda x: np.ones_like(x), sigma=lambda x: np.zeros((1, 1)),
+                    b_vec=lambda X: np.full_like(X, 1.7))
+    with pytest.raises(StepTooLarge, match="fold"):
+        next(ensemble_steps(push, interval, np.array([[1.5]]), 1, 1.0, 0))
+
+
+@pytest.mark.parametrize("sigma", [np.array([[1.3]]), np.diag([np.sqrt(2.0), 0.7])])
+def test_diagonal_noise_scaling_is_the_matrix_product(sigma):
+    d = len(sigma)
+    diag = dynamics._diagonal(sigma)
+    assert diag is not None
+    block = next(dynamics._ensemble_noise_blocks(3, 50, d, 400))[1]
+    assert np.array_equal(block * diag, block @ sigma.T)
+    # a full sigma keeps the matrix product
+    assert dynamics._diagonal(np.array([[1.0, 0.2], [0.0, 1.0]])) is None
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_diagonal_scaling_steps_equal_matrix_product_steps(monkeypatch, d):
+    # the same ensemble with the diagonal test switched off runs matmul
+    model, dom = ou_model(dim=d, noise=0.8), ball_domain(1.0, d)
+    X0 = np.zeros((40, d))
+    runs = []
+    for diagonal in (dynamics._diagonal, lambda sigma: None):
+        monkeypatch.setattr(dynamics, "_diagonal", diagonal)
+        runs.append([tuple(np.copy(a) for a in step)
+                     for step in ensemble_steps(model, dom, X0, 300, 1e-2, 7)])
+    for a, b in zip(*runs):
+        assert all(np.array_equal(u, v) for u, v in zip(a, b))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_block_local_time_is_the_repair_length(d):
+    # dK of every path-step is |X_new - proposal|, recomputed from the
+    # step's own drift and noise
+    model = ou_model(dim=d, noise=1.5)
+    dom = ball_domain(1.0, d)
+    X0 = np.full((30, d), 0.5 / np.sqrt(d))
+    h = 2e-2
+    for i, X, X_new, dK, xi in ensemble_steps(model, dom, X0, 60, h, 1):
+        proposal = X + model.b_vec(X) * h + (xi @ model.sigma_constant.T) * np.sqrt(h)
+        want = np.linalg.norm(X_new - proposal, axis=1)
+        assert_allclose(dK, want, rtol=1e-12, atol=1e-15)
+        assert np.all((dK > 0) == (np.linalg.norm(proposal, axis=1) > 1.0))
+
+
+def test_run_record_sums_the_local_time(interval, std_model):
+    run = dynamics.RunRecord()
+    K = 0.0
+    for i, X, X_new, dK, xi in ensemble_steps(std_model, interval, np.zeros((50, 1)),
+                                              700, 1e-3, 2, run):
+        K += dK.sum()
+    rec = run.as_dict()
+    assert rec["local_time"] == K > 0.0
+    assert rec["path_steps"] == 50 * 700
