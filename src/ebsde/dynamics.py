@@ -349,11 +349,11 @@ def _step_blocks(model: SdeModel, domain: DomainSpec, X0: np.ndarray, n_steps: i
         for j0 in range(0, block.shape[0], S):
             sub = block[j0:j0 + S]
             m = len(sub)
-            if diag is not None:
-                np.multiply(sub, diag, out=scaled[:m])
-                scaled[:m] *= sh
-            elif scaled is not None:
-                np.matmul(sub, sig.T, out=scaled[:m])
+            if scaled is not None:
+                if diag is not None:
+                    np.multiply(sub, diag, out=scaled[:m])
+                else:
+                    np.matmul(sub, sig.T, out=scaled[:m])
                 scaled[:m] *= sh
             for j in range(m):
                 X = states[j]
