@@ -2,24 +2,26 @@
 """Alternating parent/change pairs of the benchmark, summarised as BENCH_<workload>.json.
 
     python3 scripts/bench_pairs.py --parent ../parent-checkout --change . \\
-        --workloads mc_paths grid2d_disc grid1d_inverse --pairs 10 --seconds 10 \\
-        --claim wall_s --title "what the change does" --parent-commit abc1234
+        --workloads mc_paths grid2d_disc grid1d_inverse --pairs 10 \\
+        --title "what the change does" --parent-commit abc1234
 
-Runs ``perfbench/run.py --trace 0`` from each checkout, one run at a time:
+Runs ``perfbench/run.py --trace 0`` from each checkout for the
+``run_seconds`` of the change's ``BENCHMARK.json``, one run at a time:
 pair k uses seed ``--seed + k``, and the parent runs first on the odd pairs
 (the first, third, ...) and second on the even ones, so a drift in machine
 load falls on both sides alike. Every workload runs on both sides within a
 pair. The file is rewritten after every pair, so an interrupted series keeps
 what it measured.
 
-The output names the first workload: its metrics go under ``end_to_end``,
+The output is ``BENCH_<first workload>.json`` in the change checkout: the
+first workload's metrics go under ``end_to_end``,
 those of the other workloads under ``other_workloads``, and every run under
 ``runs``. Per metric and side it gives the median and the quartiles (linear
 interpolation, numpy's default), the pairs in which the change is lower and
 higher, and the relative change of the median. ``claim`` restates the
-``--claim`` metric of the first workload with a one-line verdict: the share
-of pairs won and whether the median gap exceeds the parent's interquartile
-range.
+first workload's ``wall_s`` (lower is better) with a one-line verdict: the
+share of pairs won and whether the median gap exceeds the parent's
+interquartile range.
 """
 from __future__ import annotations
 
@@ -31,6 +33,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+CLAIM = "wall_s"    # the end-to-end metric a change claims (lower is better)
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -86,22 +90,20 @@ def summarise(runs: list, metrics: list) -> dict:
     return out
 
 
-def claim_of(summary: dict, metric: dict) -> dict:
-    s = summary["metrics"][metric["name"]]
+def claim_of(summary: dict) -> dict:
+    """The claimed metric, ``CLAIM`` (lower is better), with its verdict."""
+    s = summary["metrics"][CLAIM]
     par, chg = s["parent"], s["change"]
-    lower_is_better = metric.get("better", "lower") == "lower"
-    won = s["change_lower_in_pairs"] if lower_is_better else s["change_higher_in_pairs"]
     gap = abs(chg["median"] - par["median"])
     iqr = par["q3"] - par["q1"]
     rel = s["median_change_rel"]
-    word = "lower" if rel < 0 else "higher"
-    note = (f"median {abs(rel) * 100:.1f}% {word}; the change is "
-            f"{'lower' if lower_is_better else 'higher'} in {won} of "
-            f"{summary['pairs']} pairs; the median gap {gap:.3g} {metric['unit']} "
+    note = (f"median {abs(rel) * 100:.1f}% {'lower' if rel < 0 else 'higher'}; "
+            f"the change is lower in {s['change_lower_in_pairs']} of "
+            f"{summary['pairs']} pairs; the median gap {gap:.3g} {s['unit']} "
             f"{'exceeds' if gap > iqr else 'does not exceed'} the parent's "
-            f"interquartile range {iqr:.3g} {metric['unit']}")
-    return {"metric": metric["name"], "parent": par["median"],
-            "change": chg["median"], "note": note}
+            f"interquartile range {iqr:.3g} {s['unit']}")
+    return {"metric": CLAIM, "parent": par["median"], "change": chg["median"],
+            "note": note}
 
 
 def machine() -> str:
@@ -118,20 +120,15 @@ def main(argv=None) -> int:
     ap.add_argument("--change", required=True, type=Path, help="changed checkout")
     ap.add_argument("--workloads", nargs="+", required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=10.0)
     ap.add_argument("--seed", type=int, default=101, help="seed of the first pair")
-    ap.add_argument("--claim", default="wall_s", help="end-to-end metric claimed")
     ap.add_argument("--title", required=True, help="what the change does")
     ap.add_argument("--parent-commit", required=True)
-    ap.add_argument("--out", type=Path, default=None,
-                    help="output file (default BENCH_<workload>.json in --change)")
     args = ap.parse_args(argv)
 
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
-    metrics = bench["end_to_end"]
-    claim_metric = next(m for m in metrics if m["name"] == args.claim)
+    metrics, seconds = bench["end_to_end"], bench["run_seconds"]
     main_wl = args.workloads[0]
-    out_path = args.out or args.change / f"BENCH_{main_wl}.json"
+    out_path = args.change / f"BENCH_{main_wl}.json"
     runs = {w: [] for w in args.workloads}
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for k in range(args.pairs):
@@ -140,7 +137,7 @@ def main(argv=None) -> int:
         for w in args.workloads:
             for side in order:
                 row = {"side": side, "seed": seed}
-                row.update(run_once(sides[side], w, seed, args.seconds))
+                row.update(run_once(sides[side], w, seed, seconds))
                 runs[w].append(row)
                 print(f"pair {k + 1}/{args.pairs} {w} {side}: "
                       f"wall_s {row.get('wall_s', float('nan')):.4g} "
@@ -151,14 +148,14 @@ def main(argv=None) -> int:
             "change": args.title,
             "parent_commit": args.parent_commit,
             "command": (f"python3 perfbench/run.py --workload W --seed N "
-                        f"--seconds {args.seconds:g} --trace 0"),
+                        f"--seconds {seconds:g} --trace 0"),
             "method": ("alternating parent/change runs of the committed benchmark, "
                        f"the parent first on the odd pairs (seeds {args.seed}, "
                        f"{args.seed + 2}, ...); each side ran from its own copy of "
                        "the tree on the same machine, one run at a time; medians "
                        "and quartiles over the pairs"),
             "machine": machine(),
-            "claim": claim_of(summaries[main_wl], claim_metric),
+            "claim": claim_of(summaries[main_wl]),
             "end_to_end": summaries[main_wl],
             "other_workloads": {w: summaries[w] for w in args.workloads[1:]},
             "runs": runs,

@@ -275,7 +275,10 @@ def _controlled_steps(model: SdeModel, domain: DomainSpec, problem: ControlProbl
 
 def _default_start(model, domain, paths, h, seed, x0):
     if x0 is not None:
-        return np.tile(np.atleast_1d(np.asarray(x0, dtype=float)), (paths, 1))
+        x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+        if not domain.contains(x0, tol=domain.boundary_tol):
+            raise ValueError("x0 outside the domain closure")
+        return np.tile(x0, (paths, 1))
     return dynamics.stationary_start(model, domain, paths, h, seed, 515_151)
 
 

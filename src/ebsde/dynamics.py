@@ -210,8 +210,9 @@ class _IntervalKernel(_Kernel):
 
     def guard(self, X_new: np.ndarray) -> None:
         if X_new.max() > self.r or X_new.min() < -self.r:
-            raise StepTooLarge("interval fold left the closure: a proposal moved "
-                               "beyond the domain diameter; decrease h")
+            raise StepTooLarge("interval fold left the closure: either a proposal "
+                               "moved beyond the domain diameter (decrease h) or a "
+                               "state lay outside the closure")
 
 
 class _BallKernel(_Kernel):

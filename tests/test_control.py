@@ -457,3 +457,13 @@ def test_controlled_step_too_large_raises(interval, std_model):
     with pytest.raises(StepTooLarge):
         cost_I(std_model, interval, two_control_problem(), Policy.constant(0),
                0.0, T=50.0, h=50.0, paths=4, seed=0, x0=np.array([0.9]))
+
+
+def test_start_outside_the_closure_is_refused(interval, std_model):
+    # a start beyond 3r would fold outside the interval on a small move and
+    # read as a step that is too large; it is refused as a start instead
+    prob = two_control_problem()
+    for cost in (cost_I, cost_J):
+        with pytest.raises(ValueError, match="x0 outside"):
+            cost(std_model, interval, prob, Policy.constant(0), 0.0, T=1.0,
+                 h=1e-2, paths=4, seed=0, x0=np.array([3.5]))
