@@ -21,7 +21,10 @@ interpolation, numpy's default), the pairs in which the change is lower and
 higher, and the relative change of the median. ``claim`` restates the
 first workload's ``wall_s`` (lower is better) with a one-line verdict: the
 share of pairs won and whether the median gap exceeds the parent's
-interquartile range.
+interquartile range. When the output file already holds a record of the
+same workload, its ``parent_commit``, ``change``, ``claim`` and end-to-end
+medians, followed by its own ``history``, are carried forward under
+``history`` (newest first), so a new series does not erase the old one.
 """
 from __future__ import annotations
 
@@ -106,6 +109,21 @@ def claim_of(summary: dict) -> dict:
             "note": note}
 
 
+def carried_history(path: Path, workload: str) -> list:
+    """The record already at ``path`` as the first history entry, followed
+    by its own history; empty when there is none for ``workload``."""
+    if not path.exists():
+        return []
+    old = json.loads(path.read_text())
+    if old.get("workload") != workload:
+        return []
+    medians = {name: {side: m[side]["median"] for side in ("parent", "change")}
+               for name, m in old["end_to_end"]["metrics"].items()}
+    entry = {"parent_commit": old.get("parent_commit"), "change": old.get("change"),
+             "claim": old.get("claim"), "end_to_end_medians": medians}
+    return [entry] + old.get("history", [])
+
+
 def machine() -> str:
     import numpy
     import scipy
@@ -129,6 +147,7 @@ def main(argv=None) -> int:
     metrics, seconds = bench["end_to_end"], bench["run_seconds"]
     main_wl = args.workloads[0]
     out_path = args.change / f"BENCH_{main_wl}.json"
+    history = carried_history(out_path, main_wl)
     runs = {w: [] for w in args.workloads}
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for k in range(args.pairs):
@@ -159,6 +178,7 @@ def main(argv=None) -> int:
             "end_to_end": summaries[main_wl],
             "other_workloads": {w: summaries[w] for w in args.workloads[1:]},
             "runs": runs,
+            "history": history,
         }
         out_path.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {out_path}", file=sys.stderr)

@@ -11,18 +11,21 @@ order: the drift is centered where the cell Peclet number is at most 1
 whose ghost values the centered Neumann condition eliminates (ghost-point
 rows). In 2-d the drift is upwinded and the Neumann rows are one-sided,
 first order. Every row is monotone. One vectorised assembler builds the
-sparse operator in any dimension; mu and psi enter only the right-hand
-side, so each operator is factorised once per mesh, discount and viscosity
-level (``GridOperators``) and the LU serves every Picard sweep and every
-mu: LAPACK tridiagonal LU in 1-d, SuperLU in 2-d. The discount enters only
-the diagonal of the PDE rows, so one alpha-free operator is assembled per
-viscosity level and shifted for each discount. One transposed solve on the
-ergodic LU gives lambda as a linear function of psi and mu - g
-(``GridOperators.weights``): the discrete invariant measure and the
-boundary flux. The lambda border of a
-1-d ergodic operator is removed by swapping the reference node's row for the
-normalization row, which keeps the matrix tridiagonal at the cost of one
-extra solve per factorisation (``_TridiagonalLU``). Degenerate 1-d diffusion
+alpha-free rows in any dimension in stencil form: a diagonal and one
+coefficient per neighbor of each node (``_assemble_stencil``). The
+discount enters only the diagonal of the PDE rows, and mu and psi only the
+right-hand side, so one stencil per viscosity level serves every discount,
+and each operator is factorised once per mesh, discount and viscosity
+level (``GridOperators``); the LU serves every Picard sweep and every mu.
+In 1-d the LAPACK tridiagonal LU reads the stencil's three diagonals
+directly; the lambda border of a 1-d ergodic operator is removed by
+swapping the reference node's row for the normalization row, which keeps
+the matrix tridiagonal at the cost of one extra solve per factorisation
+(``_TridiagonalLU``). A sparse matrix is built from the stencil only for
+SuperLU, in 2-d and when that swap is not backward stable, and for
+``assemble_operator``. One transposed solve on the ergodic LU gives lambda
+as a linear function of psi and mu - g (``GridOperators.weights``): the
+discrete invariant measure and the boundary flux. Degenerate 1-d diffusion
 is handled by adding a small viscosity eps^2/2 at two values of eps and
 extrapolating linearly to eps = 0.
 """
@@ -92,48 +95,55 @@ def _coefficients(mesh: Mesh, model: SdeModel):
     return sig, 0.5 * adiag, model.drift_at(mesh.nodes)
 
 
-def assemble_operator(mesh: Mesh, a: np.ndarray, b: np.ndarray, alpha: float,
-                      bordered: bool = False) -> sparse.csc_matrix:
-    """Sparse operator of the discrete problem, assembled in COO form.
+def _pde_rows(mesh: Mesh) -> np.ndarray:
+    """Rows that hold the PDE, where psi, lambda and alpha enter: every node
+    in 1-d, the interior nodes in 2-d."""
+    if mesh.domain.dim == 1:
+        return np.arange(mesh.n_nodes)
+    return np.nonzero(~mesh.boundary)[0]
+
+
+def _assemble_stencil(mesh: Mesh, a: np.ndarray, b: np.ndarray):
+    """Alpha-free rows of the discrete problem in stencil form.
+
+    Returns (diag, coef, entry): the diagonal (M,), the coefficients (M, d,
+    2) of the -1/+1 neighbors along each axis, aligned with
+    ``mesh.neighbors``, and which of them are entries of the operator
+    (explicit zeros included, such as a 2-d boundary entry whose normal
+    component is 0); a coefficient that is no entry is never read.
 
     PDE rows (every node in 1-d, the interior nodes in 2-d): centered
-    diffusion with coefficients ``a`` (M, d), drift ``b`` (M, d), minus
-    alpha. In 1-d the drift is centered
-    where the cell Peclet number |b| h / (2a) is at most 1 and upwinded
-    elsewhere; in 2-d it is upwinded.
+    diffusion with coefficients ``a`` (M, d) and drift ``b`` (M, d). In 1-d
+    the drift is centered where the cell Peclet number |b| h / (2a) is at
+    most 1 and upwinded elsewhere; in 2-d it is upwinded.
 
     Boundary rows in 1-d: the PDE at the boundary node, whose ghost value
-    the centered Neumann condition eliminates: (2a/h^2)(v_nbr - v_0) -
-    alpha v_0, with (2a/h - b.n)(mu - g) on the right-hand side (n the
-    inward normal, ``GridOperators.neumann_scale``). Where the inward drift
-    has b.n h / (2a) > 1 it is upwinded instead, which adds
-    (b.n/h)(v_nbr - v_0) and leaves (2a/h)(mu - g). Every 1-d row is then
-    monotone, and mu enters with a positive weight. Boundary rows in 2-d:
-    the inward normal derivative, one-sided along each axis on the side the
-    normal points to (the other side when that neighbor is missing).
-
-    With ``bordered`` the unknown lambda is appended: a -1 column on the
-    PDE rows and the normalization row v(x_ref) = 0.
+    the centered Neumann condition eliminates: (2a/h^2)(v_nbr - v_0), with
+    (2a/h - b.n)(mu - g) on the right-hand side (n the inward normal,
+    ``GridOperators.neumann_scale``). Where the inward drift has
+    b.n h / (2a) > 1 it is upwinded instead, which adds (b.n/h)(v_nbr -
+    v_0) and leaves (2a/h)(mu - g). Every 1-d row is then monotone, and mu
+    enters with a positive weight. Boundary rows in 2-d: the inward normal
+    derivative, one-sided along each axis on the side the normal points to
+    (the other side when that neighbor is missing).
     """
-    n, d = a.shape
+    d = a.shape[1]
     h = mesh.spacing
     nb = mesh.neighbors
-    inner = np.nonzero(~mesh.boundary)[0]
-    ai, bi = a[inner], b[inner]
-    centred = (d == 1) & (np.abs(bi) * h <= 2 * ai)
-    up = np.where(centred, 0.5 * bi, np.maximum(bi, 0.0)) / h
-    down = np.where(centred, -0.5 * bi, np.maximum(-bi, 0.0)) / h
-    rows = [inner, np.repeat(inner, d), np.repeat(inner, d)]
-    cols = [inner, nb[inner, :, 1].ravel(), nb[inner, :, 0].ravel()]
-    vals = [-alpha - (2 * ai / h ** 2 + up + down).sum(axis=1),
-            (ai / h ** 2 + up).ravel(), (ai / h ** 2 + down).ravel()]
+    # the PDE rows' formula on every node; the boundary rows are set below
+    centred = (d == 1) & (np.abs(b) * h <= 2 * a)
+    up = np.where(centred, 0.5 * b, np.maximum(b, 0.0)) / h
+    down = np.where(centred, -0.5 * b, np.maximum(-b, 0.0)) / h
+    ah = a / h ** 2
+    diag = -(2 * ah + up + down).sum(axis=1)
+    coef = np.stack([ah + down, ah + up], axis=2)
+    entry = nb >= 0
     bnd = np.nonzero(mesh.boundary)[0]
     if d == 1:
         bn, exact = _boundary_drift(mesh, a, b)
-        coef = 2 * a[bnd, 0] / h ** 2 + np.where(exact, 0.0, bn / h)
-        rows += [bnd, bnd]
-        cols += [nb[bnd, 0].max(axis=1), bnd]
-        vals += [coef, -alpha - coef]
+        c = 2 * a[bnd, 0] / h ** 2 + np.where(exact, 0.0, bn / h)
+        coef[bnd, 0] = c[:, None]           # on the missing side too: no entry
+        diag[bnd] = -c
     else:
         normal = mesh.boundary_normals()
         axes = np.arange(d)
@@ -141,20 +151,44 @@ def assemble_operator(mesh: Mesh, a: np.ndarray, b: np.ndarray, alpha: float,
         j = nb[bnd[:, None], axes, side]
         side = np.where(j < 0, 1 - side, side)
         j = nb[bnd[:, None], axes, side]
-        coef = np.where(j >= 0, normal * (2 * side - 1) / h, 0.0)
-        rows += [np.repeat(bnd, d), bnd]
-        cols += [j.ravel(), bnd]
-        vals += [coef.ravel(), -coef.sum(axis=1)]
-    if bordered:
-        pde = [inner, bnd] if d == 1 else [inner]
-        rows += pde + [[n]]
-        cols += [np.full(len(r), n) for r in pde] + [[mesh.ref_index()]]
-        vals += [np.full(len(r), -1.0) for r in pde] + [[1.0]]
+        c = np.where(j >= 0, normal * (2 * side - 1) / h, 0.0)
+        entry[bnd] = False
+        entry[bnd[:, None], axes, side] = j >= 0
+        coef[bnd[:, None], axes, side] = c
+        diag[bnd] = -c.sum(axis=1)
+    return diag, coef, entry
+
+
+def _csc(mesh: Mesh, stencil, alpha: float, ref: Optional[int] = None) -> sparse.csc_matrix:
+    """Sparse operator of a stencil with alpha subtracted on the diagonal of
+    the PDE rows. With ``ref`` the unknown lambda is appended: a -1 column
+    on the PDE rows and the normalization row v(x_ref) = 0."""
+    diag, coef, entry = stencil
+    n = len(diag)
+    pde = _pde_rows(mesh)
+    node, axis, side = np.nonzero(entry)
+    shifted = diag.copy()
+    shifted[pde] -= alpha
+    rows = [np.arange(n), node]
+    cols = [np.arange(n), mesh.neighbors[node, axis, side]]
+    vals = [shifted, coef[node, axis, side]]
+    if ref is not None:
+        rows += [pde, [n]]
+        cols += [np.full(len(pde), n), [ref]]
+        vals += [np.full(len(pde), -1.0), [1.0]]
     rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
-    keep = cols >= 0
-    size = n + bordered
-    return sparse.coo_matrix((vals[keep], (rows[keep], cols[keep])),
-                             shape=(size, size)).tocsc()
+    size = n + (ref is not None)
+    return sparse.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsc()
+
+
+def assemble_operator(mesh: Mesh, a: np.ndarray, b: np.ndarray, alpha: float,
+                      bordered: bool = False) -> sparse.csc_matrix:
+    """Sparse operator of the discrete problem (``_assemble_stencil``):
+    minus alpha on the diagonal of the PDE rows and, with ``bordered``, the
+    unknown lambda, a -1 column on the PDE rows and the normalization row
+    v(x_ref) = 0."""
+    return _csc(mesh, _assemble_stencil(mesh, a, b), alpha,
+                mesh.ref_index() if bordered else None)
 
 
 def _boundary_drift(mesh: Mesh, a: np.ndarray, b: np.ndarray):
@@ -177,10 +211,14 @@ class _TridiagonalLU:
     """LAPACK tridiagonal LU (dgttrf, dgttrs) of a 1-d operator on ``n``
     nodes numbered left to right, with the ``solve(rhs, trans)`` of SuperLU.
 
-    The bordered operator [[N, c], [e_ref^T, 0]] is factorised as M, which
-    is N with row ref replaced by e_ref^T. With M z = c (c_ref set to 0)
-    solved once, each rhs (r, r_n) takes M y = r (r_ref set to r_n), then
-    lambda = (r_ref - N_ref.y) / (c_ref - N_ref.z) and v = y - lambda z.
+    Takes the operator's three diagonals, ``dl`` (n - 1,), ``d`` (n,) and
+    ``du`` (n - 1,), as ``_assemble_stencil`` gives them (copied, so the
+    stencil is left as it is). With ``ref`` the operator is bordered: the
+    lambda column is -1 on every row and the normalization row is
+    e_ref^T. The bordered operator [[N, c], [e_ref^T, 0]] is factorised as
+    M, which is N with row ref replaced by e_ref^T. With M z = c (c_ref set
+    to 0) solved once, each rhs (r, r_n) takes M y = r (r_ref set to r_n),
+    then lambda = (r_ref - N_ref.y) / (c_ref - N_ref.z) and v = y - lambda z.
     The transposed system swaps the same row: with M^T q = N_ref solved on
     first use, each rhs (b, b_n) takes M^T p = b, then
     u_ref = (b_n - c.p) / (c_ref - c.q), u = p - u_ref q with u_ref in
@@ -189,19 +227,14 @@ class _TridiagonalLU:
     the border row c.u = b_n hold to rounding.
     """
 
-    def __init__(self, A: sparse.csc_matrix, n: int):
-        dl, d, du = (A.diagonal(k)[:n - abs(k)] for k in (-1, 0, 1))
-        self.ref = None
-        if A.shape[0] > n:
-            # CSC: the border column is column n, the normalization row
-            # the one entry with row index n
-            col = slice(A.indptr[n], A.indptr[n + 1])
-            c = np.zeros(n)
-            c[A.indices[col]] = A.data[col]
-            ref = int(np.searchsorted(A.indptr, np.flatnonzero(A.indices == n)[0],
-                                      side="right")) - 1
-            self.ref, self.lo, self.c_ref = ref, max(ref - 1, 0), c[ref]
+    def __init__(self, dl: np.ndarray, d: np.ndarray, du: np.ndarray,
+                 ref: Optional[int] = None):
+        dl, d, du = (np.array(x, dtype=float) for x in (dl, d, du))
+        self.ref = ref
+        if ref is not None:
+            self.lo, self.c_ref = max(ref - 1, 0), -1.0
             self.row = np.concatenate([dl[ref - 1:ref], d[ref:ref + 1], du[ref:ref + 1]])
+            c = np.full(len(d), -1.0)
             c[ref] = 0.0
             self.c, self.q = c, None
             d[ref] = 1.0
@@ -211,12 +244,13 @@ class _TridiagonalLU:
                                      overwrite_du=1)
         if info > 0:
             raise RuntimeError("Factor is exactly singular")
-        if self.ref is not None:
+        if ref is not None:
             self.z = self._solve_m(c)
             self.denom = self.c_ref - self._row_dot(self.z)
 
-    def backward_stable(self, A: sparse.csc_matrix) -> bool:
-        """Whether solves with the border removed keep a small residual.
+    def backward_stable(self, dl: np.ndarray, d: np.ndarray, du: np.ndarray) -> bool:
+        """Whether solves with the border removed keep a small residual on
+        the operator of the diagonals ``dl``, ``d``, ``du``.
 
         The swap is exact algebra, but y and lambda z grow like the expected
         time to hit the reference node, so v = y - lambda z loses digits
@@ -225,10 +259,23 @@ class _TridiagonalLU:
         """
         if self.ref is None:
             return True
-        x = np.append(np.linspace(-1.0, 1.0, len(self.z)), 1.0)
-        r = A @ x
-        residual = np.abs(A @ self.solve(r) - r).max()
-        return residual <= _BACKWARD_TOL * (np.abs(A.data).max() + np.abs(r).max())
+        x = np.append(np.linspace(-1.0, 1.0, len(d)), 1.0)
+        r = self._matvec(dl, d, du, x)
+        residual = np.abs(self._matvec(dl, d, du, self.solve(r)) - r).max()
+        scale = max(np.abs(dl).max(), np.abs(d).max(), np.abs(du).max(), 1.0)
+        return residual <= _BACKWARD_TOL * (scale + np.abs(r).max())
+
+    def _matvec(self, dl, d, du, x: np.ndarray) -> np.ndarray:
+        """The bordered operator times x, each row's entries added in column
+        order from zero as the CSC product adds them: the same bits."""
+        n = len(d)
+        y = np.zeros(n + 1)
+        y[1:n] += dl * x[:n - 1]
+        y[:n] += d * x[:n]
+        y[:n - 1] += du * x[1:n]
+        y[:n] -= x[n]                 # the border column, -1 on every row
+        y[n] += x[self.ref]
+        return y
 
     def _solve_m(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
         return dgttrs(*self.factors, rhs, trans=trans)[0]
@@ -258,15 +305,18 @@ class _TridiagonalLU:
         return np.append(y - lam * self.z, lam)
 
 
-def _factorise(mesh: Mesh, A: sparse.csc_matrix):
-    """LU of an operator assembled on ``mesh``, with a ``solve(rhs)``
-    method: the LAPACK tridiagonal LU in 1-d, SuperLU in 2-d and for a
-    bordered 1-d operator whose border removal is not backward stable."""
+def _factorise(mesh: Mesh, stencil, alpha: float, ref: Optional[int] = None):
+    """LU, with a ``solve(rhs)`` method, of the operator that ``_csc`` builds
+    from a stencil: the LAPACK tridiagonal LU of its three diagonals in 1-d,
+    SuperLU in 2-d and for a bordered 1-d operator whose border removal is
+    not backward stable."""
     if mesh.domain.dim == 1:
-        lu = _TridiagonalLU(A, mesh.n_nodes)
-        if lu.backward_stable(A):
+        diag, coef, _ = stencil
+        tri = coef[1:, 0, 0], diag - alpha, coef[:-1, 0, 1]
+        lu = _TridiagonalLU(*tri, ref)
+        if lu.backward_stable(*tri):
             return lu
-    return splu(A)
+    return splu(_csc(mesh, stencil, alpha, ref))
 
 
 def _factoriser(mesh: Mesh, lu) -> str:
@@ -339,13 +389,15 @@ class GridOperators:
     """Everything a grid solve needs apart from mu and the driver.
 
     Holds the mesh, the coefficients at its nodes, the viscosity levels,
-    one alpha-free operator per (eps, bordered), and one LU per (alpha, eps,
-    bordered), factorised the first time that key is used: LAPACK
-    tridiagonal LU in 1-d, SuperLU in 2-d. The discount enters only the
-    diagonal of the PDE rows (``pde``), so each alpha takes a copy of the
-    alpha-free operator with alpha subtracted there, the same bits as
-    assembling it with alpha. A 1-d lambda border is removed by one row
-    swap, the reference node's row giving way to the normalization row
+    one alpha-free stencil per eps (``stencil``), shared by every discount
+    and by the bordered and unbordered operators, the number of LUs built
+    (``factorisations``), and one LU per (alpha, eps, bordered), factorised
+    the first time that key is used (``_factorise``). The discount enters
+    only the diagonal of the PDE rows (``pde``) as fl(-S - alpha), the same
+    bits as assembling with alpha. In 1-d the LAPACK tridiagonal LU takes
+    the stencil's three diagonals (SuperLU takes a CSC built from the
+    stencil in 2-d), and a lambda border is removed by one row swap, the
+    reference node's row giving way to the normalization row
     (``_TridiagonalLU``). mu and psi enter only the right-hand side, so one
     instance serves every mu of a curve or an inversion, and ``weights``
     gives lambda for all of them from one transposed solve; it lives as
@@ -367,13 +419,12 @@ class GridOperators:
         use_visc = domain.dim == 1 and (
             viscosity == "force" or (viscosity == "auto" and _needs_viscosity(self.a, h)))
         self.eps_list = [h, h / 2] if use_visc else [0.0]
-        # rows that hold the PDE, where psi, lambda and alpha enter
-        self.pde = (np.arange(self.mesh.n_nodes) if domain.dim == 1
-                    else np.nonzero(~self.mesh.boundary)[0])
+        self.pde = _pde_rows(self.mesh)
         self.ref = self.mesh.ref_index()
         self.keep_lus = keep_lus
+        self.factorisations = 0     # LUs built, kept or not
         self._lus: dict = {}
-        self._operators: dict = {}
+        self._operators: dict = {}  # one stencil per eps
         self._neumann: dict = {}
 
     def check(self, model: SdeModel, domain: DomainSpec, spacing: float,
@@ -384,25 +435,21 @@ class GridOperators:
             raise ValueError("operators were built for another model, domain, "
                              "spacing or viscosity")
 
+    def stencil(self, eps: float):
+        """The alpha-free stencil (``_assemble_stencil``) at viscosity level
+        eps, assembled once and shared by every discount and by the bordered
+        and unbordered operators."""
+        stencil = self._operators.get(eps)
+        if stencil is None:
+            stencil = _assemble_stencil(self.mesh, self.a + 0.5 * eps ** 2, self.b)
+            self._operators[eps] = stencil
+        return stencil
+
     def operator(self, alpha: float, eps: float, bordered: bool) -> sparse.csc_matrix:
         """The operator that ``assemble_operator`` builds at (alpha, eps,
-        bordered), from the one alpha-free assembly per (eps, bordered):
-        fl(-S - alpha) equals the assembler's fl(-alpha - S)."""
-        base = self._operators.get((eps, bordered))
-        if base is None:
-            A = assemble_operator(self.mesh, self.a + 0.5 * eps ** 2, self.b, 0.0,
-                                  bordered)
-            col = np.repeat(np.arange(A.shape[1]), np.diff(A.indptr))
-            pde = np.zeros(A.shape[0], bool)
-            pde[self.pde] = True
-            base = A, np.flatnonzero((A.indices == col) & pde[A.indices])
-            self._operators[(eps, bordered)] = base
-        A, diagonal = base
-        if alpha == 0.0:
-            return A
-        A = A.copy()
-        A.data[diagonal] -= alpha
-        return A
+        bordered), from the one stencil per eps: fl(-S - alpha) on the PDE
+        diagonal equals the assembler's fl(-alpha - S)."""
+        return _csc(self.mesh, self.stencil(eps), alpha, self.ref if bordered else None)
 
     def neumann_scale(self, eps: float) -> np.ndarray:
         """d r / d mu on the boundary rows of the operator at viscosity
@@ -424,7 +471,9 @@ class GridOperators:
         key = (alpha, eps, bordered)
         lu = self._lus.get(key)
         if lu is None:
-            lu = _factorise(self.mesh, self.operator(alpha, eps, bordered))
+            lu = _factorise(self.mesh, self.stencil(eps), alpha,
+                            self.ref if bordered else None)
+            self.factorisations += 1
             if self.keep_lus:
                 self._lus[key] = lu
         return lu
@@ -459,11 +508,14 @@ def _grid_solve(ops: GridOperators, driver: DriverSpec, alpha: float, mu: float,
                 tol: float, max_sweeps: int, bordered: bool = False):
     """Unknowns of the discrete problem (node values, then lambda when
     ``bordered``), extrapolated over the viscosity levels, and a record of
-    the solve: the viscosity levels, the factoriser of each level
-    (``_factoriser``), the linear solves and damped sweeps summed over the
-    levels and the largest final Picard update."""
+    the solve: the nodes, the viscosity levels, the factoriser of each level
+    (``_factoriser``), the LUs it built (0 when ``ops`` already held them),
+    the linear solves and damped sweeps summed over the levels and the
+    largest final Picard update."""
     sols = []
-    record = {"viscosity_eps": ops.eps_list, "factorisers": [], "picard_sweeps": 0,
+    built = ops.factorisations
+    record = {"nodes": ops.mesh.n_nodes, "viscosity_eps": ops.eps_list,
+              "factorisers": [], "factorisations": 0, "picard_sweeps": 0,
               "picard_update": None, "damping_events": 0}
     for eps in ops.eps_list:
         lu = ops.lu(alpha, eps, bordered)
@@ -481,6 +533,7 @@ def _grid_solve(ops: GridOperators, driver: DriverSpec, alpha: float, mu: float,
         record["damping_events"] += damped
         if update is not None:
             record["picard_update"] = max(update, record["picard_update"] or 0.0)
+    record["factorisations"] = ops.factorisations - built
     return _extrapolate(sols), record
 
 

@@ -196,12 +196,15 @@ def solve_ergodic(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
 
 
 def _solve_record(records: list) -> Dict:
-    """What the grid solves of one ``solve_ergodic`` did: the viscosity
-    levels, each factoriser that ran, the linear solves and damped Picard
+    """What the grid solves of one ``solve_ergodic`` did: the nodes, the
+    viscosity levels, each factoriser that ran, the LUs built (0 when shared
+    operators already held them), the linear solves and damped Picard
     sweeps in total, and the final update of the last solve (None when the
     driver does not read z)."""
-    return {"viscosity_eps": records[-1]["viscosity_eps"],
+    return {"nodes": records[-1]["nodes"],
+            "viscosity_eps": records[-1]["viscosity_eps"],
             "factorisers": sorted({f for r in records for f in r["factorisers"]}),
+            "factorisations": sum(r["factorisations"] for r in records),
             "picard_sweeps": sum(r["picard_sweeps"] for r in records),
             "picard_update": records[-1]["picard_update"],
             "damping_events": sum(r["damping_events"] for r in records)}

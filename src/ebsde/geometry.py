@@ -96,7 +96,9 @@ def ball_domain(radius: float = 1.0, dim: int = 1) -> DomainSpec:
         raise ValueError("radius must be positive")
 
     def phi(x):
-        return (r * r - float(np.dot(x, x))) / (2 * r)
+        # the rounding of phi_vec, so membership does not depend on the form
+        x = np.asarray(x, dtype=float)
+        return (r * r - float((x * x).sum())) / (2 * r)
 
     def grad(x):
         return -np.asarray(x, dtype=float) / r

@@ -238,22 +238,85 @@ def test_discount_shift_equals_assembly(name, domain, model, spacing, eps, borde
 
 
 def test_one_assembly_per_viscosity_level(monkeypatch, interval, std_model, cosdrv):
+    # the stencil is alpha-free: every discount and both borders share it
     calls = []
-    real = discounted.assemble_operator
+    real = discounted._assemble_stencil
 
     def counting(*args, **kwargs):
-        calls.append(args[3])
+        calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(discounted, "assemble_operator", counting)
+    monkeypatch.setattr(discounted, "_assemble_stencil", counting)
     sol = solve_ergodic(std_model, interval, cosdrv, 0.5,
                         scheme="vanishing_discount", spacing=1e-2)
     assert len(sol.diagnostics["alpha_sequence"]) > 1
-    assert calls == [0.0]
+    assert len(calls) == 1
     calls.clear()
     ergodic.lambda_of_mu(degenerate_linear_model(), interval, zero_driver(),
                          [0.0, 1.0], scheme="vanishing_discount", spacing=1e-2)
-    assert calls == [0.0, 0.0]
+    assert len(calls) == 2
+
+
+ONE_D_CASES = [c for c in OPERATOR_CASES if c[1].dim == 1]
+
+
+@pytest.mark.parametrize("bordered", [False, True], ids=["discounted", "bordered"])
+@pytest.mark.parametrize("name,domain,model,spacing,eps", ONE_D_CASES,
+                         ids=[c[0] for c in ONE_D_CASES])
+def test_tridiagonal_lu_reads_the_assembled_diagonals(monkeypatch, name, domain, model,
+                                                      spacing, eps, bordered):
+    # what the LU is given equals the three diagonals, the border column and
+    # the normalization row of the CSC that assemble_operator builds
+    given = []
+
+    class Recording(discounted._TridiagonalLU):
+        def __init__(self, dl, d, du, ref=None):
+            given.append((np.copy(dl), np.copy(d), np.copy(du), ref))
+            super().__init__(dl, d, du, ref)
+
+    monkeypatch.setattr(discounted, "_TridiagonalLU", Recording)
+    ops = discounted.GridOperators(model, domain, spacing, viscosity="force")
+    n = ops.mesh.n_nodes
+    for level in sorted({eps, *ops.eps_list}):
+        for alpha in (0.0, 0.3, 0.25 * 2.0 ** -7):
+            given.clear()
+            assert isinstance(ops.lu(alpha, level, bordered), Recording)
+            (dl, d, du, ref), = given
+            A = assemble_operator(ops.mesh, ops.a + 0.5 * level ** 2, ops.b, alpha,
+                                  bordered)
+            for got, k in ((dl, -1), (d, 0), (du, 1)):
+                assert np.array_equal(got, A.diagonal(k)[:n - abs(k)])
+            if bordered:
+                assert np.array_equal(A[:n, n].toarray()[:, 0], np.full(n, -1.0))
+                row = A.tocsr()[n]
+                assert (row.indices.tolist(), row.data.tolist(), ref) \
+                    == ([ops.ref], [1.0], ops.ref)
+            else:
+                assert ref is None and A.shape == (n, n)
+
+
+@pytest.mark.parametrize("where", ["centre", "first", "last"])
+@pytest.mark.parametrize("model", [STD_1D, degenerate_linear_model()],
+                         ids=["std", "degenerate"])
+def test_backward_check_residual_is_the_csc_residual(model, where, interval):
+    # the tridiagonal-plus-border product adds each row in column order as
+    # the CSC product does, so the residual and the handover keep their bits
+    ops = discounted.GridOperators(model, interval, 1e-3, viscosity="force")
+    n = ops.mesh.n_nodes
+    ref = {"centre": ops.ref, "first": 0, "last": n - 1}[where]
+    for eps in ops.eps_list:
+        diag, coef, _ = ops.stencil(eps)
+        tri = coef[1:, 0, 0], diag, coef[:-1, 0, 1]
+        lu = discounted._TridiagonalLU(*tri, ref)
+        A = discounted._csc(ops.mesh, ops.stencil(eps), 0.0, ref)
+        x = np.append(np.linspace(-1.0, 1.0, n), 1.0)
+        r = lu._matvec(*tri, x)
+        assert r.tobytes() == (A @ x).tobytes()
+        got = np.abs(lu._matvec(*tri, lu.solve(r)) - r).max()
+        want = np.abs(A @ lu.solve(r) - r).max()
+        assert got.tobytes() == want.tobytes()
+        scale = np.abs(A.data).max() + np.abs(r).max()
+        assert lu.backward_stable(*tri) == (want <= discounted._BACKWARD_TOL * scale)
 
 
 # (name, domain, model, spacing): the tridiagonal LU, the degenerate model
@@ -365,10 +428,10 @@ def _count_factorisations(monkeypatch):
             counts["adjoint_solves" if trans == "T" else "lu_solves"] += 1
             return self.lu.solve(rhs, trans=trans)
 
-    def factorise(mesh, A):
+    def factorise(*args):
         counts["factorisations"] += 1
         counts["live_at_factorise"].append(len(live))
-        lu = CountedLU(real_factorise(mesh, A))
+        lu = CountedLU(real_factorise(*args))
         live.add(lu)
         return lu
 
@@ -407,7 +470,9 @@ def test_tridiagonal_lu_matches_splu(model, alpha, ref, interval):
             A = A.tocsc()
             A.eliminate_zeros()
         want = scipy.sparse.linalg.splu(A).solve(rhs)
-        lu = discounted._factorise(mesh, A)
+        lu = discounted._factorise(mesh, ops.stencil(eps), alpha,
+                                   None if ref is None else ops.ref if ref == "centre"
+                                   else ref % n)
         assert isinstance(lu, discounted._TridiagonalLU) == tridiagonal
         got = lu.solve(rhs)
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
@@ -428,7 +493,8 @@ def test_singular_tridiagonal_operator_raises(interval):
         with pytest.raises(RuntimeError, match="singular"):
             scipy.sparse.linalg.splu(A)
         with pytest.raises(RuntimeError, match="singular"):
-            discounted._factorise(mesh, A)
+            discounted._factorise(mesh, discounted._assemble_stencil(mesh, zero, zero),
+                                  0.0, mesh.ref_index() if bordered else None)
 
 
 def test_one_factorisation_for_all_picard_sweeps_in_2d(monkeypatch):
@@ -459,6 +525,53 @@ def test_one_factorisation_per_viscosity_level_in_1d(monkeypatch):
     assert counts["factorisations"] == 2
     assert counts["lu_solves"] > 4
     assert counts["spsolve"] == 0
+
+
+def _recording_solves(monkeypatch):
+    """Diagnostics of every ``solve_ergodic`` call, in order."""
+    recorded = []
+    real = ergodic.solve_ergodic
+
+    def recording(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        recorded.append(sol.diagnostics)
+        return sol
+
+    monkeypatch.setattr(ergodic, "solve_ergodic", recording)
+    return recorded
+
+
+def test_solve_record_counts_the_factorisations_of_a_1d_curve(monkeypatch, interval,
+                                                              std_model, cosdrv):
+    counts = _count_factorisations(monkeypatch)
+    recorded = _recording_solves(monkeypatch)
+    zdrv = dataclasses.replace(cosdrv, psi=lambda x, z: np.cos(x[0]) + 0.3 * z[0],
+                               psi_vec=lambda X, Z: np.cos(X[:, 0]) + 0.3 * Z[:, 0],
+                               K_psi_z=0.3)
+    # one solve per mu on shared operators: the first builds the LU
+    ergodic.lambda_of_mu(std_model, interval, zdrv, [0.0, 0.5, 1.0], scheme="direct",
+                         spacing=1e-2)
+    assert [d["nodes"] for d in recorded] == [201] * 3
+    assert [d["factorisations"] for d in recorded] == [1, 0, 0]
+    assert counts["factorisations"] == 1
+    # a vanishing-discount curve: one LU per new discount level
+    recorded.clear()
+    ergodic.lambda_of_mu(std_model, interval, cosdrv, [0.0, 1.0],
+                         scheme="vanishing_discount", spacing=1e-2)
+    assert recorded[0]["factorisations"] == len(recorded[0]["alpha_sequence"]) > 1
+    assert sum(d["factorisations"] for d in recorded) == counts["factorisations"] - 1
+
+
+def test_solve_record_counts_the_factorisations_of_a_2d_solve(monkeypatch):
+    counts = _count_factorisations(monkeypatch)
+    disc = ball_domain(1.0, 2)
+    ops = discounted.GridOperators(STD_2D, disc, 0.1)
+    diags = [solve_ergodic(STD_2D, disc, cos_driver(), mu, spacing=0.1,
+                           operators=ops).diagnostics for mu in (0.0, 0.5)]
+    assert [d["nodes"] for d in diags] == [ops.mesh.n_nodes] * 2
+    assert [d["factorisations"] for d in diags] == [1, 0]
+    assert counts["factorisations"] == 1
+    assert diags[0]["factorisers"] == ["superlu"]
 
 
 # ---------------------------------------------------------------------------

@@ -185,3 +185,15 @@ def test_domain_kinds():
         assert_allclose(dom.phi_vec(X), [dom.phi(x) for x in X], rtol=0, atol=1e-12)
         assert_allclose(dom.grad_phi_vec(X), [dom.grad_phi(x) for x in X], atol=1e-12)
         assert_allclose(dom.hess_phi_vec(X), [dom.hess_phi(x) for x in X], atol=1e-12)
+
+
+def test_ball_phi_and_phi_vec_agree_on_every_point_of_the_gibbs_grid():
+    # the 101^3 tensor grid that the Gibbs quadrature masks by phi >= 0 on
+    # the 3-d ball: np.dot rounded 12 of its points to the other side
+    dom = ball_domain(1.0, 3)
+    axes = [np.linspace(lo, hi, 101) for lo, hi in dom.bounding_box]
+    pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    pointwise = np.array([dom.phi(p) for p in pts])
+    batched = dom.phi_vec(pts)
+    assert np.array_equal(pointwise >= 0, batched >= 0)
+    assert np.array_equal(pointwise, batched)
