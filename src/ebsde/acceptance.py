@@ -19,7 +19,7 @@ import numpy as np
 from scipy import integrate
 
 from . import dynamics, hypotheses, verification
-from .control import (Policy, _control_costs, cost_I, cost_J, feedback_policy,
+from .control import (Policy, _hamiltonian_batch, cost_I, cost_J, feedback_policy,
                       induced_driver, policy_verdict)
 from .discounted import lipschitz_diagnostic, solve_discounted
 from .dynamics import sample_invariant
@@ -289,18 +289,18 @@ def criterion_09(seed: int = 909) -> CriterionResult:
     T, h, paths = 100.0, 1e-3, 320
     fb = feedback_policy(problem, sol)
 
-    def anti_rule(X, Z, costs, _p=problem):
-        costs = _control_costs(_p, X, Z, costs)
-        return (_p.n_controls - 1) - np.argmin(costs, axis=1)
+    def anti_rule(nodes, Z, _p=problem):
+        return (_p.n_controls - 1) - _hamiltonian_batch(_p, nodes, Z)[1]
 
+    mesh = sol.v.mesh   # each heuristic is a node table, as the feedback is
     heuristics = [
         Policy.constant(0),
         Policy.constant(1),
-        Policy(rule=lambda X, Z: (X[:, 0] > 0).astype(int), name="state-sign"),
-        Policy(rule=lambda X, Z: np.where(Z[:, 0] < 0.0, 0, 1),
-               zeta_source=sol, name="z-threshold"),
-        Policy(rule=anti_rule, zeta_source=sol, name="anti-feedback",
-               reads_costs=True),
+        Policy.tabulate(lambda nodes, Z: (nodes[:, 0] > 0).astype(int), mesh,
+                        name="state-sign"),
+        Policy.tabulate(lambda nodes, Z: np.where(Z[:, 0] < 0.0, 0, 1), mesh,
+                        sol.zeta, "z-threshold"),
+        Policy.tabulate(anti_rule, mesh, sol.zeta, "anti-feedback"),
     ]
     rows = []
     details = {"lambda": lam, "mu": mu0}

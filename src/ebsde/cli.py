@@ -21,8 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from . import acceptance
-from .control import (cost_I, cost_J, feedback_policy, girsanov_weight_check,
-                      induced_driver, policy_from_json, policy_verdict)
+from .control import (check_policy_spec, cost_I, cost_J, feedback_policy,
+                      girsanov_weight_check, induced_driver, policy_from_json,
+                      policy_verdict)
 from .ergodic import (_jsonable, curve_to_csv, lambda_of_mu, lambda_time_average,
                       solve_boundary_cost, solve_ergodic)
 from .errors import ConfigError, EbsdeError
@@ -240,13 +241,19 @@ def cmd_control(args) -> int:
     domain, model, driver, problem = assemble_config(cfg)
     if problem is None:
         raise ConfigError("control runs need a control section")
+    specs = cfg.get("run", {}).get("policies", [])
+    for k, spec in enumerate(specs):
+        try:
+            check_policy_spec(spec, problem)
+        except ValueError as exc:
+            raise ConfigError(f"run.policies[{k}]: {exc}") from exc
     if driver.control is None:
         driver = induced_driver(problem)
     sol = solve_ergodic(model, domain, driver, eff["mu"], scheme=eff["scheme"],
                         spacing=eff["grid"], tol=eff["tol"])
     T, h, paths, seed = eff["horizon"], eff["h"], eff["paths"], eff["seed"]
     policies = [("feedback", feedback_policy(problem, sol))]
-    for k, spec in enumerate(cfg.get("run", {}).get("policies", [])):
+    for k, spec in enumerate(specs):
         pol = policy_from_json(spec, problem, sol)
         policies.append((f"{pol.name}-{k}", pol))
     rows, results = [], {}

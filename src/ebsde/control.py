@@ -6,6 +6,10 @@ psi(x, z) = min over the control grid of L(x, u) + z R(u). Its argmin
 defines the optimal feedback once the gradient field zeta of the solved
 value function is available.
 
+A policy is a constant control or, as in the Markov-chain approximation
+(Kushner & Dupuis 2001), one control per grid node: a rule of the state and
+zeta is evaluated once at the nodes, never per step (``Policy.tabulate``).
+
 The controlled measure tilts the noise by R(u): under it the state drift
 becomes b + sigma R(u), which is how the costs are simulated by default.
 The exponential-weight route (simulate under the base measure, reweight by
@@ -29,10 +33,12 @@ from .discounted import DriverSpec
 from .dynamics import SdeModel, _Accumulator, _boundary_cost, _mean_stderr
 from .errors import DegenerateLocalTime, WeightDegeneracy
 from .geometry import DomainSpec, domain_grid
+from .grids import Mesh
 
 __all__ = ["ControlProblem", "Policy", "hamiltonian", "induced_driver",
-           "feedback_policy", "policy_from_json", "CostEstimate",
-           "cost_I", "cost_J", "policy_verdict", "girsanov_weight_check"]
+           "feedback_policy", "check_policy_spec", "policy_from_json",
+           "CostEstimate", "cost_I", "cost_J", "policy_verdict",
+           "girsanov_weight_check"]
 
 
 @dataclass
@@ -99,18 +105,9 @@ def hamiltonian(problem: ControlProblem, x, z):
     return float(vals[k]), k
 
 
-def _control_costs(problem: ControlProblem, X: np.ndarray, Z: np.ndarray,
-                   table: Optional[np.ndarray] = None) -> np.ndarray:
-    """L(x, u) + z R(u) for every state of a batch and every control, (P, K);
-    ``table`` is L_table(X) when the caller has it already."""
-    if table is None:
-        table = problem.L_table(X)
-    return table + Z @ problem.R_table.T
-
-
 def _hamiltonian_batch(problem: ControlProblem, X: np.ndarray, Z: np.ndarray):
     """Vectorized Hamiltonian over a batch; returns (values (P,), argmins (P,))."""
-    costs = _control_costs(problem, X, Z)
+    costs = problem.L_table(X) + Z @ problem.R_table.T
     ks = np.argmin(costs, axis=1)
     return costs[np.arange(len(X)), ks], ks
 
@@ -135,85 +132,106 @@ def induced_driver(problem: ControlProblem, name: Optional[str] = None) -> Drive
                       name=name or (problem.name + "-driver"))
 
 
-@dataclass
+@dataclass(eq=False)
 class Policy:
-    """Control selection rule u = rule(X, Z) over path batches.
-
-    ``zeta_source`` (anything with a zeta_at method) supplies Z when the
-    rule needs the solved gradient field; without one the rule receives
-    zeros. Values returned by the rule are control-grid indices. With
-    ``reads_costs`` the rule is called as rule(X, Z, costs), where costs
-    is the (P, K) running-cost table of the step (or None). ``index`` marks
-    a constant policy: every path takes that control and no rule runs.
+    """One control per state: a constant ``index`` that every path takes,
+    or a ``table`` of control indices (intp), one per node of ``mesh``,
+    looked up at the node nearest each state (``Mesh.nearest``). A policy
+    holds exactly one of the two; ``tabulate`` builds a table from a rule.
     """
 
-    rule: Optional[Callable] = None
-    zeta_source: Optional[object] = None
-    name: str = "policy"
-    reads_costs: bool = False
     index: Optional[int] = None
+    table: Optional[np.ndarray] = None
+    mesh: Optional[Mesh] = None
+    name: str = "policy"
 
     def __post_init__(self):
-        if self.rule is None and self.index is None:
-            raise ValueError("a policy needs a rule or a constant index")
+        if (self.index is None) == (self.table is None):
+            raise ValueError("a policy holds a constant index or a node table")
+        if self.table is not None:
+            table = np.asarray(self.table)
+            if (not np.issubdtype(table.dtype, np.integer) or self.mesh is None
+                    or table.shape != (self.mesh.n_nodes,)):
+                raise ValueError("a node table holds one control index per node "
+                                 "of its mesh")
+            self.table = table.astype(np.intp, copy=False)
 
-    def controls_for(self, X: np.ndarray, costs: Optional[np.ndarray] = None) -> np.ndarray:
+    def controls_for(self, X: np.ndarray) -> np.ndarray:
+        """Control index of each state, (P, d) -> (P,)."""
         if self.index is not None:
             return np.full(len(X), self.index, dtype=int)
-        if self.zeta_source is not None:
-            Z = self.zeta_source.zeta_at(X)
-        else:
-            Z = np.zeros(X.shape)
-        u = self.rule(X, Z, costs) if self.reads_costs else self.rule(X, Z)
-        if isinstance(u, np.ndarray) and u.dtype == np.intp:
-            return u
-        return np.asarray(u).astype(int, copy=False)
+        return self.table[self.mesh.nearest(X)]
 
     @staticmethod
     def constant(k: int, name: Optional[str] = None) -> "Policy":
         return Policy(index=int(k), name=name or f"constant-{k}")
 
+    @staticmethod
+    def tabulate(rule: Callable, mesh: Mesh, zeta: Optional[np.ndarray] = None,
+                 name: str = "policy") -> "Policy":
+        """Node table of rule(nodes, Z), evaluated once at the nodes of
+        ``mesh``: Z is the solved zeta at those nodes, zeros without one."""
+        Z = np.zeros(mesh.nodes.shape) if zeta is None else zeta
+        return Policy(table=rule(mesh.nodes, Z), mesh=mesh, name=name)
+
 
 def feedback_policy(problem: ControlProblem, solution) -> Policy:
     """Optimal feedback as one control per grid node: the Hamiltonian argmin
     at the solved zeta of every node, computed once, then looked up at the
-    node nearest each state (``Mesh.nearest``). In the Markov-chain
-    approximation (Kushner & Dupuis 2001) a policy is such a table; a step
-    builds no cost table and interpolates no zeta."""
-    mesh = solution.v.mesh
-    table = np.argmin(_control_costs(problem, mesh.nodes, solution.zeta), axis=1)
+    node nearest each state."""
+    return Policy.tabulate(lambda nodes, Z: _hamiltonian_batch(problem, nodes, Z)[1],
+                           solution.v.mesh, solution.zeta, "feedback")
 
-    def rule(X, Z, _table=table, _nearest=mesh.nearest):
-        return _table[_nearest(X)]
 
-    return Policy(rule=rule, name="feedback")
+_SPEC_KEYS = {"constant": ("index",), "threshold_z": ("cut", "below", "above"),
+              "feedback": ()}
+
+
+def check_policy_spec(spec, problem: ControlProblem) -> str:
+    """The kind of a policy spec; ValueError unless ``policy_from_json``
+    can build it for ``problem``: a known kind with the keys it needs
+    (``_SPEC_KEYS``), every control index in range, the zeta axis one of
+    the problem's and a numeric cut."""
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if kind not in _SPEC_KEYS:
+        raise ValueError(f"unknown policy kind {kind!r}; use one of "
+                         f"{', '.join(_SPEC_KEYS)}")
+    missing = [key for key in _SPEC_KEYS[kind] if key not in spec]
+    if missing:
+        raise ValueError(f"{kind} policy needs {', '.join(missing)}")
+    n, d = problem.R_table.shape
+    for key, bound in (("index", n), ("below", n), ("above", n), ("axis", d)):
+        k = spec.get(key, 0)
+        if (isinstance(k, bool) or not isinstance(k, (int, np.integer))
+                or not 0 <= k < bound):
+            raise ValueError(f"{kind} policy {key} {k!r} is not an integer "
+                             f"from 0 to {bound - 1}")
+    cut = spec.get("cut", 0.0)
+    if isinstance(cut, bool) or not isinstance(cut, (int, float)):
+        raise ValueError(f"{kind} policy cut {cut!r} is not a number")
+    return kind
 
 
 def policy_from_json(spec: dict, problem: ControlProblem,
                      solution=None) -> Policy:
-    """Policies from a JSON-style dict.
+    """Policies from a JSON-style dict (``check_policy_spec`` first).
 
     kinds: {"kind": "constant", "index": k};
     {"kind": "threshold_z", "axis": a, "cut": c, "below": k0, "above": k1}
-    (uses the solved zeta field, requires solution);
+    (k0 where the solved zeta's component a is below c at the nearest node,
+    k1 elsewhere; requires solution);
     {"kind": "feedback"} (requires solution).
     """
-    kind = spec.get("kind")
+    kind = check_policy_spec(spec, problem)
     if kind == "constant":
-        return Policy.constant(int(spec["index"]))
-    if kind == "threshold_z":
-        a, c = int(spec.get("axis", 0)), float(spec["cut"])
-        k0, k1 = int(spec["below"]), int(spec["above"])
-
-        def rule(X, Z):
-            return np.where(Z[:, a] < c, k0, k1)
-
-        return Policy(rule=rule, zeta_source=solution, name="threshold-z")
+        return Policy.constant(spec["index"])
+    if solution is None:
+        raise ValueError(f"{kind} policy needs a solved problem")
     if kind == "feedback":
-        if solution is None:
-            raise ValueError("feedback policy needs a solved problem")
         return feedback_policy(problem, solution)
-    raise ValueError(f"unknown policy kind {kind!r}")
+    a, c, k0, k1 = spec.get("axis", 0), float(spec["cut"]), spec["below"], spec["above"]
+    return Policy.tabulate(lambda nodes, Z: np.where(Z[:, a] < c, k0, k1),
+                           solution.v.mesh, solution.zeta, "threshold-z")
 
 
 # ---------------------------------------------------------------------------
@@ -231,28 +249,23 @@ def _controlled_steps(model: SdeModel, domain: DomainSpec, problem: ControlProbl
     reweights. Per step only the policy and the tilt run beside the state
     recursion of the plain step (``dynamics._step_blocks``: drift, noise add
     and the boundary kernel; the local time and the StepTooLarge check run
-    once per block); a rule that reads costs is handed the step's (P, K)
-    running-cost table. Yields (start, X, u, L_u, X_new, dK, xi) over the
-    m P path-steps of a block, flat in step-major order as
-    ``dynamics.ensemble_steps`` yields them; L_u, the running cost of the
-    chosen control, is evaluated once per block. A constant policy yields
-    its index as u, a scalar int rather than an array, and evaluates only
-    its own running cost.
+    once per block); the policy is one table lookup. Yields (start, X, u,
+    L_u, X_new, dK, xi) over the m P path-steps of a block, flat in
+    step-major order as ``dynamics.ensemble_steps`` yields them; L_u, the
+    running cost of the chosen control, is evaluated once per block. A
+    constant policy yields its index as u, a scalar int rather than an
+    array, and evaluates only its own running cost.
     """
     tilts = None    # sigma R(u) h for every control when sigma is constant
     if tilt_drift and model.sigma_constant is not None:
         tilts = (problem.R_table @ model.sigma_constant.T) * h
     k = policy.index
-    controls, tables = [], []
+    controls = []
 
     def control_shift(X):
         u = k
         if k is None:
-            if policy.reads_costs:
-                tables.append(problem.L_table(X))
-                u = policy.controls_for(X, tables[-1])
-            else:
-                u = policy.controls_for(X)
+            u = policy.controls_for(X)
             controls.append(u)
         if tilts is not None:
             return tilts[u]
@@ -266,10 +279,8 @@ def _controlled_steps(model: SdeModel, domain: DomainSpec, problem: ControlProbl
             u, L_u = k, problem.L_at(X, k)
         else:
             u = np.concatenate(controls)
-            table = np.concatenate(tables) if tables else problem.L_table(X)
-            L_u = table[np.arange(len(u)), u]
+            L_u = problem.L_table(X)[np.arange(len(u)), u]
             controls.clear()
-            tables.clear()
         yield i, X, u, L_u, X_new, dK, xi
 
 

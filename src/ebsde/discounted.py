@@ -138,13 +138,13 @@ def _assemble_stencil(mesh: Mesh, a: np.ndarray, b: np.ndarray):
     diag = -(2 * ah + up + down).sum(axis=1)
     coef = np.stack([ah + down, ah + up], axis=2)
     entry = nb >= 0
-    bnd = np.nonzero(mesh.boundary)[0]
     if d == 1:
         bn, exact = _boundary_drift(mesh, a, b)
-        c = 2 * a[bnd, 0] / h ** 2 + np.where(exact, 0.0, bn / h)
-        coef[bnd, 0] = c[:, None]           # on the missing side too: no entry
-        diag[bnd] = -c
+        c = 2 * a[_ENDS, 0] / h ** 2 + np.where(exact, 0.0, bn / h)
+        coef[_ENDS, 0] = c[:, None]         # on the missing side too: no entry
+        diag[_ENDS] = -c
     else:
+        bnd = np.nonzero(mesh.boundary)[0]
         normal = mesh.boundary_normals()
         axes = np.arange(d)
         side = (normal >= 0).astype(int)            # 1: the +1 neighbor
@@ -191,12 +191,16 @@ def assemble_operator(mesh: Mesh, a: np.ndarray, b: np.ndarray, alpha: float,
                 mesh.ref_index() if bordered else None)
 
 
+# the two boundary nodes of a 1-d mesh: the first, inward normal +1, and the last, -1
+_ENDS = np.array([0, -1])
+
+
 def _boundary_drift(mesh: Mesh, a: np.ndarray, b: np.ndarray):
-    """b.n at the 1-d boundary nodes (n the inward normal), and whether the
-    ghost-point row takes that drift from the Neumann condition (b.n h / (2a)
-    at most 1) rather than upwinding it."""
-    bn = b[mesh.boundary, 0] * mesh.boundary_normals()[:, 0]
-    return bn, bn * mesh.spacing <= 2 * a[mesh.boundary, 0]
+    """b.n at the two 1-d boundary nodes (``_ENDS``, n the inward normal),
+    and whether the ghost-point row takes that drift from the Neumann
+    condition (b.n h / (2a) at most 1) rather than upwinding it."""
+    bn = b[_ENDS, 0] * (1.0, -1.0)
+    return bn, bn * mesh.spacing <= 2 * a[_ENDS, 0]
 
 
 # normwise backward error above which a bordered 1-d operator goes to
@@ -463,7 +467,7 @@ class GridOperators:
             else:
                 a = self.a + 0.5 * eps ** 2
                 bn, exact = _boundary_drift(mesh, a, self.b)
-                scale = 2 * a[mesh.boundary, 0] / mesh.spacing - np.where(exact, bn, 0.0)
+                scale = 2 * a[_ENDS, 0] / mesh.spacing - np.where(exact, bn, 0.0)
             self._neumann[eps] = scale
         return scale
 

@@ -289,10 +289,13 @@ def solve_boundary_cost(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
     identifiable; ``hypotheses.check_all`` reports the same exact slope as
     F2.2. BracketFailure means the target was never straddled. The
     solution's diagnostics["inversion"] records the route, the number of
-    solves and the slope: exact, or the secant lambda(1) - lambda(0) of the
-    bisection.
+    solves, the LUs built over the whole inversion (those of
+    ``GridOperators.weights`` included; 0 when handed-in operators held
+    them all) and the slope: exact, or the secant lambda(1) - lambda(0) of
+    the bisection.
     """
     solve_kw = _shared_operators(model, domain, solve_kw)
+    ops, built = solve_kw["operators"], solve_kw["operators"].factorisations
     solves = []
 
     def solve(mu):
@@ -343,7 +346,8 @@ def solve_boundary_cost(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
         raise NonConvergence("inversion failed to reach the target constant")
     sol.diagnostics["inversion"] = {
         "route": "bisection" if line is None else "closed_form",
-        "solves": len(solves), "slope": slope}
+        "solves": len(solves), "factorisations": ops.factorisations - built,
+        "slope": slope}
     return sol
 
 

@@ -186,6 +186,27 @@ def test_control_needs_control_section(tmp_path, capsys):
     assert "control section" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "mystery"}, "unknown policy kind 'mystery'"),
+    ({"kind": "constant", "index": 5}, "index 5 is not an integer from 0 to 1")])
+def test_bad_policy_spec_is_a_config_error_before_any_solve(tmp_path, capsys,
+                                                            monkeypatch, spec, message):
+    cfg = json.loads((CONFIGS / "two_control.json").read_text())
+    cfg["run"]["policies"].append(spec)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the policies were checked")
+
+    monkeypatch.setattr(cli, "solve_ergodic", no_solve)
+    rc = cli.main(["control", "--config", str(path), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error: run.policies[2]: " in err and message in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_programmatic_run_wrapper(tmp_path):
     rc = cli.run(CONFIGS / "degenerate.json", "solve", tmp_path, mu=1.0)
     assert rc == 0

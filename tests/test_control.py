@@ -14,6 +14,7 @@ from ebsde.dynamics import SdeModel, ensemble_steps
 from ebsde.errors import DegenerateLocalTime, StepTooLarge, WeightDegeneracy
 from ebsde.ergodic import solve_ergodic
 from ebsde.geometry import ball_domain
+from ebsde.grids import build_mesh
 from ebsde.presets import two_control_problem
 
 
@@ -89,10 +90,35 @@ def test_policy_from_json(interval, std_model):
     assert set(np.unique(u)) <= {0, 1}
     fb = policy_from_json({"kind": "feedback"}, prob, sol)
     assert fb.name == "feedback"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown policy kind"):
         policy_from_json({"kind": "mystery"}, prob)
-    with pytest.raises(ValueError):
-        policy_from_json({"kind": "feedback"}, prob, None)
+    for kind in ("feedback", "threshold_z"):
+        with pytest.raises(ValueError, match="needs a solved problem"):
+            policy_from_json({"kind": kind, "cut": 0.0, "below": 0, "above": 1},
+                             prob, None)
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "constant", "index": 2}, "index 2 is not an integer from 0 to 1"),
+    ({"kind": "constant", "index": -1}, "index -1"),
+    ({"kind": "constant", "index": 1.0}, "index 1.0"),
+    ({"kind": "constant", "index": True}, "index True"),
+    ({"kind": "constant"}, "constant policy needs index"),
+    ({"kind": "threshold_z", "cut": 0.0, "below": 0, "above": 2}, "above 2"),
+    ({"kind": "threshold_z", "cut": 0.0, "below": 0, "above": 1, "axis": 1},
+     "axis 1 is not an integer from 0 to 0"),
+    ({"kind": "threshold_z", "below": 0, "above": 1}, "needs cut"),
+    ({"kind": "threshold_z", "cut": "0.1", "below": 0, "above": 1},
+     "cut '0.1' is not a number"),
+    ([], "unknown policy kind None")])
+def test_bad_policy_specs_are_refused(spec, message):
+    # every control index is checked against the problem's controls, so a
+    # bad spec fails here rather than inside a run
+    prob = two_control_problem()
+    with pytest.raises(ValueError, match=message):
+        control.check_policy_spec(spec, prob)
+    with pytest.raises(ValueError, match=message):
+        policy_from_json(spec, prob)
 
 
 def test_single_control_costs_reduce_to_plain_averages(interval, std_model):
@@ -171,12 +197,14 @@ def test_control_table_bound_validated():
 
 
 # Recorded from the masked per-control accumulation that the table gather
-# replaced (state-sign and girsanov from the per-step table builds that the
-# shared table replaced); on the interval every path is bit-identical, so ==
-# holds. The J costs read lambda and the feedback and threshold rules read
-# zeta, re-recorded with the 1-d ghost-point boundary rows. The feedback
-# rows were re-recorded with the per-node control table, whose switch point
-# sits on the node nearest the interpolated one.
+# replaced (girsanov from the per-step table builds that the shared table
+# replaced); on the interval every path is bit-identical, so == holds. The J
+# costs read lambda and the feedback and threshold rules read zeta,
+# re-recorded with the 1-d ghost-point boundary rows. The feedback,
+# threshold and state-sign rows were re-recorded with per-node control
+# tables, whose switch points sit on the node nearest the rule's own; the
+# threshold's moved from x = 0.14507 to 0.145, and no path of this pin
+# visits the sliver between them, so its row kept its bits.
 GOLDEN_COSTS = {
     "feedback": (0.3941281241135666, 0.02977434563716419,
                  0.1299764160193844, 0.03464653192841972),
@@ -184,8 +212,8 @@ GOLDEN_COSTS = {
                  0.12649524983560084, 0.03521714119206948),
     "threshold": (0.39126097609008736, 0.026483441467092594,
                   0.12019484380612128, 0.037951638863131104),
-    "state-sign": (0.39394068064330934, 0.03205281081687299,
-                   0.13329161896691125, 0.03594575225401525),
+    "state-sign": (0.393990985410026, 0.03205414203643625,
+                   0.13335842539395196, 0.03600666076670866),
     "girsanov-constant": {
         "mean_weight": 1.0009361120184572, "mean_weight_stderr": 0.04291887815515035,
         "effective_sample_size": 15.570582127960185,
@@ -212,7 +240,8 @@ def test_costs_pinned_bit_for_bit(interval, std_model):
         "threshold": policy_from_json({"kind": "threshold_z", "axis": 0,
                                        "cut": 0.0, "below": 0, "above": 1},
                                       prob, sol),
-        "state-sign": Policy(rule=lambda X, Z: (X[:, 0] > 0).astype(int))}
+        "state-sign": Policy.tabulate(lambda nodes, Z: (nodes[:, 0] > 0).astype(int),
+                                      sol.v.mesh)}
     for name, pol in policies.items():
         I = cost_I(std_model, interval, prob, pol, 0.2, 0.4, 1e-3, 16, seed=3)
         J = cost_J(std_model, interval, prob, pol, sol.lam, 0.4, 1e-3, 16, seed=4)
@@ -224,7 +253,8 @@ def test_costs_pinned_bit_for_bit(interval, std_model):
 
 
 # Recorded at the per-step rule evaluation that the constant path replaced;
-# sigma depends on the state, so the tilt goes through model.noise_term.
+# sigma depends on the state, so the tilt goes through model.noise_term. A
+# node table of ones gives the same bits as the constant.
 STATE_SIGMA_COSTS = (
     (0.3096666173607215, 0.0591831623826108,
      0.1923787477152575, 0.047511998552932325),
@@ -242,9 +272,10 @@ def test_constant_policy_with_state_dependent_sigma_pinned(interval):
                  sigma=lambda x: np.diag(sig(np.atleast_1d(x))),
                  b_vec=lambda X: -X, eta_hint=-1.0))
     x0 = np.array([0.9])
+    ones = Policy.tabulate(lambda nodes, Z: np.ones(len(nodes), int),
+                           build_mesh(interval, 1e-2))
     for model in models:
-        for pol in (Policy.constant(1),
-                    Policy(rule=lambda X, Z: np.full(len(X), 1, int))):
+        for pol in (Policy.constant(1), ones):
             I = cost_I(model, interval, prob, pol, 0.2, 0.2, 1e-3, 8, seed=3, x0=x0)
             J = cost_J(model, interval, prob, pol, 0.3, 0.4, 1e-3, 16, seed=4,
                        x0=x0)
@@ -282,12 +313,58 @@ def test_costs_with_boundary_cost_pinned_bit_for_bit(interval, std_model):
         "agreement_gap": 0.01634692277940175, "combined_stderr": 0.027235654579354205}
 
 
-def test_policy_needs_a_rule_or_an_index():
-    with pytest.raises(ValueError):
+def test_policy_holds_a_table_or_an_index(interval):
+    mesh = build_mesh(interval, 0.5)    # nodes -1, -0.5, 0, 0.5, 1
+    table = np.array([0, 0, 1, 1, 1])
+    with pytest.raises(ValueError, match="constant index or a node table"):
         Policy()
-    with pytest.raises(ValueError):
-        Policy(zeta_source=object())
+    with pytest.raises(ValueError, match="constant index or a node table"):
+        Policy(index=0, table=table, mesh=mesh)
     assert Policy.constant(2).index == 2
+    pol = Policy(table=table, mesh=mesh)
+    assert pol.index is None and pol.table.dtype == np.intp
+    X = np.array([[-1.0], [-0.6], [-0.2], [0.3], [0.9]])
+    assert np.array_equal(pol.controls_for(X), [0, 0, 1, 1, 1])
+    with pytest.raises(ValueError, match="one control index per node"):
+        Policy(table=table.astype(float), mesh=mesh)
+
+
+def test_table_needs_one_control_per_node(interval):
+    mesh = build_mesh(interval, 0.5)
+    for n in (4, 6):
+        with pytest.raises(ValueError, match="one control index per node"):
+            Policy(table=np.zeros(n, int), mesh=mesh)
+    with pytest.raises(ValueError, match="one control index per node"):
+        Policy(table=np.zeros((5, 1), int), mesh=mesh)
+    with pytest.raises(ValueError, match="one control index per node"):
+        Policy(table=np.zeros(5, int))
+    with pytest.raises(ValueError, match="one control index per node"):
+        Policy.tabulate(lambda nodes, Z: np.zeros(len(nodes) - 1, int), mesh)
+
+
+def test_tabulated_rule_runs_once_on_the_nodes_and_never_in_a_step(interval, std_model):
+    # the rule sees the nodes and the node zeta (zeros without a solution)
+    # once, when the table is built; stepping only looks the table up
+    prob = two_control_problem()
+    sol = solve_ergodic(std_model, interval, induced_driver(prob), 0.2,
+                        spacing=1e-2)
+    mesh = sol.v.mesh
+    for zeta in (None, sol.zeta):
+        seen = []
+
+        def rule(nodes, Z):
+            seen.append((nodes.copy(), Z.copy()))
+            return np.where(Z[:, 0] + nodes[:, 0] < 0.0, 0, 1)
+
+        pol = Policy.tabulate(rule, mesh, zeta, "rule")
+        assert len(seen) == 1
+        assert np.array_equal(seen[0][0], mesh.nodes)
+        want = np.zeros(mesh.nodes.shape) if zeta is None else zeta
+        assert np.array_equal(seen[0][1], want)
+        for cost in (cost_I, cost_J):
+            cost(std_model, interval, prob, pol, 0.2, 0.5, 1e-3, 32, seed=1)
+        assert len(seen) == 1
+
 
 def _counting_L_table(prob):
     calls = []
@@ -328,10 +405,15 @@ def test_feedback_step_builds_one_cost_table_and_constant_none(interval, std_mod
 
 
 def test_criterion_09_policies_build_at_most_one_cost_table_per_step(monkeypatch):
-    # the criterion's policies on a 50-step horizon: the argmin rule reads
-    # the step's own table, and a constant policy builds none
+    # the criterion's policies on a 50-step horizon: every policy is a node
+    # table or a constant, so none reads zeta in a run, and a run builds one
+    # cost table per block, for the running cost of the chosen controls
     from ebsde import acceptance
+    from ebsde.ergodic import ErgodicSolution
     builds = {}
+    zeta_calls = []
+    monkeypatch.setattr(ErgodicSolution, "zeta_at",
+                        lambda self, X: zeta_calls.append(len(X)))
 
     def short_cost(model, domain, problem, pol, mu, T, h, paths, seed):
         calls = _counting_L_table(problem)
@@ -345,11 +427,10 @@ def test_criterion_09_policies_build_at_most_one_cost_table_per_step(monkeypatch
     monkeypatch.setattr(acceptance, "cost_I", short_cost)
     monkeypatch.setattr(acceptance, "cost_J", short_cost)
     acceptance.criterion_09()
-    # a 50-step run is one block: one table for the running cost, except
-    # that the anti-feedback rule reads the table of every step and the
-    # block reuses those
+    # a 50-step run is one block: one table for the running cost
     assert builds == {"feedback": 1, "constant-0": 0, "constant-1": 0,
-                      "state-sign": 1, "z-threshold": 1, "anti-feedback": 50}
+                      "state-sign": 1, "z-threshold": 1, "anti-feedback": 1}
+    assert zeta_calls == []
 
 
 def test_step_tuples_carry_state_and_local_time_at_fixed_positions(interval, std_model):
@@ -361,7 +442,9 @@ def test_step_tuples_carry_state_and_local_time_at_fixed_positions(interval, std
                           L_vec=lambda X, k: np.full(len(X), 0.5))
     P = 12
     X0 = np.linspace(-0.99, 0.99, P)[:, None]
-    for pol in (Policy.constant(0), Policy(rule=lambda X, Z: np.zeros(len(X), int))):
+    zeros = Policy.tabulate(lambda nodes, Z: np.zeros(len(nodes), int),
+                            build_mesh(interval, 1e-2))
+    for pol in (Policy.constant(0), zeros):
         plain = ensemble_steps(std_model, interval, X0, 200, 1e-2, 4)
         steered = control._controlled_steps(std_model, interval, prob, pol, X0,
                                             200, 1e-2, 4, True)

@@ -357,6 +357,23 @@ def test_adjoint_weights_are_the_invariant_measure(name, domain, model, spacing)
     assert abs(lam - x[-1]) <= 1e-12 * max(1.0, abs(x[-1]))
 
 
+@pytest.mark.parametrize("model,spacing", [(STD_1D, 1e-2), (STEEP_1D, 0.05)],
+                         ids=["quadratic", "steep"])
+def test_boundary_drift_reads_the_two_end_nodes(model, spacing):
+    # the 1-d boundary nodes are the first and the last, with inward normals
+    # +1 and -1, so reading them by index gives the bits of the boundary
+    # mask gathered over every node, on every 1-d domain
+    for domain in (ball_domain(1.0, 1), ball_domain(2.5, 1), quartic_interval_domain()):
+        mesh = build_mesh(domain, spacing)
+        assert np.array_equal(np.nonzero(mesh.boundary)[0], [0, mesh.n_nodes - 1])
+        assert np.array_equal(mesh.boundary_normals(), [[1.0], [-1.0]])
+        _, a, b = _coefficients(mesh, model)
+        bn, exact = discounted._boundary_drift(mesh, a, b)
+        gathered = b[mesh.boundary, 0] * mesh.boundary_normals()[:, 0]
+        assert np.array_equal(bn, gathered)
+        assert np.array_equal(exact, gathered * mesh.spacing <= 2 * a[mesh.boundary, 0])
+
+
 # 1-d operators: the quadratic interval, OU, the degenerate model at both
 # viscosity levels, and a steep potential with upwinded rows
 GUARD_CASES = [
@@ -572,6 +589,36 @@ def test_solve_record_counts_the_factorisations_of_a_2d_solve(monkeypatch):
     assert [d["factorisations"] for d in diags] == [1, 0]
     assert counts["factorisations"] == 1
     assert diags[0]["factorisers"] == ["superlu"]
+
+
+def test_inversion_record_counts_every_factorisation(monkeypatch, interval, std_model,
+                                                     cosdrv):
+    counts = _count_factorisations(monkeypatch)
+    recorded = _recording_solves(monkeypatch)
+    # closed form: the one LU is built by GridOperators.weights, before the
+    # confirming solve, which reuses it
+    sol = ergodic.solve_boundary_cost(std_model, interval, cosdrv, 0.5, scheme="direct",
+                                      spacing=1e-2)
+    inv = sol.diagnostics["inversion"]
+    assert inv["route"] == "closed_form"
+    assert inv["factorisations"] == counts["factorisations"] == 1
+    assert [d["factorisations"] for d in recorded] == [0]
+    # the bisection: the first solve builds the LU, every later one reuses it
+    counts["factorisations"] = 0
+    recorded.clear()
+    zdrv = dataclasses.replace(cosdrv, K_psi_z=1.0)
+    inv = ergodic.solve_boundary_cost(std_model, interval, zdrv, 0.5, scheme="direct",
+                                      spacing=1e-2).diagnostics["inversion"]
+    assert inv["route"] == "bisection" and inv["solves"] == len(recorded) > 3
+    assert inv["factorisations"] == counts["factorisations"] == 1
+    assert sum(d["factorisations"] for d in recorded) == 1
+    # operators that already hold the LU build none
+    ops = discounted.GridOperators(std_model, interval, 1e-2)
+    ops.weights()
+    counts["factorisations"] = 0
+    inv = ergodic.solve_boundary_cost(std_model, interval, cosdrv, 0.5, scheme="direct",
+                                      spacing=1e-2, operators=ops).diagnostics["inversion"]
+    assert inv["factorisations"] == counts["factorisations"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -33,13 +33,15 @@ def test_step_targets_yield_flat_blocks():
     # states flat as (m P, d) at index 1 and its dK flat as (m P,) at -2
     import numpy as np
     from ebsde import ball_domain, control, kolmogorov_model, quadratic_potential
+    from ebsde.grids import build_mesh
     from ebsde.presets import two_control_problem
 
     domain = ball_domain(1.0, 1)
     model = kolmogorov_model(quadratic_potential(), eta_hint=-1.0)
     paths, steps = 320, 500
     X0 = np.linspace(-0.9, 0.9, paths)[:, None]
-    policy = control.Policy(rule=lambda X, Z: (X[:, 0] > 0).astype(int))
+    policy = control.Policy.tabulate(lambda nodes, Z: (nodes[:, 0] > 0).astype(int),
+                                     build_mesh(domain, 1e-3))
     calls = {
         "dynamics.ensemble_steps": lambda fn: fn(model, domain, X0, steps, 1e-3, 5),
         "control.controlled_steps": lambda fn: fn(model, domain, two_control_problem(),
