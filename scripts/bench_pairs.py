@@ -18,10 +18,15 @@ first workload's metrics go under ``end_to_end``,
 those of the other workloads under ``other_workloads``, and every run under
 ``runs``. Per metric and side it gives the median and the quartiles (linear
 interpolation, numpy's default), the pairs in which the change is lower and
-higher, and the relative change of the median. ``claim`` restates the
-first workload's ``wall_s`` (lower is better) with a one-line verdict: the
-share of pairs won and whether the median gap exceeds the parent's
-interquartile range. When the output file already holds a record of the
+higher, the relative change of the median, and a verdict against the
+metric's ``bound`` in ``BENCHMARK.json`` (``bound_verdict``): ``unresolved``
+when the parent's interquartile range, relative to its median, is wider
+than the bound and not every change run is better than every parent run,
+else ``beyond`` when the median is worse than the parent's by more than the
+bound, else ``within``. ``claim`` restates the first
+workload's ``--claim`` metric (lower is better; ``wall_s`` by default) with
+a one-line verdict: the share of pairs won and whether the median gap
+exceeds the parent's interquartile range. When the output file already holds a record of the
 same workload, its ``parent_commit``, ``change``, ``claim`` and end-to-end
 medians, followed by its own ``history``, are carried forward under
 ``history`` (newest first), so a new series does not erase the old one.
@@ -37,7 +42,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-CLAIM = "wall_s"    # the end-to-end metric a change claims (lower is better)
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -65,8 +69,27 @@ def quartiles(values: list) -> dict:
     return {"median": med, "q1": q1, "q3": q3}
 
 
+def bound_verdict(stats: dict, bound: float, better: str = "lower",
+                  clear_win: bool = False) -> dict:
+    """The median change of one metric against its relative ``bound``:
+    ``unresolved`` when the parent's interquartile range is wider than the
+    bound (relative to the parent's median) and not every change run is
+    better than every parent run (``clear_win``), else ``beyond`` when the
+    change is worse by more than the bound, else ``within``."""
+    par = stats["parent"]
+    spread = (par["q3"] - par["q1"]) / par["median"] if par["median"] else 0.0
+    worse = stats["median_change_rel"] * (1.0 if better == "lower" else -1.0)
+    if spread > bound and not clear_win:
+        verdict = "unresolved"
+    else:
+        verdict = "beyond" if worse > bound else "within"
+    return {"bound": bound, "median_change_rel": stats["median_change_rel"],
+            "parent_iqr_rel": spread, "verdict": verdict}
+
+
 def summarise(runs: list, metrics: list) -> dict:
-    """Per-metric statistics of one workload's runs, matched by seed."""
+    """Per-metric statistics of one workload's runs, matched by seed, with
+    the bound verdict of every metric that declares a ``bound``."""
     by_seed = {}
     for r in runs:
         by_seed.setdefault(r["seed"], {})[r["side"]] = r
@@ -87,15 +110,20 @@ def summarise(runs: list, metrics: list) -> dict:
                                 "change_lower_in_pairs": lower,
                                 "change_higher_in_pairs": higher,
                                 "median_change_rel": rel}
+        if "bound" in m:
+            better = m.get("better", "lower")
+            clear_win = max(chg) < min(par) if better == "lower" else min(chg) > max(par)
+            out["metrics"][name]["bound_verdict"] = bound_verdict(
+                out["metrics"][name], m["bound"], better, clear_win)
     for key, field in (("ops_failed", "failed"), ("attempted", "attempted")):
         out[key] = {side: sum(p[side][field] for p in pairs)
                     for side in ("parent", "change")}
     return out
 
 
-def claim_of(summary: dict) -> dict:
-    """The claimed metric, ``CLAIM`` (lower is better), with its verdict."""
-    s = summary["metrics"][CLAIM]
+def claim_of(summary: dict, claim: str = "wall_s") -> dict:
+    """The claimed metric (lower is better) with its verdict."""
+    s = summary["metrics"][claim]
     par, chg = s["parent"], s["change"]
     gap = abs(chg["median"] - par["median"])
     iqr = par["q3"] - par["q1"]
@@ -105,7 +133,7 @@ def claim_of(summary: dict) -> dict:
             f"{summary['pairs']} pairs; the median gap {gap:.3g} {s['unit']} "
             f"{'exceeds' if gap > iqr else 'does not exceed'} the parent's "
             f"interquartile range {iqr:.3g} {s['unit']}")
-    return {"metric": CLAIM, "parent": par["median"], "change": chg["median"],
+    return {"metric": claim, "parent": par["median"], "change": chg["median"],
             "note": note}
 
 
@@ -141,6 +169,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=101, help="seed of the first pair")
     ap.add_argument("--title", required=True, help="what the change does")
     ap.add_argument("--parent-commit", required=True)
+    ap.add_argument("--claim", default="wall_s",
+                    help="end-to-end metric the change claims (lower is better)")
     args = ap.parse_args(argv)
 
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
@@ -174,13 +204,19 @@ def main(argv=None) -> int:
                        "the tree on the same machine, one run at a time; medians "
                        "and quartiles over the pairs"),
             "machine": machine(),
-            "claim": claim_of(summaries[main_wl]),
+            "claim": claim_of(summaries[main_wl], args.claim),
             "end_to_end": summaries[main_wl],
             "other_workloads": {w: summaries[w] for w in args.workloads[1:]},
             "runs": runs,
             "history": history,
         }
         out_path.write_text(json.dumps(doc, indent=1) + "\n")
+    for w in args.workloads:
+        for name, m in summaries[w]["metrics"].items():
+            if "bound_verdict" in m:
+                v = m["bound_verdict"]
+                print(f"{w} {name}: median {v['median_change_rel']:+.1%} against "
+                      f"bound {v['bound']:.0%}: {v['verdict']}", file=sys.stderr)
     print(f"wrote {out_path}", file=sys.stderr)
     return 0
 

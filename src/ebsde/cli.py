@@ -186,7 +186,8 @@ def cmd_curve(args) -> int:
     curve_to_csv(curve, str(out / "curve.csv"))
     ok = curve.non_increasing()
     summary = {"mus": list(curve.mus), "lambdas": list(curve.lams),
-               "non_increasing": ok, "slope_modulus": curve.slope_modulus()}
+               "non_increasing": ok, "slope_modulus": curve.slope_modulus(),
+               "record": curve.record}
     return _finish(out, "curve", cfg, eff, summary, ok)
 
 

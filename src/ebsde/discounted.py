@@ -5,18 +5,21 @@ Solves  (1/2) Tr(sigma sigma^T hess v) + b . grad v + psi(x, grad v sigma)
         dv/dn + g = mu  on the boundary (n the inward unit normal),
 
 on structured grids, with centered diffusion and a frozen-gradient Picard
-iteration for the z dependence of the driver. In 1-d the scheme is second
-order: the drift is centered where the cell Peclet number is at most 1
-(upwinded elsewhere), and the PDE also holds at the two boundary nodes,
-whose ghost values the centered Neumann condition eliminates (ghost-point
-rows). In 2-d the drift is upwinded and the Neumann rows are one-sided,
-first order. Every row is monotone. One vectorised assembler builds the
+iteration for the z dependence of the driver. The scheme is second order,
+and the PDE holds at every node. In 1-d the drift is centered where the
+cell Peclet number is at most 1 (upwinded elsewhere), and the two boundary
+nodes' ghost values are eliminated by the centered Neumann condition
+(ghost-point rows). In 2-d each node's row is the flux balance of its cut
+cell (``grids.CutCells``: the box cell clipped to the domain) divided by its
+area, over the faces shared with its axis neighbors, with the drift centered
+by the same Peclet rule, and mu - g enters through the cell's boundary
+length. Every row is monotone. One vectorised assembler builds the
 alpha-free rows in any dimension in stencil form: a diagonal and one
 coefficient per neighbor of each node (``_assemble_stencil``). The
-discount enters only the diagonal of the PDE rows, and mu and psi only the
-right-hand side, so one stencil per viscosity level serves every discount,
-and each operator is factorised once per mesh, discount and viscosity
-level (``GridOperators``); the LU serves every Picard sweep and every mu.
+discount enters only the diagonal, and mu and psi only the right-hand side,
+so one stencil per viscosity level serves every discount, and each
+operator is factorised once per mesh, discount and viscosity level
+(``GridOperators``); the LU serves every Picard sweep and every mu.
 In 1-d the LAPACK tridiagonal LU reads the stencil's three diagonals
 directly; the lambda border of a 1-d ergodic operator is removed by
 swapping the reference node's row for the normalization row, which keeps
@@ -85,22 +88,14 @@ class DriverSpec:
 
 def _coefficients(mesh: Mesh, model: SdeModel):
     """sigma (M, d, d), diffusion diagonal diag(sigma sigma^T)/2 (M, d) and
-    drift (M, d) at the nodes. Interior rows need a diagonal sigma sigma^T."""
+    drift (M, d) at the nodes. The rows need a diagonal sigma sigma^T."""
     sig = model.sigma_at(mesh.nodes)
     amat = np.einsum("nij,nkj->nik", sig, sig)
     adiag = np.einsum("nii->ni", amat)
     off = np.abs(amat - adiag[:, :, None] * np.eye(mesh.domain.dim)).max(axis=(1, 2))
-    if np.any((off > 1e-12 * (1 + np.abs(adiag[:, 0])))[~mesh.boundary]):
+    if np.any(off > 1e-12 * (1 + np.abs(adiag[:, 0]))):
         raise NotImplementedError("off-diagonal diffusion is not supported on 2-d grids")
     return sig, 0.5 * adiag, model.drift_at(mesh.nodes)
-
-
-def _pde_rows(mesh: Mesh) -> np.ndarray:
-    """Rows that hold the PDE, where psi, lambda and alpha enter: every node
-    in 1-d, the interior nodes in 2-d."""
-    if mesh.domain.dim == 1:
-        return np.arange(mesh.n_nodes)
-    return np.nonzero(~mesh.boundary)[0]
 
 
 def _assemble_stencil(mesh: Mesh, a: np.ndarray, b: np.ndarray):
@@ -109,73 +104,67 @@ def _assemble_stencil(mesh: Mesh, a: np.ndarray, b: np.ndarray):
     Returns (diag, coef, entry): the diagonal (M,), the coefficients (M, d,
     2) of the -1/+1 neighbors along each axis, aligned with
     ``mesh.neighbors``, and which of them are entries of the operator
-    (explicit zeros included, such as a 2-d boundary entry whose normal
-    component is 0); a coefficient that is no entry is never read.
+    (every existing neighbor, explicit zeros included); a coefficient that
+    is no entry is never read.
 
-    PDE rows (every node in 1-d, the interior nodes in 2-d): centered
-    diffusion with coefficients ``a`` (M, d) and drift ``b`` (M, d). In 1-d
-    the drift is centered where the cell Peclet number |b| h / (2a) is at
-    most 1 and upwinded elsewhere; in 2-d it is upwinded.
+    Every row holds the PDE with diffusion coefficients ``a`` (M, d) and
+    drift ``b`` (M, d): centered diffusion, and a drift centered along each
+    axis where the cell Peclet number |b| h / (2a) is at most 1 and
+    upwinded elsewhere (h the axis spacing). Every row is monotone.
 
-    Boundary rows in 1-d: the PDE at the boundary node, whose ghost value
-    the centered Neumann condition eliminates: (2a/h^2)(v_nbr - v_0), with
+    1-d boundary rows: the PDE at the boundary node, whose ghost value the
+    centered Neumann condition eliminates: (2a/h^2)(v_nbr - v_0), with
     (2a/h - b.n)(mu - g) on the right-hand side (n the inward normal,
     ``GridOperators.neumann_scale``). Where the inward drift has
     b.n h / (2a) > 1 it is upwinded instead, which adds (b.n/h)(v_nbr -
-    v_0) and leaves (2a/h)(mu - g). Every 1-d row is then monotone, and mu
-    enters with a positive weight. Boundary rows in 2-d: the inward normal
-    derivative, one-sided along each axis on the side the normal points to
-    (the other side when that neighbor is missing).
+    v_0) and leaves (2a/h)(mu - g); mu then enters with a positive weight.
+
+    2-d rows: the flux balance of the node's cut cell (``Mesh.cut_cells``)
+    divided by its area |C|. The face toward a neighbor, of length l inside
+    the domain, carries (l/|C|)(a/h +- b/2)(v_nbr - v) with the drift
+    centered, or (l/|C|)(a/h + max(+-b, 0))(v_nbr - v) upwinded; on full
+    cells these are the five-point rows. The boundary flux is on the
+    right-hand side (``GridOperators.neumann_scale``). With the invariant
+    measure m of the transposed operator, the discrete density m/|C| then
+    obeys the grid's own detailed balance whatever the face lengths, and
+    lambda converges at second order.
     """
     d = a.shape[1]
-    h = mesh.spacing
-    nb = mesh.neighbors
-    # the PDE rows' formula on every node; the boundary rows are set below
-    centred = (d == 1) & (np.abs(b) * h <= 2 * a)
+    h = np.array([x[1] - x[0] for x in mesh.axes])
+    centred = np.abs(b) * h <= 2 * a
     up = np.where(centred, 0.5 * b, np.maximum(b, 0.0)) / h
     down = np.where(centred, -0.5 * b, np.maximum(-b, 0.0)) / h
     ah = a / h ** 2
-    diag = -(2 * ah + up + down).sum(axis=1)
     coef = np.stack([ah + down, ah + up], axis=2)
-    entry = nb >= 0
+    entry = mesh.neighbors >= 0
     if d == 1:
+        diag = -(2 * ah + up + down).sum(axis=1)
         bn, exact = _boundary_drift(mesh, a, b)
         c = 2 * a[_ENDS, 0] / h ** 2 + np.where(exact, 0.0, bn / h)
         coef[_ENDS, 0] = c[:, None]         # on the missing side too: no entry
         diag[_ENDS] = -c
     else:
-        bnd = np.nonzero(mesh.boundary)[0]
-        normal = mesh.boundary_normals()
-        axes = np.arange(d)
-        side = (normal >= 0).astype(int)            # 1: the +1 neighbor
-        j = nb[bnd[:, None], axes, side]
-        side = np.where(j < 0, 1 - side, side)
-        j = nb[bnd[:, None], axes, side]
-        c = np.where(j >= 0, normal * (2 * side - 1) / h, 0.0)
-        entry[bnd] = False
-        entry[bnd[:, None], axes, side] = j >= 0
-        coef[bnd[:, None], axes, side] = c
-        diag[bnd] = -c.sum(axis=1)
+        cells = mesh.cut_cells()
+        coef *= cells.face * h[:, None] / cells.area[:, None, None]
+        coef[~entry] = 0.0
+        diag = -coef.sum(axis=(1, 2))
     return diag, coef, entry
 
 
 def _csc(mesh: Mesh, stencil, alpha: float, ref: Optional[int] = None) -> sparse.csc_matrix:
-    """Sparse operator of a stencil with alpha subtracted on the diagonal of
-    the PDE rows. With ``ref`` the unknown lambda is appended: a -1 column
-    on the PDE rows and the normalization row v(x_ref) = 0."""
+    """Sparse operator of a stencil with alpha subtracted on the diagonal.
+    With ``ref`` the unknown lambda is appended: a -1 column and the
+    normalization row v(x_ref) = 0."""
     diag, coef, entry = stencil
     n = len(diag)
-    pde = _pde_rows(mesh)
     node, axis, side = np.nonzero(entry)
-    shifted = diag.copy()
-    shifted[pde] -= alpha
     rows = [np.arange(n), node]
     cols = [np.arange(n), mesh.neighbors[node, axis, side]]
-    vals = [shifted, coef[node, axis, side]]
+    vals = [diag - alpha, coef[node, axis, side]]
     if ref is not None:
-        rows += [pde, [n]]
-        cols += [np.full(len(pde), n), [ref]]
-        vals += [np.full(len(pde), -1.0), [1.0]]
+        rows += [np.arange(n), [n]]
+        cols += [np.full(n, n), [ref]]
+        vals += [np.full(n, -1.0), [1.0]]
     rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
     size = n + (ref is not None)
     return sparse.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsc()
@@ -184,9 +173,8 @@ def _csc(mesh: Mesh, stencil, alpha: float, ref: Optional[int] = None) -> sparse
 def assemble_operator(mesh: Mesh, a: np.ndarray, b: np.ndarray, alpha: float,
                       bordered: bool = False) -> sparse.csc_matrix:
     """Sparse operator of the discrete problem (``_assemble_stencil``):
-    minus alpha on the diagonal of the PDE rows and, with ``bordered``, the
-    unknown lambda, a -1 column on the PDE rows and the normalization row
-    v(x_ref) = 0."""
+    minus alpha on the diagonal and, with ``bordered``, the unknown lambda,
+    a -1 column and the normalization row v(x_ref) = 0."""
     return _csc(mesh, _assemble_stencil(mesh, a, b), alpha,
                 mesh.ref_index() if bordered else None)
 
@@ -333,9 +321,10 @@ def _factoriser(mesh: Mesh, lu) -> str:
 def _rhs(ops: GridOperators, driver: DriverSpec, mu: float, eps: float,
          bordered: bool = False) -> np.ndarray:
     """Right-hand side before psi at viscosity level eps: (mu - g) times
-    ``GridOperators.neumann_scale`` on the boundary rows, 0 elsewhere."""
+    ``GridOperators.neumann_scale`` on the boundary rows, 0 elsewhere, with
+    g from ``GridOperators.boundary_cost``."""
     mesh = ops.mesh
-    g = np.array([driver.g_at(p) for p in mesh.nodes[mesh.boundary]])
+    g = ops.boundary_cost(driver)
     rhs = np.zeros(mesh.n_nodes + bordered)
     rhs[:mesh.n_nodes][mesh.boundary] = ops.neumann_scale(eps) * (mu - g)
     return rhs
@@ -397,11 +386,11 @@ class GridOperators:
     and by the bordered and unbordered operators, the number of LUs built
     (``factorisations``), and one LU per (alpha, eps, bordered), factorised
     the first time that key is used (``_factorise``). The discount enters
-    only the diagonal of the PDE rows (``pde``) as fl(-S - alpha), the same
-    bits as assembling with alpha. In 1-d the LAPACK tridiagonal LU takes
-    the stencil's three diagonals (SuperLU takes a CSC built from the
-    stencil in 2-d), and a lambda border is removed by one row swap, the
-    reference node's row giving way to the normalization row
+    only the diagonal as fl(-S - alpha), the same bits as assembling with
+    alpha. In 1-d the LAPACK tridiagonal LU takes the stencil's three
+    diagonals (SuperLU takes a CSC built from the stencil in 2-d), and a
+    lambda border is removed by one row swap, the reference node's row
+    giving way to the normalization row
     (``_TridiagonalLU``). mu and psi enter only the right-hand side, so one
     instance serves every mu of a curve or an inversion, and ``weights``
     gives lambda for all of them from one transposed solve; it lives as
@@ -423,7 +412,6 @@ class GridOperators:
         use_visc = domain.dim == 1 and (
             viscosity == "force" or (viscosity == "auto" and _needs_viscosity(self.a, h)))
         self.eps_list = [h, h / 2] if use_visc else [0.0]
-        self.pde = _pde_rows(self.mesh)
         self.ref = self.mesh.ref_index()
         self.keep_lus = keep_lus
         self.factorisations = 0     # LUs built, kept or not
@@ -457,19 +445,57 @@ class GridOperators:
 
     def neumann_scale(self, eps: float) -> np.ndarray:
         """d r / d mu on the boundary rows of the operator at viscosity
-        level eps: in 1-d 2a/h - b.n, or 2a/h where the inward drift is
-        upwinded; 1 in 2-d. Computed once per eps."""
+        level eps, computed once per eps. In 1-d 2a/h - b.n, or 2a/h where
+        the inward drift is upwinded. In 2-d the boundary flux of the
+        node's cut cell over its area: a sum over the cell's boundary arcs
+        (``grids.CutCells``) of length * a_n * exp(b.n (c - x).n / a_n), with
+        n the inward normal, a_n = n.diag(a) n, c the arc's mean position
+        and x the node. The factor carries the invariant density from the
+        node to the arc, whose normal log-derivative there is b.n / a_n by
+        the zero-flux condition: without it the slope d lambda / d mu is
+        first order (an error of 0.61 h to 0.77 h on the unit disc at
+        spacings 0.1 to 0.0125), with it second order, and every weight
+        stays positive. Needs a > 0 on the boundary."""
         scale = self._neumann.get(eps)
         if scale is None:
             mesh = self.mesh
             if mesh.domain.dim > 1:
-                scale = np.ones(int(mesh.boundary.sum()))
+                cells = mesh.cut_cells()
+                scale = (np.bincount(cells.chord_node, self._arc_flux(eps), mesh.n_nodes)
+                         / cells.area)[mesh.boundary]
             else:
                 a = self.a + 0.5 * eps ** 2
                 bn, exact = _boundary_drift(mesh, a, self.b)
                 scale = 2 * a[_ENDS, 0] / mesh.spacing - np.where(exact, bn, 0.0)
             self._neumann[eps] = scale
         return scale
+
+    def _arc_flux(self, eps: float) -> np.ndarray:
+        """Boundary flux per unit mu - g of each arc of the 2-d cut cells:
+        length * a_n * exp(b.n (c - x).n / a_n) (``neumann_scale``)."""
+        mesh, cells = self.mesh, self.mesh.cut_cells()
+        k, n = cells.chord_node, cells.chord_normal
+        an = ((self.a[k] + 0.5 * eps ** 2) * n * n).sum(axis=1)
+        dn = ((cells.chord_point - mesh.nodes[k]) * n).sum(axis=1)
+        bn = (self.b[k] * n).sum(axis=1)
+        return cells.chord_length * an * np.exp(bn * dn / an)
+
+    def boundary_cost(self, driver: DriverSpec) -> np.ndarray:
+        """The boundary cost g on each boundary row. In 1-d g at the
+        boundary node; in 2-d the mean of g at the mean positions of the
+        node's arcs, weighted by their fluxes (``neumann_scale``), so that
+        g is read on the boundary as mu is: at the node, a nonconstant g
+        makes lambda first order (an error of 0.59 h to 0.77 h for g =
+        x1^2 on the unit disc at spacings 0.1 to 0.0125)."""
+        mesh = self.mesh
+        if mesh.domain.dim == 1:
+            return np.array([driver.g_at(p) for p in mesh.nodes[mesh.boundary]])
+        cells = mesh.cut_cells()
+        w = self._arc_flux(self.eps_list[0])
+        g = np.array([driver.g_at(p) for p in cells.chord_point])
+        total = np.bincount(cells.chord_node, w, mesh.n_nodes)[mesh.boundary]
+        cost = np.bincount(cells.chord_node, w * g, mesh.n_nodes)[mesh.boundary]
+        return np.divide(cost, total, out=np.zeros_like(cost), where=total > 0)
 
     def lu(self, alpha: float, eps: float, bordered: bool):
         key = (alpha, eps, bordered)
@@ -484,25 +510,24 @@ class GridOperators:
 
     def weights(self):
         """(measure, flux) with lambda = measure.psi + flux.(mu - g) for
-        every z-free driver psi and boundary cost g of a direct solve.
+        every z-free driver psi and boundary cost g of a direct solve, g on
+        the boundary rows as ``boundary_cost`` gives it.
 
         One transposed solve of the bordered ergodic operator per viscosity
         level gives weights w with lambda = w.r; both parts are extrapolated
-        like the solutions. -w on the PDE rows is the discrete invariant
-        measure (mass 1), on every node in 1-d and on the interior in 2-d;
-        the flux is w times d r / d mu on the boundary nodes, and its sum
-        is d lambda / d mu. -w >= 0 holds only to rounding where the true
-        mass underflows: the cancellation u = p - u_ref q of the transposed
-        bordered 1-d solve can leave entries of about -1e-16 times the
-        largest (-1.2e-32 at the boundary nodes for a quadratic potential
-        of curvature 300 at spacing 1e-2, where the true mass is near
-        1e-65)."""
+        like the solutions. -w on the nodes is the discrete invariant
+        measure (mass 1); the flux is w times d r / d mu on the boundary
+        nodes, and its sum is d lambda / d mu. -w >= 0 holds only to
+        rounding where the true mass underflows: the cancellation u = p -
+        u_ref q of the transposed bordered 1-d solve can leave entries of
+        about -1e-16 times the largest (-1.2e-32 at the boundary nodes for
+        a quadratic potential of curvature 300 at spacing 1e-2, where the
+        true mass is near 1e-65)."""
         n = self.mesh.n_nodes
         e = np.zeros(n + 1)
         e[-1] = 1.0
         ws = [self.lu(0.0, eps, True).solve(e, trans="T") for eps in self.eps_list]
-        measure = np.zeros(n)
-        measure[self.pde] = -_extrapolate(ws)[self.pde]
+        measure = -_extrapolate(ws)[:n]
         flux = _extrapolate([w[:n][self.mesh.boundary] * self.neumann_scale(eps)
                              for w, eps in zip(ws, self.eps_list)])
         return measure, flux
@@ -527,7 +552,7 @@ def _grid_solve(ops: GridOperators, driver: DriverSpec, alpha: float, mu: float,
 
         def linear_solve(pv, lu=lu, rhs=rhs):
             r = rhs.copy()
-            r[ops.pde] -= pv[ops.pde]
+            r[:ops.mesh.n_nodes] -= pv
             return lu.solve(r)
 
         x, sweeps, update, damped = _picard(ops, driver, linear_solve, tol, max_sweeps)

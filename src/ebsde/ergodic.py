@@ -93,9 +93,13 @@ def _jsonable(obj):
 
 @dataclass
 class LambdaOfMuCurve:
+    """Samples of mu -> lambda(mu) and what computing them took
+    (``lambda_of_mu``)."""
+
     mus: np.ndarray
     lams: np.ndarray
     tol: float
+    record: Dict = field(default_factory=dict)
 
     def non_increasing(self) -> bool:
         return bool(np.all(np.diff(self.lams) <= self.tol))
@@ -146,7 +150,7 @@ def solve_ergodic(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
     mesh = ops.mesh
     diagnostics: Dict = {"scheme": scheme, "spacing": mesh.spacing,
                          "boundary_rows": "ghost_point" if mesh.domain.dim == 1
-                         else "one_sided"}
+                         else "cut_cell"}
     records = []
     v_dir = lam_dir = None
     if scheme in ("direct", "both"):
@@ -239,7 +243,7 @@ def _affine_curve(driver: DriverSpec, solve_kw: Dict):
     ops = solve_kw["operators"]
     nodes = ops.mesh.nodes
     measure, flux = ops.weights()
-    g = np.array([driver.g_at(p) for p in nodes[ops.mesh.boundary]])
+    g = ops.boundary_cost(driver)
     psi = driver.psi_at(nodes, np.zeros_like(nodes))
     return float(measure @ psi - flux @ g), float(flux.sum())
 
@@ -248,16 +252,25 @@ def lambda_of_mu(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
                  mus: Sequence[float], **solve_kw) -> LambdaOfMuCurve:
     """Sample the boundary-constant-to-ergodic-constant map: the line
     lambda(0) + mu slope for a z-free driver on the direct scheme, one solve
-    per mu otherwise."""
+    per mu otherwise. The curve's ``record`` says which ("route": "line" or
+    "solve_per_mu") and what it took: the nodes, the LUs built (0 when
+    handed-in operators held them), the forward linear solves (Picard
+    sweeps included) and the transposed solves of ``GridOperators.weights``."""
     mus = np.asarray(sorted(mus), dtype=float)
     solve_kw = _shared_operators(model, domain, solve_kw)
+    ops = solve_kw["operators"]
+    built = ops.factorisations
     line = _affine_curve(driver, solve_kw)
     if line is not None:
         lams = line[0] + mus * line[1]
+        record = {"route": "line", "solves": 0, "transposed_solves": len(ops.eps_list)}
     else:
-        lams = np.array([solve_ergodic(model, domain, driver, m, **solve_kw).lam
-                         for m in mus])
-    return LambdaOfMuCurve(mus, lams, float(solve_kw["tol"]))
+        sols = [solve_ergodic(model, domain, driver, m, **solve_kw) for m in mus]
+        lams = np.array([sol.lam for sol in sols])
+        record = {"route": "solve_per_mu", "transposed_solves": 0,
+                  "solves": sum(sol.diagnostics["picard_sweeps"] for sol in sols)}
+    record.update(nodes=ops.mesh.n_nodes, factorisations=ops.factorisations - built)
+    return LambdaOfMuCurve(mus, lams, float(solve_kw["tol"]), record)
 
 
 def _flat_message(slope: float, where: str, flat_tol: float) -> str:

@@ -2,8 +2,9 @@
 
 One-dimensional domains use the full interval grid. Two-dimensional ones
 embed the closure in its bounding box, keep the nodes where the defining
-function is non-negative, and treat inside nodes with an outside neighbor
-as boundary nodes.
+function is non-negative, treat inside nodes with an outside neighbor as
+boundary nodes, and give each kept node a cut cell (``CutCells``) for the
+finite-volume rows of the solvers.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .geometry import DomainSpec
 
-__all__ = ["GridFunction", "Mesh", "build_mesh"]
+__all__ = ["CutCells", "GridFunction", "Mesh", "build_mesh"]
 
 
 @dataclass
@@ -42,6 +43,8 @@ class Mesh:
     boundary: np.ndarray
     # 1-d: (origin, inverse spacing, last index) for ``nearest``
     _line: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _cells: Optional["CutCells"] = field(default=None, init=False, repr=False,
+                                         compare=False)
 
     def __post_init__(self):
         if self.domain.dim == 1:
@@ -98,15 +101,17 @@ class Mesh:
             out[r] = np.argmin(((self.nodes - X[r]) ** 2).sum(axis=1))
         return out
 
+    def cut_cells(self) -> "CutCells":
+        """The finite-volume cells of a 2-d mesh (``CutCells``), computed on
+        first use and kept with the mesh."""
+        if self._cells is None:
+            self._cells = _cut_cells(self)
+        return self._cells
+
     def boundary_normals(self) -> np.ndarray:
         """Unit inward normals grad phi / |grad phi| at the boundary nodes,
         batched through ``grad_phi_vec`` when the domain has it."""
-        dom, P = self.domain, self.nodes[self.boundary]
-        if dom.grad_phi_vec is not None:
-            G = np.asarray(dom.grad_phi_vec(P), dtype=float)
-        else:
-            G = np.array([dom.grad_phi(p) for p in P], dtype=float)
-        G = G.reshape(-1, dom.dim)
+        G = _grad_phi_at(self.domain, self.nodes[self.boundary])
         return G / np.linalg.norm(G, axis=1, keepdims=True)
 
 
@@ -122,10 +127,8 @@ def build_mesh(domain: DomainSpec, spacing: float) -> Mesh:
     pts = np.stack([m.ravel() for m in mesh], axis=1)
     if domain.dim == 1:   # the bounding interval is the closure
         inside = np.ones(len(pts), bool)
-    elif domain.phi_vec is not None:
-        inside = domain.phi_vec(pts) >= -domain.boundary_tol
     else:
-        inside = np.array([domain.phi(p) >= -domain.boundary_tol for p in pts])
+        inside = _phi_at(domain, pts) >= -domain.boundary_tol
     flat = np.nonzero(inside)[0]
     compact = np.full(len(pts), -1, dtype=int)
     compact[flat] = np.arange(len(flat))
@@ -141,14 +144,201 @@ def build_mesh(domain: DomainSpec, spacing: float) -> Mesh:
     return Mesh(domain, axes, eff, pts[flat], flat, compact, neighbors, boundary)
 
 
+@dataclass(frozen=True)
+class CutCells:
+    """Finite-volume cells of a 2-d mesh, one per kept node.
+
+    Each kept node owns its box cell (the rectangle of the two axis
+    spacings centred on it) clipped to phi >= 0. The part of G in the box
+    cell of an outside grid point is merged into the kept axis neighbor
+    across its longest edge inside G (into the nearest kept node when no
+    such edge exists), so that the fluxes the five-point rows cannot carry
+    cross the shortest edges. Inside a box cell the boundary is the chord
+    between the phi = 0 crossings on its edges (two chords at a saddle); a
+    chord goes with its area, or to the nearest boundary node when that
+    cell's node has no missing neighbor (only where G is not convex).
+
+    ``area`` (M,): the cell areas. ``face`` (M, d, 2): the length inside
+    G of the box-cell edge toward the -1/+1 neighbor along each axis,
+    aligned with ``Mesh.neighbors``. One entry per chord: ``chord_node``,
+    the node it goes to; ``chord_length``, ``chord_normal`` (the inward
+    unit normal) and ``chord_point``, the length and the mean position of
+    the circular arc of the boundary's curvature that the chord stands
+    for. The curvature adds the segment between chord and arc to the area.
+    """
+
+    area: np.ndarray
+    face: np.ndarray
+    chord_node: np.ndarray
+    chord_length: np.ndarray
+    chord_normal: np.ndarray
+    chord_point: np.ndarray
+
+
+def _phi_at(domain: DomainSpec, P: np.ndarray) -> np.ndarray:
+    if domain.phi_vec is not None:
+        return np.asarray(domain.phi_vec(P), dtype=float)
+    return np.array([domain.phi(p) for p in P], dtype=float)
+
+
+def _grad_phi_at(domain: DomainSpec, P: np.ndarray) -> np.ndarray:
+    if domain.grad_phi_vec is not None:
+        return np.asarray(domain.grad_phi_vec(P), dtype=float).reshape(P.shape)
+    return np.array([domain.grad_phi(p) for p in P], dtype=float).reshape(P.shape)
+
+
+def _curvature(domain: DomainSpec, P: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Curvature -t.H t / |grad phi| of the level set of phi through each
+    point of P along its unit tangent T: positive where G is convex."""
+    if domain.hess_phi_vec is not None:
+        H = domain.hess_phi_vec(P)
+    else:
+        H = np.array([domain.hess_phi(p) for p in P], dtype=float)
+    return (-np.einsum("ki,kij,kj->k", T, H, T)
+            / np.linalg.norm(_grad_phi_at(domain, P), axis=1))
+
+
+def _crossings(domain: DomainSpec, p0: np.ndarray, step: np.ndarray, f0: np.ndarray,
+               f1: np.ndarray) -> np.ndarray:
+    """t in [0, 1] with phi(p0 + t step) = 0 on segments (rows of p0 and
+    step) whose ends have phi = f0 and f1 on opposite sides of 0: Newton
+    steps along the segment from the linear interpolant's root, bisecting
+    the bracket where a step would leave it, until no crossing moves by more
+    than a few rounding units of the coordinates (three steps on the
+    quadratic defining functions)."""
+    lo, hi = np.zeros(len(f0)), np.ones(len(f0))
+    first = f0 >= 0
+    # a move of t by 1 / scale is one rounding unit of the coordinates
+    scale = np.abs(step).max() / (1.0 + np.abs(p0).max(initial=0.0))
+    t = f0 / (f0 - f1)
+    for _ in range(60):
+        P = p0 + t[:, None] * step
+        f = _phi_at(domain, P)
+        near = (f >= 0) == first        # on the side of the t = 0 end
+        lo, hi = np.where(near, t, lo), np.where(near, hi, t)
+        slope = (_grad_phi_at(domain, P) * step).sum(axis=1)
+        newton = t - f / np.where(slope != 0, slope, np.nan)
+        t, last = np.where((newton >= lo) & (newton <= hi), newton, 0.5 * (lo + hi)), t
+        if np.all(np.abs(t - last) * scale <= 4 * np.finfo(float).eps):
+            break
+    return t
+
+
+def _cut_cells(mesh: Mesh) -> CutCells:
+    dom = mesh.domain
+    if dom.dim != 2:
+        raise ValueError("cut cells are built on 2-d meshes")
+    ax, ay = mesh.axes
+    hx, hy = ax[1] - ax[0], ay[1] - ay[0]
+    nx, ny = len(ax), len(ay)
+    corners = np.empty((nx + 1, ny + 1, 2))
+    corners[..., 0] = np.append(ax - 0.5 * hx, ax[-1] + 0.5 * hx)[:, None]
+    corners[..., 1] = np.append(ay - 0.5 * hy, ay[-1] + 0.5 * hy)[None, :]
+    f = _phi_at(dom, corners.reshape(-1, 2)).reshape(nx + 1, ny + 1)
+    inside = f >= 0
+    # box-cell edges along x, (nx, ny + 1), and along y, (nx + 1, ny): where
+    # they cross the boundary (at t of the way from the lower corner) and
+    # their length inside G
+    xcut, ycut = inside[:-1] != inside[1:], inside[:, :-1] != inside[:, 1:]
+    xi, xj = np.nonzero(xcut)
+    yi, yj = np.nonzero(ycut)
+    step = np.zeros((len(xi) + len(yi), 2))
+    step[:len(xi), 0], step[len(xi):, 1] = hx, hy
+    t = _crossings(dom, np.concatenate([corners[xi, xj], corners[yi, yj]]), step,
+                   np.concatenate([f[xi, xj], f[yi, yj]]),
+                   np.concatenate([f[xi + 1, xj], f[yi, yj + 1]]))
+    tx, ty = np.zeros((nx, ny + 1)), np.zeros((nx + 1, ny))
+    tx[xi, xj], ty[yi, yj] = t[:len(xi)], t[len(xi):]
+    xlen = np.where(inside[:-1] & inside[1:], hx, 0.0)
+    xlen[xi, xj] = np.where(inside[xi, xj], tx[xi, xj], 1.0 - tx[xi, xj]) * hx
+    ylen = np.where(inside[:, :-1] & inside[:, 1:], hy, 0.0)
+    ylen[yi, yj] = np.where(inside[yi, yj], ty[yi, yj], 1.0 - ty[yi, yj]) * hy
+
+    # box cells that the boundary cuts, their eight counter-clockwise slots
+    # relative to the cell's grid point: corner, crossing of the edge to the
+    # next corner, and so on from the lower left
+    n_in = (inside[:-1, :-1].astype(int) + inside[1:, :-1] + inside[1:, 1:]
+            + inside[:-1, 1:])
+    mi, mj = np.nonzero((n_in > 0) & (n_in < 4))
+    x0, x1, y0, y1 = -0.5 * hx, 0.5 * hx, -0.5 * hy, 0.5 * hy
+    tb, tr, tt, tl = tx[mi, mj], ty[mi + 1, mj], tx[mi, mj + 1], ty[mi, mj]
+    V = np.empty((len(mi), 8, 2))
+    V[:, 0] = x0, y0
+    V[:, 1, 0], V[:, 1, 1] = x0 + tb * hx, y0
+    V[:, 2] = x1, y0
+    V[:, 3, 0], V[:, 3, 1] = x1, y0 + tr * hy
+    V[:, 4] = x1, y1
+    V[:, 5, 0], V[:, 5, 1] = x0 + tt * hx, y1
+    V[:, 6] = x0, y1
+    V[:, 7, 0], V[:, 7, 1] = x0, y0 + tl * hy
+    ok = np.stack([inside[mi, mj], xcut[mi, mj], inside[mi + 1, mj], ycut[mi + 1, mj],
+                   inside[mi + 1, mj + 1], xcut[mi, mj + 1], inside[mi, mj + 1],
+                   ycut[mi, mj]], axis=1)
+    # a missing slot repeats the last vertex before it, a zero-length edge
+    prev = np.maximum.accumulate(np.where(ok, np.arange(8), -1), axis=1)
+    prev = np.where(prev < 0, prev[:, -1:], prev)
+    P = np.take_along_axis(V, prev[:, :, None], axis=1)
+    Q = np.roll(P, -1, axis=1)
+    area = np.where(n_in == 4, hx * hy, 0.0)
+    area[mi, mj] = 0.5 * (P[..., 0] * Q[..., 1] - Q[..., 0] * P[..., 1]).sum(axis=1)
+    # a chord joins a crossing to the next vertex, when that is a crossing
+    chord = np.roll(ok, -1, axis=1) & (np.arange(8) % 2 == 0) & (prev % 2 == 1)
+    chord &= np.any(P != Q, axis=2)
+    cell, slot = np.nonzero(chord)
+    d = (Q - P)[cell, slot]
+    length = np.hypot(d[:, 0], d[:, 1])
+    normal = np.stack([-d[:, 1], d[:, 0]], axis=1) / length[:, None]
+    centre = np.stack([ax[mi], ay[mj]], axis=1)
+    point = centre[cell] + 0.5 * (P + Q)[cell, slot]
+    # each chord stands for a circular arc of the boundary's curvature at
+    # its midpoint: longer by kappa^2 l^3 / 24, bulging out by a segment of
+    # area kappa l^3 / 12, and kappa l^2 / 12 beyond it on average
+    kappa = _curvature(dom, point, d / length[:, None])
+    np.add.at(area, (mi[cell], mj[cell]), kappa * length ** 3 / 12)
+    point -= (kappa * length ** 2 / 12)[:, None] * normal
+    length *= 1 + (kappa * length) ** 2 / 24
+
+    fi = mesh.flat_index
+    xf = fi + fi // ny          # the flat index of the node's lower x-edge
+    face = np.stack([ylen.ravel()[fi], ylen.ravel()[fi + ny],
+                     xlen.ravel()[xf], xlen.ravel()[xf + 1]], axis=1).reshape(-1, 2, 2)
+    cell_area = area.ravel()[fi]
+    # the part of G in an outside box cell goes to the kept axis neighbor
+    # across its longest edge inside G, or else to the nearest kept node
+    owner = mesh.compact_of_flat[mi * ny + mj]
+    away = np.nonzero(owner < 0)[0]
+    oi, oj = mi[away], mj[away]
+    edge = np.stack([ylen[oi, oj], ylen[oi + 1, oj], xlen[oi, oj], xlen[oi, oj + 1]], axis=1)
+    nbr = np.full(edge.shape, -1)
+    for s, (di, dj) in enumerate(((-1, 0), (1, 0), (0, -1), (0, 1))):
+        inbox = (oi + di >= 0) & (oi + di < nx) & (oj + dj >= 0) & (oj + dj < ny)
+        nbr[inbox, s] = mesh.compact_of_flat[((oi + di) * ny + oj + dj)[inbox]]
+    edge[nbr < 0] = 0.0
+    merged = nbr[np.arange(len(away)), np.argmax(edge, axis=1)]
+    corner = edge.max(axis=1, initial=0.0) == 0
+    if corner.any():
+        merged[corner] = mesh.nearest(centre[away[corner]])
+    owner[away] = merged
+    np.add.at(cell_area, merged, area[oi, oj])
+    # a chord goes with its area, or to the nearest boundary node
+    node = owner[cell]
+    inner = ~mesh.boundary[node]
+    if inner.any():
+        bnd = np.nonzero(mesh.boundary)[0]
+        dist = ((point[inner, None] - mesh.nodes[bnd][None]) ** 2).sum(axis=2)
+        node[inner] = bnd[np.argmin(dist, axis=1)]
+    return CutCells(cell_area, face, node, length, normal, point)
+
+
 @dataclass
 class GridFunction:
     """Scalar values on a mesh with difference-quotient gradients.
 
     The gradient uses centered differences where both neighbors exist and
-    one-sided differences at boundary nodes. These match the solvers' 2-d
-    Neumann rows; the 1-d rows take v' at a boundary node from the Neumann
-    condition instead.
+    one-sided differences at boundary nodes. It reads the solution and is
+    not part of the solvers' rows: the 1-d rows take v' at a boundary node
+    from the Neumann condition, and the 2-d rows hold the Neumann condition
+    as the boundary flux of each node's cut cell.
     """
 
     mesh: Mesh

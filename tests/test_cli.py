@@ -68,6 +68,9 @@ def test_curve_subcommand(tmp_path):
     assert rc == 0
     s = _read(tmp_path, "summary.json")
     assert s["non_increasing"] is True
+    # a z-free driver: the line from one LU and one transposed solve
+    assert s["record"] == {"route": "line", "nodes": 2001, "factorisations": 1,
+                           "solves": 0, "transposed_solves": 1}
     head = (tmp_path / "curve.csv").read_text().splitlines()[0]
     assert head.startswith("mu,lambda")
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 import scipy.sparse.linalg
 from numpy.testing import assert_allclose
 
@@ -14,7 +15,7 @@ from ebsde.discounted import (DriverSpec, _coefficients, _rhs, assemble_operator
                               lipschitz_diagnostic, solve_discounted)
 from ebsde.dynamics import SdeModel
 from ebsde.errors import FlatCurve
-from ebsde.geometry import (DomainSpec, ball_domain, quadratic_domain,
+from ebsde.geometry import (ball_domain, quadratic_domain,
                             quartic_interval_domain)
 from ebsde.ergodic import solve_ergodic
 from ebsde.grids import build_mesh
@@ -105,20 +106,18 @@ def test_off_diagonal_diffusion_rejected_in_2d():
 def _reference_problem(mesh, model, driver, alpha, mu, eps, bordered):
     """Dense operator and right-hand side assembled node by node: banded
     rows on the interval, the PDE on every node with the ghost value of an
-    end node eliminated by the centered Neumann condition; five-point rows
-    with one-sided normal rows in the plane; then the lambda column on psi
-    rows and v(x_ref) = 0."""
+    end node eliminated by the centered Neumann condition; cut-cell flux
+    balances in the plane (``_reference_cells``); then the lambda column on
+    every row and v(x_ref) = 0."""
     n, h = mesh.n_nodes, mesh.spacing
     A = np.zeros((n + bordered, n + bordered))
     rhs = np.zeros(n + bordered)
-    psi_rows = np.zeros(n, bool)
     if mesh.domain.dim == 1:
         x = mesh.nodes[:, 0]
         for i in range(n):
             a = 0.5 * float(np.atleast_2d(model.sigma(x[i:i + 1]))[0, 0] ** 2) \
                 + 0.5 * eps ** 2
             b = float(np.atleast_1d(model.b(x[i:i + 1]))[0])
-            psi_rows[i] = True
             if i in (0, n - 1):
                 # v'(x_i) = n (mu - g) with the inward normal n = +1 / -1;
                 # an inward drift with b n h > 2a is upwinded instead
@@ -138,60 +137,146 @@ def _reference_problem(mesh, model, driver, alpha, mu, eps, bordered):
                 A[i, i + 1] = a / h ** 2 + (b if b >= 0 else 0.0) / h
                 A[i, i - 1] = a / h ** 2 + (0.0 if b >= 0 else -b) / h
     else:
+        area, faces, chords = _reference_cells(mesh)
+        steps = [ax[1] - ax[0] for ax in mesh.axes]
         for k in range(n):
             p = mesh.nodes[k]
-            if mesh.boundary[k]:
-                nvec = mesh.domain.grad_phi(p)
-                nvec = nvec / np.linalg.norm(nvec)
-                for ax in range(2):
-                    side = 1 if nvec[ax] >= 0 else -1
-                    j = refs.neighbor_lookup(mesh, k, ax, side)
-                    if j < 0:
-                        side = -side
-                        j = refs.neighbor_lookup(mesh, k, ax, side)
-                    if j < 0:
-                        continue
-                    A[k, j] += nvec[ax] * side / h
-                    A[k, k] -= nvec[ax] * side / h
-                rhs[k] = mu - driver.g_at(p)
-                continue
             sig = np.atleast_2d(model.sigma(p))
-            amat = sig @ sig.T
+            avec = 0.5 * np.diag(sig @ sig.T) + 0.5 * eps ** 2
             bvec = np.atleast_1d(model.b(p))
-            psi_rows[k] = True
             A[k, k] -= alpha
             for ax in range(2):
-                aval = 0.5 * amat[ax, ax] + 0.5 * eps ** 2
-                kp = refs.neighbor_lookup(mesh, k, ax, +1)
-                km = refs.neighbor_lookup(mesh, k, ax, -1)
-                A[k, k] += -2 * aval / h ** 2
-                A[k, kp] += aval / h ** 2
-                A[k, km] += aval / h ** 2
-                if bvec[ax] >= 0:
-                    A[k, k] += -bvec[ax] / h
-                    A[k, kp] += bvec[ax] / h
-                else:
-                    A[k, k] += bvec[ax] / h
-                    A[k, km] += -bvec[ax] / h
+                hh, aa, bb = steps[ax], avec[ax], bvec[ax]
+                for s, side in enumerate((-1, 1)):
+                    j = refs.neighbor_lookup(mesh, k, ax, side)
+                    if j < 0:
+                        continue
+                    if abs(bb) * hh <= 2 * aa:          # centered
+                        drift = side * bb / 2
+                    else:
+                        drift = max(side * bb, 0.0)
+                    c = faces[k][ax][s] / area[k] * (aa / hh + drift)
+                    A[k, j] += c
+                    A[k, k] -= c
+            # the boundary flux, the density carried from the node to each
+            # arc, with g read at the arc
+            flux = 0.0
+            for length, normal, point in chords[k]:
+                an = float(avec @ normal ** 2)
+                flux += length * an * np.exp(float(bvec @ normal)
+                                             * float(normal @ (point - p)) / an) \
+                    * (mu - driver.g_at(point))
+            assert mesh.boundary[k] or flux == 0.0
+            rhs[k] = flux / area[k]
     if bordered:
-        A[np.nonzero(psi_rows)[0], n] = -1.0
+        A[:n, n] = -1.0
         A[n, mesh.ref_index()] = 1.0
     return A, rhs
 
 
-def _disc_with_constant_normal():
-    """The unit disc with a constant normal field, so that on part of the
-    boundary the neighbor on the normal's side is missing and the one-sided
-    row falls back to the other side."""
-    disc = ball_domain(1.0, 2)
-    return DomainSpec(disc.phi, lambda x: np.array([1.0, 0.5]), disc.hess_phi, 2,
-                      disc.bounding_box, centroid=np.zeros(2), name="disc-skewed")
+def _reference_cells(mesh):
+    """Cut cells of a 2-d mesh, box cell by box cell with scalar phi:
+    (area, faces, chords) per kept node. faces[k][axis][side] is the length
+    inside the domain of the box-cell edge toward the -1/+1 neighbor; each
+    chord is (length, inward normal, mean position) of the circular arc it
+    stands for. The crossings come from brentq on ``domain.phi``. An outside
+    box cell goes to the kept axis neighbor across its longest edge inside
+    the domain (or the nearest kept node), a chord to the node that owns
+    its area (or the nearest boundary node)."""
+    dom = mesh.domain
+    phi = dom.phi
+    steps = [ax[1] - ax[0] for ax in mesh.axes]
+    nx, ny = mesh.shape
+
+    def crossing(c0, c1):
+        t = scipy.optimize.brentq(lambda t: phi(c0 + t * (c1 - c0)), 0.0, 1.0,
+                                  xtol=1e-300, rtol=1e-15)
+        return c0 + t * (c1 - c0)
+
+    def inside_length(c0, c1):
+        f0, f1 = phi(c0) >= 0, phi(c1) >= 0
+        if f0 and f1:
+            return float(np.linalg.norm(c1 - c0))
+        if not (f0 or f1):
+            return 0.0
+        return float(np.linalg.norm(crossing(c0, c1) - (c0 if f0 else c1)))
+
+    def box_cell(i, j):
+        centre = np.array([mesh.axes[0][i], mesh.axes[1][j]])
+        hx, hy = steps[0] / 2, steps[1] / 2
+        corners = [centre + d for d in (np.array([-hx, -hy]), np.array([hx, -hy]),
+                                        np.array([hx, hy]), np.array([-hx, hy]))]
+        verts = []      # counter-clockwise, (point, is a crossing)
+        for c0, c1 in zip(corners, corners[1:] + corners[:1]):
+            if phi(c0) >= 0:
+                verts.append((c0, False))
+            if (phi(c0) >= 0) != (phi(c1) >= 0):
+                verts.append((crossing(c0, c1), True))
+        area = 0.0
+        arcs = []
+        for (p, cp), (q, cq) in zip(verts, verts[1:] + verts[:1]):
+            u, w = p - centre, q - centre
+            area += 0.5 * (u[0] * w[1] - w[0] * u[1])
+            if cp and cq and np.any(p != q):
+                d = q - p
+                length = float(np.hypot(d[0], d[1]))
+                normal = np.array([-d[1], d[0]]) / length
+                mid = 0.5 * (p + q)
+                tangent = d / length
+                kappa = (-float(tangent @ dom.hess_phi(mid) @ tangent)
+                         / float(np.linalg.norm(dom.grad_phi(mid))))
+                area += kappa * length ** 3 / 12
+                arcs.append((length * (1 + (kappa * length) ** 2 / 24), normal,
+                             mid - kappa * length ** 2 / 12 * normal))
+        return area, arcs, corners
+
+    n = mesh.n_nodes
+    area = np.zeros(n)
+    faces = [[[0.0, 0.0], [0.0, 0.0]] for _ in range(n)]
+    chords = [[] for _ in range(n)]
+    for i in range(nx):
+        for j in range(ny):
+            cell_area, arcs, corners = box_cell(i, j)
+            k = int(mesh.compact_of_flat[np.ravel_multi_index((i, j), (nx, ny))])
+            # edges toward -x, +x, -y, +y
+            edges = [(corners[0], corners[3]), (corners[1], corners[2]),
+                     (corners[0], corners[1]), (corners[3], corners[2])]
+            lengths = [inside_length(*e) for e in edges]
+            if k >= 0:
+                faces[k] = [lengths[0:2], lengths[2:4]]
+            elif cell_area > 0:
+                best, best_len = -1, 0.0
+                for (di, dj), length in zip(((-1, 0), (1, 0), (0, -1), (0, 1)), lengths):
+                    ii, jj = i + di, j + dj
+                    if 0 <= ii < nx and 0 <= jj < ny and length > best_len:
+                        q = int(mesh.compact_of_flat[np.ravel_multi_index((ii, jj),
+                                                                          (nx, ny))])
+                        if q >= 0:
+                            best, best_len = q, length
+                if best < 0:
+                    centre = np.array([mesh.axes[0][i], mesh.axes[1][j]])
+                    best = int(np.argmin(((mesh.nodes - centre) ** 2).sum(axis=1)))
+                k = best
+            else:
+                continue
+            area[k] += cell_area
+            for arc in arcs:
+                owner = k
+                if not mesh.boundary[k]:
+                    bnd = np.nonzero(mesh.boundary)[0]
+                    owner = int(bnd[np.argmin(((mesh.nodes[bnd] - arc[2]) ** 2).sum(axis=1))])
+                chords[owner].append(arc)
+    return area, faces, chords
 
 
 STD_1D = kolmogorov_model(quadratic_potential(), eta_hint=-1.0)
 STD_2D = kolmogorov_model(quadratic_potential(), dim=2, eta_hint=-1.0)
 # cell Peclet number 25 |x| h: above 1 on the rows |x| > 0.8 at h = 0.05
 STEEP_1D = kolmogorov_model(quadratic_potential(50.0), eta_hint=-50.0)
+# in the plane, per axis: cell Peclet number 22.5 |x_i| h, upwinded where
+# |x_i| > 4/9 at h = 0.1 (a threshold on no node, where the centred
+# coefficient would be a rounding residue of 0)
+STEEP_2D = kolmogorov_model(quadratic_potential(45.0), dim=2, eta_hint=-45.0)
 OPERATOR_CASES = [
     ("ball", ball_domain(1.0, 1), STD_1D, 1e-2, 0.0),
     ("steep", ball_domain(1.0, 1), STEEP_1D, 0.05, 0.0),
@@ -201,7 +286,7 @@ OPERATOR_CASES = [
     ("degenerate-viscous", ball_domain(1.0, 1), degenerate_linear_model(), 1e-2, 5e-3),
     ("disc", ball_domain(1.0, 2), STD_2D, 0.1, 0.0),
     ("ellipse", quadratic_domain([[1.0, 0.0], [0.0, 2.0]]), STD_2D, 0.1, 0.0),
-    ("disc-fallback", _disc_with_constant_normal(), STD_2D, 0.1, 0.0),
+    ("disc-steep", ball_domain(1.0, 2), STEEP_2D, 0.1, 0.0),
 ]
 
 
@@ -319,21 +404,30 @@ def test_backward_check_residual_is_the_csc_residual(model, where, interval):
         assert lu.backward_stable(*tri) == (want <= discounted._BACKWARD_TOL * scale)
 
 
+ELLIPSE = quadratic_domain([[1.0, 0.0], [0.0, 2.0]])
 # (name, domain, model, spacing): the tridiagonal LU, the degenerate model
-# at both viscosity levels, and SuperLU on the disc
+# at both viscosity levels, and SuperLU on the cut cells of the disc and
+# the ellipse
 MEASURE_CASES = [
     ("interval", ball_domain(1.0, 1), STD_1D, 1e-2),
     ("degenerate", ball_domain(1.0, 1), degenerate_linear_model(), 1e-2),
     ("disc", ball_domain(1.0, 2), STD_2D, 0.1),
+    ("disc-0.05", ball_domain(1.0, 2), STD_2D, 0.05),
+    ("disc-0.025", ball_domain(1.0, 2), STD_2D, 0.025),
+    ("ellipse", ELLIPSE, STD_2D, 0.1),
+    ("ellipse-0.05", ELLIPSE, STD_2D, 0.05),
+    ("ellipse-0.025", ELLIPSE, STD_2D, 0.025),
+    ("disc-steep", ball_domain(1.0, 2), STEEP_2D, 0.1),
 ]
 
 
 @pytest.mark.parametrize("name,domain,model,spacing", MEASURE_CASES,
                          ids=[c[0] for c in MEASURE_CASES])
 def test_adjoint_weights_are_the_invariant_measure(name, domain, model, spacing):
-    # -w on the PDE rows is a probability; w.r is the forward lambda.
+    # -w on the nodes is a probability; w.r is the forward lambda.
     # Measured gaps to a SuperLU forward solve of the same operator: 2.2e-15
-    # (interval), 3.3e-16 (degenerate), 2.2e-16 (disc), relative
+    # (interval), 3.3e-16 (degenerate), at most 2.8e-16 (disc, ellipse),
+    # relative
     ops = discounted.GridOperators(model, domain, spacing)
     mesh, n = ops.mesh, ops.mesh.n_nodes
     driver = dataclasses.replace(cos_driver(), g=lambda x: 0.2 + float(x[0]))
@@ -342,9 +436,9 @@ def test_adjoint_weights_are_the_invariant_measure(name, domain, model, spacing)
     assert len(ops.eps_list) == (2 if name == "degenerate" else 1)
     for eps in ops.eps_list:
         rhs = _rhs(ops, driver, 0.4, eps, bordered=True)
-        rhs[ops.pde] -= np.cos(mesh.nodes[ops.pde, 0])
+        rhs[:n] -= np.cos(mesh.nodes[:, 0])
         w = ops.lu(0.0, eps, True).solve(e, trans="T")
-        measure = -w[ops.pde]
+        measure = -w[:n]
         assert measure.min() >= 0.0
         assert abs(measure.sum() - 1.0) <= 1e-12
         lam = scipy.sparse.linalg.splu(ops.operator(0.0, eps, True)).solve(rhs)[-1]
@@ -352,7 +446,9 @@ def test_adjoint_weights_are_the_invariant_measure(name, domain, model, spacing)
     # the extrapolated weights against the extrapolated forward solve
     x, _ = discounted._grid_solve(ops, driver, 0.0, 0.4, 1e-10, 80, bordered=True)
     measure, flux = ops.weights()
-    g = 0.2 + mesh.nodes[mesh.boundary, 0]
+    g = ops.boundary_cost(driver)
+    if domain.dim == 1:
+        assert np.array_equal(g, 0.2 + mesh.nodes[mesh.boundary, 0])
     lam = measure @ np.cos(mesh.nodes[:, 0]) + flux @ (0.4 - g)
     assert abs(lam - x[-1]) <= 1e-12 * max(1.0, abs(x[-1]))
 
@@ -419,6 +515,32 @@ def test_one_dimensional_rows_are_monotone_with_a_probability_measure(
     assert abs(slope - (lam1 - lam0)) <= 1e-10 * max(abs(slope), abs(lam0), abs(lam1))
 
 
+TWO_D_CASES = [c for c in MEASURE_CASES if c[1].dim == 2]
+
+
+@pytest.mark.parametrize("name,domain,model,spacing", TWO_D_CASES,
+                         ids=[c[0] for c in TWO_D_CASES])
+def test_two_dimensional_rows_are_monotone_with_a_probability_measure(
+        name, domain, model, spacing):
+    # the cut-cell rows: every off-diagonal coefficient is >= 0, mu enters
+    # every boundary row with a positive weight, the adjoint measure is a
+    # probability, and the curve of the cos driver does not increase
+    ops = discounted.GridOperators(model, domain, spacing)
+    n = ops.mesh.n_nodes
+    for alpha, bordered in ((0.0, True), (0.3, False)):
+        A = ops.operator(alpha, 0.0, bordered).tocoo()
+        off = (A.row < n) & (A.col < n) & (A.row != A.col)
+        assert A.data[off].min() >= 0.0
+    assert np.all(ops.neumann_scale(0.0) > 0)
+    measure, flux = ops.weights()
+    assert measure.min() >= 0.0
+    assert abs(measure.sum() - 1.0) <= 1e-12
+    assert np.all(flux < 0)         # every boundary node lowers the slope
+    curve = ergodic.lambda_of_mu(model, domain, cos_driver(), [-2.0, -1.0, 0.0, 1.0, 2.0],
+                                 spacing=spacing, operators=ops)
+    assert curve.non_increasing() and np.all(np.diff(curve.lams) < 0)
+
+
 def test_degenerate_config_still_has_a_flat_curve():
     doc = json.loads((CONFIGS / "degenerate.json").read_text())
     domain, model, driver, _ = assemble_config(doc)
@@ -478,7 +600,7 @@ def test_tridiagonal_lu_matches_splu(model, alpha, ref, interval):
     driver = dataclasses.replace(cos_driver(), g=lambda x: 0.2 + float(x[0]))
     for eps in ops.eps_list:
         rhs = _rhs(ops, driver, 0.4, eps, bordered)
-        rhs[ops.pde] -= np.cos(mesh.nodes[ops.pde, 0])
+        rhs[:n] -= np.cos(mesh.nodes[:, 0])
         A = assemble_operator(mesh, ops.a + 0.5 * eps ** 2, ops.b, alpha, bordered)
         if ref not in (None, "centre"):
             A = A.tolil()
@@ -644,6 +766,38 @@ def test_one_factorisation_per_viscosity_level_for_a_curve(monkeypatch, interval
     assert counts["factorisations"] == 2
     assert counts["adjoint_solves"] == 2
     assert counts["lu_solves"] == 0
+
+
+def test_curve_record_of_a_2d_line(monkeypatch):
+    # a z-free driver on the disc: the line from one LU and one transposed
+    # solve, and the curve's record says so
+    counts = _count_factorisations(monkeypatch)
+    disc = ball_domain(1.0, 2)
+    curve = ergodic.lambda_of_mu(STD_2D, disc, cos_driver(), [-2.0, 0.0, 2.0],
+                                 spacing=0.05)
+    assert curve.record == {"route": "line", "nodes": build_mesh(disc, 0.05).n_nodes,
+                            "factorisations": 1, "solves": 0, "transposed_solves": 1}
+    assert (counts["factorisations"], counts["adjoint_solves"], counts["lu_solves"]) \
+        == (1, 1, 0)
+
+
+def test_curve_record_of_one_solve_per_mu(monkeypatch, interval, std_model, cosdrv):
+    # a driver that reads z: one solve per mu on one LU, and "solves" counts
+    # the LU solves of every Picard sweep
+    counts = _count_factorisations(monkeypatch)
+    zdrv = dataclasses.replace(cosdrv, psi=lambda x, z: np.cos(x[0]) + 0.3 * z[0],
+                               psi_vec=lambda X, Z: np.cos(X[:, 0]) + 0.3 * Z[:, 0],
+                               K_psi_z=0.3)
+    ops = discounted.GridOperators(std_model, interval, 1e-2)
+    curve = ergodic.lambda_of_mu(std_model, interval, zdrv, [0.0, 1.0], spacing=1e-2,
+                                 operators=ops)
+    rec = curve.record
+    assert (rec["route"], rec["nodes"], rec["transposed_solves"]) == ("solve_per_mu", 201, 0)
+    assert rec["factorisations"] == counts["factorisations"] == 1
+    assert rec["solves"] == counts["lu_solves"] > 4
+    # the same operators again: the LU is already held
+    assert ergodic.lambda_of_mu(std_model, interval, zdrv, [0.5], spacing=1e-2,
+                                operators=ops).record["factorisations"] == 0
 
 
 def test_one_factorisation_for_an_inversion(monkeypatch, interval, std_model, cosdrv):

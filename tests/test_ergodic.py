@@ -255,7 +255,7 @@ def test_diagnostics_record_what_the_solve_did(monkeypatch, interval, std_model,
     disc = kolmogorov_model(quadratic_potential(), dim=2, eta_hint=-1.0)
     diag = solve_ergodic(disc, ball_domain(1.0, 2), cosdrv, 0.25,
                          spacing=0.1).diagnostics
-    assert (diag["boundary_rows"], diag["factorisers"]) == ("one_sided", ["superlu"])
+    assert (diag["boundary_rows"], diag["factorisers"]) == ("cut_cell", ["superlu"])
     # a bordered 1-d operator whose border removal fails the backward check
     monkeypatch.setattr(discounted, "_BACKWARD_TOL", -1.0)
     diag = solve_ergodic(std_model, interval, cosdrv, 0.25, spacing=1e-2).diagnostics
@@ -301,12 +301,13 @@ def test_vanishing_discount_builds_one_mesh(monkeypatch, interval, std_model, co
 
 
 # lambda(mu) at mu = -1, 0, 0.5, 2 of the curve below, from the adjoint line
-# (the interval re-recorded with the ghost-point boundary rows)
+# (the interval re-recorded with the ghost-point boundary rows, the disc
+# with the cut-cell rows)
 DIRECT_CURVES = {
     "interval-direct": [1.569980639136138, 0.8611267834350403,
                         0.5066998555844916, -0.5565809279671546],
-    "disc-direct": [2.7930614773594375, 0.9088220488804005,
-                    -0.033297665359118045, -2.859656808077674],
+    "disc-direct": [2.433188798081516, 0.8901928933641157,
+                    0.11869494100541544, -2.195798916070685],
 }
 
 
@@ -327,7 +328,7 @@ def test_curve_equals_standalone_solves_bit_for_bit(case, interval, std_model,
         assert list(curve.lams) == alone
         return
     # the direct curve is the line from the adjoint weights, not a forward
-    # solve per mu: measured gaps 3.4e-14 (interval) and 1.8e-15 (disc)
+    # solve per mu: measured gaps 3.4e-14 (interval) and 4.4e-16 (disc)
     assert np.max(np.abs(curve.lams - alone)) <= 1e-12
     assert list(curve.lams) == DIRECT_CURVES[case]
 
@@ -398,3 +399,44 @@ def test_disc_curve_converges_at_first_order_to_the_oracle(cosdrv):
     assert np.all(errs[:, 1] <= 4.0 * spacings)
     orders = np.log2(errs[:-1] / errs[1:])
     assert np.all(orders >= 0.9), orders
+
+
+def _least_squares_order(spacings, errs):
+    """Slope of log |err| against log h, fitted over the whole ladder."""
+    return float(np.polyfit(np.log(spacings), np.log(np.abs(errs)), 1)[0])
+
+
+def test_disc_curve_converges_at_second_order_to_the_oracle(cosdrv):
+    # the cut-cell rows: lambda(0) and the slope separately on the ladder
+    # 0.1 -> 0.0125. Measured errors / h^2: 0.034-0.045 for lambda(0),
+    # 0.11-0.15 for the slope (one sign each), least-squares orders 1.89
+    # and 2.15
+    model = kolmogorov_model(quadratic_potential(), dim=2, eta_hint=-1.0)
+    disc = ball_domain(1.0, 2)
+    spacings = 0.1 / 2.0 ** np.arange(4)
+    errs = []
+    for h in spacings:
+        lam0, lam1 = lambda_of_mu(model, disc, cosdrv, [0.0, 1.0],
+                                  scheme="direct", spacing=h).lams
+        errs.append((lam0 - refs.DISC_MEAN_COS, (lam1 - lam0) + refs.DISC_FLUX_RATE))
+    errs = np.abs(errs)
+    assert np.all(errs[:, 0] <= 0.06 * spacings ** 2), errs
+    assert np.all(errs[:, 1] <= 0.2 * spacings ** 2), errs
+    for k in range(2):
+        assert _least_squares_order(spacings, errs[:, k]) >= 1.5, errs
+
+
+def test_disc_boundary_cost_enters_at_second_order(cosdrv):
+    # g = x1^2 is read on the boundary arcs: on the unit circle its mean
+    # under the (radial) invariant density is 1/2, so lambda(0) =
+    # DISC_MEAN_COS + DISC_FLUX_RATE / 2. Measured errors 0.036-0.045 h^2;
+    # read at the boundary nodes they were 0.59-0.77 h
+    model = kolmogorov_model(quadratic_potential(), dim=2, eta_hint=-1.0)
+    disc = ball_domain(1.0, 2)
+    drv = dataclasses.replace(cosdrv, g=lambda x: float(x[0]) ** 2)
+    exact = refs.DISC_MEAN_COS + 0.5 * refs.DISC_FLUX_RATE
+    spacings = 0.1 / 2.0 ** np.arange(4)
+    errs = np.array([abs(lambda_of_mu(model, disc, drv, [0.0], spacing=h).lams[0] - exact)
+                     for h in spacings])
+    assert np.all(errs <= 0.06 * spacings ** 2), errs
+    assert _least_squares_order(spacings, errs) >= 1.5, errs

@@ -156,6 +156,20 @@ def test_stationary_flux_first_order_on_the_disc():
     assert np.all(orders >= 0.9), orders
 
 
+def test_stationary_flux_second_order_on_the_disc():
+    # the cut-cell rows through the operator's own adjoint (weights()):
+    # errors 0.175-0.187 h^2 of one sign on 0.1 -> 0.0125, least-squares
+    # order 2.04
+    exact = _ou_flux_oracle(2)
+    disc = ball_domain(1.0, 2)
+    spacings = 0.1 / 2.0 ** np.arange(4)
+    errs = np.array([abs(stationary_generator_phi(ou_model(dim=2), disc, h) - exact)
+                     for h in spacings])
+    assert np.all(errs <= 0.25 * spacings ** 2), errs
+    order = np.polyfit(np.log(spacings), np.log(errs), 1)[0]
+    assert order >= 1.5, errs
+
+
 def test_stationary_flux_of_per_point_drift_matches_batched(interval):
     # a model without b_vec assembles its drift point by point
     plain = SdeModel(b=lambda x: -np.atleast_1d(x), sigma=lambda x: np.eye(1),
