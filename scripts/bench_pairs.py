@@ -69,20 +69,19 @@ def quartiles(values: list) -> dict:
     return {"median": med, "q1": q1, "q3": q3}
 
 
-def bound_verdict(stats: dict, bound: float, better: str = "lower",
-                  clear_win: bool = False) -> dict:
-    """The median change of one metric against its relative ``bound``:
-    ``unresolved`` when the parent's interquartile range is wider than the
-    bound (relative to the parent's median) and not every change run is
-    better than every parent run (``clear_win``), else ``beyond`` when the
-    change is worse by more than the bound, else ``within``."""
+def bound_verdict(stats: dict, bound: float, clear_win: bool = False) -> dict:
+    """The median change of one metric (lower is better) against its
+    relative ``bound``: ``unresolved`` when the parent's interquartile range
+    is wider than the bound (relative to the parent's median) and not every
+    change run is lower than every parent run (``clear_win``), else
+    ``beyond`` when the change is higher by more than the bound, else
+    ``within``."""
     par = stats["parent"]
     spread = (par["q3"] - par["q1"]) / par["median"] if par["median"] else 0.0
-    worse = stats["median_change_rel"] * (1.0 if better == "lower" else -1.0)
     if spread > bound and not clear_win:
         verdict = "unresolved"
     else:
-        verdict = "beyond" if worse > bound else "within"
+        verdict = "beyond" if stats["median_change_rel"] > bound else "within"
     return {"bound": bound, "median_change_rel": stats["median_change_rel"],
             "parent_iqr_rel": spread, "verdict": verdict}
 
@@ -111,10 +110,8 @@ def summarise(runs: list, metrics: list) -> dict:
                                 "change_higher_in_pairs": higher,
                                 "median_change_rel": rel}
         if "bound" in m:
-            better = m.get("better", "lower")
-            clear_win = max(chg) < min(par) if better == "lower" else min(chg) > max(par)
             out["metrics"][name]["bound_verdict"] = bound_verdict(
-                out["metrics"][name], m["bound"], better, clear_win)
+                out["metrics"][name], m["bound"], max(chg) < min(par))
     for key, field in (("ops_failed", "failed"), ("attempted", "attempted")):
         out[key] = {side: sum(p[side][field] for p in pairs)
                     for side in ("parent", "change")}

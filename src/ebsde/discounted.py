@@ -10,12 +10,14 @@ and the PDE holds at every node. In 1-d the drift is centered where the
 cell Peclet number is at most 1 (upwinded elsewhere), and the two boundary
 nodes' ghost values are eliminated by the centered Neumann condition
 (ghost-point rows). In 2-d each node's row is the flux balance of its cut
-cell (``grids.CutCells``: the box cell clipped to the domain) divided by its
-area, over the faces shared with its axis neighbors, with the drift centered
-by the same Peclet rule, and mu - g enters through the cell's boundary
-length. Every row is monotone. One vectorised assembler builds the
-alpha-free rows in any dimension in stencil form: a diagonal and one
-coefficient per neighbor of each node (``_assemble_stencil``). The
+cell (``grids.CutCells``: its Voronoi cell among the kept nodes, clipped to
+the domain) divided by its area, over the faces shared with its axis
+neighbors and, next to the boundary, with diagonal neighbors, with the
+drift centered by the same Peclet rule, and mu - g enters through the
+cell's boundary length. Every row is monotone. One vectorised assembler
+builds the alpha-free rows in any dimension in stencil form: a diagonal,
+one coefficient per axis neighbor of each node and the entries toward
+diagonal neighbors (``_assemble_stencil``). The
 discount enters only the diagonal, and mu and psi only the right-hand side,
 so one stencil per viscosity level serves every discount, and each
 operator is factorised once per mesh, discount and viscosity level
@@ -101,11 +103,12 @@ def _coefficients(mesh: Mesh, model: SdeModel):
 def _assemble_stencil(mesh: Mesh, a: np.ndarray, b: np.ndarray):
     """Alpha-free rows of the discrete problem in stencil form.
 
-    Returns (diag, coef, entry): the diagonal (M,), the coefficients (M, d,
-    2) of the -1/+1 neighbors along each axis, aligned with
-    ``mesh.neighbors``, and which of them are entries of the operator
-    (every existing neighbor, explicit zeros included); a coefficient that
-    is no entry is never read.
+    Returns (diag, coef, entry, pairs): the diagonal (M,), the coefficients
+    (M, d, 2) of the -1/+1 neighbors along each axis, aligned with
+    ``mesh.neighbors``, which of them are entries of the operator (every
+    existing neighbor, explicit zeros included; a coefficient that is no
+    entry is never read), and the entries toward diagonal neighbors as
+    (rows, columns, values), empty in 1-d.
 
     Every row holds the PDE with diffusion coefficients ``a`` (M, d) and
     drift ``b`` (M, d): centered diffusion, and a drift centered along each
@@ -123,11 +126,15 @@ def _assemble_stencil(mesh: Mesh, a: np.ndarray, b: np.ndarray):
     divided by its area |C|. The face toward a neighbor, of length l inside
     the domain, carries (l/|C|)(a/h +- b/2)(v_nbr - v) with the drift
     centered, or (l/|C|)(a/h + max(+-b, 0))(v_nbr - v) upwinded; on full
-    cells these are the five-point rows. The boundary flux is on the
-    right-hand side (``GridOperators.neumann_scale``). With the invariant
-    measure m of the transposed operator, the discrete density m/|C| then
-    obeys the grid's own detailed balance whatever the face lengths, and
-    lambda converges at second order.
+    cells these are the five-point rows. A face toward a diagonal neighbor
+    (the cells of the two axis neighbors of an outside grid point meet on a
+    half-diagonal of its box cell) carries the same along the unit vector n
+    to that neighbor, with a_n = n.diag(a) n, b.n and the distance in place
+    of a, b and h; it is consistent where a is isotropic, as in every 2-d
+    model here. Without these faces v keeps an O(h) error next to the
+    boundary and its gradient does not converge there. The boundary flux
+    is on the right-hand side (``GridOperators.neumann_scale``). Every
+    node's error is then O(h^2), and lambda converges at second order.
     """
     d = a.shape[1]
     h = np.array([x[1] - x[0] for x in mesh.axes])
@@ -143,24 +150,42 @@ def _assemble_stencil(mesh: Mesh, a: np.ndarray, b: np.ndarray):
         c = 2 * a[_ENDS, 0] / h ** 2 + np.where(exact, 0.0, bn / h)
         coef[_ENDS, 0] = c[:, None]         # on the missing side too: no entry
         diag[_ENDS] = -c
-    else:
-        cells = mesh.cut_cells()
-        coef *= cells.face * h[:, None] / cells.area[:, None, None]
-        coef[~entry] = 0.0
-        diag = -coef.sum(axis=(1, 2))
-    return diag, coef, entry
+        return diag, coef, entry, _NO_PAIRS
+    cells = mesh.cut_cells()
+    coef *= cells.face * h[:, None] / cells.area[:, None, None]
+    coef[~entry] = 0.0
+    # faces between diagonal neighbors: the same rule along the unit vector
+    # n from the node to its neighbor, a_n = n.diag(a) n, at the distance
+    i, j = cells.pair.T
+    step = mesh.nodes[j] - mesh.nodes[i]
+    dist = np.hypot(step[:, 0], step[:, 1])
+    n = step / dist[:, None]
+
+    def toward(k, n):
+        an, bn = (a[k] * n * n).sum(axis=1), (b[k] * n).sum(axis=1)
+        drift = np.where(np.abs(bn) * dist <= 2 * an, 0.5 * bn, np.maximum(bn, 0.0))
+        return cells.pair_length / cells.area[k] * (an / dist + drift)
+
+    pairs = (np.concatenate([i, j]), np.concatenate([j, i]),
+             np.concatenate([toward(i, n), toward(j, -n)]))
+    diag = -coef.sum(axis=(1, 2)) - np.bincount(pairs[0], pairs[2], len(a))
+    return diag, coef, entry, pairs
+
+
+# the stencil of a 1-d operator has no diagonal neighbors
+_NO_PAIRS = (np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
 
 
 def _csc(mesh: Mesh, stencil, alpha: float, ref: Optional[int] = None) -> sparse.csc_matrix:
     """Sparse operator of a stencil with alpha subtracted on the diagonal.
     With ``ref`` the unknown lambda is appended: a -1 column and the
     normalization row v(x_ref) = 0."""
-    diag, coef, entry = stencil
+    diag, coef, entry, (prow, pcol, pval) = stencil
     n = len(diag)
     node, axis, side = np.nonzero(entry)
-    rows = [np.arange(n), node]
-    cols = [np.arange(n), mesh.neighbors[node, axis, side]]
-    vals = [diag - alpha, coef[node, axis, side]]
+    rows = [np.arange(n), node, prow]
+    cols = [np.arange(n), mesh.neighbors[node, axis, side], pcol]
+    vals = [diag - alpha, coef[node, axis, side], pval]
     if ref is not None:
         rows += [np.arange(n), [n]]
         cols += [np.full(n, n), [ref]]
@@ -303,7 +328,7 @@ def _factorise(mesh: Mesh, stencil, alpha: float, ref: Optional[int] = None):
     SuperLU in 2-d and for a bordered 1-d operator whose border removal is
     not backward stable."""
     if mesh.domain.dim == 1:
-        diag, coef, _ = stencil
+        diag, coef = stencil[:2]
         tri = coef[1:, 0, 0], diag - alpha, coef[:-1, 0, 1]
         lu = _TridiagonalLU(*tri, ref)
         if lu.backward_stable(*tri):
@@ -323,10 +348,9 @@ def _rhs(ops: GridOperators, driver: DriverSpec, mu: float, eps: float,
     """Right-hand side before psi at viscosity level eps: (mu - g) times
     ``GridOperators.neumann_scale`` on the boundary rows, 0 elsewhere, with
     g from ``GridOperators.boundary_cost``."""
-    mesh = ops.mesh
     g = ops.boundary_cost(driver)
-    rhs = np.zeros(mesh.n_nodes + bordered)
-    rhs[:mesh.n_nodes][mesh.boundary] = ops.neumann_scale(eps) * (mu - g)
+    rhs = np.zeros(ops.mesh.n_nodes + bordered)
+    rhs[ops.boundary_rows()] = ops.neumann_scale(eps) * (mu - g)
     return rhs
 
 
@@ -418,6 +442,7 @@ class GridOperators:
         self._lus: dict = {}
         self._operators: dict = {}  # one stencil per eps
         self._neumann: dict = {}
+        self._rows: Optional[np.ndarray] = None
 
     def check(self, model: SdeModel, domain: DomainSpec, spacing: float,
               viscosity: str) -> None:
@@ -443,6 +468,15 @@ class GridOperators:
         diagonal equals the assembler's fl(-alpha - S)."""
         return _csc(self.mesh, self.stencil(eps), alpha, self.ref if bordered else None)
 
+    def boundary_rows(self) -> np.ndarray:
+        """The rows that mu - g enters: the two end nodes in 1-d, the nodes
+        whose cut cells hold boundary arcs in 2-d."""
+        if self._rows is None:
+            mesh = self.mesh
+            self._rows = (np.flatnonzero(mesh.boundary) if mesh.domain.dim == 1
+                          else np.unique(mesh.cut_cells().chord_node))
+        return self._rows
+
     def neumann_scale(self, eps: float) -> np.ndarray:
         """d r / d mu on the boundary rows of the operator at viscosity
         level eps, computed once per eps. In 1-d 2a/h - b.n, or 2a/h where
@@ -462,7 +496,7 @@ class GridOperators:
             if mesh.domain.dim > 1:
                 cells = mesh.cut_cells()
                 scale = (np.bincount(cells.chord_node, self._arc_flux(eps), mesh.n_nodes)
-                         / cells.area)[mesh.boundary]
+                         / cells.area)[self.boundary_rows()]
             else:
                 a = self.a + 0.5 * eps ** 2
                 bn, exact = _boundary_drift(mesh, a, self.b)
@@ -490,11 +524,14 @@ class GridOperators:
         mesh = self.mesh
         if mesh.domain.dim == 1:
             return np.array([driver.g_at(p) for p in mesh.nodes[mesh.boundary]])
+        rows = self.boundary_rows()
+        if driver.g is None:
+            return np.zeros(len(rows))
         cells = mesh.cut_cells()
         w = self._arc_flux(self.eps_list[0])
         g = np.array([driver.g_at(p) for p in cells.chord_point])
-        total = np.bincount(cells.chord_node, w, mesh.n_nodes)[mesh.boundary]
-        cost = np.bincount(cells.chord_node, w * g, mesh.n_nodes)[mesh.boundary]
+        total = np.bincount(cells.chord_node, w, mesh.n_nodes)[rows]
+        cost = np.bincount(cells.chord_node, w * g, mesh.n_nodes)[rows]
         return np.divide(cost, total, out=np.zeros_like(cost), where=total > 0)
 
     def lu(self, alpha: float, eps: float, bordered: bool):
@@ -528,7 +565,7 @@ class GridOperators:
         e[-1] = 1.0
         ws = [self.lu(0.0, eps, True).solve(e, trans="T") for eps in self.eps_list]
         measure = -_extrapolate(ws)[:n]
-        flux = _extrapolate([w[:n][self.mesh.boundary] * self.neumann_scale(eps)
+        flux = _extrapolate([w[self.boundary_rows()] * self.neumann_scale(eps)
                              for w, eps in zip(ws, self.eps_list)])
         return measure, flux
 

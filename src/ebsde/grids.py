@@ -9,6 +9,7 @@ finite-volume rows of the solvers.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -148,32 +149,43 @@ def build_mesh(domain: DomainSpec, spacing: float) -> Mesh:
 class CutCells:
     """Finite-volume cells of a 2-d mesh, one per kept node.
 
-    Each kept node owns its box cell (the rectangle of the two axis
-    spacings centred on it) clipped to phi >= 0. The part of G in the box
-    cell of an outside grid point is merged into the kept axis neighbor
-    across its longest edge inside G (into the nearest kept node when no
-    such edge exists), so that the fluxes the five-point rows cannot carry
-    cross the shortest edges. Inside a box cell the boundary is the chord
-    between the phi = 0 crossings on its edges (two chords at a saddle); a
-    chord goes with its area, or to the nearest boundary node when that
-    cell's node has no missing neighbor (only where G is not convex).
+    The cells are the Voronoi cells of the kept nodes clipped to G, drawn on
+    the half-spacing lattice: the diagonals and midlines of each box cell
+    (the rectangle of the two axis spacings centred on a grid point) cut it
+    into eight triangles. The triangles of a kept node's box cell are its
+    own; a triangle of an outside box cell goes to the outside point's axis
+    neighbor across its side of the box cell, else to the one across the
+    other side of its quarter (each the kept node nearest all its points),
+    else to the kept node nearest its centroid. Two cells then meet on the
+    perpendicular bisector of their nodes: on a box-cell edge for axis
+    neighbors, and on a half-diagonal of an outside box cell for diagonal
+    neighbors. Inside a triangle the boundary is the chord between the phi
+    = 0 crossings of its edges; a box cell whose corners and grid point are
+    all inside is taken as full.
 
-    ``area`` (M,): the cell areas. ``face`` (M, d, 2): the length inside
-    G of the box-cell edge toward the -1/+1 neighbor along each axis,
-    aligned with ``Mesh.neighbors``. One entry per chord: ``chord_node``,
-    the node it goes to; ``chord_length``, ``chord_normal`` (the inward
-    unit normal) and ``chord_point``, the length and the mean position of
-    the circular arc of the boundary's curvature that the chord stands
-    for. The curvature adds the segment between chord and arc to the area.
+    ``area`` (M,): the cell areas. ``face`` (M, d, 2): the length of the
+    face toward the -1/+1 neighbor along each axis, aligned with
+    ``Mesh.neighbors``. ``pair`` (P, 2) and ``pair_length`` (P,): the
+    diagonal neighbors whose cells meet, and the length of their face.
+    ``dropped``: the total length of faces between cells whose nodes are
+    neither axis nor diagonal neighbors across that face (only where G is
+    not convex); no flux crosses them. One entry per chord: ``chord_node``,
+    the node whose cell holds it; ``chord_length``, ``chord_normal`` (the
+    inward unit normal) and ``chord_point``, the length and the mean
+    position of the circular arc of the boundary's curvature that the
+    chord stands for. The curvature adds the segment between chord and arc
+    to the area.
     """
 
     area: np.ndarray
     face: np.ndarray
+    pair: np.ndarray
+    pair_length: np.ndarray
+    dropped: float
     chord_node: np.ndarray
     chord_length: np.ndarray
     chord_normal: np.ndarray
     chord_point: np.ndarray
-
 
 def _phi_at(domain: DomainSpec, P: np.ndarray) -> np.ndarray:
     if domain.phi_vec is not None:
@@ -217,11 +229,79 @@ def _crossings(domain: DomainSpec, p0: np.ndarray, step: np.ndarray, f0: np.ndar
         near = (f >= 0) == first        # on the side of the t = 0 end
         lo, hi = np.where(near, t, lo), np.where(near, hi, t)
         slope = (_grad_phi_at(domain, P) * step).sum(axis=1)
-        newton = t - f / np.where(slope != 0, slope, np.nan)
+        # a point on the boundary is its own crossing, even where the segment
+        # touches the boundary there (slope 0)
+        newton = t - np.where(f == 0, 0.0, f / np.where(slope != 0, slope, np.nan))
         t, last = np.where((newton >= lo) & (newton <= hi), newton, 0.5 * (lo + hi)), t
         if np.all(np.abs(t - last) * scale <= 4 * np.finfo(float).eps):
             break
     return t
+
+
+@functools.lru_cache(maxsize=None)
+def _octants():
+    """Tables of the eight triangles of a box cell on the 25 points of a
+    band cell: its 3 x 3 half-lattice points (3 u + w, from the lower left),
+    then the crossings of its 16 half-lattice edges (9 + e). Triangle
+    4 u + 2 w + t lies in quarter (u, w), below (t = 0) or above (1) the
+    diagonal that joins the grid point to the quarter's box corner.
+
+    Returns (slots, edges, family, links, sides): the six counter-clockwise
+    slots of each triangle (8, 6), corner, crossing of the edge to the next
+    corner, and so on; the two lattice points of each edge (16, 2) with its
+    family (16,): 0 along y (normal x), 1 along x, 2 and 3 the diagonals
+    along (1, 1) and (-1, 1); the links (L, 5) between the triangles on
+    the two sides of an edge: (edge, triangle, neighbor box offset along x
+    and y, triangle on the other side in that box); and the offsets (8, 2,
+    2) of the box cells across each triangle's side of the box cell and
+    across the other side of its quarter."""
+    def pt(u, w):
+        return 3 * u + w
+    edges, family = [], []
+    for u, w in itertools.product(range(2), range(3)):
+        edges.append((pt(u, w), pt(u + 1, w)))
+        family.append(1)
+    for u, w in itertools.product(range(3), range(2)):
+        edges.append((pt(u, w), pt(u, w + 1)))
+        family.append(0)
+    for u, w in itertools.product(range(2), range(2)):
+        main = (u + w) % 2 == 0
+        edges.append((pt(u, w), pt(u + 1, w + 1)) if main else (pt(u + 1, w), pt(u, w + 1)))
+        family.append(2 if main else 3)
+    slots = []
+    for u, w, t in itertools.product(range(2), range(2), range(2)):
+        c00, c10, c11, c01 = pt(u, w), pt(u + 1, w), pt(u + 1, w + 1), pt(u, w + 1)
+        bottom, top = 9 + 3 * u + w, 9 + 3 * u + w + 1
+        left, right = 15 + 2 * u + w, 15 + 2 * (u + 1) + w
+        diag, main = 21 + 2 * u + w, (u + w) % 2 == 0
+        slots.append([c00, bottom, c10, right if main else diag, c11 if main else c01,
+                      diag if main else left] if t == 0 else
+                     [c00 if main else c10, diag if main else right, c11, top, c01,
+                      left if main else diag])
+    slots = np.array(slots)
+    holder = {}
+    for k, row in enumerate(slots):
+        for e in row[1::2] - 9:
+            holder.setdefault(int(e), []).append(k)
+    links = []
+    for e, ks in holder.items():
+        if len(ks) == 2:
+            links.append((e, ks[0], 0, 0, ks[1]))
+            continue
+        # an edge on the box cell's side, and the same edge of the neighbor
+        a, b = edges[e]
+        (ua, wa), (ub, wb) = divmod(a, 3), divmod(b, 3)
+        du = 1 if ua == ub == 2 else -1 if ua == ub == 0 else 0
+        dw = 1 if wa == wb == 2 else -1 if wa == wb == 0 else 0
+        other = edges.index((pt(ua - 2 * du, wa - 2 * dw), pt(ub - 2 * du, wb - 2 * dw)))
+        links.append((e, ks[0], du, dw, holder[other][0]))
+    sides = np.zeros((8, 2, 2), dtype=int)
+    for e, k, du, dw, _ in links:
+        if du or dw:
+            u, w = k // 4, (k // 2) % 2
+            corner = (2 * u - 1, 2 * w - 1)
+            sides[k] = [(du, dw), (corner[0], 0) if dw else (0, corner[1])]
+    return slots, np.array(edges), np.array(family), np.array(links), sides
 
 
 def _cut_cells(mesh: Mesh) -> CutCells:
@@ -231,103 +311,141 @@ def _cut_cells(mesh: Mesh) -> CutCells:
     ax, ay = mesh.axes
     hx, hy = ax[1] - ax[0], ay[1] - ay[0]
     nx, ny = len(ax), len(ay)
+    slots, edges, family, links, sides = _octants()
+    # the half-spacing lattice along each axis: box-cell corners at even
+    # indices, grid points at odd ones
+    lattice = []
+    for a, h in ((ax, hx), (ay, hy)):
+        c = np.empty(2 * len(a) + 1)
+        c[0::2] = np.append(a - 0.5 * h, a[-1] + 0.5 * h)
+        c[1::2] = a
+        lattice.append(c)
+    # a box cell is full when its corners and its grid point are inside,
+    # and in the band (built triangle by triangle) when they are not all on
+    # one side
     corners = np.empty((nx + 1, ny + 1, 2))
-    corners[..., 0] = np.append(ax - 0.5 * hx, ax[-1] + 0.5 * hx)[:, None]
-    corners[..., 1] = np.append(ay - 0.5 * hy, ay[-1] + 0.5 * hy)[None, :]
-    f = _phi_at(dom, corners.reshape(-1, 2)).reshape(nx + 1, ny + 1)
-    inside = f >= 0
-    # box-cell edges along x, (nx, ny + 1), and along y, (nx + 1, ny): where
-    # they cross the boundary (at t of the way from the lower corner) and
-    # their length inside G
-    xcut, ycut = inside[:-1] != inside[1:], inside[:, :-1] != inside[:, 1:]
-    xi, xj = np.nonzero(xcut)
-    yi, yj = np.nonzero(ycut)
-    step = np.zeros((len(xi) + len(yi), 2))
-    step[:len(xi), 0], step[len(xi):, 1] = hx, hy
-    t = _crossings(dom, np.concatenate([corners[xi, xj], corners[yi, yj]]), step,
-                   np.concatenate([f[xi, xj], f[yi, yj]]),
-                   np.concatenate([f[xi + 1, xj], f[yi, yj + 1]]))
-    tx, ty = np.zeros((nx, ny + 1)), np.zeros((nx + 1, ny))
-    tx[xi, xj], ty[yi, yj] = t[:len(xi)], t[len(xi):]
-    xlen = np.where(inside[:-1] & inside[1:], hx, 0.0)
-    xlen[xi, xj] = np.where(inside[xi, xj], tx[xi, xj], 1.0 - tx[xi, xj]) * hx
-    ylen = np.where(inside[:, :-1] & inside[:, 1:], hy, 0.0)
-    ylen[yi, yj] = np.where(inside[yi, yj], ty[yi, yj], 1.0 - ty[yi, yj]) * hy
+    corners[..., 0], corners[..., 1] = lattice[0][0::2, None], lattice[1][None, 0::2]
+    at = _phi_at(dom, corners.reshape(-1, 2)).reshape(nx + 1, ny + 1) >= 0
+    kept = mesh.compact_of_flat.reshape(nx, ny)
+    n_in = (at[:-1, :-1].astype(int) + at[1:, :-1] + at[1:, 1:] + at[:-1, 1:]
+            + (kept >= 0))
+    full, band = n_in == 5, (n_in > 0) & (n_in < 5)
+    bi, bj = np.nonzero(band)
+    nb = len(bi)
+    # the nine lattice points of each band cell (B, 9), and where the
+    # boundary crosses its edges (t of the way, and the fraction inside G)
+    U, W = 2 * bi[:, None] + np.arange(9) // 3, 2 * bj[:, None] + np.arange(9) % 3
+    P9 = np.stack([lattice[0][U], lattice[1][W]], axis=2)
+    F9 = _phi_at(dom, P9.reshape(-1, 2)).reshape(nb, 9)
+    S9 = F9 >= 0
+    e0, e1 = S9[:, edges[:, 0]], S9[:, edges[:, 1]]
+    cut = e0 != e1
+    cb, ce = np.nonzero(cut)
+    a0, a1 = edges[ce, 0], edges[ce, 1]
+    step = np.array([[0.0, 0.5 * hy], [0.5 * hx, 0.0], [0.5 * hx, 0.5 * hy],
+                     [-0.5 * hx, 0.5 * hy]])[family[ce]]
+    t = _crossings(dom, P9[cb, a0], step, F9[cb, a0], F9[cb, a1])
+    frac = (e0 & e1).astype(float)
+    frac[cb, ce] = np.where(e0[cb, ce], t, 1.0 - t)
 
-    # box cells that the boundary cuts, their eight counter-clockwise slots
-    # relative to the cell's grid point: corner, crossing of the edge to the
-    # next corner, and so on from the lower left
-    n_in = (inside[:-1, :-1].astype(int) + inside[1:, :-1] + inside[1:, 1:]
-            + inside[:-1, 1:])
-    mi, mj = np.nonzero((n_in > 0) & (n_in < 4))
-    x0, x1, y0, y1 = -0.5 * hx, 0.5 * hx, -0.5 * hy, 0.5 * hy
-    tb, tr, tt, tl = tx[mi, mj], ty[mi + 1, mj], tx[mi, mj + 1], ty[mi, mj]
-    V = np.empty((len(mi), 8, 2))
-    V[:, 0] = x0, y0
-    V[:, 1, 0], V[:, 1, 1] = x0 + tb * hx, y0
-    V[:, 2] = x1, y0
-    V[:, 3, 0], V[:, 3, 1] = x1, y0 + tr * hy
-    V[:, 4] = x1, y1
-    V[:, 5, 0], V[:, 5, 1] = x0 + tt * hx, y1
-    V[:, 6] = x0, y1
-    V[:, 7, 0], V[:, 7, 1] = x0, y0 + tl * hy
-    ok = np.stack([inside[mi, mj], xcut[mi, mj], inside[mi + 1, mj], ycut[mi + 1, mj],
-                   inside[mi + 1, mj + 1], xcut[mi, mj + 1], inside[mi, mj + 1],
-                   ycut[mi, mj]], axis=1)
+    # the triangles: the 25 points of each band cell relative to its grid
+    # point, and the six slots of each triangle that the boundary cuts
+    rel = np.stack([(np.arange(9) // 3 - 1) * 0.5 * hx, (np.arange(9) % 3 - 1) * 0.5 * hy],
+                   axis=1)
+    pts = np.zeros((nb, 25, 2))
+    pts[:, :9] = rel
+    pts[cb, 9 + ce] = rel[a0] + t[:, None] * step
+    present = np.concatenate([S9, cut], axis=1)
+    vin = S9[:, slots[:, 0::2]]                          # (B, 8, 3)
+    area = np.where(vin.all(axis=2), 0.125 * hx * hy, 0.0).ravel()
+    cut3 = np.flatnonzero(vin.any(axis=2) & ~vin.all(axis=2))
+    V = pts[cut3[:, None] // 8, slots[cut3 % 8]]
+    ok = present[cut3[:, None] // 8, slots[cut3 % 8]]
     # a missing slot repeats the last vertex before it, a zero-length edge
-    prev = np.maximum.accumulate(np.where(ok, np.arange(8), -1), axis=1)
+    prev = np.maximum.accumulate(np.where(ok, np.arange(6), -1), axis=1)
     prev = np.where(prev < 0, prev[:, -1:], prev)
     P = np.take_along_axis(V, prev[:, :, None], axis=1)
     Q = np.roll(P, -1, axis=1)
-    area = np.where(n_in == 4, hx * hy, 0.0)
-    area[mi, mj] = 0.5 * (P[..., 0] * Q[..., 1] - Q[..., 0] * P[..., 1]).sum(axis=1)
+    area[cut3] = 0.5 * (P[..., 0] * Q[..., 1] - Q[..., 0] * P[..., 1]).sum(axis=1)
     # a chord joins a crossing to the next vertex, when that is a crossing
-    chord = np.roll(ok, -1, axis=1) & (np.arange(8) % 2 == 0) & (prev % 2 == 1)
+    chord = np.roll(ok, -1, axis=1) & (np.arange(6) % 2 == 0) & (prev % 2 == 1)
     chord &= np.any(P != Q, axis=2)
-    cell, slot = np.nonzero(chord)
-    d = (Q - P)[cell, slot]
+    row, slot = np.nonzero(chord)
+    tri = cut3[row]
+    d = (Q - P)[row, slot]
     length = np.hypot(d[:, 0], d[:, 1])
     normal = np.stack([-d[:, 1], d[:, 0]], axis=1) / length[:, None]
-    centre = np.stack([ax[mi], ay[mj]], axis=1)
-    point = centre[cell] + 0.5 * (P + Q)[cell, slot]
+    centre = np.stack([ax[bi], ay[bj]], axis=1)
+    point = centre[tri // 8] + 0.5 * (P + Q)[row, slot]
     # each chord stands for a circular arc of the boundary's curvature at
     # its midpoint: longer by kappa^2 l^3 / 24, bulging out by a segment of
     # area kappa l^3 / 12, and kappa l^2 / 12 beyond it on average
     kappa = _curvature(dom, point, d / length[:, None])
-    np.add.at(area, (mi[cell], mj[cell]), kappa * length ** 3 / 12)
+    np.add.at(area, tri, kappa * length ** 3 / 12)
     point -= (kappa * length ** 2 / 12)[:, None] * normal
     length *= 1 + (kappa * length) ** 2 / 24
 
-    fi = mesh.flat_index
-    xf = fi + fi // ny          # the flat index of the node's lower x-edge
-    face = np.stack([ylen.ravel()[fi], ylen.ravel()[fi + ny],
-                     xlen.ravel()[xf], xlen.ravel()[xf + 1]], axis=1).reshape(-1, 2, 2)
-    cell_area = area.ravel()[fi]
-    # the part of G in an outside box cell goes to the kept axis neighbor
-    # across its longest edge inside G, or else to the nearest kept node
-    owner = mesh.compact_of_flat[mi * ny + mj]
-    away = np.nonzero(owner < 0)[0]
-    oi, oj = mi[away], mj[away]
-    edge = np.stack([ylen[oi, oj], ylen[oi + 1, oj], xlen[oi, oj], xlen[oi, oj + 1]], axis=1)
-    nbr = np.full(edge.shape, -1)
-    for s, (di, dj) in enumerate(((-1, 0), (1, 0), (0, -1), (0, 1))):
-        inbox = (oi + di >= 0) & (oi + di < nx) & (oj + dj >= 0) & (oj + dj < ny)
-        nbr[inbox, s] = mesh.compact_of_flat[((oi + di) * ny + oj + dj)[inbox]]
-    edge[nbr < 0] = 0.0
-    merged = nbr[np.arange(len(away)), np.argmax(edge, axis=1)]
-    corner = edge.max(axis=1, initial=0.0) == 0
-    if corner.any():
-        merged[corner] = mesh.nearest(centre[away[corner]])
-    owner[away] = merged
-    np.add.at(cell_area, merged, area[oi, oj])
-    # a chord goes with its area, or to the nearest boundary node
-    node = owner[cell]
-    inner = ~mesh.boundary[node]
-    if inner.any():
-        bnd = np.nonzero(mesh.boundary)[0]
-        dist = ((point[inner, None] - mesh.nodes[bnd][None]) ** 2).sum(axis=2)
-        node[inner] = bnd[np.argmin(dist, axis=1)]
-    return CutCells(cell_area, face, node, length, normal, point)
+    # owners: a kept node holds its box cell; a triangle of an outside box
+    # cell goes to the kept node across its side of the box cell, else to
+    # the one across the other side of its quarter (the nearer one to each
+    # of its points), else to the kept node nearest its centroid
+    owner = np.repeat(kept[bi, bj], 8)
+    away = np.nonzero((owner < 0) & (area > 0))[0]
+    for r in (1, 0):
+        i, j = bi[away // 8] + sides[away % 8, r, 0], bj[away // 8] + sides[away % 8, r, 1]
+        inbox = (i >= 0) & (i < nx) & (j >= 0) & (j < ny)
+        there = np.where(inbox, kept[np.clip(i, 0, nx - 1), np.clip(j, 0, ny - 1)], -1)
+        owner[away] = np.where(there >= 0, there, owner[away])
+    rest = away[owner[away] < 0]
+    if len(rest):
+        owner[rest] = mesh.nearest(centre[rest // 8] + V[np.searchsorted(cut3, rest)][
+            :, 0::2].mean(axis=1))
+    node = owner[tri]
+    if np.any(node < 0):    # a chord on a triangle of no area
+        node[node < 0] = mesh.nearest(point[node < 0])
+    cell_area = np.where(full.ravel()[mesh.flat_index], hx * hy, 0.0)
+    cell_area += np.bincount(owner[owner >= 0], area[owner >= 0], mesh.n_nodes)
+
+    # faces: full between full box cells; in and around the band, the
+    # edges between triangles of two cells, each edge once (an edge on the
+    # -x or -y side of a band cell is its band neighbor's +x or +y edge)
+    own = owner.reshape(nb, 8)
+    face = np.where(mesh.neighbors >= 0, [[hy], [hx]], 0.0)
+    clear = full.ravel()[mesh.flat_index]
+    face *= clear[:, None, None] & np.where(mesh.neighbors >= 0, clear[mesh.neighbors], False)
+    e, k, di, dj, k2 = links.T
+    inner = (di == 0) & (dj == 0)
+    ni, nj = bi[:, None] + di, bj[:, None] + dj
+    inbox = (ni >= 0) & (ni < nx) & (nj >= 0) & (nj < ny)
+    ni, nj = np.clip(ni, 0, nx - 1), np.clip(nj, 0, ny - 1)
+    slot_of = np.full((nx, ny), -1)
+    slot_of[bi, bj] = np.arange(nb)
+    other = np.where(inbox, slot_of[ni, nj], -1)
+    q = np.where(inner, own[:, k2], np.where(
+        other >= 0, own[np.maximum(other, 0), k2],
+        np.where(inbox & full[ni, nj], kept[ni, nj], -1)))
+    p = own[:, k]
+    ln = frac[:, e] * np.array([0.5 * hy, 0.5 * hx, 0.5 * np.hypot(hx, hy),
+                                0.5 * np.hypot(hx, hy)])[family[e]]
+    ln[~inner & ((di < 0) | (dj < 0)) & (other >= 0)] = 0.0
+    fam = np.broadcast_to(family[e], p.shape)
+    sel = (p >= 0) & (q >= 0) & (p != q) & (ln > 0)
+    p, q, ln, fam = p[sel], q[sel], ln[sel], fam[sel]
+    gi, gj = np.divmod(mesh.flat_index, ny)
+    dx, dy = gi[q] - gi[p], gj[q] - gj[p]
+    across, along = np.where(fam == 0, dx, dy), np.where(fam == 0, dy, dx)
+    axial = (fam < 2) & (along == 0) & (np.abs(across) == 1)
+    diagonal = (fam >= 2) & (np.abs(dx) == 1) & (dy == np.where(fam == 3, dx, -dx))
+    # both sides of each face in one pass, so that they add up alike
+    s = (across[axial] > 0).astype(int)
+    np.add.at(face, (np.stack([p[axial], q[axial]], axis=1).ravel(), np.repeat(fam[axial], 2),
+                     np.stack([s, 1 - s], axis=1).ravel()), np.repeat(ln[axial], 2))
+    pair, inv = np.unique(np.sort(np.stack([p[diagonal], q[diagonal]], axis=1), axis=1),
+                          axis=0, return_inverse=True)
+    pair_length = np.bincount(inv.ravel(), ln[diagonal], len(pair))
+    dropped = float(ln[~axial & ~diagonal].sum())
+    return CutCells(cell_area, face, pair.reshape(-1, 2), pair_length, dropped,
+                    node, length, normal, point)
 
 
 @dataclass

@@ -50,12 +50,12 @@ def test_bound_verdicts_on_a_synthetic_series():
     assert abs(verdicts["wall_s"]["parent_iqr_rel"] - 0.02 / 0.06) < 1e-12
 
 
-def test_bound_verdict_reads_the_direction_of_better():
+def test_bound_verdict_spread_and_clear_win():
     stats = {"parent": {"median": 100.0, "q1": 99.0, "q3": 101.0},
              "median_change_rel": -0.3}
     mod = _bench_pairs()
-    assert mod.bound_verdict(stats, 0.25, "lower")["verdict"] == "within"
-    assert mod.bound_verdict(stats, 0.25, "higher")["verdict"] == "beyond"
+    assert mod.bound_verdict(stats, 0.25)["verdict"] == "within"
+    assert mod.bound_verdict(dict(stats, median_change_rel=0.3), 0.25)["verdict"] == "beyond"
     # a spread wider than the bound is unresolved, unless every change run
     # is better than every parent run
     wide = dict(stats, parent={"median": 100.0, "q1": 80.0, "q3": 120.0})

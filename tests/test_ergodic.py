@@ -306,8 +306,8 @@ def test_vanishing_discount_builds_one_mesh(monkeypatch, interval, std_model, co
 DIRECT_CURVES = {
     "interval-direct": [1.569980639136138, 0.8611267834350403,
                         0.5066998555844916, -0.5565809279671546],
-    "disc-direct": [2.433188798081516, 0.8901928933641157,
-                    0.11869494100541544, -2.195798916070685],
+    "disc-direct": [2.431885197235131, 0.8901119936609595,
+                    0.1192253918738736, -2.193434413487384],
 }
 
 
@@ -408,9 +408,9 @@ def _least_squares_order(spacings, errs):
 
 def test_disc_curve_converges_at_second_order_to_the_oracle(cosdrv):
     # the cut-cell rows: lambda(0) and the slope separately on the ladder
-    # 0.1 -> 0.0125. Measured errors / h^2: 0.034-0.045 for lambda(0),
-    # 0.11-0.15 for the slope (one sign each), least-squares orders 1.89
-    # and 2.15
+    # 0.1 -> 0.0125. Measured errors / h^2: 0.026-0.038 for lambda(0),
+    # 0.0014-0.028 for the slope (one sign each), least-squares orders 1.84
+    # and 3.28
     model = kolmogorov_model(quadratic_potential(), dim=2, eta_hint=-1.0)
     disc = ball_domain(1.0, 2)
     spacings = 0.1 / 2.0 ** np.arange(4)
@@ -429,7 +429,7 @@ def test_disc_curve_converges_at_second_order_to_the_oracle(cosdrv):
 def test_disc_boundary_cost_enters_at_second_order(cosdrv):
     # g = x1^2 is read on the boundary arcs: on the unit circle its mean
     # under the (radial) invariant density is 1/2, so lambda(0) =
-    # DISC_MEAN_COS + DISC_FLUX_RATE / 2. Measured errors 0.036-0.045 h^2;
+    # DISC_MEAN_COS + DISC_FLUX_RATE / 2. Measured errors 0.030-0.034 h^2;
     # read at the boundary nodes they were 0.59-0.77 h
     model = kolmogorov_model(quadratic_potential(), dim=2, eta_hint=-1.0)
     disc = ball_domain(1.0, 2)

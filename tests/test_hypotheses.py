@@ -158,8 +158,8 @@ def test_stationary_flux_first_order_on_the_disc():
 
 def test_stationary_flux_second_order_on_the_disc():
     # the cut-cell rows through the operator's own adjoint (weights()):
-    # errors 0.175-0.187 h^2 of one sign on 0.1 -> 0.0125, least-squares
-    # order 2.04
+    # errors 0.086-0.095 h^2 of one sign on 0.1 -> 0.0125, least-squares
+    # order 2.01
     exact = _ou_flux_oracle(2)
     disc = ball_domain(1.0, 2)
     spacings = 0.1 / 2.0 ** np.arange(4)
