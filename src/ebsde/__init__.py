@@ -20,8 +20,8 @@ __version__ = "0.1.0"
 from .errors import (BracketFailure, ConfigError, DegenerateLocalTime,
                      EbsdeError, FlatCurve, NonConvergence,
                      NonConvexPotential, NotKolmogorov, NotOnBoundary,
-                     PicardDiverged, SchemeMismatch, SigmaNotConstant,
-                     SingularSigma, StepTooLarge, WeightDegeneracy)
+                     PicardDiverged, SigmaNotConstant, SingularSigma,
+                     StepTooLarge, WeightDegeneracy)
 from .geometry import (DomainSpec, ball_domain, boundary_sample,
                        domain_from_json, domain_grid, geometric_constants,
                        inward_normal, project, quadratic_domain,

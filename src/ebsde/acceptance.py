@@ -79,7 +79,7 @@ def criterion_01() -> CriterionResult:
     for mu in (-1.0, 0.0, 1.0):
         t1 = time.perf_counter()
         sol = solve_ergodic(model, domain, driver, mu, scheme="direct",
-                            spacing=1e-3, viscosity="auto")
+                            spacing=1e-3)
         dt = time.perf_counter() - t1
         xs = sol.v.nodes[:, 0]
         xr = xs[sol.v.mesh.ref_index()]

@@ -24,8 +24,8 @@ from . import acceptance
 from .control import (check_policy_spec, cost_I, cost_J, feedback_policy,
                       girsanov_weight_check, induced_driver, policy_from_json,
                       policy_verdict)
-from .ergodic import (_jsonable, curve_to_csv, lambda_of_mu, lambda_time_average,
-                      solve_boundary_cost, solve_ergodic)
+from .ergodic import (SCHEMES, _jsonable, curve_to_csv, lambda_of_mu,
+                      lambda_time_average, solve_boundary_cost, solve_ergodic)
 from .errors import ConfigError, EbsdeError
 from .hypotheses import check_all
 from .presets import assemble_config
@@ -38,8 +38,8 @@ _ORIGIN = {
     "NotOnBoundary": "geometry", "NonConvergence": "geometry or ergodic",
     "StepTooLarge": "dynamics", "NotKolmogorov": "dynamics",
     "NonConvexPotential": "hypotheses", "SigmaNotConstant": "hypotheses",
-    "PicardDiverged": "discounted", "SchemeMismatch": "ergodic",
-    "FlatCurve": "ergodic", "BracketFailure": "ergodic",
+    "PicardDiverged": "discounted", "FlatCurve": "ergodic",
+    "BracketFailure": "ergodic",
     "SingularSigma": "verification",
     "DegenerateLocalTime": "control", "WeightDegeneracy": "control",
 }
@@ -53,7 +53,6 @@ _REMEDY = {
     "NonConvergence": "a discount sequence or a bisection ran out of budget "
                       "(loosen --tol or refine --grid), or a boundary "
                       "projection failed (check the domain)",
-    "SchemeMismatch": "refine --grid until both schemes agree",
     "FlatCurve": "the boundary flux is zero for this model, so mu never "
                  "enters; run the check task and look at F2''/F2.2",
     "BracketFailure": "the target constant is out of reach; move --lambda",
@@ -96,6 +95,10 @@ def _effective(cfg: dict, args) -> dict:
         "mus": [float(m) for m in run.get("mus", [-2, -1, 0, 1, 2])],
         "grid_density": int(run.get("grid_density", 48)),
     }
+    if eff["scheme"] not in SCHEMES:
+        raise ConfigError(f"run.scheme {eff['scheme']!r} is not one of {SCHEMES}")
+    if not 0 < eff["grid"] < np.inf:
+        raise ConfigError(f"grid spacing {eff['grid']!r} is not finite and positive")
     lt = getattr(args, "lambda_target", None)
     if lt is not None or "lambda_target" in run:
         eff["lambda_target"] = float(lt if lt is not None else run["lambda_target"])

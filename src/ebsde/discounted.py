@@ -360,11 +360,17 @@ def _extrapolate(xs: list):
     return 2 * xs[1] - xs[0] if len(xs) == 2 else xs[0]
 
 
-def _picard(ops: GridOperators, driver: DriverSpec, linear_solve, tol: float,
-            max_sweeps: int):
+# the frozen-gradient fixed point of ``_picard``: the update it stops below
+# and the sweeps it may take before PicardDiverged
+PICARD_TOL = 1e-10
+MAX_SWEEPS = 80
+
+
+def _picard(ops: GridOperators, driver: DriverSpec, linear_solve):
     """Frozen-gradient fixed point: repeat linear solves with psi at the
     previous sweep's z field until the sup-norm update of the node values
-    relative to the reference node stalls below tol. The frozen z reads
+    relative to the reference node stalls below ``PICARD_TOL``, in at most
+    ``MAX_SWEEPS`` sweeps (PicardDiverged otherwise). The frozen z reads
     gradients only, so the constant part of the values (about lambda/alpha
     in a discounted solve) is left out of the test. ``linear_solve``
     returns the unknowns, nodes first. Returns the unknowns, the number of
@@ -382,7 +388,7 @@ def _picard(ops: GridOperators, driver: DriverSpec, linear_solve, tol: float,
     x = np.zeros(n)
     delta_prev = np.inf
     damped = 0
-    for sweep in range(max_sweeps):
+    for sweep in range(MAX_SWEEPS):
         Z = np.einsum("nd,nde->ne", GridFunction(mesh, x[:n]).gradient(), ops.sig)
         x_new = linear_solve(driver.psi_at(nodes, Z))
         delta = update(x_new, x)
@@ -390,11 +396,11 @@ def _picard(ops: GridOperators, driver: DriverSpec, linear_solve, tol: float,
             x_new = 0.5 * (x_new + x)   # damp oscillating sweeps
             delta = update(x_new, x)
             damped += 1
-        if delta < tol:
+        if delta < PICARD_TOL:
             return x_new, sweep + 1, delta, damped
         x, delta_prev = x_new, delta
     raise PicardDiverged(
-        f"gradient fixed point did not stall below {tol:.1e} in {max_sweeps} "
+        f"gradient fixed point did not stall below {PICARD_TOL:.1e} in {MAX_SWEEPS} "
         "sweeps; refine the grid or increase the discount")
 
 
@@ -405,13 +411,14 @@ def _needs_viscosity(a_diag: np.ndarray, h: float) -> bool:
 class GridOperators:
     """Everything a grid solve needs apart from mu and the driver.
 
-    Holds the mesh, the coefficients at its nodes, the viscosity levels,
-    one alpha-free stencil per eps (``stencil``), shared by every discount
-    and by the bordered and unbordered operators, the number of LUs built
-    (``factorisations``), and one LU per (alpha, eps, bordered), factorised
-    the first time that key is used (``_factorise``). The discount enters
-    only the diagonal as fl(-S - alpha), the same bits as assembling with
-    alpha. In 1-d the LAPACK tridiagonal LU takes the stencil's three
+    Holds the mesh, the coefficients at its nodes, the viscosity levels
+    (``eps_list``: h and h/2 on a 1-d grid where the diffusion degenerates
+    somewhere, ``_needs_viscosity``; 0 otherwise), one alpha-free stencil
+    per eps (``stencil``), shared by every discount and by the bordered and
+    unbordered operators, the number of LUs built (``factorisations``), and
+    one LU per (alpha, eps, bordered), factorised the first time that key
+    is used (``_factorise``). The discount enters only the diagonal as
+    fl(-S - alpha), the same bits as assembling with alpha. In 1-d the LAPACK tridiagonal LU takes the stencil's three
     diagonals (SuperLU takes a CSC built from the stencil in 2-d), and a
     lambda border is removed by one row swap, the reference node's row
     giving way to the normalization row
@@ -425,16 +432,14 @@ class GridOperators:
     """
 
     def __init__(self, model: SdeModel, domain: DomainSpec, spacing: float = 1e-3,
-                 viscosity: str = "auto", keep_lus: bool = True):
+                 keep_lus: bool = True):
         if domain.dim > 2:
             raise NotImplementedError("grid solves are 1-d and 2-d only")
-        self.model, self.domain = model, domain
-        self.spacing, self.viscosity = spacing, viscosity
+        self.model, self.domain, self.spacing = model, domain, spacing
         self.mesh = build_mesh(domain, spacing)
         self.sig, self.a, self.b = _coefficients(self.mesh, model)
         h = self.mesh.spacing
-        use_visc = domain.dim == 1 and (
-            viscosity == "force" or (viscosity == "auto" and _needs_viscosity(self.a, h)))
+        use_visc = domain.dim == 1 and _needs_viscosity(self.a, h)
         self.eps_list = [h, h / 2] if use_visc else [0.0]
         self.ref = self.mesh.ref_index()
         self.keep_lus = keep_lus
@@ -444,13 +449,12 @@ class GridOperators:
         self._neumann: dict = {}
         self._rows: Optional[np.ndarray] = None
 
-    def check(self, model: SdeModel, domain: DomainSpec, spacing: float,
-              viscosity: str) -> None:
+    def check(self, model: SdeModel, domain: DomainSpec, spacing: float) -> None:
         """Raise ValueError unless built for this problem and grid."""
         if not (model is self.model and domain is self.domain
-                and spacing == self.spacing and viscosity == self.viscosity):
-            raise ValueError("operators were built for another model, domain, "
-                             "spacing or viscosity")
+                and spacing == self.spacing):
+            raise ValueError("operators were built for another model, domain "
+                             "or spacing")
 
     def stencil(self, eps: float):
         """The alpha-free stencil (``_assemble_stencil``) at viscosity level
@@ -571,7 +575,7 @@ class GridOperators:
 
 
 def _grid_solve(ops: GridOperators, driver: DriverSpec, alpha: float, mu: float,
-                tol: float, max_sweeps: int, bordered: bool = False):
+                bordered: bool = False):
     """Unknowns of the discrete problem (node values, then lambda when
     ``bordered``), extrapolated over the viscosity levels, and a record of
     the solve: the nodes, the viscosity levels, the factoriser of each level
@@ -592,7 +596,7 @@ def _grid_solve(ops: GridOperators, driver: DriverSpec, alpha: float, mu: float,
             r[:ops.mesh.n_nodes] -= pv
             return lu.solve(r)
 
-        x, sweeps, update, damped = _picard(ops, driver, linear_solve, tol, max_sweeps)
+        x, sweeps, update, damped = _picard(ops, driver, linear_solve)
         sols.append(x)
         record["factorisers"].append(_factoriser(ops.mesh, lu))
         record["picard_sweeps"] += sweeps
@@ -604,19 +608,18 @@ def _grid_solve(ops: GridOperators, driver: DriverSpec, alpha: float, mu: float,
 
 
 def solve_discounted(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
-                     alpha: float, mu: float = 0.0, spacing: float = 1e-3,
-                     tol: float = 1e-10, max_sweeps: int = 80,
-                     viscosity: str = "auto") -> GridFunction:
+                     alpha: float, mu: float = 0.0, spacing: float = 1e-3) -> GridFunction:
     """Grid solution of the discounted problem at discount alpha.
 
-    ``viscosity``: "auto" adds the two-level vanishing-viscosity
-    extrapolation when the diffusion degenerates somewhere on a 1-d grid,
-    "off" never does, "force" always does (1-d only).
+    A driver that reads z takes the Picard sweeps of ``PICARD_TOL`` and
+    ``MAX_SWEEPS``. On a 1-d grid whose diffusion degenerates somewhere
+    (``_needs_viscosity``) the solution is extrapolated from the two
+    viscosity levels of ``GridOperators``.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    ops = GridOperators(model, domain, spacing, viscosity, keep_lus=False)
-    v, _ = _grid_solve(ops, driver, alpha, mu, tol, max_sweeps)
+    ops = GridOperators(model, domain, spacing, keep_lus=False)
+    v, _ = _grid_solve(ops, driver, alpha, mu)
     return GridFunction(ops.mesh, v)
 
 

@@ -22,7 +22,6 @@ curve one solve per mu and invert it by bisection.
 from __future__ import annotations
 
 import csv
-import inspect
 import json
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
@@ -32,7 +31,7 @@ import numpy as np
 from . import dynamics, hypotheses
 from .discounted import DriverSpec, GridOperators, _grid_solve
 from .dynamics import SdeModel
-from .errors import BracketFailure, FlatCurve, NonConvergence, SchemeMismatch
+from .errors import BracketFailure, FlatCurve, NonConvergence
 from .geometry import DomainSpec
 from .grids import GridFunction
 
@@ -126,74 +125,60 @@ def _alpha0(model: SdeModel, domain: DomainSpec) -> float:
     return abs(eta) / 4.0
 
 
+SCHEMES = ("direct", "vanishing_discount")
+MAX_HALVINGS = 40   # of the vanishing-discount scheme, before NonConvergence
+
+
 def solve_ergodic(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
                   mu: float, scheme: str = "direct", spacing: float = 1e-3,
-                  tol: float = 1e-3, picard_tol: float = 1e-10,
-                  max_sweeps: int = 80, viscosity: str = "auto",
-                  max_halvings: int = 40,
+                  tol: float = 1e-3,
                   operators: Optional[GridOperators] = None) -> ErgodicSolution:
     """Solve the ergodic problem at fixed mu; returns (v, zeta, lambda).
 
-    scheme is one of "direct", "vanishing_discount", or "both"; with
-    "both" the two lambdas must agree within 5 tol or SchemeMismatch is
-    raised. The value function is normalized to vanish at the node
-    nearest the centroid. ``operators`` lends the mesh and the LUs of
-    earlier solves of the same model, domain, spacing and viscosity
-    (ValueError otherwise); without it the solve builds its own.
+    scheme is one of ``SCHEMES``. The vanishing-discount scheme halves the
+    discount until two successive alpha v(x_ref) differ by less than
+    tol / 2, at most ``MAX_HALVINGS`` times. The value function is
+    normalized to vanish at the node nearest the centroid. ``operators``
+    lends the mesh and the LUs of earlier solves of the same model, domain
+    and spacing (ValueError otherwise); a curve or an inversion shares one
+    instance across its solves. Without it the solve builds its own.
     """
-    if scheme not in ("direct", "vanishing_discount", "both"):
-        raise ValueError(f"unknown scheme {scheme!r}; use 'direct', "
-                         "'vanishing_discount', or 'both'")
-    ops = operators or GridOperators(model, domain, spacing, viscosity,
-                                     keep_lus=False)
-    ops.check(model, domain, spacing, viscosity)
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; use one of {SCHEMES}")
+    ops = operators or GridOperators(model, domain, spacing, keep_lus=False)
+    ops.check(model, domain, spacing)
     mesh = ops.mesh
     diagnostics: Dict = {"scheme": scheme, "spacing": mesh.spacing,
                          "boundary_rows": "ghost_point" if mesh.domain.dim == 1
                          else "cut_cell"}
-    records = []
-    v_dir = lam_dir = None
-    if scheme in ("direct", "both"):
-        x, record = _grid_solve(ops, driver, 0.0, mu, picard_tol, max_sweeps,
-                                bordered=True)
-        records.append(record)
-        v_dir = x[:-1] - x[ops.ref]
-        lam_dir = float(x[-1])
-        diagnostics["lambda_direct"] = lam_dir
-    v_vd = lam_vd = None
-    if scheme in ("vanishing_discount", "both"):
+    if scheme == "direct":
+        x, record = _grid_solve(ops, driver, 0.0, mu, bordered=True)
+        records = [record]
+        v = x[:-1] - x[ops.ref]
+        lam = float(x[-1])
+        diagnostics["lambda_direct"] = lam
+    else:
         alpha = _alpha0(model, domain)
-        seq = []
+        alphas, records = [], []
         lam_prev = None
-        for k in range(max_halvings):
-            vals, record = _grid_solve(ops, driver, alpha, mu, picard_tol, max_sweeps)
+        for k in range(MAX_HALVINGS):
+            vals, record = _grid_solve(ops, driver, alpha, mu)
             records.append(record)
             lam_k = alpha * vals[ops.ref]
-            seq.append((alpha, lam_k))
+            alphas.append(alpha)
             if lam_prev is not None and abs(lam_k - lam_prev) < tol / 2:
                 break
             lam_prev = lam_k
             alpha /= 2
         else:
             raise NonConvergence(
-                f"discount sequence exhausted after {max_halvings} halvings")
-        lam_vd = 2 * lam_k - lam_prev
-        v_vd = vals - vals[ops.ref]
-        diagnostics["alpha_sequence"] = [a for a, _ in seq]
-        diagnostics["lambda_vd"] = lam_vd
+                f"discount sequence exhausted after {MAX_HALVINGS} halvings")
+        lam = 2 * lam_k - lam_prev
+        v = vals - vals[ops.ref]
+        diagnostics["alpha_sequence"] = alphas
+        diagnostics["lambda_vd"] = lam
         diagnostics["extrapolation_gap"] = abs(lam_k - lam_prev)
     diagnostics.update(_solve_record(records))
-    if scheme == "both":
-        if abs(lam_dir - lam_vd) > 5 * tol:
-            raise SchemeMismatch(
-                f"direct and vanishing-discount constants differ by "
-                f"{abs(lam_dir - lam_vd):.3e} (> 5 tol = {5 * tol:.1e}); "
-                "the grid is too coarse")
-        diagnostics["scheme_gap"] = abs(lam_dir - lam_vd)
-    if v_dir is not None:
-        v, lam = v_dir, lam_dir
-    else:
-        v, lam = v_vd, lam_vd
     zeta = np.einsum("nd,nde->ne", GridFunction(mesh, v).gradient(), ops.sig)
     return ErgodicSolution(GridFunction(mesh, v), zeta, float(lam), float(mu),
                            diagnostics)
@@ -214,33 +199,14 @@ def _solve_record(records: list) -> Dict:
             "damping_events": sum(r["damping_events"] for r in records)}
 
 
-_SOLVE_SIGNATURE = inspect.signature(solve_ergodic)
-
-
-def _shared_operators(model: SdeModel, domain: DomainSpec, solve_kw: Dict) -> Dict:
-    """Every keyword of ``solve_ergodic`` (its defaults filled in, TypeError
-    on one it does not take) with one GridOperators that every solve of a
-    curve or an inversion shares: one mesh, and one LU per discount and
-    viscosity level. Handed-in operators must match (``GridOperators.check``)."""
-    args = _SOLVE_SIGNATURE.bind(model, domain, None, 0.0, **solve_kw)
-    args.apply_defaults()
-    kw = {k: v for k, v in args.arguments.items()
-          if k not in ("model", "domain", "driver", "mu")}
-    if kw["operators"] is None:
-        kw["operators"] = GridOperators(model, domain, kw["spacing"], kw["viscosity"])
-    kw["operators"].check(model, domain, kw["spacing"], kw["viscosity"])
-    return kw
-
-
-def _affine_curve(driver: DriverSpec, solve_kw: Dict):
+def _affine_curve(driver: DriverSpec, scheme: str, ops: GridOperators):
     """(lambda(0), d lambda / d mu) of the direct scheme, or None when the
     curve is not a line: a driver that reads z, or another scheme. One
     transposed solve per viscosity level gives lambda = measure.psi +
     flux.(mu - g) (``GridOperators.weights``): the slope is w.dr/dmu, the
     flux summed over the boundary nodes."""
-    if driver.K_psi_z != 0.0 or solve_kw["scheme"] != "direct":
+    if driver.K_psi_z != 0.0 or scheme != "direct":
         return None
-    ops = solve_kw["operators"]
     nodes = ops.mesh.nodes
     measure, flux = ops.weights()
     g = ops.boundary_cost(driver)
@@ -249,90 +215,102 @@ def _affine_curve(driver: DriverSpec, solve_kw: Dict):
 
 
 def lambda_of_mu(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
-                 mus: Sequence[float], **solve_kw) -> LambdaOfMuCurve:
+                 mus: Sequence[float], *, scheme: str = "direct",
+                 spacing: float = 1e-3, tol: float = 1e-3,
+                 operators: Optional[GridOperators] = None) -> LambdaOfMuCurve:
     """Sample the boundary-constant-to-ergodic-constant map: the line
     lambda(0) + mu slope for a z-free driver on the direct scheme, one solve
-    per mu otherwise. The curve's ``record`` says which ("route": "line" or
-    "solve_per_mu") and what it took: the nodes, the LUs built (0 when
-    handed-in operators held them), the forward linear solves (Picard
-    sweeps included) and the transposed solves of ``GridOperators.weights``."""
+    per mu otherwise (``solve_ergodic`` with these keywords). The curve's
+    ``record`` says which ("route": "line" or "solve_per_mu") and what it
+    took: the nodes, the LUs built (0 when handed-in operators held them),
+    the forward linear solves (Picard sweeps included) and the transposed
+    solves of ``GridOperators.weights``."""
     mus = np.asarray(sorted(mus), dtype=float)
-    solve_kw = _shared_operators(model, domain, solve_kw)
-    ops = solve_kw["operators"]
+    ops = operators or GridOperators(model, domain, spacing)
+    ops.check(model, domain, spacing)
     built = ops.factorisations
-    line = _affine_curve(driver, solve_kw)
+    line = _affine_curve(driver, scheme, ops)
     if line is not None:
         lams = line[0] + mus * line[1]
         record = {"route": "line", "solves": 0, "transposed_solves": len(ops.eps_list)}
     else:
-        sols = [solve_ergodic(model, domain, driver, m, **solve_kw) for m in mus]
+        sols = [solve_ergodic(model, domain, driver, m, scheme, spacing, tol, ops)
+                for m in mus]
         lams = np.array([sol.lam for sol in sols])
         record = {"route": "solve_per_mu", "transposed_solves": 0,
                   "solves": sum(sol.diagnostics["picard_sweeps"] for sol in sols)}
     record.update(nodes=ops.mesh.n_nodes, factorisations=ops.factorisations - built)
-    return LambdaOfMuCurve(mus, lams, float(solve_kw["tol"]), record)
+    return LambdaOfMuCurve(mus, lams, float(tol), record)
 
 
-def _flat_message(slope: float, where: str, flat_tol: float) -> str:
+# the bisection of ``solve_boundary_cost``: the floor of the secant slope
+# that scales the first bracket, the bracket doublings and the steps
+SLOPE_FLOOR = 1e-2
+MAX_EXPANSIONS = 8
+MAX_BISECT = 60
+
+
+def _flat_message(slope: float, where: str) -> str:
     if slope > 0:
         sign = "positive, but the curve cannot increase: a flat curve's discretisation error"
     elif slope == 0:
         sign = "zero"
     else:
-        sign = f"negative but within flat_tol = {flat_tol:.1e} of zero"
+        sign = f"negative but within FLAT_TOL = {hypotheses.FLAT_TOL:.1e} of zero"
     return f"slope {slope:+.2e} {where} is {sign}; the boundary constant is not identifiable"
 
 
 def solve_boundary_cost(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
-                        lambda_target: float, tol: float = 1e-3,
-                        slope_floor: float = 1e-2,
-                        flat_tol: float = hypotheses.FLAT_TOL,
-                        max_expansions: int = 8, max_bisect: int = 60,
-                        **solve_kw) -> ErgodicSolution:
-    """Find mu with lambda(mu) = lambda_target.
+                        lambda_target: float, *, scheme: str = "direct",
+                        spacing: float = 1e-3, tol: float = 1e-3,
+                        operators: Optional[GridOperators] = None) -> ErgodicSolution:
+    """Find mu with |lambda(mu) - lambda_target| <= tol.
 
     For a z-free driver on the direct scheme the curve is a line, so
     mu = (lambda_target - lambda(0)) / slope, confirmed by one solve.
-    Otherwise a monotone bisection: the initial bracket half-width combines
-    the distance to lambda(0) and the driver bound, scaled by the secant
-    slope |lambda(1) - lambda(0)| (floored by slope_floor); it doubles on
-    straddle failure. The curve does not increase, so FlatCurve means that
-    the slope (exact, or sampled over the bracket) is at or above -flat_tol:
-    flat, or increasing by a discretisation error, and either way mu is not
-    identifiable; ``hypotheses.check_all`` reports the same exact slope as
-    F2.2. BracketFailure means the target was never straddled. The
-    solution's diagnostics["inversion"] records the route, the number of
-    solves, the LUs built over the whole inversion (those of
-    ``GridOperators.weights`` included; 0 when handed-in operators held
-    them all) and the slope: exact, or the secant lambda(1) - lambda(0) of
-    the bisection.
+    Otherwise a monotone bisection on solves with ``solve_ergodic``'s own
+    tol: the initial bracket half-width combines the distance to lambda(0)
+    and the driver bound, scaled by the secant slope |lambda(1) -
+    lambda(0)| (floored by ``SLOPE_FLOOR``); it doubles on straddle
+    failure, at most ``MAX_EXPANSIONS`` times, and the bisection takes at
+    most ``MAX_BISECT`` steps. The curve does not increase, so FlatCurve
+    means that the slope (exact, or sampled over the bracket) is at or
+    above -``hypotheses.FLAT_TOL``: flat, or increasing by a discretisation
+    error, and either way mu is not identifiable; ``hypotheses.check_all``
+    reports the same exact slope against the same constant as F2.2.
+    BracketFailure means the target was never straddled. The solution's
+    diagnostics["inversion"] records the route, the number of solves, the
+    LUs built over the whole inversion (those of ``GridOperators.weights``
+    included; 0 when handed-in operators held them all) and the slope:
+    exact, or the secant lambda(1) - lambda(0) of the bisection.
     """
-    solve_kw = _shared_operators(model, domain, solve_kw)
-    ops, built = solve_kw["operators"], solve_kw["operators"].factorisations
+    ops = operators or GridOperators(model, domain, spacing)
+    ops.check(model, domain, spacing)
+    built = ops.factorisations
     solves = []
 
     def solve(mu):
         solves.append(mu)
-        return solve_ergodic(model, domain, driver, mu, **solve_kw)
+        return solve_ergodic(model, domain, driver, mu, scheme, spacing, operators=ops)
 
-    line = _affine_curve(driver, solve_kw)
+    line = _affine_curve(driver, scheme, ops)
     if line is not None:
         lam0, slope = line
-        if slope >= -flat_tol:
-            raise FlatCurve(_flat_message(slope, "of the discrete curve", flat_tol))
+        if slope >= -hypotheses.FLAT_TOL:
+            raise FlatCurve(_flat_message(slope, "of the discrete curve"))
         sol = solve((lambda_target - lam0) / slope)
     else:
         sol0 = solve(0.0)
         lam0 = sol0.lam
         slope = solve(1.0).lam - lam0
-        B = (abs(lambda_target - lam0) + 2 * driver.M_psi) / max(abs(slope), slope_floor)
+        B = (abs(lambda_target - lam0) + 2 * driver.M_psi) / max(abs(slope), SLOPE_FLOOR)
         B = max(B, 10 * tol)
-        for _ in range(max_expansions):
+        for _ in range(MAX_EXPANSIONS):
             lam_lo = solve(-B).lam
             lam_hi = solve(+B).lam
-            if (lam_hi - lam_lo) / (2 * B) >= -flat_tol:
+            if (lam_hi - lam_lo) / (2 * B) >= -hypotheses.FLAT_TOL:
                 raise FlatCurve(_flat_message((lam_hi - lam_lo) / (2 * B),
-                                              f"sampled over [-{B:.3g}, {B:.3g}]", flat_tol))
+                                              f"sampled over [-{B:.3g}, {B:.3g}]"))
             if lam_lo >= lambda_target >= lam_hi:
                 break
             B *= 2
@@ -343,7 +321,7 @@ def solve_boundary_cost(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
                 f"[{lam_hi:.4g}, {lam_lo:.4g}]")
         lo, hi = -B, B
         sol = sol0
-        for _ in range(max_bisect):
+        for _ in range(MAX_BISECT):
             mid = 0.5 * (lo + hi)
             # the bracket is symmetric, so the first midpoint is the solved mu = 0
             sol = sol0 if mid == 0.0 else solve(mid)

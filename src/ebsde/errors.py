@@ -42,10 +42,6 @@ class PicardDiverged(EbsdeError):
     """The frozen-gradient fixed-point sweep failed to contract."""
 
 
-class SchemeMismatch(EbsdeError):
-    """The two ergodic schemes disagree beyond tolerance on the same grid."""
-
-
 class FlatCurve(EbsdeError):
     """The cost curve has no usable slope, so the boundary cost is not identifiable."""
 

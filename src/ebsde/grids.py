@@ -118,6 +118,8 @@ class Mesh:
 
 def build_mesh(domain: DomainSpec, spacing: float) -> Mesh:
     """Tensor mesh with the given target spacing, snapped to the box."""
+    if not 0 < spacing < np.inf:
+        raise ValueError(f"mesh spacing must be finite and positive, not {spacing!r}")
     axes = []
     for lo, hi in domain.bounding_box:
         n = max(2, round((hi - lo) / spacing))
@@ -483,7 +485,8 @@ class GridFunction:
         vp = np.where(kp >= 0, v[kp], vc)
         width = (km >= 0).astype(float) + (kp >= 0)
         # a node with no neighbor along an axis gets a zero component there
-        self._grad = (vp - vm) / (np.maximum(width, 1.0) * m.spacing)
+        h = np.array([a[1] - a[0] for a in m.axes])
+        self._grad = (vp - vm) / (np.maximum(width, 1.0) * h)
         return self._grad
 
     def __call__(self, x) -> float:

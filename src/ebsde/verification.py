@@ -40,7 +40,7 @@ def pde_residual(solution: ErgodicSolution, model: SdeModel, domain: DomainSpec,
     """
     mesh = solution.v.mesh
     v = solution.v.values
-    h = mesh.spacing
+    h = np.array([a[1] - a[0] for a in mesh.axes])   # each axis's own step
     lam, mu = solution.lam, solution.mu
     nodes, nb = mesh.nodes, mesh.neighbors
     keep = np.ones(mesh.n_nodes, bool)

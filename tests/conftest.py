@@ -6,11 +6,14 @@ U = |x|^2/2 on the unit disc, sigma = sqrt(2)) and are frozen as literals;
 a session guard recomputes them at import so a quadrature regression cannot
 silently move the targets.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import integrate
 
-from ebsde import ball_domain, cos_driver, kolmogorov_model, quadratic_potential
+from ebsde import (ball_domain, cos_driver, kolmogorov_model, quadratic_domain,
+                   quadratic_potential)
 
 # gaussian weight on [-1, 1], stationary law of the standard test model
 NORMALIZER = 1.7112487837842973
@@ -67,6 +70,13 @@ def oracle_guard():
     disc_mc, disc_flux = _recompute_disc()
     assert abs(disc_mc - DISC_MEAN_COS) < 1e-12
     assert abs(disc_flux - DISC_FLUX_RATE) < 1e-12
+
+
+def flat_ellipse():
+    """The ellipse x^2 + 4 y^2 <= 1 in its own box [-1, 1] x [-0.5, 0.5],
+    whose axes round to different steps: 0.0690 and 0.0714 at spacing 0.07."""
+    return dataclasses.replace(quadratic_domain([[1.0, 0.0], [0.0, 4.0]]),
+                               bounding_box=np.array([[-1.0, 1.0], [-0.5, 0.5]]))
 
 
 @pytest.fixture()

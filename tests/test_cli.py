@@ -159,6 +159,30 @@ def test_reproduce_is_byte_deterministic_apart_from_timings(tmp_path):
     assert timings["4"]["seconds"] >= 0.0
 
 
+@pytest.mark.parametrize("scheme", ["bogus", "both"])
+@pytest.mark.parametrize("task", ["solve", "curve"])
+def test_unknown_scheme_is_a_config_error(tmp_path, capsys, task, scheme):
+    cfg = json.loads((CONFIGS / "interval_cos.json").read_text())
+    cfg["run"]["scheme"] = scheme
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    rc = cli.main([task, "--config", str(path), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"config error: run.scheme '{scheme}' is not one of" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("grid", ["-1", "0", "nan", "inf"])
+def test_grid_must_be_finite_and_positive(tmp_path, capsys, grid):
+    # a negative spacing would round to a 3-node mesh, and 0 overflows
+    rc = cli.main(["solve", "--config", str(CONFIGS / "interval_cos.json"),
+                   "--grid", grid, "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "is not finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_is_a_config_error(tmp_path, capsys):
     rc = cli.main(["solve", "--config", str(tmp_path / "nope.json"),
                    "--out-dir", str(tmp_path)])

@@ -78,8 +78,7 @@ def test_z_dependent_driver_fixed_point(interval, std_model):
                      psi_vec=lambda X, Z: np.cos(X[:, 0]) + 0.3 * Z[:, 0],
                      name="cos+z")
     v1 = solve_discounted(std_model, interval, drv, 0.2, spacing=1e-3)
-    v2 = solve_discounted(std_model, interval, drv, 0.2, spacing=1e-3,
-                          tol=1e-10)
+    v2 = solve_discounted(std_model, interval, drv, 0.2, spacing=1e-3)
     assert np.max(np.abs(v1.values - v2.values)) < 1e-6
     assert np.all(np.isfinite(v1.values))
 
@@ -394,9 +393,9 @@ def test_tridiagonal_lu_reads_the_assembled_diagonals(monkeypatch, name, domain,
             super().__init__(dl, d, du, ref)
 
     monkeypatch.setattr(discounted, "_TridiagonalLU", Recording)
-    ops = discounted.GridOperators(model, domain, spacing, viscosity="force")
-    n = ops.mesh.n_nodes
-    for level in sorted({eps, *ops.eps_list}):
+    ops = discounted.GridOperators(model, domain, spacing)
+    n, h = ops.mesh.n_nodes, ops.mesh.spacing
+    for level in sorted({eps, *ops.eps_list, h, h / 2}):
         for alpha in (0.0, 0.3, 0.25 * 2.0 ** -7):
             given.clear()
             assert isinstance(ops.lu(alpha, level, bordered), Recording)
@@ -420,10 +419,10 @@ def test_tridiagonal_lu_reads_the_assembled_diagonals(monkeypatch, name, domain,
 def test_backward_check_residual_is_the_csc_residual(model, where, interval):
     # the tridiagonal-plus-border product adds each row in column order as
     # the CSC product does, so the residual and the handover keep their bits
-    ops = discounted.GridOperators(model, interval, 1e-3, viscosity="force")
-    n = ops.mesh.n_nodes
+    ops = discounted.GridOperators(model, interval, 1e-3)
+    n, h = ops.mesh.n_nodes, ops.mesh.spacing
     ref = {"centre": ops.ref, "first": 0, "last": n - 1}[where]
-    for eps in ops.eps_list:
+    for eps in sorted({*ops.eps_list, h, h / 2}):
         diag, coef = ops.stencil(eps)[:2]
         tri = coef[1:, 0, 0], diag, coef[:-1, 0, 1]
         lu = discounted._TridiagonalLU(*tri, ref)
@@ -478,7 +477,7 @@ def test_adjoint_weights_are_the_invariant_measure(name, domain, model, spacing)
         lam = scipy.sparse.linalg.splu(ops.operator(0.0, eps, True)).solve(rhs)[-1]
         assert abs(w @ rhs - lam) <= 1e-12 * max(1.0, abs(lam))
     # the extrapolated weights against the extrapolated forward solve
-    x, _ = discounted._grid_solve(ops, driver, 0.0, 0.4, 1e-10, 80, bordered=True)
+    x, _ = discounted._grid_solve(ops, driver, 0.0, 0.4, bordered=True)
     measure, flux = ops.weights()
     g = ops.boundary_cost(driver)
     if domain.dim == 1:
@@ -540,11 +539,10 @@ def test_one_dimensional_rows_are_monotone_with_a_probability_measure(
     # are below the rounding of a forward lambda difference. Each level's
     # curve is non-increasing; the degenerate model's extrapolated slope is
     # a positive 4.5e-7, far below FlatCurve's 1e-6
-    kw = ergodic._shared_operators(model, interval, {"spacing": spacing,
-                                                     "operators": ops})
-    _, slope = ergodic._affine_curve(driver, kw)
+    _, slope = ergodic._affine_curve(driver, "direct", ops)
     assert slope < 0 or name == "degenerate"
-    lam0, lam1 = (solve_ergodic(model, interval, driver, mu, **kw).lam
+    lam0, lam1 = (solve_ergodic(model, interval, driver, mu, spacing=spacing,
+                                operators=ops).lam
                   for mu in (0.0, 1.0))
     assert abs(slope - (lam1 - lam0)) <= 1e-10 * max(abs(slope), abs(lam0), abs(lam1))
 
@@ -680,10 +678,11 @@ def test_tridiagonal_lu_matches_splu(model, alpha, ref, interval):
     # degenerate model's point mass at 0 leaves the edges rarely visited,
     # so removing the border there is not backward stable: SuperLU instead
     tridiagonal = model is STD_1D or ref in (None, "centre")
-    ops = discounted.GridOperators(model, interval, 1e-3, viscosity="force")
+    ops = discounted.GridOperators(model, interval, 1e-3)
     mesh, n, bordered = ops.mesh, ops.mesh.n_nodes, ref is not None
+    h = mesh.spacing
     driver = dataclasses.replace(cos_driver(), g=lambda x: 0.2 + float(x[0]))
-    for eps in ops.eps_list:
+    for eps in sorted({*ops.eps_list, h, h / 2}):
         rhs = _rhs(ops, driver, 0.4, eps, bordered)
         rhs[:n] -= np.cos(mesh.nodes[:, 0])
         A = assemble_operator(mesh, ops.a + 0.5 * eps ** 2, ops.b, alpha, bordered)
@@ -743,8 +742,8 @@ def test_one_factorisation_per_viscosity_level_in_1d(monkeypatch):
     counts = _count_factorisations(monkeypatch)
     doc = json.loads((CONFIGS / "two_control.json").read_text())
     domain, model, driver, _ = assemble_config(doc)
-    sol = solve_ergodic(model, domain, driver, 0.3, scheme="direct", spacing=1e-2,
-                        viscosity="force")
+    monkeypatch.setattr(discounted, "_needs_viscosity", lambda a, h: True)
+    sol = solve_ergodic(model, domain, driver, 0.3, scheme="direct", spacing=1e-2)
     assert len(sol.diagnostics["viscosity_eps"]) == 2
     assert counts["factorisations"] == 2
     assert counts["lu_solves"] > 4
@@ -945,9 +944,8 @@ def test_handed_in_operators_must_match_the_problem(interval, std_model, cosdrv)
     ops = discounted.GridOperators(std_model, interval, 1e-2)
     sol = solve_ergodic(std_model, interval, cosdrv, 0.3, spacing=1e-2, operators=ops)
     assert sol.v.mesh is ops.mesh
-    for kw in ({"spacing": 2e-2}, {"spacing": 1e-2, "viscosity": "force"}):
-        with pytest.raises(ValueError, match="operators"):
-            solve_ergodic(std_model, interval, cosdrv, 0.3, operators=ops, **kw)
+    with pytest.raises(ValueError, match="operators"):
+        solve_ergodic(std_model, interval, cosdrv, 0.3, spacing=2e-2, operators=ops)
     other = kolmogorov_model(quadratic_potential(), eta_hint=-1.0)
     with pytest.raises(ValueError, match="operators"):
         solve_ergodic(other, interval, cosdrv, 0.3, spacing=1e-2, operators=ops)
@@ -966,6 +964,8 @@ def test_vanishing_discount_picard_converges_on_two_control():
     doc = json.loads((CONFIGS / "two_control.json").read_text())
     domain, model, driver, _ = assemble_config(doc)
     assert driver.K_psi_z > 0
-    sol = solve_ergodic(model, domain, driver, 0.5, scheme="both", spacing=1e-3)
-    assert min(sol.diagnostics["alpha_sequence"]) <= 2.0 ** -8
-    assert sol.diagnostics["scheme_gap"] < 1e-3
+    vd = solve_ergodic(model, domain, driver, 0.5, scheme="vanishing_discount",
+                       spacing=1e-3)
+    direct = solve_ergodic(model, domain, driver, 0.5, scheme="direct", spacing=1e-3)
+    assert min(vd.diagnostics["alpha_sequence"]) <= 2.0 ** -8
+    assert abs(direct.lam - vd.lam) < 1e-3

@@ -101,6 +101,27 @@ def test_gradient_matches_per_node_loop(domain):
     assert_array_equal(GridFunction(mesh, v).gradient(), _loop_gradient(mesh, v))
 
 
+def test_gradient_divides_each_axis_by_its_own_step():
+    # the axes of the flat ellipse's box round to steps 0.0690 and 0.0714,
+    # so one step for both axes would read d/dy of v = y as 1.0357
+    mesh = build_mesh(refs.flat_ellipse(), 0.07)
+    steps = [a[1] - a[0] for a in mesh.axes]
+    assert abs(steps[0] - 2 / 29) < 1e-15 and abs(steps[1] - 1 / 14) < 1e-15
+    inner = (mesh.neighbors >= 0).all(axis=(1, 2))
+    for axis in (0, 1):
+        g = GridFunction(mesh, mesh.nodes[:, axis]).gradient()
+        assert_allclose(g[inner, axis], 1.0, rtol=1e-12)
+        assert_allclose(g[inner, 1 - axis], 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("spacing", [0.0, -1.0, np.nan, np.inf])
+def test_mesh_spacing_must_be_finite_and_positive(interval, spacing):
+    # a negative spacing would round to a 3-node mesh, and 0 overflows
+    for domain in (interval, ball_domain(1.0, 2)):
+        with pytest.raises(ValueError, match="finite and positive"):
+            build_mesh(domain, spacing)
+
+
 def test_interp_many_matches_scalar():
     mesh = build_mesh(ball_domain(1.0, 1), 1e-2)
     f = GridFunction(mesh, np.sin(mesh.nodes[:, 0]))

@@ -4,12 +4,27 @@ import numpy as np
 import pytest
 
 import conftest as refs
+from ebsde.discounted import DriverSpec
 from ebsde.errors import SingularSigma
-from ebsde.ergodic import solve_ergodic
+from ebsde.ergodic import ErgodicSolution, solve_ergodic
+from ebsde.grids import GridFunction, build_mesh
 from ebsde.presets import (constant_driver, cos_driver,
-                           degenerate_linear_model, zero_driver)
+                           degenerate_linear_model, ou_model, zero_driver)
 from ebsde.verification import (bsde_residual, drift_shift_equivalence,
                                 pde_residual, shifted_problem)
+
+
+def test_pde_residual_divides_each_axis_by_its_own_step():
+    # v = y with psi = z_2, no drift and lambda = 1 solves the equation;
+    # the box's axes have steps 0.0690 and 0.0714, so one step for both
+    # axes would read dv/dy as 1.0357
+    domain = refs.flat_ellipse()
+    mesh = build_mesh(domain, 0.07)
+    driver = DriverSpec(psi=lambda x, z: z[1], psi_vec=lambda X, Z: Z[:, 1])
+    sol = ErgodicSolution(GridFunction(mesh, mesh.nodes[:, 1].copy()),
+                          np.zeros((mesh.n_nodes, 2)), 1.0, 0.0)
+    pde = pde_residual(sol, ou_model(rate=0.0, dim=2), domain, driver)
+    assert pde["interior_max"] < 1e-12
 
 
 def test_flat_solution_zero_residuals(interval, std_model):
