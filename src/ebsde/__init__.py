@@ -26,11 +26,10 @@ from .geometry import (DomainSpec, ball_domain, boundary_sample,
                        domain_from_json, domain_grid, geometric_constants,
                        inward_normal, project, quadratic_domain,
                        quartic_interval_domain)
-from .dynamics import (KRateEstimate, Potential, ReflectedPath, SdeModel,
-                       ensemble_average, expected_K_rate, generator_apply,
-                       invariant_density, occupation_histogram,
-                       penalized_moments, sample_invariant, simulate,
-                       stationary_start)
+from .dynamics import (KRateEstimate, Potential, SdeModel, ensemble_average,
+                       expected_K_rate, generator_apply, invariant_density,
+                       occupation_histogram, penalized_moments,
+                       sample_invariant, stationary_start)
 from .grids import GridFunction, Mesh, build_mesh
 from .hypotheses import (HypothesisReport, check_all,
                          estimate_eta, estimate_kolmogorov_constants,

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
-from scipy import integrate
 
 from . import dynamics, hypotheses, verification
 from .control import (Policy, _hamiltonian_batch, cost_I, cost_J, feedback_policy,
@@ -56,6 +55,7 @@ class CriterionResult:
 
 def _gauss_box():
     """Quadrature oracle for the clipped standard-Gaussian law on [-1, 1]."""
+    from scipy import integrate
     N, _ = integrate.quad(lambda t: np.exp(-0.5 * t * t), -1.0, 1.0)
     m2, _ = integrate.quad(lambda t: t * t * np.exp(-0.5 * t * t) / N, -1.0, 1.0)
     return N, m2
@@ -100,6 +100,7 @@ def criterion_01() -> CriterionResult:
 
 def criterion_02(seed: int = 202) -> CriterionResult:
     """Occupation histogram against the explicit stationary density."""
+    from scipy import integrate
     t0 = time.perf_counter()
     model, domain = _standard_test_model()
     edges, emp = dynamics.occupation_histogram(model, domain, T_total=2e4,
@@ -348,6 +349,7 @@ def criterion_10() -> CriterionResult:
 
 def criterion_11(seed: int = 1111) -> CriterionResult:
     """Penalized stationary moments converge to the reflected ones."""
+    from scipy import integrate
     t0 = time.perf_counter()
     pot = pinned_free_potential()
     model = kolmogorov_model(pot, eta_hint=-6.0)

@@ -99,6 +99,17 @@ def _effective(cfg: dict, args) -> dict:
         raise ConfigError(f"run.scheme {eff['scheme']!r} is not one of {SCHEMES}")
     if not 0 < eff["grid"] < np.inf:
         raise ConfigError(f"grid spacing {eff['grid']!r} is not finite and positive")
+    T, h = eff["horizon"], eff["h"]
+    if not (0 < T < np.inf and 0 < h < np.inf and T / h < np.inf):
+        raise ConfigError(f"horizon {T!r} and time step h = {h!r} are not finite "
+                          "and positive")
+    n = round(T / h)
+    if n < 1 or abs(n * h - T) > 1e-9 * max(T, 1.0):
+        raise ConfigError(f"horizon {T!r} is not a whole number of time steps "
+                          f"h = {h!r}")
+    if eff["paths"] < 2:
+        raise ConfigError(f"paths {eff['paths']} is below 2: every verdict needs "
+                          "a standard error over paths")
     lt = getattr(args, "lambda_target", None)
     if lt is not None or "lambda_target" in run:
         eff["lambda_target"] = float(lt if lt is not None else run["lambda_target"])

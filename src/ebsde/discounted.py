@@ -27,12 +27,11 @@ directly; the lambda border of a 1-d ergodic operator is removed by
 swapping the reference node's row for the normalization row, which keeps
 the matrix tridiagonal at the cost of one extra solve per factorisation
 (``_TridiagonalLU``). A sparse matrix is built from the stencil only for
-SuperLU, in 2-d and when that swap is not backward stable, and for
-``assemble_operator``. One transposed solve on the ergodic LU gives lambda
-as a linear function of psi and mu - g (``GridOperators.weights``): the
-discrete invariant measure and the boundary flux. Degenerate 1-d diffusion
-is handled by adding a small viscosity eps^2/2 at two values of eps and
-extrapolating linearly to eps = 0.
+SuperLU, in 2-d and when that swap is not backward stable (``_csc``). One
+transposed solve on the ergodic LU gives lambda as a linear function of psi
+and mu - g (``GridOperators.weights``): the discrete invariant measure and
+the boundary flux. Degenerate 1-d diffusion is handled by adding a small
+viscosity eps^2/2 at two values of eps and extrapolating linearly to eps = 0.
 """
 from __future__ import annotations
 
@@ -49,8 +48,7 @@ from .errors import PicardDiverged
 from .geometry import DomainSpec
 from .grids import GridFunction, Mesh, build_mesh
 
-__all__ = ["DriverSpec", "GridOperators", "assemble_operator", "solve_discounted",
-           "lipschitz_diagnostic"]
+__all__ = ["DriverSpec", "GridOperators", "solve_discounted", "lipschitz_diagnostic"]
 
 
 @dataclass
@@ -193,15 +191,6 @@ def _csc(mesh: Mesh, stencil, alpha: float, ref: Optional[int] = None) -> sparse
     rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
     size = n + (ref is not None)
     return sparse.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsc()
-
-
-def assemble_operator(mesh: Mesh, a: np.ndarray, b: np.ndarray, alpha: float,
-                      bordered: bool = False) -> sparse.csc_matrix:
-    """Sparse operator of the discrete problem (``_assemble_stencil``):
-    minus alpha on the diagonal and, with ``bordered``, the unknown lambda,
-    a -1 column and the normalization row v(x_ref) = 0."""
-    return _csc(mesh, _assemble_stencil(mesh, a, b), alpha,
-                mesh.ref_index() if bordered else None)
 
 
 # the two boundary nodes of a 1-d mesh: the first, inward normal +1, and the last, -1
@@ -467,9 +456,9 @@ class GridOperators:
         return stencil
 
     def operator(self, alpha: float, eps: float, bordered: bool) -> sparse.csc_matrix:
-        """The operator that ``assemble_operator`` builds at (alpha, eps,
-        bordered), from the one stencil per eps: fl(-S - alpha) on the PDE
-        diagonal equals the assembler's fl(-alpha - S)."""
+        """The sparse operator at (alpha, eps, bordered) (``_csc``): the one
+        stencil per eps, alpha subtracted on its diagonal and, when
+        bordered, the lambda column and the normalization row."""
         return _csc(self.mesh, self.stencil(eps), alpha, self.ref if bordered else None)
 
     def boundary_rows(self) -> np.ndarray:

@@ -21,22 +21,18 @@ per-step rows to its running sums with one sequential reduction per block
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
 
 from .errors import NotKolmogorov, StepTooLarge
 from .geometry import DomainSpec, outside_rows, project_many, project_outside
 
 __all__ = [
-    "Potential", "SdeModel", "ReflectedPath", "RunRecord",
-    "simulate", "invariant_density",
+    "Potential", "SdeModel", "RunRecord", "invariant_density",
     "sample_invariant", "generator_apply", "expected_K_rate",
     "occupation_histogram", "ensemble_average", "penalized_moments", "stationary_start",
-    "path_to_csv",
 ]
 
 
@@ -100,42 +96,6 @@ class SdeModel:
         if self.sigma_diag_vec is not None:
             return self.sigma_diag_vec(X) * dW
         return np.stack([np.atleast_2d(self.sigma(x)) @ w for x, w in zip(X, dW)])
-
-
-@dataclass
-class ReflectedPath:
-    """Discrete reflected trajectory with its cumulative boundary local time.
-
-    ``local_time`` is the running total K, starting at 0; ``noises`` stores
-    the driving standard normal increments so that pathwise identities can
-    be replayed without re-simulating.
-    """
-
-    times: np.ndarray
-    states: np.ndarray
-    local_time: np.ndarray
-    reflection_events: np.ndarray
-    noises: np.ndarray
-    h: float
-
-    def check_invariants(self, domain: DomainSpec, event_tol: Optional[float] = None) -> None:
-        """Assert the structural path properties; raises AssertionError.
-
-        ``event_tol``: how close to the boundary a state must be at a
-        reflection event. Defaults to one noise scale (the mirror repair
-        leaves the state within the overshoot distance of the boundary
-        rather than exactly on it).
-        """
-        phi_vals = np.array([domain.phi(x) for x in self.states])
-        assert phi_vals.min() >= -domain.boundary_tol, "state left the closure"
-        dK = np.diff(self.local_time)
-        assert self.local_time[0] == 0.0
-        assert dK.min() >= -1e-15, "local time must be non-decreasing"
-        if event_tol is None:
-            event_tol = 6.0 * np.sqrt(self.h) * (1.0 + np.abs(self.states).max())
-        for i in self.reflection_events:
-            assert phi_vals[i] <= event_tol, (
-                f"reflection event at index {i} but phi = {phi_vals[i]:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +194,9 @@ class _BallKernel(_Kernel):
 
 
 class _GenericKernel(_Kernel):
-    """Repair by mirroring at the projection: one batched ``phi_vec`` test
-    picks the outside rows, which are projected together
-    (``geometry.project_many``); a domain without batched forms is tested
-    and projected point by point."""
+    """Repair by mirroring at the projection, for quadratic domains: one
+    batched ``phi_vec`` test picks the outside rows, which are projected
+    together (``geometry.project_outside``)."""
 
     def project(self, X: np.ndarray) -> np.ndarray:
         return project_many(self.domain, X)
@@ -438,32 +397,6 @@ class _Accumulator:
         return out
 
 
-def simulate(model: SdeModel, domain: DomainSpec, x0, T: float, h: float,
-             seed: int) -> ReflectedPath:
-    """Simulate one reflected path on [0, T] with step h.
-
-    T/h must be integral. The path is row 0 of an ensemble, driven by the
-    stream derived from (seed, 0).
-    """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if h <= 0:
-        raise ValueError("h must be positive")
-    n = round(T / h)
-    if T > 0 and abs(n * h - T) > 1e-9 * max(T, 1.0):
-        raise ValueError(f"T/h = {T / h} is not integral")
-    if not domain.contains(x0, tol=domain.boundary_tol):
-        raise ValueError("x0 outside the domain closure")
-    states = np.empty((n + 1, domain.dim)); states[0] = x0
-    noises = np.empty((n, domain.dim))
-    dK = np.zeros(n)
-    for i, X, X_new, dK_b, xi in ensemble_steps(model, domain, x0[None], n, h, seed):
-        m = len(dK_b)
-        states[i + 1:i + m + 1], dK[i:i + m], noises[i:i + m] = X_new, dK_b, xi
-    K = np.concatenate([[0.0], np.cumsum(dK)])
-    return ReflectedPath(np.arange(n + 1) * h, states, K,
-                         np.nonzero(dK > 0)[0] + 1, noises, h)
-
-
 def ensemble_average(model: SdeModel, domain: DomainSpec, X0: np.ndarray,
                      T: float, h: float, seed: int, f_vec):
     """Per-path time averages (1/T) sum f(X_i) h over [0, T].
@@ -512,21 +445,18 @@ def invariant_density(model: SdeModel, domain: DomainSpec,
     """
     pot = _potential_or_raise(model)
     if domain.dim == 1:
+        from scipy import integrate
         lo, hi = domain.bounding_box[0]
         N, _ = integrate.quad(lambda t: np.exp(-pot.value(np.array([t]))), lo, hi)
         xs = np.linspace(lo, hi, resolution)
         vals = np.array([np.exp(-pot.value(np.array([t]))) / N for t in xs])
         return InvariantDensity(xs[:, None], vals, N, (hi - lo) / (resolution - 1))
-    # d >= 2: midpoint rule on a tensor grid masked to the closure, batched
-    # through ``phi_vec`` and ``value_vec`` where the domain and potential
-    # have them
+    # d >= 2: midpoint rule on a tensor grid masked to the closure by
+    # ``phi_vec``, batched through ``value_vec`` where the potential has it
     axes = [np.linspace(lo, hi, resolution) for lo, hi in domain.bounding_box]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    if domain.phi_vec is not None:
-        inside = domain.phi_vec(pts) >= 0
-    else:
-        inside = np.array([domain.phi(p) >= 0 for p in pts])
+    inside = domain.phi_vec(pts) >= 0
     raw = np.zeros(len(pts))
     if pot.value_vec is not None:
         raw[inside] = np.exp(-pot.value_vec(pts[inside]))
@@ -546,7 +476,7 @@ def sample_invariant(model: SdeModel, domain: DomainSpec, size: int, rng) -> np.
     pot = _potential_or_raise(model)
     box = domain.bounding_box
     probe = np.linspace(0, 1, 257)[:, None] * (box[:, 1] - box[:, 0]) + box[:, 0]
-    vec = pot.value_vec is not None and domain.phi_vec is not None
+    vec = pot.value_vec is not None
     if domain.dim == 1:
         u_min = min(pot.value(np.array([t])) for t in probe[:, 0])
     else:
@@ -712,19 +642,3 @@ def penalized_moments(model: SdeModel, domain: DomainSpec, n_penalty: float,
     se = (m1.std(axis=0, ddof=1) / np.sqrt(paths),
           m2.std(axis=0, ddof=1) / np.sqrt(paths))
     return m1.mean(axis=0), m2.mean(axis=0), se
-
-
-# ---------------------------------------------------------------------------
-# export
-
-
-def path_to_csv(path: ReflectedPath, fname: str) -> None:
-    with open(fname, "w", newline="") as fh:
-        w = csv.writer(fh)
-        d = path.states.shape[1]
-        w.writerow(["t"] + [f"x{k}" for k in range(d)] + ["K"])
-        for i in range(len(path.times)):
-            w.writerow([f"{path.times[i]:.17g}"]
-                       + [f"{v:.17g}" for v in path.states[i]]
-                       + [f"{path.local_time[i]:.17g}"])
-

@@ -37,17 +37,17 @@ class DomainSpec:
         Ambient dimension.
     bounding_box : (dim, 2) array
         Axis-aligned box containing the closure of G.
+    kind : str
+        "ball", "interval_quartic" or "quadratic" ({x.A x <= 1}); path
+        simulation picks its boundary repair by kind.
+    phi_vec, grad_phi_vec, hess_phi_vec : callables
+        Batched forms of phi, grad_phi and hess_phi on X of shape (P, d),
+        returning (P,), (P, d) and (P, d, d). The grids, the path kernels
+        and the Gibbs quadratures read phi through these forms only.
     convex_flag : bool
         Declared by the builder; spot-checked by the hypothesis module.
     project_exact : callable, optional
         Closed-form projector onto the closure, used when available.
-    kind : str
-        "ball", "interval_quartic", "quadratic" ({x.A x <= 1}) or
-        "generic"; path simulation picks its boundary repair by kind.
-    phi_vec, grad_phi_vec, hess_phi_vec : callables, optional
-        Batched forms on X of shape (P, d); with all three the projection
-        of a batch from a quadratic domain runs as one vectorised Newton
-        iteration.
     radius : float, optional
         Radius of "ball" and "interval_quartic" domains.
     """
@@ -57,16 +57,16 @@ class DomainSpec:
     hess_phi: Callable[[np.ndarray], np.ndarray]
     dim: int
     bounding_box: np.ndarray
+    kind: str
+    phi_vec: Callable[[np.ndarray], np.ndarray]
+    grad_phi_vec: Callable[[np.ndarray], np.ndarray]
+    hess_phi_vec: Callable[[np.ndarray], np.ndarray]
     convex_flag: bool = True
     project_exact: Optional[Callable[[np.ndarray], np.ndarray]] = None
     centroid: np.ndarray = None
     smooth_c2lip: bool = True
     name: str = "domain"
     boundary_tol: float = 1e-9
-    kind: str = "generic"
-    phi_vec: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    grad_phi_vec: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    hess_phi_vec: Optional[Callable[[np.ndarray], np.ndarray]] = None
     radius: Optional[float] = None
 
     def __post_init__(self):
@@ -214,81 +214,24 @@ def domain_from_json(doc: dict) -> DomainSpec:
 def project(domain: DomainSpec, x) -> np.ndarray:
     """Closest point of the closure of G.
 
-    Returns x itself when x already lies in the closure. Falls back on a
-    damped Newton iteration on the first-order conditions of
-    min |x - p|^2 subject to phi(p) = 0 when no closed form is available,
-    seeded from the radial crossing through the centroid.
+    Returns x itself when x already lies in the closure. Ball and interval
+    domains project in closed form; a quadratic domain runs its point as a
+    one-row batch of ``project_outside``.
     """
     p = _as_point(x, domain.dim)
     if domain.phi(p) >= 0:
         return p
     if domain.project_exact is not None:
         return domain.project_exact(p)
-    return _newton_project(domain, p)
-
-
-def _radial_seed(domain: DomainSpec, x: np.ndarray) -> np.ndarray:
-    # bisect phi along the segment centroid -> x; phi(centroid) > 0 > phi(x)
-    c = domain.centroid
-    lo, hi = 0.0, 1.0
-    if domain.phi(c) <= 0:
-        raise NonConvergence("centroid is not interior; cannot seed projection")
-    for _ in range(80):
-        mid = (lo + hi) / 2
-        if domain.phi(c + mid * (x - c)) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return c + ((lo + hi) / 2) * (x - c)
-
-
-def _newton_project(domain: DomainSpec, x: np.ndarray, max_iter: int = 60) -> np.ndarray:
-    d = domain.dim
-    p = _radial_seed(domain, x)
-    g = domain.grad_phi(p)
-    # first-order conditions: p - x + nu grad phi(p) = 0 and phi(p) = 0, so
-    # the multiplier starts at the least-squares nu of x - p = nu grad phi(p)
-    nu = float(g @ (x - p)) / max(float(g @ g), 1e-300)
-
-    def residual(p, nu):
-        return np.concatenate([p - x + nu * domain.grad_phi(p), [domain.phi(p)]])
-
-    res = residual(p, nu)
-    for _ in range(max_iter):
-        norm = np.linalg.norm(res)
-        if norm < 1e-12 * (1 + np.linalg.norm(x)):
-            return p
-        g = domain.grad_phi(p)
-        H = domain.hess_phi(p)
-        J = np.zeros((d + 1, d + 1))
-        J[:d, :d] = np.eye(d) + nu * H
-        J[:d, d] = g
-        J[d, :d] = g
-        try:
-            step = np.linalg.solve(J, -res)
-        except np.linalg.LinAlgError:
-            raise NonConvergence("singular KKT system in projection")
-        t = 1.0
-        for _ in range(30):
-            p_new = p + t * step[:d]
-            nu_new = nu + t * step[d]
-            res_new = residual(p_new, nu_new)
-            if np.linalg.norm(res_new) < norm:
-                p, nu, res = p_new, nu_new, res_new
-                break
-            t /= 2
-        else:
-            raise NonConvergence("projection line search stalled")
-    raise NonConvergence("projection Newton iteration exceeded budget")
+    return project_outside(domain, p[None])[0]
 
 
 def project_many(domain: DomainSpec, X: np.ndarray) -> np.ndarray:
-    """Closest points of the closure for a batch X of shape (P, d).
+    """Closest points of the closure of a quadratic domain for a batch X of
+    shape (P, d).
 
-    Rows already in the closure come back unchanged. The outside rows of a
-    quadratic domain with its batched forms are repaired together by the
-    Newton iteration of ``project``; every other domain sends them through
-    ``project``.
+    Rows already in the closure come back unchanged; the outside rows are
+    repaired together by ``project_outside``.
     """
     X = np.asarray(X, dtype=float)
     out = X.copy()
@@ -300,29 +243,22 @@ def project_many(domain: DomainSpec, X: np.ndarray) -> np.ndarray:
 
 def outside_rows(domain: DomainSpec, X: np.ndarray) -> np.ndarray:
     """Indices of the rows of X that lie outside the closure."""
-    if domain.phi_vec is not None:
-        return np.flatnonzero(domain.phi_vec(X) < 0)
-    return np.array([i for i, x in enumerate(X) if domain.phi(x) < 0], dtype=int)
+    return np.flatnonzero(domain.phi_vec(X) < 0)
 
 
 def project_outside(domain: DomainSpec, X: np.ndarray) -> np.ndarray:
-    """``project_many`` for rows known to lie outside the closure."""
-    batched = all(f is not None for f in
-                  (domain.phi_vec, domain.grad_phi_vec, domain.hess_phi_vec))
-    if domain.kind == "quadratic" and batched:
-        return _newton_project_many(domain, X)
-    return np.stack([project(domain, x) for x in X])
+    """Closest boundary points of a quadratic domain {x.A x <= 1} for rows X
+    known to lie outside its closure.
 
-
-def _newton_project_many(domain: DomainSpec, X: np.ndarray,
-                         max_iter: int = 60) -> np.ndarray:
-    """``_newton_project`` on a batch of a quadratic domain {x.A x <= 1}:
-    every row runs the same KKT Newton iteration with its own backtracking
-    line search, and converged rows leave the batch. The radial seed is
-    closed form: the ray through x crosses the boundary at t = 1/sqrt(x.A x)."""
+    Damped Newton on the first-order conditions of min |x - p|^2 subject to
+    phi(p) = 0: every row runs the same KKT iteration with its own
+    backtracking line search, and converged rows leave the batch. The seed
+    is the radial crossing, in closed form: the ray through x crosses the
+    boundary at t = 1/sqrt(x.A x)."""
     m, d = X.shape
     P = X / np.sqrt(1.0 - 2.0 * domain.phi_vec(X))[:, None]
     G = domain.grad_phi_vec(P)
+    # the multiplier starts at the least-squares nu of x - p = nu grad phi(p)
     nu = (G * (X - P)).sum(axis=1) / np.maximum((G * G).sum(axis=1), 1e-300)
 
     def residual(P, nu, X):
@@ -332,7 +268,7 @@ def _newton_project_many(domain: DomainSpec, X: np.ndarray,
     res = residual(P, nu, X)
     tol = 1e-12 * (1 + np.linalg.norm(X, axis=1))
     live = np.arange(m)
-    for _ in range(max_iter):
+    for _ in range(60):
         norm = np.linalg.norm(res, axis=1)
         keep = ~(norm < tol[live])
         live, res, norm = live[keep], res[keep], norm[keep]
@@ -440,11 +376,3 @@ def geometric_constants(domain: DomainSpec, sample_density: int = 32) -> dict:
         w = np.linalg.eigvalsh(domain.hess_phi(p))
         alpha = max(alpha, float(w.max()))
     return {"diameter_d": diam, "alpha_nonconvex": alpha}
-
-
-def distance_to_closure(domain: DomainSpec, x) -> float:
-    p = _as_point(x, domain.dim)
-    if domain.phi(p) >= 0:
-        return 0.0
-    return float(np.linalg.norm(p - project(domain, p)))
-

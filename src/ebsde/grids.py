@@ -110,9 +110,8 @@ class Mesh:
         return self._cells
 
     def boundary_normals(self) -> np.ndarray:
-        """Unit inward normals grad phi / |grad phi| at the boundary nodes,
-        batched through ``grad_phi_vec`` when the domain has it."""
-        G = _grad_phi_at(self.domain, self.nodes[self.boundary])
+        """Unit inward normals grad phi / |grad phi| at the boundary nodes."""
+        G = self.domain.grad_phi_vec(self.nodes[self.boundary])
         return G / np.linalg.norm(G, axis=1, keepdims=True)
 
 
@@ -131,7 +130,7 @@ def build_mesh(domain: DomainSpec, spacing: float) -> Mesh:
     if domain.dim == 1:   # the bounding interval is the closure
         inside = np.ones(len(pts), bool)
     else:
-        inside = _phi_at(domain, pts) >= -domain.boundary_tol
+        inside = domain.phi_vec(pts) >= -domain.boundary_tol
     flat = np.nonzero(inside)[0]
     compact = np.full(len(pts), -1, dtype=int)
     compact[flat] = np.arange(len(flat))
@@ -189,27 +188,12 @@ class CutCells:
     chord_normal: np.ndarray
     chord_point: np.ndarray
 
-def _phi_at(domain: DomainSpec, P: np.ndarray) -> np.ndarray:
-    if domain.phi_vec is not None:
-        return np.asarray(domain.phi_vec(P), dtype=float)
-    return np.array([domain.phi(p) for p in P], dtype=float)
-
-
-def _grad_phi_at(domain: DomainSpec, P: np.ndarray) -> np.ndarray:
-    if domain.grad_phi_vec is not None:
-        return np.asarray(domain.grad_phi_vec(P), dtype=float).reshape(P.shape)
-    return np.array([domain.grad_phi(p) for p in P], dtype=float).reshape(P.shape)
-
 
 def _curvature(domain: DomainSpec, P: np.ndarray, T: np.ndarray) -> np.ndarray:
     """Curvature -t.H t / |grad phi| of the level set of phi through each
     point of P along its unit tangent T: positive where G is convex."""
-    if domain.hess_phi_vec is not None:
-        H = domain.hess_phi_vec(P)
-    else:
-        H = np.array([domain.hess_phi(p) for p in P], dtype=float)
-    return (-np.einsum("ki,kij,kj->k", T, H, T)
-            / np.linalg.norm(_grad_phi_at(domain, P), axis=1))
+    return (-np.einsum("ki,kij,kj->k", T, domain.hess_phi_vec(P), T)
+            / np.linalg.norm(domain.grad_phi_vec(P), axis=1))
 
 
 def _crossings(domain: DomainSpec, p0: np.ndarray, step: np.ndarray, f0: np.ndarray,
@@ -227,10 +211,10 @@ def _crossings(domain: DomainSpec, p0: np.ndarray, step: np.ndarray, f0: np.ndar
     t = f0 / (f0 - f1)
     for _ in range(60):
         P = p0 + t[:, None] * step
-        f = _phi_at(domain, P)
+        f = domain.phi_vec(P)
         near = (f >= 0) == first        # on the side of the t = 0 end
         lo, hi = np.where(near, t, lo), np.where(near, hi, t)
-        slope = (_grad_phi_at(domain, P) * step).sum(axis=1)
+        slope = (domain.grad_phi_vec(P) * step).sum(axis=1)
         # a point on the boundary is its own crossing, even where the segment
         # touches the boundary there (slope 0)
         newton = t - np.where(f == 0, 0.0, f / np.where(slope != 0, slope, np.nan))
@@ -327,7 +311,7 @@ def _cut_cells(mesh: Mesh) -> CutCells:
     # one side
     corners = np.empty((nx + 1, ny + 1, 2))
     corners[..., 0], corners[..., 1] = lattice[0][0::2, None], lattice[1][None, 0::2]
-    at = _phi_at(dom, corners.reshape(-1, 2)).reshape(nx + 1, ny + 1) >= 0
+    at = dom.phi_vec(corners.reshape(-1, 2)).reshape(nx + 1, ny + 1) >= 0
     kept = mesh.compact_of_flat.reshape(nx, ny)
     n_in = (at[:-1, :-1].astype(int) + at[1:, :-1] + at[1:, 1:] + at[:-1, 1:]
             + (kept >= 0))
@@ -338,7 +322,7 @@ def _cut_cells(mesh: Mesh) -> CutCells:
     # boundary crosses its edges (t of the way, and the fraction inside G)
     U, W = 2 * bi[:, None] + np.arange(9) // 3, 2 * bj[:, None] + np.arange(9) % 3
     P9 = np.stack([lattice[0][U], lattice[1][W]], axis=2)
-    F9 = _phi_at(dom, P9.reshape(-1, 2)).reshape(nb, 9)
+    F9 = dom.phi_vec(P9.reshape(-1, 2)).reshape(nb, 9)
     S9 = F9 >= 0
     e0, e1 = S9[:, edges[:, 0]], S9[:, edges[:, 1]]
     cut = e0 != e1
@@ -489,14 +473,6 @@ class GridFunction:
         self._grad = (vp - vm) / (np.maximum(width, 1.0) * h)
         return self._grad
 
-    def __call__(self, x) -> float:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.mesh.domain.dim == 1:
-            return float(self._interp_line(x[:1])[0])
-        # nearest kept node plus a linear correction from its gradient
-        k = int(np.argmin(((self.mesh.nodes - x) ** 2).sum(axis=1)))
-        return float(self.values[k] + self.gradient()[k] @ (x - self.mesh.nodes[k]))
-
     def interp_many(self, X: np.ndarray) -> np.ndarray:
         if self.mesh.domain.dim == 1:
             return self._interp_line(X[:, 0])
@@ -523,11 +499,12 @@ class GridFunction:
                 + f.take(j, mode="clip"))
 
     def _interp_nearest(self, X: np.ndarray) -> np.ndarray:
-        """``__call__`` on a batch of points of a d >= 2 mesh, bit for bit:
-        the node of ``Mesh.nearest`` plus the same linear correction."""
+        """Values at a batch of points of a d >= 2 mesh: the value at the
+        node of ``Mesh.nearest`` plus a linear correction from its
+        gradient."""
         m = self.mesh
         k = m.nearest(X)
-        # stacked (1, d) @ (d, 1) products: the same dot as ``__call__``
+        # stacked (1, d) @ (d, 1) products: each row's dot g_k . (x - x_k)
         corr = np.matmul(self.gradient()[k][:, None, :],
                          (X - m.nodes[k])[:, :, None])[:, 0, 0]
         return self.values[k] + corr

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
-from scipy import integrate
 
 from .discounted import GridOperators
 from .errors import NonConvexPotential, NotKolmogorov, SigmaNotConstant
@@ -218,17 +217,17 @@ def stationary_generator_phi(model: SdeModel, domain: DomainSpec,
 
     For gradient systems the expectation is computed by quadrature against
     the explicit stationary density: adaptive in 1-d, the midpoint rule of
-    ``invariant_density`` with a batched L phi (``_vec_Lphi``, point by
-    point only for the phi forms a domain lacks) in d >= 2. Otherwise it is
-    the flux sum of the adjoint weights of the grid at this spacing
-    (``GridOperators.weights``), d lambda / d mu of the direct scheme: the
-    slope that ``solve_boundary_cost`` inverts. Raises NotImplementedError
+    ``invariant_density`` with a batched L phi (``_vec_Lphi``) in d >= 2.
+    Otherwise it is the flux sum of the adjoint weights of the grid at this
+    spacing (``GridOperators.weights``), d lambda / d mu of the direct
+    scheme: the slope that ``solve_boundary_cost`` inverts. Raises NotImplementedError
     where no grid can be built (d >= 3, off-diagonal diffusion in 2-d). The
     negative of this number is the stationary growth rate of the boundary
     local time, whatever unit-gradient defining function is used.
     """
     phi_triple = (domain.phi, domain.grad_phi, domain.hess_phi)
     if model.kolmogorov_potential is not None and domain.dim == 1:
+        from scipy import integrate
         pot = model.kolmogorov_potential
         lo, hi = domain.bounding_box[0]
         N, _ = integrate.quad(lambda t: np.exp(-pot.value(np.array([t]))), lo, hi)
@@ -248,11 +247,8 @@ def stationary_generator_phi(model: SdeModel, domain: DomainSpec,
 
 def _vec_Lphi(model: SdeModel, domain: DomainSpec, X: np.ndarray) -> np.ndarray:
     """L phi = b . grad phi + (1/2) sum H o (sigma sigma^T) at a batch of
-    states; per-point stacks only where the batched phi forms are missing."""
-    G = (domain.grad_phi_vec(X) if domain.grad_phi_vec is not None
-         else np.stack([domain.grad_phi(x) for x in X]))
-    H = (domain.hess_phi_vec(X) if domain.hess_phi_vec is not None
-         else np.stack([np.atleast_2d(domain.hess_phi(x)) for x in X]))
+    states."""
+    G, H = domain.grad_phi_vec(X), domain.hess_phi_vec(X)
     S = model.sigma_at(X)
     A = S @ S.transpose(0, 2, 1)
     return (model.drift_at(X) * G).sum(axis=1) + 0.5 * (H * A).sum(axis=(1, 2))

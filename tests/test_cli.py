@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -181,6 +184,37 @@ def test_grid_must_be_finite_and_positive(tmp_path, capsys, grid):
     assert rc == 2
     assert "is not finite and positive" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--horizon", "0.0004"], "is not a whole number of time steps"),
+    (["--horizon", "0.0015"], "is not a whole number of time steps"),
+    (["--horizon", "-5"], "are not finite and positive"),
+    (["--horizon", "0"], "are not finite and positive"),
+    (["--horizon", "nan"], "are not finite and positive"),
+    (["--horizon", "inf"], "are not finite and positive"),
+    (["--paths", "1"], "paths 1 is below 2")])
+def test_horizon_and_paths_must_give_a_run_with_a_stderr(tmp_path, capsys, flags,
+                                                         message):
+    # h = 1e-3: a horizon shorter than one step, or between two whole
+    # numbers of steps, would leave cost_I without its horizon value
+    rc = cli.main(["control", "--config", str(CONFIGS / "two_control.json"), *flags,
+                   "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_import_leaves_the_quadrature_modules_unloaded():
+    # scipy.integrate pulls in scipy.special; only the Gibbs quadratures
+    # need them, so the console command does not pay for them at start
+    code = ("import sys, ebsde.cli; print(sorted(m for m in ('scipy.integrate', "
+            "'scipy.special', 'scipy.optimize') if m in sys.modules))")
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_missing_config_is_a_config_error(tmp_path, capsys):

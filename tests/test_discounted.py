@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 
 import conftest as refs
 from ebsde import discounted, ergodic, verification
-from ebsde.discounted import (DriverSpec, _coefficients, _rhs, assemble_operator,
+from ebsde.discounted import (DriverSpec, _assemble_stencil, _coefficients, _csc, _rhs,
                               lipschitz_diagnostic, solve_discounted)
 from ebsde.dynamics import SdeModel
 from ebsde.errors import FlatCurve
@@ -333,7 +333,8 @@ def test_operator_matches_node_by_node_assembly(name, domain, model, spacing, ep
     ops = discounted.GridOperators(model, domain, spacing)
     mesh = ops.mesh
     _, a, b = _coefficients(mesh, model)
-    A = assemble_operator(mesh, a + 0.5 * eps ** 2, b, alpha, bordered).toarray()
+    A = _csc(mesh, _assemble_stencil(mesh, a + 0.5 * eps ** 2, b), alpha,
+             mesh.ref_index() if bordered else None).toarray()
     A_ref, rhs_ref = _reference_problem(mesh, model, driver, alpha, mu, eps, bordered)
     assert_allclose(A, A_ref, rtol=1e-12, atol=0)
     assert_allclose(_rhs(ops, driver, mu, eps, bordered), rhs_ref, rtol=1e-12, atol=0)
@@ -348,8 +349,8 @@ def test_discount_shift_equals_assembly(name, domain, model, spacing, eps, borde
     ops = discounted.GridOperators(model, domain, spacing)
     for alpha in (0.0, 0.3, 0.25 * 2.0 ** -7):
         got = ops.operator(alpha, eps, bordered)
-        want = assemble_operator(ops.mesh, ops.a + 0.5 * eps ** 2, ops.b, alpha,
-                                 bordered)
+        want = _csc(ops.mesh, _assemble_stencil(ops.mesh, ops.a + 0.5 * eps ** 2, ops.b),
+                    alpha, ops.mesh.ref_index() if bordered else None)
         for part in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(got, part), getattr(want, part)), part
     assert len(ops._operators) == 1
@@ -384,7 +385,7 @@ ONE_D_CASES = [c for c in OPERATOR_CASES if c[1].dim == 1]
 def test_tridiagonal_lu_reads_the_assembled_diagonals(monkeypatch, name, domain, model,
                                                       spacing, eps, bordered):
     # what the LU is given equals the three diagonals, the border column and
-    # the normalization row of the CSC that assemble_operator builds
+    # the normalization row of the CSC that _csc builds from the stencil
     given = []
 
     class Recording(discounted._TridiagonalLU):
@@ -400,8 +401,8 @@ def test_tridiagonal_lu_reads_the_assembled_diagonals(monkeypatch, name, domain,
             given.clear()
             assert isinstance(ops.lu(alpha, level, bordered), Recording)
             (dl, d, du, ref), = given
-            A = assemble_operator(ops.mesh, ops.a + 0.5 * level ** 2, ops.b, alpha,
-                                  bordered)
+            A = _csc(ops.mesh, _assemble_stencil(ops.mesh, ops.a + 0.5 * level ** 2, ops.b),
+                     alpha, ops.mesh.ref_index() if bordered else None)
             for got, k in ((dl, -1), (d, 0), (du, 1)):
                 assert np.array_equal(got, A.diagonal(k)[:n - abs(k)])
             if bordered:
@@ -685,7 +686,8 @@ def test_tridiagonal_lu_matches_splu(model, alpha, ref, interval):
     for eps in sorted({*ops.eps_list, h, h / 2}):
         rhs = _rhs(ops, driver, 0.4, eps, bordered)
         rhs[:n] -= np.cos(mesh.nodes[:, 0])
-        A = assemble_operator(mesh, ops.a + 0.5 * eps ** 2, ops.b, alpha, bordered)
+        A = _csc(mesh, _assemble_stencil(mesh, ops.a + 0.5 * eps ** 2, ops.b), alpha,
+                 mesh.ref_index() if bordered else None)
         if ref not in (None, "centre"):
             A = A.tolil()
             A[n, :] = 0.0
@@ -712,7 +714,8 @@ def test_singular_tridiagonal_operator_raises(interval):
     mesh = build_mesh(interval, 1e-2)
     zero = np.zeros((mesh.n_nodes, 1))
     for bordered in (False, True):
-        A = assemble_operator(mesh, zero, zero, 0.0, bordered)
+        A = _csc(mesh, _assemble_stencil(mesh, zero, zero), 0.0,
+                 mesh.ref_index() if bordered else None)
         with pytest.raises(RuntimeError, match="singular"):
             scipy.sparse.linalg.splu(A)
         with pytest.raises(RuntimeError, match="singular"):

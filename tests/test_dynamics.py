@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +9,8 @@ import conftest as refs
 from ebsde import control, dynamics
 from ebsde.dynamics import (Potential, SdeModel, ensemble_average, ensemble_steps,
                             expected_K_rate, generator_apply, invariant_density,
-                            occupation_histogram, path_to_csv, penalized_moments,
-                            sample_invariant, simulate, stationary_start)
+                            occupation_histogram, penalized_moments,
+                            sample_invariant, stationary_start)
 from ebsde.errors import NotKolmogorov, StepTooLarge
 from ebsde.geometry import ball_domain, quadratic_domain
 from ebsde.presets import (kolmogorov_model, ou_model, quadratic_potential,
@@ -21,6 +19,18 @@ from ebsde.presets import (kolmogorov_model, ou_model, quadratic_potential,
 DRIFT_ONE = SdeModel(b=lambda x: np.ones_like(x),
                      sigma=lambda x: np.zeros((len(x), len(x))),
                      name="unit-drift")
+
+
+def _one_path(model, domain, x0, n, h, seed):
+    """States (n + 1, d) and running local time K (n + 1,) of the one-path
+    ensemble from x0, driven by the stream (seed, 0)."""
+    states, dK = [np.array([x0], dtype=float)], []
+    for i, X, X_new, dK_b, xi in ensemble_steps(model, domain, np.array([x0]), n, h,
+                                                seed):
+        # blocks live in reused buffers: keep copies
+        states.append(X_new.copy())
+        dK.append(dK_b.copy())
+    return np.concatenate(states), np.concatenate([[0.0], np.cumsum(np.concatenate(dK))])
 
 
 def _one_step(model, domain, x, h, seed=0):
@@ -78,45 +88,26 @@ def test_step_too_large_refuses_the_whole_block(interval):
 
 
 def test_simulate_path_invariants(interval, std_model):
-    path = simulate(std_model, interval, np.array([0.5]), 2.0, 1e-3, seed=5)
-    assert len(path.times) == 2001
-    assert np.all(np.abs(path.states[:, 0]) <= 1.0 + 1e-12)
-    dK = np.diff(path.local_time)
-    assert np.all(dK >= 0)
-    # events record exactly the steps with local-time growth
-    assert_allclose(np.nonzero(dK > 0)[0] + 1, path.reflection_events)
-    path.check_invariants(interval)
+    h = 1e-3
+    states, K = _one_path(std_model, interval, [0.5], 2000, h, seed=5)
+    assert states.shape == (2001, 1)
+    assert np.all(np.abs(states[:, 0]) <= 1.0 + 1e-12)
+    phi = np.array([interval.phi(x) for x in states])
+    assert phi.min() >= -interval.boundary_tol
+    dK = np.diff(K)
+    assert K[0] == 0.0 and np.all(dK >= 0)
+    # the mirror repair leaves a reflected state within the overshoot
+    # distance of the boundary, at most one noise scale
+    events = np.nonzero(dK > 0)[0] + 1
+    assert len(events) > 0
+    assert np.all(phi[events] <= 6.0 * np.sqrt(h) * (1.0 + np.abs(states).max()))
 
 
 def test_simulate_same_seed_identical(interval, std_model):
-    p1 = simulate(std_model, interval, np.array([0.0]), 1.0, 1e-3, seed=9)
-    p2 = simulate(std_model, interval, np.array([0.0]), 1.0, 1e-3, seed=9)
-    assert np.array_equal(p1.states, p2.states)
-    assert np.array_equal(p1.local_time, p2.local_time)
-
-
-def test_simulate_rejects_bad_arguments(interval, std_model):
-    with pytest.raises(ValueError):
-        simulate(std_model, interval, np.array([0.0]), 1.0, 0.3, seed=0)
-    with pytest.raises(ValueError):
-        simulate(std_model, interval, np.array([2.0]), 1.0, 1e-2, seed=0)
-
-
-def test_ensemble_path_zero_matches_single_path(interval, std_model):
-    # the single-path simulator and path 0 of the ensemble share the
-    # noise stream (seed, 0) and must produce the same trajectory
-    n, h, seed = 400, 1e-3, 123
-    path = simulate(std_model, interval, np.array([0.2]), n * h, h, seed=seed)
-    X = np.array([[0.2]])
-    states = [X[0].copy()]
-    K = [0.0]
-    for i, Xc, X_new, dK, xi in ensemble_steps(std_model, interval, X, n, h, seed):
-        # one path: the block's rows are its steps
-        for x, dk in zip(X_new, dK):
-            states.append(x.copy())
-            K.append(K[-1] + dk)
-    assert np.max(np.abs(np.array(states) - path.states)) < 1e-12
-    assert np.max(np.abs(np.array(K) - path.local_time)) < 1e-12
+    s1, K1 = _one_path(std_model, interval, [0.0], 1000, 1e-3, seed=9)
+    s2, K2 = _one_path(std_model, interval, [0.0], 1000, 1e-3, seed=9)
+    assert np.array_equal(s1, s2)
+    assert np.array_equal(K1, K2)
 
 
 def test_local_time_rate_matches_stationary_flux(interval, std_model):
@@ -194,17 +185,6 @@ def test_generator_on_defining_function(interval, std_model):
         assert abs(val - (t * t - 1.0)) < 1e-12
 
 
-def test_path_csv_roundtrip(tmp_path, interval, std_model):
-    path = simulate(std_model, interval, np.array([0.0]), 0.1, 1e-2, seed=1)
-    fname = tmp_path / "path.csv"
-    path_to_csv(path, str(fname))
-    header = fname.read_text().splitlines()[0]
-    assert header == "t,x0,K"
-    data = np.loadtxt(fname, delimiter=",", skiprows=1)
-    assert_allclose(data[:, 1], path.states[:, 0], rtol=0, atol=0)
-    assert_allclose(data[:, 2], path.local_time, rtol=0, atol=0)
-
-
 def test_quadratic_potential_uses_every_coordinate():
     pot = quadratic_potential(1.7)
     X = np.random.default_rng(3).uniform(-1, 1, size=(20, 2))
@@ -248,20 +228,6 @@ def test_ellipse_reflection_stays_in_closure():
         assert np.all(dom.phi_vec(X_new[hit]) <= dK[hit])
         reflected += int((dK > 0).sum())
     assert reflected > 50
-
-
-def test_pointwise_repair_without_batched_forms():
-    # a domain without batched forms is tested and projected point by point
-    dom, model = _ellipse_model()
-    bare = dataclasses.replace(dom, phi_vec=None, grad_phi_vec=None, hess_phi_vec=None)
-    X0 = sample_invariant(model, dom, 32, np.random.default_rng(2))
-    # blocks live in reused buffers: keep copies
-    runs = [[tuple(np.copy(a) for a in step)
-             for step in ensemble_steps(model, d, X0, 40, 5e-3, 3)] for d in (dom, bare)]
-    for (_, _, Xa, dKa, _), (_, _, Xb, dKb, _) in zip(*runs):
-        assert_allclose(Xa, Xb, rtol=0, atol=1e-12)
-        assert_allclose(dKa, dKb, rtol=0, atol=1e-12)
-    assert sum(int((step[3] > 0).sum()) for step in runs[1]) > 0
 
 
 def test_ellipse_local_time_rate_matches_boundary_density():
@@ -310,8 +276,9 @@ def test_noise_blocks_match_the_per_path_layout(monkeypatch):
         assert np.array_equal(block, want)
 
 
-# Pins recorded from the per-point stepper behind simulate and the
-# per-caller stationary-start generators; every value is compared with ==.
+# Pins recorded from the per-point stepper of the former single-path
+# simulator and the per-caller stationary-start generators; every value is
+# compared with ==.
 
 def test_occupation_histogram_pinned_bit_for_bit(interval, std_model):
     pins = {"gibbs": [0.042, 0.212, 0.64, 0.708, 0.835, 0.774, 0.479, 0.31],
@@ -334,10 +301,9 @@ def test_ensemble_average_pinned_bit_for_bit():
 
 
 def test_simulate_pinned_bit_for_bit(interval, std_model):
-    p = simulate(std_model, interval, np.array([0.7]), 0.5, 1e-3, seed=13)
-    assert (p.states[-1, 0], p.local_time[-1]) == (0.3326257129890134,
-                                                   0.6124754573387032)
-    assert (len(p.reflection_events), p.states.sum()) == (11, 228.60206215816024)
+    states, K = _one_path(std_model, interval, [0.7], 500, 1e-3, seed=13)
+    assert (states[-1, 0], K[-1]) == (0.3326257129890134, 0.6124754573387032)
+    assert (np.count_nonzero(np.diff(K)), states.sum()) == (11, 228.60206215816024)
 
 
 def test_stationary_start_burn_in_pinned_bit_for_bit(interval):

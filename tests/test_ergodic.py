@@ -235,7 +235,7 @@ def test_line_zeta_at_is_np_interp_bit_for_bit(interval):
     got = sol.zeta_at(pts[:, None])
     assert got.shape == (len(pts), 1)
     assert np.array_equal(got[:, 0], np.interp(pts, nodes, zeta[:, 0]))
-    assert sol.v(np.array([0.3])) == np.interp(0.3, nodes, sol.v.values)
+    assert sol.v.interp_many(np.array([[0.3]]))[0] == np.interp(0.3, nodes, sol.v.values)
 
 
 def test_diagnostics_record_what_the_solve_did(monkeypatch, interval, std_model,

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate
 
-from ebsde.geometry import (ball_domain, boundary_sample, distance_to_closure,
-                            domain_from_json, domain_grid, geometric_constants,
+from ebsde.geometry import (ball_domain, boundary_sample, domain_from_json,
+                            domain_grid, geometric_constants,
                             inward_normal, project, project_many,
                             quadratic_domain, quartic_interval_domain)
 
@@ -60,11 +60,6 @@ def test_inward_normal_points_inside():
         for p in boundary_sample(dom, 16):
             n = inward_normal(dom, p)
             assert dom.phi(p + 1e-4 * n) > dom.phi(p)
-
-
-def test_distance_to_closure(interval):
-    assert distance_to_closure(interval, np.array([0.3])) == 0.0
-    assert abs(distance_to_closure(interval, np.array([1.7])) - 0.7) < 1e-12
 
 
 def test_quartic_interval_same_closure():
@@ -149,29 +144,44 @@ def _ellipse_points(n=200):
     return rng.standard_normal((n, 2)) * scale
 
 
+ELLIPSES = [[[1.0, 0.0], [0.0, 2.0]], [[2.0, 0.5], [0.5, 1.0]]]
+
+
+def _assert_closest_boundary_points(A, X, P):
+    """P holds boundary points no farther from the rows of X than the
+    nearest of a dense parametrisation of {x.A x = 1}: x = L^-T u for u on
+    the unit circle and A = L L^T."""
+    th = np.linspace(0, 2 * np.pi, 100001)
+    U = np.stack([np.cos(th), np.sin(th)], axis=1)
+    B = np.linalg.solve(np.linalg.cholesky(A).T, U.T).T
+    assert_allclose(((B @ np.asarray(A)) * B).sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    dist = np.linalg.norm(P - X, axis=1)
+    brute = np.array([np.linalg.norm(B - x, axis=1).min() for x in X])
+    assert np.all(dist <= brute + 1e-9)
+    assert np.max(np.abs(quadratic_domain(A).phi_vec(P))) < 1e-12
+
+
 def test_project_many_matches_pointwise_projection():
-    for A in ([[1.0, 0.0], [0.0, 2.0]], [[2.0, 0.5], [0.5, 1.0]]):
+    for A in ELLIPSES:
         dom = quadratic_domain(A)
         X = _ellipse_points()
-        want = np.stack([project(dom, x) for x in X])
         got = project_many(dom, X)
-        assert np.max(np.abs(got - want)) <= 1e-12
         outside = dom.phi_vec(X) < 0
         assert outside.sum() > 100
         assert np.array_equal(got[~outside], X[~outside])
-        assert np.max(np.abs(dom.phi_vec(got[outside]))) < 1e-12
+        _assert_closest_boundary_points(A, X[outside], got[outside])
+        # a one-row project is the matching row of the batch
+        for x, p in zip(X, got):
+            assert np.array_equal(project(dom, x), p)
 
 
 def test_projection_is_the_closest_boundary_point():
-    # deep overshoots too: compare with a dense boundary parametrisation
-    dom = quadratic_domain([[1.0, 0.0], [0.0, 2.0]])
-    X = _ellipse_points(60)
-    X = X[dom.phi_vec(X) < 0]
-    th = np.linspace(0, 2 * np.pi, 100001)
-    B = np.stack([np.cos(th), np.sin(th) / np.sqrt(2.0)], axis=1)
-    dist = np.linalg.norm(project_many(dom, X) - X, axis=1)
-    brute = np.array([np.linalg.norm(B - x, axis=1).min() for x in X])
-    assert np.all(dist <= brute + 1e-9)
+    # deep overshoots too, on the axis-aligned and the rotated ellipse
+    for A in ELLIPSES:
+        dom = quadratic_domain(A)
+        X = _ellipse_points(60)
+        X = X[dom.phi_vec(X) < 0]
+        _assert_closest_boundary_points(A, X, project_many(dom, X))
 
 
 def test_domain_kinds():

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,10 +5,15 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import conftest as refs
-from ebsde.geometry import ball_domain, quadratic_domain
+from ebsde.geometry import ball_domain, quadratic_domain, quartic_interval_domain
 from ebsde.grids import GridFunction, build_mesh
 
 PLANAR = [ball_domain(1.0, 2), quadratic_domain([[1.0, 0.0], [0.0, 2.0]])]
+# every domain kind, with both quadratic matrices of test_geometry
+FORMS = {"interval": ball_domain(1.0, 1), "disc": PLANAR[0],
+         "quartic": quartic_interval_domain(), "ellipse": PLANAR[1],
+         "rotated": quadratic_domain([[2.0, 0.5], [0.5, 1.0]]),
+         "flat": refs.flat_ellipse()}
 
 
 def test_mesh_node_count():
@@ -27,16 +30,25 @@ def test_mesh_ref_index_is_centroid():
     assert abs(mesh.nodes[mesh.ref_index()][0]) < 1e-12
 
 
-@pytest.mark.parametrize("domain", PLANAR, ids=["disc", "ellipse"])
+@pytest.mark.parametrize("domain", FORMS.values(), ids=FORMS.keys())
 @pytest.mark.parametrize("spacing", [0.1, 0.05, 0.025, 0.0125])
 def test_batched_mesh_matches_per_point_path(domain, spacing):
-    # phi_vec and grad_phi_vec may differ from phi and grad_phi in the last
-    # bit; the kept nodes, boundary flags and normals must not
-    per_point = dataclasses.replace(domain, phi_vec=None, grad_phi_vec=None)
-    got, want = build_mesh(domain, spacing), build_mesh(per_point, spacing)
-    assert np.array_equal(got.flat_index, want.flat_index)
-    assert np.array_equal(got.boundary, want.boundary)
-    assert np.array_equal(got.boundary_normals(), want.boundary_normals())
+    # the batched forms that the mesh reads agree with the per-point forms
+    # on every box point: the same kept flags, the gradient and Hessian to
+    # 1e-12 relative, and boundary normals that are the per-point ones
+    mesh = build_mesh(domain, spacing)
+    pts = np.stack([m.ravel() for m in np.meshgrid(*mesh.axes, indexing="ij")], axis=1)
+    tol = domain.boundary_tol
+    kept = np.array([domain.phi(p) >= -tol for p in pts])
+    assert np.array_equal(domain.phi_vec(pts) >= -tol, kept)
+    assert np.array_equal(mesh.flat_index, np.flatnonzero(kept))
+    for batched, point in ((domain.grad_phi_vec, domain.grad_phi),
+                           (domain.hess_phi_vec, domain.hess_phi)):
+        want = np.array([point(p) for p in pts])
+        assert np.abs(batched(pts) - want).max() <= 1e-12 * np.abs(want).max()
+    G = np.array([domain.grad_phi(p) for p in mesh.nodes[mesh.boundary]])
+    assert_allclose(mesh.boundary_normals(), G / np.linalg.norm(G, axis=1, keepdims=True),
+                    rtol=0, atol=1e-15)
 
 
 def test_mesh_2d_shape():
@@ -50,7 +62,7 @@ def test_mesh_2d_shape():
 def test_linear_interpolation_exact(q):
     mesh = build_mesh(ball_domain(1.0, 1), 1e-2)
     f = GridFunction(mesh, 3.0 * mesh.nodes[:, 0] - 0.5)
-    assert abs(f(np.array([q])) - (3.0 * q - 0.5)) < 1e-12
+    assert abs(f.interp_many(np.array([[q]]))[0] - (3.0 * q - 0.5)) < 1e-12
 
 
 def test_gradient_of_quadratic():
@@ -126,16 +138,14 @@ def test_interp_many_matches_scalar():
     mesh = build_mesh(ball_domain(1.0, 1), 1e-2)
     f = GridFunction(mesh, np.sin(mesh.nodes[:, 0]))
     qs = np.linspace(-0.9, 0.9, 17)[:, None]
-    many = f.interp_many(qs)
-    single = np.array([f(q) for q in qs])
-    assert_allclose(many, single)
+    assert np.array_equal(f.interp_many(qs), np.interp(qs[:, 0], mesh.nodes[:, 0], f.values))
 
 
 @pytest.mark.parametrize("domain, y_radius", zip(PLANAR, [1.0, np.sqrt(0.5)]),
                          ids=["disc", "ellipse"])
 def test_planar_interp_many_matches_per_point_path(domain, y_radius):
-    # the batched 3x3 block search must pick the node and the tie the
-    # per-point argmin over every node picks, and the same dot product
+    # the batched 3x3 block search must pick the node and the tie that an
+    # argmin over every node picks, and add the same gradient correction
     mesh = build_mesh(domain, 0.1)
     x, y = mesh.nodes.T
     f = GridFunction(mesh, np.sin(3.0 * x) * np.cos(2.0 * y) + x * y)
@@ -153,9 +163,12 @@ def test_planar_interp_many_matches_per_point_path(domain, y_radius):
     near_rim = rim * rng.uniform(0.93, 1.07, n)[:, None]
     pts = np.concatenate([rng.uniform(-1.2, 1.2, (2000, 2)), on_lines,
                           near_rim, mesh.nodes])
-    many = f.interp_many(pts)
-    single = np.array([f(p) for p in pts])
-    assert np.array_equal(many, single)
+    g = f.gradient()
+    single = []
+    for p in pts:
+        k = int(np.argmin(((mesh.nodes - p) ** 2).sum(axis=1)))
+        single.append(f.values[k] + g[k] @ (p - mesh.nodes[k]))
+    assert np.array_equal(f.interp_many(pts), single)
 
 
 def test_line_nearest_node_by_direct_index(interval):

@@ -199,28 +199,27 @@ def test_flux_unavailable_without_a_grid():
 
 
 def test_batched_gibbs_flux_matches_the_pointwise_sum_on_the_disc():
-    # the d >= 2 gradient branch batches phi, exp(-U) and L phi; with the
-    # batched forms removed it runs point by point, and the old sum of
-    # point-wise generator values over the same density is the reference
+    # the d >= 2 gradient branch batches exp(-U) and L phi; with the
+    # potential's batched forms and b_vec removed it runs point by point,
+    # and the old sum of point-wise generator values over the same density
+    # is the reference
     import dataclasses
 
     from ebsde.dynamics import generator_apply, invariant_density
     disc = ball_domain(1.0, 2)
     model = kolmogorov_model(quadratic_potential(1.0), dim=2)
-    bare_dom = dataclasses.replace(disc, phi_vec=None, grad_phi_vec=None,
-                                   hess_phi_vec=None)
     bare_pot = dataclasses.replace(model.kolmogorov_potential, value_vec=None,
                                    grad_vec=None)
     bare = dataclasses.replace(model, kolmogorov_potential=bare_pot, b_vec=None)
     dens, ref_dens = (invariant_density(model, disc, 101),
-                      invariant_density(bare, bare_dom, 101))
+                      invariant_density(bare, disc, 101))
     assert np.array_equal(dens.nodes, ref_dens.nodes)
     np.testing.assert_allclose(dens.values, ref_dens.values, rtol=1e-12, atol=0)
     phi = (disc.phi, disc.grad_phi, disc.hess_phi)
     ref = float((np.array([generator_apply(bare, phi, p) for p in ref_dens.nodes])
                  * ref_dens.values).sum() * ref_dens.cell_volume)
-    for m, dom in ((model, disc), (bare, bare_dom)):
-        got = stationary_generator_phi(m, dom)
+    for m in (model, bare):
+        got = stationary_generator_phi(m, disc)
         assert abs(got - ref) <= 1e-12 * abs(ref)
     # and both approximate the disc's exact flux
     assert abs(-ref - refs.DISC_FLUX_RATE) < 0.05
