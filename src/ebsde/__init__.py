@@ -27,7 +27,7 @@ from .geometry import (DomainSpec, ball_domain, boundary_sample,
                        inward_normal, project, quadratic_domain,
                        quartic_interval_domain)
 from .dynamics import (KRateEstimate, Potential, SdeModel, ensemble_average,
-                       expected_K_rate, generator_apply, invariant_density,
+                       expected_K_rate, invariant_density,
                        occupation_histogram, penalized_moments,
                        sample_invariant, stationary_start)
 from .grids import GridFunction, Mesh, build_mesh

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import dynamics, hypotheses, verification
-from .control import (Policy, _hamiltonian_batch, cost_I, cost_J, feedback_policy,
+from .control import (Policy, cost_I, cost_J, feedback_policy, hamiltonian,
                       induced_driver, policy_verdict)
 from .discounted import lipschitz_diagnostic, solve_discounted
 from .dynamics import sample_invariant
@@ -291,7 +291,7 @@ def criterion_09(seed: int = 909) -> CriterionResult:
     fb = feedback_policy(problem, sol)
 
     def anti_rule(nodes, Z, _p=problem):
-        return (_p.n_controls - 1) - _hamiltonian_batch(_p, nodes, Z)[1]
+        return (_p.n_controls - 1) - hamiltonian(_p, nodes, Z)[1]
 
     mesh = sol.v.mesh   # each heuristic is a node table, as the feedback is
     heuristics = [

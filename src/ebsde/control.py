@@ -32,7 +32,7 @@ from . import dynamics
 from .discounted import DriverSpec
 from .dynamics import SdeModel, _Accumulator, _boundary_cost, _mean_stderr
 from .errors import DegenerateLocalTime, WeightDegeneracy
-from .geometry import DomainSpec, domain_grid
+from .geometry import DomainSpec
 from .grids import Mesh
 
 __all__ = ["ControlProblem", "Policy", "hamiltonian", "induced_driver",
@@ -45,16 +45,16 @@ __all__ = ["ControlProblem", "Policy", "hamiltonian", "induced_driver",
 class ControlProblem:
     """Finite control grid with noise tilt R and running cost L.
 
-    ``R_table`` has one row per control; ``L(x, k)`` and the optional
-    vectorized ``L_vec(X, k)`` take the control by index. ``g`` is the
-    boundary running cost (None means zero).
+    ``R_table`` has one row per control. ``L(X, k)`` is batched: it maps
+    states X (P, d) and one control index k to the running costs (P,).
+    ``g(X)``, batched the same way, is the boundary running cost (None
+    means zero).
     """
 
     R_table: np.ndarray
     L: Callable
     M_R: float
     M_L: float
-    L_vec: Optional[Callable] = None
     K_L_x: float = 0.0
     g: Optional[Callable] = None
     name: str = "control-problem"
@@ -70,43 +70,21 @@ class ControlProblem:
     def n_controls(self) -> int:
         return len(self.R_table)
 
-    def L_at(self, X: np.ndarray, k: int) -> np.ndarray:
-        if self.L_vec is not None:
-            return self.L_vec(X, k)
-        return np.array([self.L(x, k) for x in X])
-
     def L_table(self, X: np.ndarray) -> np.ndarray:
         """Running cost of every control at a batch of states, (P, K)."""
         out = np.empty((len(X), self.n_controls))
         for k in range(self.n_controls):
-            out[:, k] = self.L_at(X, k)
+            out[:, k] = self.L(X, k)
         return out
 
-    def validate(self, domain: DomainSpec, density: int = 33) -> None:
-        """Spot-check the declared cost bound on a grid; raises on violation."""
-        pts = domain_grid(domain, density)
-        for k in range(self.n_controls):
-            worst = float(np.abs(self.L_at(pts, k)).max())
-            if worst > self.M_L + 1e-12:
-                raise ValueError(f"|L(., control {k})| reaches {worst:.3g}, beyond "
-                                 f"the declared bound {self.M_L:.3g}")
 
+def hamiltonian(problem: ControlProblem, X: np.ndarray, Z: np.ndarray):
+    """Exact minimum of L(x, u) + z R(u) over the control grid, for a batch
+    of states X (P, d) and z row vectors Z (P, d).
 
-def hamiltonian(problem: ControlProblem, x, z):
-    """Exact minimum of L(x, u) + z R(u) over the control grid.
-
-    Returns (value, control index); ties resolve to the lowest index.
+    Returns (values (P,), control indices (P,)); ties resolve to the lowest
+    index.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    vals = np.array([problem.L(x, k) + float(z @ problem.R_table[k])
-                     for k in range(problem.n_controls)])
-    k = int(np.argmin(vals))
-    return float(vals[k]), k
-
-
-def _hamiltonian_batch(problem: ControlProblem, X: np.ndarray, Z: np.ndarray):
-    """Vectorized Hamiltonian over a batch; returns (values (P,), argmins (P,))."""
     costs = problem.L_table(X) + Z @ problem.R_table.T
     ks = np.argmin(costs, axis=1)
     return costs[np.arange(len(X)), ks], ks
@@ -118,17 +96,10 @@ def induced_driver(problem: ControlProblem, name: Optional[str] = None) -> Drive
     The z-Lipschitz constant equals the noise-tilt bound; the x constant
     inherits the declared x-modulus of the running cost.
     """
-
-    def psi(x, z, _p=problem):
-        return hamiltonian(_p, x, z)[0]
-
-    def psi_vec(X, Z, _p=problem):
-        return _hamiltonian_batch(_p, X, Z)[0]
-
-    return DriverSpec(psi=psi, g=problem.g, K_psi_x=problem.K_L_x,
+    return DriverSpec(psi=lambda X, Z: hamiltonian(problem, X, Z)[0],
+                      g=problem.g, K_psi_x=problem.K_L_x,
                       K_psi_z=problem.M_R, M_psi=problem.M_L,
-                      psi_vec=psi_vec, psi_bounded=False,
-                      control=problem,
+                      psi_bounded=False, control=problem,
                       name=name or (problem.name + "-driver"))
 
 
@@ -179,7 +150,7 @@ def feedback_policy(problem: ControlProblem, solution) -> Policy:
     """Optimal feedback as one control per grid node: the Hamiltonian argmin
     at the solved zeta of every node, computed once, then looked up at the
     node nearest each state."""
-    return Policy.tabulate(lambda nodes, Z: _hamiltonian_batch(problem, nodes, Z)[1],
+    return Policy.tabulate(lambda nodes, Z: hamiltonian(problem, nodes, Z)[1],
                            solution.v.mesh, solution.zeta, "feedback")
 
 
@@ -276,7 +247,7 @@ def _controlled_steps(model: SdeModel, domain: DomainSpec, problem: ControlProbl
     for i, X, X_new, dK, xi in dynamics._step_blocks(model, domain, X0, n_steps, h,
                                                     seed, control_shift, record):
         if k is not None:
-            u, L_u = k, problem.L_at(X, k)
+            u, L_u = k, problem.L(X, k)
         else:
             u = np.concatenate(controls)
             L_u = problem.L_table(X)[np.arange(len(u)), u]

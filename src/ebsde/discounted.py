@@ -55,11 +55,11 @@ __all__ = ["DriverSpec", "GridOperators", "solve_discounted", "lipschitz_diagnos
 class DriverSpec:
     """Driver of the backward equation and boundary running cost.
 
-    ``psi(x, z)`` takes the state and a z row vector; ``g`` is the boundary
-    cost (None means identically zero). The declared constants bound the
-    x- and z-Lipschitz moduli and |psi(., 0)|; ``psi_bounded`` asserts
-    |psi| <= M_psi globally (automatic when K_psi_z = 0). ``psi_vec`` is an
-    optional vectorized form psi(X (M,d), Z (M,d)) -> (M,).
+    Both callables are batched: ``psi(X, Z)`` maps states X (P, d) and z
+    row vectors Z (P, d) to (P,), and ``g(X)`` maps boundary states
+    (P, d) to (P,) (None means identically zero). The declared constants
+    bound the x- and z-Lipschitz moduli and |psi(., 0)|; ``psi_bounded``
+    asserts |psi| <= M_psi globally (automatic when K_psi_z = 0).
     """
 
     psi: Callable
@@ -67,19 +67,10 @@ class DriverSpec:
     K_psi_x: float = 0.0
     K_psi_z: float = 0.0
     M_psi: float = 0.0
-    psi_vec: Optional[Callable] = None
     g_c2lip: bool = True
     psi_bounded: bool = False
     control: Optional[object] = None
     name: str = "driver"
-
-    def g_at(self, x) -> float:
-        return 0.0 if self.g is None else float(self.g(np.atleast_1d(x)))
-
-    def psi_at(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-        if self.psi_vec is not None:
-            return self.psi_vec(X, Z)
-        return np.array([self.psi(x, z) for x, z in zip(X, Z)])
 
 
 # ---------------------------------------------------------------------------
@@ -88,14 +79,21 @@ class DriverSpec:
 
 def _coefficients(mesh: Mesh, model: SdeModel):
     """sigma (M, d, d), diffusion diagonal diag(sigma sigma^T)/2 (M, d) and
-    drift (M, d) at the nodes. The rows need a diagonal sigma sigma^T."""
-    sig = model.sigma_at(mesh.nodes)
-    amat = np.einsum("nij,nkj->nik", sig, sig)
+    drift (M, d) at the nodes. The rows need a diagonal sigma sigma^T. A
+    constant sigma forms and checks sigma sigma^T once, on its one matrix,
+    and repeats the diagonal over the nodes."""
+    nodes = mesh.nodes
+    sig = model.sigma_at(nodes)
+    constant = model.sigma_constant is not None
+    distinct = sig[:1] if constant else sig
+    amat = np.einsum("nij,nkj->nik", distinct, distinct)
     adiag = np.einsum("nii->ni", amat)
     off = np.abs(amat - adiag[:, :, None] * np.eye(mesh.domain.dim)).max(axis=(1, 2))
     if np.any(off > 1e-12 * (1 + np.abs(adiag[:, 0]))):
         raise NotImplementedError("off-diagonal diffusion is not supported on 2-d grids")
-    return sig, 0.5 * adiag, model.drift_at(mesh.nodes)
+    if constant:
+        adiag = np.repeat(adiag, len(nodes), axis=0)
+    return sig, 0.5 * adiag, model.drift_at(nodes)
 
 
 def _assemble_stencil(mesh: Mesh, a: np.ndarray, b: np.ndarray):
@@ -368,7 +366,7 @@ def _picard(ops: GridOperators, driver: DriverSpec, linear_solve):
     mesh, n, ref = ops.mesh, ops.mesh.n_nodes, ops.ref
     nodes = mesh.nodes
     if driver.K_psi_z == 0.0:
-        return linear_solve(driver.psi_at(nodes, np.zeros_like(nodes))), 1, None, 0
+        return linear_solve(driver.psi(nodes, np.zeros_like(nodes))), 1, None, 0
 
     def update(x_new, x):
         step = x_new[:n] - x[:n]
@@ -379,7 +377,7 @@ def _picard(ops: GridOperators, driver: DriverSpec, linear_solve):
     damped = 0
     for sweep in range(MAX_SWEEPS):
         Z = np.einsum("nd,nde->ne", GridFunction(mesh, x[:n]).gradient(), ops.sig)
-        x_new = linear_solve(driver.psi_at(nodes, Z))
+        x_new = linear_solve(driver.psi(nodes, Z))
         delta = update(x_new, x)
         if delta > delta_prev:
             x_new = 0.5 * (x_new + x)   # damp oscillating sweeps
@@ -515,14 +513,14 @@ class GridOperators:
         makes lambda first order (an error of 0.59 h to 0.77 h for g =
         x1^2 on the unit disc at spacings 0.1 to 0.0125)."""
         mesh = self.mesh
-        if mesh.domain.dim == 1:
-            return np.array([driver.g_at(p) for p in mesh.nodes[mesh.boundary]])
         rows = self.boundary_rows()
         if driver.g is None:
             return np.zeros(len(rows))
+        if mesh.domain.dim == 1:
+            return driver.g(mesh.nodes[mesh.boundary])
         cells = mesh.cut_cells()
         w = self._arc_flux(self.eps_list[0])
-        g = np.array([driver.g_at(p) for p in cells.chord_point])
+        g = driver.g(cells.chord_point)
         total = np.bincount(cells.chord_node, w, mesh.n_nodes)[rows]
         cost = np.bincount(cells.chord_node, w * g, mesh.n_nodes)[rows]
         return np.divide(cost, total, out=np.zeros_like(cost), where=total > 0)

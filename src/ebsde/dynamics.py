@@ -31,71 +31,65 @@ from .geometry import DomainSpec, outside_rows, project_many, project_outside
 
 __all__ = [
     "Potential", "SdeModel", "RunRecord", "invariant_density",
-    "sample_invariant", "generator_apply", "expected_K_rate",
+    "sample_invariant", "expected_K_rate",
     "occupation_histogram", "ensemble_average", "penalized_moments", "stationary_start",
 ]
 
 
 @dataclass
 class Potential:
-    """Scalar potential with first and second derivatives.
+    """Scalar potential U with its first and second derivatives, batched:
+    ``value``, ``grad`` and ``hess`` map states X (P, d) to (P,), (P, d)
+    and (P, d, d)."""
 
-    ``grad_vec`` and ``value_vec`` are optional vectorized forms used by the
-    ensemble simulator and the rejection sampler; the point-wise callables
-    are always authoritative.
-    """
-
-    value: Callable[[np.ndarray], float]
+    value: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
     hess: Callable[[np.ndarray], np.ndarray]
-    value_vec: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    grad_vec: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 @dataclass
 class SdeModel:
     """Drift and diffusion of the state equation, plus optional structure.
 
+    ``b`` maps states X (P, d) to drifts (P, d). The diffusion is given by
+    exactly one of ``sigma``, batched (P, d) -> (P, d, d), and
+    ``sigma_constant``, one (d, d) matrix; the constant form is a declared
+    structure that the noise scaling, the control tilts, the drift shift
+    and the H3' check read.
+
     When ``kolmogorov_potential`` is present the model is understood as the
     gradient system b = -grad(U), sigma = sqrt(2) I, whose stationary law
     has the explicit density exp(-U)/N on the domain closure.
-
-    ``b_vec`` (shape (P,d) -> (P,d)), ``sigma_constant`` ((d,d) matrix) and
-    ``sigma_diag_vec`` ((P,d) -> (P,d) diagonal entries) are optional fast
-    paths for ensemble simulation; absent them the simulator falls back on
-    a per-point loop.
     """
 
     b: Callable[[np.ndarray], np.ndarray]
-    sigma: Callable[[np.ndarray], np.ndarray]
+    sigma: Optional[Callable[[np.ndarray], np.ndarray]] = None
     kolmogorov_potential: Optional[Potential] = None
-    b_vec: Optional[Callable[[np.ndarray], np.ndarray]] = None
     sigma_constant: Optional[np.ndarray] = None
-    sigma_diag_vec: Optional[Callable[[np.ndarray], np.ndarray]] = None
     eta_hint: Optional[float] = None
     name: str = "model"
 
+    def __post_init__(self):
+        if (self.sigma is None) == (self.sigma_constant is None):
+            raise ValueError("a model gives exactly one of sigma and sigma_constant")
+
     def drift_at(self, X: np.ndarray) -> np.ndarray:
-        if self.b_vec is not None:
-            return self.b_vec(X)
-        return np.stack([np.atleast_1d(self.b(x)) for x in X])
+        """b at a batch of states. Kept as a method, although it only calls
+        ``b``, because the benchmark tracer wraps it by name."""
+        return self.b(X)
 
     def sigma_at(self, X: np.ndarray) -> np.ndarray:
         """sigma at a batch of states, (P, d) -> (P, d, d)."""
         if self.sigma_constant is not None:
             return np.broadcast_to(self.sigma_constant,
                                    (len(X),) + self.sigma_constant.shape)
-        if self.sigma_diag_vec is not None:
-            return self.sigma_diag_vec(X)[:, :, None] * np.eye(X.shape[1])
-        return np.stack([np.atleast_2d(self.sigma(x)) for x in X])
+        return self.sigma(X)
 
     def noise_term(self, X: np.ndarray, dW: np.ndarray) -> np.ndarray:
         """sigma(X_p) dW_p for a batch of states and increments."""
         if self.sigma_constant is not None:
             return dW @ self.sigma_constant.T
-        if self.sigma_diag_vec is not None:
-            return self.sigma_diag_vec(X) * dW
-        return np.stack([np.atleast_2d(self.sigma(x)) @ w for x, w in zip(X, dW)])
+        return np.einsum("pij,pj->pi", self.sigma(X), dW)
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +127,7 @@ class _Kernel:
     proposals x_pre into x_new; a proposal inside the closure is copied
     unchanged, so the local time |x_new - x_pre| of a block can be formed
     afterwards from the two arrays alone (``_local_time``). ``guard`` checks
-    a block of repaired states (a no-op unless a kernel needs it);
-    ``project`` projects a batch onto the closure."""
+    a block of repaired states (a no-op unless a kernel needs it)."""
 
     def __init__(self, domain: DomainSpec):
         self.domain = domain
@@ -158,10 +151,6 @@ class _IntervalKernel(_Kernel):
     [-r, r] (StepTooLarge), so every state that is kept is the clamped
     fold's bit for bit."""
 
-    def project(self, X: np.ndarray) -> np.ndarray:
-        out = np.maximum(X, -self.r)
-        return np.minimum(out, self.r, out=out)
-
     def __call__(self, x_pre: np.ndarray, x_new: np.ndarray) -> None:
         np.maximum(x_pre, -self.r, out=x_new)
         np.minimum(x_new, self.r, out=x_new)
@@ -178,10 +167,6 @@ class _IntervalKernel(_Kernel):
 class _BallKernel(_Kernel):
     """Fast repair for balls of radius r about the origin."""
 
-    def project(self, X: np.ndarray) -> np.ndarray:
-        norms = np.linalg.norm(X, axis=1)
-        return X * (self.r / np.maximum(norms, self.r))[:, None]
-
     def __call__(self, x_pre: np.ndarray, x_new: np.ndarray) -> None:
         r = self.r
         norms = np.linalg.norm(x_pre, axis=1)
@@ -195,11 +180,8 @@ class _BallKernel(_Kernel):
 
 class _GenericKernel(_Kernel):
     """Repair by mirroring at the projection, for quadratic domains: one
-    batched ``phi_vec`` test picks the outside rows, which are projected
+    batched ``phi`` test picks the outside rows, which are projected
     together (``geometry.project_outside``)."""
-
-    def project(self, X: np.ndarray) -> np.ndarray:
-        return project_many(self.domain, X)
 
     def __call__(self, x_pre: np.ndarray, x_new: np.ndarray) -> None:
         x_new[...] = x_pre
@@ -447,21 +429,17 @@ def invariant_density(model: SdeModel, domain: DomainSpec,
     if domain.dim == 1:
         from scipy import integrate
         lo, hi = domain.bounding_box[0]
-        N, _ = integrate.quad(lambda t: np.exp(-pot.value(np.array([t]))), lo, hi)
-        xs = np.linspace(lo, hi, resolution)
-        vals = np.array([np.exp(-pot.value(np.array([t]))) / N for t in xs])
-        return InvariantDensity(xs[:, None], vals, N, (hi - lo) / (resolution - 1))
-    # d >= 2: midpoint rule on a tensor grid masked to the closure by
-    # ``phi_vec``, batched through ``value_vec`` where the potential has it
+        N, _ = integrate.quad(lambda t: np.exp(-pot.value(np.array([[t]]))[0]), lo, hi)
+        xs = np.linspace(lo, hi, resolution)[:, None]
+        return InvariantDensity(xs, np.exp(-pot.value(xs)) / N, N,
+                                (hi - lo) / (resolution - 1))
+    # d >= 2: midpoint rule on a tensor grid masked to the closure by phi
     axes = [np.linspace(lo, hi, resolution) for lo, hi in domain.bounding_box]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    inside = domain.phi_vec(pts) >= 0
+    inside = domain.phi(pts) >= 0
     raw = np.zeros(len(pts))
-    if pot.value_vec is not None:
-        raw[inside] = np.exp(-pot.value_vec(pts[inside]))
-    else:
-        raw[inside] = np.array([np.exp(-pot.value(p)) for p in pts[inside]])
+    raw[inside] = np.exp(-pot.value(pts[inside]))
     cell = np.prod([(a[1] - a[0]) for a in axes])
     N = raw.sum() * cell
     return InvariantDensity(pts[inside], raw[inside] / N, N, cell)
@@ -476,28 +454,16 @@ def sample_invariant(model: SdeModel, domain: DomainSpec, size: int, rng) -> np.
     pot = _potential_or_raise(model)
     box = domain.bounding_box
     probe = np.linspace(0, 1, 257)[:, None] * (box[:, 1] - box[:, 0]) + box[:, 0]
-    vec = pot.value_vec is not None
-    if domain.dim == 1:
-        u_min = min(pot.value(np.array([t])) for t in probe[:, 0])
-    else:
-        grid = np.stack(np.meshgrid(*[probe[:, k] for k in range(domain.dim)],
-                                    indexing="ij"), axis=-1).reshape(-1, domain.dim)
-        if vec:
-            u_min = pot.value_vec(grid[domain.phi_vec(grid) >= 0]).min()
-        else:
-            u_min = min(pot.value(p) for p in grid if domain.phi(p) >= 0)
+    grid = np.stack(np.meshgrid(*[probe[:, k] for k in range(domain.dim)],
+                                indexing="ij"), axis=-1).reshape(-1, domain.dim)
+    u_min = pot.value(grid[domain.phi(grid) >= 0]).min()
     out = np.empty((size, domain.dim))
     have = 0
     while have < size:
         m = 4 * (size - have) + 16
         cand = rng.uniform(box[:, 0], box[:, 1], size=(m, domain.dim))
-        if vec:
-            dens = np.exp(-(pot.value_vec(cand) - u_min))
-            ok = (rng.uniform(size=m) < dens) & (domain.phi_vec(cand) >= 0)
-        else:
-            dens = np.array([np.exp(-(pot.value(c) - u_min)) if domain.phi(c) >= 0 else 0.0
-                             for c in cand])
-            ok = rng.uniform(size=m) < dens
+        dens = np.exp(-(pot.value(cand) - u_min))
+        ok = (rng.uniform(size=m) < dens) & (domain.phi(cand) >= 0)
         acc = cand[ok]
         take = min(size - have, len(acc))
         out[have:have + take] = acc[:take]
@@ -506,23 +472,7 @@ def sample_invariant(model: SdeModel, domain: DomainSpec, size: int, rng) -> np.
 
 
 # ---------------------------------------------------------------------------
-# generator and local-time statistics
-
-
-def _fields_of(f):
-    """Accept (value, grad, hess) triples or objects with those attributes."""
-    if isinstance(f, (tuple, list)) and len(f) == 3:
-        return f
-    return f.value, f.grad, f.hess
-
-
-def generator_apply(model: SdeModel, f, x) -> float:
-    """Apply L f = (1/2) Tr(sigma sigma^T hess f) + b . grad f at x."""
-    _, grad_f, hess_f = _fields_of(f)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    sig = np.atleast_2d(model.sigma(x))
-    H = np.atleast_2d(hess_f(x))
-    return float(0.5 * np.trace(sig @ sig.T @ H) + np.atleast_1d(model.b(x)) @ np.atleast_1d(grad_f(x)))
+# local-time statistics
 
 
 @dataclass
@@ -555,11 +505,11 @@ def stationary_start(model: SdeModel, domain: DomainSpec, paths: int, h: float,
 def _boundary_cost(g: Optional[Callable], X: np.ndarray, dK: np.ndarray,
                    mu: float) -> np.ndarray:
     """(g(X) - mu) dK for a batch of path-steps, with g the boundary cost
-    (None means zero); g is evaluated only at the steps that reflected."""
+    (None means zero); g is evaluated once, at the steps that reflected."""
     out = (0.0 - mu) * dK
     if g is not None:
         hit = np.nonzero(dK)[0]
-        out[hit] = (np.array([g(x) for x in X[hit]]) - mu) * dK[hit]
+        out[hit] = (g(X[hit]) - mu) * dK[hit]
     return out
 
 
@@ -623,17 +573,13 @@ def penalized_moments(model: SdeModel, domain: DomainSpec, n_penalty: float,
     nb, n = round(burn / h), round(T / h)
     m1 = np.zeros((paths, d)); m2 = np.zeros((paths, d))
     s2h = np.sqrt(2.0 * h)
-    closure = _make_kernel(domain).project
     for start, block in _ensemble_noise_blocks(seed, paths, d, nb + n):
         # each step reads one time slice of every path: copy the block to
         # (L, P, d) order once instead of gathering a strided slice per step
         block = np.ascontiguousarray(block)
         for j in range(block.shape[0]):
-            if pot.grad_vec is not None:
-                gU = pot.grad_vec(X)
-            else:
-                gU = np.stack([np.atleast_1d(pot.grad(x)) for x in X])
-            pen = 2.0 * n_penalty * (X - closure(X))
+            gU = pot.grad(X)
+            pen = 2.0 * n_penalty * (X - project_many(domain, X))
             X = X - (gU + pen) * h + s2h * block[j]
             if start + j >= nb:
                 m1 += X

@@ -210,7 +210,7 @@ def _affine_curve(driver: DriverSpec, scheme: str, ops: GridOperators):
     nodes = ops.mesh.nodes
     measure, flux = ops.weights()
     g = ops.boundary_cost(driver)
-    psi = driver.psi_at(nodes, np.zeros_like(nodes))
+    psi = driver.psi(nodes, np.zeros_like(nodes))
     return float(measure @ psi - flux @ g), float(flux.sum())
 
 
@@ -354,6 +354,6 @@ def lambda_time_average(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
     n = round(T / h)
     acc = dynamics._Accumulator(np.zeros(paths))
     for i, X, X_new, dK, xi in dynamics.ensemble_steps(model, domain, X0, n, h, seed):
-        acc.add_steps(driver.psi_at(X, solution.zeta_at(X)) * h,
+        acc.add_steps(driver.psi(X, solution.zeta_at(X)) * h,
                       dynamics._boundary_cost(driver.g, X_new, dK, solution.mu))
     return dynamics._mean_stderr(acc.total / T)

@@ -28,11 +28,14 @@ def _as_point(x, dim: int) -> np.ndarray:
 class DomainSpec:
     """A bounded domain given by a scalar defining function.
 
+    Every callable is batched: it takes states X of shape (P, d).
+
     Parameters
     ----------
     phi, grad_phi, hess_phi : callables
-        Defining function with its gradient and Hessian; phi > 0 inside,
-        phi = 0 on the boundary, |grad phi| = 1 on the boundary.
+        Defining function with its gradient and Hessian, (P, d) -> (P,),
+        (P, d) and (P, d, d); phi > 0 inside, phi = 0 on the boundary,
+        |grad phi| = 1 on the boundary.
     dim : int
         Ambient dimension.
     bounding_box : (dim, 2) array
@@ -40,27 +43,22 @@ class DomainSpec:
     kind : str
         "ball", "interval_quartic" or "quadratic" ({x.A x <= 1}); path
         simulation picks its boundary repair by kind.
-    phi_vec, grad_phi_vec, hess_phi_vec : callables
-        Batched forms of phi, grad_phi and hess_phi on X of shape (P, d),
-        returning (P,), (P, d) and (P, d, d). The grids, the path kernels
-        and the Gibbs quadratures read phi through these forms only.
     convex_flag : bool
         Declared by the builder; spot-checked by the hypothesis module.
     project_exact : callable, optional
-        Closed-form projector onto the closure, used when available.
+        Closed-form projection onto the closure, (P, d) -> (P, d), that
+        returns every row already in the closure unchanged. Without it
+        ``project_many`` runs the KKT Newton of ``project_outside``.
     radius : float, optional
         Radius of "ball" and "interval_quartic" domains.
     """
 
-    phi: Callable[[np.ndarray], float]
+    phi: Callable[[np.ndarray], np.ndarray]
     grad_phi: Callable[[np.ndarray], np.ndarray]
     hess_phi: Callable[[np.ndarray], np.ndarray]
     dim: int
     bounding_box: np.ndarray
     kind: str
-    phi_vec: Callable[[np.ndarray], np.ndarray]
-    grad_phi_vec: Callable[[np.ndarray], np.ndarray]
-    hess_phi_vec: Callable[[np.ndarray], np.ndarray]
     convex_flag: bool = True
     project_exact: Optional[Callable[[np.ndarray], np.ndarray]] = None
     centroid: np.ndarray = None
@@ -77,7 +75,7 @@ class DomainSpec:
             self.centroid = np.asarray(self.centroid, dtype=float)
 
     def contains(self, x, tol: float = 0.0) -> bool:
-        return self.phi(_as_point(x, self.dim)) >= -tol
+        return bool(self.phi(_as_point(x, self.dim)[None])[0] >= -tol)
 
     @property
     def diameter_hint(self) -> float:
@@ -85,42 +83,38 @@ class DomainSpec:
         return float(np.linalg.norm(widths))
 
 
+def _clamp(r: float):
+    """Projection onto [-r, r]: min(max(x, -r), r)."""
+    def proj(X):
+        out = np.maximum(X, -r)
+        return np.minimum(out, r, out=out)
+    return proj
+
+
 def ball_domain(radius: float = 1.0, dim: int = 1) -> DomainSpec:
     """Ball of given radius centered at the origin.
 
     Uses phi(x) = (r^2 - |x|^2) / (2r), whose gradient has unit length on
-    the sphere |x| = r. In one dimension this is the interval [-r, r].
+    the sphere |x| = r. In one dimension this is the interval [-r, r],
+    projected by the clamp; in higher dimensions a row is scaled by
+    r / max(|x|, r).
     """
     r = float(radius)
     if r <= 0:
         raise ValueError("radius must be positive")
 
-    def phi(x):
-        # the rounding of phi_vec, so membership does not depend on the form
-        x = np.asarray(x, dtype=float)
-        return (r * r - float((x * x).sum())) / (2 * r)
-
-    def grad(x):
-        return -np.asarray(x, dtype=float) / r
-
-    def hess(x):
-        return -np.eye(dim) / r
-
-    def proj(x):
-        nx = np.linalg.norm(x)
-        if nx <= r:
-            return np.asarray(x, dtype=float)
-        return np.asarray(x, dtype=float) * (r / nx)
+    def radial(X):
+        return X * (r / np.maximum(np.linalg.norm(X, axis=1), r))[:, None]
 
     box = np.repeat(np.array([[-r, r]]), dim, axis=0)
-    return DomainSpec(phi, grad, hess, dim, box, convex_flag=True,
-                      project_exact=proj, centroid=np.zeros(dim),
-                      name=f"ball(r={r:g},d={dim})", boundary_tol=1e-9 * 2 * r,
-                      kind="ball", radius=r,
-                      phi_vec=lambda X: (r * r - (X * X).sum(axis=1)) / (2 * r),
-                      grad_phi_vec=lambda X: -X / r,
-                      hess_phi_vec=lambda X: np.broadcast_to(
-                          -np.eye(dim) / r, (len(X), dim, dim)))
+    return DomainSpec(phi=lambda X: (r * r - (X * X).sum(axis=1)) / (2 * r),
+                      grad_phi=lambda X: -X / r,
+                      hess_phi=lambda X: np.broadcast_to(-np.eye(dim) / r,
+                                                         (len(X), dim, dim)),
+                      dim=dim, bounding_box=box, kind="ball", convex_flag=True,
+                      project_exact=_clamp(r) if dim == 1 else radial,
+                      centroid=np.zeros(dim), name=f"ball(r={r:g},d={dim})",
+                      boundary_tol=1e-9 * 2 * r, radius=r)
 
 
 def quartic_interval_domain() -> DomainSpec:
@@ -132,32 +126,16 @@ def quartic_interval_domain() -> DomainSpec:
     which some solvability checks require.
     """
 
-    def phi(x):
-        s = (1.0 - float(x[0]) ** 2) / 2.0
-        return s * (1.0 - s / 4.0)
-
-    def grad(x):
-        t = float(x[0])
-        return np.array([-t * (3.0 + t * t) / 4.0])
-
-    def hess(x):
-        t = float(x[0])
-        return np.array([[-(3.0 + 3.0 * t * t) / 4.0]])
-
-    def proj(x):
-        return np.clip(np.asarray(x, dtype=float), -1.0, 1.0)
-
-    def phi_vec(X):
+    def phi(X):
         s = (1.0 - X[:, 0] ** 2) / 2.0
         return s * (1.0 - s / 4.0)
 
-    return DomainSpec(phi, grad, hess, 1, np.array([[-1.0, 1.0]]), convex_flag=True,
-                      project_exact=proj, centroid=np.zeros(1),
-                      name="interval-quartic", boundary_tol=2e-9,
-                      kind="interval_quartic", radius=1.0, phi_vec=phi_vec,
-                      grad_phi_vec=lambda X: -X * (3.0 + X * X) / 4.0,
-                      hess_phi_vec=lambda X: (-(3.0 + 3.0 * X[:, 0] ** 2)
-                                              / 4.0)[:, None, None])
+    return DomainSpec(phi=phi, grad_phi=lambda X: -X * (3.0 + X * X) / 4.0,
+                      hess_phi=lambda X: (-(3.0 + 3.0 * X[:, 0] ** 2) / 4.0)[:, None, None],
+                      dim=1, bounding_box=np.array([[-1.0, 1.0]]),
+                      kind="interval_quartic", convex_flag=True,
+                      project_exact=_clamp(1.0), centroid=np.zeros(1),
+                      name="interval-quartic", boundary_tol=2e-9, radius=1.0)
 
 
 def quadratic_domain(matrix) -> DomainSpec:
@@ -175,24 +153,14 @@ def quadratic_domain(matrix) -> DomainSpec:
     if evals.min() <= 0:
         raise ValueError("matrix must be positive definite")
 
-    def phi(x):
-        return (1.0 - float(x @ A @ x)) / 2.0
-
-    def grad(x):
-        return -(A @ np.asarray(x, dtype=float))
-
-    def hess(x):
-        return -A.copy()
-
     semi = 1.0 / np.sqrt(evals.min())
     box = np.repeat(np.array([[-semi, semi]]), d, axis=0)
-    return DomainSpec(phi, grad, hess, d, box, convex_flag=True,
-                      project_exact=None, centroid=np.zeros(d),
-                      name="quadratic", boundary_tol=1e-9 * 2 * semi,
-                      kind="quadratic",
-                      phi_vec=lambda X: (1.0 - ((X @ A) * X).sum(axis=1)) / 2.0,
-                      grad_phi_vec=lambda X: -(X @ A.T),
-                      hess_phi_vec=lambda X: np.broadcast_to(-A, (len(X), d, d)))
+    return DomainSpec(phi=lambda X: (1.0 - ((X @ A) * X).sum(axis=1)) / 2.0,
+                      grad_phi=lambda X: -(X @ A.T),
+                      hess_phi=lambda X: np.broadcast_to(-A, (len(X), d, d)),
+                      dim=d, bounding_box=box, kind="quadratic", convex_flag=True,
+                      project_exact=None, centroid=np.zeros(d), name="quadratic",
+                      boundary_tol=1e-9 * 2 * semi)
 
 
 def domain_from_json(doc: dict) -> DomainSpec:
@@ -212,28 +180,23 @@ def domain_from_json(doc: dict) -> DomainSpec:
 
 
 def project(domain: DomainSpec, x) -> np.ndarray:
-    """Closest point of the closure of G.
-
-    Returns x itself when x already lies in the closure. Ball and interval
-    domains project in closed form; a quadratic domain runs its point as a
-    one-row batch of ``project_outside``.
-    """
-    p = _as_point(x, domain.dim)
-    if domain.phi(p) >= 0:
-        return p
-    if domain.project_exact is not None:
-        return domain.project_exact(p)
-    return project_outside(domain, p[None])[0]
+    """Closest point of the closure of G to one point: a one-row batch of
+    ``project_many``, so x itself when x already lies in the closure."""
+    return project_many(domain, _as_point(x, domain.dim)[None])[0]
 
 
 def project_many(domain: DomainSpec, X: np.ndarray) -> np.ndarray:
-    """Closest points of the closure of a quadratic domain for a batch X of
-    shape (P, d).
+    """Closest points of the closure of G for a batch X of shape (P, d).
 
-    Rows already in the closure come back unchanged; the outside rows are
-    repaired together by ``project_outside``.
+    Rows already in the closure come back unchanged. A domain with a
+    closed form (``DomainSpec.project_exact``: the clamp of an interval, the
+    radial scaling of a ball) projects every row through it; otherwise the
+    outside rows are repaired together by the KKT Newton of
+    ``project_outside``.
     """
     X = np.asarray(X, dtype=float)
+    if domain.project_exact is not None:
+        return domain.project_exact(X)
     out = X.copy()
     rows = outside_rows(domain, X)
     if len(rows):
@@ -243,7 +206,7 @@ def project_many(domain: DomainSpec, X: np.ndarray) -> np.ndarray:
 
 def outside_rows(domain: DomainSpec, X: np.ndarray) -> np.ndarray:
     """Indices of the rows of X that lie outside the closure."""
-    return np.flatnonzero(domain.phi_vec(X) < 0)
+    return np.flatnonzero(domain.phi(X) < 0)
 
 
 def project_outside(domain: DomainSpec, X: np.ndarray) -> np.ndarray:
@@ -256,14 +219,14 @@ def project_outside(domain: DomainSpec, X: np.ndarray) -> np.ndarray:
     is the radial crossing, in closed form: the ray through x crosses the
     boundary at t = 1/sqrt(x.A x)."""
     m, d = X.shape
-    P = X / np.sqrt(1.0 - 2.0 * domain.phi_vec(X))[:, None]
-    G = domain.grad_phi_vec(P)
+    P = X / np.sqrt(1.0 - 2.0 * domain.phi(X))[:, None]
+    G = domain.grad_phi(P)
     # the multiplier starts at the least-squares nu of x - p = nu grad phi(p)
     nu = (G * (X - P)).sum(axis=1) / np.maximum((G * G).sum(axis=1), 1e-300)
 
     def residual(P, nu, X):
-        return np.concatenate([P - X + nu[:, None] * domain.grad_phi_vec(P),
-                               domain.phi_vec(P)[:, None]], axis=1)
+        return np.concatenate([P - X + nu[:, None] * domain.grad_phi(P),
+                               domain.phi(P)[:, None]], axis=1)
 
     res = residual(P, nu, X)
     tol = 1e-12 * (1 + np.linalg.norm(X, axis=1))
@@ -276,8 +239,8 @@ def project_outside(domain: DomainSpec, X: np.ndarray) -> np.ndarray:
             return P
         p, mult, x = P[live], nu[live], X[live]
         J = np.zeros((len(live), d + 1, d + 1))
-        J[:, :d, :d] = np.eye(d) + mult[:, None, None] * domain.hess_phi_vec(p)
-        J[:, :d, d] = J[:, d, :d] = domain.grad_phi_vec(p)
+        J[:, :d, :d] = np.eye(d) + mult[:, None, None] * domain.hess_phi(p)
+        J[:, :d, d] = J[:, d, :d] = domain.grad_phi(p)
         try:
             step = np.linalg.solve(J, -res[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
@@ -302,11 +265,12 @@ def project_outside(domain: DomainSpec, X: np.ndarray) -> np.ndarray:
 
 def inward_normal(domain: DomainSpec, x) -> np.ndarray:
     """Unit inward normal at a boundary point (the normalized phi gradient)."""
-    p = _as_point(x, domain.dim)
+    p = _as_point(x, domain.dim)[None]
     tol = max(domain.boundary_tol, 1e-7)
-    if abs(domain.phi(p)) > tol:
-        raise NotOnBoundary(f"phi(x) = {domain.phi(p):.3e} exceeds boundary tolerance {tol:.1e}")
-    g = domain.grad_phi(p)
+    value = float(domain.phi(p)[0])
+    if abs(value) > tol:
+        raise NotOnBoundary(f"phi(x) = {value:.3e} exceeds boundary tolerance {tol:.1e}")
+    g = domain.grad_phi(p)[0]
     return g / np.linalg.norm(g)
 
 
@@ -315,16 +279,15 @@ def domain_grid(domain: DomainSpec, density: int, pad: float = 0.0) -> np.ndarra
     axes = [np.linspace(lo - pad, hi + pad, density) for lo, hi in domain.bounding_box]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    keep = np.array([domain.phi(p) >= -domain.boundary_tol for p in pts])
-    return pts[keep]
+    return pts[domain.phi(pts) >= -domain.boundary_tol]
 
 
 def boundary_sample(domain: DomainSpec, m: int = 64) -> np.ndarray:
     """Sample points on the boundary by ray bisection from the centroid.
 
     Along each of m directions, the zero level of phi is bracketed and
-    bisected to machine precision. In one dimension this returns the two
-    interval endpoints exactly.
+    bisected to machine precision, all rays together. In one dimension this
+    returns the two interval endpoints exactly.
     """
     c = domain.centroid
     if domain.dim == 1:
@@ -338,21 +301,24 @@ def boundary_sample(domain: DomainSpec, m: int = 64) -> np.ndarray:
         dirs = rng.standard_normal((m, domain.dim))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     span = np.linalg.norm(domain.bounding_box[:, 1] - domain.bounding_box[:, 0])
-    out = np.empty((m, domain.dim))
-    for k, u in enumerate(dirs):
-        t_lo, t_hi = 0.0, span
-        while domain.phi(c + t_hi * u) > 0:
-            t_hi *= 1.5
-            if t_hi > 100 * span:
-                raise NonConvergence("boundary bracketing failed along a ray")
-        for _ in range(80):
-            t_mid = 0.5 * (t_lo + t_hi)
-            if domain.phi(c + t_mid * u) > 0:
-                t_lo = t_mid
-            else:
-                t_hi = t_mid
-        out[k] = c + 0.5 * (t_lo + t_hi) * u
-    return out
+
+    def inside(t):
+        return domain.phi(c + t[:, None] * dirs) > 0
+
+    t_lo, t_hi = np.zeros(m), np.full(m, span)
+    while True:
+        grow = inside(t_hi)
+        if not grow.any():
+            break
+        t_hi[grow] *= 1.5
+        if np.any(t_hi > 100 * span):
+            raise NonConvergence("boundary bracketing failed along a ray")
+    for _ in range(80):
+        t_mid = 0.5 * (t_lo + t_hi)
+        ok = inside(t_mid)
+        t_lo = np.where(ok, t_mid, t_lo)
+        t_hi = np.where(ok, t_hi, t_mid)
+    return c + (0.5 * (t_lo + t_hi))[:, None] * dirs
 
 
 def geometric_constants(domain: DomainSpec, sample_density: int = 32) -> dict:
@@ -371,8 +337,5 @@ def geometric_constants(domain: DomainSpec, sample_density: int = 32) -> dict:
         block = pts[i:i + chunk]
         d2 = ((block[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
         diam = max(diam, float(np.sqrt(d2.max())))
-    alpha = -np.inf
-    for p in pts:
-        w = np.linalg.eigvalsh(domain.hess_phi(p))
-        alpha = max(alpha, float(w.max()))
+    alpha = float(np.linalg.eigvalsh(domain.hess_phi(pts)).max(initial=-np.inf))
     return {"diameter_d": diam, "alpha_nonconvex": alpha}

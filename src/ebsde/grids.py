@@ -111,7 +111,7 @@ class Mesh:
 
     def boundary_normals(self) -> np.ndarray:
         """Unit inward normals grad phi / |grad phi| at the boundary nodes."""
-        G = self.domain.grad_phi_vec(self.nodes[self.boundary])
+        G = self.domain.grad_phi(self.nodes[self.boundary])
         return G / np.linalg.norm(G, axis=1, keepdims=True)
 
 
@@ -130,7 +130,7 @@ def build_mesh(domain: DomainSpec, spacing: float) -> Mesh:
     if domain.dim == 1:   # the bounding interval is the closure
         inside = np.ones(len(pts), bool)
     else:
-        inside = domain.phi_vec(pts) >= -domain.boundary_tol
+        inside = domain.phi(pts) >= -domain.boundary_tol
     flat = np.nonzero(inside)[0]
     compact = np.full(len(pts), -1, dtype=int)
     compact[flat] = np.arange(len(flat))
@@ -192,8 +192,8 @@ class CutCells:
 def _curvature(domain: DomainSpec, P: np.ndarray, T: np.ndarray) -> np.ndarray:
     """Curvature -t.H t / |grad phi| of the level set of phi through each
     point of P along its unit tangent T: positive where G is convex."""
-    return (-np.einsum("ki,kij,kj->k", T, domain.hess_phi_vec(P), T)
-            / np.linalg.norm(domain.grad_phi_vec(P), axis=1))
+    return (-np.einsum("ki,kij,kj->k", T, domain.hess_phi(P), T)
+            / np.linalg.norm(domain.grad_phi(P), axis=1))
 
 
 def _crossings(domain: DomainSpec, p0: np.ndarray, step: np.ndarray, f0: np.ndarray,
@@ -211,10 +211,10 @@ def _crossings(domain: DomainSpec, p0: np.ndarray, step: np.ndarray, f0: np.ndar
     t = f0 / (f0 - f1)
     for _ in range(60):
         P = p0 + t[:, None] * step
-        f = domain.phi_vec(P)
+        f = domain.phi(P)
         near = (f >= 0) == first        # on the side of the t = 0 end
         lo, hi = np.where(near, t, lo), np.where(near, hi, t)
-        slope = (domain.grad_phi_vec(P) * step).sum(axis=1)
+        slope = (domain.grad_phi(P) * step).sum(axis=1)
         # a point on the boundary is its own crossing, even where the segment
         # touches the boundary there (slope 0)
         newton = t - np.where(f == 0, 0.0, f / np.where(slope != 0, slope, np.nan))
@@ -311,7 +311,7 @@ def _cut_cells(mesh: Mesh) -> CutCells:
     # one side
     corners = np.empty((nx + 1, ny + 1, 2))
     corners[..., 0], corners[..., 1] = lattice[0][0::2, None], lattice[1][None, 0::2]
-    at = dom.phi_vec(corners.reshape(-1, 2)).reshape(nx + 1, ny + 1) >= 0
+    at = dom.phi(corners.reshape(-1, 2)).reshape(nx + 1, ny + 1) >= 0
     kept = mesh.compact_of_flat.reshape(nx, ny)
     n_in = (at[:-1, :-1].astype(int) + at[1:, :-1] + at[1:, 1:] + at[:-1, 1:]
             + (kept >= 0))
@@ -322,7 +322,7 @@ def _cut_cells(mesh: Mesh) -> CutCells:
     # boundary crosses its edges (t of the way, and the fraction inside G)
     U, W = 2 * bi[:, None] + np.arange(9) // 3, 2 * bj[:, None] + np.arange(9) % 3
     P9 = np.stack([lattice[0][U], lattice[1][W]], axis=2)
-    F9 = dom.phi_vec(P9.reshape(-1, 2)).reshape(nb, 9)
+    F9 = dom.phi(P9.reshape(-1, 2)).reshape(nb, 9)
     S9 = F9 >= 0
     e0, e1 = S9[:, edges[:, 0]], S9[:, edges[:, 1]]
     cut = e0 != e1

@@ -25,7 +25,7 @@ from .discounted import GridOperators
 from .errors import NonConvexPotential, NotKolmogorov, SigmaNotConstant
 from .geometry import DomainSpec, boundary_sample, domain_grid, geometric_constants
 from . import dynamics
-from .dynamics import SdeModel, generator_apply
+from .dynamics import SdeModel
 
 __all__ = [
     "HypothesisReport", "FLAT_TOL", "estimate_eta", "estimate_theta",
@@ -152,17 +152,16 @@ def estimate_theta(model: SdeModel, driver, domain: DomainSpec,
     and theta < 0 is a safe sufficient check. For convex domains (curvature
     constant alpha <= 0) it reduces to twice the drift part of eta.
     """
-    sig0 = np.atleast_2d(model.sigma(domain.centroid))
-    for p in domain_grid(domain, 5):
-        if np.max(np.abs(np.atleast_2d(model.sigma(p)) - sig0)) > 1e-12:
-            raise SigmaNotConstant("theta estimate needs a constant diffusion matrix")
+    sig0 = model.sigma_at(domain.centroid[None])[0]
+    if np.max(np.abs(model.sigma_at(domain_grid(domain, 5)) - sig0)) > 1e-12:
+        raise SigmaNotConstant("theta estimate needs a constant diffusion matrix")
     K_psi_z = float(driver.K_psi_z) if driver is not None else 0.0
     alpha = max(geometric_constants(domain, grid_density)["alpha_nonconvex"], 0.0)
     pts = domain_grid(domain, grid_density)
     B = model.drift_at(pts)
-    Gph = np.stack([domain.grad_phi(p) for p in pts])
+    Gph = domain.grad_phi(pts)
     a_mat = sig0 @ sig0.T
-    tr_term = np.array([np.trace(np.atleast_2d(domain.hess_phi(p)) @ a_mat) for p in pts])
+    tr_term = np.trace(domain.hess_phi(pts) @ a_mat, axis1=1, axis2=2)
     gb = (Gph * B).sum(axis=1)
 
     def vals(I, J):
@@ -188,9 +187,9 @@ def _kolmogorov_scan(model: SdeModel, domain: DomainSpec, grid_density: int):
     if pot is None:
         raise NotKolmogorov("model carries no potential")
     pts = domain_grid(domain, grid_density)
-    radial = np.array([float(np.atleast_1d(pot.grad(p)) @ p) for p in pts])
+    radial = (pot.grad(pts) * pts).sum(axis=1)
     delta = float(radial.max() - radial.min())
-    c = min(float(np.linalg.eigvalsh(np.atleast_2d(pot.hess(p))).min()) for p in pts)
+    c = float(np.linalg.eigvalsh(pot.hess(pts)).min())
     return delta, c
 
 
@@ -216,8 +215,8 @@ def stationary_generator_phi(model: SdeModel, domain: DomainSpec,
     """E[L phi] under the stationary law.
 
     For gradient systems the expectation is computed by quadrature against
-    the explicit stationary density: adaptive in 1-d, the midpoint rule of
-    ``invariant_density`` with a batched L phi (``_vec_Lphi``) in d >= 2.
+    the explicit stationary density of L phi (``_vec_Lphi``): adaptive in
+    1-d, the midpoint rule of ``invariant_density`` in d >= 2.
     Otherwise it is the flux sum of the adjoint weights of the grid at this
     spacing (``GridOperators.weights``), d lambda / d mu of the direct
     scheme: the slope that ``solve_boundary_cost`` inverts. Raises NotImplementedError
@@ -225,15 +224,14 @@ def stationary_generator_phi(model: SdeModel, domain: DomainSpec,
     negative of this number is the stationary growth rate of the boundary
     local time, whatever unit-gradient defining function is used.
     """
-    phi_triple = (domain.phi, domain.grad_phi, domain.hess_phi)
     if model.kolmogorov_potential is not None and domain.dim == 1:
         from scipy import integrate
         pot = model.kolmogorov_potential
         lo, hi = domain.bounding_box[0]
-        N, _ = integrate.quad(lambda t: np.exp(-pot.value(np.array([t]))), lo, hi)
+        N, _ = integrate.quad(lambda t: np.exp(-pot.value(np.array([[t]]))[0]), lo, hi)
         val, _ = integrate.quad(
-            lambda t: generator_apply(model, phi_triple, np.array([t]))
-            * np.exp(-pot.value(np.array([t]))) / N, lo, hi)
+            lambda t: _vec_Lphi(model, domain, np.array([[t]]))[0]
+            * np.exp(-pot.value(np.array([[t]]))[0]) / N, lo, hi)
         return float(val)
     if model.kolmogorov_potential is not None:
         dens = dynamics.invariant_density(model, domain, resolution=101)
@@ -247,8 +245,8 @@ def stationary_generator_phi(model: SdeModel, domain: DomainSpec,
 
 def _vec_Lphi(model: SdeModel, domain: DomainSpec, X: np.ndarray) -> np.ndarray:
     """L phi = b . grad phi + (1/2) sum H o (sigma sigma^T) at a batch of
-    states."""
-    G, H = domain.grad_phi_vec(X), domain.hess_phi_vec(X)
+    states: the generator applied to the defining function."""
+    G, H = domain.grad_phi(X), domain.hess_phi(X)
     S = model.sigma_at(X)
     A = S @ S.transpose(0, 2, 1)
     return (model.drift_at(X) * G).sum(axis=1) + 0.5 * (H * A).sum(axis=(1, 2))
@@ -265,13 +263,11 @@ def _driver_attr(driver, name, default):
 def _sigma_inverse_sup(model: SdeModel, pts: np.ndarray) -> Optional[float]:
     """sup |sigma(x)^{-1} x| over the probe points, or None when sigma is
     singular (condition number above 1e12) at one of them."""
-    s_sup = 0.0
-    for p in pts:
-        sig = np.atleast_2d(model.sigma(p))
-        if np.linalg.cond(sig) > 1e12:
-            return None
-        s_sup = max(s_sup, float(np.linalg.norm(np.linalg.solve(sig, p))))
-    return s_sup
+    S = model.sigma_at(pts)
+    if np.any(np.linalg.cond(S) > 1e12):
+        return None
+    return float(np.linalg.norm(np.linalg.solve(S, pts[:, :, None])[:, :, 0],
+                                axis=1).max(initial=0.0))
 
 
 def check_all(model: SdeModel, driver, domain: DomainSpec,
@@ -290,7 +286,7 @@ def check_all(model: SdeModel, driver, domain: DomainSpec,
 
     pts = domain_grid(domain, grid_density)
     bpts = boundary_sample(domain, 64)
-    grad_norms_boundary = np.array([np.linalg.norm(domain.grad_phi(p)) for p in bpts])
+    grad_norms_boundary = np.linalg.norm(domain.grad_phi(bpts), axis=1)
     unit_defect = float(np.abs(grad_norms_boundary - 1.0).max())
     flags["G1"] = bool(domain.smooth_c2lip and unit_defect < 1e-6)
     margins["G1_unit_normal_defect"] = unit_defect
@@ -316,7 +312,8 @@ def check_all(model: SdeModel, driver, domain: DomainSpec,
         z_probes = [np.zeros(domain.dim)]
         for s in (0.5, -1.0, 2.0):
             z_probes.append(np.full(domain.dim, s))
-        psi_tab = np.array([[driver.psi(p, z) for z in z_probes] for p in pts])
+        psi_tab = np.stack([driver.psi(pts, np.broadcast_to(z, pts.shape))
+                            for z in z_probes], axis=1)
         ratio_x = max(_lipschitz_pair_max(psi_tab[:, k], pts)
                       for k in range(len(z_probes)))
         ratio_z = 0.0
@@ -381,17 +378,16 @@ def check_all(model: SdeModel, driver, domain: DomainSpec,
     flags["F2"] = flags["F2.1"] and flags["F2.2"]
 
     # pointwise strict-flux condition
-    phi_triple = (domain.phi, domain.grad_phi, domain.hess_phi)
-    Lphi = np.array([generator_apply(model, phi_triple, p) for p in pts])
-    row_norm = np.array([np.linalg.norm(domain.grad_phi(p) @ np.atleast_2d(model.sigma(p)))
-                         for p in pts])
+    Lphi = _vec_Lphi(model, domain, pts)
+    G = domain.grad_phi(pts)
+    row_norm = np.linalg.norm(np.einsum("pi,pij->pj", G, S), axis=1)
     f2p_margin = float((-Lphi).min() - row_norm.max() * K_psi_z)
     # strictness floor: the round-ball flux vanishes AT the boundary, which
     # must not register as strictly positive through rounding noise
     flags["F2'"] = bool(f2p_margin > 1e-9)
     margins["F2'"] = f2p_margin
 
-    grad_phi_sup = float(max(np.linalg.norm(domain.grad_phi(p)) for p in pts))
+    grad_phi_sup = float(np.linalg.norm(G, axis=1).max())
     if model.kolmogorov_potential is not None and np.isfinite(c_conv) and c_conv > 0:
         lhs = (delta / np.sqrt(2.0 * c_conv) + np.sqrt(2.0) * grad_phi_sup) * K_psi_z
         f2pp_margin = -E_nu_Lphi - lhs

@@ -31,25 +31,25 @@ __all__ = [
 
 
 def quadratic_potential(curvature: float = 1.0) -> Potential:
-    """U = curvature x^2 / 2; the stationary law is a clipped Gaussian."""
+    """U = curvature |x|^2 / 2 in any dimension; the stationary law is a
+    clipped Gaussian."""
     c = float(curvature)
-    return Potential(
-        value=lambda x: 0.5 * c * float(np.dot(x, x)),
-        grad=lambda x: c * np.atleast_1d(x),
-        hess=lambda x: c * np.eye(len(np.atleast_1d(x))),
-        value_vec=lambda X: 0.5 * c * (X * X).sum(axis=1),
-        grad_vec=lambda X: c * X)
+
+    def hess(X):
+        d = X.shape[1]
+        return np.broadcast_to(c * np.eye(d), (len(X), d, d))
+
+    return Potential(value=lambda X: 0.5 * c * (X * X).sum(axis=1),
+                     grad=lambda X: c * X, hess=hess)
 
 
 def pinned_free_potential() -> Potential:
     """U = 3 x^2 + x/2: stiff and tilted, so the penalized approximation
     converges through visibly distinct stages."""
     return Potential(
-        value=lambda x: 3.0 * float(x[0]) ** 2 + 0.5 * float(x[0]),
-        grad=lambda x: 6.0 * np.atleast_1d(x) + 0.5,
-        hess=lambda x: 6.0 * np.eye(1),
-        value_vec=lambda X: 3.0 * X[:, 0] ** 2 + 0.5 * X[:, 0],
-        grad_vec=lambda X: 6.0 * X + 0.5)
+        value=lambda X: 3.0 * X[:, 0] ** 2 + 0.5 * X[:, 0],
+        grad=lambda X: 6.0 * X + 0.5,
+        hess=lambda X: np.full((len(X), 1, 1), 6.0))
 
 
 def poly_potential(coeffs) -> Potential:
@@ -59,11 +59,9 @@ def poly_potential(coeffs) -> Potential:
     d2 = np.polynomial.polynomial.polyder(c, 2)
     pv = np.polynomial.polynomial.polyval
     return Potential(
-        value=lambda x: float(pv(x[0], c)),
-        grad=lambda x: np.array([pv(x[0], d1)]),
-        hess=lambda x: np.array([[pv(x[0], d2)]]),
-        value_vec=lambda X: pv(X[:, 0], c),
-        grad_vec=lambda X: pv(X, d1))
+        value=lambda X: pv(X[:, 0], c),
+        grad=lambda X: pv(X, d1),
+        hess=lambda X: pv(X, d2)[:, :, None])
 
 
 # ---------------------------------------------------------------------------
@@ -74,14 +72,10 @@ def kolmogorov_model(potential: Potential, dim: int = 1,
                      eta_hint: Optional[float] = None,
                      name: str = "gradient-system") -> SdeModel:
     """b = -grad U with sigma = sqrt(2) I."""
-    sig_const = np.sqrt(2.0) * np.eye(dim)
     return SdeModel(
-        b=lambda x: -np.atleast_1d(potential.grad(x)),
-        sigma=lambda x: sig_const,
+        b=lambda X: -potential.grad(X),
         kolmogorov_potential=potential,
-        b_vec=(None if potential.grad_vec is None
-               else (lambda X: -potential.grad_vec(X))),
-        sigma_constant=sig_const,
+        sigma_constant=np.sqrt(2.0) * np.eye(dim),
         eta_hint=eta_hint,
         name=name)
 
@@ -93,22 +87,17 @@ def degenerate_linear_model() -> SdeModel:
     zero for every boundary constant, with a cubic value function.
     """
     return SdeModel(
-        b=lambda x: -np.atleast_1d(x),
-        sigma=lambda x: np.diag(np.atleast_1d(x)),
-        b_vec=lambda X: -X,
-        sigma_diag_vec=lambda X: X,
+        b=lambda X: -X,
+        sigma=lambda X: X[:, :, None] * np.eye(X.shape[1]),
         eta_hint=-0.5,
         name="degenerate-linear")
 
 
 def ou_model(rate: float = 1.0, noise: float = 1.0, dim: int = 1) -> SdeModel:
-    sig_const = float(noise) * np.eye(dim)
     r = float(rate)
     return SdeModel(
-        b=lambda x: -r * np.atleast_1d(x),
-        sigma=lambda x: sig_const,
-        b_vec=lambda X: -r * X,
-        sigma_constant=sig_const,
+        b=lambda X: -r * X,
+        sigma_constant=float(noise) * np.eye(dim),
         eta_hint=-r,
         name="linear-mean-reverting")
 
@@ -118,24 +107,22 @@ def ou_model(rate: float = 1.0, noise: float = 1.0, dim: int = 1) -> SdeModel:
 
 
 def zero_driver() -> DriverSpec:
-    return DriverSpec(psi=lambda x, z: 0.0, g=None, K_psi_x=0.0, K_psi_z=0.0,
-                      M_psi=0.0, psi_vec=lambda X, Z: np.zeros(len(X)),
-                      psi_bounded=True, name="zero")
+    return DriverSpec(psi=lambda X, Z: np.zeros(len(X)), g=None, K_psi_x=0.0,
+                      K_psi_z=0.0, M_psi=0.0, psi_bounded=True, name="zero")
 
 
 def constant_driver(kappa: float) -> DriverSpec:
     k = float(kappa)
-    return DriverSpec(psi=lambda x, z: k, g=None, K_psi_x=0.0, K_psi_z=0.0,
-                      M_psi=abs(k), psi_vec=lambda X, Z: np.full(len(X), k),
-                      psi_bounded=True, name=f"constant-{kappa:g}")
+    return DriverSpec(psi=lambda X, Z: np.full(len(X), k), g=None, K_psi_x=0.0,
+                      K_psi_z=0.0, M_psi=abs(k), psi_bounded=True,
+                      name=f"constant-{kappa:g}")
 
 
 def cos_driver(amplitude: float = 1.0) -> DriverSpec:
     """psi(x, z) = amplitude cos(x1): bounded, x-Lipschitz, z-free."""
     a = float(amplitude)
-    return DriverSpec(psi=lambda x, z: a * np.cos(float(np.atleast_1d(x)[0])),
-                      g=None, K_psi_x=abs(a), K_psi_z=0.0, M_psi=abs(a),
-                      psi_vec=lambda X, Z: a * np.cos(X[:, 0]),
+    return DriverSpec(psi=lambda X, Z: a * np.cos(X[:, 0]), g=None,
+                      K_psi_x=abs(a), K_psi_z=0.0, M_psi=abs(a),
                       psi_bounded=True, name="cosine")
 
 
@@ -148,9 +135,8 @@ def two_control_problem() -> ControlProblem:
     running cost for one control and a small x-slope for the other."""
     return ControlProblem(
         R_table=np.array([[-0.25], [0.25]]),
-        L=lambda x, k: 0.5 + (0.1 * float(np.atleast_1d(x)[0]) if k == 1 else 0.0),
+        L=lambda X, k: 0.5 + (0.1 * X[:, 0] if k == 1 else np.zeros(len(X))),
         M_R=0.25, M_L=0.7,
-        L_vec=lambda X, k: 0.5 + (0.1 * X[:, 0] if k == 1 else np.zeros(len(X))),
         K_L_x=0.1,
         g=None,
         name="two-control")
@@ -177,8 +163,12 @@ def _build_potential(spec: dict) -> Potential:
 def build_model(spec: dict) -> SdeModel:
     kind = spec.get("kind")
     if kind == "kolmogorov":
-        pot = _build_potential(spec.get("potential", {"kind": "quadratic"}))
+        pot_spec = spec.get("potential", {"kind": "quadratic"})
+        pot = _build_potential(pot_spec)
         dim = int(spec.get("dim", 1))
+        if pot_spec.get("kind") != "quadratic" and dim != 1:
+            raise ConfigError(f"the {pot_spec['kind']} potential is 1-d, but the "
+                              f"model has dim {dim}")
         return kolmogorov_model(pot, dim=dim, eta_hint=spec.get("eta_hint"))
     if kind == "degenerate_linear":
         return degenerate_linear_model()
@@ -221,9 +211,8 @@ def build_control(spec: dict) -> ControlProblem:
         raise ConfigError("one slope per control row is required")
     return ControlProblem(
         R_table=R,
-        L=lambda x, k: base + slopes[k] * float(np.atleast_1d(x)[0]),
+        L=lambda X, k: base + slopes[k] * X[:, 0],
         M_R=float(spec["M_R"]), M_L=float(spec["M_L"]),
-        L_vec=lambda X, k: base + slopes[k] * X[:, 0],
         K_L_x=float(np.abs(slopes).max()),
         g=None)
 
@@ -241,7 +230,14 @@ def assemble_config(cfg: dict):
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad domain section: {exc}") from exc
     model = build_model(cfg["model"])
+    sig = model.sigma_constant
+    if sig is not None and len(sig) != domain.dim:
+        raise ConfigError(f"the model has dim {len(sig)}, but the domain has dim "
+                          f"{domain.dim}")
     control = build_control(cfg["control"]) if "control" in cfg else None
+    if control is not None and control.R_table.shape[1] != domain.dim:
+        raise ConfigError(f"control R has {control.R_table.shape[1]} columns, but "
+                          f"the domain has dim {domain.dim}")
     driver = (build_driver(cfg["driver"], control) if "driver" in cfg
               else zero_driver())
     return domain, model, driver, control

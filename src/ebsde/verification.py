@@ -14,7 +14,6 @@ Three checks, each through a different pipeline than the solvers:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -30,22 +29,18 @@ __all__ = ["pde_residual", "bsde_residual", "BsdeResidual",
 
 
 def pde_residual(solution: ErgodicSolution, model: SdeModel, domain: DomainSpec,
-                 driver: DriverSpec, exclude: Optional[Callable] = None) -> dict:
+                 driver: DriverSpec) -> dict:
     """Max interior and boundary residuals with solver-independent stencils.
 
     Interior: |(1/2) a v'' + b v' + psi(x, grad v sigma) - lambda| using
     stride-2 centered differences. Boundary: |grad v . n + g - mu| using
-    three-point one-sided differences. ``exclude`` drops nodes (e.g. near
-    points where the exact solution is not twice differentiable).
+    three-point one-sided differences.
     """
     mesh = solution.v.mesh
     v = solution.v.values
     h = np.array([a[1] - a[0] for a in mesh.axes])   # each axis's own step
     lam, mu = solution.lam, solution.mu
     nodes, nb = mesh.nodes, mesh.neighbors
-    keep = np.ones(mesh.n_nodes, bool)
-    if exclude is not None:
-        keep = ~np.array([bool(exclude(p)) for p in nodes])
     axes = np.arange(domain.dim)
 
     def step(j, side):   # next neighbor along each axis; -1 stays -1
@@ -53,7 +48,7 @@ def pde_residual(solution: ErgodicSolution, model: SdeModel, domain: DomainSpec,
 
     # interior: stride-2 centered differences in every axis
     jm2, jp2 = step(nb[..., 0], 0), step(nb[..., 1], 1)
-    rows = np.nonzero(keep & ~mesh.boundary
+    rows = np.nonzero(~mesh.boundary
                       & (jm2 >= 0).all(axis=1) & (jp2 >= 0).all(axis=1))[0]
     interior_max = 0.0
     if len(rows):
@@ -64,7 +59,7 @@ def pde_residual(solution: ErgodicSolution, model: SdeModel, domain: DomainSpec,
         sig = model.sigma_at(X)
         adiag = np.einsum("nij,nij->ni", sig, sig)
         res = 0.5 * (adiag * d2).sum(axis=1) + (model.drift_at(X) * d1).sum(axis=1) \
-            + driver.psi_at(X, np.einsum("nd,nde->ne", d1, sig)) - lam
+            + driver.psi(X, np.einsum("nd,nde->ne", d1, sig)) - lam
         interior_max = float(np.max(np.abs(res)))
     # boundary: three-point one-sided differences on the side the inward
     # normal points to, two-point where only one neighbor exists
@@ -77,8 +72,8 @@ def pde_residual(solution: ErgodicSolution, model: SdeModel, domain: DomainSpec,
     one_sided = np.where(j2 >= 0, (-3 * v0 + 4 * v1 - v2) / (2 * h),
                          np.where(j1 >= 0, (v1 - v0) / h, 0.0))
     dn = (normal * (2 * side - 1) * one_sided).sum(axis=1)
-    usable = keep[bnd] & (j1 >= 0).all(axis=1)
-    g = np.array([driver.g_at(p) for p in nodes[bnd[usable]]])
+    usable = (j1 >= 0).all(axis=1)
+    g = 0.0 if driver.g is None else driver.g(nodes[bnd[usable]])
     boundary_max = float(np.max(np.abs(dn[usable] + g - mu), initial=0.0))
     return {"interior_max": interior_max, "boundary_max": boundary_max}
 
@@ -125,7 +120,7 @@ def bsde_residual(solution, model: SdeModel, domain: DomainSpec,
                                                        run):
         Z = solution.zeta_at(X)
         # R -= a is R += -a bit for bit
-        for k, sums in R.add_steps(-((driver.psi_at(X, Z) - lam) * h),
+        for k, sums in R.add_steps(-((driver.psi(X, Z) - lam) * h),
                                    -dynamics._boundary_cost(driver.g, X_new, dK, mu),
                                    (Z * xi).sum(axis=1) * sh, start=i, marks=marks):
             end = X_new[(k - i - 1) * paths:(k - i) * paths]
@@ -158,54 +153,39 @@ def shifted_problem(model: SdeModel, driver: DriverSpec, xi: float,
     if s_sup is None:
         raise SingularSigma("diffusion matrix is singular on the closure")
 
-    def b2(x, _b=model.b):
-        return np.atleast_1d(_b(x)) - xi * np.atleast_1d(x)
-
-    b2_vec = None
-    if model.b_vec is not None:
-        def b2_vec(X, _bv=model.b_vec):
-            return _bv(X) - xi * X
-
     # the shifted dynamics stay a gradient system when the base one is
     pot2 = None
     if model.kolmogorov_potential is not None:
         p0 = model.kolmogorov_potential
         pot2 = dynamics.Potential(
-            value=lambda x, _v=p0.value: _v(x) + 0.5 * xi * float(np.atleast_1d(x) @ np.atleast_1d(x)),
-            grad=lambda x, _g=p0.grad: np.atleast_1d(_g(x)) + xi * np.atleast_1d(x),
-            hess=lambda x, _h=p0.hess: np.atleast_2d(_h(x)) + xi * np.eye(len(np.atleast_1d(x))),
-            value_vec=None if p0.value_vec is None
-            else (lambda X, _vv=p0.value_vec: _vv(X) + 0.5 * xi * (X * X).sum(axis=1)),
-            grad_vec=None if p0.grad_vec is None
-            else (lambda X, _gv=p0.grad_vec: _gv(X) + xi * X))
+            value=lambda X: p0.value(X) + 0.5 * xi * (X * X).sum(axis=1),
+            grad=lambda X: p0.grad(X) + xi * X,
+            hess=lambda X: p0.hess(X) + xi * np.eye(X.shape[1]))
 
     model2 = SdeModel(
-        b=b2, sigma=model.sigma,
+        b=lambda X: model.b(X) - xi * X, sigma=model.sigma,
         kolmogorov_potential=pot2,
-        b_vec=b2_vec,
         sigma_constant=model.sigma_constant,
-        sigma_diag_vec=model.sigma_diag_vec,
         eta_hint=None if model.eta_hint is None else model.eta_hint - xi,
         name=model.name + f"+shift{xi:g}")
 
-    def psi2(x, z, _psi=driver.psi, _sig=model.sigma):
-        x = np.atleast_1d(x)
-        corr = float(np.atleast_1d(z) @ np.linalg.solve(np.atleast_2d(_sig(x)), x))
-        return _psi(x, z) + xi * corr
-
-    psi2_vec = None
-    if model.sigma_constant is not None and driver.psi_vec is not None:
+    # z sigma^{-1} x, through one inverse when sigma is constant
+    if model.sigma_constant is not None:
         sig_inv = np.linalg.inv(model.sigma_constant)
 
-        def psi2_vec(X, Z, _pv=driver.psi_vec):
-            return _pv(X, Z) + xi * (Z * (X @ sig_inv.T)).sum(axis=1)
+        def sig_inv_x(X):
+            return X @ sig_inv.T
+    else:
+        def sig_inv_x(X):
+            return np.linalg.solve(model.sigma(X), X[:, :, None])[:, :, 0]
 
     driver2 = DriverSpec(
-        psi=psi2, g=driver.g,
+        psi=lambda X, Z: driver.psi(X, Z) + xi * (Z * sig_inv_x(X)).sum(axis=1),
+        g=driver.g,
         K_psi_x=driver.K_psi_x,
         K_psi_z=driver.K_psi_z + xi * s_sup,
         M_psi=driver.M_psi,
-        psi_vec=psi2_vec, g_c2lip=driver.g_c2lip,
+        g_c2lip=driver.g_c2lip,
         psi_bounded=driver.psi_bounded and xi == 0.0,
         name=driver.name + f"+shift{xi:g}")
     return model2, driver2

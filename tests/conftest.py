@@ -48,6 +48,11 @@ def _recompute_disc():
     return mc, flux
 
 
+def one_row(f, x):
+    """A batched callable of a problem at one point, as a one-row batch."""
+    return f(np.asarray(x, dtype=float)[None])[0]
+
+
 def neighbor_lookup(mesh, k, axis, side):
     """Compact index of the neighbor of node k along axis (side +1/-1), or
     -1, looked up from the flat box index node by node."""

@@ -268,6 +268,39 @@ def test_bad_policy_spec_is_a_config_error_before_any_solve(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+DISC = {"kind": "ball", "radius": 1.0, "dim": 2}
+
+
+@pytest.mark.parametrize("task, cfg, message", [
+    # a 1-d potential in a 2-d model: the drift would read only x0
+    ("check", {"domain": DISC, "model": {"kind": "kolmogorov", "dim": 2,
+                                         "potential": {"kind": "poly",
+                                                       "coeffs": [0, 0, 0.5]}}},
+     "the poly potential is 1-d, but the model has dim 2"),
+    ("solve", {"domain": DISC, "model": {"kind": "kolmogorov", "dim": 2,
+                                         "potential": {"kind": "pinned_free"}}},
+     "the pinned_free potential is 1-d, but the model has dim 2"),
+    # a model whose dimension is not the domain's
+    ("solve", {"domain": {"kind": "ball", "dim": 1}, "model": {"kind": "ou", "dim": 2}},
+     "the model has dim 2, but the domain has dim 1"),
+    ("solve", {"domain": {"kind": "interval_quartic"},
+               "model": {"kind": "kolmogorov", "dim": 2}},
+     "the model has dim 2, but the domain has dim 1"),
+    # a noise tilt whose width is not the domain's
+    ("solve", {"domain": DISC, "model": {"kind": "kolmogorov", "dim": 2},
+               "driver": {"kind": "hamiltonian"},
+               "control": {"kind": "table", "preset": "two_control"}},
+     "control R has 1 columns, but the domain has dim 2")])
+def test_dimensions_that_disagree_are_a_config_error(tmp_path, capsys, task, cfg,
+                                                     message):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    rc = cli.main([task, "--config", str(path), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_programmatic_run_wrapper(tmp_path):
     rc = cli.run(CONFIGS / "degenerate.json", "solve", tmp_path, mu=1.0)
     assert rc == 0

@@ -22,47 +22,48 @@ def _affine_problem():
     slopes = np.array([0.0, 0.2, -0.1])
     return ControlProblem(
         R_table=np.array([[0.1], [-0.3], [0.2]]),
-        L=lambda x, k: 0.4 + slopes[k] * float(np.atleast_1d(x)[0]),
-        M_R=0.3, M_L=0.7,
-        L_vec=lambda X, k: 0.4 + slopes[k] * X[:, 0],
-        K_L_x=0.2, g=None)
+        L=lambda X, k: 0.4 + slopes[k] * X[:, 0],
+        M_R=0.3, M_L=0.7, K_L_x=0.2, g=None)
+
+
+def _brute_force(prob, x, z):
+    """L(x, u) + z R(u) of every control at one state, one control at a
+    time."""
+    return [prob.L(x[None], j)[0] + float(z @ prob.R_table[j])
+            for j in range(prob.n_controls)]
 
 
 def test_pointwise_minimum_matches_brute_force():
     prob = _affine_problem()
     rng = np.random.default_rng(11)
-    for _ in range(50):
-        x = rng.uniform(-1, 1, size=1)
-        z = rng.uniform(-2, 2, size=1)
-        val, k = hamiltonian(prob, x, z)
-        cand = [prob.L(x, j) + float(z @ prob.R_table[j])
-                for j in range(prob.n_controls)]
+    X, Z = rng.uniform(-1, 1, size=(50, 1)), rng.uniform(-2, 2, size=(50, 1))
+    vals, ks = hamiltonian(prob, X, Z)
+    for x, z, val, k in zip(X, Z, vals, ks):
+        cand = _brute_force(prob, x, z)
         assert k == int(np.argmin(cand))
         assert abs(val - min(cand)) < 1e-12
 
 
 def test_ties_resolve_to_lowest_index():
     prob = ControlProblem(R_table=np.array([[0.2], [0.2]]),
-                          L=lambda x, k: 0.5, M_R=0.2, M_L=0.5)
-    _, k = hamiltonian(prob, np.array([0.3]), np.array([1.0]))
-    assert k == 0
+                          L=lambda X, k: np.full(len(X), 0.5), M_R=0.2, M_L=0.5)
+    _, ks = hamiltonian(prob, np.array([[0.3]]), np.array([[1.0]]))
+    assert ks.tolist() == [0]
 
 
 def test_argmin_invariant_under_constant_cost_shift():
     # skip near-ties: rounding after the +5 shift may reorder exact ties
     prob = _affine_problem()
     shifted = ControlProblem(R_table=prob.R_table,
-                             L=lambda x, k: prob.L(x, k) + 5.0,
+                             L=lambda X, k: prob.L(X, k) + 5.0,
                              M_R=prob.M_R, M_L=prob.M_L + 5.0)
     rng = np.random.default_rng(23)
-    for _ in range(60):
-        x = rng.uniform(-1, 1, size=1)
-        z = rng.uniform(-2, 2, size=1)
-        cand = sorted(prob.L(x, j) + float(z @ prob.R_table[j])
-                      for j in range(prob.n_controls))
-        if cand[1] - cand[0] < 1e-6:
-            continue
-        assert hamiltonian(prob, x, z)[1] == hamiltonian(shifted, x, z)[1]
+    X, Z = rng.uniform(-1, 1, size=(60, 1)), rng.uniform(-2, 2, size=(60, 1))
+    gap = np.diff(np.sort(prob.L_table(X) + Z @ prob.R_table.T, axis=1)[:, :2])[:, 0]
+    clear = gap >= 1e-6
+    assert clear.sum() > 40
+    assert np.array_equal(hamiltonian(prob, X, Z)[1][clear],
+                          hamiltonian(shifted, X, Z)[1][clear])
 
 
 def test_induced_driver_constants():
@@ -73,9 +74,9 @@ def test_induced_driver_constants():
     assert drv.M_psi == prob.M_L
     assert not drv.psi_bounded
     assert drv.control is prob
-    # the induced driver evaluates the pointwise minimum itself
+    # the induced driver evaluates the minimum itself
     x, z = np.array([0.5]), np.array([-1.0])
-    assert abs(drv.psi(x, z) - hamiltonian(prob, x, z)[0]) < 1e-12
+    assert drv.psi(x[None], z[None])[0] == min(_brute_force(prob, x, z))
 
 
 def test_policy_from_json(interval, std_model):
@@ -125,8 +126,7 @@ def test_single_control_costs_reduce_to_plain_averages(interval, std_model):
     # one control with R = 0: no tilt, L = 0.5; then
     # I = 0.5 - mu E[K_T]/T and the recovered J is mu itself
     prob = ControlProblem(R_table=np.array([[0.0]]),
-                          L=lambda x, k: 0.5, M_R=0.0, M_L=0.5,
-                          L_vec=lambda X, k: np.full(len(X), 0.5))
+                          L=lambda X, k: np.full(len(X), 0.5), M_R=0.0, M_L=0.5)
     pol = Policy.constant(0)
     mu = 0.3
     I = cost_I(std_model, interval, prob, pol, mu, T=40.0, h=1e-3, paths=64,
@@ -152,8 +152,7 @@ def test_cost_reports_stabilizing_horizons(interval, std_model):
 
 def test_zero_tilt_weights_are_exactly_one(interval, std_model):
     prob = ControlProblem(R_table=np.array([[0.0]]),
-                          L=lambda x, k: 0.5, M_R=0.0, M_L=0.5,
-                          L_vec=lambda X, k: np.full(len(X), 0.5))
+                          L=lambda X, k: np.full(len(X), 0.5), M_R=0.0, M_L=0.5)
     out = girsanov_weight_check(std_model, interval, prob, Policy.constant(0),
                                 T=2.0, h=1e-2, paths=64, seed=9, mu=0.0)
     assert abs(out["mean_weight"] - 1.0) < 1e-12
@@ -173,8 +172,7 @@ def test_reweighted_and_tilted_costs_agree(interval, std_model):
 
 def test_weight_degeneracy_detected(interval, std_model):
     wild = ControlProblem(R_table=np.array([[3.0]]),
-                          L=lambda x, k: 0.5, M_R=3.0, M_L=0.5,
-                          L_vec=lambda X, k: np.full(len(X), 0.5))
+                          L=lambda X, k: np.full(len(X), 0.5), M_R=3.0, M_L=0.5)
     with pytest.raises(WeightDegeneracy):
         girsanov_weight_check(std_model, interval, wild, Policy.constant(0),
                               T=60.0, h=1e-2, paths=64, seed=3, mu=0.0)
@@ -183,8 +181,7 @@ def test_weight_degeneracy_detected(interval, std_model):
 def test_degenerate_local_time_detected(std_model):
     wide = ball_domain(8.0, 1)
     prob = ControlProblem(R_table=np.array([[0.0]]),
-                          L=lambda x, k: 0.5, M_R=0.0, M_L=0.5,
-                          L_vec=lambda X, k: np.full(len(X), 0.5))
+                          L=lambda X, k: np.full(len(X), 0.5), M_R=0.0, M_L=0.5)
     with pytest.raises(DegenerateLocalTime):
         cost_J(std_model, wide, prob, Policy.constant(0), 0.5, T=1.0,
                h=1e-2, paths=32, seed=0, x0=np.zeros(1))
@@ -193,7 +190,7 @@ def test_degenerate_local_time_detected(std_model):
 def test_control_table_bound_validated():
     with pytest.raises(ValueError):
         ControlProblem(R_table=np.array([[2.0]]),
-                       L=lambda x, k: 0.0, M_R=1.0, M_L=0.1)
+                       L=lambda X, k: np.zeros(len(X)), M_R=1.0, M_L=0.1)
 
 
 # Recorded from the masked per-control accumulation that the table gather
@@ -252,9 +249,11 @@ def test_costs_pinned_bit_for_bit(interval, std_model):
         assert out == GOLDEN_COSTS["girsanov-" + name], name
 
 
-# Recorded at the per-step rule evaluation that the constant path replaced;
-# sigma depends on the state, so the tilt goes through model.noise_term. A
-# node table of ones gives the same bits as the constant.
+# Recorded at the per-step rule evaluation that the constant path replaced,
+# with sigma given by its diagonal; sigma depends on the state, so the noise
+# and the tilt go through the einsum of model.noise_term, which keeps the
+# bits of the diagonal product. A node table of ones gives the same bits as
+# the constant.
 STATE_SIGMA_COSTS = (
     (0.3096666173607215, 0.0591831623826108,
      0.1923787477152575, 0.047511998552932325),
@@ -263,34 +262,28 @@ STATE_SIGMA_COSTS = (
 
 def test_constant_policy_with_state_dependent_sigma_pinned(interval):
     prob = two_control_problem()
-    sig = lambda X: 1.0 + 0.2 * X
-    models = (
-        SdeModel(b=lambda x: -np.atleast_1d(x),
-                 sigma=lambda x: np.diag(sig(np.atleast_1d(x))),
-                 b_vec=lambda X: -X, sigma_diag_vec=sig, eta_hint=-1.0),
-        SdeModel(b=lambda x: -np.atleast_1d(x),
-                 sigma=lambda x: np.diag(sig(np.atleast_1d(x))),
-                 b_vec=lambda X: -X, eta_hint=-1.0))
+    model = SdeModel(b=lambda X: -X,
+                     sigma=lambda X: (1.0 + 0.2 * X)[:, :, None] * np.eye(X.shape[1]),
+                     eta_hint=-1.0)
     x0 = np.array([0.9])
     ones = Policy.tabulate(lambda nodes, Z: np.ones(len(nodes), int),
                            build_mesh(interval, 1e-2))
-    for model in models:
-        for pol in (Policy.constant(1), ones):
-            I = cost_I(model, interval, prob, pol, 0.2, 0.2, 1e-3, 8, seed=3, x0=x0)
-            J = cost_J(model, interval, prob, pol, 0.3, 0.4, 1e-3, 16, seed=4,
-                       x0=x0)
-            g = girsanov_weight_check(model, interval, prob, pol, T=0.2, h=1e-3,
-                                      paths=8, seed=7, mu=0.2, x0=x0)
-            assert (I.value, I.stderr, J.value, J.stderr) == STATE_SIGMA_COSTS[0]
-            assert ((g["I_tilted"], g["I_reweighted"], g["mean_weight"])
-                    == STATE_SIGMA_COSTS[1])
+    for pol in (Policy.constant(1), ones):
+        I = cost_I(model, interval, prob, pol, 0.2, 0.2, 1e-3, 8, seed=3, x0=x0)
+        J = cost_J(model, interval, prob, pol, 0.3, 0.4, 1e-3, 16, seed=4,
+                   x0=x0)
+        g = girsanov_weight_check(model, interval, prob, pol, T=0.2, h=1e-3,
+                                  paths=8, seed=7, mu=0.2, x0=x0)
+        assert (I.value, I.stderr, J.value, J.stderr) == STATE_SIGMA_COSTS[0]
+        assert ((g["I_tilted"], g["I_reweighted"], g["mean_weight"])
+                == STATE_SIGMA_COSTS[1])
 
 
 def test_costs_with_boundary_cost_pinned_bit_for_bit(interval, std_model):
     # a non-zero g, recorded from the boundary cost of the control layer,
     # lambda from the 1-d ghost-point boundary rows; ==
     prob = dataclasses.replace(two_control_problem(),
-                               g=lambda x: 0.2 * float(x[0]) ** 2 + 0.05)
+                               g=lambda X: 0.2 * X[:, 0] ** 2 + 0.05)
     sol = solve_ergodic(std_model, interval, induced_driver(prob), 0.2,
                         spacing=1e-2)
     assert sol.lam == 0.5071347709845135
@@ -438,8 +431,7 @@ def test_step_tuples_carry_state_and_local_time_at_fixed_positions(interval, std
     # controlled blocks must replay the plain ensemble blocks: X at index 1,
     # X_new, dK and xi at -3, -2, -1 in both tuples, flat in step-major order
     prob = ControlProblem(R_table=np.array([[0.0]]),
-                          L=lambda x, k: 0.5, M_R=0.0, M_L=0.5,
-                          L_vec=lambda X, k: np.full(len(X), 0.5))
+                          L=lambda X, k: np.full(len(X), 0.5), M_R=0.0, M_L=0.5)
     P = 12
     X0 = np.linspace(-0.99, 0.99, P)[:, None]
     zeros = Policy.tabulate(lambda nodes, Z: np.zeros(len(nodes), int),
@@ -473,10 +465,10 @@ def _assert_table_is_the_node_argmin(prob, sol):
     nodes = sol.v.nodes
     table = feedback_policy(prob, sol).controls_for(nodes)
     for x, z, k in zip(nodes, sol.zeta, table):
-        vals = [prob.L(x, j) + float(z @ prob.R_table[j]) for j in range(prob.n_controls)]
+        vals = _brute_force(prob, x, z)
         best = int(np.argmin(vals))
         assert k == best or abs(vals[k] - vals[best]) <= 1e-12
-    assert np.array_equal(table, control._hamiltonian_batch(prob, nodes, sol.zeta)[1])
+    assert np.array_equal(table, hamiltonian(prob, nodes, sol.zeta)[1])
     return table
 
 
@@ -533,7 +525,7 @@ def test_running_cost_table_matches_per_control_costs():
     table = prob.L_table(X)
     assert table.shape == (9, prob.n_controls)
     for k in range(prob.n_controls):
-        assert np.array_equal(table[:, k], prob.L_at(X, k))
+        assert np.array_equal(table[:, k], prob.L(X, k))
 
 
 def test_controlled_step_too_large_raises(interval, std_model):

@@ -73,10 +73,8 @@ def test_constant_driver_flat_in_2d():
 
 
 def test_z_dependent_driver_fixed_point(interval, std_model):
-    drv = DriverSpec(psi=lambda x, z: np.cos(x[0]) + 0.3 * z[0],
-                     g=None, K_psi_x=1.0, K_psi_z=0.3, M_psi=1.0,
-                     psi_vec=lambda X, Z: np.cos(X[:, 0]) + 0.3 * Z[:, 0],
-                     name="cos+z")
+    drv = DriverSpec(psi=lambda X, Z: np.cos(X[:, 0]) + 0.3 * Z[:, 0],
+                     g=None, K_psi_x=1.0, K_psi_z=0.3, M_psi=1.0, name="cos+z")
     v1 = solve_discounted(std_model, interval, drv, 0.2, spacing=1e-3)
     v2 = solve_discounted(std_model, interval, drv, 0.2, spacing=1e-3)
     assert np.max(np.abs(v1.values - v2.values)) < 1e-6
@@ -93,15 +91,33 @@ def test_degenerate_diffusion_trivial_data(interval):
 
 def test_off_diagonal_diffusion_rejected_in_2d():
     sig = np.array([[1.0, 0.5], [0.0, 1.0]])
-    model = SdeModel(b=lambda x: -np.asarray(x), sigma=lambda x: sig,
-                     b_vec=lambda X: -X, sigma_constant=sig)
+    model = SdeModel(b=lambda X: -X, sigma_constant=sig)
     with pytest.raises(NotImplementedError, match="off-diagonal"):
         solve_discounted(model, ball_domain(1.0, 2), constant_driver(1.0), 0.5,
                          spacing=0.1)
 
 
+@pytest.mark.parametrize("sig", [np.sqrt(2.0) * np.eye(1), np.diag([np.sqrt(2.0), 0.7])],
+                         ids=["1d", "2d"])
+def test_constant_sigma_coefficients_are_the_per_node_stack(sig):
+    # sigma sigma^T is formed once for a constant sigma: the same bits as
+    # the stack formed node by node for the same sigma given as a callable
+    d = len(sig)
+    mesh = build_mesh(ball_domain(1.0, d), 0.1)
+    constant = SdeModel(b=lambda X: -X, sigma_constant=sig)
+    stacked = SdeModel(b=lambda X: -X,
+                       sigma=lambda X: np.broadcast_to(sig, (len(X), d, d)))
+    for got, want in zip(_coefficients(mesh, constant), _coefficients(mesh, stacked)):
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # the vectorised operator against node-by-node assembly
+
+
+def _g(driver, x):
+    """The boundary cost at one point; 0 without one."""
+    return 0.0 if driver.g is None else refs.one_row(driver.g, x)
 
 
 def _reference_problem(mesh, model, driver, alpha, mu, eps, bordered):
@@ -114,11 +130,10 @@ def _reference_problem(mesh, model, driver, alpha, mu, eps, bordered):
     A = np.zeros((n + bordered, n + bordered))
     rhs = np.zeros(n + bordered)
     if mesh.domain.dim == 1:
-        x = mesh.nodes[:, 0]
         for i in range(n):
-            a = 0.5 * float(np.atleast_2d(model.sigma(x[i:i + 1]))[0, 0] ** 2) \
+            a = 0.5 * float(refs.one_row(model.sigma_at, mesh.nodes[i])[0, 0] ** 2) \
                 + 0.5 * eps ** 2
-            b = float(np.atleast_1d(model.b(x[i:i + 1]))[0])
+            b = float(refs.one_row(model.b, mesh.nodes[i])[0])
             if i in (0, n - 1):
                 # v'(x_i) = n (mu - g) with the inward normal n = +1 / -1;
                 # an inward drift with b n h > 2a is upwinded instead
@@ -128,7 +143,7 @@ def _reference_problem(mesh, model, driver, alpha, mu, eps, bordered):
                 A[i, i] = -c - alpha
                 A[i, nbr] = c
                 drift = 0.0 if bn * h > 2 * a else bn
-                rhs[i] = (2 * a / h - drift) * (mu - driver.g_at(x[i]))
+                rhs[i] = (2 * a / h - drift) * (mu - _g(driver, mesh.nodes[i]))
             elif abs(b) * h <= 2 * a:     # cell Peclet number at most 1
                 A[i, i] = -2 * a / h ** 2 - alpha
                 A[i, i + 1] = a / h ** 2 + b / (2 * h)
@@ -142,9 +157,9 @@ def _reference_problem(mesh, model, driver, alpha, mu, eps, bordered):
         steps = [ax[1] - ax[0] for ax in mesh.axes]
         for k in range(n):
             p = mesh.nodes[k]
-            sig = np.atleast_2d(model.sigma(p))
+            sig = refs.one_row(model.sigma_at, p)
             avec = 0.5 * np.diag(sig @ sig.T) + 0.5 * eps ** 2
-            bvec = np.atleast_1d(model.b(p))
+            bvec = refs.one_row(model.b, p)
             A[k, k] -= alpha
             for ax in range(2):
                 hh, aa, bb = steps[ax], avec[ax], bvec[ax]
@@ -176,7 +191,7 @@ def _reference_problem(mesh, model, driver, alpha, mu, eps, bordered):
                 an = float(avec @ normal ** 2)
                 flux += length * an * np.exp(float(bvec @ normal)
                                              * float(normal @ (point - p)) / an) \
-                    * (mu - driver.g_at(point))
+                    * (mu - _g(driver, point))
             rhs[k] = flux / area[k]
     if bordered:
         A[:n, n] = -1.0
@@ -197,7 +212,9 @@ def _reference_cells(mesh):
     mean position) of the circular arc it stands for. The crossings come
     from brentq on ``domain.phi``."""
     dom = mesh.domain
-    phi = dom.phi
+    def phi(x):
+        return refs.one_row(dom.phi, x)
+
     steps = [ax[1] - ax[0] for ax in mesh.axes]
     nx, ny = mesh.shape
     # lattice point (I, J): box corners at even, grid points at odd indices
@@ -247,8 +264,8 @@ def _reference_cells(mesh):
                 normal = np.array([-d[1], d[0]]) / length
                 mid = 0.5 * (p + q)
                 tangent = d / length
-                kappa = (-float(tangent @ dom.hess_phi(mid) @ tangent)
-                         / float(np.linalg.norm(dom.grad_phi(mid))))
+                kappa = (-float(tangent @ refs.one_row(dom.hess_phi, mid) @ tangent)
+                         / float(np.linalg.norm(refs.one_row(dom.grad_phi, mid))))
                 area += kappa * length ** 3 / 12
                 arcs.append((length * (1 + (kappa * length) ** 2 / 24), normal,
                              mid - kappa * length ** 2 / 12 * normal))
@@ -328,7 +345,7 @@ OPERATOR_CASES = [
                          ids=[c[0] for c in OPERATOR_CASES])
 def test_operator_matches_node_by_node_assembly(name, domain, model, spacing, eps,
                                                 bordered):
-    driver = dataclasses.replace(cos_driver(), g=lambda x: 0.2 + float(x[0]))
+    driver = dataclasses.replace(cos_driver(), g=lambda X: 0.2 + X[:, 0])
     alpha, mu = (0.0, 0.4) if bordered else (0.3, 0.4)
     ops = discounted.GridOperators(model, domain, spacing)
     mesh = ops.mesh
@@ -464,7 +481,7 @@ def test_adjoint_weights_are_the_invariant_measure(name, domain, model, spacing)
     # relative
     ops = discounted.GridOperators(model, domain, spacing)
     mesh, n = ops.mesh, ops.mesh.n_nodes
-    driver = dataclasses.replace(cos_driver(), g=lambda x: 0.2 + float(x[0]))
+    driver = dataclasses.replace(cos_driver(), g=lambda X: 0.2 + X[:, 0])
     e = np.zeros(n + 1)
     e[-1] = 1.0
     assert len(ops.eps_list) == (2 if name == "degenerate" else 1)
@@ -601,8 +618,7 @@ def test_disc_discounted_solution_converges_up_to_the_boundary():
         r2 = (X * X).sum(axis=1)
         return alpha * exact(X) - X[:, 0] * (r2 - 11 / 3) - (2 - r2)
 
-    driver = DriverSpec(psi=lambda x, z: float(psi(np.atleast_2d(x), None)[0]),
-                        g=lambda x: 1.0, psi_vec=psi)
+    driver = DriverSpec(psi=psi, g=lambda X: np.ones(len(X)))
     spacings = 0.1 / 2.0 ** np.arange(4)
     sup, grad, interior = [], [], []
     for h in spacings:
@@ -614,8 +630,8 @@ def test_disc_discounted_solution_converges_up_to_the_boundary():
         grad.append(np.abs(sol.gradient() - gradient(mesh.nodes))[near].max())
         # the discounted equation as pde_residual reads it: lambda = 0 and
         # alpha v moved into the driver
-        moved = DriverSpec(psi=None, g=driver.g,
-                           psi_vec=lambda X, Z: psi(X, Z) - alpha * sol.interp_many(X))
+        moved = DriverSpec(psi=lambda X, Z: psi(X, Z) - alpha * sol.interp_many(X),
+                           g=driver.g)
         interior.append(verification.pde_residual(
             SimpleNamespace(v=sol, lam=0.0, mu=0.0), STD_2D, disc, moved)["interior_max"])
     sup, grad = np.array(sup), np.array(grad)
@@ -682,7 +698,7 @@ def test_tridiagonal_lu_matches_splu(model, alpha, ref, interval):
     ops = discounted.GridOperators(model, interval, 1e-3)
     mesh, n, bordered = ops.mesh, ops.mesh.n_nodes, ref is not None
     h = mesh.spacing
-    driver = dataclasses.replace(cos_driver(), g=lambda x: 0.2 + float(x[0]))
+    driver = dataclasses.replace(cos_driver(), g=lambda X: 0.2 + X[:, 0])
     for eps in sorted({*ops.eps_list, h, h / 2}):
         rhs = _rhs(ops, driver, 0.4, eps, bordered)
         rhs[:n] -= np.cos(mesh.nodes[:, 0])
@@ -771,8 +787,7 @@ def test_solve_record_counts_the_factorisations_of_a_1d_curve(monkeypatch, inter
                                                               std_model, cosdrv):
     counts = _count_factorisations(monkeypatch)
     recorded = _recording_solves(monkeypatch)
-    zdrv = dataclasses.replace(cosdrv, psi=lambda x, z: np.cos(x[0]) + 0.3 * z[0],
-                               psi_vec=lambda X, Z: np.cos(X[:, 0]) + 0.3 * Z[:, 0],
+    zdrv = dataclasses.replace(cosdrv, psi=lambda X, Z: np.cos(X[:, 0]) + 0.3 * Z[:, 0],
                                K_psi_z=0.3)
     # one solve per mu on shared operators: the first builds the LU
     ergodic.lambda_of_mu(std_model, interval, zdrv, [0.0, 0.5, 1.0], scheme="direct",
@@ -872,8 +887,7 @@ def test_curve_record_of_one_solve_per_mu(monkeypatch, interval, std_model, cosd
     # a driver that reads z: one solve per mu on one LU, and "solves" counts
     # the LU solves of every Picard sweep
     counts = _count_factorisations(monkeypatch)
-    zdrv = dataclasses.replace(cosdrv, psi=lambda x, z: np.cos(x[0]) + 0.3 * z[0],
-                               psi_vec=lambda X, Z: np.cos(X[:, 0]) + 0.3 * Z[:, 0],
+    zdrv = dataclasses.replace(cosdrv, psi=lambda X, Z: np.cos(X[:, 0]) + 0.3 * Z[:, 0],
                                K_psi_z=0.3)
     ops = discounted.GridOperators(std_model, interval, 1e-2)
     curve = ergodic.lambda_of_mu(std_model, interval, zdrv, [0.0, 1.0], spacing=1e-2,

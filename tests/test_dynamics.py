@@ -6,9 +6,9 @@ from numpy.testing import assert_allclose
 from scipy import integrate
 
 import conftest as refs
-from ebsde import control, dynamics
-from ebsde.dynamics import (Potential, SdeModel, ensemble_average, ensemble_steps,
-                            expected_K_rate, generator_apply, invariant_density,
+from ebsde import control, dynamics, hypotheses
+from ebsde.dynamics import (SdeModel, ensemble_average, ensemble_steps,
+                            expected_K_rate, invariant_density,
                             occupation_histogram, penalized_moments,
                             sample_invariant, stationary_start)
 from ebsde.errors import NotKolmogorov, StepTooLarge
@@ -16,8 +16,7 @@ from ebsde.geometry import ball_domain, quadratic_domain
 from ebsde.presets import (kolmogorov_model, ou_model, quadratic_potential,
                            two_control_problem)
 
-DRIFT_ONE = SdeModel(b=lambda x: np.ones_like(x),
-                     sigma=lambda x: np.zeros((len(x), len(x))),
+DRIFT_ONE = SdeModel(b=lambda X: np.ones_like(X), sigma_constant=np.zeros((1, 1)),
                      name="unit-drift")
 
 
@@ -50,12 +49,12 @@ def test_step_symmetrized_fold(interval):
 def test_step_interior_costs_no_local_time(interval, std_model):
     x, dk = _one_step(std_model, interval, [0.2], 1e-3, seed=3)
     assert dk == 0.0
-    assert interval.phi(x) > 0
+    assert interval.phi(x[None])[0] > 0
 
 
 def test_step_too_large_raises(interval):
-    runaway = SdeModel(b=lambda x: 100.0 * np.ones_like(x),
-                       sigma=lambda x: np.zeros((1, 1)))
+    runaway = SdeModel(b=lambda X: 100.0 * np.ones_like(X),
+                       sigma_constant=np.zeros((1, 1)))
     with pytest.raises(StepTooLarge):
         _one_step(runaway, interval, [0.0], 1.0)
 
@@ -64,11 +63,10 @@ def test_step_too_large_refuses_the_whole_block(interval):
     # the drift turns huge at step 250 of 500: the first block (steps
     # 0-203 of 320 paths) is yielded, the block holding step 250 is not
     def runaway(calls):
-        def b_vec(X):
+        def b(X):
             calls.append(1)
             return np.full_like(X, 1e4 if len(calls) > 250 else 0.0)
-        return SdeModel(b=lambda x: np.zeros_like(x), sigma=lambda x: np.eye(1),
-                        b_vec=b_vec, sigma_constant=np.eye(1))
+        return SdeModel(b=b, sigma_constant=np.eye(1))
 
     X0 = np.zeros((320, 1))
     seen = []
@@ -92,7 +90,7 @@ def test_simulate_path_invariants(interval, std_model):
     states, K = _one_path(std_model, interval, [0.5], 2000, h, seed=5)
     assert states.shape == (2001, 1)
     assert np.all(np.abs(states[:, 0]) <= 1.0 + 1e-12)
-    phi = np.array([interval.phi(x) for x in states])
+    phi = interval.phi(states)
     assert phi.min() >= -interval.boundary_tol
     dK = np.diff(K)
     assert K[0] == 0.0 and np.all(dK >= 0)
@@ -161,42 +159,35 @@ def test_penalized_moments_near_gibbs(interval):
 
 
 def test_penalized_moments_need_potential(interval):
-    plain = SdeModel(b=lambda x: -x, sigma=lambda x: np.eye(1))
+    plain = SdeModel(b=lambda X: -X, sigma_constant=np.eye(1))
     with pytest.raises(NotKolmogorov):
         penalized_moments(plain, interval, 4.0, T=1.0, h=1e-2, paths=4, seed=0)
 
 
 def test_stationary_start_nongradient(interval):
-    model = SdeModel(b=lambda x: -x, sigma=lambda x: np.eye(1),
-                     b_vec=lambda X: -X, eta_hint=-1.0)
+    model = SdeModel(b=lambda X: -X, sigma_constant=np.eye(1), eta_hint=-1.0)
     X = stationary_start(model, interval, 32, 1e-2, 11, 0)
     assert X.shape == (32, 1)
     assert np.all(np.abs(X[:, 0]) <= 1.0 + 1e-9)
-    bad = SdeModel(b=lambda x: -x, sigma=lambda x: np.eye(1))
+    bad = SdeModel(b=lambda X: -X, sigma_constant=np.eye(1))
     with pytest.raises(ValueError):
         stationary_start(bad, interval, 4, 1e-2, 0, 0)
 
 
 def test_generator_on_defining_function(interval, std_model):
     # L phi = x^2 - 1 for the standard model on the interval
-    phi_triple = (interval.phi, interval.grad_phi, interval.hess_phi)
-    for t in (-0.8, 0.0, 0.3, 1.0):
-        val = generator_apply(std_model, phi_triple, np.array([t]))
-        assert abs(val - (t * t - 1.0)) < 1e-12
+    X = np.array([[-0.8], [0.0], [0.3], [1.0]])
+    assert_allclose(hypotheses._vec_Lphi(std_model, interval, X), X[:, 0] ** 2 - 1.0,
+                    rtol=0, atol=1e-12)
 
 
 def test_quadratic_potential_uses_every_coordinate():
     pot = quadratic_potential(1.7)
     X = np.random.default_rng(3).uniform(-1, 1, size=(20, 2))
-    assert_allclose([pot.value(x) for x in X], pot.value_vec(X), rtol=1e-15)
-    eps = 1e-6
-    for x in X[:5]:
-        fd = [(pot.value(x + eps * e) - pot.value(x - eps * e)) / (2 * eps)
-              for e in np.eye(2)]
-        assert_allclose(pot.grad(x), fd, atol=1e-8)
+    assert_allclose(pot.value(X), 0.85 * (X[:, 0] ** 2 + X[:, 1] ** 2), rtol=1e-15)
     # 1-d values are unchanged bit for bit
     for t in (-0.9, 0.123, 1.0):
-        assert pot.value(np.array([t])) == 0.5 * 1.7 * float(t ** 2)
+        assert pot.value(np.array([[t]]))[0] == 0.5 * 1.7 * float(t ** 2)
 
 
 def _ellipse_model():
@@ -204,28 +195,18 @@ def _ellipse_model():
             kolmogorov_model(quadratic_potential(), dim=2, eta_hint=-1.0))
 
 
-def test_vectorised_gibbs_sampler_matches_pointwise_path():
-    dom, model = _ellipse_model()
-    pot = model.kolmogorov_potential
-    pointwise = SdeModel(b=model.b, sigma=model.sigma, kolmogorov_potential=Potential(
-        pot.value, pot.grad, pot.hess))
-    got = sample_invariant(model, dom, 500, np.random.default_rng(5))
-    want = sample_invariant(pointwise, dom, 500, np.random.default_rng(5))
-    assert np.array_equal(got, want)
-    assert np.all(dom.phi_vec(got) >= 0)
-
-
 def test_ellipse_reflection_stays_in_closure():
     dom, model = _ellipse_model()
     X0 = sample_invariant(model, dom, 64, np.random.default_rng(1))
+    assert np.all(dom.phi(X0) >= 0)
     reflected = 0
     for i, X, X_new, dK, xi in ensemble_steps(model, dom, X0, 300, 2e-3, 9):
-        assert dom.phi_vec(X_new).min() >= -dom.boundary_tol
+        assert dom.phi(X_new).min() >= -dom.boundary_tol
         assert dK.min() >= 0.0
         # a mirrored state sits within half its repair length of the
         # boundary, where |grad phi| <= 2
         hit = dK > 0
-        assert np.all(dom.phi_vec(X_new[hit]) <= dK[hit])
+        assert np.all(dom.phi(X_new[hit]) <= dK[hit])
         reflected += int((dK > 0).sum())
     assert reflected > 50
 
@@ -307,8 +288,7 @@ def test_simulate_pinned_bit_for_bit(interval, std_model):
 
 
 def test_stationary_start_burn_in_pinned_bit_for_bit(interval):
-    model = SdeModel(b=lambda x: -x, sigma=lambda x: np.eye(1),
-                     b_vec=lambda X: -X, eta_hint=-1.0)
+    model = SdeModel(b=lambda X: -X, sigma_constant=np.eye(1), eta_hint=-1.0)
     X = stationary_start(model, interval, 6, 1e-2, 11, 0)
     assert X[:, 0].tolist() == [0.11980941447964844, 0.7937512835601991,
                                 0.12952283076691762, -0.880095959514285,
@@ -394,8 +374,7 @@ def test_fold_that_leaves_the_interval_is_refused(interval):
         narrow.guard(out[:1])
     # in an ensemble: a start outside the closure whose proposal stays
     # within a diameter of it, but beyond 3r, folds outside and is refused
-    push = SdeModel(b=lambda x: np.ones_like(x), sigma=lambda x: np.zeros((1, 1)),
-                    b_vec=lambda X: np.full_like(X, 1.7))
+    push = SdeModel(b=lambda X: np.full_like(X, 1.7), sigma_constant=np.zeros((1, 1)))
     with pytest.raises(StepTooLarge, match="fold"):
         next(ensemble_steps(push, interval, np.array([[1.5]]), 1, 1.0, 0))
 
@@ -434,7 +413,7 @@ def test_block_local_time_is_the_repair_length(d):
     X0 = np.full((30, d), 0.5 / np.sqrt(d))
     h = 2e-2
     for i, X, X_new, dK, xi in ensemble_steps(model, dom, X0, 60, h, 1):
-        proposal = X + model.b_vec(X) * h + (xi @ model.sigma_constant.T) * np.sqrt(h)
+        proposal = X + model.b(X) * h + (xi @ model.sigma_constant.T) * np.sqrt(h)
         want = np.linalg.norm(X_new - proposal, axis=1)
         assert_allclose(dK, want, rtol=1e-12, atol=1e-15)
         assert np.all((dK > 0) == (np.linalg.norm(proposal, axis=1) > 1.0))
@@ -449,3 +428,11 @@ def test_run_record_sums_the_local_time(interval, std_model):
     rec = run.as_dict()
     assert rec["local_time"] == K > 0.0
     assert rec["path_steps"] == 50 * 700
+
+
+def test_model_gives_exactly_one_form_of_sigma():
+    with pytest.raises(ValueError, match="exactly one of sigma and sigma_constant"):
+        SdeModel(b=lambda X: -X, sigma=lambda X: np.ones((len(X), 1, 1)),
+                 sigma_constant=np.eye(1))
+    with pytest.raises(ValueError, match="exactly one of sigma and sigma_constant"):
+        SdeModel(b=lambda X: -X)

@@ -203,7 +203,7 @@ def test_time_average_pinned_bit_for_bit(interval, std_model, cosdrv):
     assert (lambda_time_average(std_model, interval, cosdrv, sol, T=0.5, h=1e-3,
                                 paths=8, seed=4)
             == (0.06832465497338897, 0.4110774483310166))
-    gdrv = dataclasses.replace(cosdrv, g=lambda x: 0.3 * float(x[0]) + 0.1)
+    gdrv = dataclasses.replace(cosdrv, g=lambda X: 0.3 * X[:, 0] + 0.1)
     gsol = solve_ergodic(std_model, interval, gdrv, 0.5, spacing=1e-2)
     assert gsol.lam == 0.5775852411546085
     assert (lambda_time_average(std_model, interval, gdrv, gsol, T=0.5, h=1e-3,
@@ -247,8 +247,7 @@ def test_diagnostics_record_what_the_solve_did(monkeypatch, interval, std_model,
     # a z-free driver takes one linear solve and no fixed point
     assert (diag["picard_sweeps"], diag["picard_update"], diag["damping_events"]) \
         == (1, None, 0)
-    zdrv = dataclasses.replace(cosdrv, psi=lambda x, z: np.cos(x[0]) + 0.3 * z[0],
-                               psi_vec=lambda X, Z: np.cos(X[:, 0]) + 0.3 * Z[:, 0],
+    zdrv = dataclasses.replace(cosdrv, psi=lambda X, Z: np.cos(X[:, 0]) + 0.3 * Z[:, 0],
                                K_psi_z=0.3)
     diag = solve_ergodic(std_model, interval, zdrv, 0.25, spacing=1e-2).diagnostics
     assert diag["picard_sweeps"] > 2 and 0.0 <= diag["picard_update"] < 1e-10
@@ -437,7 +436,7 @@ def test_disc_boundary_cost_enters_at_second_order(cosdrv):
     # read at the boundary nodes they were 0.59-0.77 h
     model = kolmogorov_model(quadratic_potential(), dim=2, eta_hint=-1.0)
     disc = ball_domain(1.0, 2)
-    drv = dataclasses.replace(cosdrv, g=lambda x: float(x[0]) ** 2)
+    drv = dataclasses.replace(cosdrv, g=lambda X: X[:, 0] ** 2)
     exact = refs.DISC_MEAN_COS + 0.5 * refs.DISC_FLUX_RATE
     spacings = 0.1 / 2.0 ** np.arange(4)
     errs = np.array([abs(lambda_of_mu(model, disc, drv, [0.0], spacing=h).lams[0] - exact)

@@ -5,25 +5,28 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate
 
+import conftest as refs
 from ebsde.geometry import (ball_domain, boundary_sample, domain_from_json,
                             domain_grid, geometric_constants,
                             inward_normal, project, project_many,
                             quadratic_domain, quartic_interval_domain)
+from ebsde.presets import (cos_driver, kolmogorov_model, pinned_free_potential,
+                           poly_potential, quadratic_potential)
+from ebsde.verification import shifted_problem
 
 COORD = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
 
 def test_interval_phi_signs(interval):
-    assert interval.phi(np.array([0.0])) > 0
-    assert interval.phi(np.array([1.5])) < 0
-    assert abs(interval.phi(np.array([1.0]))) < 1e-14
-    assert abs(interval.phi(np.array([-1.0]))) < 1e-14
+    phi = interval.phi(np.array([[0.0], [1.5], [1.0], [-1.0]]))
+    assert phi[0] > 0 > phi[1]
+    assert np.all(np.abs(phi[2:]) < 1e-14)
 
 
 def test_unit_gradient_on_boundary():
     for dom in (ball_domain(1.0, 1), ball_domain(2.0, 2), quartic_interval_domain()):
-        for p in boundary_sample(dom, 32):
-            assert abs(np.linalg.norm(dom.grad_phi(p)) - 1.0) < 1e-9
+        G = dom.grad_phi(boundary_sample(dom, 32))
+        assert np.all(np.abs(np.linalg.norm(G, axis=1) - 1.0) < 1e-9)
 
 
 def test_projection_overshoot_example(interval):
@@ -43,7 +46,7 @@ def test_projection_2d_is_radial():
 def test_projection_idempotent(x):
     dom = ball_domain(1.0, 2)
     p = project(dom, np.array(x))
-    assert dom.phi(p) >= -1e-12
+    assert dom.contains(p, tol=1e-12)
     assert_allclose(project(dom, p), p, atol=1e-9)
 
 
@@ -59,29 +62,26 @@ def test_inward_normal_points_inside():
     for dom in (ball_domain(1.0, 2), quartic_interval_domain()):
         for p in boundary_sample(dom, 16):
             n = inward_normal(dom, p)
-            assert dom.phi(p + 1e-4 * n) > dom.phi(p)
+            assert np.diff(dom.phi(np.stack([p, p + 1e-4 * n])))[0] > 0
 
 
 def test_quartic_interval_same_closure():
     q = quartic_interval_domain()
     box = ball_domain(1.0, 1)
-    for t in np.linspace(-1.6, 1.6, 37):
-        p = np.array([t])
-        assert (q.phi(p) >= 0) == (box.phi(p) >= 0)
+    X = np.linspace(-1.6, 1.6, 37)[:, None]
+    assert np.array_equal(q.phi(X) >= 0, box.phi(X) >= 0)
     # unit defining gradient at both endpoints
-    assert abs(abs(q.grad_phi(np.array([1.0]))[0]) - 1.0) < 1e-12
-    assert abs(abs(q.grad_phi(np.array([-1.0]))[0]) - 1.0) < 1e-12
+    assert_allclose(np.abs(q.grad_phi(np.array([[1.0], [-1.0]]))), 1.0, rtol=0, atol=1e-12)
 
 
 def test_strict_interior_flux_of_quartic():
     # -L phi = (3 - x^4)/4 for the standard gradient model: positive up to
     # the boundary, unlike the round defining function which vanishes there
     q = quartic_interval_domain()
-    for t in (-1.0, -0.4, 0.0, 0.8, 1.0):
-        x = np.array([t])
-        lphi = -t * q.grad_phi(x)[0] + q.hess_phi(x)[0, 0]
-        assert -lphi >= 0.5 - 1e-12
-        assert -lphi <= 0.75 + 1e-12
+    X = np.array([[-1.0], [-0.4], [0.0], [0.8], [1.0]])
+    lphi = -X[:, 0] * q.grad_phi(X)[:, 0] + q.hess_phi(X)[:, 0, 0]
+    assert np.all(-lphi >= 0.5 - 1e-12)
+    assert np.all(-lphi <= 0.75 + 1e-12)
 
 
 def test_flux_identity_independent_of_defining_function():
@@ -93,8 +93,8 @@ def test_flux_identity_independent_of_defining_function():
 
     def avg(dom):
         def f(t):
-            x = np.array([t])
-            val = -t * dom.grad_phi(x)[0] + dom.hess_phi(x)[0, 0]
+            x = np.array([[t]])
+            val = -t * dom.grad_phi(x)[0, 0] + dom.hess_phi(x)[0, 0, 0]
             return val * np.exp(-0.5 * t * t) / N
         v, _ = integrate.quad(f, -1, 1)
         return v
@@ -104,7 +104,7 @@ def test_flux_identity_independent_of_defining_function():
 
 def test_domain_from_json():
     d1 = domain_from_json({"kind": "ball", "radius": 2.0, "dim": 2})
-    assert d1.dim == 2 and d1.phi(np.array([1.9, 0.0])) > 0
+    assert d1.dim == 2 and d1.contains([1.9, 0.0])
     d2 = domain_from_json({"kind": "interval_quartic"})
     assert d2.dim == 1
     with pytest.raises(ValueError):
@@ -113,15 +113,16 @@ def test_domain_from_json():
 
 def test_quadratic_domain_matrix():
     dom = quadratic_domain([[1.0, 0.0], [0.0, 4.0]])
-    assert dom.phi(np.array([0.0, 0.0])) > 0
-    assert dom.phi(np.array([0.9, 0.0])) > 0 > dom.phi(np.array([1.1, 0.0]))
-    assert dom.phi(np.array([0.0, 0.45])) > 0 > dom.phi(np.array([0.0, 0.55]))
+    phi = dom.phi(np.array([[0.0, 0.0], [0.9, 0.0], [1.1, 0.0], [0.0, 0.45],
+                            [0.0, 0.55]]))
+    assert phi[0] > 0
+    assert phi[1] > 0 > phi[2]
+    assert phi[3] > 0 > phi[4]
 
 
 def test_boundary_sample_lies_on_boundary():
     for dom in (ball_domain(1.5, 2), quartic_interval_domain()):
-        for p in boundary_sample(dom, 24):
-            assert abs(dom.phi(p)) < 1e-9
+        assert np.all(np.abs(dom.phi(boundary_sample(dom, 24))) < 1e-9)
 
 
 def test_geometric_constants(interval):
@@ -134,7 +135,7 @@ def test_geometric_constants(interval):
 def test_domain_grid_inside(interval):
     pts = domain_grid(interval, 33)
     assert len(pts) == 33
-    assert all(interval.phi(p) >= -1e-12 for p in pts)
+    assert np.all(interval.phi(pts) >= -1e-12)
 
 
 def _ellipse_points(n=200):
@@ -158,7 +159,7 @@ def _assert_closest_boundary_points(A, X, P):
     dist = np.linalg.norm(P - X, axis=1)
     brute = np.array([np.linalg.norm(B - x, axis=1).min() for x in X])
     assert np.all(dist <= brute + 1e-9)
-    assert np.max(np.abs(quadratic_domain(A).phi_vec(P))) < 1e-12
+    assert np.max(np.abs(quadratic_domain(A).phi(P))) < 1e-12
 
 
 def test_project_many_matches_pointwise_projection():
@@ -166,7 +167,7 @@ def test_project_many_matches_pointwise_projection():
         dom = quadratic_domain(A)
         X = _ellipse_points()
         got = project_many(dom, X)
-        outside = dom.phi_vec(X) < 0
+        outside = dom.phi(X) < 0
         assert outside.sum() > 100
         assert np.array_equal(got[~outside], X[~outside])
         _assert_closest_boundary_points(A, X[outside], got[outside])
@@ -180,7 +181,7 @@ def test_projection_is_the_closest_boundary_point():
     for A in ELLIPSES:
         dom = quadratic_domain(A)
         X = _ellipse_points(60)
-        X = X[dom.phi_vec(X) < 0]
+        X = X[dom.phi(X) < 0]
         _assert_closest_boundary_points(A, X, project_many(dom, X))
 
 
@@ -189,21 +190,70 @@ def test_domain_kinds():
     assert ball_domain(2.0, 2).radius == 2.0
     assert quartic_interval_domain().kind == "interval_quartic"
     assert quadratic_domain(np.eye(2)).kind == "quadratic"
-    for dom in (ball_domain(1.5, 2), quartic_interval_domain(),
-                quadratic_domain([[2.0, 0.5], [0.5, 1.0]])):
-        X = _ellipse_points(30)[:, :dom.dim]
-        assert_allclose(dom.phi_vec(X), [dom.phi(x) for x in X], rtol=0, atol=1e-12)
-        assert_allclose(dom.grad_phi_vec(X), [dom.grad_phi(x) for x in X], atol=1e-12)
-        assert_allclose(dom.hess_phi_vec(X), [dom.hess_phi(x) for x in X], atol=1e-12)
 
 
-def test_ball_phi_and_phi_vec_agree_on_every_point_of_the_gibbs_grid():
-    # the 101^3 tensor grid that the Gibbs quadrature masks by phi >= 0 on
-    # the 3-d ball: np.dot rounded 12 of its points to the other side
-    dom = ball_domain(1.0, 3)
-    axes = [np.linspace(lo, hi, 101) for lo, hi in dom.bounding_box]
-    pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
-    pointwise = np.array([dom.phi(p) for p in pts])
-    batched = dom.phi_vec(pts)
-    assert np.array_equal(pointwise >= 0, batched >= 0)
-    assert np.array_equal(pointwise, batched)
+# Each callable of a domain or a potential is written once, batched; its
+# derivatives are checked against central differences of the function they
+# differentiate. At step E the central difference of f is off by at most
+# E^2/6 sup|f'''| + eps sup|f| / E: with |f'''| <= 100 and |f| <= 100 on
+# these boxes, 2e-9 + 2e-9 at E = 1e-5, so FD_TOL leaves a margin of 25.
+E, FD_TOL = 1e-5, 1e-7
+
+
+def _central_differences(f, X):
+    """(f(X + E u_k) - f(X - E u_k)) / 2E for every unit vector u_k, stacked
+    on a new last axis."""
+    return np.stack([(f(X + E * u) - f(X - E * u)) / (2 * E)
+                     for u in np.eye(X.shape[1])], axis=-1)
+
+
+def _interior_points(domain, n=40):
+    rng = np.random.default_rng(17)
+    box = domain.bounding_box
+    X = rng.uniform(0.95 * box[:, 0], 0.95 * box[:, 1], size=(n, domain.dim))
+    return X[domain.phi(X) > 0]
+
+
+DOMAINS = {"ball-1": lambda: ball_domain(1.0, 1), "ball-2": lambda: ball_domain(1.5, 2),
+           "ball-3": lambda: ball_domain(1.0, 3), "quartic": quartic_interval_domain,
+           "ellipse": lambda: quadratic_domain(ELLIPSES[0]),
+           "rotated": lambda: quadratic_domain(ELLIPSES[1]),
+           "flat": refs.flat_ellipse}
+
+
+@pytest.mark.parametrize("name", DOMAINS)
+def test_domain_derivatives_match_central_differences(name):
+    dom = DOMAINS[name]()
+    X = _interior_points(dom)
+    assert len(X) >= 10
+    assert dom.phi(X).shape == (len(X),)
+    assert_allclose(dom.grad_phi(X), _central_differences(dom.phi, X),
+                    rtol=0, atol=FD_TOL)
+    assert_allclose(dom.hess_phi(X), _central_differences(dom.grad_phi, X),
+                    rtol=0, atol=FD_TOL)
+
+
+def _shifted_potential():
+    model = kolmogorov_model(quadratic_potential(0.7), dim=2)
+    return shifted_problem(model, cos_driver(), 0.5, ball_domain(1.0, 2))[0] \
+        .kolmogorov_potential
+
+
+POTENTIALS = {"quadratic-1": (lambda: quadratic_potential(1.7), 1),
+              "quadratic-2": (lambda: quadratic_potential(1.7), 2),
+              "quadratic-3": (lambda: quadratic_potential(0.4), 3),
+              "pinned_free": (pinned_free_potential, 1),
+              "poly": (lambda: poly_potential([0.3, -0.2, 0.5, 0.1, 0.05]), 1),
+              "shifted": (_shifted_potential, 2)}
+
+
+@pytest.mark.parametrize("name", POTENTIALS)
+def test_potential_derivatives_match_central_differences(name):
+    build, d = POTENTIALS[name]
+    pot = build()
+    X = _interior_points(ball_domain(1.0, d))
+    assert pot.value(X).shape == (len(X),)
+    assert_allclose(pot.grad(X), _central_differences(pot.value, X),
+                    rtol=0, atol=FD_TOL)
+    assert_allclose(pot.hess(X), _central_differences(pot.grad, X),
+                    rtol=0, atol=FD_TOL)

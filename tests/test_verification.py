@@ -2,9 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 import conftest as refs
 from ebsde.discounted import DriverSpec
+from ebsde.dynamics import SdeModel
 from ebsde.errors import SingularSigma
 from ebsde.ergodic import ErgodicSolution, solve_ergodic
 from ebsde.grids import GridFunction, build_mesh
@@ -20,7 +22,7 @@ def test_pde_residual_divides_each_axis_by_its_own_step():
     # axes would read dv/dy as 1.0357
     domain = refs.flat_ellipse()
     mesh = build_mesh(domain, 0.07)
-    driver = DriverSpec(psi=lambda x, z: z[1], psi_vec=lambda X, Z: Z[:, 1])
+    driver = DriverSpec(psi=lambda X, Z: Z[:, 1])
     sol = ErgodicSolution(GridFunction(mesh, mesh.nodes[:, 1].copy()),
                           np.zeros((mesh.n_nodes, 2)), 1.0, 0.0)
     pde = pde_residual(sol, ou_model(rate=0.0, dim=2), domain, driver)
@@ -73,15 +75,21 @@ def test_backward_partials_stay_centered(interval, std_model, cosdrv):
 
 def test_shifted_problem_identities(interval, std_model, cosdrv):
     model2, driver2 = shifted_problem(std_model, cosdrv, 0.5, interval)
-    for t in (-0.8, 0.1, 0.9):
-        x = np.array([t])
-        assert abs(model2.b(x)[0] - (-t - 0.5 * t)) < 1e-12
-        for zv in (-1.0, 0.0, 2.0):
-            z = np.array([zv])
-            want = np.cos(t) + 0.5 * zv * t / np.sqrt(2.0)
-            assert abs(driver2.psi(x, z) - want) < 1e-12
+    t, zv = np.meshgrid([-0.8, 0.1, 0.9], [-1.0, 0.0, 2.0])
+    X, Z = t.reshape(-1, 1), zv.reshape(-1, 1)
+    assert_allclose(model2.b(X), -X - 0.5 * X, rtol=0, atol=1e-12)
+    assert_allclose(driver2.psi(X, Z), np.cos(X[:, 0]) + 0.5 * Z[:, 0] * X[:, 0] / np.sqrt(2.0),
+                    rtol=0, atol=1e-12)
     assert driver2.K_psi_z > cosdrv.K_psi_z
     assert model2.eta_hint == -1.5
+    # a state-dependent sigma = 1 + x/5 solves for sigma^{-1} x row by row
+    varying = SdeModel(b=lambda X: -X, sigma=lambda X: (1.0 + 0.2 * X)[:, :, None],
+                       eta_hint=-1.0)
+    model2, driver2 = shifted_problem(varying, cosdrv, 0.5, interval)
+    assert model2.sigma is varying.sigma and model2.sigma_constant is None
+    assert_allclose(driver2.psi(X, Z),
+                    np.cos(X[:, 0]) + 0.5 * Z[:, 0] * X[:, 0] / (1.0 + 0.2 * X[:, 0]),
+                    rtol=0, atol=1e-12)
 
 
 def test_shift_leaves_constants_invariant(interval, std_model, cosdrv):
@@ -112,7 +120,7 @@ def test_bsde_residual_with_boundary_cost_pinned_bit_for_bit(interval, std_model
                                                               cosdrv):
     # a non-zero g, recorded from the hand-written boundary cost, v and
     # lambda from the 1-d ghost-point boundary rows; ==
-    gdrv = dataclasses.replace(cosdrv, g=lambda x: 0.3 * float(x[0]) + 0.1)
+    gdrv = dataclasses.replace(cosdrv, g=lambda X: 0.3 * X[:, 0] + 0.1)
     sol = solve_ergodic(std_model, interval, gdrv, 0.5, spacing=1e-2)
     res = bsde_residual(sol, std_model, interval, gdrv, paths=16, T=0.5,
                         h=1e-3, seed=7)
