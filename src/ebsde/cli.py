@@ -24,6 +24,7 @@ from . import acceptance
 from .control import (check_policy_spec, cost_I, cost_J, feedback_policy,
                       girsanov_weight_check, induced_driver, policy_from_json,
                       policy_verdict)
+from .dynamics import step_count
 from .ergodic import (SCHEMES, _jsonable, curve_to_csv, lambda_of_mu,
                       lambda_time_average, solve_boundary_cost, solve_ergodic)
 from .errors import ConfigError, EbsdeError
@@ -99,14 +100,10 @@ def _effective(cfg: dict, args) -> dict:
         raise ConfigError(f"run.scheme {eff['scheme']!r} is not one of {SCHEMES}")
     if not 0 < eff["grid"] < np.inf:
         raise ConfigError(f"grid spacing {eff['grid']!r} is not finite and positive")
-    T, h = eff["horizon"], eff["h"]
-    if not (0 < T < np.inf and 0 < h < np.inf and T / h < np.inf):
-        raise ConfigError(f"horizon {T!r} and time step h = {h!r} are not finite "
-                          "and positive")
-    n = round(T / h)
-    if n < 1 or abs(n * h - T) > 1e-9 * max(T, 1.0):
-        raise ConfigError(f"horizon {T!r} is not a whole number of time steps "
-                          f"h = {h!r}")
+    try:
+        step_count(eff["horizon"], eff["h"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if eff["paths"] < 2:
         raise ConfigError(f"paths {eff['paths']} is below 2: every verdict needs "
                           "a standard error over paths")

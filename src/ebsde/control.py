@@ -11,7 +11,7 @@ A policy is a constant control or, as in the Markov-chain approximation
 zeta is evaluated once at the nodes, never per step (``Policy.tabulate``).
 
 The controlled measure tilts the noise by R(u): under it the state drift
-becomes b + sigma R(u), which is how the costs are simulated by default.
+becomes b + sigma R(u), which is how the costs are simulated.
 The exponential-weight route (simulate under the base measure, reweight by
 the stochastic exponential of the R integral) is kept as a cross-check,
 since its variance blows up when the horizon times |R|^2 grows.
@@ -90,7 +90,7 @@ def hamiltonian(problem: ControlProblem, X: np.ndarray, Z: np.ndarray):
     return costs[np.arange(len(X)), ks], ks
 
 
-def induced_driver(problem: ControlProblem, name: Optional[str] = None) -> DriverSpec:
+def induced_driver(problem: ControlProblem) -> DriverSpec:
     """Driver whose values are the Hamiltonian minima.
 
     The z-Lipschitz constant equals the noise-tilt bound; the x constant
@@ -100,7 +100,7 @@ def induced_driver(problem: ControlProblem, name: Optional[str] = None) -> Drive
                       g=problem.g, K_psi_x=problem.K_L_x,
                       K_psi_z=problem.M_R, M_psi=problem.M_L,
                       psi_bounded=False, control=problem,
-                      name=name or (problem.name + "-driver"))
+                      name=problem.name + "-driver")
 
 
 @dataclass(eq=False)
@@ -134,8 +134,8 @@ class Policy:
         return self.table[self.mesh.nearest(X)]
 
     @staticmethod
-    def constant(k: int, name: Optional[str] = None) -> "Policy":
-        return Policy(index=int(k), name=name or f"constant-{k}")
+    def constant(k: int) -> "Policy":
+        return Policy(index=int(k), name=f"constant-{k}")
 
     @staticmethod
     def tabulate(rule: Callable, mesh: Mesh, zeta: Optional[np.ndarray] = None,
@@ -211,24 +211,23 @@ def policy_from_json(spec: dict, problem: ControlProblem,
 
 def _controlled_steps(model: SdeModel, domain: DomainSpec, problem: ControlProblem,
                       policy: Policy, X0: np.ndarray, n_steps: int, h: float,
-                      seed: int, tilt_drift: bool,
-                      record: Optional[dynamics.RunRecord] = None):
-    """Reflected Euler steps with the policy in the loop, one block per yield.
+                      seed: int, record: Optional[dynamics.RunRecord] = None):
+    """Reflected Euler steps under the controlled measure, one block per
+    yield: the proposal uses drift b + sigma R(u) with u the policy's
+    control.
 
-    With ``tilt_drift`` the proposal uses drift b + sigma R(u) (controlled
-    measure); without it the base dynamics are simulated and the caller
-    reweights. Per step only the policy and the tilt run beside the state
-    recursion of the plain step (``dynamics._step_blocks``: drift, noise add
-    and the boundary kernel; the local time and the StepTooLarge check run
-    once per block); the policy is one table lookup. Yields (start, X, u,
-    L_u, X_new, dK, xi) over the m P path-steps of a block, flat in
-    step-major order as ``dynamics.ensemble_steps`` yields them; L_u, the
-    running cost of the chosen control, is evaluated once per block. A
+    Per step only the policy and the tilt run beside the state recursion
+    of the plain step (``dynamics._step_blocks``: drift, noise add and the
+    boundary kernel; the local time and the StepTooLarge check run once per
+    block); the policy is one table lookup. Yields (start, X, u, L_u, X_new,
+    dK, xi) over the m P path-steps of a block, flat in step-major order as
+    ``dynamics.ensemble_steps`` yields them; L_u, the running cost of the
+    chosen control, is evaluated once per block (``_running_cost``). A
     constant policy yields its index as u, a scalar int rather than an
     array, and evaluates only its own running cost.
     """
     tilts = None    # sigma R(u) h for every control when sigma is constant
-    if tilt_drift and model.sigma_constant is not None:
+    if model.sigma_constant is not None:
         tilts = (problem.R_table @ model.sigma_constant.T) * h
     k = policy.index
     controls = []
@@ -240,28 +239,21 @@ def _controlled_steps(model: SdeModel, domain: DomainSpec, problem: ControlProbl
             controls.append(u)
         if tilts is not None:
             return tilts[u]
-        if tilt_drift:
-            return model.noise_term(X, np.broadcast_to(problem.R_table[u], X.shape)) * h
-        return None
+        return model.noise_term(X, np.broadcast_to(problem.R_table[u], X.shape)) * h
 
     for i, X, X_new, dK, xi in dynamics._step_blocks(model, domain, X0, n_steps, h,
                                                     seed, control_shift, record):
-        if k is not None:
-            u, L_u = k, problem.L(X, k)
-        else:
-            u = np.concatenate(controls)
-            L_u = problem.L_table(X)[np.arange(len(u)), u]
-            controls.clear()
-        yield i, X, u, L_u, X_new, dK, xi
+        u = k if k is not None else np.concatenate(controls)
+        controls.clear()
+        yield i, X, u, _running_cost(problem, X, u), X_new, dK, xi
 
 
-def _default_start(model, domain, paths, h, seed, x0):
-    if x0 is not None:
-        x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-        if not domain.contains(x0, tol=domain.boundary_tol):
-            raise ValueError("x0 outside the domain closure")
-        return np.tile(x0, (paths, 1))
-    return dynamics.stationary_start(model, domain, paths, h, seed, 515_151)
+def _running_cost(problem: ControlProblem, X: np.ndarray, u) -> np.ndarray:
+    """L(X_p, u_p) for a block of states: one call of L for a constant
+    control u, one cost table otherwise."""
+    if np.ndim(u) == 0:
+        return problem.L(X, u)
+    return problem.L_table(X)[np.arange(len(u)), u]
 
 
 @dataclass
@@ -282,14 +274,14 @@ def cost_I(model: SdeModel, domain: DomainSpec, problem: ControlProblem,
     simulation). Values at T/4 and T/2 are reported alongside to show
     stabilization toward the long-run limit.
     """
-    n = round(T / h)
-    X0 = _default_start(model, domain, paths, h, seed, x0)
+    n = dynamics.step_count(T, h)
+    X0 = dynamics.start_states(model, domain, paths, h, seed, 515_151, x0)
     acc = _Accumulator(np.zeros(paths))
     marks = {round(n / 4): T / 4, round(n / 2): T / 2, n: T}
     horizon_values = {}
     run = dynamics.RunRecord()
     for i, X, u, L_u, X_new, dK, xi in _controlled_steps(model, domain, problem, policy,
-                                                         X0, n, h, seed, True, run):
+                                                         X0, n, h, seed, run):
         for k, sums in acc.add_steps(L_u * h, _boundary_cost(problem.g, X_new, dK, mu),
                                      start=i, marks=marks):
             horizon_values[marks[k]] = _mean_stderr(sums / marks[k])
@@ -306,13 +298,13 @@ def cost_J(model: SdeModel, domain: DomainSpec, problem: ControlProblem,
     accumulated local time, with a delta-method standard error. Raises
     when the local time is statistically indistinguishable from zero.
     """
-    n = round(T / h)
-    X0 = _default_start(model, domain, paths, h, seed, x0)
+    n = dynamics.step_count(T, h)
+    X0 = dynamics.start_states(model, domain, paths, h, seed, 515_151, x0)
     num = _Accumulator(np.zeros(paths))
     den = _Accumulator(np.zeros(paths))
     run = dynamics.RunRecord()
     for i, X, u, L_u, X_new, dK, xi in _controlled_steps(model, domain, problem, policy,
-                                                         X0, n, h, seed, True, run):
+                                                         X0, n, h, seed, run):
         if problem.g is None:
             num.add_steps((L_u - lam) * h)
         else:
@@ -357,22 +349,26 @@ def girsanov_weight_check(model: SdeModel, domain: DomainSpec,
                           mu: float = 0.0, x0=None) -> dict:
     """Cross-check the drift-tilted cost against exponential reweighting.
 
-    Simulates the base dynamics, accumulates the stochastic exponential of
-    the R integral path by path, and reweights the cost. The reweighted
-    estimate must agree with the tilted-simulation estimate within
-    combined error bars, and the mean weight must be one. Raises when the
-    effective sample size of the weights collapses below 5 percent.
+    Simulates the base dynamics (plain ``dynamics.ensemble_steps``, the
+    policy and its running cost evaluated once per block), accumulates the
+    stochastic exponential of the R integral path by path, and reweights
+    the cost. The reweighted estimate must agree with the tilted-simulation
+    estimate within combined error bars, and the mean weight must be one.
+    Raises when the effective sample size of the weights collapses below 5
+    percent.
     """
-    n = round(T / h)
-    X0 = _default_start(model, domain, paths, h, seed, x0)
+    n = dynamics.step_count(T, h)
+    X0 = dynamics.start_states(model, domain, paths, h, seed, 515_151, x0)
     sh = np.sqrt(h)
     logw = _Accumulator(np.zeros(paths))
     cost = _Accumulator(np.zeros(paths))
-    for i, X, u, L_u, X_new, dK, xi in _controlled_steps(model, domain, problem,
-                                                         policy, X0, n, h, seed, False):
+    k = policy.index
+    for i, X, X_new, dK, xi in dynamics.ensemble_steps(model, domain, X0, n, h, seed):
+        u = k if k is not None else policy.controls_for(X)
         Ru = np.broadcast_to(problem.R_table[u], xi.shape)
         logw.add_steps((Ru * xi).sum(axis=1) * sh - 0.5 * (Ru * Ru).sum(axis=1) * h)
-        cost.add_steps(L_u * h, _boundary_cost(problem.g, X_new, dK, mu))
+        cost.add_steps(_running_cost(problem, X, u) * h,
+                       _boundary_cost(problem.g, X_new, dK, mu))
     logw, cost = logw.total, cost.total
     w = np.exp(logw - logw.max())
     ess = float(w.sum() ** 2 / (w * w).sum())

@@ -45,7 +45,7 @@ from scipy.sparse.linalg import splu
 
 from .dynamics import SdeModel
 from .errors import PicardDiverged
-from .geometry import DomainSpec
+from .geometry import DomainSpec, _lipschitz_pair_max
 from .grids import GridFunction, Mesh, build_mesh
 
 __all__ = ["DriverSpec", "GridOperators", "solve_discounted", "lipschitz_diagnostic"]
@@ -610,16 +610,6 @@ def solve_discounted(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
     return GridFunction(ops.mesh, v)
 
 
-def lipschitz_diagnostic(v: GridFunction, chunk: int = 512) -> float:
+def lipschitz_diagnostic(v: GridFunction) -> float:
     """Largest difference quotient |v(x)-v(y)|/|x-y| over all node pairs."""
-    pts, vals = v.nodes, v.values
-    best = 0.0
-    for i0 in range(0, len(pts), chunk):
-        blk_p = pts[i0:i0 + chunk]
-        blk_v = vals[i0:i0 + chunk]
-        dx = blk_p[:, None, :] - pts[None, :, :]
-        r = np.sqrt((dx * dx).sum(axis=2))
-        r[r == 0] = np.inf
-        q = np.abs(blk_v[:, None] - vals[None, :]) / r
-        best = max(best, float(q.max()))
-    return best
+    return _lipschitz_pair_max(v.values, v.nodes)

@@ -31,8 +31,8 @@ from .geometry import DomainSpec, outside_rows, project_many, project_outside
 
 __all__ = [
     "Potential", "SdeModel", "RunRecord", "invariant_density",
-    "sample_invariant", "expected_K_rate",
-    "occupation_histogram", "ensemble_average", "penalized_moments", "stationary_start",
+    "sample_invariant", "expected_K_rate", "occupation_histogram", "ensemble_average",
+    "penalized_moments", "step_count", "stationary_start", "start_states",
 ]
 
 
@@ -98,6 +98,22 @@ class SdeModel:
 _BLOCK_NUMBERS = 1 << 20     # noise buffer size (numbers per block)
 _SUB_NUMBERS = 1 << 16       # scaled-noise sub-block size (numbers)
 _ACC_NUMBERS = 1 << 14       # accumulator stretch size (numbers)
+_PENALTY_BURN = 4.0          # burn-in of penalized_moments
+
+
+def step_count(T: float, h: float) -> int:
+    """The number n of time steps h in the horizon T: ValueError unless T
+    and h are finite and positive and T is a whole number n >= 1 of steps,
+    to within 1e-9 max(T, 1), so an estimator that divides by T divides by
+    the horizon it simulated."""
+    if not (0 < T < np.inf and 0 < h < np.inf and (steps := T / h) < np.inf):
+        raise ValueError(f"horizon {T!r} and time step h = {h!r} are not finite "
+                         "and positive")
+    n = round(steps)
+    if n < 1 or abs(n * h - T) > 1e-9 * max(T, 1.0):
+        raise ValueError(f"horizon {T!r} is not a whole number of time steps "
+                         f"h = {h!r}")
+    return n
 
 
 def _ensemble_noise_blocks(seed: int, P: int, d: int, n_steps: int):
@@ -265,11 +281,11 @@ def _step_blocks(model: SdeModel, domain: DomainSpec, X0: np.ndarray, n_steps: i
     _SUB_NUMBERS numbers, m steps of P paths) per yield.
 
     Per step only the state recursion runs, into preallocated buffers: the
-    drift, ``extra_shift(X)`` when given (added to the drift times h, such
-    as a control tilt; None adds nothing), the noise, scaled once per block
-    when sigma is constant (one elementwise product when it is diagonal,
-    which is the matrix product bit for bit, a matrix product otherwise),
-    and the boundary kernel, which writes only the repaired states. Once per
+    drift, ``extra_shift(X)`` when given (added to the drift times h: the
+    control tilt), the noise, scaled once per block when sigma is constant
+    (one elementwise product when it is diagonal, which is the matrix
+    product bit for bit, a matrix product otherwise), and the boundary
+    kernel, which writes only the repaired states. Once per
     block: the kernel's guard, the local-time increments (``_local_time``),
     then the check of every proposal against the domain diameter
     (StepTooLarge) and the ``record`` update, before the block is yielded.
@@ -301,9 +317,7 @@ def _step_blocks(model: SdeModel, domain: DomainSpec, X0: np.ndarray, n_steps: i
                 X = states[j]
                 shift = model.drift_at(X) * h
                 if extra_shift is not None:
-                    extra = extra_shift(X)
-                    if extra is not None:
-                        shift += extra
+                    shift += extra_shift(X)
                 x_pre = np.add(X, shift, pre[j])
                 x_pre += (model.noise_term(X, sub[j]) * sh if scaled is None
                           else scaled[j])
@@ -387,7 +401,7 @@ def ensemble_average(model: SdeModel, domain: DomainSpec, X0: np.ndarray,
     once per block, on the states of several steps. Returns the (P,) array
     of path averages of the state functional.
     """
-    n = round(T / h)
+    n = step_count(T, h)
     P = X0.shape[0]
     acc = _Accumulator(np.zeros(P))
     for i, X, X_new, dK, xi in ensemble_steps(model, domain, X0, n, h, seed):
@@ -496,10 +510,24 @@ def stationary_start(model: SdeModel, domain: DomainSpec, paths: int, h: float,
         raise ValueError("non-gradient model needs a negative eta_hint for burn-in length")
     burn = 10.0 / abs(eta)
     X = np.stack([domain.centroid] * paths)
+    # the nearest whole number of steps: no estimate divides by this length
     n = round(burn / h)
     for i, Xb, X_new, dK, xi in ensemble_steps(model, domain, X, n, h, seed + 1_000_003):
         X = X_new[-paths:]
     return X.copy()
+
+
+def start_states(model: SdeModel, domain: DomainSpec, paths: int, h: float,
+                 seed: int, tag: int, x0=None) -> np.ndarray:
+    """Initial states (paths, d) of an ensemble: x0 on every path when it
+    is given (ValueError outside the domain closure), else the stationary
+    start of the stream (seed, tag)."""
+    if x0 is not None:
+        x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+        if not domain.contains(x0, tol=domain.boundary_tol):
+            raise ValueError("x0 outside the domain closure")
+        return np.tile(x0, (paths, 1))
+    return stationary_start(model, domain, paths, h, seed, tag)
 
 
 def _boundary_cost(g: Optional[Callable], X: np.ndarray, dK: np.ndarray,
@@ -526,8 +554,8 @@ def expected_K_rate(model: SdeModel, domain: DomainSpec, T: float, h: float,
     Returns the ensemble mean of K_T/T with its standard error over paths,
     and the run record (``RunRecord.as_dict``).
     """
+    n = step_count(T, h)
     X0 = stationary_start(model, domain, paths, h, seed, 999_983)
-    n = round(T / h)
     K = _Accumulator(np.zeros(paths))
     run = RunRecord()
     for i, X, X_new, dK, xi in ensemble_steps(model, domain, X0, n, h, seed, run):
@@ -548,8 +576,8 @@ def occupation_histogram(model: SdeModel, domain: DomainSpec, T_total: float,
     lo, hi = domain.bounding_box[0]
     edges = np.linspace(lo, hi, bins + 1)
     width = edges[1] - edges[0]
+    n = step_count(T_total / paths, h)
     X0 = stationary_start(model, domain, paths, h, seed, 999_983)
-    n = round(T_total / paths / h)
     counts = np.zeros(bins)
     for i, X, X_new, dK, xi in ensemble_steps(model, domain, X0, n, h, seed):
         idx = np.minimum(((X_new[:, 0] - lo) / width).astype(int), bins - 1)
@@ -559,18 +587,18 @@ def occupation_histogram(model: SdeModel, domain: DomainSpec, T_total: float,
 
 
 def penalized_moments(model: SdeModel, domain: DomainSpec, n_penalty: float,
-                      T: float, h: float, paths: int, seed: int,
-                      burn: float = 4.0):
+                      T: float, h: float, paths: int, seed: int):
     """First two moments of the penalized stationary law by time averaging.
 
     Simulates the unreflected gradient system with the quadratic distance
-    penalty and averages x and x^2 (componentwise) after a burn-in.
+    penalty and averages x and x^2 (componentwise) over T after a burn-in
+    of _PENALTY_BURN from the centroid.
     Returns (mean_vector, second_moment_vector, stderr_pair).
     """
     pot = _potential_or_raise(model)
     d = domain.dim
     X = np.stack([domain.centroid] * paths)
-    nb, n = round(burn / h), round(T / h)
+    nb, n = step_count(_PENALTY_BURN, h), step_count(T, h)
     m1 = np.zeros((paths, d)); m2 = np.zeros((paths, d))
     s2h = np.sqrt(2.0 * h)
     for start, block in _ensemble_noise_blocks(seed, paths, d, nb + n):

@@ -350,8 +350,8 @@ def lambda_time_average(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
     Averages the driver along reflected paths, evaluated at the solved
     zeta field, plus the boundary-cost flux; returns (estimate, stderr).
     """
+    n = dynamics.step_count(T, h)
     X0 = dynamics.stationary_start(model, domain, paths, h, seed, 77_777)
-    n = round(T / h)
     acc = dynamics._Accumulator(np.zeros(paths))
     for i, X, X_new, dK, xi in dynamics.ensemble_steps(model, domain, X0, n, h, seed):
         acc.add_steps(driver.psi(X, solution.zeta_at(X)) * h,

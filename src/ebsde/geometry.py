@@ -274,22 +274,22 @@ def inward_normal(domain: DomainSpec, x) -> np.ndarray:
     return g / np.linalg.norm(g)
 
 
-def domain_grid(domain: DomainSpec, density: int, pad: float = 0.0) -> np.ndarray:
+def domain_grid(domain: DomainSpec, density: int) -> np.ndarray:
     """Tensor grid over the bounding box restricted to the closure of G."""
-    axes = [np.linspace(lo - pad, hi + pad, density) for lo, hi in domain.bounding_box]
+    axes = [np.linspace(lo, hi, density) for lo, hi in domain.bounding_box]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
     return pts[domain.phi(pts) >= -domain.boundary_tol]
 
 
-def boundary_sample(domain: DomainSpec, m: int = 64) -> np.ndarray:
+def boundary_sample(domain: DomainSpec) -> np.ndarray:
     """Sample points on the boundary by ray bisection from the centroid.
 
-    Along each of m directions, the zero level of phi is bracketed and
+    Along each of 64 directions, the zero level of phi is bracketed and
     bisected to machine precision, all rays together. In one dimension this
     returns the two interval endpoints exactly.
     """
-    c = domain.centroid
+    c, m = domain.centroid, 64
     if domain.dim == 1:
         lo, hi = domain.bounding_box[0]
         return np.array([[lo], [hi]])
@@ -330,12 +330,41 @@ def geometric_constants(domain: DomainSpec, sample_density: int = 32) -> dict:
     if sample_density < 2:
         raise ValueError("sample_density must be at least 2 points per axis")
     pts = domain_grid(domain, sample_density)
-    # diameter: max pairwise distance, vectorized in chunks
-    diam = 0.0
-    chunk = 512
-    for i in range(0, len(pts), chunk):
-        block = pts[i:i + chunk]
-        d2 = ((block[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-        diam = max(diam, float(np.sqrt(d2.max())))
+
+    def distance(I, J):
+        dx = pts[I][:, None, :] - pts[None, J, :]
+        return np.sqrt((dx * dx).sum(axis=2))
+
+    diam = max(_pairwise_max(distance, pts), 0.0)
     alpha = float(np.linalg.eigvalsh(domain.hess_phi(pts)).max(initial=-np.inf))
     return {"diameter_d": diam, "alpha_nonconvex": alpha}
+
+
+def _pairwise_max(values_fn, pts: np.ndarray) -> float:
+    """max over ordered pairs (i, j), i != j, of values_fn(I, J), which maps
+    row indices I and all indices J to the (len(I), len(J)) pair values;
+    -inf for fewer than two points. Runs in blocks of 256 rows, each
+    block's i == j entries set to -inf."""
+    best = -np.inf
+    n, chunk = len(pts), 256
+    for i0 in range(0, n, chunk):
+        rows = np.arange(i0, min(i0 + chunk, n))
+        vals = values_fn(rows, np.arange(n))
+        vals[rows - i0, rows] = -np.inf
+        best = max(best, float(vals.max()))
+    return best
+
+
+def _lipschitz_pair_max(F: np.ndarray, pts: np.ndarray) -> float:
+    """max |F_i - F_j| / |x_i - x_j| over pairs of points, with F of shape
+    (n, ...)."""
+    Ff = F.reshape(len(F), -1)
+
+    def vals(I, J):
+        dx = pts[I][:, None, :] - pts[None, J, :]
+        r = np.sqrt((dx * dx).sum(axis=2))
+        r = np.where(r == 0, np.inf, r)
+        df = Ff[I][:, None, :] - Ff[None, J, :]
+        return np.sqrt((df * df).sum(axis=2)) / r
+
+    return _pairwise_max(vals, pts)

@@ -15,15 +15,15 @@ mu -> lambda curve otherwise (``stationary_generator_phi``).
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from .discounted import GridOperators
 from .errors import NonConvexPotential, NotKolmogorov, SigmaNotConstant
-from .geometry import DomainSpec, boundary_sample, domain_grid, geometric_constants
+from .geometry import (DomainSpec, _lipschitz_pair_max, _pairwise_max, boundary_sample,
+                       domain_grid, geometric_constants)
 from . import dynamics
 from .dynamics import SdeModel
 
@@ -64,43 +64,18 @@ class HypothesisReport:
     suggested_shift: Optional[float] = None
 
     def as_dict(self) -> dict:
+        """Every field, with a non-finite float as None."""
         def clean(v):
-            if isinstance(v, float) and not np.isfinite(v):
-                return None
-            return v
-        return {
-            "eta": clean(self.eta), "K_b": clean(self.K_b),
-            "K_sigma": clean(self.K_sigma), "K_psi_x": clean(self.K_psi_x),
-            "K_psi_z": clean(self.K_psi_z), "M_psi": clean(self.M_psi),
-            "theta": clean(self.theta), "delta": clean(self.delta),
-            "c_convexity": clean(self.c_convexity),
-            "E_nu_Lphi": clean(self.E_nu_Lphi),
-            "flags": dict(self.flags),
-            "margins": {k: clean(v) for k, v in self.margins.items()},
-            "notes": list(self.notes),
-            "suggested_shift": clean(self.suggested_shift)
-            if self.suggested_shift is not None else None,
-        }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent)
+            return None if isinstance(v, float) and not np.isfinite(v) else v
+        out = {f.name: clean(getattr(self, f.name)) for f in fields(self)}
+        out["flags"] = dict(self.flags)
+        out["margins"] = {k: clean(v) for k, v in self.margins.items()}
+        out["notes"] = list(self.notes)
+        return out
 
 
 # ---------------------------------------------------------------------------
-# pairwise grid suprema
-
-
-def _pairwise_max(values_fn, pts: np.ndarray, chunk: int = 256) -> float:
-    """max over ordered pairs (i, j), i != j, of values_fn(block_i, idx_j)."""
-    best = -np.inf
-    n = len(pts)
-    for i0 in range(0, n, chunk):
-        i1 = min(i0 + chunk, n)
-        vals = values_fn(np.arange(i0, i1), np.arange(n))
-        ii, jj = np.meshgrid(np.arange(i0, i1), np.arange(n), indexing="ij")
-        vals = np.where(ii == jj, -np.inf, vals)
-        best = max(best, float(vals.max()))
-    return best
+# pairwise grid suprema (``geometry._pairwise_max``)
 
 
 def estimate_eta(model: SdeModel, domain: DomainSpec, grid_density: int = 64) -> float:
@@ -128,20 +103,6 @@ def estimate_eta(model: SdeModel, domain: DomainSpec, grid_density: int = 64) ->
     return _pairwise_max(vals, pts)
 
 
-def _lipschitz_pair_max(F: np.ndarray, pts: np.ndarray) -> float:
-    """max |F_i - F_j| / |x_i - x_j| with F of shape (n, ...)."""
-    Ff = F.reshape(len(F), -1)
-
-    def vals(I, J):
-        dx = pts[I][:, None, :] - pts[None, J, :]
-        r = np.sqrt((dx * dx).sum(axis=2))
-        r = np.where(r == 0, np.inf, r)
-        df = Ff[I][:, None, :] - Ff[None, J, :]
-        return np.sqrt((df * df).sum(axis=2)) / r
-
-    return _pairwise_max(vals, pts)
-
-
 def estimate_theta(model: SdeModel, driver, domain: DomainSpec,
                    grid_density: int = 32) -> float:
     """Dissipativity constant adjusted for a possibly non-convex domain.
@@ -155,7 +116,7 @@ def estimate_theta(model: SdeModel, driver, domain: DomainSpec,
     sig0 = model.sigma_at(domain.centroid[None])[0]
     if np.max(np.abs(model.sigma_at(domain_grid(domain, 5)) - sig0)) > 1e-12:
         raise SigmaNotConstant("theta estimate needs a constant diffusion matrix")
-    K_psi_z = float(driver.K_psi_z) if driver is not None else 0.0
+    K_psi_z = float(driver.K_psi_z)
     alpha = max(geometric_constants(domain, grid_density)["alpha_nonconvex"], 0.0)
     pts = domain_grid(domain, grid_density)
     B = model.drift_at(pts)
@@ -193,14 +154,14 @@ def _kolmogorov_scan(model: SdeModel, domain: DomainSpec, grid_density: int):
     return delta, c
 
 
-def estimate_kolmogorov_constants(model: SdeModel, domain: DomainSpec,
-                                  grid_density: int = 64) -> dict:
-    """Oscillation of <grad U, x> and the convexity floor of the potential.
+def estimate_kolmogorov_constants(model: SdeModel, domain: DomainSpec) -> dict:
+    """Oscillation of <grad U, x> and the convexity floor of the potential,
+    sampled on the closure grid of 64 points per axis.
 
     Returns {"delta": ..., "c": ...}; raises if the smallest sampled
     Hessian eigenvalue is not strictly positive.
     """
-    delta, c = _kolmogorov_scan(model, domain, grid_density)
+    delta, c = _kolmogorov_scan(model, domain, 64)
     if c <= 0:
         raise NonConvexPotential(f"smallest sampled Hessian eigenvalue is {c:.3g}")
     return {"delta": delta, "c": c}
@@ -256,10 +217,6 @@ def _vec_Lphi(model: SdeModel, domain: DomainSpec, X: np.ndarray) -> np.ndarray:
 # the aggregate check
 
 
-def _driver_attr(driver, name, default):
-    return getattr(driver, name, default) if driver is not None else default
-
-
 def _sigma_inverse_sup(model: SdeModel, pts: np.ndarray) -> Optional[float]:
     """sup |sigma(x)^{-1} x| over the probe points, or None when sigma is
     singular (condition number above 1e12) at one of them."""
@@ -274,18 +231,18 @@ def check_all(model: SdeModel, driver, domain: DomainSpec,
               grid_density: int = 48, spacing: float = 1e-3) -> HypothesisReport:
     """Estimate every structural constant and evaluate all assumption flags.
 
-    ``driver`` may be None (pure state-equation checks). ``spacing`` is the
-    grid of the stationary flux of a model without a potential, the grid
-    that ``solve_boundary_cost`` would use: for a driver that does not read
-    z, F2.2 is false exactly when that inversion raises FlatCurve. The
-    report is a deterministic function of the arguments.
+    ``spacing`` is the grid of the stationary flux of a model without a
+    potential, the grid that ``solve_boundary_cost`` would use: for a
+    driver that does not read z, F2.2 is false exactly when that inversion
+    raises FlatCurve. The report is a deterministic function of the
+    arguments.
     """
     flags: Dict[str, bool] = {}
     margins: Dict[str, float] = {}
     notes: List[str] = []
 
     pts = domain_grid(domain, grid_density)
-    bpts = boundary_sample(domain, 64)
+    bpts = boundary_sample(domain)
     grad_norms_boundary = np.linalg.norm(domain.grad_phi(bpts), axis=1)
     unit_defect = float(np.abs(grad_norms_boundary - 1.0).max())
     flags["G1"] = bool(domain.smooth_c2lip and unit_defect < 1e-6)
@@ -305,34 +262,29 @@ def check_all(model: SdeModel, driver, domain: DomainSpec,
     eta = estimate_eta(model, domain, max(grid_density, 8))
 
     # driver constants: declared values are binding, samples must respect them
-    K_psi_x = float(_driver_attr(driver, "K_psi_x", 0.0))
-    K_psi_z = float(_driver_attr(driver, "K_psi_z", 0.0))
-    M_psi = float(_driver_attr(driver, "M_psi", 0.0))
-    if driver is not None:
-        z_probes = [np.zeros(domain.dim)]
-        for s in (0.5, -1.0, 2.0):
-            z_probes.append(np.full(domain.dim, s))
-        psi_tab = np.stack([driver.psi(pts, np.broadcast_to(z, pts.shape))
-                            for z in z_probes], axis=1)
-        ratio_x = max(_lipschitz_pair_max(psi_tab[:, k], pts)
-                      for k in range(len(z_probes)))
-        ratio_z = 0.0
-        for k in range(len(z_probes)):
-            for l in range(k + 1, len(z_probes)):
-                dz = np.linalg.norm(z_probes[k] - z_probes[l])
-                ratio_z = max(ratio_z, float(
-                    np.abs(psi_tab[:, k] - psi_tab[:, l]).max()) / dz)
-        m_emp = float(np.abs(psi_tab[:, 0]).max())
-        slack = 1e-9 + 1e-6 * (1 + abs(M_psi))
-        flags["H2"] = bool(ratio_x <= K_psi_x + slack and ratio_z <= K_psi_z + slack
-                           and m_emp <= M_psi + slack)
-        if not flags["H2"]:
-            notes.append(
-                f"sampled driver constants exceed declared ones: "
-                f"x-ratio {ratio_x:.4g} vs {K_psi_x:.4g}, "
-                f"z-ratio {ratio_z:.4g} vs {K_psi_z:.4g}, |psi(.,0)| {m_emp:.4g} vs {M_psi:.4g}")
-    else:
-        flags["H2"] = True
+    K_psi_x = float(driver.K_psi_x)
+    K_psi_z = float(driver.K_psi_z)
+    M_psi = float(driver.M_psi)
+    z_probes = [np.full(domain.dim, s) for s in (0.0, 0.5, -1.0, 2.0)]
+    psi_tab = np.stack([driver.psi(pts, np.broadcast_to(z, pts.shape))
+                        for z in z_probes], axis=1)
+    ratio_x = max(_lipschitz_pair_max(psi_tab[:, k], pts)
+                  for k in range(len(z_probes)))
+    ratio_z = 0.0
+    for k in range(len(z_probes)):
+        for l in range(k + 1, len(z_probes)):
+            dz = np.linalg.norm(z_probes[k] - z_probes[l])
+            ratio_z = max(ratio_z, float(
+                np.abs(psi_tab[:, k] - psi_tab[:, l]).max()) / dz)
+    m_emp = float(np.abs(psi_tab[:, 0]).max())
+    slack = 1e-9 + 1e-6 * (1 + abs(M_psi))
+    flags["H2"] = bool(ratio_x <= K_psi_x + slack and ratio_z <= K_psi_z + slack
+                       and m_emp <= M_psi + slack)
+    if not flags["H2"]:
+        notes.append(
+            f"sampled driver constants exceed declared ones: "
+            f"x-ratio {ratio_x:.4g} vs {K_psi_x:.4g}, "
+            f"z-ratio {ratio_z:.4g} vs {K_psi_z:.4g}, |psi(.,0)| {m_emp:.4g} vs {M_psi:.4g}")
 
     h3_value = eta + K_psi_z * K_sigma
     flags["H3"] = bool(h3_value < 0)
@@ -359,9 +311,7 @@ def check_all(model: SdeModel, driver, domain: DomainSpec,
                      "contraction constant unavailable")
 
     # omitted boundary cost means g = 0, which is trivially smooth
-    flags["F1"] = bool(driver is not None
-                       and (driver.g is None
-                            or _driver_attr(driver, "g_c2lip", True)))
+    flags["F1"] = bool(driver.g is None or driver.g_c2lip)
 
     # stationary average of L phi and the flux-sign condition; a model with
     # no grid to carry the flux still gets a report, without the flux flags
@@ -373,8 +323,7 @@ def check_all(model: SdeModel, driver, domain: DomainSpec,
     flags["F2.2"] = bool(E_nu_Lphi < -FLAT_TOL)
     if np.isfinite(E_nu_Lphi):
         margins["F2.2"] = -E_nu_Lphi - FLAT_TOL
-    psi_bounded = bool(_driver_attr(driver, "psi_bounded", False)) or K_psi_z == 0.0
-    flags["F2.1"] = bool(driver is not None and psi_bounded)
+    flags["F2.1"] = bool(driver.psi_bounded) or K_psi_z == 0.0
     flags["F2"] = flags["F2.1"] and flags["F2.2"]
 
     # pointwise strict-flux condition

@@ -89,10 +89,12 @@ class BsdeResidual:
     run: dict = field(default_factory=dict)
 
 
+_PARTIAL_COUNT = 8      # partial means per bsde_residual run
+
+
 def bsde_residual(solution, model: SdeModel, domain: DomainSpec,
                   driver: DriverSpec, paths: int = 1000, T: float = 4.0,
-                  h: float = 1e-2, seed: int = 0, x0=None,
-                  n_partial: int = 8) -> BsdeResidual:
+                  h: float = 1e-2, seed: int = 0, x0=None) -> BsdeResidual:
     """Pathwise defect of the backward equation along simulated paths.
 
     Per path: value at the start minus value at the end, minus the
@@ -100,19 +102,20 @@ def bsde_residual(solution, model: SdeModel, domain: DomainSpec,
     plus the replayed stochastic integral of zeta. The mean must vanish
     within Monte Carlo error and shrink as the step is refined.
     ``solution`` needs fields/methods lam, mu, v (interpolating grid
-    function) and zeta_at; partial means over [0, t] are returned on a
-    coarse time grid as a martingale diagnostic, with the run record
-    (``dynamics.RunRecord.as_dict``).
+    function) and zeta_at; partial means over [0, t] are returned at
+    _PARTIAL_COUNT times as a martingale diagnostic, with the run record
+    (``dynamics.RunRecord.as_dict``). Every path starts at x0, the domain
+    centroid by default.
     """
     lam, mu = solution.lam, solution.mu
-    if x0 is None:
-        x0 = domain.centroid
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    X0 = np.tile(x0, (paths, 1))
-    n = round(T / h)
+    n = dynamics.step_count(T, h)
+    # the tag is never read: x0 is always given
+    X0 = dynamics.start_states(model, domain, paths, h, seed, 0,
+                               domain.centroid if x0 is None else x0)
     sh = np.sqrt(h)
     R = dynamics._Accumulator(solution.v.interp_many(X0))
-    marks = set(np.linspace(n // n_partial, n, n_partial, dtype=int).tolist())
+    marks = set(np.linspace(n // _PARTIAL_COUNT, n, _PARTIAL_COUNT,
+                            dtype=int).tolist())
     partial_means = []
     partial_times = []
     run = dynamics.RunRecord()
@@ -126,9 +129,7 @@ def bsde_residual(solution, model: SdeModel, domain: DomainSpec,
             end = X_new[(k - i - 1) * paths:(k - i) * paths]
             partial_times.append(k * h)
             partial_means.append(float((sums - solution.v.interp_many(end)).mean()))
-    R = R.total
-    if n:
-        R -= solution.v.interp_many(X_new[-paths:])
+    R = R.total - solution.v.interp_many(X_new[-paths:])
     return BsdeResidual(*dynamics._mean_stderr(R), float(R.var(ddof=1)), paths,
                         np.array(partial_times), np.array(partial_means),
                         run.as_dict())
@@ -192,8 +193,8 @@ def shifted_problem(model: SdeModel, driver: DriverSpec, xi: float,
 
 
 def drift_shift_equivalence(model: SdeModel, domain: DomainSpec,
-                            driver: DriverSpec, xi: float, mu: float = 0.0,
-                            **solve_kw) -> dict:
+                            driver: DriverSpec, xi: float, mu: float = 0.0, *,
+                            scheme: str = "direct", spacing: float = 1e-3) -> dict:
     """Solve before and after the drift shift and compare.
 
     The two solves discretize different-looking problems whose continuum
@@ -201,9 +202,10 @@ def drift_shift_equivalence(model: SdeModel, domain: DomainSpec,
     tolerance. Also reports the dissipativity constants, whose difference
     must equal the shift.
     """
-    base = solve_ergodic(model, domain, driver, mu, **solve_kw)
+    base = solve_ergodic(model, domain, driver, mu, scheme=scheme, spacing=spacing)
     model2, driver2 = shifted_problem(model, driver, xi, domain)
-    shifted = solve_ergodic(model2, domain, driver2, mu, **solve_kw)
+    shifted = solve_ergodic(model2, domain, driver2, mu, scheme=scheme,
+                            spacing=spacing)
     eta_base = hypotheses.estimate_eta(model, domain, 32)
     eta_shift = hypotheses.estimate_eta(model2, domain, 32)
     return {

@@ -439,7 +439,7 @@ def test_step_tuples_carry_state_and_local_time_at_fixed_positions(interval, std
     for pol in (Policy.constant(0), zeros):
         plain = ensemble_steps(std_model, interval, X0, 200, 1e-2, 4)
         steered = control._controlled_steps(std_model, interval, prob, pol, X0,
-                                            200, 1e-2, 4, True)
+                                            200, 1e-2, 4)
         reflected = steps = 0
         X_prev = X0
         for a, b in zip(plain, steered):

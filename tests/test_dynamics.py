@@ -80,7 +80,7 @@ def test_step_too_large_refuses_the_whole_block(interval):
     with pytest.raises(StepTooLarge):
         for step in control._controlled_steps(runaway([]), interval, prob,
                                               control.Policy.constant(0), X0, 500,
-                                              1e-3, 0, True):
+                                              1e-3, 0):
             seen.append(step[0])
     assert seen == [0]
 
@@ -231,12 +231,50 @@ def test_local_time_rate_pinned_bit_for_bit(interval, std_model):
 
 
 def test_penalized_moments_pinned_bit_for_bit(interval, std_model):
-    # recorded from the hand-written noise loop and clipper that
-    # penalized_moments had before it drew from the ensemble streams
+    # recorded with the burn-in of 4.0 from the ensemble-stream arithmetic
     m1, m2, (se1, se2) = penalized_moments(std_model, interval, 50.0, 0.5,
-                                           1e-3, 8, seed=2, burn=0.2)
-    assert (m1[0], m2[0]) == (-0.42391896543719526, 0.46123884049544583)
-    assert (se1[0], se2[0]) == (0.18199631457908033, 0.09728785750793932)
+                                           1e-3, 8, seed=2)
+    assert (m1[0], m2[0]) == (0.020766478470989835, 0.30362065063044325)
+    assert (se1[0], se2[0]) == (0.15650797506760095, 0.0608194698246572)
+
+
+def _fractional_horizon_calls():
+    """Each horizon estimator at 1.5 steps of h = 1e-3 (T = 0.0015)."""
+    from ebsde.ergodic import lambda_time_average, solve_ergodic
+    from ebsde.presets import cos_driver
+    from ebsde.verification import bsde_residual
+
+    domain = ball_domain(1.0, 1)
+    model = kolmogorov_model(quadratic_potential(), eta_hint=-1.0)
+    prob, pol, drv = two_control_problem(), control.Policy.constant(0), cos_driver()
+    T, h, P = 0.0015, 1e-3, 4
+    X0 = np.zeros((P, 1))
+
+    def solved():
+        return solve_ergodic(model, domain, drv, 0.5, spacing=1e-2)
+
+    return {
+        "ensemble_average": lambda: ensemble_average(model, domain, X0, T, h, 0,
+                                                     lambda X: X[:, 0]),
+        "expected_K_rate": lambda: expected_K_rate(model, domain, T, h, P, 0),
+        "occupation_histogram": lambda: occupation_histogram(model, domain, T * P, h,
+                                                             8, P, 0),
+        "penalized_moments": lambda: penalized_moments(model, domain, 4.0, T, h, P, 0),
+        "lambda_time_average": lambda: lambda_time_average(model, domain, drv,
+                                                           solved(), T, h, P, 0),
+        "bsde_residual": lambda: bsde_residual(solved(), model, domain, drv, P, T, h, 0),
+        "cost_I": lambda: control.cost_I(model, domain, prob, pol, 0.0, T, h, P, 0),
+        "cost_J": lambda: control.cost_J(model, domain, prob, pol, 0.0, T, h, P, 0),
+        "girsanov_weight_check": lambda: control.girsanov_weight_check(
+            model, domain, prob, pol, T, h, P, 0),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_fractional_horizon_calls()))
+def test_every_estimator_refuses_a_horizon_between_whole_steps(name):
+    # 1.5 steps would run 2 and divide by the horizon of 1.5
+    with pytest.raises(ValueError, match="whole number"):
+        _fractional_horizon_calls()[name]()
 
 
 def test_noise_blocks_match_the_per_path_layout(monkeypatch):

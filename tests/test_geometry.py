@@ -25,7 +25,7 @@ def test_interval_phi_signs(interval):
 
 def test_unit_gradient_on_boundary():
     for dom in (ball_domain(1.0, 1), ball_domain(2.0, 2), quartic_interval_domain()):
-        G = dom.grad_phi(boundary_sample(dom, 32))
+        G = dom.grad_phi(boundary_sample(dom))
         assert np.all(np.abs(np.linalg.norm(G, axis=1) - 1.0) < 1e-9)
 
 
@@ -60,7 +60,7 @@ def test_projection_contracts_on_convex_domain(x, y):
 
 def test_inward_normal_points_inside():
     for dom in (ball_domain(1.0, 2), quartic_interval_domain()):
-        for p in boundary_sample(dom, 16):
+        for p in boundary_sample(dom):
             n = inward_normal(dom, p)
             assert np.diff(dom.phi(np.stack([p, p + 1e-4 * n])))[0] > 0
 
@@ -122,7 +122,7 @@ def test_quadratic_domain_matrix():
 
 def test_boundary_sample_lies_on_boundary():
     for dom in (ball_domain(1.5, 2), quartic_interval_domain()):
-        assert np.all(np.abs(dom.phi(boundary_sample(dom, 24))) < 1e-9)
+        assert np.all(np.abs(dom.phi(boundary_sample(dom))) < 1e-9)
 
 
 def test_geometric_constants(interval):

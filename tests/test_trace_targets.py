@@ -45,7 +45,7 @@ def test_step_targets_yield_flat_blocks():
     calls = {
         "dynamics.ensemble_steps": lambda fn: fn(model, domain, X0, steps, 1e-3, 5),
         "control.controlled_steps": lambda fn: fn(model, domain, two_control_problem(),
-                                                  policy, X0, steps, 1e-3, 5, True),
+                                                  policy, X0, steps, 1e-3, 5),
     }
     targets = [t for t in _tracing().PACKAGE_TARGETS if t[3] == "steps"]
     assert sorted(t[2] for t in targets) == sorted(calls)

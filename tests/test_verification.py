@@ -130,3 +130,12 @@ def test_bsde_residual_with_boundary_cost_pinned_bit_for_bit(interval, std_model
         0.001508768490230984, -0.00046287841420543244, -0.0008664958403317516,
         -0.0026089229951149415, -0.004715965849047899, -0.004296415805861863,
         -0.0036173584820798537, -0.00429040000085242]
+
+
+def test_bsde_residual_refuses_a_start_outside_the_closure(interval, std_model,
+                                                          cosdrv):
+    # every path would start at 1.5 and fold back on its first step
+    sol = solve_ergodic(std_model, interval, cosdrv, 0.5, spacing=1e-2)
+    with pytest.raises(ValueError, match="x0 outside"):
+        bsde_residual(sol, std_model, interval, cosdrv, paths=200, T=0.5,
+                      h=1e-3, seed=0, x0=[1.5])
