@@ -34,6 +34,7 @@ from .verification import bsde_residual, drift_shift_equivalence, pde_residual
 
 __all__ = ["main", "run"]
 
+_GIRSANOV_HORIZON = 20.0   # longest horizon of the control task's Girsanov check
 
 _ORIGIN = {
     "NotOnBoundary": "geometry", "NonConvergence": "geometry or ergodic",
@@ -102,6 +103,8 @@ def _effective(cfg: dict, args) -> dict:
         raise ConfigError(f"grid spacing {eff['grid']!r} is not finite and positive")
     try:
         step_count(eff["horizon"], eff["h"])
+        if run.get("girsanov_check"):
+            step_count(min(eff["horizon"], _GIRSANOV_HORIZON), eff["h"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if eff["paths"] < 2:
@@ -287,8 +290,8 @@ def cmd_control(args) -> int:
     summary = {"lambda": sol.lam, "mu": eff["mu"], "policies": results}
     if cfg.get("run", {}).get("girsanov_check"):
         gk = girsanov_weight_check(model, domain, problem, policies[0][1],
-                                   T=min(T, 20.0), h=h, paths=paths, seed=seed,
-                                   mu=eff["mu"])
+                                   T=min(T, _GIRSANOV_HORIZON), h=h, paths=paths,
+                                   seed=seed, mu=eff["mu"])
         summary["girsanov"] = gk
         ok = ok and gk["agreement_gap"] <= 3 * gk["combined_stderr"] + 5e-3
     return _finish(out, "control", cfg, eff, summary, ok)

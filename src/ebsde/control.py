@@ -271,13 +271,14 @@ def cost_I(model: SdeModel, domain: DomainSpec, problem: ControlProblem,
 
     Accumulates running cost plus (boundary cost - mu) against the local
     time, divided by T, under the controlled measure (drift-tilted
-    simulation). Values at T/4 and T/2 are reported alongside to show
+    simulation). Values after the whole steps nearest T/4 and T/2, each
+    divided by its own horizon, are reported alongside to show
     stabilization toward the long-run limit.
     """
     n = dynamics.step_count(T, h)
-    X0 = dynamics.start_states(model, domain, paths, h, seed, 515_151, x0)
+    X0 = dynamics.start_states(model, domain, paths, h, seed, x0)
     acc = _Accumulator(np.zeros(paths))
-    marks = {round(n / 4): T / 4, round(n / 2): T / 2, n: T}
+    marks = {k: k * h for k in (round(n / 4), round(n / 2))} | {n: T}
     horizon_values = {}
     run = dynamics.RunRecord()
     for i, X, u, L_u, X_new, dK, xi in _controlled_steps(model, domain, problem, policy,
@@ -299,7 +300,7 @@ def cost_J(model: SdeModel, domain: DomainSpec, problem: ControlProblem,
     when the local time is statistically indistinguishable from zero.
     """
     n = dynamics.step_count(T, h)
-    X0 = dynamics.start_states(model, domain, paths, h, seed, 515_151, x0)
+    X0 = dynamics.start_states(model, domain, paths, h, seed, x0)
     num = _Accumulator(np.zeros(paths))
     den = _Accumulator(np.zeros(paths))
     run = dynamics.RunRecord()
@@ -358,7 +359,7 @@ def girsanov_weight_check(model: SdeModel, domain: DomainSpec,
     percent.
     """
     n = dynamics.step_count(T, h)
-    X0 = dynamics.start_states(model, domain, paths, h, seed, 515_151, x0)
+    X0 = dynamics.start_states(model, domain, paths, h, seed, x0)
     sh = np.sqrt(h)
     logw = _Accumulator(np.zeros(paths))
     cost = _Accumulator(np.zeros(paths))

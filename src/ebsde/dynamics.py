@@ -518,16 +518,16 @@ def stationary_start(model: SdeModel, domain: DomainSpec, paths: int, h: float,
 
 
 def start_states(model: SdeModel, domain: DomainSpec, paths: int, h: float,
-                 seed: int, tag: int, x0=None) -> np.ndarray:
+                 seed: int, x0=None) -> np.ndarray:
     """Initial states (paths, d) of an ensemble: x0 on every path when it
     is given (ValueError outside the domain closure), else the stationary
-    start of the stream (seed, tag)."""
+    start of the stream (seed, 515_151)."""
     if x0 is not None:
         x0 = np.atleast_1d(np.asarray(x0, dtype=float))
         if not domain.contains(x0, tol=domain.boundary_tol):
             raise ValueError("x0 outside the domain closure")
         return np.tile(x0, (paths, 1))
-    return stationary_start(model, domain, paths, h, seed, tag)
+    return stationary_start(model, domain, paths, h, seed, 515_151)
 
 
 def _boundary_cost(g: Optional[Callable], X: np.ndarray, dK: np.ndarray,

@@ -330,27 +330,22 @@ def geometric_constants(domain: DomainSpec, sample_density: int = 32) -> dict:
     if sample_density < 2:
         raise ValueError("sample_density must be at least 2 points per axis")
     pts = domain_grid(domain, sample_density)
-
-    def distance(I, J):
-        dx = pts[I][:, None, :] - pts[None, J, :]
-        return np.sqrt((dx * dx).sum(axis=2))
-
-    diam = max(_pairwise_max(distance, pts), 0.0)
+    # sqrt is monotone: the root of the largest squared distance is the diameter
+    d2 = _pairwise_max(lambda I: ((pts[I][:, None] - pts[None]) ** 2).sum(axis=2), pts)
+    diam = float(np.sqrt(max(d2, 0.0)))
     alpha = float(np.linalg.eigvalsh(domain.hess_phi(pts)).max(initial=-np.inf))
     return {"diameter_d": diam, "alpha_nonconvex": alpha}
 
 
 def _pairwise_max(values_fn, pts: np.ndarray) -> float:
-    """max over ordered pairs (i, j), i != j, of values_fn(I, J), which maps
-    row indices I and all indices J to the (len(I), len(J)) pair values;
-    -inf for fewer than two points. Runs in blocks of 256 rows, each
-    block's i == j entries set to -inf."""
+    """max over ordered pairs (i, j), i != j, of values_fn(I), which maps a
+    slice I of rows to the (len(I), n) values of its pairs with every
+    point; -inf for fewer than two points. Runs in blocks of 256 rows,
+    each block's i == j entries set to -inf."""
     best = -np.inf
-    n, chunk = len(pts), 256
-    for i0 in range(0, n, chunk):
-        rows = np.arange(i0, min(i0 + chunk, n))
-        vals = values_fn(rows, np.arange(n))
-        vals[rows - i0, rows] = -np.inf
+    for i0 in range(0, len(pts), 256):
+        vals = values_fn(slice(i0, i0 + 256))
+        np.fill_diagonal(vals[:, i0:], -np.inf)
         best = max(best, float(vals.max()))
     return best
 
@@ -360,11 +355,18 @@ def _lipschitz_pair_max(F: np.ndarray, pts: np.ndarray) -> float:
     (n, ...)."""
     Ff = F.reshape(len(F), -1)
 
-    def vals(I, J):
-        dx = pts[I][:, None, :] - pts[None, J, :]
-        r = np.sqrt((dx * dx).sum(axis=2))
-        r = np.where(r == 0, np.inf, r)
-        df = Ff[I][:, None, :] - Ff[None, J, :]
-        return np.sqrt((df * df).sum(axis=2)) / r
+    def vals(I):
+        r = _pair_norms(pts, I)
+        r[r == 0] = np.inf
+        return _pair_norms(Ff, I) / r
 
     return _pairwise_max(vals, pts)
+
+
+def _pair_norms(A: np.ndarray, I) -> np.ndarray:
+    """|A_i - A_j| for the rows i in I of A (n, k) against every row j; one
+    column takes abs, equal to the root of the square unless it underflows."""
+    if A.shape[1] == 1:
+        return np.abs(A[I, 0][:, None] - A[:, 0][None])
+    D = A[I][:, None, :] - A[None]
+    return np.sqrt((D * D).sum(axis=2))

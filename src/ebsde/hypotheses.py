@@ -23,7 +23,7 @@ import numpy as np
 from .discounted import GridOperators
 from .errors import NonConvexPotential, NotKolmogorov, SigmaNotConstant
 from .geometry import (DomainSpec, _lipschitz_pair_max, _pairwise_max, boundary_sample,
-                       domain_grid, geometric_constants)
+                       domain_grid)
 from . import dynamics
 from .dynamics import SdeModel
 
@@ -75,7 +75,7 @@ class HypothesisReport:
 
 
 # ---------------------------------------------------------------------------
-# pairwise grid suprema (``geometry._pairwise_max``)
+# dissipativity and Kolmogorov constants
 
 
 def estimate_eta(model: SdeModel, domain: DomainSpec, grid_density: int = 64) -> float:
@@ -90,13 +90,13 @@ def estimate_eta(model: SdeModel, domain: DomainSpec, grid_density: int = 64) ->
     B = model.drift_at(pts)
     S = model.sigma_at(pts)
 
-    def vals(I, J):
-        dx = pts[I][:, None, :] - pts[None, J, :]
-        db = B[I][:, None, :] - B[None, J, :]
+    def vals(I):
+        dx = pts[I][:, None, :] - pts[None]
+        db = B[I][:, None, :] - B[None]
         r2 = (dx * dx).sum(axis=2)
         r2 = np.where(r2 == 0, np.inf, r2)
         drift = (dx * db).sum(axis=2) / r2
-        ds = S[I][:, None, :, :] - S[None, J, :, :]
+        ds = S[I][:, None, :, :] - S[None]
         diff = (ds * ds).sum(axis=(2, 3)) / (2.0 * r2)
         return drift + diff
 
@@ -117,26 +117,27 @@ def estimate_theta(model: SdeModel, driver, domain: DomainSpec,
     if np.max(np.abs(model.sigma_at(domain_grid(domain, 5)) - sig0)) > 1e-12:
         raise SigmaNotConstant("theta estimate needs a constant diffusion matrix")
     K_psi_z = float(driver.K_psi_z)
-    alpha = max(geometric_constants(domain, grid_density)["alpha_nonconvex"], 0.0)
     pts = domain_grid(domain, grid_density)
+    H = domain.hess_phi(pts)
+    alpha = max(float(np.linalg.eigvalsh(H).max(initial=-np.inf)), 0.0)
     B = model.drift_at(pts)
     Gph = domain.grad_phi(pts)
     a_mat = sig0 @ sig0.T
-    tr_term = np.trace(domain.hess_phi(pts) @ a_mat, axis1=1, axis2=2)
+    tr_term = np.trace(H @ a_mat, axis1=1, axis2=2)
     gb = (Gph * B).sum(axis=1)
 
-    def vals(I, J):
-        dx = pts[I][:, None, :] - pts[None, J, :]
-        db = B[I][:, None, :] - B[None, J, :]
+    def vals(I):
+        dx = pts[I][:, None, :] - pts[None]
+        db = B[I][:, None, :] - B[None]
         r2 = (dx * dx).sum(axis=2)
         r2 = np.where(r2 == 0, np.inf, r2)
         t_drift = 2.0 * (dx * db).sum(axis=2) / r2
-        Gsum = Gph[I][:, None, :] + Gph[None, J, :]
+        Gsum = Gph[I][:, None, :] + Gph[None]
         row = Gsum @ sig0
         row_norm = np.sqrt((row * row).sum(axis=2))
         t_beta = alpha * row_norm * K_psi_z
-        t_curv = -0.5 * alpha * (tr_term[I][:, None] + tr_term[None, J])
-        t_gb = -alpha * (gb[I][:, None] + gb[None, J])
+        t_curv = -0.5 * alpha * (tr_term[I][:, None] + tr_term[None])
+        t_gb = -alpha * (gb[I][:, None] + gb[None])
         t_quad = alpha ** 2 * ((Gsum @ a_mat) * Gsum).sum(axis=2)
         return t_drift + t_beta + t_curv + t_gb + t_quad
 

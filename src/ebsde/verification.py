@@ -109,8 +109,7 @@ def bsde_residual(solution, model: SdeModel, domain: DomainSpec,
     """
     lam, mu = solution.lam, solution.mu
     n = dynamics.step_count(T, h)
-    # the tag is never read: x0 is always given
-    X0 = dynamics.start_states(model, domain, paths, h, seed, 0,
+    X0 = dynamics.start_states(model, domain, paths, h, seed,
                                domain.centroid if x0 is None else x0)
     sh = np.sqrt(h)
     R = dynamics._Accumulator(solution.v.interp_many(X0))

@@ -205,6 +205,19 @@ def test_horizon_and_paths_must_give_a_run_with_a_stderr(tmp_path, capsys, flags
     assert not (tmp_path / "out").exists()
 
 
+def test_girsanov_horizon_must_be_a_whole_number_of_steps(tmp_path, capsys):
+    # the check runs min(horizon, 20) = 20 at h = 0.003: 6666.67 steps,
+    # refused before any output although the horizon itself is 10000 steps
+    cfg = json.loads((CONFIGS / "two_control.json").read_text())
+    cfg["run"].update(horizon=30.0, h=0.003, girsanov_check=True)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    rc = cli.main(["control", "--config", str(path), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "is not a whole number of time steps" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_import_leaves_the_quadrature_modules_unloaded():
     # scipy.integrate pulls in scipy.special; only the Gibbs quadratures
     # need them, so the console command does not pay for them at start

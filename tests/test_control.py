@@ -148,6 +148,11 @@ def test_cost_reports_stabilizing_horizons(interval, std_model):
                T=8.0, h=1e-3, paths=48, seed=1)
     assert sorted(I.horizon_values) == [2.0, 4.0, 8.0]
     assert I.value == I.horizon_values[8.0][0]
+    # 10 steps: the partial values come after steps 2 and 5, each divided by
+    # its own horizon, not by T/4 = 0.0025
+    I = cost_I(std_model, interval, prob, Policy.constant(1), 0.3,
+               T=0.01, h=1e-3, paths=8, seed=1)
+    assert sorted(I.horizon_values) == [0.002, 0.005, 0.01]
 
 
 def test_zero_tilt_weights_are_exactly_one(interval, std_model):
