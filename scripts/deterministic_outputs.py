@@ -12,7 +12,11 @@ selects, one command at a time, with the BLAS pools pinned to one thread:
 - ``check``, ``solve``, ``curve``, ``invert --lambda 0.5``, ``verify`` and
   ``control`` on each ``configs/*.json`` of this checkout;
 - ``control`` on a copy of ``configs/two_control.json`` with
-  ``girsanov_check`` set, written to ``OUT/two_control_girsanov.json``.
+  ``girsanov_check`` set, written to ``OUT/two_control_girsanov.json``;
+- ``solve``, ``curve``, ``invert --lambda 0.5`` and ``solve --tol 1e-15``
+  (a ``NonConvergence`` error) on a copy of ``configs/interval_cos.json``
+  with the ``vanishing_discount`` scheme, written to
+  ``OUT/interval_cos_vanishing.json``.
 
 Each command gets the directory ``OUT/<config>-<task>`` (``OUT/reproduce``):
 its ``--out-dir`` under ``out/`` (absent when the command writes nothing)
@@ -32,6 +36,9 @@ from pathlib import Path
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 TASKS = [("check", []), ("solve", []), ("curve", []), ("invert", ["--lambda", "0.5"]),
          ("verify", []), ("control", [])]
+VANISHING_TASKS = {"solve": ["solve"], "curve": ["curve"],
+                   "invert": ["invert", "--lambda", "0.5"],
+                   "solve_tol1e-15": ["solve", "--tol", "1e-15"]}
 ONE_THREAD = {key: "1" for key in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                                    "MKL_NUM_THREADS")}
 
@@ -48,6 +55,16 @@ def run(out: Path, name: str, argv: list) -> int:
     return proc.returncode
 
 
+def edited_copy(out: Path, source: str, name: str, settings: dict) -> Path:
+    """``configs/<source>.json`` with ``settings`` added to its run section,
+    written to ``OUT/<name>.json``."""
+    doc = json.loads((CONFIGS / f"{source}.json").read_text())
+    doc["run"].update(settings)
+    config = out / f"{name}.json"
+    config.write_text(json.dumps(doc, indent=2) + "\n")
+    return config
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, type=Path,
@@ -61,12 +78,15 @@ def main() -> int:
         for task, extra in TASKS:
             name = f"{config.stem}-{task}"
             codes[name] = run(out, name, [task, "--config", str(config), *extra])
-    doc = json.loads((CONFIGS / "two_control.json").read_text())
-    doc["run"]["girsanov_check"] = True
-    config = out / "two_control_girsanov.json"
-    config.write_text(json.dumps(doc, indent=2) + "\n")
+    config = edited_copy(out, "two_control", "two_control_girsanov",
+                         {"girsanov_check": True})
     codes["two_control_girsanov-control"] = run(
         out, "two_control_girsanov-control", ["control", "--config", str(config)])
+    config = edited_copy(out, "interval_cos", "interval_cos_vanishing",
+                         {"scheme": "vanishing_discount"})
+    for task, (command, *extra) in VANISHING_TASKS.items():
+        name = f"interval_cos_vanishing-{task}"
+        codes[name] = run(out, name, [command, "--config", str(config), *extra])
     (out / "exit_codes.json").write_text(json.dumps(codes, indent=2) + "\n")
     print(json.dumps(codes))
     return 0

@@ -4,7 +4,7 @@ constants, the curve linking them, and the controlled costs they price.
 
 Layout:
 
-* ``geometry``: domain descriptions, projection, normals, sampling
+* ``geometry``: domain descriptions, projection, sampling
 * ``dynamics``: reflected/penalized simulation, local time, Gibbs laws
 * ``hypotheses``: constant estimation and structural flag checks
 * ``discounted``: discounted semilinear solves with Neumann data
@@ -19,13 +19,12 @@ __version__ = "0.1.0"
 
 from .errors import (BracketFailure, ConfigError, DegenerateLocalTime,
                      EbsdeError, FlatCurve, NonConvergence,
-                     NonConvexPotential, NotKolmogorov, NotOnBoundary,
-                     PicardDiverged, SigmaNotConstant, SingularSigma,
-                     StepTooLarge, WeightDegeneracy)
+                     NonConvexPotential, NotKolmogorov, PicardDiverged,
+                     SigmaNotConstant, SingularSigma, StepTooLarge,
+                     WeightDegeneracy)
 from .geometry import (DomainSpec, ball_domain, boundary_sample,
-                       domain_from_json, domain_grid, geometric_constants,
-                       inward_normal, project, quadratic_domain,
-                       quartic_interval_domain)
+                       domain_from_json, domain_grid, project,
+                       quadratic_domain, quartic_interval_domain)
 from .dynamics import (KRateEstimate, Potential, SdeModel, ensemble_average,
                        expected_K_rate, invariant_density,
                        occupation_histogram, penalized_moments,

@@ -2,9 +2,10 @@
 
 Each ``criterion_NN`` function runs one end-to-end check at a pinned
 configuration (model, grid, seeds, horizons) and returns the measured
-numbers together with a verdict at the stated tolerance. The ``reproduce``
-subcommand of the CLI writes these as tables; the acceptance tests assert
-on the same numbers, so the two can never drift apart.
+numbers together with a verdict at the stated tolerance; no verdict reads
+the clock. The ``reproduce`` subcommand of the CLI writes these as tables;
+the acceptance tests assert on the same numbers, so the two can never drift
+apart.
 
 All randomness is seeded per criterion; rerunning a criterion reproduces
 its numbers exactly.
@@ -47,10 +48,7 @@ class CriterionResult:
     def as_dict(self) -> Dict:
         """The deterministic part of the result (no wall-clock values)."""
         return {"number": self.number, "title": self.title,
-                "passed": bool(self.passed),
-                "details": {k: (v if not isinstance(v, (np.floating, np.integer, np.bool_))
-                                else v.item())
-                            for k, v in self.details.items()}}
+                "passed": bool(self.passed), "details": dict(self.details)}
 
 
 def _gauss_box():
@@ -85,7 +83,7 @@ def criterion_01() -> CriterionResult:
         xr = xs[sol.v.mesh.ref_index()]
         exact = -(mu / 3.0) * (np.abs(xs) ** 3 - np.abs(xr) ** 3)
         v_err = float(np.max(np.abs(sol.v.values - exact)))
-        ok = abs(sol.lam) < 1e-3 and v_err < 5e-3 and dt < 10.0
+        ok = abs(sol.lam) < 1e-3 and v_err < 5e-3
         passed &= ok
         per_mu[mu] = (sol.lam, v_err, dt)
         rows.append([mu, sol.lam, v_err, ok])
@@ -111,7 +109,7 @@ def criterion_02(seed: int = 202) -> CriterionResult:
                       / (b - a) for a, b in zip(edges[:-1], edges[1:])])
     err = np.abs(emp - exact)
     dt = time.perf_counter() - t0
-    passed = bool(err.max() < 0.02 and dt < 60.0)
+    passed = bool(err.max() < 0.02)
     centers = 0.5 * (edges[:-1] + edges[1:])
     rows = [[c, e, x, d] for c, e, x, d in zip(centers, emp, exact, err)]
     return CriterionResult(2, "occupation histogram matches the Gibbs density",
@@ -131,7 +129,7 @@ def criterion_03(seed: int = 303) -> CriterionResult:
     target = 1.0 - m2
     gap = abs(est.rate - target)
     dt = time.perf_counter() - t0
-    passed = bool(gap < 3 * est.stderr and dt < 120.0)
+    passed = bool(gap < 3 * est.stderr)
     return CriterionResult(3, "local-time rate matches the stationary flux",
                           passed,
                           {"rate": est.rate, "stderr": est.stderr,

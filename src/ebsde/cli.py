@@ -32,36 +32,9 @@ from .hypotheses import check_all
 from .presets import assemble_config
 from .verification import bsde_residual, drift_shift_equivalence, pde_residual
 
-__all__ = ["main", "run"]
+__all__ = ["main"]
 
 _GIRSANOV_HORIZON = 20.0   # longest horizon of the control task's Girsanov check
-
-_ORIGIN = {
-    "NotOnBoundary": "geometry", "NonConvergence": "geometry or ergodic",
-    "StepTooLarge": "dynamics", "NotKolmogorov": "dynamics",
-    "NonConvexPotential": "hypotheses", "SigmaNotConstant": "hypotheses",
-    "PicardDiverged": "discounted", "FlatCurve": "ergodic",
-    "BracketFailure": "ergodic",
-    "SingularSigma": "verification",
-    "DegenerateLocalTime": "control", "WeightDegeneracy": "control",
-}
-
-_REMEDY = {
-    "StepTooLarge": "decrease the time step h",
-    "NotKolmogorov": "supply a model with a potential, or use path statistics",
-    "NonConvexPotential": "the potential is not uniformly convex; pick another model",
-    "SigmaNotConstant": "the pairing constant needs a constant diffusion matrix",
-    "PicardDiverged": "shrink the discount step or the driver's z modulus",
-    "NonConvergence": "a discount sequence or a bisection ran out of budget "
-                      "(loosen --tol or refine --grid), or a boundary "
-                      "projection failed (check the domain)",
-    "FlatCurve": "the boundary flux is zero for this model, so mu never "
-                 "enters; run the check task and look at F2''/F2.2",
-    "BracketFailure": "the target constant is out of reach; move --lambda",
-    "SingularSigma": "the drift shift needs an invertible diffusion matrix",
-    "DegenerateLocalTime": "lengthen --horizon so the boundary is visited",
-    "WeightDegeneracy": "shorten --horizon or shrink the noise tilt",
-}
 
 
 # ---------------------------------------------------------------------------
@@ -375,15 +348,6 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def run(config_path: str, task: str = "solve", out_dir: str = "ebsde-out",
-        **overrides) -> int:
-    """Programmatic entry point mirroring the CLI."""
-    argv = [task, "--config", str(config_path), "--out-dir", str(out_dir)]
-    for key, val in overrides.items():
-        argv += [f"--{key.replace('_', '-')}", str(val)]
-    return main(argv)
-
-
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
@@ -392,12 +356,13 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except EbsdeError as exc:
-        name = type(exc).__name__
-        mod = _ORIGIN.get(name, "ebsde")
-        print(f"error in {mod} ({name}): {exc}", file=sys.stderr)
-        remedy = _REMEDY.get(name)
-        if remedy:
-            print(f"hint: {remedy}", file=sys.stderr)
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        module = tb.tb_frame.f_globals["__name__"].rpartition(".")[2]
+        print(f"error in {module} ({type(exc).__name__}): {exc}", file=sys.stderr)
+        if exc.remedy:
+            print(f"hint: {exc.remedy}", file=sys.stderr)
         return 2
 
 

@@ -57,7 +57,6 @@ class ControlProblem:
     M_L: float
     K_L_x: float = 0.0
     g: Optional[Callable] = None
-    name: str = "control-problem"
 
     def __post_init__(self):
         self.R_table = np.atleast_2d(np.asarray(self.R_table, dtype=float))
@@ -99,8 +98,7 @@ def induced_driver(problem: ControlProblem) -> DriverSpec:
     return DriverSpec(psi=lambda X, Z: hamiltonian(problem, X, Z)[0],
                       g=problem.g, K_psi_x=problem.K_L_x,
                       K_psi_z=problem.M_R, M_psi=problem.M_L,
-                      psi_bounded=False, control=problem,
-                      name=problem.name + "-driver")
+                      psi_bounded=False, control=problem)
 
 
 @dataclass(eq=False)

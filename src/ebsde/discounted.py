@@ -70,7 +70,6 @@ class DriverSpec:
     g_c2lip: bool = True
     psi_bounded: bool = False
     control: Optional[object] = None
-    name: str = "driver"
 
 
 # ---------------------------------------------------------------------------

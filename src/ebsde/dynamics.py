@@ -67,7 +67,6 @@ class SdeModel:
     kolmogorov_potential: Optional[Potential] = None
     sigma_constant: Optional[np.ndarray] = None
     eta_hint: Optional[float] = None
-    name: str = "model"
 
     def __post_init__(self):
         if (self.sigma is None) == (self.sigma_constant is None):

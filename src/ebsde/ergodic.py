@@ -84,7 +84,7 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple, np.ndarray)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
+        obj = obj.item()
     if isinstance(obj, float) and not np.isfinite(obj):
         return None
     return obj

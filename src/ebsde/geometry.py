@@ -7,12 +7,12 @@ repair moves.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NonConvergence, NotOnBoundary
+from .errors import NonConvergence
 
 
 def _as_point(x, dim: int) -> np.ndarray:
@@ -26,7 +26,7 @@ def _as_point(x, dim: int) -> np.ndarray:
 
 @dataclass
 class DomainSpec:
-    """A bounded domain given by a scalar defining function.
+    """A bounded convex domain given by a scalar defining function.
 
     Every callable is batched: it takes states X of shape (P, d).
 
@@ -43,14 +43,15 @@ class DomainSpec:
     kind : str
         "ball", "interval_quartic" or "quadratic" ({x.A x <= 1}); path
         simulation picks its boundary repair by kind.
-    convex_flag : bool
-        Declared by the builder; spot-checked by the hypothesis module.
     project_exact : callable, optional
         Closed-form projection onto the closure, (P, d) -> (P, d), that
         returns every row already in the closure unchanged. Without it
         ``project_many`` runs the KKT Newton of ``project_outside``.
-    radius : float, optional
-        Radius of "ball" and "interval_quartic" domains.
+
+    Every builder centres G in its box, so the box also gives ``centroid``
+    (its centre), ``radius`` (its upper end on the first axis: the radius of
+    a ball or an interval) and ``boundary_tol`` (1e-9 of its widest side,
+    the slack of "phi >= 0" on grids and path starts).
     """
 
     phi: Callable[[np.ndarray], np.ndarray]
@@ -59,20 +60,17 @@ class DomainSpec:
     dim: int
     bounding_box: np.ndarray
     kind: str
-    convex_flag: bool = True
     project_exact: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    centroid: np.ndarray = None
-    smooth_c2lip: bool = True
-    name: str = "domain"
-    boundary_tol: float = 1e-9
-    radius: Optional[float] = None
+    centroid: np.ndarray = field(init=False)
+    radius: float = field(init=False)
+    boundary_tol: float = field(init=False)
 
     def __post_init__(self):
-        self.bounding_box = np.asarray(self.bounding_box, dtype=float).reshape(self.dim, 2)
-        if self.centroid is None:
-            self.centroid = self.bounding_box.mean(axis=1)
-        else:
-            self.centroid = np.asarray(self.centroid, dtype=float)
+        box = np.asarray(self.bounding_box, dtype=float).reshape(self.dim, 2)
+        self.bounding_box = box
+        self.centroid = box.mean(axis=1)
+        self.radius = float(box[0, 1])
+        self.boundary_tol = 1e-9 * float((box[:, 1] - box[:, 0]).max())
 
     def contains(self, x, tol: float = 0.0) -> bool:
         return bool(self.phi(_as_point(x, self.dim)[None])[0] >= -tol)
@@ -111,10 +109,8 @@ def ball_domain(radius: float = 1.0, dim: int = 1) -> DomainSpec:
                       grad_phi=lambda X: -X / r,
                       hess_phi=lambda X: np.broadcast_to(-np.eye(dim) / r,
                                                          (len(X), dim, dim)),
-                      dim=dim, bounding_box=box, kind="ball", convex_flag=True,
-                      project_exact=_clamp(r) if dim == 1 else radial,
-                      centroid=np.zeros(dim), name=f"ball(r={r:g},d={dim})",
-                      boundary_tol=1e-9 * 2 * r, radius=r)
+                      dim=dim, bounding_box=box, kind="ball",
+                      project_exact=_clamp(r) if dim == 1 else radial)
 
 
 def quartic_interval_domain() -> DomainSpec:
@@ -133,9 +129,7 @@ def quartic_interval_domain() -> DomainSpec:
     return DomainSpec(phi=phi, grad_phi=lambda X: -X * (3.0 + X * X) / 4.0,
                       hess_phi=lambda X: (-(3.0 + 3.0 * X[:, 0] ** 2) / 4.0)[:, None, None],
                       dim=1, bounding_box=np.array([[-1.0, 1.0]]),
-                      kind="interval_quartic", convex_flag=True,
-                      project_exact=_clamp(1.0), centroid=np.zeros(1),
-                      name="interval-quartic", boundary_tol=2e-9, radius=1.0)
+                      kind="interval_quartic", project_exact=_clamp(1.0))
 
 
 def quadratic_domain(matrix) -> DomainSpec:
@@ -158,9 +152,7 @@ def quadratic_domain(matrix) -> DomainSpec:
     return DomainSpec(phi=lambda X: (1.0 - ((X @ A) * X).sum(axis=1)) / 2.0,
                       grad_phi=lambda X: -(X @ A.T),
                       hess_phi=lambda X: np.broadcast_to(-A, (len(X), d, d)),
-                      dim=d, bounding_box=box, kind="quadratic", convex_flag=True,
-                      project_exact=None, centroid=np.zeros(d), name="quadratic",
-                      boundary_tol=1e-9 * 2 * semi)
+                      dim=d, bounding_box=box, kind="quadratic")
 
 
 def domain_from_json(doc: dict) -> DomainSpec:
@@ -263,17 +255,6 @@ def project_outside(domain: DomainSpec, X: np.ndarray) -> np.ndarray:
     raise NonConvergence("projection Newton iteration exceeded budget")
 
 
-def inward_normal(domain: DomainSpec, x) -> np.ndarray:
-    """Unit inward normal at a boundary point (the normalized phi gradient)."""
-    p = _as_point(x, domain.dim)[None]
-    tol = max(domain.boundary_tol, 1e-7)
-    value = float(domain.phi(p)[0])
-    if abs(value) > tol:
-        raise NotOnBoundary(f"phi(x) = {value:.3e} exceeds boundary tolerance {tol:.1e}")
-    g = domain.grad_phi(p)[0]
-    return g / np.linalg.norm(g)
-
-
 def domain_grid(domain: DomainSpec, density: int) -> np.ndarray:
     """Tensor grid over the bounding box restricted to the closure of G."""
     axes = [np.linspace(lo, hi, density) for lo, hi in domain.bounding_box]
@@ -319,22 +300,6 @@ def boundary_sample(domain: DomainSpec) -> np.ndarray:
         t_lo = np.where(ok, t_mid, t_lo)
         t_hi = np.where(ok, t_hi, t_mid)
     return c + (0.5 * (t_lo + t_hi))[:, None] * dirs
-
-
-def geometric_constants(domain: DomainSpec, sample_density: int = 32) -> dict:
-    """Grid estimates of the diameter and the largest Hessian eigenvalue of phi.
-
-    Both are suprema sampled on a tensor grid, so they are lower bounds of
-    the true values and never decrease when the grid is refined.
-    """
-    if sample_density < 2:
-        raise ValueError("sample_density must be at least 2 points per axis")
-    pts = domain_grid(domain, sample_density)
-    # sqrt is monotone: the root of the largest squared distance is the diameter
-    d2 = _pairwise_max(lambda I: ((pts[I][:, None] - pts[None]) ** 2).sum(axis=2), pts)
-    diam = float(np.sqrt(max(d2, 0.0)))
-    alpha = float(np.linalg.eigvalsh(domain.hess_phi(pts)).max(initial=-np.inf))
-    return {"diameter_d": diam, "alpha_nonconvex": alpha}
 
 
 def _pairwise_max(values_fn, pts: np.ndarray) -> float:

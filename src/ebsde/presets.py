@@ -69,15 +69,13 @@ def poly_potential(coeffs) -> Potential:
 
 
 def kolmogorov_model(potential: Potential, dim: int = 1,
-                     eta_hint: Optional[float] = None,
-                     name: str = "gradient-system") -> SdeModel:
+                     eta_hint: Optional[float] = None) -> SdeModel:
     """b = -grad U with sigma = sqrt(2) I."""
     return SdeModel(
         b=lambda X: -potential.grad(X),
         kolmogorov_potential=potential,
         sigma_constant=np.sqrt(2.0) * np.eye(dim),
-        eta_hint=eta_hint,
-        name=name)
+        eta_hint=eta_hint)
 
 
 def degenerate_linear_model() -> SdeModel:
@@ -89,8 +87,7 @@ def degenerate_linear_model() -> SdeModel:
     return SdeModel(
         b=lambda X: -X,
         sigma=lambda X: X[:, :, None] * np.eye(X.shape[1]),
-        eta_hint=-0.5,
-        name="degenerate-linear")
+        eta_hint=-0.5)
 
 
 def ou_model(rate: float = 1.0, noise: float = 1.0, dim: int = 1) -> SdeModel:
@@ -98,8 +95,7 @@ def ou_model(rate: float = 1.0, noise: float = 1.0, dim: int = 1) -> SdeModel:
     return SdeModel(
         b=lambda X: -r * X,
         sigma_constant=float(noise) * np.eye(dim),
-        eta_hint=-r,
-        name="linear-mean-reverting")
+        eta_hint=-r)
 
 
 # ---------------------------------------------------------------------------
@@ -108,14 +104,13 @@ def ou_model(rate: float = 1.0, noise: float = 1.0, dim: int = 1) -> SdeModel:
 
 def zero_driver() -> DriverSpec:
     return DriverSpec(psi=lambda X, Z: np.zeros(len(X)), g=None, K_psi_x=0.0,
-                      K_psi_z=0.0, M_psi=0.0, psi_bounded=True, name="zero")
+                      K_psi_z=0.0, M_psi=0.0, psi_bounded=True)
 
 
 def constant_driver(kappa: float) -> DriverSpec:
     k = float(kappa)
     return DriverSpec(psi=lambda X, Z: np.full(len(X), k), g=None, K_psi_x=0.0,
-                      K_psi_z=0.0, M_psi=abs(k), psi_bounded=True,
-                      name=f"constant-{kappa:g}")
+                      K_psi_z=0.0, M_psi=abs(k), psi_bounded=True)
 
 
 def cos_driver(amplitude: float = 1.0) -> DriverSpec:
@@ -123,7 +118,7 @@ def cos_driver(amplitude: float = 1.0) -> DriverSpec:
     a = float(amplitude)
     return DriverSpec(psi=lambda X, Z: a * np.cos(X[:, 0]), g=None,
                       K_psi_x=abs(a), K_psi_z=0.0, M_psi=abs(a),
-                      psi_bounded=True, name="cosine")
+                      psi_bounded=True)
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +133,7 @@ def two_control_problem() -> ControlProblem:
         L=lambda X, k: 0.5 + (0.1 * X[:, 0] if k == 1 else np.zeros(len(X))),
         M_R=0.25, M_L=0.7,
         K_L_x=0.1,
-        g=None,
-        name="two-control")
+        g=None)
 
 
 # ---------------------------------------------------------------------------

@@ -166,8 +166,7 @@ def shifted_problem(model: SdeModel, driver: DriverSpec, xi: float,
         b=lambda X: model.b(X) - xi * X, sigma=model.sigma,
         kolmogorov_potential=pot2,
         sigma_constant=model.sigma_constant,
-        eta_hint=None if model.eta_hint is None else model.eta_hint - xi,
-        name=model.name + f"+shift{xi:g}")
+        eta_hint=None if model.eta_hint is None else model.eta_hint - xi)
 
     # z sigma^{-1} x, through one inverse when sigma is constant
     if model.sigma_constant is not None:
@@ -186,8 +185,7 @@ def shifted_problem(model: SdeModel, driver: DriverSpec, xi: float,
         K_psi_z=driver.K_psi_z + xi * s_sup,
         M_psi=driver.M_psi,
         g_c2lip=driver.g_c2lip,
-        psi_bounded=driver.psi_bounded and xi == 0.0,
-        name=driver.name + f"+shift{xi:g}")
+        psi_bounded=driver.psi_bounded and xi == 0.0)
     return model2, driver2
 
 

@@ -1,9 +1,11 @@
 """Frozen experiment suite: one test per numbered criterion.
 
-Each test reruns the pinned configuration (fixed seeds, tolerances, and
-budgets baked into ebsde.acceptance) and asserts its verdict, so
+Each test reruns the pinned configuration (fixed seeds and tolerances
+baked into ebsde.acceptance) and asserts its verdict, so
 ``pytest -v tests/test_acceptance.py`` prints one pass/fail line per
 criterion. The pinned details dict is attached to the failure message.
+The verdicts read no clock; the time budgets of criteria 1-3 are asserted
+here, on the result's own seconds.
 """
 from ebsde import acceptance
 
@@ -18,15 +20,16 @@ def _check(number):
 
 
 def test_criterion_01_degenerate_model_solves_to_closed_form():
-    _check(1)
+    res = _check(1)
+    assert max(res.timings["seconds_per_mu"].values()) < 10.0
 
 
 def test_criterion_02_occupation_histogram_matches_gibbs_density():
-    _check(2)
+    assert _check(2).seconds < 60.0
 
 
 def test_criterion_03_local_time_rate_matches_stationary_flux():
-    _check(3)
+    assert _check(3).seconds < 120.0
 
 
 def test_criterion_04_discounted_sup_norm_scaling():

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from ebsde import cli
+from ebsde.errors import NonConvergence
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -54,6 +55,21 @@ def test_invert_on_flat_curve_fails_with_hint(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "FlatCurve" in err and "ergodic" in err
     assert "hint:" in err
+
+
+def test_error_names_the_module_that_raised_it(tmp_path, capsys):
+    # NonConvergence is raised in geometry and in ergodic; here only the
+    # vanishing-discount loop of ergodic raises it
+    cfg = json.loads((CONFIGS / "interval_cos.json").read_text())
+    cfg["run"]["scheme"] = "vanishing_discount"
+    path = tmp_path / "vd.json"
+    path.write_text(json.dumps(cfg))
+    rc = cli.main(["solve", "--config", str(path), "--tol", "1e-15",
+                   "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("error in ergodic (NonConvergence): ")
+    assert err[1] == f"hint: {NonConvergence.remedy}"
 
 
 def test_invert_reaches_target(tmp_path):
@@ -312,11 +328,6 @@ def test_dimensions_that_disagree_are_a_config_error(tmp_path, capsys, task, cfg
     assert rc == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-
-
-def test_programmatic_run_wrapper(tmp_path):
-    rc = cli.run(CONFIGS / "degenerate.json", "solve", tmp_path, mu=1.0)
-    assert rc == 0
 
 
 def test_missing_subcommand_exits(capsys):

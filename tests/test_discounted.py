@@ -74,7 +74,7 @@ def test_constant_driver_flat_in_2d():
 
 def test_z_dependent_driver_fixed_point(interval, std_model):
     drv = DriverSpec(psi=lambda X, Z: np.cos(X[:, 0]) + 0.3 * Z[:, 0],
-                     g=None, K_psi_x=1.0, K_psi_z=0.3, M_psi=1.0, name="cos+z")
+                     g=None, K_psi_x=1.0, K_psi_z=0.3, M_psi=1.0)
     v1 = solve_discounted(std_model, interval, drv, 0.2, spacing=1e-3)
     v2 = solve_discounted(std_model, interval, drv, 0.2, spacing=1e-3)
     assert np.max(np.abs(v1.values - v2.values)) < 1e-6

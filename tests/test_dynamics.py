@@ -16,8 +16,7 @@ from ebsde.geometry import ball_domain, quadratic_domain
 from ebsde.presets import (kolmogorov_model, ou_model, quadratic_potential,
                            two_control_problem)
 
-DRIFT_ONE = SdeModel(b=lambda X: np.ones_like(X), sigma_constant=np.zeros((1, 1)),
-                     name="unit-drift")
+DRIFT_ONE = SdeModel(b=lambda X: np.ones_like(X), sigma_constant=np.zeros((1, 1)))
 
 
 def _one_path(model, domain, x0, n, h, seed):

@@ -443,3 +443,10 @@ def test_disc_boundary_cost_enters_at_second_order(cosdrv):
                      for h in spacings])
     assert np.all(errs <= 0.06 * spacings ** 2), errs
     assert _least_squares_order(spacings, errs) >= 1.5, errs
+
+
+def test_jsonable_writes_every_non_finite_float_as_null():
+    doc = {"a": np.float64("inf"), "b": [np.float32("nan"), float("-inf")],
+           "c": np.float64(0.5), "d": np.bool_(True)}
+    assert json.dumps(ergodic._jsonable(doc)) == \
+        '{"a": null, "b": [null, null], "c": 0.5, "d": true}'

@@ -7,8 +7,7 @@ from scipy import integrate
 
 import conftest as refs
 from ebsde.geometry import (ball_domain, boundary_sample, domain_from_json,
-                            domain_grid, geometric_constants,
-                            inward_normal, project, project_many,
+                            domain_grid, project, project_many,
                             quadratic_domain, quartic_interval_domain)
 from ebsde.presets import (cos_driver, kolmogorov_model, pinned_free_potential,
                            poly_potential, quadratic_potential)
@@ -59,10 +58,10 @@ def test_projection_contracts_on_convex_domain(x, y):
 
 
 def test_inward_normal_points_inside():
+    # grad phi is the inward normal on the boundary: phi grows along it
     for dom in (ball_domain(1.0, 2), quartic_interval_domain()):
-        for p in boundary_sample(dom):
-            n = inward_normal(dom, p)
-            assert np.diff(dom.phi(np.stack([p, p + 1e-4 * n])))[0] > 0
+        P = boundary_sample(dom)
+        assert np.all(dom.phi(P + 1e-4 * dom.grad_phi(P)) > dom.phi(P))
 
 
 def test_quartic_interval_same_closure():
@@ -123,13 +122,6 @@ def test_quadratic_domain_matrix():
 def test_boundary_sample_lies_on_boundary():
     for dom in (ball_domain(1.5, 2), quartic_interval_domain()):
         assert np.all(np.abs(dom.phi(boundary_sample(dom))) < 1e-9)
-
-
-def test_geometric_constants(interval):
-    gc = geometric_constants(interval)
-    assert abs(gc["diameter_d"] - 2.0) < 1e-9
-    # concave defining function on a convex domain
-    assert gc["alpha_nonconvex"] <= 1e-9
 
 
 def test_domain_grid_inside(interval):

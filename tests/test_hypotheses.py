@@ -103,8 +103,7 @@ def test_check_all_degenerate_model(interval):
 
 def test_declared_driver_constants_are_binding(interval, std_model):
     lying = DriverSpec(psi=lambda X, Z: np.cos(X[:, 0]), g=None,
-                       K_psi_x=0.01, K_psi_z=0.0, M_psi=1.0,
-                       name="underdeclared")
+                       K_psi_x=0.01, K_psi_z=0.0, M_psi=1.0)
     rep = check_all(std_model, lying, interval, grid_density=24)
     assert not rep.flags["H2"]
     assert any("exceed" in n for n in rep.notes)
