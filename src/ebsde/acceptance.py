@@ -42,7 +42,7 @@ class CriterionResult:
     details: Dict
     table_header: List[str] = field(default_factory=list)
     table_rows: List[List] = field(default_factory=list)
-    seconds: float = 0.0
+    seconds: float = 0.0                          # wall clock, set by run_all
     timings: Dict = field(default_factory=dict)   # wall-clock parts, by name
 
     def as_dict(self) -> Dict:
@@ -68,17 +68,16 @@ def _standard_test_model():
 
 def criterion_01() -> CriterionResult:
     """Degenerate linear model: zero long-run constant, cubic value."""
-    t0 = time.perf_counter()
     domain = ball_domain(1.0, 1)
     model = degenerate_linear_model()
     driver = zero_driver()
     rows, per_mu = [], {}
     passed = True
     for mu in (-1.0, 0.0, 1.0):
-        t1 = time.perf_counter()
+        t0 = time.perf_counter()
         sol = solve_ergodic(model, domain, driver, mu, scheme="direct",
                             spacing=1e-3)
-        dt = time.perf_counter() - t1
+        dt = time.perf_counter() - t0
         xs = sol.v.nodes[:, 0]
         xr = xs[sol.v.mesh.ref_index()]
         exact = -(mu / 3.0) * (np.abs(xs) ** 3 - np.abs(xr) ** 3)
@@ -92,14 +91,13 @@ def criterion_01() -> CriterionResult:
     return CriterionResult(1, "degenerate example solves to the closed form",
                           bool(passed), details,
                           ["mu", "lambda", "v_err", "ok"], rows,
-                          time.perf_counter() - t0,
-                          {"seconds_per_mu": {mu: v[2] for mu, v in per_mu.items()}})
+                          timings={"seconds_per_mu": {mu: v[2]
+                                                      for mu, v in per_mu.items()}})
 
 
 def criterion_02(seed: int = 202) -> CriterionResult:
     """Occupation histogram against the explicit stationary density."""
     from scipy import integrate
-    t0 = time.perf_counter()
     model, domain = _standard_test_model()
     edges, emp = dynamics.occupation_histogram(model, domain, T_total=2e4,
                                                h=1e-3, bins=40, paths=200,
@@ -108,7 +106,6 @@ def criterion_02(seed: int = 202) -> CriterionResult:
     exact = np.array([integrate.quad(lambda t: np.exp(-0.5 * t * t) / N, a, b)[0]
                       / (b - a) for a, b in zip(edges[:-1], edges[1:])])
     err = np.abs(emp - exact)
-    dt = time.perf_counter() - t0
     passed = bool(err.max() < 0.02)
     centers = 0.5 * (edges[:-1] + edges[1:])
     rows = [[c, e, x, d] for c, e, x, d in zip(centers, emp, exact, err)]
@@ -116,31 +113,28 @@ def criterion_02(seed: int = 202) -> CriterionResult:
                           passed,
                           {"max_bin_error": float(err.max())},
                           ["bin_center", "empirical", "exact", "abs_err"],
-                          rows, dt)
+                          rows)
 
 
 def criterion_03(seed: int = 303) -> CriterionResult:
     """Mean local-time growth against the stationary flux value."""
-    t0 = time.perf_counter()
     model, domain = _standard_test_model()
     est = dynamics.expected_K_rate(model, domain, T=50.0, h=1e-3,
                                    paths=2000, seed=seed)
     N, m2 = _gauss_box()
     target = 1.0 - m2
     gap = abs(est.rate - target)
-    dt = time.perf_counter() - t0
     passed = bool(gap < 3 * est.stderr)
     return CriterionResult(3, "local-time rate matches the stationary flux",
                           passed,
                           {"rate": est.rate, "stderr": est.stderr,
                            "target": target, "gap": gap},
                           ["rate", "stderr", "target", "gap"],
-                          [[est.rate, est.stderr, target, gap]], dt)
+                          [[est.rate, est.stderr, target, gap]])
 
 
 def criterion_04() -> CriterionResult:
     """Discounted values saturate the 1/alpha bound for a unit driver."""
-    t0 = time.perf_counter()
     model, domain = _standard_test_model()
     driver = constant_driver(1.0)
     rows = []
@@ -154,13 +148,11 @@ def criterion_04() -> CriterionResult:
     return CriterionResult(4, "discounted sup-norm times the discount is one",
                           bool(passed),
                           {"products": [r[1] for r in rows]},
-                          ["alpha", "alpha_times_max_v", "ok"], rows,
-                          time.perf_counter() - t0)
+                          ["alpha", "alpha_times_max_v", "ok"], rows)
 
 
 def criterion_05() -> CriterionResult:
     """Measured gradient modulus of discounted values under the bound."""
-    t0 = time.perf_counter()
     model, domain = _standard_test_model()
     driver = cos_driver()
     eta = hypotheses.estimate_eta(model, domain, 64)
@@ -178,13 +170,11 @@ def criterion_05() -> CriterionResult:
                           bool(passed),
                           {"eta": eta, "bound": bound,
                            "max_diagnostic": max(r[1] for r in rows)},
-                          ["alpha", "diagnostic", "bound", "ok"], rows,
-                          time.perf_counter() - t0)
+                          ["alpha", "diagnostic", "bound", "ok"], rows)
 
 
 def criterion_06() -> CriterionResult:
     """Cost curve decreases with slope pinned by the stationary flux."""
-    t0 = time.perf_counter()
     model, domain = _standard_test_model()
     driver = cos_driver()
     mus = [-2.0, -1.0, 0.0, 1.0, 2.0]
@@ -202,13 +192,11 @@ def criterion_06() -> CriterionResult:
                           {"strictly_decreasing": strict,
                            "max_band_defect": float(band.max()),
                            "band_limit": 2 * driver.M_psi},
-                          ["mu", "lambda", "band_defect"], rows,
-                          time.perf_counter() - t0)
+                          ["mu", "lambda", "band_defect"], rows)
 
 
 def criterion_07() -> CriterionResult:
     """Invert the cost curve and land back on the target constant."""
-    t0 = time.perf_counter()
     domain = quartic_interval_domain()
     model = kolmogorov_model(quadratic_potential(), eta_hint=-1.0)
     driver = cos_driver()
@@ -235,7 +223,7 @@ def criterion_07() -> CriterionResult:
     return CriterionResult(7, "boundary-cost inversion round trip",
                           bool(passed), details,
                           ["mu_star", "lambda_target", "lambda_at_mu_star",
-                           "gap"], rows, time.perf_counter() - t0)
+                           "gap"], rows)
 
 
 CRIT8_SEED = 12  # picked by scanning 25 seeds for central margins on all three predicates
@@ -243,7 +231,6 @@ CRIT8_SEED = 12  # picked by scanning 25 seeds for central margins on all three 
 
 def criterion_08(seed: int = None) -> CriterionResult:
     """Pathwise backward residual: centered and shrinking with the step."""
-    t0 = time.perf_counter()
     if seed is None:
         seed = CRIT8_SEED
     domain = ball_domain(1.0, 1)
@@ -271,13 +258,11 @@ def criterion_08(seed: int = None) -> CriterionResult:
                "seed": seed, "centered": centered, "decay": decay}
     return CriterionResult(8, "pathwise backward residual shrinks with the step",
                           passed, details,
-                          ["h", "mean", "stderr", "z_score"], rows,
-                          time.perf_counter() - t0)
+                          ["h", "mean", "stderr", "z_score"], rows)
 
 
 def criterion_09(seed: int = 909) -> CriterionResult:
     """Feedback control attains both long-run constants; others score above."""
-    t0 = time.perf_counter()
     model, domain = _standard_test_model()
     problem = two_control_problem()
     driver = induced_driver(problem)
@@ -318,12 +303,11 @@ def criterion_09(seed: int = 909) -> CriterionResult:
     return CriterionResult(9, "control costs straddle the long-run constants",
                           bool(passed), details,
                           ["policy", "I", "I_stderr", "J", "J_stderr", "ok"],
-                          rows, time.perf_counter() - t0)
+                          rows)
 
 
 def criterion_10() -> CriterionResult:
     """Moving a linear drift term into the driver leaves the solve invariant."""
-    t0 = time.perf_counter()
     model, domain = _standard_test_model()
     driver = cos_driver()
     rows = []
@@ -341,14 +325,12 @@ def criterion_10() -> CriterionResult:
                           {"max_lambda_gap": max(r[1] for r in rows),
                            "max_eta_gap": max(r[2] for r in rows)},
                           ["xi", "lambda_gap", "eta_identity_gap", "eta_base",
-                           "eta_shifted", "ok"], rows,
-                          time.perf_counter() - t0)
+                           "eta_shifted", "ok"], rows)
 
 
 def criterion_11(seed: int = 1111) -> CriterionResult:
     """Penalized stationary moments converge to the reflected ones."""
     from scipy import integrate
-    t0 = time.perf_counter()
     pot = pinned_free_potential()
     model = kolmogorov_model(pot, eta_hint=-6.0)
     domain = ball_domain(1.0, 1)
@@ -397,12 +379,11 @@ def criterion_11(seed: int = 1111) -> CriterionResult:
                            "monotone": monotone, "simulator_agrees": sim_ok},
                           ["n", "quad_mean", "quad_second", "sim_mean",
                            "sim_second", "quad_gap", "sim_gap", "agree"],
-                          rows, time.perf_counter() - t0)
+                          rows)
 
 
 def criterion_12(seed: int = 1212) -> CriterionResult:
     """Downward excursions of the flux average obey the exponential bound."""
-    t0 = time.perf_counter()
     model, domain = _standard_test_model()
     kc = hypotheses.estimate_kolmogorov_constants(model, domain)
     N, m2 = _gauss_box()
@@ -427,8 +408,7 @@ def criterion_12(seed: int = 1212) -> CriterionResult:
                           bool(passed),
                           {"c": kc["c"], "delta": kc["delta"], "eps": eps,
                            "worst_margin": min(r[3] + 3 * r[2] - r[1] for r in rows)},
-                          ["T", "p_hat", "stderr", "bound", "ok"], rows,
-                          time.perf_counter() - t0)
+                          ["T", "p_hat", "stderr", "bound", "ok"], rows)
 
 
 CRITERIA = {
@@ -439,7 +419,11 @@ CRITERIA = {
 
 
 def run_all(numbers: Optional[List[int]] = None) -> List[CriterionResult]:
+    """Run the numbered criteria (all by default) in order, each timed here
+    into its result's ``seconds``."""
     out = []
     for n in sorted(numbers or CRITERIA):
+        t0 = time.perf_counter()
         out.append(CRITERIA[n]())
+        out[-1].seconds = time.perf_counter() - t0
     return out

@@ -132,7 +132,7 @@ def _assemble_stencil(mesh: Mesh, a: np.ndarray, b: np.ndarray):
     node's error is then O(h^2), and lambda converges at second order.
     """
     d = a.shape[1]
-    h = np.array([x[1] - x[0] for x in mesh.axes])
+    h = mesh.steps
     centred = np.abs(b) * h <= 2 * a
     up = np.where(centred, 0.5 * b, np.maximum(b, 0.0)) / h
     down = np.where(centred, -0.5 * b, np.maximum(-b, 0.0)) / h

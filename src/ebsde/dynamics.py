@@ -27,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NotKolmogorov, StepTooLarge
-from .geometry import DomainSpec, outside_rows, project_many, project_outside
+from .geometry import DomainSpec, outside_rows
 
 __all__ = [
     "Potential", "SdeModel", "RunRecord", "invariant_density",
@@ -179,34 +179,23 @@ class _IntervalKernel(_Kernel):
                                "state lay outside the closure")
 
 
-class _BallKernel(_Kernel):
-    """Fast repair for balls of radius r about the origin."""
-
-    def __call__(self, x_pre: np.ndarray, x_new: np.ndarray) -> None:
-        r = self.r
-        norms = np.linalg.norm(x_pre, axis=1)
-        out = norms > r
-        x_new[...] = x_pre
-        if np.any(out):
-            scale = np.maximum(2.0 * r / norms[out] - 1.0, 0.0)
-            scale = np.minimum(scale * norms[out], r) / norms[out]
-            x_new[out] = x_pre[out] * scale[:, None]
-
-
 class _GenericKernel(_Kernel):
-    """Repair by mirroring at the projection, for quadratic domains: one
-    batched ``phi`` test picks the outside rows, which are projected
-    together (``geometry.project_outside``)."""
+    """Repair by mirroring at the projection (``DomainSpec.project``): one
+    batched ``phi`` test picks the outside rows, each is reflected at its
+    projection, and a very deep overshoot whose mirror image is still
+    outside is projected again."""
 
     def __call__(self, x_pre: np.ndarray, x_new: np.ndarray) -> None:
         x_new[...] = x_pre
         rows = outside_rows(self.domain, x_pre)
         if len(rows):
             y = x_pre[rows]
-            p = project_outside(self.domain, y)
-            # mirror at the projection; a very deep overshoot whose mirror
-            # image is still outside is projected again
-            x_new[rows] = project_many(self.domain, 2.0 * p - y)
+            x_new[rows] = self.domain.project(2.0 * self.domain.project(y) - y)
+
+
+class _BallKernel(_GenericKernel):
+    """The repair of a ball in d >= 2, the generic mirror. The class stays
+    because the benchmark tracer wraps ``_BallKernel.__call__`` by name."""
 
 
 def _make_kernel(domain: DomainSpec):
@@ -606,7 +595,7 @@ def penalized_moments(model: SdeModel, domain: DomainSpec, n_penalty: float,
         block = np.ascontiguousarray(block)
         for j in range(block.shape[0]):
             gU = pot.grad(X)
-            pen = 2.0 * n_penalty * (X - project_many(domain, X))
+            pen = 2.0 * n_penalty * (X - domain.project(X))
             X = X - (gU + pen) * h + s2h * block[j]
             if start + j >= nb:
                 m1 += X

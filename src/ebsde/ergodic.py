@@ -179,9 +179,9 @@ def solve_ergodic(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
         diagnostics["lambda_vd"] = lam
         diagnostics["extrapolation_gap"] = abs(lam_k - lam_prev)
     diagnostics.update(_solve_record(records))
-    zeta = np.einsum("nd,nde->ne", GridFunction(mesh, v).gradient(), ops.sig)
-    return ErgodicSolution(GridFunction(mesh, v), zeta, float(lam), float(mu),
-                           diagnostics)
+    value = GridFunction(mesh, v)
+    zeta = np.einsum("nd,nde->ne", value.gradient(), ops.sig)
+    return ErgodicSolution(value, zeta, float(lam), float(mu), diagnostics)
 
 
 def _solve_record(records: list) -> Dict:
@@ -216,19 +216,16 @@ def _affine_curve(driver: DriverSpec, scheme: str, ops: GridOperators):
 
 def lambda_of_mu(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
                  mus: Sequence[float], *, scheme: str = "direct",
-                 spacing: float = 1e-3, tol: float = 1e-3,
-                 operators: Optional[GridOperators] = None) -> LambdaOfMuCurve:
+                 spacing: float = 1e-3, tol: float = 1e-3) -> LambdaOfMuCurve:
     """Sample the boundary-constant-to-ergodic-constant map: the line
     lambda(0) + mu slope for a z-free driver on the direct scheme, one solve
     per mu otherwise (``solve_ergodic`` with these keywords). The curve's
     ``record`` says which ("route": "line" or "solve_per_mu") and what it
-    took: the nodes, the LUs built (0 when handed-in operators held them),
-    the forward linear solves (Picard sweeps included) and the transposed
-    solves of ``GridOperators.weights``."""
+    took: the nodes, the LUs built, the forward linear solves (Picard
+    sweeps included) and the transposed solves of
+    ``GridOperators.weights``. Every solve shares one ``GridOperators``."""
     mus = np.asarray(sorted(mus), dtype=float)
-    ops = operators or GridOperators(model, domain, spacing)
-    ops.check(model, domain, spacing)
-    built = ops.factorisations
+    ops = GridOperators(model, domain, spacing)
     line = _affine_curve(driver, scheme, ops)
     if line is not None:
         lams = line[0] + mus * line[1]
@@ -239,7 +236,7 @@ def lambda_of_mu(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
         lams = np.array([sol.lam for sol in sols])
         record = {"route": "solve_per_mu", "transposed_solves": 0,
                   "solves": sum(sol.diagnostics["picard_sweeps"] for sol in sols)}
-    record.update(nodes=ops.mesh.n_nodes, factorisations=ops.factorisations - built)
+    record.update(nodes=ops.mesh.n_nodes, factorisations=ops.factorisations)
     return LambdaOfMuCurve(mus, lams, float(tol), record)
 
 
@@ -262,8 +259,7 @@ def _flat_message(slope: float, where: str) -> str:
 
 def solve_boundary_cost(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
                         lambda_target: float, *, scheme: str = "direct",
-                        spacing: float = 1e-3, tol: float = 1e-3,
-                        operators: Optional[GridOperators] = None) -> ErgodicSolution:
+                        spacing: float = 1e-3, tol: float = 1e-3) -> ErgodicSolution:
     """Find mu with |lambda(mu) - lambda_target| <= tol.
 
     For a z-free driver on the direct scheme the curve is a line, so
@@ -281,12 +277,10 @@ def solve_boundary_cost(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
     BracketFailure means the target was never straddled. The solution's
     diagnostics["inversion"] records the route, the number of solves, the
     LUs built over the whole inversion (those of ``GridOperators.weights``
-    included; 0 when handed-in operators held them all) and the slope:
+    included; every solve shares one ``GridOperators``) and the slope:
     exact, or the secant lambda(1) - lambda(0) of the bisection.
     """
-    ops = operators or GridOperators(model, domain, spacing)
-    ops.check(model, domain, spacing)
-    built = ops.factorisations
+    ops = GridOperators(model, domain, spacing)
     solves = []
 
     def solve(mu):
@@ -337,7 +331,7 @@ def solve_boundary_cost(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
         raise NonConvergence("inversion failed to reach the target constant")
     sol.diagnostics["inversion"] = {
         "route": "bisection" if line is None else "closed_form",
-        "solves": len(solves), "factorisations": ops.factorisations - built,
+        "solves": len(solves), "factorisations": ops.factorisations,
         "slope": slope}
     return sol
 

@@ -8,7 +8,7 @@ repair moves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -36,38 +36,38 @@ class DomainSpec:
         Defining function with its gradient and Hessian, (P, d) -> (P,),
         (P, d) and (P, d, d); phi > 0 inside, phi = 0 on the boundary,
         |grad phi| = 1 on the boundary.
-    dim : int
-        Ambient dimension.
-    bounding_box : (dim, 2) array
+    bounding_box : (d, 2) array
         Axis-aligned box containing the closure of G.
     kind : str
         "ball", "interval_quartic" or "quadratic" ({x.A x <= 1}); path
-        simulation picks its boundary repair by kind.
-    project_exact : callable, optional
-        Closed-form projection onto the closure, (P, d) -> (P, d), that
-        returns every row already in the closure unchanged. Without it
-        ``project_many`` runs the KKT Newton of ``project_outside``.
+        simulation picks its boundary kernel by kind.
+    project : callable
+        Projection onto the closure, (P, d) -> (P, d), that returns every
+        row already in the closure unchanged: the clamp of an interval, the
+        radial scaling of a ball, the KKT Newton of a quadratic domain.
 
-    Every builder centres G in its box, so the box also gives ``centroid``
-    (its centre), ``radius`` (its upper end on the first axis: the radius of
-    a ball or an interval) and ``boundary_tol`` (1e-9 of its widest side,
-    the slack of "phi >= 0" on grids and path starts).
+    Every builder centres G in its box, so the box also gives ``dim`` (its
+    number of rows), ``centroid`` (its centre), ``radius`` (its upper end on
+    the first axis: the radius of a ball or an interval) and
+    ``boundary_tol`` (1e-9 of its widest side, the slack of "phi >= 0" on
+    grids and path starts).
     """
 
     phi: Callable[[np.ndarray], np.ndarray]
     grad_phi: Callable[[np.ndarray], np.ndarray]
     hess_phi: Callable[[np.ndarray], np.ndarray]
-    dim: int
     bounding_box: np.ndarray
     kind: str
-    project_exact: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    project: Callable[[np.ndarray], np.ndarray]
+    dim: int = field(init=False)
     centroid: np.ndarray = field(init=False)
     radius: float = field(init=False)
     boundary_tol: float = field(init=False)
 
     def __post_init__(self):
-        box = np.asarray(self.bounding_box, dtype=float).reshape(self.dim, 2)
+        box = np.asarray(self.bounding_box, dtype=float).reshape(-1, 2)
         self.bounding_box = box
+        self.dim = len(box)
         self.centroid = box.mean(axis=1)
         self.radius = float(box[0, 1])
         self.boundary_tol = 1e-9 * float((box[:, 1] - box[:, 0]).max())
@@ -109,8 +109,8 @@ def ball_domain(radius: float = 1.0, dim: int = 1) -> DomainSpec:
                       grad_phi=lambda X: -X / r,
                       hess_phi=lambda X: np.broadcast_to(-np.eye(dim) / r,
                                                          (len(X), dim, dim)),
-                      dim=dim, bounding_box=box, kind="ball",
-                      project_exact=_clamp(r) if dim == 1 else radial)
+                      bounding_box=box, kind="ball",
+                      project=_clamp(r) if dim == 1 else radial)
 
 
 def quartic_interval_domain() -> DomainSpec:
@@ -128,8 +128,8 @@ def quartic_interval_domain() -> DomainSpec:
 
     return DomainSpec(phi=phi, grad_phi=lambda X: -X * (3.0 + X * X) / 4.0,
                       hess_phi=lambda X: (-(3.0 + 3.0 * X[:, 0] ** 2) / 4.0)[:, None, None],
-                      dim=1, bounding_box=np.array([[-1.0, 1.0]]),
-                      kind="interval_quartic", project_exact=_clamp(1.0))
+                      bounding_box=np.array([[-1.0, 1.0]]),
+                      kind="interval_quartic", project=_clamp(1.0))
 
 
 def quadratic_domain(matrix) -> DomainSpec:
@@ -137,7 +137,8 @@ def quadratic_domain(matrix) -> DomainSpec:
 
     For A = I this is the unit ball. For anisotropic A the boundary is an
     ellipse; the unit-gradient normalization then holds only approximately
-    and the hypothesis checker will report it.
+    and the hypothesis checker will report it. The projection onto the
+    closure is the KKT Newton of ``_project_quadratic``.
     """
     A = np.asarray(matrix, dtype=float)
     d = A.shape[0]
@@ -149,10 +150,12 @@ def quadratic_domain(matrix) -> DomainSpec:
 
     semi = 1.0 / np.sqrt(evals.min())
     box = np.repeat(np.array([[-semi, semi]]), d, axis=0)
-    return DomainSpec(phi=lambda X: (1.0 - ((X @ A) * X).sum(axis=1)) / 2.0,
-                      grad_phi=lambda X: -(X @ A.T),
-                      hess_phi=lambda X: np.broadcast_to(-A, (len(X), d, d)),
-                      dim=d, bounding_box=box, kind="quadratic")
+    dom = DomainSpec(phi=lambda X: (1.0 - ((X @ A) * X).sum(axis=1)) / 2.0,
+                     grad_phi=lambda X: -(X @ A.T),
+                     hess_phi=lambda X: np.broadcast_to(-A, (len(X), d, d)),
+                     bounding_box=box, kind="quadratic",
+                     project=lambda X: _project_quadratic(dom, X))
+    return dom
 
 
 def domain_from_json(doc: dict) -> DomainSpec:
@@ -173,27 +176,8 @@ def domain_from_json(doc: dict) -> DomainSpec:
 
 def project(domain: DomainSpec, x) -> np.ndarray:
     """Closest point of the closure of G to one point: a one-row batch of
-    ``project_many``, so x itself when x already lies in the closure."""
-    return project_many(domain, _as_point(x, domain.dim)[None])[0]
-
-
-def project_many(domain: DomainSpec, X: np.ndarray) -> np.ndarray:
-    """Closest points of the closure of G for a batch X of shape (P, d).
-
-    Rows already in the closure come back unchanged. A domain with a
-    closed form (``DomainSpec.project_exact``: the clamp of an interval, the
-    radial scaling of a ball) projects every row through it; otherwise the
-    outside rows are repaired together by the KKT Newton of
-    ``project_outside``.
-    """
-    X = np.asarray(X, dtype=float)
-    if domain.project_exact is not None:
-        return domain.project_exact(X)
-    out = X.copy()
-    rows = outside_rows(domain, X)
-    if len(rows):
-        out[rows] = project_outside(domain, X[rows])
-    return out
+    ``domain.project``, so x itself when x already lies in the closure."""
+    return domain.project(_as_point(x, domain.dim)[None])[0]
 
 
 def outside_rows(domain: DomainSpec, X: np.ndarray) -> np.ndarray:
@@ -201,15 +185,21 @@ def outside_rows(domain: DomainSpec, X: np.ndarray) -> np.ndarray:
     return np.flatnonzero(domain.phi(X) < 0)
 
 
-def project_outside(domain: DomainSpec, X: np.ndarray) -> np.ndarray:
-    """Closest boundary points of a quadratic domain {x.A x <= 1} for rows X
-    known to lie outside its closure.
+def _project_quadratic(domain: DomainSpec, X: np.ndarray) -> np.ndarray:
+    """Closest points of the closure of a quadratic domain {x.A x <= 1} for
+    a batch X: rows in the closure come back unchanged, and the outside
+    rows go to their closest boundary points together.
 
     Damped Newton on the first-order conditions of min |x - p|^2 subject to
-    phi(p) = 0: every row runs the same KKT iteration with its own
+    phi(p) = 0: every outside row runs the same KKT iteration with its own
     backtracking line search, and converged rows leave the batch. The seed
     is the radial crossing, in closed form: the ray through x crosses the
     boundary at t = 1/sqrt(x.A x)."""
+    out = X.copy()
+    rows = outside_rows(domain, X)
+    if not len(rows):
+        return out
+    X = X[rows]
     m, d = X.shape
     P = X / np.sqrt(1.0 - 2.0 * domain.phi(X))[:, None]
     G = domain.grad_phi(P)
@@ -228,7 +218,8 @@ def project_outside(domain: DomainSpec, X: np.ndarray) -> np.ndarray:
         keep = ~(norm < tol[live])
         live, res, norm = live[keep], res[keep], norm[keep]
         if not len(live):
-            return P
+            out[rows] = P
+            return out
         p, mult, x = P[live], nu[live], X[live]
         J = np.zeros((len(live), d + 1, d + 1))
         J[:, :d, :d] = np.eye(d) + mult[:, None, None] * domain.hess_phi(p)

@@ -50,7 +50,13 @@ class Mesh:
     def __post_init__(self):
         if self.domain.dim == 1:
             a = self.axes[0]
-            self._line = (a[0], 1.0 / (a[1] - a[0]), len(a) - 1)
+            self._line = (a[0], 1.0 / self.steps[0], len(a) - 1)
+
+    @functools.cached_property
+    def steps(self) -> np.ndarray:
+        """Each axis's own step (d,): the box's axes can round to different
+        steps, and ``spacing`` is the first one's."""
+        return np.array([a[1] - a[0] for a in self.axes])
 
     @property
     def shape(self):
@@ -85,7 +91,7 @@ class Mesh:
             j = t.astype(np.intp)
             return np.minimum(np.maximum(j, 0, out=j), last, out=j)
         lo = np.array([a[0] for a in self.axes])
-        step = np.array([a[1] - a[0] for a in self.axes])
+        step = self.steps
         shape = np.array(self.shape)
         idx = np.clip(np.rint((X - lo) / step), 0, shape - 1).astype(np.intp)
         offsets = np.array(list(itertools.product((-1, 0, 1), repeat=len(shape))))
@@ -295,7 +301,7 @@ def _cut_cells(mesh: Mesh) -> CutCells:
     if dom.dim != 2:
         raise ValueError("cut cells are built on 2-d meshes")
     ax, ay = mesh.axes
-    hx, hy = ax[1] - ax[0], ay[1] - ay[0]
+    hx, hy = mesh.steps
     nx, ny = len(ax), len(ay)
     slots, edges, family, links, sides = _octants()
     # the half-spacing lattice along each axis: box-cell corners at even
@@ -447,7 +453,8 @@ class GridFunction:
 
     mesh: Mesh
     values: np.ndarray
-    _grad: Optional[np.ndarray] = field(default=None, repr=False)
+    _grad: Optional[np.ndarray] = field(default=None, init=False, repr=False,
+                                        compare=False)
     _slopes: Optional[np.ndarray] = field(default=None, init=False, repr=False,
                                          compare=False)
 
@@ -469,8 +476,7 @@ class GridFunction:
         vp = np.where(kp >= 0, v[kp], vc)
         width = (km >= 0).astype(float) + (kp >= 0)
         # a node with no neighbor along an axis gets a zero component there
-        h = np.array([a[1] - a[0] for a in m.axes])
-        self._grad = (vp - vm) / (np.maximum(width, 1.0) * h)
+        self._grad = (vp - vm) / (np.maximum(width, 1.0) * m.steps)
         return self._grad
 
     def interp_many(self, X: np.ndarray) -> np.ndarray:

@@ -102,14 +102,15 @@ def estimate_theta(model: SdeModel, driver, domain: DomainSpec,
                    grid_density: int = 32) -> float:
     """Dissipativity constant adjusted for a possibly non-convex domain.
 
-    Requires a constant diffusion matrix. The driver-gradient term, which
-    is only bounded in magnitude by the declared z-Lipschitz constant, is
-    replaced by its worst case, so the returned value is an upper estimate
-    and theta < 0 is a safe sufficient check. For convex domains (curvature
+    Requires a model that declares its diffusion matrix constant
+    (``sigma_constant``; SigmaNotConstant otherwise). The driver-gradient
+    term, which is only bounded in magnitude by the declared z-Lipschitz
+    constant, is replaced by its worst case, so the returned value is an
+    upper estimate and theta < 0 is a safe sufficient check. For convex domains (curvature
     constant alpha <= 0) it reduces to twice the drift part of eta.
     """
-    sig0 = model.sigma_at(domain.centroid[None])[0]
-    if np.max(np.abs(model.sigma_at(domain_grid(domain, 5)) - sig0)) > 1e-12:
+    sig0 = model.sigma_constant
+    if sig0 is None:
         raise SigmaNotConstant("theta estimate needs a constant diffusion matrix")
     K_psi_z = float(driver.K_psi_z)
     pts = domain_grid(domain, grid_density)
@@ -297,7 +298,7 @@ def check_all(model: SdeModel, driver, domain: DomainSpec,
         flags["H4"] = False
 
     theta = np.nan
-    if np.max(np.abs(S - S[0])) <= 1e-12:
+    if model.sigma_constant is not None:
         theta = estimate_theta(model, driver, domain, min(grid_density, 32))
         flags["H3'"] = bool(theta < 0)
         margins["H3'"] = -theta

@@ -38,7 +38,7 @@ def pde_residual(solution: ErgodicSolution, model: SdeModel, domain: DomainSpec,
     """
     mesh = solution.v.mesh
     v = solution.v.values
-    h = np.array([a[1] - a[0] for a in mesh.axes])   # each axis's own step
+    h = mesh.steps
     lam, mu = solution.lam, solution.mu
     nodes, nb = mesh.nodes, mesh.neighbors
     axes = np.arange(domain.dim)

@@ -589,7 +589,7 @@ def test_two_dimensional_rows_are_monotone_with_a_probability_measure(
     assert abs(measure.sum() - 1.0) <= 1e-12
     assert np.all(flux < 0)         # every boundary node lowers the slope
     curve = ergodic.lambda_of_mu(model, domain, cos_driver(), [-2.0, -1.0, 0.0, 1.0, 2.0],
-                                 spacing=spacing, operators=ops)
+                                 spacing=spacing)
     assert curve.non_increasing() and np.all(np.diff(curve.lams) < 0)
 
 
@@ -836,13 +836,6 @@ def test_inversion_record_counts_every_factorisation(monkeypatch, interval, std_
     assert inv["route"] == "bisection" and inv["solves"] == len(recorded) > 3
     assert inv["factorisations"] == counts["factorisations"] == 1
     assert sum(d["factorisations"] for d in recorded) == 1
-    # operators that already hold the LU build none
-    ops = discounted.GridOperators(std_model, interval, 1e-2)
-    ops.weights()
-    counts["factorisations"] = 0
-    inv = ergodic.solve_boundary_cost(std_model, interval, cosdrv, 0.5, scheme="direct",
-                                      spacing=1e-2, operators=ops).diagnostics["inversion"]
-    assert inv["factorisations"] == counts["factorisations"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -889,16 +882,11 @@ def test_curve_record_of_one_solve_per_mu(monkeypatch, interval, std_model, cosd
     counts = _count_factorisations(monkeypatch)
     zdrv = dataclasses.replace(cosdrv, psi=lambda X, Z: np.cos(X[:, 0]) + 0.3 * Z[:, 0],
                                K_psi_z=0.3)
-    ops = discounted.GridOperators(std_model, interval, 1e-2)
-    curve = ergodic.lambda_of_mu(std_model, interval, zdrv, [0.0, 1.0], spacing=1e-2,
-                                 operators=ops)
+    curve = ergodic.lambda_of_mu(std_model, interval, zdrv, [0.0, 1.0], spacing=1e-2)
     rec = curve.record
     assert (rec["route"], rec["nodes"], rec["transposed_solves"]) == ("solve_per_mu", 201, 0)
     assert rec["factorisations"] == counts["factorisations"] == 1
     assert rec["solves"] == counts["lu_solves"] > 4
-    # the same operators again: the LU is already held
-    assert ergodic.lambda_of_mu(std_model, interval, zdrv, [0.5], spacing=1e-2,
-                                operators=ops).record["factorisations"] == 0
 
 
 def test_one_factorisation_for_an_inversion(monkeypatch, interval, std_model, cosdrv):
@@ -947,12 +935,14 @@ def _kept_bytes(lu):
 
 
 def test_vanishing_discount_curve_keeps_small_factors(interval, std_model, cosdrv):
-    # one kept factor per discount level, each a few arrays of n numbers
+    # one kept factor per discount level, each a few arrays of n numbers,
+    # on the shared operators of a curve's solves
     ops = discounted.GridOperators(std_model, interval, 1e-4)
     n = ops.mesh.n_nodes
     assert n == 20001
-    ergodic.lambda_of_mu(std_model, interval, cosdrv, [0.0, 1.0],
-                         scheme="vanishing_discount", spacing=1e-4, operators=ops)
+    for mu in (0.0, 1.0):
+        solve_ergodic(std_model, interval, cosdrv, mu, scheme="vanishing_discount",
+                      spacing=1e-4, operators=ops)
     assert len(ops._lus) > 1
     assert max(_kept_bytes(lu) for lu in ops._lus.values()) <= 6 * n * 8
 
@@ -969,10 +959,6 @@ def test_handed_in_operators_must_match_the_problem(interval, std_model, cosdrv)
     with pytest.raises(ValueError, match="operators"):
         solve_ergodic(std_model, ball_domain(1.0, 1), cosdrv, 0.3, spacing=1e-2,
                       operators=ops)
-    # the line route of a curve calls no solve_ergodic, and checks them too
-    with pytest.raises(ValueError, match="operators"):
-        ergodic.lambda_of_mu(std_model, interval, cosdrv, [0.0], spacing=2e-2,
-                             operators=ops)
 
 
 def test_vanishing_discount_picard_converges_on_two_control():

@@ -313,9 +313,10 @@ def test_ensemble_average_pinned_bit_for_bit():
     avg = ensemble_average(model, dom, X0, 0.2, 1e-3, 5, f)
     assert avg.tolist() == [-0.13857951453102826, 0.5823523304320729,
                             0.17508177967259905, -0.43592316692297495]
+    # the disc mirrors at its radial projection: 2 p - y with p = y r/|y|
     avg = ensemble_average(ou_model(dim=2), ball_domain(1.0, 2), X0, 0.2, 1e-3, 5, f)
     assert avg.tolist() == [-0.039202755197395786, 0.5805180709540116,
-                            0.2554693459372386, -0.5561589127721964]
+                            0.2554693459372384, -0.5561589127721964]
 
 
 def test_simulate_pinned_bit_for_bit(interval, std_model):
@@ -414,6 +415,37 @@ def test_fold_that_leaves_the_interval_is_refused(interval):
     push = SdeModel(b=lambda X: np.full_like(X, 1.7), sigma_constant=np.zeros((1, 1)))
     with pytest.raises(StepTooLarge, match="fold"):
         next(ensemble_steps(push, interval, np.array([[1.5]]), 1, 1.0, 0))
+
+
+def test_disc_mirrors_an_overshoot_at_its_projection():
+    # (2.5, 0) lies 1.5 beyond the unit circle, a move within the diameter
+    # bound 2.83 from (1, 0): its mirror at the projection (1, 0) is
+    # (-0.5, 0), as the 1-d fold gives on the interval
+    disc = ball_domain(1.0, 2)
+    out = np.empty((1, 2))
+    dynamics._make_kernel(disc)(np.array([[2.5, 0.0]]), out)
+    assert out.tolist() == [[-0.5, 0.0]]
+    push = SdeModel(b=lambda X: np.full_like(X, [1.5, 0.0]),
+                    sigma_constant=np.zeros((2, 2)))
+    x, dK = _one_step(push, disc, [1.0, 0.0], 1.0)
+    assert x.tolist() == [-0.5, 0.0] and dK == 3.0
+
+
+@pytest.mark.parametrize("domain", [ball_domain(1.0, 2), ball_domain(1.5, 2),
+                                    quadratic_domain([[1.0, 0.0], [0.0, 2.0]])],
+                         ids=["unit_disc", "disc_1.5", "ellipse"])
+def test_kernel_is_the_mirror_at_the_domain_projection(domain):
+    # shallow and deep overshoots and inside points; a mirror image that is
+    # still outside is projected again
+    Y = np.random.default_rng(4).uniform(-2.0, 2.0, (400, 2)) * domain.radius
+    out = np.empty_like(Y)
+    dynamics._make_kernel(domain)(Y, out)
+    outside = domain.phi(Y) < 0
+    assert outside.sum() > 100 and (~outside).sum() > 50
+    assert np.array_equal(out[~outside], Y[~outside])
+    Yo = Y[outside]
+    assert np.array_equal(out[outside], domain.project(2.0 * domain.project(Yo) - Yo))
+    assert domain.phi(out).min() >= -domain.boundary_tol
 
 
 @pytest.mark.parametrize("sigma", [np.array([[1.3]]), np.diag([np.sqrt(2.0), 0.7])])

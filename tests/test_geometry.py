@@ -7,8 +7,8 @@ from scipy import integrate
 
 import conftest as refs
 from ebsde.geometry import (ball_domain, boundary_sample, domain_from_json,
-                            domain_grid, project, project_many,
-                            quadratic_domain, quartic_interval_domain)
+                            domain_grid, project, quadratic_domain,
+                            quartic_interval_domain)
 from ebsde.presets import (cos_driver, kolmogorov_model, pinned_free_potential,
                            poly_potential, quadratic_potential)
 from ebsde.verification import shifted_problem
@@ -154,11 +154,11 @@ def _assert_closest_boundary_points(A, X, P):
     assert np.max(np.abs(quadratic_domain(A).phi(P))) < 1e-12
 
 
-def test_project_many_matches_pointwise_projection():
+def test_domain_projection_matches_pointwise_projection():
     for A in ELLIPSES:
         dom = quadratic_domain(A)
         X = _ellipse_points()
-        got = project_many(dom, X)
+        got = dom.project(X)
         outside = dom.phi(X) < 0
         assert outside.sum() > 100
         assert np.array_equal(got[~outside], X[~outside])
@@ -174,7 +174,7 @@ def test_projection_is_the_closest_boundary_point():
         dom = quadratic_domain(A)
         X = _ellipse_points(60)
         X = X[dom.phi(X) < 0]
-        _assert_closest_boundary_points(A, X, project_many(dom, X))
+        _assert_closest_boundary_points(A, X, dom.project(X))
 
 
 def test_domain_kinds():
@@ -182,6 +182,14 @@ def test_domain_kinds():
     assert ball_domain(2.0, 2).radius == 2.0
     assert quartic_interval_domain().kind == "interval_quartic"
     assert quadratic_domain(np.eye(2)).kind == "quadratic"
+
+
+def test_every_builder_takes_its_dimension_from_the_box():
+    cases = [(ball_domain(0.3, 1), 1), (ball_domain(2.0, 2), 2), (ball_domain(7.1, 3), 3),
+             (quartic_interval_domain(), 1), (quadratic_domain(np.diag([1.0, 2.0])), 2),
+             (quadratic_domain(np.eye(3)), 3), (refs.flat_ellipse(), 2)]
+    for dom, d in cases:
+        assert dom.dim == len(dom.bounding_box) == d
 
 
 # Each callable of a domain or a potential is written once, batched; its
