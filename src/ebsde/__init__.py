@@ -17,11 +17,10 @@ Layout:
 
 __version__ = "0.1.0"
 
-from .errors import (BracketFailure, ConfigError, DegenerateLocalTime,
-                     EbsdeError, FlatCurve, NonConvergence,
-                     NonConvexPotential, NotKolmogorov, PicardDiverged,
-                     SigmaNotConstant, SingularSigma, StepTooLarge,
-                     WeightDegeneracy)
+from .errors import (ConfigError, DegenerateLocalTime, EbsdeError, FlatCurve,
+                     NonConvergence, NonConvexPotential, NotKolmogorov,
+                     PicardDiverged, SigmaNotConstant, SingularSigma,
+                     StepTooLarge, WeightDegeneracy)
 from .geometry import (DomainSpec, ball_domain, boundary_sample,
                        domain_from_json, domain_grid, project,
                        quadratic_domain, quartic_interval_domain)

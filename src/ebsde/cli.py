@@ -183,6 +183,11 @@ def cmd_invert(args) -> int:
     eff = _effective(cfg, args)
     if "lambda_target" not in eff:
         raise ConfigError("invert needs --lambda or run.lambda_target")
+    if eff["scheme"] != "direct":
+        exc = ConfigError(f"invert runs the direct scheme only, not run.scheme "
+                          f"{eff['scheme']!r}")
+        exc.remedy = 'set run.scheme to "direct"'
+        raise exc
     domain, model, driver, _ = assemble_config(cfg)
     sol = solve_boundary_cost(model, domain, driver, eff["lambda_target"],
                               tol=eff["tol"], scheme=eff["scheme"],
@@ -352,15 +357,15 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except EbsdeError as exc:
-        tb = exc.__traceback__
-        while tb.tb_next is not None:
-            tb = tb.tb_next
-        module = tb.tb_frame.f_globals["__name__"].rpartition(".")[2]
-        print(f"error in {module} ({type(exc).__name__}): {exc}", file=sys.stderr)
+        if isinstance(exc, ConfigError):
+            print(f"config error: {exc}", file=sys.stderr)
+        else:
+            tb = exc.__traceback__
+            while tb.tb_next is not None:
+                tb = tb.tb_next
+            module = tb.tb_frame.f_globals["__name__"].rpartition(".")[2]
+            print(f"error in {module} ({type(exc).__name__}): {exc}", file=sys.stderr)
         if exc.remedy:
             print(f"hint: {exc.remedy}", file=sys.stderr)
         return 2

@@ -560,27 +560,42 @@ class GridOperators:
         return measure, flux
 
 
-def _grid_solve(ops: GridOperators, driver: DriverSpec, alpha: float, mu: float,
+def _grid_solve(ops: GridOperators, driver: DriverSpec, alpha: float, mu,
                 bordered: bool = False):
     """Unknowns of the discrete problem (node values, then lambda when
     ``bordered``), extrapolated over the viscosity levels, and a record of
     the solve: the nodes, the viscosity levels, the factoriser of each level
     (``_factoriser``), the LUs it built (0 when ``ops`` already held them),
     the linear solves and damped sweeps summed over the levels and the
-    largest final Picard update."""
+    largest final Picard update.
+
+    ``mu`` is the boundary constant, whose right-hand side (``_rhs``) is
+    built once per level. For an inversion it is instead a function of the
+    psi values at the nodes that gives the mu of each linear solve: every
+    sweep rewrites only the boundary rows, (mu - g) times
+    ``GridOperators.neumann_scale``, and mu is the last unknown."""
+    n = ops.mesh.n_nodes
     sols = []
     built = ops.factorisations
-    record = {"nodes": ops.mesh.n_nodes, "viscosity_eps": ops.eps_list,
+    record = {"nodes": n, "viscosity_eps": ops.eps_list,
               "factorisers": [], "factorisations": 0, "picard_sweeps": 0,
               "picard_update": None, "damping_events": 0}
+    if callable(mu):
+        rows, g = ops.boundary_rows(), ops.boundary_cost(driver)
     for eps in ops.eps_list:
         lu = ops.lu(alpha, eps, bordered)
-        rhs = _rhs(ops, driver, mu, eps, bordered)
-
-        def linear_solve(pv, lu=lu, rhs=rhs):
-            r = rhs.copy()
-            r[:ops.mesh.n_nodes] -= pv
-            return lu.solve(r)
+        if callable(mu):
+            def linear_solve(pv, lu=lu, scale=ops.neumann_scale(eps)):
+                mu_k = mu(pv)
+                r = np.zeros(n + bordered)
+                r[rows] = scale * (mu_k - g)
+                r[:n] -= pv
+                return np.append(lu.solve(r), mu_k)
+        else:
+            def linear_solve(pv, lu=lu, rhs=_rhs(ops, driver, mu, eps, bordered)):
+                r = rhs.copy()
+                r[:n] -= pv
+                return lu.solve(r)
 
         x, sweeps, update, damped = _picard(ops, driver, linear_solve)
         sols.append(x)

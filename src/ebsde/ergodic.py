@@ -12,12 +12,14 @@ Two routes produce the pair (v, lambda) at a fixed boundary constant mu:
 On top of these sit the curve mu -> lambda(mu), which is non-increasing,
 and its inversion, the boundary constant matching a prescribed lambda. mu
 enters only the right-hand side, so each curve and each inversion builds one
-``GridOperators`` and every solve in it reuses the same mesh and LUs. For a
-driver that does not read z, the direct scheme's lambda is w.r for the
-adjoint weights w of one transposed solve, so the curve is the line
-lambda(0) + mu slope and the inversion is closed-form, confirmed by one
-solve. Drivers that read z and the vanishing-discount scheme sample the
-curve one solve per mu and invert it by bisection.
+``GridOperators`` and every solve in it reuses the same mesh and LUs. For
+any frozen psi the direct scheme's lambda is w.r for the adjoint weights w
+of one transposed solve: the line measure.psi + flux.(mu - g). So a curve of
+a driver that does not read z is the line lambda(0) + mu slope, and other
+curves take one solve per mu. The inversion runs on the direct scheme only:
+each linear solve of its Picard sweeps takes the mu at which that line meets
+the target, so mu is one more unknown of the sweep. A driver that does not
+read z takes one sweep, the closed form.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ import numpy as np
 from . import dynamics, hypotheses
 from .discounted import DriverSpec, GridOperators, _grid_solve
 from .dynamics import SdeModel
-from .errors import BracketFailure, FlatCurve, NonConvergence
+from .errors import FlatCurve, NonConvergence
 from .geometry import DomainSpec
 from .grids import GridFunction
 
@@ -140,52 +142,61 @@ def solve_ergodic(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
     tol / 2, at most ``MAX_HALVINGS`` times. The value function is
     normalized to vanish at the node nearest the centroid. ``operators``
     lends the mesh and the LUs of earlier solves of the same model, domain
-    and spacing (ValueError otherwise); a curve or an inversion shares one
-    instance across its solves. Without it the solve builds its own.
+    and spacing (ValueError otherwise); a curve shares one instance across
+    its solves. Without it the solve builds its own.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; use one of {SCHEMES}")
     ops = operators or GridOperators(model, domain, spacing, keep_lus=False)
     ops.check(model, domain, spacing)
-    mesh = ops.mesh
-    diagnostics: Dict = {"scheme": scheme, "spacing": mesh.spacing,
-                         "boundary_rows": "ghost_point" if mesh.domain.dim == 1
-                         else "cut_cell"}
     if scheme == "direct":
-        x, record = _grid_solve(ops, driver, 0.0, mu, bordered=True)
-        records = [record]
-        v = x[:-1] - x[ops.ref]
-        lam = float(x[-1])
-        diagnostics["lambda_direct"] = lam
+        return _direct(ops, driver, mu)
+    alpha = _alpha0(model, domain)
+    alphas, records = [], []
+    lam_prev = None
+    for k in range(MAX_HALVINGS):
+        vals, record = _grid_solve(ops, driver, alpha, mu)
+        records.append(record)
+        lam_k = alpha * vals[ops.ref]
+        alphas.append(alpha)
+        if lam_prev is not None and abs(lam_k - lam_prev) < tol / 2:
+            break
+        lam_prev = lam_k
+        alpha /= 2
     else:
-        alpha = _alpha0(model, domain)
-        alphas, records = [], []
-        lam_prev = None
-        for k in range(MAX_HALVINGS):
-            vals, record = _grid_solve(ops, driver, alpha, mu)
-            records.append(record)
-            lam_k = alpha * vals[ops.ref]
-            alphas.append(alpha)
-            if lam_prev is not None and abs(lam_k - lam_prev) < tol / 2:
-                break
-            lam_prev = lam_k
-            alpha /= 2
-        else:
-            raise NonConvergence(
-                f"discount sequence exhausted after {MAX_HALVINGS} halvings")
-        lam = 2 * lam_k - lam_prev
-        v = vals - vals[ops.ref]
-        diagnostics["alpha_sequence"] = alphas
-        diagnostics["lambda_vd"] = lam
-        diagnostics["extrapolation_gap"] = abs(lam_k - lam_prev)
-    diagnostics.update(_solve_record(records))
-    value = GridFunction(mesh, v)
+        raise NonConvergence(
+            f"discount sequence exhausted after {MAX_HALVINGS} halvings")
+    lam = 2 * lam_k - lam_prev
+    return _solution(ops, scheme, vals, lam, mu, records, alpha_sequence=alphas,
+                     lambda_vd=lam, extrapolation_gap=abs(lam_k - lam_prev))
+
+
+def _direct(ops: GridOperators, driver: DriverSpec, mu) -> ErgodicSolution:
+    """The direct scheme's solution at mu, or for an inversion at the mu
+    that a function of each sweep's psi gives (``_grid_solve``)."""
+    x, record = _grid_solve(ops, driver, 0.0, mu, bordered=True)
+    n = ops.mesh.n_nodes
+    lam = float(x[n])
+    return _solution(ops, "direct", x[:n], lam, x[-1] if callable(mu) else mu,
+                     [record], lambda_direct=lam)
+
+
+def _solution(ops: GridOperators, scheme: str, vals: np.ndarray, lam: float,
+              mu: float, records: list, **extra) -> ErgodicSolution:
+    """The ErgodicSolution of grid unknowns: the node values, normalized here
+    to vanish at the reference node, and the two constants. Its diagnostics
+    are the scheme, the spacing, the boundary rows, ``extra`` and the record
+    of the grid solves (``_solve_record``)."""
+    diagnostics = {"scheme": scheme, "spacing": ops.mesh.spacing,
+                   "boundary_rows": "ghost_point" if ops.mesh.domain.dim == 1
+                   else "cut_cell", **extra, **_solve_record(records)}
+    value = GridFunction(ops.mesh, vals - vals[ops.ref])
     zeta = np.einsum("nd,nde->ne", value.gradient(), ops.sig)
     return ErgodicSolution(value, zeta, float(lam), float(mu), diagnostics)
 
 
 def _solve_record(records: list) -> Dict:
-    """What the grid solves of one ``solve_ergodic`` did: the nodes, the
+    """What the grid solves of one solution did: the nodes, the
     viscosity levels, each factoriser that ran, the LUs built (0 when shared
     operators already held them), the linear solves and damped Picard
     sweeps in total, and the final update of the last solve (None when the
@@ -240,99 +251,57 @@ def lambda_of_mu(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
     return LambdaOfMuCurve(mus, lams, float(tol), record)
 
 
-# the bisection of ``solve_boundary_cost``: the floor of the secant slope
-# that scales the first bracket, the bracket doublings and the steps
-SLOPE_FLOOR = 1e-2
-MAX_EXPANSIONS = 8
-MAX_BISECT = 60
-
-
-def _flat_message(slope: float, where: str) -> str:
+def _flat_message(slope: float) -> str:
     if slope > 0:
         sign = "positive, but the curve cannot increase: a flat curve's discretisation error"
     elif slope == 0:
         sign = "zero"
     else:
         sign = f"negative but within FLAT_TOL = {hypotheses.FLAT_TOL:.1e} of zero"
-    return f"slope {slope:+.2e} {where} is {sign}; the boundary constant is not identifiable"
+    return (f"slope {slope:+.2e} of the discrete curve is {sign}; "
+            "the boundary constant is not identifiable")
 
 
 def solve_boundary_cost(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
                         lambda_target: float, *, scheme: str = "direct",
                         spacing: float = 1e-3, tol: float = 1e-3) -> ErgodicSolution:
-    """Find mu with |lambda(mu) - lambda_target| <= tol.
+    """Find mu with lambda(mu) = lambda_target on the direct scheme, the only
+    ``scheme`` accepted (ValueError otherwise).
 
-    For a z-free driver on the direct scheme the curve is a line, so
-    mu = (lambda_target - lambda(0)) / slope, confirmed by one solve.
-    Otherwise a monotone bisection on solves with ``solve_ergodic``'s own
-    tol: the initial bracket half-width combines the distance to lambda(0)
-    and the driver bound, scaled by the secant slope |lambda(1) -
-    lambda(0)| (floored by ``SLOPE_FLOOR``); it doubles on straddle
-    failure, at most ``MAX_EXPANSIONS`` times, and the bisection takes at
-    most ``MAX_BISECT`` steps. The curve does not increase, so FlatCurve
-    means that the slope (exact, or sampled over the bracket) is at or
-    above -``hypotheses.FLAT_TOL``: flat, or increasing by a discretisation
-    error, and either way mu is not identifiable; ``hypotheses.check_all``
-    reports the same exact slope against the same constant as F2.2.
-    BracketFailure means the target was never straddled. The solution's
-    diagnostics["inversion"] records the route, the number of solves, the
-    LUs built over the whole inversion (those of ``GridOperators.weights``
-    included; every solve shares one ``GridOperators``) and the slope:
-    exact, or the secant lambda(1) - lambda(0) of the bisection.
+    For any frozen psi the adjoint weights give the exact line lambda =
+    measure.psi + flux.(mu - g) with slope flux.sum() (``GridOperators.
+    weights``). So each linear solve of the direct scheme's Picard sweeps
+    first takes the mu of that line at the target, mu_k = (lambda_target -
+    (measure.psi_k - flux.g)) / slope, and then solves at mu_k on the same
+    bordered LU: a driver that does not read z takes one sweep, the closed
+    form, and a driver that reads z the fixed point on (v, mu). Each sweep's
+    lambda is the target to rounding. With two viscosity levels each level
+    sweeps with the extrapolated weights, and the returned mu is
+    extrapolated from the two levels' last mu like the other unknowns; for a
+    driver that does not read z both levels take the closed-form mu, which
+    is returned as it is. FlatCurve means the exact slope is at or above
+    -``hypotheses.FLAT_TOL`` (the curve does not increase, so it is flat or
+    increasing by a discretisation error), and mu is not identifiable; it is
+    the slope that ``hypotheses.check_all`` reads for F2.2. NonConvergence
+    means that lambda missed the target by more than tol. The solution's
+    diagnostics["inversion"] records the slope, the LUs built over the whole
+    inversion (those of ``GridOperators.weights`` included) and the linear
+    solves of the sweeps.
     """
+    if scheme != "direct":
+        raise ValueError(f"an inversion runs the direct scheme, not {scheme!r}")
     ops = GridOperators(model, domain, spacing)
-    solves = []
-
-    def solve(mu):
-        solves.append(mu)
-        return solve_ergodic(model, domain, driver, mu, scheme, spacing, operators=ops)
-
-    line = _affine_curve(driver, scheme, ops)
-    if line is not None:
-        lam0, slope = line
-        if slope >= -hypotheses.FLAT_TOL:
-            raise FlatCurve(_flat_message(slope, "of the discrete curve"))
-        sol = solve((lambda_target - lam0) / slope)
-    else:
-        sol0 = solve(0.0)
-        lam0 = sol0.lam
-        slope = solve(1.0).lam - lam0
-        B = (abs(lambda_target - lam0) + 2 * driver.M_psi) / max(abs(slope), SLOPE_FLOOR)
-        B = max(B, 10 * tol)
-        for _ in range(MAX_EXPANSIONS):
-            lam_lo = solve(-B).lam
-            lam_hi = solve(+B).lam
-            if (lam_hi - lam_lo) / (2 * B) >= -hypotheses.FLAT_TOL:
-                raise FlatCurve(_flat_message((lam_hi - lam_lo) / (2 * B),
-                                              f"sampled over [-{B:.3g}, {B:.3g}]"))
-            if lam_lo >= lambda_target >= lam_hi:
-                break
-            B *= 2
-        else:
-            raise BracketFailure(
-                f"target {lambda_target:.4g} never straddled; last bracket "
-                f"half-width {B / 2:.3g} with curve values "
-                f"[{lam_hi:.4g}, {lam_lo:.4g}]")
-        lo, hi = -B, B
-        sol = sol0
-        for _ in range(MAX_BISECT):
-            mid = 0.5 * (lo + hi)
-            # the bracket is symmetric, so the first midpoint is the solved mu = 0
-            sol = sol0 if mid == 0.0 else solve(mid)
-            if abs(sol.lam - lambda_target) < tol / 2:
-                break
-            if sol.lam > lambda_target:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-13 * max(1.0, B):
-                break
+    measure, flux = ops.weights()
+    slope = float(flux.sum())
+    if slope >= -hypotheses.FLAT_TOL:
+        raise FlatCurve(_flat_message(slope))
+    offset = flux @ ops.boundary_cost(driver)
+    sol = _direct(ops, driver,
+                  lambda psi: (lambda_target - float(measure @ psi - offset)) / slope)
     if abs(sol.lam - lambda_target) > tol:
         raise NonConvergence("inversion failed to reach the target constant")
-    sol.diagnostics["inversion"] = {
-        "route": "bisection" if line is None else "closed_form",
-        "solves": len(solves), "factorisations": ops.factorisations,
-        "slope": slope}
+    sol.diagnostics["inversion"] = {"slope": slope, "factorisations": ops.factorisations,
+                                    "sweeps": sol.diagnostics["picard_sweeps"]}
     return sol
 
 

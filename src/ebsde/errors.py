@@ -16,9 +16,10 @@ class EbsdeError(Exception):
 class NonConvergence(EbsdeError):
     """An iterative procedure exhausted its iteration budget."""
 
-    remedy = ("a discount sequence or a bisection ran out of budget "
-              "(loosen --tol or refine --grid), or a boundary "
-              "projection failed (check the domain)")
+    remedy = ("a discount sequence ran out of budget (loosen --tol or "
+              "refine --grid), an inversion missed its target by more than "
+              "--tol (refine --grid), or a boundary projection failed "
+              "(check the domain)")
 
 
 class StepTooLarge(EbsdeError):
@@ -62,12 +63,6 @@ class FlatCurve(EbsdeError):
 
     remedy = ("the boundary flux is zero for this model, so mu never "
               "enters; run the check task and look at F2''/F2.2")
-
-
-class BracketFailure(EbsdeError):
-    """Bisection could not bracket the target value after maximal expansion."""
-
-    remedy = "the target constant is out of reach; move --lambda"
 
 
 class DegenerateLocalTime(EbsdeError):

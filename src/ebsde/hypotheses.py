@@ -33,7 +33,9 @@ __all__ = [
 ]
 
 # a slope of lambda(mu) at or above -FLAT_TOL is flat: mu is not identifiable,
-# so F2.2 is false and ``solve_boundary_cost`` raises FlatCurve
+# so F2.2 is false and ``solve_boundary_cost`` raises FlatCurve, whatever the
+# driver; for a model without a potential both read the one exact slope of
+# the adjoint weights
 FLAT_TOL = 1e-6
 
 
@@ -177,7 +179,8 @@ def stationary_generator_phi(model: SdeModel, domain: DomainSpec,
     1-d, the midpoint rule of ``invariant_density`` in d >= 2.
     Otherwise it is the flux sum of the adjoint weights of the grid at this
     spacing (``GridOperators.weights``), d lambda / d mu of the direct
-    scheme: the slope that ``solve_boundary_cost`` inverts. Raises NotImplementedError
+    scheme at any frozen psi: the slope with which ``solve_boundary_cost``
+    takes the mu of every sweep, for every driver. Raises NotImplementedError
     where no grid can be built (d >= 3, off-diagonal diffusion in 2-d). The
     negative of this number is the stationary growth rate of the boundary
     local time, whatever unit-gradient defining function is used.
@@ -229,10 +232,9 @@ def check_all(model: SdeModel, driver, domain: DomainSpec,
     """Estimate every structural constant and evaluate all assumption flags.
 
     ``spacing`` is the grid of the stationary flux of a model without a
-    potential, the grid that ``solve_boundary_cost`` would use: for a
-    driver that does not read z, F2.2 is false exactly when that inversion
-    raises FlatCurve. The report is a deterministic function of the
-    arguments.
+    potential, the grid that ``solve_boundary_cost`` would use: F2.2 is
+    false exactly when that inversion raises FlatCurve. The report is a
+    deterministic function of the arguments.
     """
     flags: Dict[str, bool] = {}
     margins: Dict[str, float] = {}

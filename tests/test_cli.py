@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ebsde import cli
+from ebsde import cli, discounted
 from ebsde.errors import NonConvergence
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -55,6 +55,26 @@ def test_invert_on_flat_curve_fails_with_hint(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "FlatCurve" in err and "ergodic" in err
     assert "hint:" in err
+
+
+def test_invert_refuses_every_scheme_but_direct(tmp_path, capsys, monkeypatch):
+    # the refusal comes before any grid is built
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(discounted, "build_mesh", no_mesh)
+    cfg = json.loads((CONFIGS / "interval_cos.json").read_text())
+    cfg["run"]["scheme"] = "vanishing_discount"
+    path = tmp_path / "vd.json"
+    path.write_text(json.dumps(cfg))
+    rc = cli.main(["invert", "--config", str(path), "--lambda", "0.5",
+                   "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == ("config error: invert runs the direct scheme only, not "
+                      "run.scheme 'vanishing_discount'")
+    assert err[1].startswith("hint: ") and '"direct"' in err[1]
+    assert not (tmp_path / "out").exists()
 
 
 def test_error_names_the_module_that_raised_it(tmp_path, capsys):

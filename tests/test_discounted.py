@@ -818,24 +818,23 @@ def test_solve_record_counts_the_factorisations_of_a_2d_solve(monkeypatch):
 def test_inversion_record_counts_every_factorisation(monkeypatch, interval, std_model,
                                                      cosdrv):
     counts = _count_factorisations(monkeypatch)
-    recorded = _recording_solves(monkeypatch)
-    # closed form: the one LU is built by GridOperators.weights, before the
-    # confirming solve, which reuses it
+    # the one LU is built by GridOperators.weights, before the sweeps, which
+    # reuse it; a z-free driver takes one sweep, the closed form
     sol = ergodic.solve_boundary_cost(std_model, interval, cosdrv, 0.5, scheme="direct",
                                       spacing=1e-2)
     inv = sol.diagnostics["inversion"]
-    assert inv["route"] == "closed_form"
     assert inv["factorisations"] == counts["factorisations"] == 1
-    assert [d["factorisations"] for d in recorded] == [0]
-    # the bisection: the first solve builds the LU, every later one reuses it
-    counts["factorisations"] = 0
-    recorded.clear()
-    zdrv = dataclasses.replace(cosdrv, K_psi_z=1.0)
-    inv = ergodic.solve_boundary_cost(std_model, interval, zdrv, 0.5, scheme="direct",
-                                      spacing=1e-2).diagnostics["inversion"]
-    assert inv["route"] == "bisection" and inv["solves"] == len(recorded) > 3
+    assert sol.diagnostics["factorisations"] == 0
+    assert inv["sweeps"] == counts["lu_solves"] == 1
+    # a driver that reads z: every sweep is one forward solve on that LU
+    counts.update(factorisations=0, lu_solves=0)
+    zdrv = dataclasses.replace(cosdrv, psi=lambda X, Z: np.cos(X[:, 0]) + 0.3 * Z[:, 0],
+                               K_psi_z=0.3)
+    sol = ergodic.solve_boundary_cost(std_model, interval, zdrv, 0.5, scheme="direct",
+                                      spacing=1e-2)
+    inv = sol.diagnostics["inversion"]
     assert inv["factorisations"] == counts["factorisations"] == 1
-    assert sum(d["factorisations"] for d in recorded) == 1
+    assert inv["sweeps"] == sol.diagnostics["picard_sweeps"] == counts["lu_solves"] > 2
 
 
 # ---------------------------------------------------------------------------

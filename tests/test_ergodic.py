@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +15,12 @@ from ebsde.ergodic import (ErgodicSolution, lambda_of_mu, lambda_time_average,
 from ebsde.geometry import ball_domain, quartic_interval_domain
 from ebsde.grids import GridFunction, build_mesh
 from ebsde.hypotheses import check_all
-from ebsde.presets import (constant_driver, degenerate_linear_model,
+from ebsde.discounted import DriverSpec
+from ebsde.presets import (assemble_config, constant_driver, degenerate_linear_model,
                            kolmogorov_model, quadratic_potential, zero_driver)
 from ebsde.verification import pde_residual
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_constant_driver_exact_constant(interval, std_model):
@@ -338,52 +342,89 @@ def test_curve_equals_standalone_solves_bit_for_bit(case, interval, std_model,
 
 @pytest.mark.parametrize("scheme,target,mu_star,lam", [
     ("direct", 0.5, 0.5094494943194499, 0.5000000000004041),
-    ("vanishing_discount", 0.5, 0.5090680301537986, 0.5002721895678991),
-], ids=["direct", "vanishing_discount"])
+], ids=["direct"])
 def test_inversion_pinned_bit_for_bit(scheme, target, mu_star, lam, interval,
                                       std_model, cosdrv):
-    # direct: the closed-form mu* of the adjoint line, then one solve;
-    # vanishing discount: the bisection; both re-recorded with the 1-d
-    # ghost-point boundary rows
-    spacing = 1e-3 if scheme == "direct" else 1e-2
+    # the closed-form mu* of the adjoint line, then one solve; re-recorded
+    # with the 1-d ghost-point boundary rows
     sol = solve_boundary_cost(std_model, interval, cosdrv, target, tol=1e-3,
-                              scheme=scheme, spacing=spacing)
+                              scheme=scheme, spacing=1e-3)
     assert sol.mu == mu_star
     assert sol.lam == lam
 
 
-def test_inversion_reports_its_route(monkeypatch, interval, std_model, cosdrv):
+def test_inversion_reports_its_route(interval, std_model, cosdrv):
     kw = {"scheme": "direct", "spacing": 1e-2}
     lam0, lam1 = lambda_of_mu(std_model, interval, cosdrv, [0.0, 1.0], **kw).lams
     sol = solve_boundary_cost(std_model, interval, cosdrv, 0.5, tol=1e-3, **kw)
     inv = sol.diagnostics["inversion"]
-    assert inv["route"] == "closed_form" and inv["solves"] == 1
+    # a z-free driver: one sweep at the closed-form mu of the adjoint line
+    assert inv == {"slope": inv["slope"], "factorisations": 1, "sweeps": 1}
     assert lam1 == lam0 + inv["slope"]
     assert sol.mu == (0.5 - lam0) / inv["slope"]
-    # a driver that declares a z dependence, or the vanishing-discount
-    # scheme, bisects; "solves" counts its solve_ergodic calls
-    calls = []
-    real = ergodic.solve_ergodic
-
-    def counting(*args, **kwargs):
-        sol = real(*args, **kwargs)
-        calls.append((args[3], sol.lam))
-        return sol
-
-    monkeypatch.setattr(ergodic, "solve_ergodic", counting)
+    assert json.loads(json.dumps(inv)) == inv
+    # a driver that declares a z dependence but does not read z sweeps
+    # twice, the second sweep repeating the first, to the same bits
     zdrv = dataclasses.replace(cosdrv, K_psi_z=1.0)
-    for drv, scheme in ((zdrv, "direct"), (cosdrv, "vanishing_discount")):
-        calls.clear()
-        sol = solve_boundary_cost(std_model, interval, drv, 0.5, tol=1e-3,
-                                  scheme=scheme, spacing=1e-2)
-        inv = sol.diagnostics["inversion"]
-        assert inv["route"] == "bisection"
-        assert inv["solves"] == len(calls) > 3
-        # the secant lambda(1) - lambda(0) that sized the first bracket
-        assert [mu for mu, _ in calls[:2]] == [0.0, 1.0]
-        assert inv["slope"] == calls[1][1] - calls[0][1]
-    meta = sol.diagnostics["inversion"]
-    assert json.loads(json.dumps(meta)) == meta
+    again = solve_boundary_cost(std_model, interval, zdrv, 0.5, tol=1e-3, **kw)
+    assert again.diagnostics["inversion"]["sweeps"] == 2
+    assert (again.mu, again.lam) == (sol.mu, sol.lam)
+    # the vanishing-discount scheme only repeats the direct answer
+    with pytest.raises(ValueError, match="direct"):
+        solve_boundary_cost(std_model, interval, cosdrv, 0.5, scheme="vanishing_discount")
+
+
+# the Hamiltonian driver on the unit disc of ``perfbench``'s grid2d_disc
+DISC_HAMILTONIAN = {
+    "domain": {"kind": "ball", "radius": 1.0, "dim": 2},
+    "model": {"kind": "kolmogorov", "dim": 2, "eta_hint": -1.0,
+              "potential": {"kind": "quadratic", "curvature": 1.0}},
+    "driver": {"kind": "hamiltonian"},
+    "control": {"kind": "table",
+                "R": [[0.25, 0.0], [-0.25, 0.0], [0.0, 0.25]],
+                "L": {"kind": "affine", "base": 0.5, "slopes": [0.0, 0.1, -0.1]},
+                "M_R": 0.25, "M_L": 0.7}}
+
+
+@pytest.mark.parametrize("config,spacing,target,sweeps", [
+    ("two_control", 1e-2, 0.2, 8), ("two_control", 1e-2, 0.6, 9),
+    ("two_control", 1e-3, 0.2, 8), ("two_control", 1e-3, 0.6, 9),
+    ("disc_hamiltonian", 0.025, -0.05, 9)])
+def test_z_reading_inversion_lands_on_the_discrete_root(config, spacing, target,
+                                                        sweeps):
+    # mu is the last unknown of the Picard sweep, so the fixed point is the
+    # root of the discrete curve: a forward solve at the returned mu gives
+    # the target back, measured within 2.5e-11
+    if config == "two_control":
+        doc = json.loads((CONFIGS / "two_control.json").read_text())
+    else:
+        doc = DISC_HAMILTONIAN
+    domain, model, driver, _ = assemble_config(doc)
+    assert driver.K_psi_z > 0
+    sol = solve_boundary_cost(model, domain, driver, target, tol=1e-3,
+                              spacing=spacing)
+    assert abs(sol.lam - target) <= 1e-12
+    assert abs(solve_ergodic(model, domain, driver, sol.mu, spacing=spacing).lam
+               - target) <= 1e-10
+    assert sol.diagnostics["inversion"]["sweeps"] == sweeps
+    assert sol.diagnostics["picard_sweeps"] == sweeps
+    assert sol.diagnostics["inversion"]["factorisations"] == 1
+
+
+@pytest.mark.parametrize("spacing", [0.05, 1e-3])
+def test_flat_curve_and_the_flux_flag_read_one_slope_for_every_driver(interval,
+                                                                     spacing):
+    # a driver that reads z on the degenerate model: FlatCurve before any
+    # sweep, with the exact slope of the adjoint weights that check_all
+    # reads for F2.2
+    model = degenerate_linear_model()
+    driver = DriverSpec(psi=lambda X, Z: 0.1 * np.sin(Z[:, 0]), K_psi_z=0.1,
+                        psi_bounded=True, M_psi=0.1)
+    rep = check_all(model, driver, interval, grid_density=16, spacing=spacing)
+    assert not rep.flags["F2.2"]
+    with pytest.raises(FlatCurve) as exc:
+        solve_boundary_cost(model, interval, driver, 0.5, tol=1e-3, spacing=spacing)
+    assert f"slope {rep.E_nu_Lphi:+.2e} of the discrete curve" in str(exc.value)
 
 
 def test_disc_curve_converges_at_first_order_to_the_oracle(cosdrv):
