@@ -106,7 +106,8 @@ class Policy:
     """One control per state: a constant ``index`` that every path takes,
     or a ``table`` of control indices (intp), one per node of ``mesh``,
     looked up at the node nearest each state (``Mesh.nearest``). A policy
-    holds exactly one of the two; ``tabulate`` builds a table from a rule.
+    holds exactly one of the two; ``tabulate`` builds a table from a rule,
+    and ``lookup`` folds a per-control array (the tilts) into a node table.
     """
 
     index: Optional[int] = None
@@ -130,6 +131,15 @@ class Policy:
         if self.index is not None:
             return np.full(len(X), self.index, dtype=int)
         return self.table[self.mesh.nearest(X)]
+
+    def lookup(self, values: np.ndarray) -> Callable:
+        """X -> values[controls_for(X)] for one row of ``values`` per
+        control: the constant's row, which broadcasts over the states, or
+        one ``Mesh.take`` from the node table values[table], built once."""
+        if self.index is not None:
+            return lambda X, row=values[self.index]: row
+        per_node = values[self.table]
+        return lambda X: self.mesh.take(per_node, X)
 
     @staticmethod
     def constant(k: int) -> "Policy":
@@ -214,35 +224,29 @@ def _controlled_steps(model: SdeModel, domain: DomainSpec, problem: ControlProbl
     yield: the proposal uses drift b + sigma R(u) with u the policy's
     control.
 
-    Per step only the policy and the tilt run beside the state recursion
-    of the plain step (``dynamics._step_blocks``: drift, noise add and the
-    boundary kernel; the local time and the StepTooLarge check run once per
-    block); the policy is one table lookup. Yields (start, X, u, L_u, X_new,
-    dK, xi) over the m P path-steps of a block, flat in step-major order as
-    ``dynamics.ensemble_steps`` yields them; L_u, the running cost of the
-    chosen control, is evaluated once per block (``_running_cost``). A
-    constant policy yields its index as u, a scalar int rather than an
-    array, and evaluates only its own running cost.
+    Per step only the tilt runs beside the state recursion of the plain
+    step (``dynamics._step_blocks``: drift, noise add and the boundary
+    kernel; the local time and the StepTooLarge check run once per block):
+    one gather from a per-node table of sigma R(u) h built once per run
+    (``Policy.lookup``), or of R(u) then scaled by sigma(X) when sigma is
+    not constant. Yields (start, X, u, L_u, X_new, dK, xi) over the m P
+    path-steps of a block, flat in step-major order as
+    ``dynamics.ensemble_steps`` yields them; the controls u come from one
+    ``Policy.controls_for`` per block and L_u, the running cost of the
+    chosen control, from one ``_running_cost``. A constant policy yields
+    its index as u, a scalar int rather than an array, and evaluates only
+    its own running cost.
     """
-    tilts = None    # sigma R(u) h for every control when sigma is constant
-    if model.sigma_constant is not None:
-        tilts = (problem.R_table @ model.sigma_constant.T) * h
-    k = policy.index
-    controls = []
-
-    def control_shift(X):
-        u = k
-        if k is None:
-            u = policy.controls_for(X)
-            controls.append(u)
-        if tilts is not None:
-            return tilts[u]
-        return model.noise_term(X, np.broadcast_to(problem.R_table[u], X.shape)) * h
-
+    sig, k = model.sigma_constant, policy.index
+    if sig is not None:
+        control_shift = policy.lookup((problem.R_table @ sig.T) * h)
+    else:
+        R_of = policy.lookup(problem.R_table)
+        control_shift = lambda X: model.noise_term(
+            X, np.broadcast_to(R_of(X), X.shape)) * h
     for i, X, X_new, dK, xi in dynamics._step_blocks(model, domain, X0, n_steps, h,
                                                     seed, control_shift, record):
-        u = k if k is not None else np.concatenate(controls)
-        controls.clear()
+        u = k if k is not None else policy.controls_for(X)
         yield i, X, u, _running_cost(problem, X, u), X_new, dK, xi
 
 

@@ -17,7 +17,9 @@ boundary kernel, which writes only the repaired states). The local time,
 the ``StepTooLarge`` check and the run record are computed once per block,
 and a path functional evaluates its integrand once per block, then adds the
 per-step rows to its running sums with one sequential reduction per block
-(``_Accumulator``), so its sums are a per-step loop's bit for bit.
+(``_Accumulator``), so its sums are a per-step loop's bit for bit. The
+sub-block size (``_SUB_NUMBERS``, swept for the L2 cache) sets the speed;
+of the results only ``RunRecord.local_time``, a sum of block sums, sees it.
 """
 from __future__ import annotations
 
@@ -95,7 +97,11 @@ class SdeModel:
 # vectorized ensembles
 
 _BLOCK_NUMBERS = 1 << 20     # noise buffer size (numbers per block)
-_SUB_NUMBERS = 1 << 16       # scaled-noise sub-block size (numbers)
+# Sub-blocks of 2^13 numbers: each per-block pass works on 64 KB arrays, in
+# a 2 MB L2 cache. CPU s (min of 6, benchmark sizes) at 2^12 ... 2^16:
+#   cost_I constant 0.155 0.146 0.147 0.146 0.160 | feedback 0.221 0.212 0.229 0.228 0.237
+#   bsde_residual   0.242 0.226 0.222 0.220 0.236 | ellipse K 0.065 0.063 0.063 0.065 0.066
+_SUB_NUMBERS = 1 << 13
 _ACC_NUMBERS = 1 << 14       # accumulator stretch size (numbers)
 _PENALTY_BURN = 4.0          # burn-in of penalized_moments
 
@@ -268,19 +274,20 @@ def _step_blocks(model: SdeModel, domain: DomainSpec, X0: np.ndarray, n_steps: i
     """Reflected Euler steps of an ensemble, one noise sub-block (at most
     _SUB_NUMBERS numbers, m steps of P paths) per yield.
 
-    Per step only the state recursion runs, into preallocated buffers: the
-    drift, ``extra_shift(X)`` when given (added to the drift times h: the
-    control tilt), the noise, scaled once per block when sigma is constant
-    (one elementwise product when it is diagonal, which is the matrix
-    product bit for bit, a matrix product otherwise), and the boundary
-    kernel, which writes only the repaired states. Once per
-    block: the kernel's guard, the local-time increments (``_local_time``),
-    then the check of every proposal against the domain diameter
-    (StepTooLarge) and the ``record`` update, before the block is yielded.
-    Yields what ``ensemble_steps`` yields."""
+    Per step only the state recursion runs, in place in the proposal
+    buffer: the drift times h, plus ``extra_shift(X)`` when given (the
+    control tilt), plus X, plus the noise, scaled once per block when sigma
+    is constant (one elementwise product when it is diagonal, which is the
+    matrix product bit for bit, a matrix product otherwise); then the
+    boundary kernel writes only the repaired states. Once per block: the
+    kernel's guard, the local-time increments (``_local_time``), the check
+    of every proposal against the domain diameter (StepTooLarge) and the
+    ``record`` update, before the block is yielded. Yields what
+    ``ensemble_steps`` yields."""
     X0 = np.array(X0, dtype=float)
     P, d = X0.shape
     kernel = _make_kernel(domain)
+    drift = model.drift_at
     sh = np.sqrt(h)
     sig = model.sigma_constant
     diag = None if sig is None else _diagonal(sig)
@@ -303,10 +310,10 @@ def _step_blocks(model: SdeModel, domain: DomainSpec, X0: np.ndarray, n_steps: i
                 scaled[:m] *= sh
             for j in range(m):
                 X = states[j]
-                shift = model.drift_at(X) * h
+                x_pre = np.multiply(drift(X), h, pre[j])
                 if extra_shift is not None:
-                    shift += extra_shift(X)
-                x_pre = np.add(X, shift, pre[j])
+                    x_pre += extra_shift(X)
+                x_pre += X
                 x_pre += (model.noise_term(X, sub[j]) * sh if scaled is None
                           else scaled[j])
                 kernel(x_pre, states[j + 1])

@@ -44,7 +44,8 @@ class DomainSpec:
     project : callable
         Projection onto the closure, (P, d) -> (P, d), that returns every
         row already in the closure unchanged: the clamp of an interval, the
-        radial scaling of a ball, the KKT Newton of a quadratic domain.
+        radial scaling of a ball, the eigenbasis Newton of a quadratic
+        domain (``_project_quadratic``).
 
     Every builder centres G in its box, so the box also gives ``dim`` (its
     number of rows), ``centroid`` (its centre), ``radius`` (its upper end on
@@ -138,13 +139,14 @@ def quadratic_domain(matrix) -> DomainSpec:
     For A = I this is the unit ball. For anisotropic A the boundary is an
     ellipse; the unit-gradient normalization then holds only approximately
     and the hypothesis checker will report it. The projection onto the
-    closure is the KKT Newton of ``_project_quadratic``.
+    closure is a scalar Newton in the eigenbasis of A whose rows leave the
+    batch one by one as they converge (``_project_quadratic``).
     """
     A = np.asarray(matrix, dtype=float)
     d = A.shape[0]
     if A.shape != (d, d):
         raise ValueError("matrix must be square")
-    evals = np.linalg.eigvalsh((A + A.T) / 2)
+    evals, Q = np.linalg.eigh((A + A.T) / 2)
     if evals.min() <= 0:
         raise ValueError("matrix must be positive definite")
 
@@ -154,7 +156,7 @@ def quadratic_domain(matrix) -> DomainSpec:
                      grad_phi=lambda X: -(X @ A.T),
                      hess_phi=lambda X: np.broadcast_to(-A, (len(X), d, d)),
                      bounding_box=box, kind="quadratic",
-                     project=lambda X: _project_quadratic(dom, X))
+                     project=lambda X: _project_quadratic(dom, evals, Q, X))
     return dom
 
 
@@ -185,64 +187,39 @@ def outside_rows(domain: DomainSpec, X: np.ndarray) -> np.ndarray:
     return np.flatnonzero(domain.phi(X) < 0)
 
 
-def _project_quadratic(domain: DomainSpec, X: np.ndarray) -> np.ndarray:
-    """Closest points of the closure of a quadratic domain {x.A x <= 1} for
-    a batch X: rows in the closure come back unchanged, and the outside
-    rows go to their closest boundary points together.
+def _project_quadratic(domain: DomainSpec, a: np.ndarray, Q: np.ndarray,
+                       X: np.ndarray) -> np.ndarray:
+    """Closest points of the closure of {x.A x <= 1}, A = Q diag(a) Q^T,
+    for a batch X: rows in the closure come back unchanged, an outside row
+    x goes to p = (I + nu A)^-1 x with nu >= 0 the root of
+    q(nu) = sum_i a_i y_i^2 / (1 + nu a_i)^2 = 1, y = Q^T x.
 
-    Damped Newton on the first-order conditions of min |x - p|^2 subject to
-    phi(p) = 0: every outside row runs the same KKT iteration with its own
-    backtracking line search, and converged rows leave the batch. The seed
-    is the radial crossing, in closed form: the ray through x crosses the
-    boundary at t = 1/sqrt(x.A x)."""
+    Newton runs from nu = 0 on q^(-1/2) - 1, which is concave and
+    increasing (the secular equation of a trust region), so the iterates
+    rise to the root, and which is nearly linear for deep overshoots. A
+    row leaves the batch once its step is below 1e-13 (nu + 1/min a), past
+    which the next step is below rounding. Each operation acts on one row
+    (the rotations too: products summed over d), so a row is projected to
+    the same bits in any batch."""
     out = X.copy()
     rows = outside_rows(domain, X)
     if not len(rows):
         return out
-    X = X[rows]
-    m, d = X.shape
-    P = X / np.sqrt(1.0 - 2.0 * domain.phi(X))[:, None]
-    G = domain.grad_phi(P)
-    # the multiplier starts at the least-squares nu of x - p = nu grad phi(p)
-    nu = (G * (X - P)).sum(axis=1) / np.maximum((G * G).sum(axis=1), 1e-300)
-
-    def residual(P, nu, X):
-        return np.concatenate([P - X + nu[:, None] * domain.grad_phi(P),
-                               domain.phi(P)[:, None]], axis=1)
-
-    res = residual(P, nu, X)
-    tol = 1e-12 * (1 + np.linalg.norm(X, axis=1))
-    live = np.arange(m)
-    for _ in range(60):
-        norm = np.linalg.norm(res, axis=1)
-        keep = ~(norm < tol[live])
-        live, res, norm = live[keep], res[keep], norm[keep]
+    Y = (X[rows][:, :, None] * Q).sum(axis=1)
+    nu = np.zeros(len(rows))
+    live = np.arange(len(rows))
+    for _ in range(50):
+        y, n = Y[live], nu[live]
+        w = 1.0 + n[:, None] * a
+        s = a * np.square(y / w)
+        q = s.sum(axis=1)
+        step = q * (np.sqrt(q) - 1.0) / (s * a / w).sum(axis=1)
+        nu[live] = n + step
+        live = live[step > 1e-13 * (n + 1.0 / a[0])]
         if not len(live):
-            out[rows] = P
+            R = Y / (1.0 + nu[:, None] * a)
+            out[rows] = (R[:, None, :] * Q).sum(axis=2)
             return out
-        p, mult, x = P[live], nu[live], X[live]
-        J = np.zeros((len(live), d + 1, d + 1))
-        J[:, :d, :d] = np.eye(d) + mult[:, None, None] * domain.hess_phi(p)
-        J[:, :d, d] = J[:, d, :d] = domain.grad_phi(p)
-        try:
-            step = np.linalg.solve(J, -res[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            raise NonConvergence("singular KKT system in projection")
-        t = np.ones(len(live))
-        todo = np.arange(len(live))
-        for _ in range(30):
-            p_new = p[todo] + t[todo, None] * step[todo, :d]
-            n_new = mult[todo] + t[todo] * step[todo, d]
-            r_new = residual(p_new, n_new, x[todo])
-            ok = np.linalg.norm(r_new, axis=1) < norm[todo]
-            done = todo[ok]
-            P[live[done]], nu[live[done]], res[done] = p_new[ok], n_new[ok], r_new[ok]
-            todo = todo[~ok]
-            if not len(todo):
-                break
-            t[todo] /= 2
-        else:
-            raise NonConvergence("projection line search stalled")
     raise NonConvergence("projection Newton iteration exceeded budget")
 
 

@@ -84,12 +84,8 @@ class Mesh:
         over every node.
         """
         if self._line is not None:
-            origin, inv, last = self._line
-            t = X[:, 0] - origin
-            t *= inv
-            t += 0.5
-            j = t.astype(np.intp)
-            return np.minimum(np.maximum(j, 0, out=j), last, out=j)
+            j = self._line_index(X)
+            return np.minimum(np.maximum(j, 0, out=j), self._line[2], out=j)
         lo = np.array([a[0] for a in self.axes])
         step = self.steps
         shape = np.array(self.shape)
@@ -107,6 +103,22 @@ class Mesh:
         for r in np.nonzero(d2[rows, best] >= (1.49 * step.min()) ** 2)[0]:
             out[r] = np.argmin(((self.nodes - X[r]) ** 2).sum(axis=1))
         return out
+
+    def _line_index(self, X: np.ndarray) -> np.ndarray:
+        """1-d: the nearest node index on the unbounded axis, unclamped."""
+        origin, inv, _ = self._line
+        t = X[:, 0] - origin
+        t *= inv
+        t += 0.5
+        return t.astype(np.intp)
+
+    def take(self, values: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """values[nearest(X)] for one row of ``values`` per node: in 1-d one
+        ``take`` at the unclamped index, whose clip is the clamp of
+        ``nearest``."""
+        if self._line is None:
+            return values[self.nearest(X)]
+        return values.take(self._line_index(X), axis=0, mode="clip")
 
     def cut_cells(self) -> "CutCells":
         """The finite-volume cells of a 2-d mesh (``CutCells``), computed on

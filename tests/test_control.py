@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import conftest as refs
-from ebsde import control
+from ebsde import control, dynamics
 from ebsde.control import (ControlProblem, CostEstimate, Policy, cost_I, cost_J,
                            feedback_policy, girsanov_weight_check,
                            hamiltonian, induced_driver, policy_from_json,
@@ -392,9 +392,12 @@ def test_feedback_step_builds_one_cost_table_and_constant_none(interval, std_mod
     zeta_calls = []
     monkeypatch.setattr(type(sol), "zeta_at",
                         lambda self, X: zeta_calls.append(len(X)))
-    # 500 steps of 320 paths: noise sub-blocks of 204, 204 and 92 steps
+    # 500 steps of 320 paths, in sub-blocks of S steps and a last one of
+    # the rest
+    S = dynamics._SUB_NUMBERS // 320
     cost_I(std_model, interval, prob, fb, 0.2, 0.5, 1e-3, 320, seed=1)
-    assert calls == [204 * 320, 204 * 320, 92 * 320]
+    assert calls == [min(S, 500 - j) * 320 for j in range(0, 500, S)]
+    assert len(calls) > 1
     assert zeta_calls == []
     del calls[:]
     cost_J(std_model, interval, prob, Policy.constant(1), sol.lam, 0.05, 1e-3,
@@ -505,6 +508,87 @@ def test_feedback_table_is_the_hamiltonian_argmin_in_2d():
     X = np.random.default_rng(2).uniform(-0.7, 0.7, (200, 2))
     nearest = [int(np.argmin(((sol.v.nodes - x) ** 2).sum(axis=1))) for x in X]
     assert np.array_equal(feedback_policy(prob, sol).controls_for(X), table[nearest])
+
+
+def _step_tilt(monkeypatch, model, domain, prob, pol, h):
+    """The tilt function that ``_controlled_steps`` hands the stepper."""
+    seen = []
+    steps = dynamics._step_blocks
+    monkeypatch.setattr(dynamics, "_step_blocks",
+                        lambda *args: seen.append(args[6]) or steps(*args))
+    next(control._controlled_steps(model, domain, prob, pol, np.zeros((2, 1)),
+                                   1, h, 0))
+    monkeypatch.undo()
+    return seen[0]
+
+
+def test_folded_lookup_is_the_tilt_of_the_nearest_nodes_control(interval, std_model,
+                                                                monkeypatch):
+    # the per-step tilt is one take from the per-node tilt table at the
+    # unclamped index; it must be tilts[controls_for(X)] bit for bit, on
+    # and between the nodes, one ulp either side of every midpoint and
+    # beyond both ends of the interval
+    prob, h = two_control_problem(), 1e-3
+    sol = solve_ergodic(std_model, interval, induced_driver(prob), 0.3,
+                        spacing=1e-3)
+    a = sol.v.mesh.axes[0]
+    mid = (a[:-1] + a[1:]) / 2
+    pts = np.concatenate([
+        np.random.default_rng(4).uniform(-1.2, 1.2, 400_000), a, mid,
+        np.nextafter(mid, np.inf), np.nextafter(mid, -np.inf),
+        [-1e3, -3.0, np.nextafter(-1.0, -np.inf), np.nextafter(1.0, np.inf), 3.0, 1e3]])
+    X = pts[:, None]
+    tilts = (prob.R_table @ std_model.sigma_constant.T) * h
+    policies = [feedback_policy(prob, sol),
+                Policy.tabulate(lambda nodes, Z: (np.arange(len(nodes)) % 2),
+                                sol.v.mesh, name="alternating"),
+                Policy.constant(1)]
+    for pol in policies:
+        got = _step_tilt(monkeypatch, std_model, interval, prob, pol, h)(X)
+        want = tilts[pol.controls_for(X)]
+        assert np.array_equal(np.broadcast_to(got, want.shape), want), pol.name
+    # the alternating table tells every neighbouring node apart
+    assert len(np.unique(policies[1].controls_for(X))) == 2
+
+
+def test_feedback_costs_pinned_bit_for_bit(interval, std_model):
+    # recorded with the per-step Mesh.nearest lookup and sub-blocks of 2^16
+    # numbers
+    prob = two_control_problem()
+    sol = solve_ergodic(std_model, interval, induced_driver(prob), 0.3,
+                        spacing=1e-3)
+    fb = feedback_policy(prob, sol)
+    I = cost_I(std_model, interval, prob, fb, 0.3, 1.0, 1e-3, 160, seed=3)
+    J = cost_J(std_model, interval, prob, fb, sol.lam, 1.0, 1e-3, 160, seed=4)
+    assert I.horizon_values == {0.25: (0.29720790110142914, 0.025588438475569644),
+                                0.5: (0.3212205440678935, 0.01872028774581859),
+                                1.0: (0.30054726011116706, 0.01436002633849341)}
+    assert (J.value, J.stderr) == (0.29479310852965884, 0.019931036824093973)
+    assert J.extra["mean_local_time"] == 0.8605752661005243
+
+
+def test_disc_feedback_attains_the_constants_and_constants_score_above():
+    # the control application in d = 2: the disc Hamiltonian's feedback
+    # table, looked up at Mesh.nearest, attains lambda and mu, and each
+    # constant control scores above them, by the verdict of ``ebsde control``
+    from ebsde.presets import assemble_config
+    domain, model, driver, prob = assemble_config({
+        "domain": {"kind": "ball", "radius": 1.0, "dim": 2},
+        "model": {"kind": "kolmogorov", "dim": 2, "eta_hint": -1.0,
+                  "potential": {"kind": "quadratic", "curvature": 1.0}},
+        "driver": {"kind": "hamiltonian"},
+        "control": {"kind": "table",
+                    "R": [[0.25, 0.0], [-0.25, 0.0], [0.0, 0.25]],
+                    "L": {"kind": "affine", "base": 0.5, "slopes": [0.0, 0.1, -0.1]},
+                    "M_R": 0.25, "M_L": 0.7}})
+    mu, T, h, paths = 0.3, 10.0, 1e-2, 400
+    sol = solve_ergodic(model, domain, driver, mu, spacing=0.05)
+    fb = feedback_policy(prob, sol)
+    assert sol.v.mesh.nodes.shape[1] == 2 and len(np.unique(fb.table)) > 1
+    for k, pol in enumerate([fb] + [Policy.constant(j) for j in range(3)]):
+        I = cost_I(model, domain, prob, pol, mu, T, h, paths, 10 * k)
+        J = cost_J(model, domain, prob, pol, sol.lam, T, h, paths, 10 * k + 5)
+        assert policy_verdict(I, J, sol.lam, mu, pol is fb), pol.name
 
 
 def test_policy_verdict_thresholds():

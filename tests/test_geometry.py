@@ -177,6 +177,27 @@ def test_projection_is_the_closest_boundary_point():
         _assert_closest_boundary_points(A, X, dom.project(X))
 
 
+def test_projection_of_deep_overshoots_is_exact_to_rounding():
+    # overshoots of scale 1e3 and 1e6 land on the boundary to a few ulp of
+    # phi within the Newton budget (NonConvergence otherwise), at the point
+    # where x - p is normal to the boundary: parallel to A p
+    for A in ELLIPSES:
+        dom = quadratic_domain(A)
+        rng = np.random.default_rng(3)
+        for scale in (1e3, 1e6):
+            X = rng.standard_normal((2000, 2)) * scale
+            X = X[dom.phi(X) < 0]
+            P = dom.project(X)
+            assert np.max(np.abs(dom.phi(P))) <= 4 * np.finfo(float).eps
+            N, D = P @ np.asarray(A), X - P
+            sine = (N[:, 0] * D[:, 1] - N[:, 1] * D[:, 0]) / (
+                np.linalg.norm(N, axis=1) * np.linalg.norm(D, axis=1))
+            assert np.max(np.abs(sine)) < 1e-14
+            assert np.all((N * D).sum(axis=1) > 0)
+            if scale == 1e3:
+                _assert_closest_boundary_points(A, X[:50], P[:50])
+
+
 def test_domain_kinds():
     assert ball_domain(1.0, 1).kind == "ball"
     assert ball_domain(2.0, 2).radius == 2.0
