@@ -14,11 +14,11 @@ selects, one command at a time, with the BLAS pools pinned to one thread:
 - ``control`` on a copy of ``configs/two_control.json`` with
   ``girsanov_check`` set, written to ``OUT/two_control_girsanov.json``;
 - ``solve``, ``curve``, ``invert --lambda 0.5`` and ``solve --tol 1e-15``
-  (a ``NonConvergence`` error) on a copy of ``configs/interval_cos.json``
-  with the ``vanishing_discount`` scheme, written to
-  ``OUT/interval_cos_vanishing.json``. The inversion runs the direct
-  scheme only, so that ``invert`` records the configuration error that
-  refuses the scheme (exit code 2).
+  on a copy of ``configs/interval_cos.json`` with the
+  ``vanishing_discount`` scheme, written to
+  ``OUT/interval_cos_vanishing.json``. Every task runs the direct scheme
+  only, so each of these records the configuration error that refuses the
+  scheme (exit code 2) and writes no output directory.
 
 Each command gets the directory ``OUT/<config>-<task>`` (``OUT/reproduce``):
 its ``--out-dir`` under ``out/`` (absent when the command writes nothing)

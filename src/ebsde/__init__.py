@@ -8,8 +8,8 @@ Layout:
 * ``dynamics``: reflected/penalized simulation, local time, Gibbs laws
 * ``hypotheses``: constant estimation and structural flag checks
 * ``discounted``: discounted semilinear solves with Neumann data
-* ``ergodic``: direct and vanishing-discount long-run solvers, the cost
-  curve and its inversion
+* ``ergodic``: the direct long-run solver (and the vanishing-discount
+  scheme of ``solve_ergodic``), the cost curve and its inversion
 * ``verification``: PDE and pathwise residuals, drift-shift invariance
 * ``control``: Hamiltonian, feedback policies, long-run cost estimators
 * ``cli``: batch runner (``ebsde`` console command)

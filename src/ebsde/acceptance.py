@@ -314,8 +314,7 @@ def criterion_10() -> CriterionResult:
     passed = True
     for xi in (0.0, 0.5):
         out = verification.drift_shift_equivalence(model, domain, driver, xi,
-                                                   mu=0.0, scheme="direct",
-                                                   spacing=1e-3)
+                                                   mu=0.0, spacing=1e-3)
         ok = out["lambda_gap"] < 2e-3 and out["eta_identity_gap"] < 1e-6
         passed &= ok
         rows.append([xi, out["lambda_gap"], out["eta_identity_gap"],

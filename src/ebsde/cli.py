@@ -25,8 +25,8 @@ from .control import (check_policy_spec, cost_I, cost_J, feedback_policy,
                       girsanov_weight_check, induced_driver, policy_from_json,
                       policy_verdict)
 from .dynamics import step_count
-from .ergodic import (SCHEMES, _jsonable, curve_to_csv, lambda_of_mu,
-                      lambda_time_average, solve_boundary_cost, solve_ergodic)
+from .ergodic import (_jsonable, curve_to_csv, lambda_of_mu, lambda_time_average,
+                      solve_boundary_cost, solve_ergodic)
 from .errors import ConfigError, EbsdeError
 from .hypotheses import check_all
 from .presets import assemble_config
@@ -70,8 +70,11 @@ def _effective(cfg: dict, args) -> dict:
         "mus": [float(m) for m in run.get("mus", [-2, -1, 0, 1, 2])],
         "grid_density": int(run.get("grid_density", 48)),
     }
-    if eff["scheme"] not in SCHEMES:
-        raise ConfigError(f"run.scheme {eff['scheme']!r} is not one of {SCHEMES}")
+    if eff["scheme"] != "direct":
+        exc = ConfigError(f"run.scheme {eff['scheme']!r} is not one of ('direct',): "
+                          "every task runs the direct scheme only")
+        exc.remedy = 'set run.scheme to "direct"'
+        raise exc
     if not 0 < eff["grid"] < np.inf:
         raise ConfigError(f"grid spacing {eff['grid']!r} is not finite and positive")
     try:
@@ -146,8 +149,8 @@ def cmd_solve(args) -> int:
     cfg = _load_config(args.config)
     eff = _effective(cfg, args)
     domain, model, driver, _ = assemble_config(cfg)
-    sol = solve_ergodic(model, domain, driver, eff["mu"], scheme=eff["scheme"],
-                        spacing=eff["grid"], tol=eff["tol"])
+    sol = solve_ergodic(model, domain, driver, eff["mu"], spacing=eff["grid"],
+                        tol=eff["tol"])
     out = _out_dir(args)
     sol.save(str(out / "solution"))
     summary = {"lambda": sol.lam, "mu": sol.mu,
@@ -166,8 +169,7 @@ def cmd_curve(args) -> int:
     cfg = _load_config(args.config)
     eff = _effective(cfg, args)
     domain, model, driver, _ = assemble_config(cfg)
-    curve = lambda_of_mu(model, domain, driver, eff["mus"],
-                         scheme=eff["scheme"], spacing=eff["grid"],
+    curve = lambda_of_mu(model, domain, driver, eff["mus"], spacing=eff["grid"],
                          tol=eff["tol"])
     out = _out_dir(args)
     curve_to_csv(curve, str(out / "curve.csv"))
@@ -183,15 +185,9 @@ def cmd_invert(args) -> int:
     eff = _effective(cfg, args)
     if "lambda_target" not in eff:
         raise ConfigError("invert needs --lambda or run.lambda_target")
-    if eff["scheme"] != "direct":
-        exc = ConfigError(f"invert runs the direct scheme only, not run.scheme "
-                          f"{eff['scheme']!r}")
-        exc.remedy = 'set run.scheme to "direct"'
-        raise exc
     domain, model, driver, _ = assemble_config(cfg)
     sol = solve_boundary_cost(model, domain, driver, eff["lambda_target"],
-                              tol=eff["tol"], scheme=eff["scheme"],
-                              spacing=eff["grid"])
+                              tol=eff["tol"], spacing=eff["grid"])
     out = _out_dir(args)
     sol.save(str(out / "solution"))
     gap = abs(sol.lam - eff["lambda_target"])
@@ -204,8 +200,8 @@ def cmd_verify(args) -> int:
     cfg = _load_config(args.config)
     eff = _effective(cfg, args)
     domain, model, driver, _ = assemble_config(cfg)
-    sol = solve_ergodic(model, domain, driver, eff["mu"], scheme=eff["scheme"],
-                        spacing=eff["grid"], tol=eff["tol"])
+    sol = solve_ergodic(model, domain, driver, eff["mu"], spacing=eff["grid"],
+                        tol=eff["tol"])
     pde = pde_residual(sol, model, domain, driver)
     res = bsde_residual(sol, model, domain, driver, paths=eff["paths"],
                         T=eff["horizon"], h=eff["h"], seed=eff["seed"])
@@ -221,8 +217,7 @@ def cmd_verify(args) -> int:
     ok = centered
     if xi is not None:
         shift = drift_shift_equivalence(model, domain, driver, float(xi),
-                                        mu=eff["mu"], scheme=eff["scheme"],
-                                        spacing=eff["grid"])
+                                        mu=eff["mu"], spacing=eff["grid"])
         summary["shift"] = shift
         ok = ok and shift["lambda_gap"] < 5 * eff["tol"]
     return _finish(out, "verify", cfg, eff, summary, ok)
@@ -242,8 +237,8 @@ def cmd_control(args) -> int:
             raise ConfigError(f"run.policies[{k}]: {exc}") from exc
     if driver.control is None:
         driver = induced_driver(problem)
-    sol = solve_ergodic(model, domain, driver, eff["mu"], scheme=eff["scheme"],
-                        spacing=eff["grid"], tol=eff["tol"])
+    sol = solve_ergodic(model, domain, driver, eff["mu"], spacing=eff["grid"],
+                        tol=eff["tol"])
     T, h, paths, seed = eff["horizon"], eff["h"], eff["paths"], eff["seed"]
     policies = [("feedback", feedback_policy(problem, sol))]
     for k, spec in enumerate(specs):

@@ -19,9 +19,10 @@ builds the alpha-free rows in any dimension in stencil form: a diagonal,
 one coefficient per axis neighbor of each node and the entries toward
 diagonal neighbors (``_assemble_stencil``). The
 discount enters only the diagonal, and mu and psi only the right-hand side,
-so one stencil per viscosity level serves every discount, and each
-operator is factorised once per mesh, discount and viscosity level
-(``GridOperators``); the LU serves every Picard sweep and every mu.
+so one stencil per viscosity level serves every discount. The ergodic
+operator is factorised once per mesh and viscosity level
+(``GridOperators``), and that LU serves every Picard sweep and every mu; a
+discounted LU serves the sweeps of its one solve.
 In 1-d the LAPACK tridiagonal LU reads the stencil's three diagonals
 directly; the lambda border of a 1-d ergodic operator is removed by
 swapping the reference node's row for the normalization row, which keeps
@@ -329,17 +330,6 @@ def _factoriser(mesh: Mesh, lu) -> str:
     return "superlu_handover" if mesh.domain.dim == 1 else "superlu"
 
 
-def _rhs(ops: GridOperators, driver: DriverSpec, mu: float, eps: float,
-         bordered: bool = False) -> np.ndarray:
-    """Right-hand side before psi at viscosity level eps: (mu - g) times
-    ``GridOperators.neumann_scale`` on the boundary rows, 0 elsewhere, with
-    g from ``GridOperators.boundary_cost``."""
-    g = ops.boundary_cost(driver)
-    rhs = np.zeros(ops.mesh.n_nodes + bordered)
-    rhs[ops.boundary_rows()] = ops.neumann_scale(eps) * (mu - g)
-    return rhs
-
-
 def _extrapolate(xs: list):
     """Linear extrapolation to eps = 0 from the levels (h, h/2), or the one
     level."""
@@ -402,45 +392,31 @@ class GridOperators:
     somewhere, ``_needs_viscosity``; 0 otherwise), one alpha-free stencil
     per eps (``stencil``), shared by every discount and by the bordered and
     unbordered operators, the number of LUs built (``factorisations``), and
-    one LU per (alpha, eps, bordered), factorised the first time that key
-    is used (``_factorise``). The discount enters only the diagonal as
-    fl(-S - alpha), the same bits as assembling with alpha. In 1-d the LAPACK tridiagonal LU takes the stencil's three
-    diagonals (SuperLU takes a CSC built from the stencil in 2-d), and a
-    lambda border is removed by one row swap, the reference node's row
-    giving way to the normalization row
-    (``_TridiagonalLU``). mu and psi enter only the right-hand side, so one
-    instance serves every mu of a curve or an inversion, and ``weights``
-    gives lambda for all of them from one transposed solve; it lives as
-    long as its caller keeps it. A single solve never asks twice for one
-    key, so it passes ``keep_lus=False``: each LU is then freed after its
-    solve, as a kept LU per discount level would raise the peak memory of a
-    vanishing-discount solve for no reuse.
+    the ergodic LU of each eps (``lu``). The discount enters only the
+    diagonal as fl(-S - alpha), the same bits as assembling with alpha. In
+    1-d the LAPACK tridiagonal LU takes the stencil's three diagonals
+    (SuperLU takes a CSC built from the stencil in 2-d), and a lambda
+    border is removed by one row swap, the reference node's row giving way
+    to the normalization row (``_TridiagonalLU``). mu and psi enter only
+    the right-hand side, so one instance serves every mu of a curve or an
+    inversion, and ``weights`` gives lambda for all of them from one
+    transposed solve; it lives as long as its caller keeps it.
     """
 
-    def __init__(self, model: SdeModel, domain: DomainSpec, spacing: float = 1e-3,
-                 keep_lus: bool = True):
+    def __init__(self, model: SdeModel, domain: DomainSpec, spacing: float = 1e-3):
         if domain.dim > 2:
             raise NotImplementedError("grid solves are 1-d and 2-d only")
-        self.model, self.domain, self.spacing = model, domain, spacing
         self.mesh = build_mesh(domain, spacing)
         self.sig, self.a, self.b = _coefficients(self.mesh, model)
         h = self.mesh.spacing
         use_visc = domain.dim == 1 and _needs_viscosity(self.a, h)
         self.eps_list = [h, h / 2] if use_visc else [0.0]
         self.ref = self.mesh.ref_index()
-        self.keep_lus = keep_lus
         self.factorisations = 0     # LUs built, kept or not
-        self._lus: dict = {}
+        self._lus: dict = {}        # the ergodic LU of each eps
         self._operators: dict = {}  # one stencil per eps
         self._neumann: dict = {}
         self._rows: Optional[np.ndarray] = None
-
-    def check(self, model: SdeModel, domain: DomainSpec, spacing: float) -> None:
-        """Raise ValueError unless built for this problem and grid."""
-        if not (model is self.model and domain is self.domain
-                and spacing == self.spacing):
-            raise ValueError("operators were built for another model, domain "
-                             "or spacing")
 
     def stencil(self, eps: float):
         """The alpha-free stencil (``_assemble_stencil``) at viscosity level
@@ -451,12 +427,6 @@ class GridOperators:
             stencil = _assemble_stencil(self.mesh, self.a + 0.5 * eps ** 2, self.b)
             self._operators[eps] = stencil
         return stencil
-
-    def operator(self, alpha: float, eps: float, bordered: bool) -> sparse.csc_matrix:
-        """The sparse operator at (alpha, eps, bordered) (``_csc``): the one
-        stencil per eps, alpha subtracted on its diagonal and, when
-        bordered, the lambda column and the normalization row."""
-        return _csc(self.mesh, self.stencil(eps), alpha, self.ref if bordered else None)
 
     def boundary_rows(self) -> np.ndarray:
         """The rows that mu - g enters: the two end nodes in 1-d, the nodes
@@ -524,15 +494,18 @@ class GridOperators:
         cost = np.bincount(cells.chord_node, w * g, mesh.n_nodes)[rows]
         return np.divide(cost, total, out=np.zeros_like(cost), where=total > 0)
 
-    def lu(self, alpha: float, eps: float, bordered: bool):
-        key = (alpha, eps, bordered)
-        lu = self._lus.get(key)
+    def lu(self, alpha: float, eps: float):
+        """LU (``_factorise``) of the operator at (alpha, eps), bordered
+        exactly when alpha = 0. The ergodic LU of each eps is kept for every
+        later solve and mu; a discounted LU serves its one solve and is not
+        kept."""
+        lu = self._lus.get(eps) if alpha == 0 else None
         if lu is None:
             lu = _factorise(self.mesh, self.stencil(eps), alpha,
-                            self.ref if bordered else None)
+                            self.ref if alpha == 0 else None)
             self.factorisations += 1
-            if self.keep_lus:
-                self._lus[key] = lu
+            if alpha == 0:
+                self._lus[eps] = lu
         return lu
 
     def weights(self):
@@ -553,49 +526,42 @@ class GridOperators:
         n = self.mesh.n_nodes
         e = np.zeros(n + 1)
         e[-1] = 1.0
-        ws = [self.lu(0.0, eps, True).solve(e, trans="T") for eps in self.eps_list]
+        ws = [self.lu(0.0, eps).solve(e, trans="T") for eps in self.eps_list]
         measure = -_extrapolate(ws)[:n]
         flux = _extrapolate([w[self.boundary_rows()] * self.neumann_scale(eps)
                              for w, eps in zip(ws, self.eps_list)])
         return measure, flux
 
 
-def _grid_solve(ops: GridOperators, driver: DriverSpec, alpha: float, mu,
-                bordered: bool = False):
-    """Unknowns of the discrete problem (node values, then lambda when
-    ``bordered``), extrapolated over the viscosity levels, and a record of
-    the solve: the nodes, the viscosity levels, the factoriser of each level
-    (``_factoriser``), the LUs it built (0 when ``ops`` already held them),
-    the linear solves and damped sweeps summed over the levels and the
-    largest final Picard update.
+def _grid_solve(ops: GridOperators, driver: DriverSpec, alpha: float, mu):
+    """Unknowns of the discrete problem (node values, then lambda when the
+    problem is ergodic, alpha = 0, then mu), extrapolated over the viscosity
+    levels, and a record of the solve: the nodes, the viscosity levels, the
+    factoriser of each level (``_factoriser``), the LUs it built (0 when
+    ``ops`` already held them), the linear solves and damped sweeps summed
+    over the levels and the largest final Picard update.
 
-    ``mu`` is the boundary constant, whose right-hand side (``_rhs``) is
-    built once per level. For an inversion it is instead a function of the
-    psi values at the nodes that gives the mu of each linear solve: every
-    sweep rewrites only the boundary rows, (mu - g) times
-    ``GridOperators.neumann_scale``, and mu is the last unknown."""
+    ``mu`` is a function of the psi values at the nodes that gives the mu
+    of each linear solve (a constant function for a fixed boundary
+    constant): every sweep writes the boundary rows, (mu - g) times
+    ``GridOperators.neumann_scale``, with g from
+    ``GridOperators.boundary_cost``, and 0 elsewhere before psi."""
     n = ops.mesh.n_nodes
     sols = []
     built = ops.factorisations
     record = {"nodes": n, "viscosity_eps": ops.eps_list,
               "factorisers": [], "factorisations": 0, "picard_sweeps": 0,
               "picard_update": None, "damping_events": 0}
-    if callable(mu):
-        rows, g = ops.boundary_rows(), ops.boundary_cost(driver)
+    rows, g = ops.boundary_rows(), ops.boundary_cost(driver)
     for eps in ops.eps_list:
-        lu = ops.lu(alpha, eps, bordered)
-        if callable(mu):
-            def linear_solve(pv, lu=lu, scale=ops.neumann_scale(eps)):
-                mu_k = mu(pv)
-                r = np.zeros(n + bordered)
-                r[rows] = scale * (mu_k - g)
-                r[:n] -= pv
-                return np.append(lu.solve(r), mu_k)
-        else:
-            def linear_solve(pv, lu=lu, rhs=_rhs(ops, driver, mu, eps, bordered)):
-                r = rhs.copy()
-                r[:n] -= pv
-                return lu.solve(r)
+        lu = ops.lu(alpha, eps)
+
+        def linear_solve(pv, lu=lu, scale=ops.neumann_scale(eps)):
+            mu_k = mu(pv)
+            r = np.zeros(n + (alpha == 0))
+            r[rows] = scale * (mu_k - g)
+            r[:n] -= pv
+            return np.append(lu.solve(r), mu_k)
 
         x, sweeps, update, damped = _picard(ops, driver, linear_solve)
         sols.append(x)
@@ -619,9 +585,9 @@ def solve_discounted(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    ops = GridOperators(model, domain, spacing, keep_lus=False)
-    v, _ = _grid_solve(ops, driver, alpha, mu)
-    return GridFunction(ops.mesh, v)
+    ops = GridOperators(model, domain, spacing)
+    x, _ = _grid_solve(ops, driver, alpha, lambda psi: mu)
+    return GridFunction(ops.mesh, x[:-1])
 
 
 def lipschitz_diagnostic(v: GridFunction) -> float:

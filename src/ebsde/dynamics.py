@@ -18,8 +18,8 @@ the ``StepTooLarge`` check and the run record are computed once per block,
 and a path functional evaluates its integrand once per block, then adds the
 per-step rows to its running sums with one sequential reduction per block
 (``_Accumulator``), so its sums are a per-step loop's bit for bit. The
-sub-block size (``_SUB_NUMBERS``, swept for the L2 cache) sets the speed;
-of the results only ``RunRecord.local_time``, a sum of block sums, sees it.
+sub-block size (``_SUB_NUMBERS``, swept for the L2 cache) sets the speed
+and no result: the run record adds its local time step by step too.
 """
 from __future__ import annotations
 
@@ -215,7 +215,9 @@ class RunRecord:
     """What an ensemble run did, summed over its blocks: path-steps,
     path-steps that reflected, the largest Euler proposal move over the
     domain diameter (StepTooLarge is raised past 1) and the local time
-    summed over every path (the sum of the block local-time increments)."""
+    summed over every path: each step's sum over the paths, added in step
+    order as ``_Accumulator`` adds its rows, so it does not depend on the
+    sub-block size."""
 
     path_steps: int = 0
     reflected: int = 0
@@ -259,7 +261,8 @@ def _check_block(diameter: float, moves: np.ndarray, dK: np.ndarray,
         record.path_steps += dK.size
         record.reflected += int(np.count_nonzero(dK))
         record.max_step_ratio = max(record.max_step_ratio, largest / diameter)
-        record.local_time += float(dK.sum())
+        record.local_time = float(np.add.accumulate(
+            np.append(record.local_time, dK.sum(axis=1)))[-1])
 
 
 def _diagonal(sigma: np.ndarray) -> Optional[np.ndarray]:

@@ -1,25 +1,24 @@
 """Long-run solvers: ergodic value function, cost constants, and inversion.
 
-Two routes produce the pair (v, lambda) at a fixed boundary constant mu:
+The direct scheme produces the pair (v, lambda) at a boundary constant mu:
+one bordered linear system (or Picard sweeps of it when the driver reads
+the gradient, all on one LU) with unknowns (v at the nodes, lambda, mu) and
+the normalization v(x_ref) = 0. The vanishing-discount limit, the paper's
+existence argument, stays reachable only as
+``solve_ergodic(scheme="vanishing_discount")``: it repeats the direct lambda
+on the same grid at several times the solves.
 
-* vanishing discount: solve the discounted problem on one mesh along a
-  geometrically decreasing discount sequence; the discount times the value at a
-  reference node converges to lambda and is Richardson-extrapolated.
-* direct: one bordered linear system (or Picard sweeps of it when the
-  driver reads the gradient, all on one LU) with unknowns (v at the
-  nodes, lambda) and the normalization v(x_ref) = 0.
-
-On top of these sit the curve mu -> lambda(mu), which is non-increasing,
-and its inversion, the boundary constant matching a prescribed lambda. mu
-enters only the right-hand side, so each curve and each inversion builds one
-``GridOperators`` and every solve in it reuses the same mesh and LUs. For
-any frozen psi the direct scheme's lambda is w.r for the adjoint weights w
-of one transposed solve: the line measure.psi + flux.(mu - g). So a curve of
-a driver that does not read z is the line lambda(0) + mu slope, and other
-curves take one solve per mu. The inversion runs on the direct scheme only:
-each linear solve of its Picard sweeps takes the mu at which that line meets
-the target, so mu is one more unknown of the sweep. A driver that does not
-read z takes one sweep, the closed form.
+On top of the direct scheme sit the curve mu -> lambda(mu), which is
+non-increasing, and its inversion, the boundary constant matching a
+prescribed lambda. mu enters only the right-hand side, so each curve and
+each inversion builds one ``GridOperators`` and every solve in it reuses the
+same mesh and LUs. For any frozen psi lambda is w.r for the adjoint weights
+w of one transposed solve: the line measure.psi + flux.(mu - g). So a curve
+of a driver that does not read z is the line lambda(0) + mu slope, and other
+curves take one solve per mu. Each linear solve of an inversion's Picard
+sweeps takes the mu at which that line meets the target, so mu is the last
+unknown of the sweep as it is of every solve. A driver that does not read z
+takes one sweep, the closed form.
 """
 from __future__ import annotations
 
@@ -133,29 +132,24 @@ MAX_HALVINGS = 40   # of the vanishing-discount scheme, before NonConvergence
 
 def solve_ergodic(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
                   mu: float, scheme: str = "direct", spacing: float = 1e-3,
-                  tol: float = 1e-3,
-                  operators: Optional[GridOperators] = None) -> ErgodicSolution:
+                  tol: float = 1e-3) -> ErgodicSolution:
     """Solve the ergodic problem at fixed mu; returns (v, zeta, lambda).
 
     scheme is one of ``SCHEMES``. The vanishing-discount scheme halves the
     discount until two successive alpha v(x_ref) differ by less than
     tol / 2, at most ``MAX_HALVINGS`` times. The value function is
-    normalized to vanish at the node nearest the centroid. ``operators``
-    lends the mesh and the LUs of earlier solves of the same model, domain
-    and spacing (ValueError otherwise); a curve shares one instance across
-    its solves. Without it the solve builds its own.
+    normalized to vanish at the node nearest the centroid.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; use one of {SCHEMES}")
-    ops = operators or GridOperators(model, domain, spacing, keep_lus=False)
-    ops.check(model, domain, spacing)
+    ops = GridOperators(model, domain, spacing)
     if scheme == "direct":
-        return _direct(ops, driver, mu)
+        return _direct(ops, driver, lambda psi: mu)
     alpha = _alpha0(model, domain)
     alphas, records = [], []
     lam_prev = None
     for k in range(MAX_HALVINGS):
-        vals, record = _grid_solve(ops, driver, alpha, mu)
+        vals, record = _grid_solve(ops, driver, alpha, lambda psi: mu)
         records.append(record)
         lam_k = alpha * vals[ops.ref]
         alphas.append(alpha)
@@ -167,18 +161,18 @@ def solve_ergodic(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
         raise NonConvergence(
             f"discount sequence exhausted after {MAX_HALVINGS} halvings")
     lam = 2 * lam_k - lam_prev
-    return _solution(ops, scheme, vals, lam, mu, records, alpha_sequence=alphas,
+    return _solution(ops, scheme, vals[:-1], lam, mu, records, alpha_sequence=alphas,
                      lambda_vd=lam, extrapolation_gap=abs(lam_k - lam_prev))
 
 
 def _direct(ops: GridOperators, driver: DriverSpec, mu) -> ErgodicSolution:
-    """The direct scheme's solution at mu, or for an inversion at the mu
-    that a function of each sweep's psi gives (``_grid_solve``)."""
-    x, record = _grid_solve(ops, driver, 0.0, mu, bordered=True)
+    """The direct scheme's solution at the mu that a function of each
+    sweep's psi gives (``_grid_solve``): a constant function for a fixed mu,
+    the mu of the adjoint line at the target for an inversion."""
+    x, record = _grid_solve(ops, driver, 0.0, mu)
     n = ops.mesh.n_nodes
     lam = float(x[n])
-    return _solution(ops, "direct", x[:n], lam, x[-1] if callable(mu) else mu,
-                     [record], lambda_direct=lam)
+    return _solution(ops, "direct", x[:n], lam, x[-1], [record], lambda_direct=lam)
 
 
 def _solution(ops: GridOperators, scheme: str, vals: np.ndarray, lam: float,
@@ -210,13 +204,12 @@ def _solve_record(records: list) -> Dict:
             "damping_events": sum(r["damping_events"] for r in records)}
 
 
-def _affine_curve(driver: DriverSpec, scheme: str, ops: GridOperators):
-    """(lambda(0), d lambda / d mu) of the direct scheme, or None when the
-    curve is not a line: a driver that reads z, or another scheme. One
-    transposed solve per viscosity level gives lambda = measure.psi +
-    flux.(mu - g) (``GridOperators.weights``): the slope is w.dr/dmu, the
-    flux summed over the boundary nodes."""
-    if driver.K_psi_z != 0.0 or scheme != "direct":
+def _affine_curve(driver: DriverSpec, ops: GridOperators):
+    """(lambda(0), d lambda / d mu), or None when the curve is not a line: a
+    driver that reads z. One transposed solve per viscosity level gives
+    lambda = measure.psi + flux.(mu - g) (``GridOperators.weights``): the
+    slope is w.dr/dmu, the flux summed over the boundary nodes."""
+    if driver.K_psi_z != 0.0:
         return None
     nodes = ops.mesh.nodes
     measure, flux = ops.weights()
@@ -228,22 +221,23 @@ def _affine_curve(driver: DriverSpec, scheme: str, ops: GridOperators):
 def lambda_of_mu(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
                  mus: Sequence[float], *, scheme: str = "direct",
                  spacing: float = 1e-3, tol: float = 1e-3) -> LambdaOfMuCurve:
-    """Sample the boundary-constant-to-ergodic-constant map: the line
-    lambda(0) + mu slope for a z-free driver on the direct scheme, one solve
-    per mu otherwise (``solve_ergodic`` with these keywords). The curve's
-    ``record`` says which ("route": "line" or "solve_per_mu") and what it
-    took: the nodes, the LUs built, the forward linear solves (Picard
-    sweeps included) and the transposed solves of
+    """Sample the boundary-constant-to-ergodic-constant map on the direct
+    scheme, the only ``scheme`` accepted (ValueError otherwise): the line
+    lambda(0) + mu slope for a z-free driver, one direct solve per mu
+    otherwise. The curve's ``record`` says which ("route": "line" or
+    "solve_per_mu") and what it took: the nodes, the LUs built, the forward
+    linear solves (Picard sweeps included) and the transposed solves of
     ``GridOperators.weights``. Every solve shares one ``GridOperators``."""
+    if scheme != "direct":
+        raise ValueError(f"a curve runs the direct scheme, not {scheme!r}")
     mus = np.asarray(sorted(mus), dtype=float)
     ops = GridOperators(model, domain, spacing)
-    line = _affine_curve(driver, scheme, ops)
+    line = _affine_curve(driver, ops)
     if line is not None:
         lams = line[0] + mus * line[1]
         record = {"route": "line", "solves": 0, "transposed_solves": len(ops.eps_list)}
     else:
-        sols = [solve_ergodic(model, domain, driver, m, scheme, spacing, tol, ops)
-                for m in mus]
+        sols = [_direct(ops, driver, lambda psi, m=m: m) for m in mus]
         lams = np.array([sol.lam for sol in sols])
         record = {"route": "solve_per_mu", "transposed_solves": 0,
                   "solves": sum(sol.diagnostics["picard_sweeps"] for sol in sols)}

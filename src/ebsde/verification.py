@@ -191,7 +191,7 @@ def shifted_problem(model: SdeModel, driver: DriverSpec, xi: float,
 
 def drift_shift_equivalence(model: SdeModel, domain: DomainSpec,
                             driver: DriverSpec, xi: float, mu: float = 0.0, *,
-                            scheme: str = "direct", spacing: float = 1e-3) -> dict:
+                            spacing: float = 1e-3) -> dict:
     """Solve before and after the drift shift and compare.
 
     The two solves discretize different-looking problems whose continuum
@@ -199,10 +199,9 @@ def drift_shift_equivalence(model: SdeModel, domain: DomainSpec,
     tolerance. Also reports the dissipativity constants, whose difference
     must equal the shift.
     """
-    base = solve_ergodic(model, domain, driver, mu, scheme=scheme, spacing=spacing)
+    base = solve_ergodic(model, domain, driver, mu, spacing=spacing)
     model2, driver2 = shifted_problem(model, driver, xi, domain)
-    shifted = solve_ergodic(model2, domain, driver2, mu, scheme=scheme,
-                            spacing=spacing)
+    shifted = solve_ergodic(model2, domain, driver2, mu, spacing=spacing)
     eta_base = hypotheses.estimate_eta(model, domain, 32)
     eta_shift = hypotheses.estimate_eta(model2, domain, 32)
     return {

@@ -58,7 +58,8 @@ def test_invert_on_flat_curve_fails_with_hint(tmp_path, capsys):
 
 
 def test_invert_refuses_every_scheme_but_direct(tmp_path, capsys, monkeypatch):
-    # the refusal comes before any grid is built
+    # every task that solves refuses the vanishing-discount scheme with one
+    # message and its remedy, before any grid is built or any output written
     def no_mesh(*args, **kwargs):
         raise AssertionError("a mesh was built")
 
@@ -67,24 +68,24 @@ def test_invert_refuses_every_scheme_but_direct(tmp_path, capsys, monkeypatch):
     cfg["run"]["scheme"] = "vanishing_discount"
     path = tmp_path / "vd.json"
     path.write_text(json.dumps(cfg))
-    rc = cli.main(["invert", "--config", str(path), "--lambda", "0.5",
-                   "--out-dir", str(tmp_path / "out")])
-    assert rc == 2
-    err = capsys.readouterr().err.splitlines()
-    assert err[0] == ("config error: invert runs the direct scheme only, not "
-                      "run.scheme 'vanishing_discount'")
-    assert err[1].startswith("hint: ") and '"direct"' in err[1]
-    assert not (tmp_path / "out").exists()
+    for task, extra in (("solve", []), ("curve", []), ("invert", ["--lambda", "0.5"]),
+                        ("verify", []), ("control", [])):
+        out = tmp_path / f"out-{task}"
+        rc = cli.main([task, "--config", str(path), *extra, "--out-dir", str(out)])
+        assert rc == 2, task
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: run.scheme 'vanishing_discount' is not one of "
+                       "('direct',): every task runs the direct scheme only",
+                       'hint: set run.scheme to "direct"'], task
+        assert not out.exists(), task
 
 
 def test_error_names_the_module_that_raised_it(tmp_path, capsys):
     # NonConvergence is raised in geometry and in ergodic; here only the
-    # vanishing-discount loop of ergodic raises it
-    cfg = json.loads((CONFIGS / "interval_cos.json").read_text())
-    cfg["run"]["scheme"] = "vanishing_discount"
-    path = tmp_path / "vd.json"
-    path.write_text(json.dumps(cfg))
-    rc = cli.main(["solve", "--config", str(path), "--tol", "1e-15",
+    # inversion of ergodic raises it, as its lambda misses the target by
+    # 4e-13, more than the tolerance
+    rc = cli.main(["invert", "--config", str(CONFIGS / "interval_cos.json"),
+                   "--lambda", "0.5", "--tol", "1e-15",
                    "--out-dir", str(tmp_path / "out")])
     assert rc == 2
     err = capsys.readouterr().err.splitlines()

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 import json
@@ -13,7 +14,7 @@ from numpy.testing import assert_allclose
 
 import conftest as refs
 from ebsde import discounted, ergodic, verification
-from ebsde.discounted import (DriverSpec, _assemble_stencil, _coefficients, _csc, _rhs,
+from ebsde.discounted import (DriverSpec, _assemble_stencil, _coefficients, _csc,
                               lipschitz_diagnostic, solve_discounted)
 from ebsde.dynamics import SdeModel
 from ebsde.errors import FlatCurve
@@ -63,6 +64,26 @@ def test_discount_times_value_approaches_ergodic_constant(interval, std_model,
         gaps.append(abs(alpha * v.values[k] - lam))
     assert gaps[2] < gaps[1] < gaps[0]
     assert gaps[2] < 0.1
+
+
+def test_vanishing_discount_limit_is_first_order(interval, std_model, cosdrv):
+    # the paper's existence argument on one grid: alpha v_alpha(x_ref) ->
+    # lambda and v_alpha - v_alpha(x_ref) -> v, both at order 1 in alpha,
+    # against the direct solve of the same discrete problem. Measured at
+    # spacing 1e-2 on alpha = 0.2 / 2^k: gaps 0.0146-0.0149 alpha (lambda)
+    # and 0.0034 alpha (v), observed orders 0.986 rising to 0.999
+    direct = solve_ergodic(std_model, interval, cosdrv, 0.0, spacing=1e-2)
+    alphas = 0.2 / 2.0 ** np.arange(6)
+    lam_gaps, v_gaps = [], []
+    for alpha in alphas:
+        v = solve_discounted(std_model, interval, cosdrv, alpha, spacing=1e-2)
+        at_ref = v.values[v.mesh.ref_index()]
+        lam_gaps.append(abs(alpha * at_ref - direct.lam))
+        v_gaps.append(np.abs(v.values - at_ref - direct.v.values).max())
+    for gaps, rate in ((np.array(lam_gaps), 0.02), (np.array(v_gaps), 0.005)):
+        assert np.all(gaps <= rate * alphas), gaps
+        orders = np.log2(gaps[:-1] / gaps[1:])
+        assert np.all(np.abs(orders - 1.0) <= 0.02), orders
 
 
 def test_constant_driver_flat_in_2d():
@@ -118,6 +139,27 @@ def test_constant_sigma_coefficients_are_the_per_node_stack(sig):
 def _g(driver, x):
     """The boundary cost at one point; 0 without one."""
     return 0.0 if driver.g is None else refs.one_row(driver.g, x)
+
+
+def _rhs(ops, driver, alpha, mu, eps):
+    """The right-hand side that ``_grid_solve`` hands the LU at viscosity
+    level eps, before psi: (mu - g) times the Neumann scale on the boundary
+    rows, 0 elsewhere, and lambda's row when alpha = 0. Read from a copy of
+    ``ops`` whose LU records what it is given."""
+    given = []
+
+    class Recording:
+        def solve(self, r, trans="N"):
+            given.append(r.copy())
+            return np.zeros(len(r))
+
+    probe = copy.copy(ops)
+    probe.eps_list = [eps]
+    probe.lu = lambda alpha, eps: Recording()
+    zero = dataclasses.replace(driver, psi=lambda X, Z: np.zeros(len(X)), K_psi_z=0.0)
+    discounted._grid_solve(probe, zero, alpha, lambda psi: mu)
+    r, = given
+    return r
 
 
 def _reference_problem(mesh, model, driver, alpha, mu, eps, bordered):
@@ -354,7 +396,7 @@ def test_operator_matches_node_by_node_assembly(name, domain, model, spacing, ep
              mesh.ref_index() if bordered else None).toarray()
     A_ref, rhs_ref = _reference_problem(mesh, model, driver, alpha, mu, eps, bordered)
     assert_allclose(A, A_ref, rtol=1e-12, atol=0)
-    assert_allclose(_rhs(ops, driver, mu, eps, bordered), rhs_ref, rtol=1e-12, atol=0)
+    assert_allclose(_rhs(ops, driver, alpha, mu, eps), rhs_ref, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("bordered", [False, True], ids=["discounted", "bordered"])
@@ -364,10 +406,11 @@ def test_discount_shift_equals_assembly(name, domain, model, spacing, eps, borde
     # each discount is the alpha-free operator with alpha subtracted on the
     # interior diagonal; the same CSC bits as assembling with alpha
     ops = discounted.GridOperators(model, domain, spacing)
+    ref = ops.ref if bordered else None
     for alpha in (0.0, 0.3, 0.25 * 2.0 ** -7):
-        got = ops.operator(alpha, eps, bordered)
+        got = _csc(ops.mesh, ops.stencil(eps), alpha, ref)
         want = _csc(ops.mesh, _assemble_stencil(ops.mesh, ops.a + 0.5 * eps ** 2, ops.b),
-                    alpha, ops.mesh.ref_index() if bordered else None)
+                    alpha, ref)
         for part in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(got, part), getattr(want, part)), part
     assert len(ops._operators) == 1
@@ -389,7 +432,7 @@ def test_one_assembly_per_viscosity_level(monkeypatch, interval, std_model, cosd
     assert len(calls) == 1
     calls.clear()
     ergodic.lambda_of_mu(degenerate_linear_model(), interval, zero_driver(),
-                         [0.0, 1.0], scheme="vanishing_discount", spacing=1e-2)
+                         [0.0, 1.0], spacing=1e-2)
     assert len(calls) == 2
 
 
@@ -402,7 +445,8 @@ ONE_D_CASES = [c for c in OPERATOR_CASES if c[1].dim == 1]
 def test_tridiagonal_lu_reads_the_assembled_diagonals(monkeypatch, name, domain, model,
                                                       spacing, eps, bordered):
     # what the LU is given equals the three diagonals, the border column and
-    # the normalization row of the CSC that _csc builds from the stencil
+    # the normalization row of the CSC that _csc builds from the stencil;
+    # an operator is bordered exactly when alpha = 0
     given = []
 
     class Recording(discounted._TridiagonalLU):
@@ -414,9 +458,9 @@ def test_tridiagonal_lu_reads_the_assembled_diagonals(monkeypatch, name, domain,
     ops = discounted.GridOperators(model, domain, spacing)
     n, h = ops.mesh.n_nodes, ops.mesh.spacing
     for level in sorted({eps, *ops.eps_list, h, h / 2}):
-        for alpha in (0.0, 0.3, 0.25 * 2.0 ** -7):
+        for alpha in (0.0,) if bordered else (0.3, 0.25 * 2.0 ** -7):
             given.clear()
-            assert isinstance(ops.lu(alpha, level, bordered), Recording)
+            assert isinstance(ops.lu(alpha, level), Recording)
             (dl, d, du, ref), = given
             A = _csc(ops.mesh, _assemble_stencil(ops.mesh, ops.a + 0.5 * level ** 2, ops.b),
                      alpha, ops.mesh.ref_index() if bordered else None)
@@ -486,22 +530,23 @@ def test_adjoint_weights_are_the_invariant_measure(name, domain, model, spacing)
     e[-1] = 1.0
     assert len(ops.eps_list) == (2 if name == "degenerate" else 1)
     for eps in ops.eps_list:
-        rhs = _rhs(ops, driver, 0.4, eps, bordered=True)
+        rhs = _rhs(ops, driver, 0.0, 0.4, eps)
         rhs[:n] -= np.cos(mesh.nodes[:, 0])
-        w = ops.lu(0.0, eps, True).solve(e, trans="T")
+        w = ops.lu(0.0, eps).solve(e, trans="T")
         measure = -w[:n]
         assert measure.min() >= 0.0
         assert abs(measure.sum() - 1.0) <= 1e-12
-        lam = scipy.sparse.linalg.splu(ops.operator(0.0, eps, True)).solve(rhs)[-1]
+        A = _csc(mesh, ops.stencil(eps), 0.0, ops.ref)
+        lam = scipy.sparse.linalg.splu(A).solve(rhs)[-1]
         assert abs(w @ rhs - lam) <= 1e-12 * max(1.0, abs(lam))
     # the extrapolated weights against the extrapolated forward solve
-    x, _ = discounted._grid_solve(ops, driver, 0.0, 0.4, bordered=True)
+    x, _ = discounted._grid_solve(ops, driver, 0.0, lambda psi: 0.4)
     measure, flux = ops.weights()
     g = ops.boundary_cost(driver)
     if domain.dim == 1:
         assert np.array_equal(g, 0.2 + mesh.nodes[mesh.boundary, 0])
     lam = measure @ np.cos(mesh.nodes[:, 0]) + flux @ (0.4 - g)
-    assert abs(lam - x[-1]) <= 1e-12 * max(1.0, abs(x[-1]))
+    assert abs(lam - x[n]) <= 1e-12 * max(1.0, abs(x[n]))
 
 
 @pytest.mark.parametrize("model,spacing", [(STD_1D, 1e-2), (STEEP_1D, 0.05)],
@@ -545,11 +590,11 @@ def test_one_dimensional_rows_are_monotone_with_a_probability_measure(
     e = np.zeros(n + 1)
     e[-1] = 1.0
     for eps in ops.eps_list:
-        for alpha, bordered in ((0.0, True), (0.3, False)):
-            A = ops.operator(alpha, eps, bordered).tocoo()
+        for alpha, ref in ((0.0, ops.ref), (0.3, None)):
+            A = _csc(ops.mesh, ops.stencil(eps), alpha, ref).tocoo()
             off = (A.row < n) & (A.col < n) & (A.row != A.col)
             assert A.data[off].min() >= 0.0
-        measure = -ops.lu(0.0, eps, True).solve(e, trans="T")[:n]
+        measure = -ops.lu(0.0, eps).solve(e, trans="T")[:n]
         assert measure.min() >= 0.0
         assert abs(measure.sum() - 1.0) <= 1e-12
     # the adjoint slope against two forward solves, relative to the size of
@@ -557,10 +602,9 @@ def test_one_dimensional_rows_are_monotone_with_a_probability_measure(
     # are below the rounding of a forward lambda difference. Each level's
     # curve is non-increasing; the degenerate model's extrapolated slope is
     # a positive 4.5e-7, far below FlatCurve's 1e-6
-    _, slope = ergodic._affine_curve(driver, "direct", ops)
+    _, slope = ergodic._affine_curve(driver, ops)
     assert slope < 0 or name == "degenerate"
-    lam0, lam1 = (solve_ergodic(model, interval, driver, mu, spacing=spacing,
-                                operators=ops).lam
+    lam0, lam1 = (ergodic._direct(ops, driver, lambda psi, mu=mu: mu).lam
                   for mu in (0.0, 1.0))
     assert abs(slope - (lam1 - lam0)) <= 1e-10 * max(abs(slope), abs(lam0), abs(lam1))
 
@@ -579,8 +623,8 @@ def test_two_dimensional_rows_are_monotone_with_a_probability_measure(
     ops = discounted.GridOperators(model, domain, spacing)
     n = ops.mesh.n_nodes
     assert ops.mesh.cut_cells().dropped == 0.0 and len(ops.mesh.cut_cells().pair) > 0
-    for alpha, bordered in ((0.0, True), (0.3, False)):
-        A = ops.operator(alpha, 0.0, bordered).tocoo()
+    for alpha, ref in ((0.0, ops.ref), (0.3, None)):
+        A = _csc(ops.mesh, ops.stencil(0.0), alpha, ref).tocoo()
         off = (A.row < n) & (A.col < n) & (A.row != A.col)
         assert A.data[off].min() >= 0.0
     assert np.all(ops.neumann_scale(0.0) > 0)
@@ -700,7 +744,7 @@ def test_tridiagonal_lu_matches_splu(model, alpha, ref, interval):
     h = mesh.spacing
     driver = dataclasses.replace(cos_driver(), g=lambda X: 0.2 + X[:, 0])
     for eps in sorted({*ops.eps_list, h, h / 2}):
-        rhs = _rhs(ops, driver, 0.4, eps, bordered)
+        rhs = _rhs(ops, driver, alpha, 0.4, eps)
         rhs[:n] -= np.cos(mesh.nodes[:, 0])
         A = _csc(mesh, _assemble_stencil(mesh, ops.a + 0.5 * eps ** 2, ops.b), alpha,
                  mesh.ref_index() if bordered else None)
@@ -770,16 +814,16 @@ def test_one_factorisation_per_viscosity_level_in_1d(monkeypatch):
 
 
 def _recording_solves(monkeypatch):
-    """Diagnostics of every ``solve_ergodic`` call, in order."""
+    """Diagnostics of every direct solve (``ergodic._direct``), in order."""
     recorded = []
-    real = ergodic.solve_ergodic
+    real = ergodic._direct
 
     def recording(*args, **kwargs):
         sol = real(*args, **kwargs)
         recorded.append(sol.diagnostics)
         return sol
 
-    monkeypatch.setattr(ergodic, "solve_ergodic", recording)
+    monkeypatch.setattr(ergodic, "_direct", recording)
     return recorded
 
 
@@ -795,20 +839,14 @@ def test_solve_record_counts_the_factorisations_of_a_1d_curve(monkeypatch, inter
     assert [d["nodes"] for d in recorded] == [201] * 3
     assert [d["factorisations"] for d in recorded] == [1, 0, 0]
     assert counts["factorisations"] == 1
-    # a vanishing-discount curve: one LU per new discount level
-    recorded.clear()
-    ergodic.lambda_of_mu(std_model, interval, cosdrv, [0.0, 1.0],
-                         scheme="vanishing_discount", spacing=1e-2)
-    assert recorded[0]["factorisations"] == len(recorded[0]["alpha_sequence"]) > 1
-    assert sum(d["factorisations"] for d in recorded) == counts["factorisations"] - 1
 
 
 def test_solve_record_counts_the_factorisations_of_a_2d_solve(monkeypatch):
     counts = _count_factorisations(monkeypatch)
     disc = ball_domain(1.0, 2)
     ops = discounted.GridOperators(STD_2D, disc, 0.1)
-    diags = [solve_ergodic(STD_2D, disc, cos_driver(), mu, spacing=0.1,
-                           operators=ops).diagnostics for mu in (0.0, 0.5)]
+    diags = [ergodic._direct(ops, cos_driver(), lambda psi, mu=mu: mu).diagnostics
+             for mu in (0.0, 0.5)]
     assert [d["nodes"] for d in diags] == [ops.mesh.n_nodes] * 2
     assert [d["factorisations"] for d in diags] == [1, 0]
     assert counts["factorisations"] == 1
@@ -838,7 +876,21 @@ def test_inversion_record_counts_every_factorisation(monkeypatch, interval, std_
 
 
 # ---------------------------------------------------------------------------
-# one LU per mesh, discount and viscosity level across every mu
+# one ergodic LU per mesh and viscosity level across every mu
+
+
+def test_operators_keep_only_the_ergodic_lu(monkeypatch, interval):
+    # the bordered LU of each viscosity level is built once and kept; a
+    # discounted LU serves its one solve, and asking again builds it again
+    counts = _count_factorisations(monkeypatch)
+    ops = discounted.GridOperators(degenerate_linear_model(), interval, 1e-2)
+    assert len(ops.eps_list) == 2
+    for eps in ops.eps_list:
+        assert ops.lu(0.0, eps) is ops.lu(0.0, eps)
+        assert ops.lu(0.3, eps) is not ops.lu(0.3, eps)
+    assert sorted(ops._lus) == sorted(ops.eps_list)
+    assert ops.factorisations == counts["factorisations"] == 6
+    assert max(counts["live_at_factorise"]) <= 3
 
 
 def test_one_factorisation_for_a_whole_curve(monkeypatch, interval, std_model, cosdrv):
@@ -899,24 +951,6 @@ def test_one_factorisation_for_an_inversion(monkeypatch, interval, std_model, co
     assert counts["lu_solves"] == 1
 
 
-def test_vanishing_discount_curve_factorises_each_discount_once(
-        monkeypatch, interval, std_model, cosdrv):
-    counts = _count_factorisations(monkeypatch)
-    alphas = []
-    real = ergodic.solve_ergodic
-
-    def recording(*args, **kwargs):
-        sol = real(*args, **kwargs)
-        alphas.extend(sol.diagnostics["alpha_sequence"])
-        return sol
-
-    monkeypatch.setattr(ergodic, "solve_ergodic", recording)
-    ergodic.lambda_of_mu(std_model, interval, cosdrv, [0.0, 1.0],
-                         scheme="vanishing_discount", spacing=1e-2)
-    assert len(alphas) > len(set(alphas)) > 1
-    assert counts["factorisations"] == len(set(alphas))
-
-
 def test_single_vanishing_discount_solve_keeps_no_lu_between_discounts(
         monkeypatch, interval, std_model, cosdrv):
     # no later mu reuses them, and kept LUs raised the peak memory
@@ -925,39 +959,6 @@ def test_single_vanishing_discount_solve_keeps_no_lu_between_discounts(
                         scheme="vanishing_discount", spacing=1e-2)
     assert counts["factorisations"] == len(sol.diagnostics["alpha_sequence"]) > 1
     assert max(counts["live_at_factorise"]) == 0
-
-
-def _kept_bytes(lu):
-    arrays = [a for v in vars(lu).values()
-              for a in (v if isinstance(v, list) else [v]) if isinstance(a, np.ndarray)]
-    return sum((a if a.base is None else a.base).nbytes for a in arrays)
-
-
-def test_vanishing_discount_curve_keeps_small_factors(interval, std_model, cosdrv):
-    # one kept factor per discount level, each a few arrays of n numbers,
-    # on the shared operators of a curve's solves
-    ops = discounted.GridOperators(std_model, interval, 1e-4)
-    n = ops.mesh.n_nodes
-    assert n == 20001
-    for mu in (0.0, 1.0):
-        solve_ergodic(std_model, interval, cosdrv, mu, scheme="vanishing_discount",
-                      spacing=1e-4, operators=ops)
-    assert len(ops._lus) > 1
-    assert max(_kept_bytes(lu) for lu in ops._lus.values()) <= 6 * n * 8
-
-
-def test_handed_in_operators_must_match_the_problem(interval, std_model, cosdrv):
-    ops = discounted.GridOperators(std_model, interval, 1e-2)
-    sol = solve_ergodic(std_model, interval, cosdrv, 0.3, spacing=1e-2, operators=ops)
-    assert sol.v.mesh is ops.mesh
-    with pytest.raises(ValueError, match="operators"):
-        solve_ergodic(std_model, interval, cosdrv, 0.3, spacing=2e-2, operators=ops)
-    other = kolmogorov_model(quadratic_potential(), eta_hint=-1.0)
-    with pytest.raises(ValueError, match="operators"):
-        solve_ergodic(other, interval, cosdrv, 0.3, spacing=1e-2, operators=ops)
-    with pytest.raises(ValueError, match="operators"):
-        solve_ergodic(std_model, ball_domain(1.0, 1), cosdrv, 0.3, spacing=1e-2,
-                      operators=ops)
 
 
 def test_vanishing_discount_picard_converges_on_two_control():

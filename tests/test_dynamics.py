@@ -297,11 +297,10 @@ def test_noise_blocks_match_the_per_path_layout(monkeypatch):
 
 
 def test_estimates_do_not_depend_on_the_sub_block_size(monkeypatch):
-    # the sub-block size only sets the speed: the 1-d estimators return the
-    # same bits at any size, here 400 steps of 64 paths in sub-blocks of 16,
-    # 128, 256 steps and one block. The run record's local time is a sum of
-    # per-block sums (test_run_record_sums_the_local_time), so it is only
-    # equal up to the grouping of that sum
+    # the sub-block size only sets the speed: the 1-d estimators and their
+    # run records, local time included (test_run_record_sums_the_local_time),
+    # return the same bits at any size, here 400 steps of 64 paths in
+    # sub-blocks of 16, 128, 256 steps and one block
     from ebsde.ergodic import solve_ergodic
     from ebsde.presets import cos_driver
     from ebsde.verification import bsde_residual
@@ -328,18 +327,10 @@ def test_estimates_do_not_depend_on_the_sub_block_size(monkeypatch):
         out["K"] = (K.rate, K.stderr, K.run)
         return out
 
-    def split_runs(out):
-        runs = [v for row in out.values() for v in row if isinstance(v, dict)
-                and "local_time" in v]
-        local = [run.pop("local_time") for run in runs]
-        return out, local
-
-    ref, ref_local = split_runs(estimates())
+    ref = estimates()
     for size in (1 << 10, 1 << 13, 1 << 14, 1 << 16):
         monkeypatch.setattr(dynamics, "_SUB_NUMBERS", size)
-        got, local = split_runs(estimates())
-        assert got == ref, size
-        assert_allclose(local, ref_local, rtol=1e-13)
+        assert estimates() == ref, size
 
 
 # Pins recorded from the per-point stepper of the former single-path
@@ -540,11 +531,13 @@ def test_block_local_time_is_the_repair_length(d):
 
 
 def test_run_record_sums_the_local_time(interval, std_model):
+    # each step's sum over the paths, added in step order
     run = dynamics.RunRecord()
     K = 0.0
     for i, X, X_new, dK, xi in ensemble_steps(std_model, interval, np.zeros((50, 1)),
                                               700, 1e-3, 2, run):
-        K += dK.sum()
+        for step in dK.reshape(-1, 50):
+            K += step.sum()
     rec = run.as_dict()
     assert rec["local_time"] == K > 0.0
     assert rec["path_steps"] == 50 * 700

@@ -298,9 +298,11 @@ def test_vanishing_discount_builds_one_mesh(monkeypatch, interval, std_model, co
                         scheme="vanishing_discount", spacing=1e-2)
     assert len(calls) == 1
     assert len(sol.diagnostics["alpha_sequence"]) > 1
-    # one mesh for every mu of a curve and of an inversion
-    lambda_of_mu(std_model, interval, cosdrv, [0.0, 0.5, 1.0],
-                 scheme="vanishing_discount", spacing=1e-2)
+    # one mesh for every mu of a curve (a driver that reads z: one solve
+    # per mu) and of an inversion
+    zdrv = dataclasses.replace(cosdrv, psi=lambda X, Z: np.cos(X[:, 0]) + 0.3 * Z[:, 0],
+                               K_psi_z=0.3)
+    lambda_of_mu(std_model, interval, zdrv, [0.0, 0.5, 1.0], spacing=1e-2)
     assert len(calls) == 2
     solve_boundary_cost(std_model, interval, cosdrv, 0.5, tol=1e-3,
                         scheme="direct", spacing=1e-2)
@@ -318,20 +320,23 @@ DIRECT_CURVES = {
 }
 
 
-@pytest.mark.parametrize("case", ["interval-direct", "disc-direct",
-                                  "interval-vanishing-discount"])
+@pytest.mark.parametrize("case", ["interval-direct", "disc-direct", "interval-reads-z"])
 def test_curve_equals_standalone_solves_bit_for_bit(case, interval, std_model,
                                                     cosdrv):
+    model, domain, kw = std_model, interval, {"scheme": "direct", "spacing": 1e-2}
     if case == "disc-direct":
         model = kolmogorov_model(quadratic_potential(), dim=2, eta_hint=-1.0)
-        domain, kw = ball_domain(1.0, 2), {"scheme": "direct", "spacing": 0.1}
-    else:
-        model, domain = std_model, interval
-        kw = {"scheme": case.split("-", 1)[1].replace("-", "_"), "spacing": 1e-2}
+        domain, kw["spacing"] = ball_domain(1.0, 2), 0.1
+    driver = cosdrv
+    if case == "interval-reads-z":
+        driver = dataclasses.replace(cosdrv, K_psi_z=0.3,
+                                     psi=lambda X, Z: np.cos(X[:, 0]) + 0.3 * Z[:, 0])
     mus = [-1.0, 0.0, 0.5, 2.0]
-    curve = lambda_of_mu(model, domain, cosdrv, mus, **kw)
-    alone = [solve_ergodic(model, domain, cosdrv, m, **kw).lam for m in mus]
-    if kw["scheme"] == "vanishing_discount":
+    curve = lambda_of_mu(model, domain, driver, mus, **kw)
+    alone = [solve_ergodic(model, domain, driver, m, **kw).lam for m in mus]
+    if case == "interval-reads-z":
+        # one direct solve per mu on the curve's shared LU
+        assert curve.record["route"] == "solve_per_mu"
         assert list(curve.lams) == alone
         return
     # the direct curve is the line from the adjoint weights, not a forward
@@ -372,6 +377,19 @@ def test_inversion_reports_its_route(interval, std_model, cosdrv):
     # the vanishing-discount scheme only repeats the direct answer
     with pytest.raises(ValueError, match="direct"):
         solve_boundary_cost(std_model, interval, cosdrv, 0.5, scheme="vanishing_discount")
+
+
+def test_curve_runs_the_direct_scheme_only(monkeypatch, interval, std_model, cosdrv):
+    # refused before any grid is built, on the line route and per mu alike
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(discounted, "build_mesh", no_mesh)
+    zdrv = dataclasses.replace(cosdrv, K_psi_z=0.3)
+    for driver in (cosdrv, zdrv):
+        for scheme in ("vanishing_discount", "bogus"):
+            with pytest.raises(ValueError, match="direct"):
+                lambda_of_mu(std_model, interval, driver, [0.0, 1.0], scheme=scheme)
 
 
 # the Hamiltonian driver on the unit disc of ``perfbench``'s grid2d_disc

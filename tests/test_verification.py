@@ -94,7 +94,7 @@ def test_shifted_problem_identities(interval, std_model, cosdrv):
 
 def test_shift_leaves_constants_invariant(interval, std_model, cosdrv):
     out = drift_shift_equivalence(std_model, interval, cosdrv, 0.25,
-                                  mu=0.0, scheme="direct", spacing=1e-3)
+                                  mu=0.0, spacing=1e-3)
     assert out["lambda_gap"] < 2e-3
     assert out["eta_identity_gap"] < 1e-9
 
