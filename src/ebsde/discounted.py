@@ -24,15 +24,16 @@ operator is factorised once per mesh and viscosity level
 (``GridOperators``), and that LU serves every Picard sweep and every mu; a
 discounted LU serves the sweeps of its one solve.
 In 1-d the LAPACK tridiagonal LU reads the stencil's three diagonals
-directly; the lambda border of a 1-d ergodic operator is removed by
-swapping the reference node's row for the normalization row, which keeps
-the matrix tridiagonal at the cost of one extra solve per factorisation
-(``_TridiagonalLU``). A sparse matrix is built from the stencil only for
-SuperLU, in 2-d and when that swap is not backward stable (``_csc``). One
-transposed solve on the ergodic LU gives lambda as a linear function of psi
-and mu - g (``GridOperators.weights``): the discrete invariant measure and
-the boundary flux. Degenerate 1-d diffusion is handled by adding a small
-viscosity eps^2/2 at two values of eps and extrapolating linearly to eps = 0.
+directly. A 1-d ergodic operator is solved through its discrete invariant
+measure, the paper's route to lambda: one LU of the transposed operator
+gives the measure w, each right-hand side r gives lambda = -w.r, and a
+second LU, pinned at the mode of w, gives v (``_TridiagonalLU``). A sparse
+matrix is built from the stencil only for SuperLU, in 2-d (``_csc``), where
+one transposed solve on the bordered LU gives the measure. The measure and
+the boundary flux give lambda as a linear function of psi and mu - g
+(``GridOperators.weights``). Degenerate 1-d diffusion is handled by adding
+a small viscosity eps^2/2 at two values of eps and extrapolating linearly
+to eps = 0.
 """
 from __future__ import annotations
 
@@ -203,131 +204,70 @@ def _boundary_drift(mesh: Mesh, a: np.ndarray, b: np.ndarray):
     return bn, bn * mesh.spacing <= 2 * a[_ENDS, 0]
 
 
-# normwise backward error above which a bordered 1-d operator goes to
-# SuperLU. Measured at spacings 1e-2 to 1e-4: below 3e-15 for the quadratic,
-# degenerate and OU models and for double wells with barriers up to 5; from
-# 2e-13 up once the reference node sits on a barrier of 10 or more, or at
-# an edge that a point mass in the middle rarely visits
-_BACKWARD_TOL = 1e-13
+def _lu(dl: np.ndarray, d: np.ndarray, du: np.ndarray, pin: Optional[int] = None):
+    """LAPACK tridiagonal LU (dgttrf) of the matrix with diagonals ``dl``
+    (n - 1,), ``d`` (n,) and ``du`` (n - 1,), copied first; with ``pin``
+    its row pin is replaced by e_pin^T."""
+    dl, d, du = (np.array(x, dtype=float) for x in (dl, d, du))
+    if pin is not None:
+        d[pin] = 1.0
+        dl[pin - 1:pin] = 0.0
+        du[pin:pin + 1] = 0.0
+    *factors, info = dgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+    if info > 0:
+        raise RuntimeError("Factor is exactly singular")
+    return factors
 
 
 class _TridiagonalLU:
-    """LAPACK tridiagonal LU (dgttrf, dgttrs) of a 1-d operator on ``n``
-    nodes numbered left to right, with the ``solve(rhs, trans)`` of SuperLU.
+    """LU of a 1-d operator on ``n`` nodes numbered left to right, with the
+    ``solve(rhs)`` of SuperLU, from the operator's three diagonals ``dl``,
+    ``d`` and ``du`` as ``_assemble_stencil`` gives them (``_lu``).
 
-    Takes the operator's three diagonals, ``dl`` (n - 1,), ``d`` (n,) and
-    ``du`` (n - 1,), as ``_assemble_stencil`` gives them (copied, so the
-    stencil is left as it is). With ``ref`` the operator is bordered: the
-    lambda column is -1 on every row and the normalization row is
-    e_ref^T. The bordered operator [[N, c], [e_ref^T, 0]] is factorised as
-    M, which is N with row ref replaced by e_ref^T. With M z = c (c_ref set
-    to 0) solved once, each rhs (r, r_n) takes M y = r (r_ref set to r_n),
-    then lambda = (r_ref - N_ref.y) / (c_ref - N_ref.z) and v = y - lambda z.
-    The transposed system swaps the same row: with M^T q = N_ref solved on
-    first use, each rhs (b, b_n) takes M^T p = b, then
-    u_ref = (b_n - c.p) / (c_ref - c.q), u = p - u_ref q with u_ref in
-    place ref, and the border unknown is p_ref - u_ref q_ref. That
-    denominator equals c_ref - N_ref.z in exact arithmetic; this one makes
-    the border row c.u = b_n hold to rounding.
+    With ``ref`` the operator is bordered, [[N, -1], [e_ref^T, 0]]: the
+    lambda column is -1 on every row and the normalization row is e_ref^T.
+    N's rows sum to zero, so any one row of N^T is minus the sum of the
+    others: the invariant measure (w N = 0, mass 1) solves N^T with row ref
+    replaced by e_ref^T, rescaled (``measure``). Each rhs (r, r_n) then
+    takes lambda = -w.r, and v solves the consistent system N v = r +
+    lambda with the row of the mode of w (its largest entry) replaced by
+    e_mode^T, shifted so that v_ref = r_n. The dropped row's residual is
+    the others' weighted by w_i / w_mode <= 1, so no two large solves are
+    subtracted, and the backward error stays at rounding with ref on a
+    potential barrier too. Two LUs in all.
     """
 
     def __init__(self, dl: np.ndarray, d: np.ndarray, du: np.ndarray,
                  ref: Optional[int] = None):
-        dl, d, du = (np.array(x, dtype=float) for x in (dl, d, du))
         self.ref = ref
-        if ref is not None:
-            self.lo, self.c_ref = max(ref - 1, 0), -1.0
-            self.row = np.concatenate([dl[ref - 1:ref], d[ref:ref + 1], du[ref:ref + 1]])
-            c = np.full(len(d), -1.0)
-            c[ref] = 0.0
-            self.c, self.q = c, None
-            d[ref] = 1.0
-            dl[ref - 1:ref] = 0.0
-            du[ref:ref + 1] = 0.0
-        *self.factors, info = dgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1,
-                                     overwrite_du=1)
-        if info > 0:
-            raise RuntimeError("Factor is exactly singular")
-        if ref is not None:
-            self.z = self._solve_m(c)
-            self.denom = self.c_ref - self._row_dot(self.z)
+        if ref is None:
+            self.factors = _lu(dl, d, du)
+            return
+        e = np.zeros(len(d))
+        e[ref] = 1.0
+        u = dgttrs(*_lu(du, d, dl, ref), e)[0]
+        self.measure = u / u.sum()
+        self.mode = int(np.argmax(self.measure))
+        self.factors = _lu(dl, d, du, self.mode)
 
-    def backward_stable(self, dl: np.ndarray, d: np.ndarray, du: np.ndarray) -> bool:
-        """Whether solves with the border removed keep a small residual on
-        the operator of the diagonals ``dl``, ``d``, ``du``.
-
-        The swap is exact algebra, but y and lambda z grow like the expected
-        time to hit the reference node, so v = y - lambda z loses digits
-        when that node is rarely visited (a high potential barrier, or a
-        point mass away from it). Measured on one solve with a known answer.
-        """
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
         if self.ref is None:
-            return True
-        x = np.append(np.linspace(-1.0, 1.0, len(d)), 1.0)
-        r = self._matvec(dl, d, du, x)
-        residual = np.abs(self._matvec(dl, d, du, self.solve(r)) - r).max()
-        scale = max(np.abs(dl).max(), np.abs(d).max(), np.abs(du).max(), 1.0)
-        return residual <= _BACKWARD_TOL * (scale + np.abs(r).max())
-
-    def _matvec(self, dl, d, du, x: np.ndarray) -> np.ndarray:
-        """The bordered operator times x, each row's entries added in column
-        order from zero as the CSC product adds them: the same bits."""
-        n = len(d)
-        y = np.zeros(n + 1)
-        y[1:n] += dl * x[:n - 1]
-        y[:n] += d * x[:n]
-        y[:n - 1] += du * x[1:n]
-        y[:n] -= x[n]                 # the border column, -1 on every row
-        y[n] += x[self.ref]
-        return y
-
-    def _solve_m(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
-        return dgttrs(*self.factors, rhs, trans=trans)[0]
-
-    def _row_dot(self, x: np.ndarray) -> float:
-        return float(self.row @ x[self.lo:self.lo + len(self.row)])
-
-    def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
-        if self.ref is None:
-            return self._solve_m(rhs, trans)
-        if trans == "T":
-            if self.q is None:
-                n_ref = np.zeros(len(self.z))
-                n_ref[self.lo:self.lo + len(self.row)] = self.row
-                self.q = self._solve_m(n_ref, "T")
-                self.denom_t = self.c_ref - self.c @ self.q
-            u = self._solve_m(rhs[:-1], "T")
-            u_ref = (rhs[-1] - self.c @ u) / self.denom_t
-            u -= u_ref * self.q
-            border = u[self.ref]
-            u[self.ref] = u_ref
-            return np.append(u, border)
-        r = rhs[:-1].copy()
-        r[self.ref] = rhs[-1]
-        y = self._solve_m(r)
-        lam = (rhs[self.ref] - self._row_dot(y)) / self.denom
-        return np.append(y - lam * self.z, lam)
+            return dgttrs(*self.factors, rhs)[0]
+        lam = -float(self.measure @ rhs[:-1])
+        r = rhs[:-1] + lam
+        r[self.mode] = 0.0
+        v = dgttrs(*self.factors, r)[0]
+        return np.append(v + (rhs[-1] - v[self.ref]), lam)
 
 
 def _factorise(mesh: Mesh, stencil, alpha: float, ref: Optional[int] = None):
     """LU, with a ``solve(rhs)`` method, of the operator that ``_csc`` builds
-    from a stencil: the LAPACK tridiagonal LU of its three diagonals in 1-d,
-    SuperLU in 2-d and for a bordered 1-d operator whose border removal is
-    not backward stable."""
+    from a stencil: the LAPACK tridiagonal LU of its three diagonals in 1-d
+    (``_TridiagonalLU``), SuperLU in 2-d."""
     if mesh.domain.dim == 1:
         diag, coef = stencil[:2]
-        tri = coef[1:, 0, 0], diag - alpha, coef[:-1, 0, 1]
-        lu = _TridiagonalLU(*tri, ref)
-        if lu.backward_stable(*tri):
-            return lu
+        return _TridiagonalLU(coef[1:, 0, 0], diag - alpha, coef[:-1, 0, 1], ref)
     return splu(_csc(mesh, stencil, alpha, ref))
-
-
-def _factoriser(mesh: Mesh, lu) -> str:
-    """Name of the factorisation ``_factorise`` returned."""
-    if isinstance(lu, _TridiagonalLU):
-        return "lapack_tridiagonal"
-    return "superlu_handover" if mesh.domain.dim == 1 else "superlu"
 
 
 def _extrapolate(xs: list):
@@ -391,16 +331,17 @@ class GridOperators:
     (``eps_list``: h and h/2 on a 1-d grid where the diffusion degenerates
     somewhere, ``_needs_viscosity``; 0 otherwise), one alpha-free stencil
     per eps (``stencil``), shared by every discount and by the bordered and
-    unbordered operators, the number of LUs built (``factorisations``), and
-    the ergodic LU of each eps (``lu``). The discount enters only the
-    diagonal as fl(-S - alpha), the same bits as assembling with alpha. In
-    1-d the LAPACK tridiagonal LU takes the stencil's three diagonals
-    (SuperLU takes a CSC built from the stencil in 2-d), and a lambda
-    border is removed by one row swap, the reference node's row giving way
-    to the normalization row (``_TridiagonalLU``). mu and psi enter only
-    the right-hand side, so one instance serves every mu of a curve or an
-    inversion, and ``weights`` gives lambda for all of them from one
-    transposed solve; it lives as long as its caller keeps it.
+    unbordered operators, the number of operators factorised
+    (``factorisations``; a 1-d ergodic operator counts once for its two
+    LAPACK LUs), and the ergodic LU of each eps (``lu``). The discount
+    enters only the diagonal as fl(-S - alpha), the same bits as assembling
+    with alpha. In 1-d the LAPACK tridiagonal LU takes the stencil's three
+    diagonals, and an ergodic operator is solved through its invariant
+    measure (``_TridiagonalLU``); SuperLU takes a CSC built from the stencil
+    in 2-d. mu and psi enter only the right-hand side, so one instance
+    serves every mu of a curve or an inversion, and ``weights`` gives
+    lambda for all of them from the measure of each level; it lives as long
+    as its caller keeps it.
     """
 
     def __init__(self, model: SdeModel, domain: DomainSpec, spacing: float = 1e-3):
@@ -412,7 +353,7 @@ class GridOperators:
         use_visc = domain.dim == 1 and _needs_viscosity(self.a, h)
         self.eps_list = [h, h / 2] if use_visc else [0.0]
         self.ref = self.mesh.ref_index()
-        self.factorisations = 0     # LUs built, kept or not
+        self.factorisations = 0     # operators factorised, kept or not
         self._lus: dict = {}        # the ergodic LU of each eps
         self._operators: dict = {}  # one stencil per eps
         self._neumann: dict = {}
@@ -513,33 +454,31 @@ class GridOperators:
         every z-free driver psi and boundary cost g of a direct solve, g on
         the boundary rows as ``boundary_cost`` gives it.
 
-        One transposed solve of the bordered ergodic operator per viscosity
-        level gives weights w with lambda = w.r; both parts are extrapolated
-        like the solutions. -w on the nodes is the discrete invariant
-        measure (mass 1); the flux is w times d r / d mu on the boundary
-        nodes, and its sum is d lambda / d mu. -w >= 0 holds only to
-        rounding where the true mass underflows: the cancellation u = p -
-        u_ref q of the transposed bordered 1-d solve can leave entries of
-        about -1e-16 times the largest (-1.2e-32 at the boundary nodes for
-        a quadratic potential of curvature 300 at spacing 1e-2, where the
-        true mass is near 1e-65)."""
+        The measure of each viscosity level is the discrete invariant
+        measure (mass 1): in 1-d the one the ergodic LU computed
+        (``_TridiagonalLU``), in 2-d minus the nodes of the transposed
+        bordered solve of e_n, whose w gives lambda = w.r. The flux is minus
+        the measure times d r / d mu on the boundary nodes, and its sum is
+        d lambda / d mu. Both parts are extrapolated like the solutions."""
         n = self.mesh.n_nodes
         e = np.zeros(n + 1)
         e[-1] = 1.0
-        ws = [self.lu(0.0, eps).solve(e, trans="T") for eps in self.eps_list]
-        measure = -_extrapolate(ws)[:n]
-        flux = _extrapolate([w[self.boundary_rows()] * self.neumann_scale(eps)
-                             for w, eps in zip(ws, self.eps_list)])
-        return measure, flux
+        lus = [self.lu(0.0, eps) for eps in self.eps_list]
+        ms = [lu.measure if self.mesh.domain.dim == 1 else -lu.solve(e, trans="T")[:n]
+              for lu in lus]
+        flux = -_extrapolate([m[self.boundary_rows()] * self.neumann_scale(eps)
+                              for m, eps in zip(ms, self.eps_list)])
+        return _extrapolate(ms), flux
 
 
 def _grid_solve(ops: GridOperators, driver: DriverSpec, alpha: float, mu):
     """Unknowns of the discrete problem (node values, then lambda when the
     problem is ergodic, alpha = 0, then mu), extrapolated over the viscosity
     levels, and a record of the solve: the nodes, the viscosity levels, the
-    factoriser of each level (``_factoriser``), the LUs it built (0 when
-    ``ops`` already held them), the linear solves and damped sweeps summed
-    over the levels and the largest final Picard update.
+    factoriser of each level (``_factorise``: "lapack_tridiagonal" in 1-d,
+    "superlu" in 2-d), the operators it factorised (0 when ``ops`` already
+    held their LUs), the linear solves and damped sweeps summed over the
+    levels and the largest final Picard update.
 
     ``mu`` is a function of the psi values at the nodes that gives the mu
     of each linear solve (a constant function for a fixed boundary
@@ -547,6 +486,7 @@ def _grid_solve(ops: GridOperators, driver: DriverSpec, alpha: float, mu):
     ``GridOperators.neumann_scale``, with g from
     ``GridOperators.boundary_cost``, and 0 elsewhere before psi."""
     n = ops.mesh.n_nodes
+    factoriser = "lapack_tridiagonal" if ops.mesh.domain.dim == 1 else "superlu"
     sols = []
     built = ops.factorisations
     record = {"nodes": n, "viscosity_eps": ops.eps_list,
@@ -565,7 +505,7 @@ def _grid_solve(ops: GridOperators, driver: DriverSpec, alpha: float, mu):
 
         x, sweeps, update, damped = _picard(ops, driver, linear_solve)
         sols.append(x)
-        record["factorisers"].append(_factoriser(ops.mesh, lu))
+        record["factorisers"].append(factoriser)
         record["picard_sweeps"] += sweeps
         record["damping_events"] += damped
         if update is not None:

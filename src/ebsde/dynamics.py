@@ -142,7 +142,7 @@ def _ensemble_noise_blocks(seed: int, P: int, d: int, n_steps: int):
 
 
 class _Kernel:
-    """Boundary repair of a batch of proposals, chosen by domain kind.
+    """Boundary repair of a batch of proposals, chosen by dimension.
 
     ``kernel(x_pre, x_new)`` writes the repaired states (P, d) of the
     proposals x_pre into x_new; a proposal inside the closure is copied
@@ -200,14 +200,15 @@ class _GenericKernel(_Kernel):
 
 
 class _BallKernel(_GenericKernel):
-    """The repair of a ball in d >= 2, the generic mirror. The class stays
-    because the benchmark tracer wraps ``_BallKernel.__call__`` by name."""
+    """Never built: every domain of d >= 2 takes ``_GenericKernel``. The
+    class stays only because the benchmark tracer wraps
+    ``_BallKernel.__call__`` by name."""
 
 
 def _make_kernel(domain: DomainSpec):
-    if domain.kind in ("ball", "interval_quartic"):
-        return _IntervalKernel(domain) if domain.dim == 1 else _BallKernel(domain)
-    return _GenericKernel(domain)
+    """The interval fold in 1-d, where every domain is an interval centred
+    at the origin, the generic mirror otherwise."""
+    return _IntervalKernel(domain) if domain.dim == 1 else _GenericKernel(domain)
 
 
 @dataclass

@@ -12,13 +12,13 @@ On top of the direct scheme sit the curve mu -> lambda(mu), which is
 non-increasing, and its inversion, the boundary constant matching a
 prescribed lambda. mu enters only the right-hand side, so each curve and
 each inversion builds one ``GridOperators`` and every solve in it reuses the
-same mesh and LUs. For any frozen psi lambda is w.r for the adjoint weights
-w of one transposed solve: the line measure.psi + flux.(mu - g). So a curve
-of a driver that does not read z is the line lambda(0) + mu slope, and other
-curves take one solve per mu. Each linear solve of an inversion's Picard
-sweeps takes the mu at which that line meets the target, so mu is the last
-unknown of the sweep as it is of every solve. A driver that does not read z
-takes one sweep, the closed form.
+same mesh and LUs. For any frozen psi lambda is the line measure.psi +
+flux.(mu - g) of the discrete invariant measure and its boundary flux
+(``GridOperators.weights``). So a curve of a driver that does not read z is
+the line lambda(0) + mu slope, and other curves take one solve per mu.
+Each linear solve of an inversion's Picard sweeps takes the mu at which that
+line meets the target, so mu is the last unknown of the sweep as it is of
+every solve. A driver that does not read z takes one sweep, the closed form.
 """
 from __future__ import annotations
 
@@ -191,10 +191,10 @@ def _solution(ops: GridOperators, scheme: str, vals: np.ndarray, lam: float,
 
 def _solve_record(records: list) -> Dict:
     """What the grid solves of one solution did: the nodes, the
-    viscosity levels, each factoriser that ran, the LUs built (0 when shared
-    operators already held them), the linear solves and damped Picard
-    sweeps in total, and the final update of the last solve (None when the
-    driver does not read z)."""
+    viscosity levels, each factoriser that ran, the operators factorised (0
+    when shared operators already held their LUs), the linear solves and
+    damped Picard sweeps in total, and the final update of the last solve
+    (None when the driver does not read z)."""
     return {"nodes": records[-1]["nodes"],
             "viscosity_eps": records[-1]["viscosity_eps"],
             "factorisers": sorted({f for r in records for f in r["factorisers"]}),
@@ -206,9 +206,9 @@ def _solve_record(records: list) -> Dict:
 
 def _affine_curve(driver: DriverSpec, ops: GridOperators):
     """(lambda(0), d lambda / d mu), or None when the curve is not a line: a
-    driver that reads z. One transposed solve per viscosity level gives
-    lambda = measure.psi + flux.(mu - g) (``GridOperators.weights``): the
-    slope is w.dr/dmu, the flux summed over the boundary nodes."""
+    driver that reads z. The invariant measure of each viscosity level
+    gives lambda = measure.psi + flux.(mu - g) (``GridOperators.weights``):
+    the slope is the flux summed over the boundary nodes."""
     if driver.K_psi_z != 0.0:
         return None
     nodes = ops.mesh.nodes
@@ -225,9 +225,10 @@ def lambda_of_mu(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
     scheme, the only ``scheme`` accepted (ValueError otherwise): the line
     lambda(0) + mu slope for a z-free driver, one direct solve per mu
     otherwise. The curve's ``record`` says which ("route": "line" or
-    "solve_per_mu") and what it took: the nodes, the LUs built, the forward
-    linear solves (Picard sweeps included) and the transposed solves of
-    ``GridOperators.weights``. Every solve shares one ``GridOperators``."""
+    "solve_per_mu") and what it took: the nodes, the operators factorised,
+    the forward linear solves (Picard sweeps included) and the measures of
+    ``GridOperators.weights``, one transposed solve per viscosity level
+    (``transposed_solves``). Every solve shares one ``GridOperators``."""
     if scheme != "direct":
         raise ValueError(f"a curve runs the direct scheme, not {scheme!r}")
     mus = np.asarray(sorted(mus), dtype=float)
@@ -278,9 +279,9 @@ def solve_boundary_cost(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
     increasing by a discretisation error), and mu is not identifiable; it is
     the slope that ``hypotheses.check_all`` reads for F2.2. NonConvergence
     means that lambda missed the target by more than tol. The solution's
-    diagnostics["inversion"] records the slope, the LUs built over the whole
-    inversion (those of ``GridOperators.weights`` included) and the linear
-    solves of the sweeps.
+    diagnostics["inversion"] records the slope, the operators factorised
+    over the whole inversion (those of ``GridOperators.weights`` included)
+    and the linear solves of the sweeps.
     """
     if scheme != "direct":
         raise ValueError(f"an inversion runs the direct scheme, not {scheme!r}")

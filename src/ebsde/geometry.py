@@ -38,9 +38,6 @@ class DomainSpec:
         |grad phi| = 1 on the boundary.
     bounding_box : (d, 2) array
         Axis-aligned box containing the closure of G.
-    kind : str
-        "ball", "interval_quartic" or "quadratic" ({x.A x <= 1}); path
-        simulation picks its boundary kernel by kind.
     project : callable
         Projection onto the closure, (P, d) -> (P, d), that returns every
         row already in the closure unchanged: the clamp of an interval, the
@@ -58,7 +55,6 @@ class DomainSpec:
     grad_phi: Callable[[np.ndarray], np.ndarray]
     hess_phi: Callable[[np.ndarray], np.ndarray]
     bounding_box: np.ndarray
-    kind: str
     project: Callable[[np.ndarray], np.ndarray]
     dim: int = field(init=False)
     centroid: np.ndarray = field(init=False)
@@ -110,8 +106,7 @@ def ball_domain(radius: float = 1.0, dim: int = 1) -> DomainSpec:
                       grad_phi=lambda X: -X / r,
                       hess_phi=lambda X: np.broadcast_to(-np.eye(dim) / r,
                                                          (len(X), dim, dim)),
-                      bounding_box=box, kind="ball",
-                      project=_clamp(r) if dim == 1 else radial)
+                      bounding_box=box, project=_clamp(r) if dim == 1 else radial)
 
 
 def quartic_interval_domain() -> DomainSpec:
@@ -129,8 +124,7 @@ def quartic_interval_domain() -> DomainSpec:
 
     return DomainSpec(phi=phi, grad_phi=lambda X: -X * (3.0 + X * X) / 4.0,
                       hess_phi=lambda X: (-(3.0 + 3.0 * X[:, 0] ** 2) / 4.0)[:, None, None],
-                      bounding_box=np.array([[-1.0, 1.0]]),
-                      kind="interval_quartic", project=_clamp(1.0))
+                      bounding_box=np.array([[-1.0, 1.0]]), project=_clamp(1.0))
 
 
 def quadratic_domain(matrix) -> DomainSpec:
@@ -155,7 +149,7 @@ def quadratic_domain(matrix) -> DomainSpec:
     dom = DomainSpec(phi=lambda X: (1.0 - ((X @ A) * X).sum(axis=1)) / 2.0,
                      grad_phi=lambda X: -(X @ A.T),
                      hess_phi=lambda X: np.broadcast_to(-A, (len(X), d, d)),
-                     bounding_box=box, kind="quadratic",
+                     bounding_box=box,
                      project=lambda X: _project_quadratic(dom, evals, Q, X))
     return dom
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from ebsde import cli, discounted
-from ebsde.errors import NonConvergence
+from ebsde.errors import FlatCurve
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -81,16 +81,16 @@ def test_invert_refuses_every_scheme_but_direct(tmp_path, capsys, monkeypatch):
 
 
 def test_error_names_the_module_that_raised_it(tmp_path, capsys):
-    # NonConvergence is raised in geometry and in ergodic; here only the
-    # inversion of ergodic raises it, as its lambda misses the target by
-    # 4e-13, more than the tolerance
-    rc = cli.main(["invert", "--config", str(CONFIGS / "interval_cos.json"),
-                   "--lambda", "0.5", "--tol", "1e-15",
-                   "--out-dir", str(tmp_path / "out")])
+    # the degenerate model's curve is flat, so the inversion of ergodic
+    # raises FlatCurve before it writes anything
+    out = tmp_path / "out"
+    rc = cli.main(["invert", "--config", str(CONFIGS / "degenerate.json"),
+                   "--lambda", "0.5", "--out-dir", str(out)])
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
-    assert err[0].startswith("error in ergodic (NonConvergence): ")
-    assert err[1] == f"hint: {NonConvergence.remedy}"
+    assert err[0].startswith("error in ergodic (FlatCurve): ")
+    assert err[1] == f"hint: {FlatCurve.remedy}"
+    assert not out.exists()
 
 
 def test_invert_reaches_target(tmp_path):

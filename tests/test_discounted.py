@@ -24,7 +24,7 @@ from ebsde.ergodic import solve_ergodic
 from ebsde.grids import build_mesh
 from ebsde.presets import (assemble_config, constant_driver, cos_driver,
                            degenerate_linear_model, kolmogorov_model, ou_model,
-                           quadratic_potential, zero_driver)
+                           poly_potential, quadratic_potential, zero_driver)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -141,6 +141,13 @@ def _g(driver, x):
     return 0.0 if driver.g is None else refs.one_row(driver.g, x)
 
 
+def _level(ops, eps):
+    """A copy of ``ops`` that runs the one viscosity level eps."""
+    probe = copy.copy(ops)
+    probe.eps_list = [eps]
+    return probe
+
+
 def _rhs(ops, driver, alpha, mu, eps):
     """The right-hand side that ``_grid_solve`` hands the LU at viscosity
     level eps, before psi: (mu - g) times the Neumann scale on the boundary
@@ -149,12 +156,11 @@ def _rhs(ops, driver, alpha, mu, eps):
     given = []
 
     class Recording:
-        def solve(self, r, trans="N"):
+        def solve(self, r):
             given.append(r.copy())
             return np.zeros(len(r))
 
-    probe = copy.copy(ops)
-    probe.eps_list = [eps]
+    probe = _level(ops, eps)
     probe.lu = lambda alpha, eps: Recording()
     zero = dataclasses.replace(driver, psi=lambda X, Z: np.zeros(len(X)), K_psi_z=0.0)
     discounted._grid_solve(probe, zero, alpha, lambda psi: mu)
@@ -439,64 +445,52 @@ def test_one_assembly_per_viscosity_level(monkeypatch, interval, std_model, cosd
 ONE_D_CASES = [c for c in OPERATOR_CASES if c[1].dim == 1]
 
 
+def _pinned(dl, d, du, k):
+    """The diagonals of a tridiagonal matrix with row k replaced by e_k^T."""
+    dl, d, du = (np.array(x) for x in (dl, d, du))
+    d[k] = 1.0
+    dl[k - 1:k] = 0.0
+    du[k:k + 1] = 0.0
+    return dl, d, du
+
+
 @pytest.mark.parametrize("bordered", [False, True], ids=["discounted", "bordered"])
 @pytest.mark.parametrize("name,domain,model,spacing,eps", ONE_D_CASES,
                          ids=[c[0] for c in ONE_D_CASES])
 def test_tridiagonal_lu_reads_the_assembled_diagonals(monkeypatch, name, domain, model,
                                                       spacing, eps, bordered):
-    # what the LU is given equals the three diagonals, the border column and
-    # the normalization row of the CSC that _csc builds from the stencil;
-    # an operator is bordered exactly when alpha = 0
+    # what LAPACK factorises equals the three diagonals of the operator N
+    # that _csc builds from the stencil; an operator is bordered exactly
+    # when alpha = 0, and then its two LUs read N^T with row ref replaced
+    # by e_ref^T (the measure) and N with the row of the measure's mode
+    # replaced by e_mode^T
     given = []
+    real = discounted.dgttrf
 
-    class Recording(discounted._TridiagonalLU):
-        def __init__(self, dl, d, du, ref=None):
-            given.append((np.copy(dl), np.copy(d), np.copy(du), ref))
-            super().__init__(dl, d, du, ref)
+    def recording(dl, d, du, **kwargs):
+        given.append((np.copy(dl), np.copy(d), np.copy(du)))
+        return real(dl, d, du, **kwargs)
 
-    monkeypatch.setattr(discounted, "_TridiagonalLU", Recording)
+    monkeypatch.setattr(discounted, "dgttrf", recording)
     ops = discounted.GridOperators(model, domain, spacing)
     n, h = ops.mesh.n_nodes, ops.mesh.spacing
     for level in sorted({eps, *ops.eps_list, h, h / 2}):
         for alpha in (0.0,) if bordered else (0.3, 0.25 * 2.0 ** -7):
             given.clear()
-            assert isinstance(ops.lu(alpha, level), Recording)
-            (dl, d, du, ref), = given
+            lu = ops.lu(alpha, level)
             A = _csc(ops.mesh, _assemble_stencil(ops.mesh, ops.a + 0.5 * level ** 2, ops.b),
-                     alpha, ops.mesh.ref_index() if bordered else None)
-            for got, k in ((dl, -1), (d, 0), (du, 1)):
-                assert np.array_equal(got, A.diagonal(k)[:n - abs(k)])
+                     alpha)
+            dl, d, du = (A.diagonal(k)[:n - abs(k)] for k in (-1, 0, 1))
             if bordered:
-                assert np.array_equal(A[:n, n].toarray()[:, 0], np.full(n, -1.0))
-                row = A.tocsr()[n]
-                assert (row.indices.tolist(), row.data.tolist(), ref) \
-                    == ([ops.ref], [1.0], ops.ref)
+                assert lu.ref == ops.ref and lu.mode == np.argmax(lu.measure)
+                want = [_pinned(du, d, dl, ops.ref), _pinned(dl, d, du, lu.mode)]
             else:
-                assert ref is None and A.shape == (n, n)
-
-
-@pytest.mark.parametrize("where", ["centre", "first", "last"])
-@pytest.mark.parametrize("model", [STD_1D, degenerate_linear_model()],
-                         ids=["std", "degenerate"])
-def test_backward_check_residual_is_the_csc_residual(model, where, interval):
-    # the tridiagonal-plus-border product adds each row in column order as
-    # the CSC product does, so the residual and the handover keep their bits
-    ops = discounted.GridOperators(model, interval, 1e-3)
-    n, h = ops.mesh.n_nodes, ops.mesh.spacing
-    ref = {"centre": ops.ref, "first": 0, "last": n - 1}[where]
-    for eps in sorted({*ops.eps_list, h, h / 2}):
-        diag, coef = ops.stencil(eps)[:2]
-        tri = coef[1:, 0, 0], diag, coef[:-1, 0, 1]
-        lu = discounted._TridiagonalLU(*tri, ref)
-        A = discounted._csc(ops.mesh, ops.stencil(eps), 0.0, ref)
-        x = np.append(np.linspace(-1.0, 1.0, n), 1.0)
-        r = lu._matvec(*tri, x)
-        assert r.tobytes() == (A @ x).tobytes()
-        got = np.abs(lu._matvec(*tri, lu.solve(r)) - r).max()
-        want = np.abs(A @ lu.solve(r) - r).max()
-        assert got.tobytes() == want.tobytes()
-        scale = np.abs(A.data).max() + np.abs(r).max()
-        assert lu.backward_stable(*tri) == (want <= discounted._BACKWARD_TOL * scale)
+                assert lu.ref is None and A.shape == (n, n)
+                want = [(dl, d, du)]
+            assert len(given) == len(want)
+            for got, diagonals in zip(given, want):
+                for x, y in zip(got, diagonals):
+                    assert np.array_equal(x, y)
 
 
 ELLIPSE = quadratic_domain([[1.0, 0.0], [0.0, 2.0]])
@@ -513,32 +507,33 @@ MEASURE_CASES = [
     ("ellipse-0.05", ELLIPSE, STD_2D, 0.05),
     ("ellipse-0.025", ELLIPSE, STD_2D, 0.025),
     ("disc-steep", ball_domain(1.0, 2), STEEP_2D, 0.1),
+    # true mass near 1e-65 at the boundary nodes
+    ("curvature-300", ball_domain(1.0, 1), kolmogorov_model(quadratic_potential(300.0)),
+     1e-2),
 ]
 
 
 @pytest.mark.parametrize("name,domain,model,spacing", MEASURE_CASES,
                          ids=[c[0] for c in MEASURE_CASES])
 def test_adjoint_weights_are_the_invariant_measure(name, domain, model, spacing):
-    # -w on the nodes is a probability; w.r is the forward lambda.
-    # Measured gaps to a SuperLU forward solve of the same operator: 2.2e-15
-    # (interval), 3.3e-16 (degenerate), at most 2.8e-16 (disc, ellipse),
-    # relative
+    # the measure of each level is a probability with every entry positive,
+    # and -measure.r is the forward lambda. Measured gaps to a SuperLU
+    # forward solve of the same operator: 2.5e-14 (interval), 3.3e-16
+    # (degenerate), at most 3.3e-16 (disc, ellipse), 1.1e-15 (curvature
+    # 300), relative
     ops = discounted.GridOperators(model, domain, spacing)
     mesh, n = ops.mesh, ops.mesh.n_nodes
     driver = dataclasses.replace(cos_driver(), g=lambda X: 0.2 + X[:, 0])
-    e = np.zeros(n + 1)
-    e[-1] = 1.0
     assert len(ops.eps_list) == (2 if name == "degenerate" else 1)
     for eps in ops.eps_list:
         rhs = _rhs(ops, driver, 0.0, 0.4, eps)
         rhs[:n] -= np.cos(mesh.nodes[:, 0])
-        w = ops.lu(0.0, eps).solve(e, trans="T")
-        measure = -w[:n]
-        assert measure.min() >= 0.0
+        measure = _level(ops, eps).weights()[0]
+        assert measure.min() > 0.0
         assert abs(measure.sum() - 1.0) <= 1e-12
         A = _csc(mesh, ops.stencil(eps), 0.0, ops.ref)
         lam = scipy.sparse.linalg.splu(A).solve(rhs)[-1]
-        assert abs(w @ rhs - lam) <= 1e-12 * max(1.0, abs(lam))
+        assert abs(-measure @ rhs[:n] - lam) <= 1e-12 * max(1.0, abs(lam))
     # the extrapolated weights against the extrapolated forward solve
     x, _ = discounted._grid_solve(ops, driver, 0.0, lambda psi: 0.4)
     measure, flux = ops.weights()
@@ -547,6 +542,29 @@ def test_adjoint_weights_are_the_invariant_measure(name, domain, model, spacing)
         assert np.array_equal(g, 0.2 + mesh.nodes[mesh.boundary, 0])
     lam = measure @ np.cos(mesh.nodes[:, 0]) + flux @ (0.4 - g)
     assert abs(lam - x[n]) <= 1e-12 * max(1.0, abs(x[n]))
+
+
+@pytest.mark.parametrize("barrier", [10.0, 20.0, 40.0])
+def test_bordered_1d_solve_is_backward_stable_across_a_barrier(barrier, interval):
+    # a double well U = B (4x^2 - 1)^2 puts a barrier of height B on the
+    # reference node, which the process then rarely visits. LAPACK still
+    # serves: the backward error of (v, lambda) on the bordered operator
+    # and the residual of the measure stay at rounding
+    model = kolmogorov_model(poly_potential([barrier, 0.0, -8 * barrier, 0.0, 16 * barrier]))
+    ops = discounted.GridOperators(model, interval, 1e-3)
+    n = ops.mesh.n_nodes
+    driver = dataclasses.replace(cos_driver(), g=lambda X: 0.2 + X[:, 0])
+    sol = ergodic._direct(ops, driver, lambda psi: 0.4)
+    assert sol.diagnostics["factorisers"] == ["lapack_tridiagonal"]
+    rhs = _rhs(ops, driver, 0.0, 0.4, 0.0)
+    rhs[:n] -= np.cos(ops.mesh.nodes[:, 0])
+    x = ops.lu(0.0, 0.0).solve(rhs)
+    A = _csc(ops.mesh, ops.stencil(0.0), 0.0, ops.ref)
+    scale = abs(A).sum(axis=1).max() * np.abs(x).max() + np.abs(rhs).max()
+    assert np.abs(A @ x - rhs).max() <= 1e-14 * scale
+    N = _csc(ops.mesh, ops.stencil(0.0), 0.0)
+    w = ops.weights()[0]
+    assert np.abs(N.T @ w).max() <= 1e-14 * abs(N).sum(axis=0).max() * np.abs(w).max()
 
 
 @pytest.mark.parametrize("model,spacing", [(STD_1D, 1e-2), (STEEP_1D, 0.05)],
@@ -587,14 +605,12 @@ def test_one_dimensional_rows_are_monotone_with_a_probability_measure(
     upwinded = np.abs(ops.b[:, 0]) * h > 2 * ops.a[:, 0]
     assert upwinded.any() == (name == "steep")
     assert np.all(ops.neumann_scale(ops.eps_list[-1]) > 0)
-    e = np.zeros(n + 1)
-    e[-1] = 1.0
     for eps in ops.eps_list:
         for alpha, ref in ((0.0, ops.ref), (0.3, None)):
             A = _csc(ops.mesh, ops.stencil(eps), alpha, ref).tocoo()
             off = (A.row < n) & (A.col < n) & (A.row != A.col)
             assert A.data[off].min() >= 0.0
-        measure = -ops.lu(0.0, eps).solve(e, trans="T")[:n]
+        measure = _level(ops, eps).weights()[0]
         assert measure.min() >= 0.0
         assert abs(measure.sum() - 1.0) <= 1e-12
     # the adjoint slope against two forward solves, relative to the size of
@@ -695,9 +711,10 @@ def test_degenerate_config_still_has_a_flat_curve():
 
 def _count_factorisations(monkeypatch):
     """Count factorisations (``discounted._factorise``: splu in 2-d, the
-    tridiagonal LU in 1-d), LU solves, transposed LU solves and spsolve
-    calls made by the solvers; ``live_at_factorise`` lists how many earlier
-    LUs are alive at each factorisation."""
+    tridiagonal LU in 1-d), LU solves, transposed LU solves (SuperLU's, and
+    each read of a 1-d LU's measure) and spsolve calls made by the solvers;
+    ``live_at_factorise`` lists how many earlier LUs are alive at each
+    factorisation."""
     counts = {"factorisations": 0, "lu_solves": 0, "adjoint_solves": 0, "spsolve": 0,
               "live_at_factorise": []}
     live = weakref.WeakSet()
@@ -707,9 +724,14 @@ def _count_factorisations(monkeypatch):
         def __init__(self, lu):
             self.lu = lu
 
-        def solve(self, rhs, trans="N"):
-            counts["adjoint_solves" if trans == "T" else "lu_solves"] += 1
-            return self.lu.solve(rhs, trans=trans)
+        def solve(self, rhs, **trans):
+            counts["adjoint_solves" if trans else "lu_solves"] += 1
+            return self.lu.solve(rhs, **trans)
+
+        @property
+        def measure(self):      # the transposed solve of a 1-d ergodic LU
+            counts["adjoint_solves"] += 1
+            return self.lu.measure
 
     def factorise(*args):
         counts["factorisations"] += 1
@@ -735,14 +757,18 @@ def _count_factorisations(monkeypatch):
                          ids=["discounted", "bordered", "ref-first", "ref-last"])
 def test_tridiagonal_lu_matches_splu(model, alpha, ref, interval):
     # same assembled operator, every viscosity level; ref moves the
-    # normalization row's entry to the first or the last node. The
-    # degenerate model's point mass at 0 leaves the edges rarely visited,
-    # so removing the border there is not backward stable: SuperLU instead
-    tridiagonal = model is STD_1D or ref in (None, "centre")
+    # normalization row's entry to the first or the last node, which the
+    # degenerate model's point mass at 0 leaves rarely visited. Every
+    # operator goes through LAPACK. The measure of a bordered one is minus
+    # the nodes of SuperLU's transposed solve of e_n. Measured gaps, relative
+    # to the largest entry: at most 1.4e-11 for v and lambda, 3.4e-12 for
+    # the measure
     ops = discounted.GridOperators(model, interval, 1e-3)
     mesh, n, bordered = ops.mesh, ops.mesh.n_nodes, ref is not None
     h = mesh.spacing
     driver = dataclasses.replace(cos_driver(), g=lambda X: 0.2 + X[:, 0])
+    e = np.zeros(n + 1)
+    e[-1] = 1.0
     for eps in sorted({*ops.eps_list, h, h / 2}):
         rhs = _rhs(ops, driver, alpha, 0.4, eps)
         rhs[:n] -= np.cos(mesh.nodes[:, 0])
@@ -758,15 +784,12 @@ def test_tridiagonal_lu_matches_splu(model, alpha, ref, interval):
         lu = discounted._factorise(mesh, ops.stencil(eps), alpha,
                                    None if ref is None else ops.ref if ref == "centre"
                                    else ref % n)
-        assert isinstance(lu, discounted._TridiagonalLU) == tridiagonal
+        assert isinstance(lu, discounted._TridiagonalLU)
         got = lu.solve(rhs)
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
-        # the transposed solve, with a non-zero border entry when bordered
-        rhs_t = rhs.copy()
-        rhs_t[-1] += 0.7 * bordered
-        want = scipy.sparse.linalg.splu(A).solve(rhs_t, trans="T")
-        got = lu.solve(rhs_t, trans="T")
-        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+        if bordered:
+            want = -scipy.sparse.linalg.splu(A).solve(e, trans="T")[:n]
+            assert np.max(np.abs(lu.measure - want)) <= 1e-9 * np.max(want)
 
 
 def test_singular_tridiagonal_operator_raises(interval):

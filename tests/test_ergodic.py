@@ -209,7 +209,7 @@ def test_time_average_pinned_bit_for_bit(interval, std_model, cosdrv):
             == (0.06832465497338897, 0.4110774483310166))
     gdrv = dataclasses.replace(cosdrv, g=lambda X: 0.3 * X[:, 0] + 0.1)
     gsol = solve_ergodic(std_model, interval, gdrv, 0.5, spacing=1e-2)
-    assert gsol.lam == 0.5775852411546085
+    assert gsol.lam == 0.5775852411545999
     assert (lambda_time_average(std_model, interval, gdrv, gsol, T=0.5, h=1e-3,
                                 paths=8, seed=4)
             == (0.3854324436820858, 0.16900207987974356))
@@ -242,8 +242,7 @@ def test_line_zeta_at_is_np_interp_bit_for_bit(interval):
     assert sol.v.interp_many(np.array([[0.3]]))[0] == np.interp(0.3, nodes, sol.v.values)
 
 
-def test_diagnostics_record_what_the_solve_did(monkeypatch, interval, std_model,
-                                               cosdrv):
+def test_diagnostics_record_what_the_solve_did(interval, std_model, cosdrv):
     sol = solve_ergodic(std_model, interval, cosdrv, 0.25, spacing=1e-2)
     diag = sol.diagnostics
     assert diag["boundary_rows"] == "ghost_point"
@@ -263,10 +262,6 @@ def test_diagnostics_record_what_the_solve_did(monkeypatch, interval, std_model,
     diag = solve_ergodic(disc, ball_domain(1.0, 2), cosdrv, 0.25,
                          spacing=0.1).diagnostics
     assert (diag["boundary_rows"], diag["factorisers"]) == ("cut_cell", ["superlu"])
-    # a bordered 1-d operator whose border removal fails the backward check
-    monkeypatch.setattr(discounted, "_BACKWARD_TOL", -1.0)
-    diag = solve_ergodic(std_model, interval, cosdrv, 0.25, spacing=1e-2).diagnostics
-    assert diag["factorisers"] == ["superlu_handover"]
 
 
 def test_solution_save_layout(tmp_path, interval, std_model, cosdrv):
@@ -313,8 +308,8 @@ def test_vanishing_discount_builds_one_mesh(monkeypatch, interval, std_model, co
 # (the interval re-recorded with the ghost-point boundary rows, the disc
 # with the cut-cell rows)
 DIRECT_CURVES = {
-    "interval-direct": [1.569980639136138, 0.8611267834350403,
-                        0.5066998555844916, -0.5565809279671546],
+    "interval-direct": [1.56998063913615, 0.8611267834350387,
+                        0.506699855584483, -0.5565809279671838],
     "disc-direct": [2.431885197235131, 0.8901119936609595,
                     0.1192253918738736, -2.193434413487384],
 }
@@ -340,13 +335,13 @@ def test_curve_equals_standalone_solves_bit_for_bit(case, interval, std_model,
         assert list(curve.lams) == alone
         return
     # the direct curve is the line from the adjoint weights, not a forward
-    # solve per mu: measured gaps 3.4e-14 (interval) and 4.4e-16 (disc)
+    # solve per mu: measured gaps 2.2e-16 (interval) and 4.4e-16 (disc)
     assert np.max(np.abs(curve.lams - alone)) <= 1e-12
     assert list(curve.lams) == DIRECT_CURVES[case]
 
 
 @pytest.mark.parametrize("scheme,target,mu_star,lam", [
-    ("direct", 0.5, 0.5094494943194499, 0.5000000000004041),
+    ("direct", 0.5, 0.509449494318871, 0.4999999999999999),
 ], ids=["direct"])
 def test_inversion_pinned_bit_for_bit(scheme, target, mu_star, lam, interval,
                                       std_model, cosdrv):

