@@ -23,13 +23,12 @@ so one stencil per viscosity level serves every discount. The ergodic
 operator is factorised once per mesh and viscosity level
 (``GridOperators``), and that LU serves every Picard sweep and every mu; a
 discounted LU serves the sweeps of its one solve.
-In 1-d the LAPACK tridiagonal LU reads the stencil's three diagonals
-directly. A 1-d ergodic operator is solved through its discrete invariant
-measure, the paper's route to lambda: one LU of the transposed operator
-gives the measure w, each right-hand side r gives lambda = -w.r, and a
-second LU, pinned at the mode of w, gives v (``_TridiagonalLU``). A sparse
-matrix is built from the stencil only for SuperLU, in 2-d (``_csc``), where
-one transposed solve on the bordered LU gives the measure. The measure and
+In 1-d the LAPACK tridiagonal LU reads the stencil's three diagonals; a
+sparse matrix is built from the stencil only for SuperLU, in 2-d (``_csc``).
+Every ergodic operator is solved through its discrete invariant measure,
+the paper's route to lambda: one LU of the transposed operator with one row
+pinned gives the measure w, each right-hand side r gives lambda = -w.r, and
+the transposed solve of the same LU gives v (``_ErgodicLU``). The measure and
 the boundary flux give lambda as a linear function of psi and mu - g
 (``GridOperators.weights``). Degenerate 1-d diffusion is handled by adding
 a small viscosity eps^2/2 at two values of eps and extrapolating linearly
@@ -173,23 +172,20 @@ def _assemble_stencil(mesh: Mesh, a: np.ndarray, b: np.ndarray):
 _NO_PAIRS = (np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
 
 
-def _csc(mesh: Mesh, stencil, alpha: float, ref: Optional[int] = None) -> sparse.csc_matrix:
-    """Sparse operator of a stencil with alpha subtracted on the diagonal.
-    With ``ref`` the unknown lambda is appended: a -1 column and the
-    normalization row v(x_ref) = 0."""
+def _csc(mesh: Mesh, stencil, alpha: float, pin: Optional[int] = None) -> sparse.csc_matrix:
+    """Sparse operator N of a stencil with alpha subtracted on the diagonal,
+    or with ``pin`` N^T with row pin replaced by e_pin^T (``_ErgodicLU``)."""
     diag, coef, entry, (prow, pcol, pval) = stencil
     n = len(diag)
     node, axis, side = np.nonzero(entry)
-    rows = [np.arange(n), node, prow]
-    cols = [np.arange(n), mesh.neighbors[node, axis, side], pcol]
-    vals = [diag - alpha, coef[node, axis, side], pval]
-    if ref is not None:
-        rows += [np.arange(n), [n]]
-        cols += [np.full(n, n), [ref]]
-        vals += [np.full(n, -1.0), [1.0]]
-    rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
-    size = n + (ref is not None)
-    return sparse.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsc()
+    rows = np.concatenate([np.arange(n), node, prow])
+    cols = np.concatenate([np.arange(n), mesh.neighbors[node, axis, side], pcol])
+    vals = np.concatenate([diag - alpha, coef[node, axis, side], pval])
+    if pin is not None:     # transposed, without the entries of row pin
+        keep = cols != pin
+        rows, cols, vals = (np.append(cols[keep], pin), np.append(rows[keep], pin),
+                            np.append(vals[keep], 1.0))
+    return sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()
 
 
 # the two boundary nodes of a 1-d mesh: the first, inward normal +1, and the last, -1
@@ -204,70 +200,82 @@ def _boundary_drift(mesh: Mesh, a: np.ndarray, b: np.ndarray):
     return bn, bn * mesh.spacing <= 2 * a[_ENDS, 0]
 
 
-def _lu(dl: np.ndarray, d: np.ndarray, du: np.ndarray, pin: Optional[int] = None):
-    """LAPACK tridiagonal LU (dgttrf) of the matrix with diagonals ``dl``
-    (n - 1,), ``d`` (n,) and ``du`` (n - 1,), copied first; with ``pin``
-    its row pin is replaced by e_pin^T."""
-    dl, d, du = (np.array(x, dtype=float) for x in (dl, d, du))
+class _Tridiagonal:
+    """LAPACK tridiagonal LU (dgttrf) of the diagonals ``dl``, ``d`` and
+    ``du``; ``solve(rhs, trans)`` is SuperLU's."""
+
+    def __init__(self, dl: np.ndarray, d: np.ndarray, du: np.ndarray):
+        *self.factors, info = dgttrf(dl, d, du)
+        if info > 0:
+            raise RuntimeError("Factor is exactly singular")
+
+    def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+        return dgttrs(*self.factors, rhs, trans=trans)[0]
+
+
+def _factorise(mesh: Mesh, stencil, alpha: float, pin: Optional[int] = None):
+    """LU, with the ``solve(rhs, trans)`` of SuperLU, of the operator N that
+    ``_csc`` builds from a stencil, or with ``pin`` of N^T with row pin
+    replaced by e_pin^T: LAPACK's tridiagonal LU in 1-d; SuperLU in 2-d,
+    ordered by minimum degree on A^T + A with diagonal pivots preferred (on
+    the unit disc at spacing 0.025, nnz(L + U) is 175,731, where the default
+    ordering of N bordered with lambda's -1 column gave 291,739)."""
+    if mesh.domain.dim > 1:
+        return splu(_csc(mesh, stencil, alpha, pin), permc_spec="MMD_AT_PLUS_A",
+                    options={"SymmetricMode": True})
+    diag, coef = stencil[:2]
+    dl, d, du = coef[1:, 0, 0], diag - alpha, coef[:-1, 0, 1]
     if pin is not None:
-        d[pin] = 1.0
-        dl[pin - 1:pin] = 0.0
-        du[pin:pin + 1] = 0.0
-    *factors, info = dgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
-    if info > 0:
-        raise RuntimeError("Factor is exactly singular")
-    return factors
+        dl, du = du.copy(), dl.copy()
+        d[pin], dl[pin - 1:pin], du[pin:pin + 1] = 1.0, 0.0, 0.0
+    return _Tridiagonal(dl, d, du)
 
 
-class _TridiagonalLU:
-    """LU of a 1-d operator on ``n`` nodes numbered left to right, with the
-    ``solve(rhs)`` of SuperLU, from the operator's three diagonals ``dl``,
-    ``d`` and ``du`` as ``_assemble_stencil`` gives them (``_lu``).
+class _ErgodicLU:
+    """LU of an ergodic operator N (alpha = 0) bordered with lambda,
+    [[N, -1], [e_ref^T, 0]], with SuperLU's ``solve(rhs)``, in any
+    dimension; ``factor(pin)`` is the LU of B_pin = N^T with row pin
+    replaced by e_pin^T (``_factorise``).
 
-    With ``ref`` the operator is bordered, [[N, -1], [e_ref^T, 0]]: the
-    lambda column is -1 on every row and the normalization row is e_ref^T.
-    N's rows sum to zero, so any one row of N^T is minus the sum of the
-    others: the invariant measure (w N = 0, mass 1) solves N^T with row ref
-    replaced by e_ref^T, rescaled (``measure``). Each rhs (r, r_n) then
-    takes lambda = -w.r, and v solves the consistent system N v = r +
-    lambda with the row of the mode of w (its largest entry) replaced by
-    e_mode^T, shifted so that v_ref = r_n. The dropped row's residual is
-    the others' weighted by w_i / w_mode <= 1, so no two large solves are
-    subtracted, and the backward error stays at rounding with ref on a
-    potential barrier too. Two LUs in all.
+    N's rows sum to zero, so B_ref u = e_ref gives the invariant measure w =
+    u / sum(u), positive down to where the mass underflows only for an
+    interior ref (an end pin of a steep 1-d potential left -1.2e-17). Each
+    rhs (r, r_n) takes lambda = -w.r, and v solves N v = r + lambda by a
+    transposed solve: B_pin^T is N with column pin replaced by e_pin, and
+    the discarded v_pin is row pin's residual w.e / w_pin (e the rounding
+    of every row). The pin is the mode of w, so w_i / w_pin <= 1 with ref on
+    a barrier too; a second LU is factorised only when the mode is not ref.
+    As w.e grows with the nodes (a backward error of 2.6e-14 for an
+    off-centre drift on the disc at 0.025), v_pin times the v of a unit rhs
+    at the pin, solved once, spreads it over every row. Then v_ref = r_n.
     """
 
-    def __init__(self, dl: np.ndarray, d: np.ndarray, du: np.ndarray,
-                 ref: Optional[int] = None):
+    def __init__(self, factor, n: int, ref: int):
         self.ref = ref
-        if ref is None:
-            self.factors = _lu(dl, d, du)
-            return
-        e = np.zeros(len(d))
+        lu = factor(ref)
+        e = np.zeros(n)
         e[ref] = 1.0
-        u = dgttrs(*_lu(du, d, dl, ref), e)[0]
+        u = lu.solve(e)
         self.measure = u / u.sum()
         self.mode = int(np.argmax(self.measure))
-        self.factors = _lu(dl, d, du, self.mode)
+        self.lu = lu if self.mode == ref else factor(self.mode)
+        self._unit = None
+
+    def _pinned(self, rhs: np.ndarray):
+        """(v, lambda) with v_mode set to 0, and the v_mode it discarded."""
+        lam = -float(self.measure @ rhs[:-1])
+        v = self.lu.solve(rhs[:-1] + lam, trans="T")
+        defect, v[self.mode] = v[self.mode], 0.0
+        return np.append(v + (rhs[-1] - v[self.ref]), lam), defect
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self.ref is None:
-            return dgttrs(*self.factors, rhs)[0]
-        lam = -float(self.measure @ rhs[:-1])
-        r = rhs[:-1] + lam
-        r[self.mode] = 0.0
-        v = dgttrs(*self.factors, r)[0]
-        return np.append(v + (rhs[-1] - v[self.ref]), lam)
-
-
-def _factorise(mesh: Mesh, stencil, alpha: float, ref: Optional[int] = None):
-    """LU, with a ``solve(rhs)`` method, of the operator that ``_csc`` builds
-    from a stencil: the LAPACK tridiagonal LU of its three diagonals in 1-d
-    (``_TridiagonalLU``), SuperLU in 2-d."""
-    if mesh.domain.dim == 1:
-        diag, coef = stencil[:2]
-        return _TridiagonalLU(coef[1:, 0, 0], diag - alpha, coef[:-1, 0, 1], ref)
-    return splu(_csc(mesh, stencil, alpha, ref))
+        if self._unit is None:
+            unit = np.zeros(len(rhs))
+            unit[self.mode] = 1.0
+            self._unit = self._pinned(unit)[0][:-1]
+        x, defect = self._pinned(rhs)
+        x[:-1] += defect * self._unit
+        return x
 
 
 def _extrapolate(xs: list):
@@ -330,18 +338,16 @@ class GridOperators:
     Holds the mesh, the coefficients at its nodes, the viscosity levels
     (``eps_list``: h and h/2 on a 1-d grid where the diffusion degenerates
     somewhere, ``_needs_viscosity``; 0 otherwise), one alpha-free stencil
-    per eps (``stencil``), shared by every discount and by the bordered and
-    unbordered operators, the number of operators factorised
-    (``factorisations``; a 1-d ergodic operator counts once for its two
-    LAPACK LUs), and the ergodic LU of each eps (``lu``). The discount
-    enters only the diagonal as fl(-S - alpha), the same bits as assembling
-    with alpha. In 1-d the LAPACK tridiagonal LU takes the stencil's three
-    diagonals, and an ergodic operator is solved through its invariant
-    measure (``_TridiagonalLU``); SuperLU takes a CSC built from the stencil
-    in 2-d. mu and psi enter only the right-hand side, so one instance
-    serves every mu of a curve or an inversion, and ``weights`` gives
-    lambda for all of them from the measure of each level; it lives as long
-    as its caller keeps it.
+    per eps (``stencil``), shared by every discount, the number of
+    operators factorised (``factorisations``; an ergodic operator counts
+    once for its one LU, or two when its measure's mode is not ``ref``) and
+    the ergodic LU of each eps (``lu``, ``_ErgodicLU``). The discount enters
+    only the diagonal as fl(-S - alpha), the same bits as assembling with
+    alpha. ``ref``, the node nearest the centroid, is interior on every
+    shipped domain, which keeps the measure positive. mu and psi enter only
+    the right-hand side, so one instance serves every mu of a curve or an
+    inversion, and ``weights`` gives lambda for all of them from the
+    measure of each level; it lives as long as its caller keeps it.
     """
 
     def __init__(self, model: SdeModel, domain: DomainSpec, spacing: float = 1e-3):
@@ -361,8 +367,8 @@ class GridOperators:
 
     def stencil(self, eps: float):
         """The alpha-free stencil (``_assemble_stencil``) at viscosity level
-        eps, assembled once and shared by every discount and by the bordered
-        and unbordered operators."""
+        eps, assembled once and shared by every discount and by the ergodic
+        operator."""
         stencil = self._operators.get(eps)
         if stencil is None:
             stencil = _assemble_stencil(self.mesh, self.a + 0.5 * eps ** 2, self.b)
@@ -436,18 +442,19 @@ class GridOperators:
         return np.divide(cost, total, out=np.zeros_like(cost), where=total > 0)
 
     def lu(self, alpha: float, eps: float):
-        """LU (``_factorise``) of the operator at (alpha, eps), bordered
-        exactly when alpha = 0. The ergodic LU of each eps is kept for every
-        later solve and mu; a discounted LU serves its one solve and is not
-        kept."""
-        lu = self._lus.get(eps) if alpha == 0 else None
-        if lu is None:
-            lu = _factorise(self.mesh, self.stencil(eps), alpha,
-                            self.ref if alpha == 0 else None)
+        """LU of the operator at (alpha, eps): ``_factorise`` for alpha > 0,
+        and the bordered ergodic LU (``_ErgodicLU``) for alpha = 0. The
+        ergodic LU of each eps is kept for every later solve and mu; a
+        discounted LU serves its one solve and is not kept."""
+        stencil = self.stencil(eps)
+        if alpha > 0:
             self.factorisations += 1
-            if alpha == 0:
-                self._lus[eps] = lu
-        return lu
+            return _factorise(self.mesh, stencil, alpha)
+        if eps not in self._lus:
+            self._lus[eps] = _ErgodicLU(lambda pin: _factorise(self.mesh, stencil, 0.0, pin),
+                                        self.mesh.n_nodes, self.ref)
+            self.factorisations += 1
+        return self._lus[eps]
 
     def weights(self):
         """(measure, flux) with lambda = measure.psi + flux.(mu - g) for
@@ -455,17 +462,11 @@ class GridOperators:
         the boundary rows as ``boundary_cost`` gives it.
 
         The measure of each viscosity level is the discrete invariant
-        measure (mass 1): in 1-d the one the ergodic LU computed
-        (``_TridiagonalLU``), in 2-d minus the nodes of the transposed
-        bordered solve of e_n, whose w gives lambda = w.r. The flux is minus
-        the measure times d r / d mu on the boundary nodes, and its sum is
-        d lambda / d mu. Both parts are extrapolated like the solutions."""
-        n = self.mesh.n_nodes
-        e = np.zeros(n + 1)
-        e[-1] = 1.0
-        lus = [self.lu(0.0, eps) for eps in self.eps_list]
-        ms = [lu.measure if self.mesh.domain.dim == 1 else -lu.solve(e, trans="T")[:n]
-              for lu in lus]
+        measure (mass 1) that its ergodic LU computed (``_ErgodicLU``). The
+        flux is minus the measure times d r / d mu on the boundary nodes, and
+        its sum is d lambda / d mu. Both parts are extrapolated like the
+        solutions."""
+        ms = [self.lu(0.0, eps).measure for eps in self.eps_list]
         flux = -_extrapolate([m[self.boundary_rows()] * self.neumann_scale(eps)
                               for m, eps in zip(ms, self.eps_list)])
         return _extrapolate(ms), flux
@@ -490,8 +491,8 @@ def _grid_solve(ops: GridOperators, driver: DriverSpec, alpha: float, mu):
     sols = []
     built = ops.factorisations
     record = {"nodes": n, "viscosity_eps": ops.eps_list,
-              "factorisers": [], "factorisations": 0, "picard_sweeps": 0,
-              "picard_update": None, "damping_events": 0}
+              "factorisers": [factoriser] * len(ops.eps_list), "factorisations": 0,
+              "picard_sweeps": 0, "picard_update": None, "damping_events": 0}
     rows, g = ops.boundary_rows(), ops.boundary_cost(driver)
     for eps in ops.eps_list:
         lu = ops.lu(alpha, eps)
@@ -505,7 +506,6 @@ def _grid_solve(ops: GridOperators, driver: DriverSpec, alpha: float, mu):
 
         x, sweeps, update, damped = _picard(ops, driver, linear_solve)
         sols.append(x)
-        record["factorisers"].append(factoriser)
         record["picard_sweeps"] += sweeps
         record["damping_events"] += damped
         if update is not None:

@@ -1,12 +1,12 @@
 """Long-run solvers: ergodic value function, cost constants, and inversion.
 
 The direct scheme produces the pair (v, lambda) at a boundary constant mu:
-one bordered linear system (or Picard sweeps of it when the driver reads
-the gradient, all on one LU) with unknowns (v at the nodes, lambda, mu) and
-the normalization v(x_ref) = 0. The vanishing-discount limit, the paper's
-existence argument, stays reachable only as
-``solve_ergodic(scheme="vanishing_discount")``: it repeats the direct lambda
-on the same grid at several times the solves.
+one linear system in (v at the nodes, lambda, mu) with the normalization
+v(x_ref) = 0, solved through the discrete invariant measure (Picard sweeps
+of it on one ergodic LU when the driver reads the gradient). The
+vanishing-discount limit, the paper's existence argument, stays reachable
+only as ``solve_ergodic(scheme="vanishing_discount")``: it repeats the
+direct lambda on the same grid at several times the solves.
 
 On top of the direct scheme sit the curve mu -> lambda(mu), which is
 non-increasing, and its inversion, the boundary constant matching a
@@ -268,7 +268,7 @@ def solve_boundary_cost(model: SdeModel, domain: DomainSpec, driver: DriverSpec,
     weights``). So each linear solve of the direct scheme's Picard sweeps
     first takes the mu of that line at the target, mu_k = (lambda_target -
     (measure.psi_k - flux.g)) / slope, and then solves at mu_k on the same
-    bordered LU: a driver that does not read z takes one sweep, the closed
+    ergodic LU: a driver that does not read z takes one sweep, the closed
     form, and a driver that reads z the fixed point on (v, mu). Each sweep's
     lambda is the target to rounding. With two viscosity levels each level
     sweeps with the extrapolated weights, and the returned mu is

@@ -310,8 +310,8 @@ def test_vanishing_discount_builds_one_mesh(monkeypatch, interval, std_model, co
 DIRECT_CURVES = {
     "interval-direct": [1.56998063913615, 0.8611267834350387,
                         0.506699855584483, -0.5565809279671838],
-    "disc-direct": [2.431885197235131, 0.8901119936609595,
-                    0.1192253918738736, -2.193434413487384],
+    "disc-direct": [2.4318851972351334, 0.8901119936609597,
+                    0.11922539187387293, -2.1934344134873873],
 }
 
 

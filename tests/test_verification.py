@@ -112,8 +112,8 @@ def test_bsde_residual_pinned_bit_for_bit(interval, std_model, cosdrv):
     sol = solve_ergodic(std_model, interval, cosdrv, 0.5, spacing=1e-2)
     res = bsde_residual(sol, std_model, interval, cosdrv, paths=32, T=0.5,
                         h=1e-3, seed=7)
-    assert (res.mean, res.stderr) == (-0.0030909410891559823, 0.002571232551360746)
-    assert res.partial_means[0] == 0.0009974906760425357
+    assert (res.mean, res.stderr) == (-0.0030909410891528876, 0.0025712325513613282)
+    assert res.partial_means[0] == 0.0009974906760454802
 
 
 def test_bsde_residual_with_boundary_cost_pinned_bit_for_bit(interval, std_model,
@@ -125,11 +125,11 @@ def test_bsde_residual_with_boundary_cost_pinned_bit_for_bit(interval, std_model
     res = bsde_residual(sol, std_model, interval, gdrv, paths=16, T=0.5,
                         h=1e-3, seed=7)
     assert (res.mean, res.stderr, res.variance) == (
-        -0.004290400000854964, 0.004679211319612061, 0.0003503202971773703)
+        -0.004290400000856039, 0.004679211319611781, 0.00035032029717732837)
     assert res.partial_means.tolist() == [
-        0.001508768490232982, -0.00046287841420252916, -0.0008664958403281106,
-        -0.0026089229951114035, -0.004715965849045141, -0.004296415805859833,
-        -0.0036173584820796134, -0.004290400000854964]
+        0.0015087684902320231, -0.0004628784142040273, -0.0008664958403295452,
+        -0.002608922995112691, -0.004715965849046439, -0.004296415805861129,
+        -0.0036173584820808026, -0.004290400000856039]
 
 
 def test_bsde_residual_refuses_a_start_outside_the_closure(interval, std_model,
